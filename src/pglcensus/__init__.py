@@ -58,10 +58,8 @@ from .stdgroups import (
     stabilized_locus,
     std_A4,
     std_A5,
-    std_A5_char3,
     std_cyclic,
     std_dihedral,
-    std_dihedral_char2,
     std_gamma_semidirect,
     std_PGL2,
     std_PSL2,

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .gfq import (
     FieldSpec,
     FqElem,
     extension_field,
-    field_elements,
     field_make,
     fp_echelon,
     fq_from_coeffs,
@@ -40,11 +39,11 @@ from .gfq import (
     render_field_spec,
 )
 from .moebius import (
-    Moebius,
     PP1,
     mob_apply,
     mob_from_three_points,
     mob_identity,
+    mob_infinity_to,
     mob_make,
     mob_order,
     mob_sort_key,
@@ -54,6 +53,7 @@ from .moebius import (
     pp1_affine,
     pp1_embed,
     pp1_infinity,
+    pp1_points,
     pp1_sort_key,
     render_point,
 )
@@ -67,13 +67,12 @@ from .stdgroups import (
     stabilized_locus,
     std_A4,
     std_A5,
-    std_A5_char3,
     std_cyclic,
     std_dihedral,
-    std_dihedral_char2,
     std_gamma_semidirect,
     std_PGL2,
     std_PSL2,
+    std_S4,
     subgroup_embed,
     subgroup_from_json,
     subgroup_project,
@@ -214,7 +213,6 @@ class CensusReport:
     matches: tuple[SubgroupPGL2, ...]
     count: int
     verdict: str  # "finite" or "grows_with_field"
-    witness_counts: Optional[tuple[tuple[int, int], ...]] = None  # (level n, count)
     notes: str = ""
 
 
@@ -249,15 +247,13 @@ def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...]) -> list
     if kind == "cyclic":
         return [std_cyclic(ext, params[0])]
     if kind == "dihedral":
-        if ext.p == 2:
-            return [std_dihedral_char2(ext, params[0])]
         return [std_dihedral(ext, params[0])]
     if kind == "A4":
         return [std_A4(ext)]
     if kind == "S4":
         return [std_S4(ext)]
     if kind == "A5":
-        return [std_A5_char3(ext) if ext.p == 3 else std_A5(ext)]
+        return [std_A5(ext)]
     if kind == "PSL2":
         return [std_PSL2(ext, params[0])]
     if kind == "PGL2":
@@ -278,20 +274,6 @@ def _elementary_abelian_fingerprint(ext: FieldSpec, m: int) -> Fingerprint:
     p = ext.p
     orders = ((1, 1),) if m == 0 else ((1, 1), (p, p ** m - 1))
     return Fingerprint(order=p ** m, element_orders=orders, abelian=True, p_regular=(m == 0))
-
-
-def _move_infinity_to(P: PP1) -> Moebius:
-    """A fixed choice of map sending infinity to P (the identity when P = inf)."""
-    spec = P.spec
-    if P.is_infinity:
-        return mob_identity(spec)
-    return mob_make(P.x, fq_one(spec), fq_one(spec), fq_zero(spec))
-
-
-def _points_of(spec: FieldSpec):
-    for x in field_elements(spec):
-        yield pp1_affine(x)
-    yield pp1_infinity(spec)
 
 
 def _subgroup_sort_key(H: SubgroupPGL2):
@@ -333,7 +315,7 @@ def _pp1_project(P: PP1, target: FieldSpec) -> Optional[PP1]:
     return None if down is None else pp1_affine(down)
 
 
-def enum_actions(query: CensusQuery, mapper: Optional[Callable] = None) -> CensusReport:
+def enum_actions(query: CensusQuery) -> CensusReport:
     """Enumerate all subgroups of PGL2(F_{q^r}) matching the query.
 
     Strategy by locus size, after comparing it with the model's locus size:
@@ -350,8 +332,8 @@ def enum_actions(query: CensusQuery, mapper: Optional[Callable] = None) -> Censu
       visible) and kept only when the conjugated group lands back inside
       PGL2(F_{q^r}).
 
-    `mapper` optionally replaces the builtin map for the per-candidate work
-    (e.g. ThreadPoolExecutor.map); the merge is deterministic either way.
+    Matches are deduplicated and sorted canonically, so the report is
+    byte-deterministic.
     """
     ext = extension_field(query.spec, query.r)
     S = tuple(sorted({pp1_embed(P, ext) for P in query.locus}, key=pp1_sort_key))
@@ -359,18 +341,16 @@ def enum_actions(query: CensusQuery, mapper: Optional[Callable] = None) -> Censu
     # field, deduplicated and sorted
     query = CensusQuery(query.spec, query.group_id, S, query.r)
     kind, params = parse_group_id(query.group_id)
-    if mapper is None:
-        mapper = map
 
     if kind == "gamma" and params[1] == 1:
         m = params[0]
         expected = _elementary_abelian_fingerprint(ext, m)
         if len(S) == 1 and m >= 1:
-            move = _move_infinity_to(S[0])
-            gammas = enum_additive_subgroups(ext, m)
-            candidates = list(
-                mapper(lambda G: conjugate_subgroup(gamma_to_unipotent(G), move), gammas)
-            )
+            move = mob_infinity_to(S[0])
+            candidates = [
+                conjugate_subgroup(gamma_to_unipotent(G), move)
+                for G in enum_additive_subgroups(ext, m)
+            ]
             matches = _verified(candidates, S, expected)
             verdict = "grows_with_field"
             notes = f"one action per rank-{m} additive subgroup of {render_field_spec(ext)}"
@@ -402,19 +382,17 @@ def enum_actions(query: CensusQuery, mapper: Optional[Callable] = None) -> Censu
         elif len(S) >= 3:
             H0_2 = subgroup_embed(H0, ext2)
             src = L0[:3]
-            triples = list(itertools.permutations(S2, 3))
-
-            def conjugate_by_triple(dst, H0_2=H0_2, src=src):
+            for dst in itertools.permutations(S2, 3):
                 g = mob_from_three_points(src, dst)
-                return subgroup_project(conjugate_subgroup(H0_2, g), ext)
-
-            candidates.extend(H for H in mapper(conjugate_by_triple, triples) if H is not None)
+                H = subgroup_project(conjugate_subgroup(H0_2, g), ext)
+                if H is not None:
+                    candidates.append(H)
         elif len(S) == 2:
             L0_down = [_pp1_project(P, ext) for P in L0]
             if any(P is None for P in L0_down):
                 continue  # the model's locus is irrational here: nothing can match S
-            third_src = next(P for P in _points_of(ext) if P not in L0_down)
-            third_dst = next(P for P in _points_of(ext) if P not in S)
+            third_src = next(P for P in pp1_points(ext) if P not in L0_down)
+            third_dst = next(P for P in pp1_points(ext) if P not in S)
             for arrangement in ((S[0], S[1]), (S[1], S[0])):
                 g = mob_from_three_points(
                     (L0_down[0], L0_down[1], third_src),
@@ -627,7 +605,7 @@ def census_report_to_json(report: CensusReport) -> dict:
     # rendered at level 1 (the census field itself)
     q = report.query
     return {
-        "schema": "pglcensus/census/v1",
+        "schema": "pglcensus/census/v2",
         "query": {
             "field": render_field_spec(q.spec),
             "group": q.group_id,
@@ -637,9 +615,6 @@ def census_report_to_json(report: CensusReport) -> dict:
         },
         "count": report.count,
         "verdict": report.verdict,
-        "witness_counts": (
-            None if report.witness_counts is None else [list(t) for t in report.witness_counts]
-        ),
         "matches": [subgroup_to_json(H, 1) for H in report.matches],
         "notes": report.notes,
     }
@@ -652,13 +627,11 @@ def census_report_from_json(data: dict) -> CensusReport:
     locus = tuple(parse_point(locus_field, text) for text in q["locus"])
     query = CensusQuery(spec, q["group"], locus, r=q["ext"])
     matches = tuple(subgroup_from_json(m) for m in data["matches"])
-    witness = data.get("witness_counts")
     return CensusReport(
         query=query,
         matches=matches,
         count=data["count"],
         verdict=data["verdict"],
-        witness_counts=None if witness is None else tuple(tuple(t) for t in witness),
         notes=data.get("notes", ""),
     )
 

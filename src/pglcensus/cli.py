@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .census import (
@@ -220,12 +219,7 @@ def _cmd_census(args):
     spec = parse_field_spec(args.field)
     ext = extension_field(spec, args.ext)
     locus = tuple(parse_point_list(ext, args.locus))
-    query = CensusQuery(spec, args.group, locus, r=args.ext)
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            report = enum_actions(query, mapper=lambda fn, items: list(pool.map(fn, items)))
-    else:
-        report = enum_actions(query)
+    report = enum_actions(CensusQuery(spec, args.group, locus, r=args.ext))
     payload = census_report_to_json(report)
     return 0, payload, "matches", ["tag", "order", "generators", "locus"]
 
@@ -419,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--locus", required=True, help='e.g. "0,inf" (points over the --ext field)')
     p.add_argument("--ext", type=int, default=1, help="census runs in PGL2(F_{q^ext})")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (deterministic merge)")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored (the census runs serially)")
 
     p = add("additive-subgroups", _cmd_additive_subgroups, "rank-m additive subgroups of the field")
     p.add_argument("--field", required=True)

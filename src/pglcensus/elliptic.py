@@ -103,12 +103,9 @@ def ec_point(E: ECurve, x: FqElem, y: FqElem) -> ECPoint:
     """An affine point, checked against the curve equation over its field."""
     if x.spec != y.spec:
         raise ValueError("coordinates live in different fields")
-    a, b = _curve_coeffs(E, x.spec)
-    lhs = fq_mul(y, y)
-    rhs = fq_add(fq_add(fq_mul(x, fq_mul(x, x)), fq_mul(a, x)), b)
-    if lhs != rhs:
-        raise ValueError(f"({render_element(x)}, {render_element(y)}) is not on {render_curve(E)}")
-    return ECPoint(x.spec, x, y)
+    P = ECPoint(x.spec, x, y)
+    _check_on_curve(E, P)
+    return P
 
 
 def _check_on_curve(E: ECurve, P: ECPoint) -> None:

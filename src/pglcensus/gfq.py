@@ -503,13 +503,6 @@ def poly_is_zero(coeffs: Sequence[FqElem]) -> bool:
     return all(c.is_zero() for c in coeffs)
 
 
-def poly_degree(coeffs: Sequence[FqElem]) -> int:
-    t = poly_trim(coeffs)
-    if len(t) == 1 and t[0].is_zero():
-        return -1
-    return len(t) - 1
-
-
 def poly_eval(coeffs: Sequence[FqElem], x: FqElem) -> FqElem:
     acc = fq_zero(x.spec)
     for c in reversed(coeffs):
@@ -638,7 +631,9 @@ def render_element(a: FqElem) -> str:
 
 
 def parse_element(spec: FieldSpec, text: str) -> FqElem:
+    """Parse "c0,c1,...": n coefficients, each in [0, p) (out-of-range
+    coefficients are rejected, not reduced)."""
     parts = [int(t) for t in text.strip().split(",")]
     if len(parts) != spec.n:
         raise ValueError(f"element of F_{spec.p}^{spec.n} needs {spec.n} coefficients, got {text!r}")
-    return fq_from_coeffs(spec, parts)
+    return FqElem(spec, tuple(parts))

@@ -75,6 +75,13 @@ def pp1_infinity(spec: FieldSpec) -> PP1:
     return PP1(spec, None)
 
 
+def pp1_points(spec: FieldSpec) -> Iterator[PP1]:
+    """The q + 1 points of P^1(F_q): affine points in element order, then infinity."""
+    for x in field_elements(spec):
+        yield pp1_affine(x)
+    yield pp1_infinity(spec)
+
+
 def pp1_sort_key(P: PP1):
     # affine points in coefficient order first, infinity last
     if P.is_infinity:
@@ -223,6 +230,15 @@ def mob_compose(m1: Moebius, m2: Moebius) -> Moebius:
 
 def mob_inverse(m: Moebius) -> Moebius:
     return mob_make(m.d, fq_neg(m.b), fq_neg(m.c), m.a)
+
+
+def mob_infinity_to(P: PP1) -> Moebius:
+    """A fixed choice of map sending infinity to P: x -> P + 1/x, or the
+    identity when P = inf."""
+    spec = P.spec
+    if P.is_infinity:
+        return mob_identity(spec)
+    return mob_make(P.x, fq_one(spec), fq_one(spec), fq_zero(spec))
 
 
 def mob_conjugate(g: Moebius, m: Moebius) -> Moebius:

@@ -4,9 +4,10 @@ Constructors are provided for every group in the two classification lists of
 finite subgroups of PGL2 over an algebraically closed field of characteristic
 p: the p-regular list (cyclic, dihedral, A4, S4, A5 as explicit matrix
 groups) and the p-irregular list (PSL2/PGL2 of a subfield, semidirect
-products of an additive subgroup with a group of roots of unity, char-2
-dihedral groups, char-3 A5).  Groups are stored as canonically sorted element
-lists, so equality of subgroups is list equality.
+products of an additive subgroup with a group of roots of unity).  The
+char-2 dihedral groups and the char-3 A5 come from the same constructors as
+their p-regular counterparts.  Groups are stored as canonically sorted
+element lists, so equality of subgroups is list equality.
 
 Isomorphism types are discriminated by a cheap fingerprint (order,
 element-order multiset, abelian flag) rather than abstract isomorphism
@@ -16,6 +17,7 @@ lists at desk scale.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -47,6 +49,7 @@ from .moebius import (
     mob_fixed_points,
     mob_from_three_points,
     mob_identity,
+    mob_infinity_to,
     mob_inverse,
     mob_is_identity,
     mob_make,
@@ -55,7 +58,9 @@ from .moebius import (
     mob_sort_key,
     parse_moebius,
     pgl2_elements,
+    pp1_affine,
     pp1_infinity,
+    pp1_points,
     pp1_sort_key,
     render_moebius,
     render_point,
@@ -163,12 +168,6 @@ def _swap(spec: FieldSpec) -> Moebius:
     return mob_make(fq_zero(spec), fq_one(spec), fq_one(spec), fq_zero(spec))
 
 
-def _require_unity(spec: FieldSpec, n: int) -> FqElem:
-    """A primitive n-th root of unity, or an error naming the minimal
-    sufficient extension degree (fields are never enlarged silently)."""
-    return primitive_root_of_unity(spec, n)
-
-
 def std_cyclic(spec: FieldSpec, n: int) -> SubgroupPGL2:
     """The diagonal group diag(mu_n, 1), cyclic of order n.  Needs p∤n and a
     primitive n-th root of unity in the field."""
@@ -176,33 +175,20 @@ def std_cyclic(spec: FieldSpec, n: int) -> SubgroupPGL2:
         raise ValueError(f"order must be >= 1, got {n}")
     if n % spec.p == 0:
         raise ValueError(f"characteristic {spec.p} divides {n}: no such cyclic model")
-    _require_unity(spec, n)
+    primitive_root_of_unity(spec, n)
     mu, _ = roots_of_unity(spec, n)
     return _make_subgroup(spec, (_diag(spec, u) for u in mu), f"cyclic:{n}")
 
 
 def std_dihedral(spec: FieldSpec, n: int) -> SubgroupPGL2:
     """diag(mu_n, 1) extended by the coordinate swap x -> 1/x: dihedral of
-    order 2n.  Requires p != 2 (see std_dihedral_char2 for p = 2)."""
-    if spec.p == 2:
-        raise ValueError("use std_dihedral_char2 in characteristic 2")
+    order 2n.  Requires p∤n; in characteristic 2 also n > 1, since there the
+    order-2 group is the translation group Zp^1."""
     if n % spec.p == 0:
         raise ValueError(f"characteristic {spec.p} divides {n}")
-    H = close_generators([_diag(spec, _require_unity(spec, n)), _swap(spec)])
-    if H.order != 2 * n:
-        raise AssertionError(f"dihedral closure has order {H.order}, expected {2 * n}")
-    return _make_subgroup(spec, H.elements, f"dihedral:{n}")
-
-
-def std_dihedral_char2(spec: FieldSpec, n: int) -> SubgroupPGL2:
-    """The characteristic-2 dihedral model, for odd n > 1."""
-    if spec.p != 2:
-        raise ValueError("std_dihedral_char2 requires characteristic 2")
-    if n % 2 == 0:
-        raise ValueError(f"n must be odd, got {n}")
-    if n <= 1:
-        raise ValueError(f"n must be greater than one, got {n}")
-    H = close_generators([_diag(spec, _require_unity(spec, n)), _swap(spec)])
+    if spec.p == 2 and n <= 1:
+        raise ValueError(f"n must be greater than one in characteristic 2, got {n}")
+    H = close_generators([_diag(spec, primitive_root_of_unity(spec, n)), _swap(spec)])
     if H.order != 2 * n:
         raise AssertionError(f"dihedral closure has order {H.order}, expected {2 * n}")
     return _make_subgroup(spec, H.elements, f"dihedral:{n}")
@@ -213,7 +199,7 @@ def std_A4(spec: FieldSpec) -> SubgroupPGL2:
     (x + z4)/(x - z4) with z4 a primitive fourth root of unity.  Order 12."""
     if spec.p in (2, 3):
         raise ValueError(f"A4 model excluded in characteristic {spec.p}")
-    z4 = _require_unity(spec, 4)
+    z4 = primitive_root_of_unity(spec, 4)
     one, zero = fq_one(spec), fq_zero(spec)
     n1 = mob_make(zero, -one, one, zero)
     n2 = _swap(spec)
@@ -228,7 +214,7 @@ def std_S4(spec: FieldSpec) -> SubgroupPGL2:
     """The octahedral group: the A4 model together with diag(z4, 1).  Order 24."""
     if spec.p in (2, 3):
         raise ValueError(f"S4 model excluded in characteristic {spec.p}")
-    z4 = _require_unity(spec, 4)
+    z4 = primitive_root_of_unity(spec, 4)
     A4 = std_A4(spec)
     H = close_generators(list(A4.elements) + [_diag(spec, z4)])
     if H.order != 24:
@@ -236,31 +222,18 @@ def std_S4(spec: FieldSpec) -> SubgroupPGL2:
     return _make_subgroup(spec, H.elements, "S4")
 
 
-def _a5_generators(spec: FieldSpec) -> list[Moebius]:
-    z5 = _require_unity(spec, 5)
+def std_A5(spec: FieldSpec) -> SubgroupPGL2:
+    """The icosahedral group, generated by diag(z5, 1) and an involution
+    built from 1 - z5 - z5^{-1}.  Order 60; excluded in characteristic 2 and
+    5, and 3-irregular in characteristic 3 since 3 | 60.  Needs a primitive
+    fifth root of unity."""
+    if spec.p in (2, 5):
+        raise ValueError(f"A5 model excluded in characteristic {spec.p}")
+    z5 = primitive_root_of_unity(spec, 5)
     one = fq_one(spec)
     # 1 - z5 - z5^{-1}
     b = fq_one(spec) - z5 - fq_inv(z5)
-    return [_diag(spec, z5), mob_make(one, b, one, -one)]
-
-
-def std_A5(spec: FieldSpec) -> SubgroupPGL2:
-    """The icosahedral group, generated by diag(z5, 1) and an involution
-    built from 1 - z5 - z5^{-1}.  Order 60; excluded in characteristic 2, 3, 5."""
-    if spec.p in (2, 3, 5):
-        raise ValueError(f"A5 model excluded in characteristic {spec.p}")
-    H = close_generators(_a5_generators(spec))
-    if H.order != 60:
-        raise AssertionError(f"A5 closure has order {H.order}, expected 60")
-    return _make_subgroup(spec, H.elements, "A5")
-
-
-def std_A5_char3(spec: FieldSpec) -> SubgroupPGL2:
-    """The characteristic-3 icosahedral group (same generator shape as std_A5,
-    but 3-irregular since 3 | 60).  Needs a primitive fifth root of unity."""
-    if spec.p != 3:
-        raise ValueError("std_A5_char3 requires characteristic 3")
-    H = close_generators(_a5_generators(spec))
+    H = close_generators([_diag(spec, z5), mob_make(one, b, one, -one)])
     if H.order != 60:
         raise AssertionError(f"A5 closure has order {H.order}, expected 60")
     return _make_subgroup(spec, H.elements, "A5")
@@ -321,7 +294,7 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
         raise ValueError(f"n must be >= 1, got {n}")
     if n % spec.p == 0:
         raise ValueError(f"characteristic {spec.p} divides {n}")
-    _require_unity(spec, n)
+    primitive_root_of_unity(spec, n)
     mu, _ = roots_of_unity(spec, n)
     gamma_set = set(gamma.elements())
     for z in mu:
@@ -413,14 +386,6 @@ def _translation_parts(H: SubgroupPGL2) -> Optional[list[FqElem]]:
     return out
 
 
-def _send_to_infinity(P: PP1) -> Moebius:
-    """A map carrying P to infinity: the identity for P = inf, else x -> 1/(x - a)."""
-    spec = P.spec
-    if P.is_infinity:
-        return mob_identity(spec)
-    return mob_make(fq_zero(spec), fq_one(spec), fq_one(spec), -P.x)
-
-
 def _conjugates_onto(g: Moebius, H1: SubgroupPGL2, H2: SubgroupPGL2) -> bool:
     elems2 = set(H2.elements)
     return all(mob_conjugate(g, m) in elems2 for m in H1.elements)
@@ -463,10 +428,12 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
         return None
 
     if len(L1) == 1:
-        t1 = _send_to_infinity(L1[0])
-        t2 = _send_to_infinity(L2[0])
+        # t1 and s2^{-1} carry the loci to infinity, where both groups
+        # should become translation groups
+        t1 = mob_inverse(mob_infinity_to(L1[0]))
+        s2 = mob_infinity_to(L2[0])
         U1 = conjugate_subgroup(K1, t1)
-        U2 = conjugate_subgroup(K2, t2)
+        U2 = conjugate_subgroup(K2, mob_inverse(s2))
         g1 = _translation_parts(U1)
         g2 = _translation_parts(U2)
         if g1 is None or g2 is None:
@@ -476,16 +443,16 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
             if alpha.is_zero():
                 continue
             if {fq_mul(alpha, x).coeffs for x in g1} == set2:
-                g = mob_compose(mob_inverse(t2), mob_compose(_diag(ext, alpha), t1))
+                g = mob_compose(s2, mob_compose(_diag(ext, alpha), t1))
                 if _conjugates_onto(g, K1, K2):
                     return _simplify_witness(g, base)
         return None
 
     if len(L1) == 2:
-        third1 = next(P for P in _pp1_points(ext) if P not in L1)
+        third1 = next(P for P in pp1_points(ext) if P not in L1)
         A = mob_from_three_points((L1[0], L1[1], third1), _zero_one_inf_triple(ext))
         for arrangement in ((L2[0], L2[1]), (L2[1], L2[0])):
-            third2 = next(P for P in _pp1_points(ext) if P not in L2)
+            third2 = next(P for P in pp1_points(ext) if P not in L2)
             B = mob_from_three_points((arrangement[0], arrangement[1], third2), _zero_one_inf_triple(ext))
             for lam in field_elements(ext):
                 if lam.is_zero():
@@ -497,16 +464,10 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
 
     if len(L1) >= 3:
         src = L1[:3]
-        for i, P in enumerate(L2):
-            for j, Q in enumerate(L2):
-                if j == i:
-                    continue
-                for k, R in enumerate(L2):
-                    if k in (i, j):
-                        continue
-                    g = mob_from_three_points(src, (P, Q, R))
-                    if _conjugates_onto(g, K1, K2):
-                        return _simplify_witness(g, base)
+        for dst in itertools.permutations(L2, 3):
+            g = mob_from_three_points(src, dst)
+            if _conjugates_onto(g, K1, K2):
+                return _simplify_witness(g, base)
         return None
 
     # empty loci at this level (all fixed points irrational): fall back
@@ -514,17 +475,7 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
 
 
 def _zero_one_inf_triple(spec: FieldSpec):
-    from .moebius import pp1_affine
-
     return (pp1_affine(fq_zero(spec)), pp1_affine(fq_one(spec)), pp1_infinity(spec))
-
-
-def _pp1_points(spec: FieldSpec):
-    from .moebius import pp1_affine
-
-    for x in field_elements(spec):
-        yield pp1_affine(x)
-    yield pp1_infinity(spec)
 
 
 _BRUTE_FORCE_CAP = 30

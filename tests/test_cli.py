@@ -60,6 +60,14 @@ class TestBuildAndLocus:
         data = json.loads(out)
         assert [row["point"] for row in data["locus"]] == ["0,0", "inf"]
 
+    def test_S4_passes_through_every_group_command(self):
+        _, out = run_cli("locus", "--field", "13^1", "--group", "S4")
+        assert json.loads(out)["count"] == 26
+        _, out = run_cli("build-group", "--field", "13^1", "--group", "S4")
+        assert json.loads(out)["order"] == 24
+        code, out = run_cli("census", "--field", "13^1", "--group", "S4", "--locus", "0,inf")
+        assert code == 0 and json.loads(out)["count"] == 0
+
 
 class TestConjugateCommand:
     def test_transporter_and_brute_agree(self):
@@ -191,6 +199,18 @@ class TestRamification:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "--field", "5^1", "--group", "cyclic:4", "--locus", "7,inf"),
+            ("fixed-points", "--field", "5^1", "--map", "[1,5;0,1]"),
+        ],
+        ids=["locus", "map"],
+    )
+    def test_out_of_range_coefficient_exits_two(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["census", "--field", "5^1", "--group", "cyclic:4", "--locus", "0,inf", "--bogus"])

@@ -1,0 +1,78 @@
+"""Golden byte hashes of CLI output.
+
+Each command's JSON stdout is pinned by its SHA-256, together with the exit
+code, so a refactor that changes any output byte fails here.  The commands
+are every CLI example of the README plus queries that cross the standard
+models in characteristics 2 and 3 and the census paths at affine points.
+A deliberate output change updates the hash here and is recorded in
+CHANGES.md with the diff of the old output against the new.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from pglcensus.cli import main
+
+GOLDEN = {
+    # the README examples
+    "field-info --field 5^2":
+        ("b9bb0d96c6030241b2409430a983fa9bf1d07746d92feb32307688593ae305de", 0),
+    "fixed-points --field 5^1 --map [1,1;0,1]":
+        ("f46e5f35281af9c5cfe963eed17d470fd5ee2dfdef7b64d11f41d0acc3d6f160", 0),
+    "build-group --field 5^1 --group cyclic:4":
+        ("9bd7c202d57a551c940d215c1ecad8d1e8e4f658309c889127b75c4c2019a59d", 0),
+    "locus --field 5^1 --group A4":
+        ("32bad0c1961475dce6d78476c658a78fad8de2df460e1dbd6a1e6cbf731b8a19", 0),
+    "conjugate --field 2^2 --gens1 [1,0,1,0;0,0,1,0] --gens2 [1,0,0,1;0,0,1,0]":
+        ("a4f493ffe45a7953a9fadde07ec8837b0c125e9c3d1f04c596ba1f9e8ca2eb24", 0),
+    "census --field 2^3 --group Zp^1 --locus inf":
+        ("e185257a008c37c756f91ccfa1dfc57c974dff314ce1c269acc6642a8a8d40c9", 0),
+    "census --field 5^1 --group cyclic:4 --locus 0,inf":
+        ("477dfe2fe3349fe9739195dfb2ae72c0f203ddf1744e0bcbe0ea56af0cfd7c8f", 0),
+    "census --field 2^3 --group Zp^2 --locus inf --jobs 4":
+        ("e94c7e41014788d0cd80502c0a9ea28525e3ee904457c2cf4deaa03369cfff76", 0),
+    "additive-subgroups --field 2^3 --rank 1":
+        ("e7a5022512d82d32ebd2225f9d8ffb0544383ce1030d5d96b319789acefaf08a", 0),
+    "verify-p1fp --field 5^1":
+        ("bfd73bb15a654e141f4a04e47fe37e47f19f1ab809e623a48cce576780dd116e", 0),
+    "verify-main --p 2 --levels 1-4":
+        ("ffb520f3b7236b3d258a6b60fc4c2852517c93feabc353e77f7d3b06b13e69e0", 0),
+    "verify-main --p 5 --levels 1-2 --tags cyclic:4@0,inf":
+        ("700d2dcc940efe989492f864036bffc58d2808e5bb9c131f0763b351a2581181", 0),
+    "verify-genus1":
+        ("a8b9f03c9dca86b60682e441ec758bb726fadb479207cd1abd686ce8eadf7a2f", 0),
+    "ramification --field 3^1 --poly 0,1,0,0,0,1 --ext 2":
+        ("ded6b61b6d77f005d0a869f19769637ac9c61196727ea2e9e43a9d9d6aa0afe1", 0),
+    # elementary-abelian censuses at an affine point
+    "census --field 2^3 --group Zp^2 --locus 1,0,0":
+        ("c3e81d251a0e69e549090b946178c71ea1edd2b25f326b5ad0c993aabcde174c", 0),
+    "census --field 3^2 --group Zp^1 --locus 1,1":
+        ("d9ac7a5649b3622ff38c2658e4bcbd04244a016fe28133e6e94e7d5c0796aeca", 0),
+    # the characteristic-2 dihedral model (count 10 at its own locus)
+    "build-group --field 2^2 --group dihedral:3":
+        ("64e228939db7227020b08eec28b5482320be7ed8f4cc258e2c400dd1fd620153", 0),
+    "locus --field 2^2 --group dihedral:3":
+        ("82929db8e6e528ac5613c19032e81398fa39aff0825c7cda3b35fb58194ff99a", 0),
+    "census --field 2^2 --group dihedral:3 --locus 0,0,1,0,0,1,1,1,inf":
+        ("a63dc336c93147b5b0bc3c975111fb577a4105c5d4b0a61b3e2adfd9012d1b7b", 0),
+    # the icosahedral model in characteristic 3 and in a p-regular field
+    "build-group --field 3^4 --group A5 --ext 1":
+        ("4051f186bb19b644306ee237c2af9b1675543a47e79728c75a8fbe90fe839bb7", 0),
+    "build-group --field 11^1 --group A5 --ext 1":
+        ("44fcc1aaf90b84342eb45d160007e26b1e7aebcbe325fbb9c7abda773ff87423", 0),
+    # triple transport onto a four-point locus, and a gamma tag at a point
+    "census --field 5^1 --group dihedral:2 --locus 0,1,4,inf":
+        ("bc9f4940efd3880fc54e1ba8f9480f32ec9a338ec561dd450c9233943f4d9d1c", 0),
+    "census --field 3^2 --group gamma:1:2 --locus 1,0":
+        ("1bc1e79271633786b1d293fc504ccb464acc2a9d60d06ecc844936a9e28597ea", 0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_stdout_hash_and_exit_code(command):
+    buf = io.StringIO()
+    code = main(command.split(), out=buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert (digest, code) == GOLDEN[command]

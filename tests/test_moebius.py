@@ -19,6 +19,7 @@ from pglcensus.moebius import (
     mob_fixed_points,
     mob_from_three_points,
     mob_identity,
+    mob_infinity_to,
     mob_inverse,
     mob_make,
     mob_order,
@@ -29,6 +30,7 @@ from pglcensus.moebius import (
     poly_map_ramification,
     pp1_affine,
     pp1_infinity,
+    pp1_points,
     pp1_sort_key,
     render_moebius,
     render_point,
@@ -39,6 +41,8 @@ F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
 F5 = field_make(5, 1)
+F8 = field_make(2, 3)
+F9 = field_make(3, 2)
 
 
 def mk(spec, a, b, c, d):
@@ -271,3 +275,11 @@ class TestTextFormats:
         pts = [pp1_infinity(F5)] + [pt(F5, k) for k in (3, 1)]
         ordered = sorted(pts, key=pp1_sort_key)
         assert [render_point(P) for P in ordered] == ["1", "3", "inf"]
+
+
+@pytest.mark.parametrize("spec", [F5, F8, F9], ids=["F5", "F8", "F9"])
+def test_infinity_to_moves_infinity_onto_every_point(spec):
+    points = list(pp1_points(spec))
+    assert len(set(points)) == len(points) == spec.q + 1
+    for P in points:
+        assert mob_apply(mob_infinity_to(P), pp1_infinity(spec)) == P

@@ -35,10 +35,8 @@ from pglcensus.stdgroups import (
     stabilized_locus,
     std_A4,
     std_A5,
-    std_A5_char3,
     std_cyclic,
     std_dihedral,
-    std_dihedral_char2,
     std_gamma_semidirect,
     std_PGL2,
     std_PSL2,
@@ -104,15 +102,13 @@ class TestStandardConstructors:
 
     def test_dihedral(self):
         assert std_dihedral(F5, 4).order == 8
-        with pytest.raises(ValueError, match="characteristic 2"):
-            std_dihedral(F4, 3)
+        assert std_dihedral(F4, 3).order == 6
 
     def test_dihedral_char2(self):
-        assert std_dihedral_char2(F4, 3).order == 6
-        with pytest.raises(ValueError, match="odd"):
-            std_dihedral_char2(F4, 2)
-        with pytest.raises(ValueError):
-            std_dihedral_char2(F5, 3)
+        with pytest.raises(ValueError, match="divides"):
+            std_dihedral(F4, 2)
+        with pytest.raises(ValueError, match="greater than one"):
+            std_dihedral(F4, 1)
 
     def test_A4(self):
         H = std_A4(F5)
@@ -135,11 +131,11 @@ class TestStandardConstructors:
 
     def test_A5_char3(self):
         F81 = field_make(3, 4)
-        H = std_A5_char3(F81)
+        H = std_A5(F81)
         assert H.order == 60
         assert not fingerprint(H).p_regular  # 3 | 60
-        with pytest.raises(ValueError):
-            std_A5_char3(F5)
+        with pytest.raises(ValueError, match="extension degree"):
+            std_A5(F9)
 
     def test_psl2_pgl2(self):
         assert std_PSL2(F5, 1).order == 60
@@ -379,7 +375,7 @@ class TestSerialization:
         "build",
         [
             lambda: std_cyclic(F5, 4),
-            lambda: std_dihedral_char2(F4, 3),
+            lambda: std_dihedral(F4, 3),
             lambda: std_A4(F5),
             lambda: gamma_to_unipotent(additive_subgroup(F8, [fq_one(F8)])),
         ],
