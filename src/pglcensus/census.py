@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .closure import subgroups_of_order
 from .gfq import (
     FieldSpec,
     FqElem,
@@ -33,7 +34,6 @@ from .gfq import (
     fq_from_int,
     fq_mul,
     fq_one,
-    fq_project,
     fq_zero,
     parse_field_spec,
     render_field_spec,
@@ -41,6 +41,7 @@ from .gfq import (
 from .moebius import (
     PP1,
     mob_apply,
+    mob_compose,
     mob_from_three_points,
     mob_identity,
     mob_infinity_to,
@@ -50,10 +51,10 @@ from .moebius import (
     parse_point,
     parse_point_list,
     pgl2_elements,
-    pp1_affine,
     pp1_embed,
     pp1_infinity,
     pp1_points,
+    pp1_project,
     pp1_sort_key,
     render_point,
 )
@@ -61,7 +62,6 @@ from .stdgroups import (
     Fingerprint,
     SubgroupPGL2,
     _make_subgroup,
-    close_generators,
     conjugate_subgroup,
     fingerprint,
     stabilized_locus,
@@ -224,21 +224,29 @@ def parse_group_id(tag: str) -> tuple[str, tuple[int, ...]]:
     """Normalize a classification tag string to (kind, parameters).
 
     Grammar: cyclic:n | dihedral:n | A4 | S4 | A5 | PSL2:d | PGL2:d |
-    Zp^m | gamma:m:n (rank m, unity order n; gamma:m:1 == Zp^m).
+    Zp^m | gamma:m:n (rank m, unity order n; gamma:m:1 == Zp^m).  A
+    parameter out of range raises ValueError.
     """
     t = tag.strip()
     if t in ("A4", "S4", "A5"):
         return t, ()
+    parsed = None
     for kind in ("cyclic", "dihedral", "PSL2", "PGL2"):
         if t.startswith(kind + ":"):
-            return kind, (int(t.split(":")[1]),)
+            parsed = kind, (int(t.split(":")[1]),)
     if t.startswith("Zp^"):
-        return "gamma", (int(t[3:]), 1)
-    if t.startswith("gamma:"):
-        parts = t.split(":")
-        if len(parts) == 3:
-            return "gamma", (int(parts[1]), int(parts[2]))
-    raise UnknownTagError(f"unknown group tag {tag!r}")
+        parsed = "gamma", (int(t[3:]), 1)
+    parts = t.split(":")
+    if parts[0] == "gamma" and len(parts) == 3:
+        parsed = "gamma", (int(parts[1]), int(parts[2]))
+    if parsed is None:
+        raise UnknownTagError(f"unknown group tag {tag!r}")
+    kind, params = parsed
+    # every parameter is at least 1, except the rank m of Zp^m and gamma:m:n
+    least = (0, 1) if kind == "gamma" else (1,)
+    if any(v < lo for v, lo in zip(params, least)):
+        raise ValueError(f"group tag {tag!r} has a parameter out of range")
+    return kind, params
 
 
 def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...]) -> list[SubgroupPGL2]:
@@ -284,7 +292,6 @@ def _verified(
     candidates: Iterable[SubgroupPGL2],
     S: tuple[PP1, ...],
     expected_fp: Fingerprint,
-    capture_r: int = 2,
 ) -> list[SubgroupPGL2]:
     """Keep candidates whose recomputed stabilized locus is exactly S and whose
     fingerprint equals the expected one; deduplicate by element set."""
@@ -297,22 +304,15 @@ def _verified(
             continue
         seen.add(H.elements)
         if ext2 is None:
-            ext2 = extension_field(H.spec, capture_r)
+            ext2 = extension_field(H.spec, 2)
             S2 = tuple(sorted((pp1_embed(P, ext2) for P in S), key=pp1_sort_key))
-        if stabilized_locus(H, capture_r) != S2:
+        if stabilized_locus(H, 2) != S2:
             continue
         if fingerprint(H) != expected_fp:
             continue
         out.append(H)
     out.sort(key=_subgroup_sort_key)
     return out
-
-
-def _pp1_project(P: PP1, target: FieldSpec) -> Optional[PP1]:
-    if P.is_infinity:
-        return pp1_infinity(target)
-    down = fq_project(P.x, target)
-    return None if down is None else pp1_affine(down)
 
 
 def enum_actions(query: CensusQuery) -> CensusReport:
@@ -388,7 +388,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
                 if H is not None:
                     candidates.append(H)
         elif len(S) == 2:
-            L0_down = [_pp1_project(P, ext) for P in L0]
+            L0_down = [pp1_project(P, ext) for P in L0]
             if any(P is None for P in L0_down):
                 continue  # the model's locus is irrational here: nothing can match S
             third_src = next(P for P in pp1_points(ext) if P not in L0_down)
@@ -428,26 +428,12 @@ def oracle_enum_elem_abelian(
         for g in pgl2_elements(ext)
         if g != ident and mob_apply(g, P) == P and mob_order(g) == p
     ]
-    target = p ** m
-    trivial = _make_subgroup(ext, [ident], "unclassified")
-    layer = {trivial.elements: trivial}
-    found: dict = {}
-    while layer:
-        next_layer: dict = {}
-        for H in layer.values():
-            if H.order == target:
-                if all(mob_order(g) == p for g in H.elements if g != ident):
-                    found[H.elements] = H
-                continue
-            for g in order_p:
-                if g in H:
-                    continue
-                grown = close_generators(list(H.elements) + [g], cap=target * p)
-                if grown.order > target:
-                    continue
-                next_layer.setdefault(grown.elements, grown)
-        layer = next_layer
-    return sorted(found.values(), key=_subgroup_sort_key)
+    found = [
+        _make_subgroup(ext, H, "unclassified")
+        for H in subgroups_of_order(order_p, mob_compose, ident, p ** m)
+        if all(mob_order(g) == p for g in H if g != ident)
+    ]
+    return sorted(found, key=_subgroup_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +509,6 @@ def verify_main_theorem(
     n_values: Sequence[int],
     m_values: Optional[Sequence[int]] = None,
     extra_queries: Sequence[tuple[str, str]] = (),
-    oracle_cap: int = 100_000,
 ) -> MainTheoremReport:
     """Check the finite/infinite dichotomy across field levels F_{p^n}.
 
@@ -551,7 +536,7 @@ def verify_main_theorem(
         for m in ms:
             report = enum_actions(CensusQuery(spec, f"Zp^{m}", (inf,), r=1))
             subspaces = len(enum_additive_subgroups(spec, m))
-            oracle = len(oracle_enum_elem_abelian(spec, m, inf, r=1, cap=oracle_cap))
+            oracle = len(oracle_enum_elem_abelian(spec, m, inf, r=1))
             rows.append(
                 DichotomyRow(
                     n=n,

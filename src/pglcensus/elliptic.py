@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
+from .closure import subgroups_of_order
 from .gfq import (
     FieldSpec,
     FqElem,
@@ -408,36 +409,11 @@ def enum_spf_actions(E: ECurve, n: int, r: int = 1) -> list[tuple[ECPoint, ...]]
     ext = extension_field(E.spec, r)
     O = ec_infinity(ext)
     torsion = [P for P in ec_points(E, r) if ec_scalar(E, n, P) == O]
-    trivial = (O,)
-    layer = {trivial}
-    found = set()
-    while layer:
-        next_layer = set()
-        for sub in layer:
-            if len(sub) == n:
-                found.add(sub)
-                continue
-            for P in torsion:
-                if P in sub:
-                    continue
-                grown = set(sub)
-                boundary = [P]
-                grown.add(P)
-                while boundary:
-                    fresh = []
-                    for A in list(grown):
-                        for B in boundary:
-                            C = ec_add(E, A, B)
-                            if C not in grown:
-                                grown.add(C)
-                                fresh.append(C)
-                    boundary = fresh
-                    if len(grown) > n:
-                        break
-                if len(grown) <= n:
-                    next_layer.add(tuple(sorted(grown, key=ec_point_sort_key)))
-        layer = next_layer
-    return sorted(found, key=lambda sub: tuple(ec_point_sort_key(P) for P in sub))
+    subs = (
+        tuple(sorted(H, key=ec_point_sort_key))
+        for H in subgroups_of_order(torsion, partial(ec_add, E), O, n)
+    )
+    return sorted(subs, key=lambda sub: tuple(ec_point_sort_key(P) for P in sub))
 
 
 # ---------------------------------------------------------------------------

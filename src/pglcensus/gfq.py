@@ -52,71 +52,24 @@ def _pp_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _pp_add(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] + bi) % p
-    return _pp_trim(out)
-
-
-def _pp_sub(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    return _pp_add(a, [(-bi) % p for bi in b], p)
-
-
-def _pp_scale(a: Sequence[int], c: int, p: int) -> tuple[int, ...]:
-    return _pp_trim([(ai * c) % p for ai in a])
-
-
-def _pp_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
-
-
-def _pp_divmod(a: Sequence[int], b: Sequence[int], p: int):
+def _pp_mod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """The remainder of a modulo b."""
     a = list(_pp_trim(a))
     b = _pp_trim(b)
     if b == (0,):
         raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
     inv_lead = pow(b[-1], p - 2, p)
-    quot = [0] * max(1, len(a) - db)
     da = len(a) - 1
     while da >= db and _pp_trim(a) != (0,):
         if a[da] == 0:
             da -= 1
             continue
         c = (a[da] * inv_lead) % p
-        quot[da - db] = c
         for j in range(db + 1):
             a[da - db + j] = (a[da - db + j] - c * b[j]) % p
         da -= 1
-    return _pp_trim(quot), _pp_trim(a)
-
-
-def _pp_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
-    return _pp_divmod(a, m, p)[1]
-
-
-def _pp_xgcd(a: Sequence[int], b: Sequence[int], p: int):
-    """Extended gcd over F_p[x]: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = _pp_trim(a), _pp_trim(b)
-    s0, s1 = (1,), (0,)
-    t0, t1 = (0,), (1,)
-    while r1 != (0,):
-        q, r = _pp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _pp_sub(s0, _pp_mul(q, s1, p), p)
-        t0, t1 = t1, _pp_sub(t0, _pp_mul(q, t1, p), p)
-    if r0 != (0,) and r0[-1] != 1:
-        c = pow(r0[-1], p - 2, p)
-        r0, s0, t0 = _pp_scale(r0, c, p), _pp_scale(s0, c, p), _pp_scale(t0, c, p)
-    return r0, s0, t0
+    return _pp_trim(a)
 
 
 def _pp_is_irreducible(f: Sequence[int], p: int) -> bool:
@@ -320,8 +273,8 @@ def _inverse_cache(spec: FieldSpec) -> dict:
 
 
 def fq_inv(a: FqElem) -> FqElem:
-    """Multiplicative inverse by the extended euclidean algorithm on
-    polynomials (memoized per field; fields are desk-scale)."""
+    """Multiplicative inverse a^(q-2), by Fermat's little theorem (memoized
+    per field; fields are desk-scale)."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero")
     spec = a.spec
@@ -329,11 +282,7 @@ def fq_inv(a: FqElem) -> FqElem:
     hit = cache.get(a.coeffs)
     if hit is not None:
         return FqElem(spec, hit)
-    g, s, _ = _pp_xgcd(a.coeffs, spec.modulus, spec.p)
-    if g != (1,):
-        raise AssertionError(f"gcd with irreducible modulus is not 1: {g}")
-    red = _pp_mod(s, spec.modulus, spec.p)
-    inv = red + (0,) * (spec.n - len(red))
+    inv = fq_pow(a, spec.q - 2).coeffs
     cache[a.coeffs] = inv
     cache[inv] = a.coeffs
     return FqElem(spec, inv)

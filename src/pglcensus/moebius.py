@@ -95,6 +95,15 @@ def pp1_embed(P: PP1, target: FieldSpec) -> PP1:
     return pp1_affine(fq_embed(P.x, target))
 
 
+def pp1_project(P: PP1, target: FieldSpec) -> Optional[PP1]:
+    """Inverse of pp1_embed on its image, or None if P is not rational over
+    the subfield `target`."""
+    if P.is_infinity:
+        return pp1_infinity(target)
+    down = fq_project(P.x, target)
+    return None if down is None else pp1_affine(down)
+
+
 def render_point(P: PP1) -> str:
     return "inf" if P.is_infinity else render_element(P.x)
 
@@ -386,6 +395,8 @@ def poly_map_ramification(coeffs: Sequence[FqElem], r: int) -> list[RamPoint]:
     ramifies at infinity with index deg f.  Inseparable maps (f' = 0) are
     rejected.
     """
+    if not coeffs:
+        raise ValueError("polynomial map needs at least one coefficient")
     spec = coeffs[0].spec
     f = poly_trim(coeffs)
     deg = len(f) - 1

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from .closure import close
 from .gfq import (
     FieldSpec,
     FqElem,
@@ -34,7 +35,6 @@ from .gfq import (
     fq_one,
     fq_pow,
     fq_zero,
-    element_order,
     parse_field_spec,
     primitive_root_of_unity,
     render_field_spec,
@@ -118,20 +118,9 @@ def close_generators(gens: Sequence[Moebius], cap: Optional[int] = None, tag: st
             raise ValueError("generators live in different fields")
     if cap is None:
         cap = spec.q ** 3 - spec.q
-    seen = {mob_identity(spec)}
-    boundary = [g for g in gens if g not in seen]
-    seen.update(boundary)
-    while boundary:
-        fresh = []
-        for g in gens:
-            for h in boundary:
-                prod = mob_compose(g, h)
-                if prod not in seen:
-                    seen.add(prod)
-                    fresh.append(prod)
-                    if len(seen) > cap:
-                        raise ValueError(f"closure exceeded cap {cap}")
-        boundary = fresh
+    seen = close(gens, mob_compose, {mob_identity(spec)}, cap)
+    if seen is None:
+        raise ValueError(f"closure exceeded cap {cap}")
     return _make_subgroup(spec, seen, tag)
 
 
@@ -270,14 +259,7 @@ def std_PGL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     """PGL2 of the subfield F_{p^d}: the PSL2 generators plus diag(delta, 1)
     for delta a multiplicative generator of the subfield.  Order q0^3 - q0."""
     psl = std_PSL2(spec, sub_degree)
-    q0 = spec.p ** sub_degree
-    delta = None
-    for x in subfield_elements(spec, sub_degree):
-        if not x.is_zero() and element_order(x) == q0 - 1:
-            delta = x
-            break
-    if delta is None:
-        raise AssertionError("subfield has no multiplicative generator (unreachable)")
+    delta = primitive_root_of_unity(spec, spec.p ** sub_degree - 1)
     H = close_generators(list(psl.elements) + [_diag(spec, delta)])
     return _make_subgroup(spec, H.elements, f"PGL2:{sub_degree}")
 
@@ -362,7 +344,7 @@ def _generating_set(H: SubgroupPGL2) -> tuple[Moebius, ...]:
         if m in span:
             continue
         gens.append(m)
-        span = set(close_generators(gens).elements)
+        span = close(gens, mob_compose, span)
         if len(span) == H.order:
             break
     if not gens:  # trivial group

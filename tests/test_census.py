@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -176,10 +177,20 @@ class TestTagGrammar:
         assert parse_group_id("gamma:2:3") == ("gamma", (2, 3))
         assert parse_group_id("A5") == ("A5", ())
         assert parse_group_id("PSL2:1") == ("PSL2", (1,))
+        assert parse_group_id("Zp^0") == ("gamma", (0, 1))
+        assert parse_group_id("gamma:0:1") == ("gamma", (0, 1))
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             parse_group_id("sporadic")
+
+    @pytest.mark.parametrize(
+        "tag",
+        ["cyclic:0", "dihedral:-2", "PSL2:0", "PSL2:-1", "PGL2:-1", "Zp^-1", "gamma:-1:1", "gamma:1:0", "gamma:1:-1"],
+    )
+    def test_out_of_range_parameter_rejected(self, tag):
+        with pytest.raises(ValueError, match=f"'{re.escape(tag)}'"):
+            parse_group_id(tag)
 
 
 def census_count(spec, tag, locus_text, r=1):

@@ -15,6 +15,18 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
+OUT_OF_RANGE_TAGS = [
+    ("census", "--field", "5^1", "--group", "PSL2:-1", "--locus", "inf"),
+    ("census", "--field", "5^1", "--group", "PGL2:-1", "--locus", "inf"),
+    ("census", "--field", "5^1", "--group", "PSL2:0", "--locus", "inf"),
+    ("census", "--field", "5^1", "--group", "Zp^-1", "--locus", "inf"),
+    ("census", "--field", "2^2", "--group", "gamma:1:-1", "--locus", "inf"),
+    ("census", "--field", "2^2", "--group", "gamma:1:0", "--locus", "inf"),
+    ("build-group", "--field", "5^1", "--group", "PSL2:-1"),
+    ("build-group", "--field", "5^1", "--group", "PGL2:-1"),
+]
+
+
 class TestFieldInfo:
     def test_json_payload(self):
         code, out = run_cli("field-info", "--field", "5^2")
@@ -197,6 +209,11 @@ class TestRamification:
         code, _ = run_cli("ramification", "--field", "3^1", "--poly", "0,0,0,1")
         assert code == 2
 
+    @pytest.mark.parametrize("poly", [",", ""])
+    def test_empty_poly_is_usage_error(self, poly):
+        code, out = run_cli("ramification", "--field", "3^1", "--poly", poly)
+        assert code == 2 and out == ""
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -211,6 +228,11 @@ class TestUsageErrors:
         code, out = run_cli(*argv)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE_TAGS, ids=lambda argv: f"{argv[0]}-{argv[4]}")
+    def test_out_of_range_tag_exits_two(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["census", "--field", "5^1", "--group", "cyclic:4", "--locus", "0,inf", "--bogus"])
@@ -220,3 +242,50 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def exit_code(argv):
+    try:
+        return main(list(argv), out=io.StringIO())
+    except SystemExit as exc:  # argparse rejected the command line
+        return exc.code
+
+
+MALFORMED = [
+    *OUT_OF_RANGE_TAGS,
+    ("ramification", "--field", "3^1", "--poly", ","),
+    ("ramification", "--field", "3^1", "--poly", ""),
+    ("ramification", "--field", "3^1", "--poly", "0,1,1", "--ext", "0"),
+    ("fixed-points", "--field", "5^1", "--map", "[1,1;0,1]", "--ext", "0"),
+    ("census", "--field", "5^1", "--group", "cyclic:4", "--locus", "0,inf", "--ext", "-1"),
+    ("build-group", "--field", "5^1", "--group", "cyclic:4", "--ext", "0"),
+    ("locus", "--field", "5^1", "--group", "cyclic:4", "--ext", "x"),
+    ("conjugate", "--field", "5^1", "--gens1", "[1,1;0,1]", "--gens2", "[1,2;0,1]", "--ext", "0"),
+    ("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "1", "--ext", "0"),
+    ("verify-main", "--p", "2", "--levels", "x"),
+    ("verify-main", "--p", "2", "--levels", "3-1"),
+    ("verify-main", "--p", "2", "--levels", "0"),
+    ("verify-main", "--p", "2", "--levels", ""),
+    ("verify-main", "--p", "2", "--levels", "1", "--tags", "PSL2:-1@inf"),
+    ("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "abc"),
+    ("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "0"),
+    ("fixed-points", "--field", "5^1", "--map", "[1,2]"),
+    ("fixed-points", "--field", "5^1", "--map", "[1,0;0,0]"),
+    ("fixed-points", "--field", "5^1", "--map", "1,0;0,1"),
+    ("fixed-points", "--field", "5^1", "--map", "[a,b;c,d]"),
+    ("fixed-points", "--field", "5^1", "--map", "[1,0;0,1]"),
+    ("build-group", "--field", "5^1", "--gens", "[1,0;0,0]"),
+    ("build-group", "--field", "5^1", "--gens", "|"),
+    ("locus", "--field", "5^1", "--gens", "[1,1;0,1]|[x]"),
+    ("conjugate", "--field", "5^1", "--gens1", "[1,1;0,1]", "--gens2", ""),
+    ("census", "--field", "5^1", "--group", "cyclic:4", "--locus", ""),
+    ("census", "--field", "5^1", "--group", "cyclic:4", "--locus", "inf,inf"),
+    ("census", "--field", "5^1", "--group", "cyclic:4", "--locus", "foo"),
+    ("census", "--field", "5^1", "--group", "cyclic:4", "--locus", "-1,inf"),
+    ("census", "--field", "2^2", "--group", "cyclic:3", "--locus", "0,inf"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_without_traceback(argv):
+    assert exit_code(argv) in (0, 1, 2)
