@@ -516,16 +516,20 @@ def verify_main_theorem(
     stabilized point, the additive-subgroup enumeration, and the element-scan
     oracle must agree and equal the Gaussian binomial [n choose m]_p; for each
     m the counts must strictly grow along the levels (the desk-scale witness
-    that the class count is unbounded).  Extra queries (tag, locus-text) are
-    censused at every level and must return a level-independent constant;
-    their locus points are written over the prime field (e.g. "0,inf") and
-    embedded into each level.
+    that the class count is unbounded).  A requested rank m must lie in
+    1..max(levels); levels below m are skipped.  Extra queries (tag,
+    locus-text) are censused at every level and must return a
+    level-independent constant; their locus points are written over the prime
+    field (e.g. "0,inf") and embedded into each level.
     """
     if p not in _DESK_PRIMES:
         raise ValueError(f"desk-scale bounds: p must be one of {_DESK_PRIMES}, got {p}")
     n_values = tuple(sorted(set(n_values)))
     if not n_values or n_values[0] < 1 or n_values[-1] > _DESK_MAX_N:
         raise ValueError(f"desk-scale bounds: levels must lie in 1..{_DESK_MAX_N}, got {n_values}")
+    bad_m = [m for m in m_values or () if not 1 <= m <= n_values[-1]]
+    if bad_m:
+        raise ValueError(f"rank m must lie in 1..{n_values[-1]} (the largest level), got {bad_m[0]}")
 
     rows = []
     per_m_counts: dict[int, list[tuple[int, int]]] = {}

@@ -425,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("verify-main", _cmd_verify_main, "finite/infinite census dichotomy across field levels")
     p.add_argument("--p", type=int, required=True, choices=(2, 3, 5))
     p.add_argument("--levels", default="1-2", help='e.g. "1-4" or "1,2"')
-    p.add_argument("--m", type=int, help="restrict to one rank (default: all m <= n)")
+    p.add_argument("--m", type=int, help="restrict to one rank, in 1..max(levels) (default: all m <= n)")
     p.add_argument("--tags", help='extra constant-count queries "tag@locus;tag@locus"')
 
     p = add("verify-genus1", _cmd_verify_genus1, "genus-1 verification suite")

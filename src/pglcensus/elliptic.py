@@ -30,6 +30,7 @@ from .closure import subgroups_of_order
 from .gfq import (
     FieldSpec,
     FqElem,
+    _sqrt_table,
     extension_field,
     field_elements,
     fq_add,
@@ -178,14 +179,6 @@ def ec_scalar(E: ECurve, k: int, P: ECPoint) -> ECPoint:
 
 
 _POINT_CAP = 10_000
-
-
-@lru_cache(maxsize=None)
-def _sqrt_table(spec: FieldSpec) -> dict:
-    table: dict = {}
-    for y in field_elements(spec):
-        table.setdefault(fq_mul(y, y).coeffs, []).append(y)
-    return table
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,9 @@ Elements are coefficient vectors (constant term first) modulo a fixed monic
 irreducible polynomial over F_p.  All arithmetic is exact integer arithmetic;
 fields stay at desk scale (q up to ~10^4), so irreducibility testing, root
 finding and subfield embeddings are done by exhaustive methods rather than
-probabilistic factorization.
+probabilistic factorization.  Monic quadratics (the fixed-point equations of
+PGL2) are solved in closed form from per-field square-root and Artin-Schreier
+tables.
 
 Conventions used throughout the package:
 
@@ -508,6 +510,43 @@ def poly_roots(coeffs: Sequence[FqElem], r: int):
         if poly_eval(f, x).is_zero():
             out.append((x, root_multiplicity(f, x)))
     return out
+
+
+@lru_cache(maxsize=None)
+def _sqrt_table(spec: FieldSpec) -> dict:
+    """v -> the square roots of v, in canonical order (keyed by coefficients)."""
+    table: dict = {}
+    for y in field_elements(spec):
+        table.setdefault(fq_mul(y, y).coeffs, []).append(y)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _artin_schreier_table(spec: FieldSpec) -> dict:
+    """v -> the solutions y of y^2 + y = v (keyed by coefficients; p = 2)."""
+    table: dict = {}
+    for y in field_elements(spec):
+        table.setdefault(fq_add(fq_mul(y, y), y).coeffs, []).append(y)
+    return table
+
+
+def monic_quadratic_roots(B: FqElem, C: FqElem) -> list[FqElem]:
+    """The distinct roots of x^2 + Bx + C in the field of B and C, canonically
+    sorted, in closed form from the per-field tables: (-B +- s)/2 for the
+    square roots s of B^2 - 4C when p is odd; when p = 2 the unique square
+    root of C if B = 0, else x = B y with y^2 + y = C/B^2."""
+    _check_same_spec(B, C)
+    spec = B.spec
+    if spec.p != 2:
+        disc = fq_sub(fq_mul(B, B), fq_mul(fq_from_int(spec, 4), C))
+        half = fq_from_int(spec, (spec.p + 1) // 2)
+        roots = [fq_mul(fq_sub(s, B), half) for s in _sqrt_table(spec).get(disc.coeffs, ())]
+    elif B.is_zero():
+        roots = _sqrt_table(spec)[C.coeffs]
+    else:
+        v = fq_div(C, fq_mul(B, B))
+        roots = [fq_mul(B, y) for y in _artin_schreier_table(spec).get(v.coeffs, ())]
+    return sorted(roots, key=lambda x: x.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .gfq import (
     fq_project,
     fq_sub,
     fq_zero,
+    monic_quadratic_roots,
     parse_element,
     poly_deriv,
     poly_embed,
@@ -275,19 +276,23 @@ def mob_fixed_points(m: Moebius, r: int) -> list[PP1]:
     These are the eigen-directions of the matrix: affine solutions of
     c x^2 + (d-a) x - b = 0 plus infinity when c = 0.  Taking r >= 2 captures
     every fixed point of the algebraic closure; the result then has exactly
-    one or two points.
+    one or two points.  The quadratic is solved in closed form by
+    gfq.monic_quadratic_roots, not by scanning F_{q^r}.
     """
     if mob_is_identity(m):
         raise ValueError("the identity fixes every point of P^1")
     ext = extension_field(m.spec, r)
-    pts = []
+    d_minus_a = fq_sub(m.d, m.a)
     if m.c.is_zero():
-        pts.append(pp1_infinity(ext))
-    quad = poly_trim([fq_neg(m.b), fq_sub(m.d, m.a), m.c])
-    if not poly_is_zero(quad):
-        for root, _ in poly_roots(quad, r):
-            pts.append(pp1_affine(root))
-    return sorted(pts, key=pp1_sort_key)
+        # x -> (ax + b)/d fixes b/(d-a) unless d = a, and infinity
+        if d_minus_a.is_zero():
+            return [pp1_infinity(ext)]
+        return [pp1_affine(fq_embed(fq_div(m.b, d_minus_a), ext)), pp1_infinity(ext)]
+    # the roots of x^2 + ((d-a)/c) x - b/c, normalized over F_q and solved in F_{q^r}
+    inv_c = fq_inv(m.c)
+    B = fq_embed(fq_mul(d_minus_a, inv_c), ext)
+    C = fq_embed(fq_neg(fq_mul(m.b, inv_c)), ext)
+    return [pp1_affine(x) for x in monic_quadratic_roots(B, C)]
 
 
 def _to_zero_one_inf(z1: PP1, z2: PP1, z3: PP1) -> Moebius:

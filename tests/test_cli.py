@@ -26,6 +26,12 @@ OUT_OF_RANGE_TAGS = [
     ("build-group", "--field", "5^1", "--group", "PGL2:-1"),
 ]
 
+OUT_OF_RANGE_RANKS = [
+    ("verify-main", "--p", "2", "--levels", "1", "--m", "-1"),
+    ("verify-main", "--p", "2", "--levels", "1", "--m", "0"),
+    ("verify-main", "--p", "2", "--levels", "1-2", "--m", "7"),
+]
+
 
 class TestFieldInfo:
     def test_json_payload(self):
@@ -233,6 +239,16 @@ class TestUsageErrors:
         code, out = run_cli(*argv)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE_RANKS, ids=" ".join)
+    def test_out_of_range_rank_exits_two(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+
+    def test_rank_above_some_levels_skips_them(self):
+        code, out = run_cli("verify-main", "--p", "2", "--levels", "1-2", "--m", "2")
+        assert code == 0
+        assert [(row["n"], row["m"]) for row in json.loads(out)["dichotomy"]] == [(2, 2)]
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["census", "--field", "5^1", "--group", "cyclic:4", "--locus", "0,inf", "--bogus"])
@@ -253,6 +269,7 @@ def exit_code(argv):
 
 MALFORMED = [
     *OUT_OF_RANGE_TAGS,
+    *OUT_OF_RANGE_RANKS,
     ("ramification", "--field", "3^1", "--poly", ","),
     ("ramification", "--field", "3^1", "--poly", ""),
     ("ramification", "--field", "3^1", "--poly", "0,1,1", "--ext", "0"),

@@ -22,6 +22,7 @@ from pglcensus.gfq import (
     fq_zero,
     extension_field,
     minimal_extension_for_unity,
+    monic_quadratic_roots,
     parse_element,
     parse_field_spec,
     poly_eval,
@@ -261,6 +262,31 @@ class TestPolyRoots:
         f = polymul(polymul(lin1, lin1), lin2)
         roots = dict((x.coeffs[0], m) for x, m in poly_roots(f, 1))
         assert roots == {1: 2, 2: 1}
+
+
+class TestMonicQuadraticRoots:
+    def test_double_root_in_odd_characteristic(self):
+        assert monic_quadratic_roots(fq_zero(F5), fq_zero(F5)) == [fq_zero(F5)]  # x^2
+
+    def test_unique_square_root_in_characteristic_two(self):
+        assert monic_quadratic_roots(fq_zero(F4), fq_one(F4)) == [fq_one(F4)]  # x^2 + 1
+
+    def test_irreducible_has_no_roots_until_extended(self):
+        two = fq_from_int(F3, 2)
+        assert monic_quadratic_roots(fq_zero(F3), fq_sub(fq_zero(F3), two)) == []  # x^2 - 2
+        roots = monic_quadratic_roots(fq_zero(F9), fq_embed(fq_sub(fq_zero(F3), two), F9))
+        assert [fq_mul(x, x) for x in roots] == [fq_embed(two, F9)] * 2
+
+    def test_two_roots_in_characteristic_two_with_linear_term(self):
+        one = fq_one(F4)
+        roots = monic_quadratic_roots(one, one)  # x^2 + x + 1
+        assert [x.coeffs for x in roots] == [(0, 1), (1, 1)]
+
+    @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F8, F9])
+    def test_matches_exhaustive_roots_on_every_monic_quadratic(self, spec):
+        for B, C in itertools.product(field_elements(spec), repeat=2):
+            expected = [x for x, _ in poly_roots([C, B, fq_one(spec)], 1)]
+            assert monic_quadratic_roots(B, C) == expected
 
 
 class TestEchelon:

@@ -67,6 +67,27 @@ GOLDEN = {
         ("bc9f4940efd3880fc54e1ba8f9480f32ec9a338ec561dd450c9233943f4d9d1c", 0),
     "census --field 3^2 --group gamma:1:2 --locus 1,0":
         ("1bc1e79271633786b1d293fc504ccb464acc2a9d60d06ecc844936a9e28597ea", 0),
+    # every branch of the fixed-point solve: p = 2 with a unique square root,
+    # p = 2 through y^2 + y = v, an irreducible quadratic, c = 0
+    "fixed-points --field 2^2 --map [0,0,1,0;1,0,0,0]":
+        ("557b750b5b31e97166e8d7115b01a81c4eb259a658a5f5477b7b3c21bb68fc14", 0),
+    "fixed-points --field 2^2 --map [1,0,1,0;1,0,0,0] --ext 1":
+        ("42f0f8a7b79a2fdf916a98069e9fb0454be15e56e091df402f948c6f17c778ce", 0),
+    "fixed-points --field 2^2 --map [1,0,1,0;1,0,0,0] --ext 2":
+        ("595e84b9b95547b999d97a7c56b7003c70afe9372ac9893627697e2f94f0e819", 0),
+    "fixed-points --field 3^1 --map [0,1;2,0] --ext 1":
+        ("9875b6204cbe09179d7265b18c9eb9e3be73be0cd594c137040763709fef6f86", 0),
+    "fixed-points --field 3^1 --map [0,1;2,0] --ext 2":
+        ("22d199742c6149d80f742ce6a457da2f73407d2264a063bb7af0ea4768a4bd5e", 0),
+    "fixed-points --field 5^1 --map [2,0;0,1] --ext 1":
+        ("257c5408bf6a9c8ee3dc0747a125b772da85003c48a35726ac5ee22f7988ed8f", 0),
+    # stabilized loci over the capture fields F_729 and F_256
+    "locus --field 3^3 --group PGL2:1":
+        ("1ebc84421758f623894226de7ecede5e5b6ac8746a89fefba6659b4814752400", 0),
+    "locus --field 2^4 --group dihedral:3":
+        ("e8c929e83b219c288549e59d4ed77b0a9b2c542dd246767bb5dfc57a320b31fc", 0),
+    "verify-p1fp --field 2^2":
+        ("b1a9674d44e9ec93f9fe1843bc4583a5b7e9faf2d763c5111fa5437af9b93318", 0),
 }
 
 

@@ -4,12 +4,16 @@ import random
 import pytest
 
 from pglcensus.gfq import (
+    extension_field,
     field_elements,
     field_make,
     fq_from_int,
     fq_gen,
+    fq_neg,
     fq_one,
+    fq_sub,
     fq_zero,
+    poly_roots,
     render_element,
 )
 from pglcensus.moebius import (
@@ -41,6 +45,7 @@ F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
 F5 = field_make(5, 1)
+F7 = field_make(7, 1)
 F8 = field_make(2, 3)
 F9 = field_make(3, 2)
 
@@ -152,11 +157,26 @@ class TestFixedPoints:
         with pytest.raises(ValueError, match="identity"):
             mob_fixed_points(mob_identity(F5), 2)
 
-    @pytest.mark.parametrize("spec", [F2, F3, F4, F5])
+    @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8])
     def test_one_or_two_fixed_points_iff_order_p(self, spec):
         rep = verify_p1fp(spec)
         assert rep.ok, rep.violations
         assert rep.checked == spec.q ** 3 - spec.q - 1
+
+    @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9])
+    def test_closed_form_matches_exhaustive_roots(self, spec):
+        # infinity when c = 0, plus the roots poly_roots finds for c x^2 + (d-a) x - b
+        ident = mob_identity(spec)
+        for r in (1, 2, 3) if spec.q <= 4 else (1, 2):
+            ext = extension_field(spec, r)
+            for m in pgl2_elements(spec):
+                if m == ident:
+                    continue
+                quad = [fq_neg(m.b), fq_sub(m.d, m.a), m.c]
+                expected = [pp1_affine(x) for x, _ in poly_roots(quad, r)]
+                if m.c.is_zero():
+                    expected.append(pp1_infinity(ext))
+                assert mob_fixed_points(m, r) == expected, render_moebius(m)
 
     @pytest.mark.parametrize("spec", [F2, F3, F4, F5])
     def test_conjugation_covariance(self, spec):
