@@ -5,7 +5,9 @@ fixed finite field level and a fixed isomorphism type, the subgroups of
 PGL2(F_{q^r}) with stabilized locus exactly S form
 
 * a single conjugacy-transporter orbit when |S| >= 2 (finitely many matches,
-  and the count is stable as the field grows), or
+  and the count is stable as the field grows): each match is g H0 g^{-1}
+  with g(L0) = S for a model H0 with locus L0, one g per coset of the
+  pointwise stabilizer of L0 sufficing, or
 * one match per rank-m additive subgroup of the field when the type is
   (Z/pZ)^m and |S| = 1 - a count that equals the Gaussian binomial
   [n choose m]_p and grows without bound along the field tower.
@@ -42,7 +44,6 @@ from .moebius import (
     PP1,
     mob_apply,
     mob_compose,
-    mob_from_three_points,
     mob_identity,
     mob_infinity_to,
     mob_make,
@@ -53,10 +54,10 @@ from .moebius import (
     pgl2_elements,
     pp1_embed,
     pp1_infinity,
-    pp1_points,
     pp1_project,
     pp1_sort_key,
     render_point,
+    transporters,
 )
 from .stdgroups import (
     Fingerprint,
@@ -323,14 +324,10 @@ def enum_actions(query: CensusQuery) -> CensusReport:
     * |S| = 1, elementary-abelian tag: one subgroup per rank-m additive
       subgroup of F_{q^r}, conjugated so its stabilized point is the queried
       one.  This is the growing side of the dichotomy.
-    * |S| = 2 (cyclic tag): one transporter per arrangement of the pair; the
-      diagonal stabilizer of (0, inf) normalizes the model, so a single
-      representative per arrangement suffices.
-    * |S| >= 3: a conjugator is determined by the images of three points, so
-      candidates are indexed by ordered triples of S.  Transporters are built
-      over the quadratic extension (where all of the model's locus is
-      visible) and kept only when the conjugated group lands back inside
-      PGL2(F_{q^r}).
+    * |S| >= 2: g H0 g^{-1} for each g from moebius.transporters(L0, S), L0 the
+      model's full locus: one g per coset of its pointwise stabilizer (trivial,
+      or for |L0| = 2 the torus containing H0).  Over F_{q^r} if L0 is rational
+      there, else over F_{q^{2r}}, keeping the conjugates inside PGL2(F_{q^r}).
 
     Matches are deduplicated and sorted canonically, so the report is
     byte-deterministic.
@@ -379,26 +376,16 @@ def enum_actions(query: CensusQuery) -> CensusReport:
             continue
         if len(S) == 0:
             candidates.append(H0)  # only the trivial model has empty locus
-        elif len(S) >= 3:
-            H0_2 = subgroup_embed(H0, ext2)
-            src = L0[:3]
-            for dst in itertools.permutations(S2, 3):
-                g = mob_from_three_points(src, dst)
-                H = subgroup_project(conjugate_subgroup(H0_2, g), ext)
-                if H is not None:
-                    candidates.append(H)
-        elif len(S) == 2:
-            L0_down = [pp1_project(P, ext) for P in L0]
-            if any(P is None for P in L0_down):
-                continue  # the model's locus is irrational here: nothing can match S
-            third_src = next(P for P in pp1_points(ext) if P not in L0_down)
-            third_dst = next(P for P in pp1_points(ext) if P not in S)
-            for arrangement in ((S[0], S[1]), (S[1], S[0])):
-                g = mob_from_three_points(
-                    (L0_down[0], L0_down[1], third_src),
-                    (arrangement[0], arrangement[1], third_dst),
-                )
-                candidates.append(conjugate_subgroup(H0, g))
+        elif len(S) >= 2:
+            # one transporter per coset g.Fix(L0) is enough: Fix(L0) is
+            # trivial for |L0| >= 3, and for |L0| = 2 it is the abelian torus
+            # through L0, which contains H0, so conjugating by it changes nothing
+            if all(pp1_project(P, ext) is not None for P in L0):  # then every g is rational too
+                maps, model = transporters([pp1_project(P, ext) for P in L0], S), H0
+            else:
+                maps, model = transporters(L0, S2), subgroup_embed(H0, ext2)
+            conjugates = (subgroup_project(conjugate_subgroup(model, g), ext) for g in maps)
+            candidates.extend(H for H in conjugates if H is not None)
         # |S| <= 1 never matches a non-elementary-abelian model
 
     expected = fingerprint(models[0]) if models else None

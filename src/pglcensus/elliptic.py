@@ -438,6 +438,9 @@ class FpfDichotomyReport:
 
 def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDichotomyReport:
     levels = tuple(levels)
+    if not levels:
+        # with no level, every (P, u != 1) would count as free everywhere
+        raise ValueError("need at least one level")
     one = fq_one(E.spec)
     base_pts = ec_points(E, 1)
     kernel_size = {

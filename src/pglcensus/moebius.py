@@ -17,6 +17,7 @@ of its two entries; a point is "inf" or an element in coefficient form.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -328,6 +329,32 @@ def mob_from_three_points(src: Sequence[PP1], dst: Sequence[PP1]) -> Moebius:
         if P.spec != spec:
             raise ValueError("all six points must live in one field")
     return mob_compose(mob_inverse(_to_zero_one_inf(*dst)), _to_zero_one_inf(*src))
+
+
+def transporters(L0: Sequence[PP1], S: Sequence[PP1]) -> Iterator[Moebius]:
+    """One map g with g(L0) = S per coset g.Fix(L0) of the pointwise
+    stabilizer of L0 (distinct points of one field, none if |L0| != |S|).
+    |L0| >= 3: Fix(L0) = 1; per ordered triple of S, in permutations order,
+    the map sending L0[:3] onto it, if it sends the rest of L0 into S.
+    |L0| = 2: Fix(L0) is a torus; one map per arrangement of S, sending the
+    first point of P^1 outside L0 to the first one outside S."""
+    if len(L0) != len(S):
+        return
+    if len(L0) < 2:
+        raise ValueError("transporters need at least two points")
+    spec = L0[0].spec
+    if len(L0) == 2:
+        src = (L0[0], L0[1], next(P for P in pp1_points(spec) if P not in L0))
+        third = next(P for P in pp1_points(spec) if P not in S)
+        for first, second in ((S[0], S[1]), (S[1], S[0])):
+            yield mob_from_three_points(src, (first, second, third))
+        return
+    targets = set(S)
+    rest = L0[3:] if len(S) <= spec.q else ()  # S = P^1: every map qualifies
+    for dst in itertools.permutations(S, 3):
+        g = mob_from_three_points(L0[:3], dst)
+        if all(mob_apply(g, P) in targets for P in rest):
+            yield g
 
 
 def pgl2_elements(spec: FieldSpec) -> Iterator[Moebius]:

@@ -17,7 +17,6 @@ lists at desk scale.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -58,12 +57,11 @@ from .moebius import (
     mob_sort_key,
     parse_moebius,
     pgl2_elements,
-    pp1_affine,
-    pp1_infinity,
     pp1_points,
     pp1_sort_key,
     render_moebius,
     render_point,
+    transporters,
 )
 
 if TYPE_CHECKING:
@@ -130,6 +128,8 @@ def subgroup_embed(H: SubgroupPGL2, target: FieldSpec) -> SubgroupPGL2:
 
 def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL2]:
     """Pull the subgroup back to a subfield, or None if any entry is irrational."""
+    if H.spec == target:
+        return H
     out = []
     for m in H.elements:
         pm = mob_project(m, target)
@@ -388,11 +388,11 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
     rational there) or None.
 
     The search space is cut down by transporter reasoning on stabilized loci:
-    a conjugator must map locus onto locus, so for loci of size >= 3 it is
-    determined by an ordered triple of images, for size 2 it lies in a
-    one-parameter diagonal family, and for size 1 both groups reduce to
-    translation groups where conjugacy is scalar scaling of the translation
-    sets.  Loci are computed at level r; r >= 2 captures all of them.
+    a conjugator maps locus L1 onto locus L2, so it is g0 t with g0 from
+    moebius.transporters(L1, L2) and t fixing L1 pointwise: only the identity
+    for size >= 3, the torus through both points for size 2.  For size 1 both
+    groups reduce to translation groups where conjugacy is scalar scaling of
+    the translation sets.  Loci are computed at level r; r >= 2 captures all.
     """
     if H1.spec != H2.spec:
         raise ValueError("subgroups must live over the same field")
@@ -430,34 +430,25 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
                     return _simplify_witness(g, base)
         return None
 
-    if len(L1) == 2:
-        third1 = next(P for P in pp1_points(ext) if P not in L1)
-        A = mob_from_three_points((L1[0], L1[1], third1), _zero_one_inf_triple(ext))
-        for arrangement in ((L2[0], L2[1]), (L2[1], L2[0])):
-            third2 = next(P for P in pp1_points(ext) if P not in L2)
-            B = mob_from_three_points((arrangement[0], arrangement[1], third2), _zero_one_inf_triple(ext))
-            for lam in field_elements(ext):
-                if lam.is_zero():
-                    continue
-                g = mob_compose(mob_inverse(B), mob_compose(_diag(ext, lam), A))
+    if len(L1) >= 2:
+        # g = g0 t with g0 from transporters(L1, L2) and t fixing L1
+        # pointwise: only the identity for 3 or more points; for 2, the
+        # torus, one t per image of the first point outside L1, starting
+        # with the identity.  Each t is tried with every g0 before the next,
+        # so a plain transporter always comes first
+        fix = [mob_identity(ext)]
+        if len(L1) == 2:
+            src = (L1[0], L1[1], next(P for P in pp1_points(ext) if P not in L1))
+            fix = (mob_from_three_points(src, (L1[0], L1[1], P)) for P in pp1_points(ext) if P not in L1)
+        for t in fix:
+            for g0 in transporters(L1, L2):
+                g = mob_compose(g0, t)
                 if _conjugates_onto(g, K1, K2):
                     return _simplify_witness(g, base)
         return None
 
-    if len(L1) >= 3:
-        src = L1[:3]
-        for dst in itertools.permutations(L2, 3):
-            g = mob_from_three_points(src, dst)
-            if _conjugates_onto(g, K1, K2):
-                return _simplify_witness(g, base)
-        return None
-
     # empty loci at this level (all fixed points irrational): fall back
     return _simplify_witness(_conjugacy_fallback(K1, K2, ext), base)
-
-
-def _zero_one_inf_triple(spec: FieldSpec):
-    return (pp1_affine(fq_zero(spec)), pp1_affine(fq_one(spec)), pp1_infinity(spec))
 
 
 _BRUTE_FORCE_CAP = 30

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from pglcensus.cli import main
-from pglcensus.stdgroups import subgroup_from_json
+from pglcensus.gfq import parse_field_spec
+from pglcensus.moebius import parse_moebius
+from pglcensus.stdgroups import _conjugates_onto, close_generators, subgroup_from_json
 
 
 def run_cli(*argv):
@@ -30,6 +32,11 @@ OUT_OF_RANGE_RANKS = [
     ("verify-main", "--p", "2", "--levels", "1", "--m", "-1"),
     ("verify-main", "--p", "2", "--levels", "1", "--m", "0"),
     ("verify-main", "--p", "2", "--levels", "1-2", "--m", "7"),
+]
+
+EMPTY_LEVELS = [
+    ("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "3-1"),
+    ("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", ","),
 ]
 
 
@@ -100,6 +107,22 @@ class TestConjugateCommand:
         d1, d2 = json.loads(out1), json.loads(out2)
         assert code1 == code2 == 0
         assert d1["conjugate"] is True and d2["conjugate"] is True
+
+    def test_two_point_locus_needs_the_torus(self):
+        # Klein groups {x, -x, a/x, -a/x} over F13 with a = 2 and a = 5,
+        # both non-squares: the level-1 locus of each is {0, inf}, and every
+        # conjugator fixes or swaps 0 and inf, but none sends 1 to 1
+        spec = parse_field_spec("13^1")
+        gens1, gens2 = "[12,0;0,1]|[0,2;1,0]", "[12,0;0,1]|[0,5;1,0]"
+        H1, H2 = (
+            close_generators([parse_moebius(spec, g) for g in gens.split("|")])
+            for gens in (gens1, gens2)
+        )
+        for extra in ((), ("--brute",)):
+            code, out = run_cli("conjugate", "--field", "13^1", "--gens1", gens1, "--gens2", gens2, *extra)
+            data = json.loads(out)
+            assert code == 0 and data["conjugate"] is True
+            assert _conjugates_onto(parse_moebius(spec, data["witness"]), H1, H2)
 
 
 class TestCensusCommand:
@@ -244,6 +267,11 @@ class TestUsageErrors:
         code, out = run_cli(*argv)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("argv", EMPTY_LEVELS, ids=" ".join)
+    def test_empty_level_set_exits_two(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+
     def test_rank_above_some_levels_skips_them(self):
         code, out = run_cli("verify-main", "--p", "2", "--levels", "1-2", "--m", "2")
         assert code == 0
@@ -270,6 +298,7 @@ def exit_code(argv):
 MALFORMED = [
     *OUT_OF_RANGE_TAGS,
     *OUT_OF_RANGE_RANKS,
+    *EMPTY_LEVELS,
     ("ramification", "--field", "3^1", "--poly", ","),
     ("ramification", "--field", "3^1", "--poly", ""),
     ("ramification", "--field", "3^1", "--poly", "0,1,1", "--ext", "0"),

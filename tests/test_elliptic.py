@@ -253,6 +253,10 @@ class TestFpfDichotomy:
         assert rep.ok, rep.violations
         assert rep.levels == (1, 2, 3)
 
+    def test_rejects_empty_levels(self):
+        with pytest.raises(ValueError):
+            verify_fpf_dichotomy(E_J1728, [])
+
 
 class TestGenus1Finiteness:
     def test_rejects_empty_locus(self):

@@ -88,6 +88,19 @@ GOLDEN = {
         ("e8c929e83b219c288549e59d4ed77b0a9b2c542dd246767bb5dfc57a320b31fc", 0),
     "verify-p1fp --field 2^2":
         ("b1a9674d44e9ec93f9fe1843bc4583a5b7e9faf2d763c5111fa5437af9b93318", 0),
+    # transporter census paths: a moved six-point locus, the A4 model at
+    # its own fourteen-point locus, and a model locus (the Klein group over
+    # F_7, with +-i) that is irrational over the census field
+    "census --field 3^2 --group dihedral:2 --locus 0,0,0,2,1,0,1,1,2,1,2,2":
+        ("7c261d976cfd06a04aa485f8a7ac3dcd140989b7ff954ec66f80d35e84f2c6df", 0),
+    "census --field 5^2 --group A4 --locus 0,0,1,0,1,3,1,4,2,0,2,1,2,3,3,0,3,2,3,4,4,0,4,1,4,2,inf":
+        ("5d7c879a1924745d640f2783da8eeeae8789db48953798e94be02d130af6ade1", 0),
+    "census --field 7^1 --group dihedral:2 --locus 0,1,2,3,6,inf":
+        ("bf10f9fedcb8496ffe421ade3903a7643418c698bd690c32cd39a110278b0bb2", 0),
+    # a two-point locus {0, inf} where the swap x -> 1/x is the witness and
+    # a map fixing both points (x -> 4x) would also be one
+    "conjugate --field 13^1 --gens1 [12,0;0,1]|[0,2;1,0] --gens2 [12,0;0,1]|[0,7;1,0]":
+        ("2bc5447681b9f0c3bb2b7741542f03812b8128b1ed7aa2333d690f93fc9af2ee", 0),
 }
 
 

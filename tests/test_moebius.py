@@ -38,6 +38,7 @@ from pglcensus.moebius import (
     pp1_sort_key,
     render_moebius,
     render_point,
+    transporters,
     verify_p1fp,
 )
 
@@ -224,6 +225,48 @@ class TestThreePoints:
         points = [pp1_affine(x) for x in field_elements(spec)] + [pp1_infinity(spec)]
         n_triples = len(points) * (len(points) - 1) * (len(points) - 2)
         assert len(images) == n_triples == spec.q ** 3 - spec.q
+
+
+class TestTransporters:
+    """transporters(L0, S) against a scan of PGL2(F_q) for every g with
+    g(L0) = S, on seeded loci of each size k."""
+
+    CASES = [(spec, k) for spec in (F3, F4, F5, F7) for k in sorted({2, 3, 4, spec.q + 1})]
+
+    @staticmethod
+    def loci(spec, k):
+        rng = random.Random(1000 * spec.q + k)
+        points = list(pp1_points(spec))
+        return [(rng.sample(points, k), rng.sample(points, k)) for _ in range(3)]
+
+    @staticmethod
+    def scanned(spec, L0, S):
+        return [g for g in pgl2_elements(spec) if {mob_apply(g, P) for P in L0} == set(S)]
+
+    @pytest.mark.parametrize("spec,k", CASES, ids=lambda c: str(getattr(c, "q", c)))
+    def test_against_scan(self, spec, k):
+        for L0, S in self.loci(spec, k):
+            reps = list(transporters(L0, S))
+            expected = self.scanned(spec, L0, S)
+            if k >= 3:
+                assert len(reps) == len(set(reps))
+                assert set(reps) == set(expected)
+                continue
+            # a pair: each transporter is g0 t for exactly one yielded g0
+            # and one t fixing L0 pointwise
+            assert set(reps) <= set(expected)
+            fix = [t for t in pgl2_elements(spec) if all(mob_apply(t, P) == P for P in L0)]
+            for g in expected:
+                splits = [(g0, t) for g0 in reps for t in fix if mob_compose(g0, t) == g]
+                assert len(splits) == 1
+
+    def test_sizes_must_agree(self):
+        points = list(pp1_points(F5))
+        assert list(transporters(points[:3], points[:4])) == []
+
+    def test_single_point_rejected(self):
+        with pytest.raises(ValueError):
+            list(transporters([pt(F5, 0)], [pt(F5, 1)]))
 
 
 class TestRamification:

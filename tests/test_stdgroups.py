@@ -27,6 +27,7 @@ from pglcensus.moebius import (
     render_point,
 )
 from pglcensus.stdgroups import (
+    _conjugates_onto,
     close_generators,
     conjugate_subgroup,
     fingerprint,
@@ -52,10 +53,16 @@ F5 = field_make(5, 1)
 F8 = field_make(2, 3)
 F9 = field_make(3, 2)
 F11 = field_make(11, 1)
+F13 = field_make(13, 1)
 
 
 def mk(spec, a, b, c, d):
     return mob_make(*(fq_from_int(spec, v) for v in (a, b, c, d)))
+
+
+def _klein_over_F13(a):
+    """{x, -x, a/x, -a/x} over F13."""
+    return close_generators([mk(F13, 12, 0, 0, 1), mk(F13, 0, a, 1, 0)])
 
 
 class TestClosure:
@@ -285,6 +292,25 @@ class TestConjugacy:
         H2 = conjugate_subgroup(H1, g)
         w = is_conjugate(H1, H2, 1)
         assert w is not None and conjugate_subgroup(H1, w).elements == H2.elements
+
+    def test_two_point_locus_needs_the_torus(self):
+        # {x, -x, a/x, -a/x} over F13 for a = 2 and a = 5, both non-squares:
+        # each has level-1 locus {0, inf}, and no conjugator sends 1 to 1
+        H1, H2 = (_klein_over_F13(a) for a in (2, 5))
+        assert stabilized_locus(H1, 1) == stabilized_locus(H2, 1)
+        assert len(stabilized_locus(H1, 1)) == 2
+        w = is_conjugate(H1, H2, 1)
+        assert w is not None and _conjugates_onto(w, H1, H2)
+
+    def test_two_point_locus_agrees_with_bruteforce(self):
+        # the three Klein groups {x, -x, a/x, -a/x}, one per pair {a, -a} of
+        # non-squares mod 13, all with level-1 locus {0, inf}
+        groups = [_klein_over_F13(a) for a in (2, 5, 6)]
+        for H1, H2 in itertools.product(groups, repeat=2):
+            fast = is_conjugate(H1, H2, 1)
+            brute = is_conjugate_bruteforce(H1, H2, 1)
+            assert (fast is None) == (brute is None)
+            assert fast is None or _conjugates_onto(fast, H1, H2)
 
     def test_three_point_locus_conjugacy(self):
         H1 = std_A4(F5)
