@@ -159,7 +159,7 @@ def enum_additive_subgroups(spec: FieldSpec, m: int) -> list[AdditiveSubgroup]:
             out.append(
                 AdditiveSubgroup(spec, tuple(fq_from_coeffs(spec, r) for r in rows))
             )
-    out.sort(key=lambda G: tuple(b.coeffs for b in G.basis))
+    out.sort(key=lambda G: tuple(b.code for b in G.basis))
     assert len(out) == gaussian_binomial(n, m, p)
     return out
 
@@ -226,7 +226,8 @@ def parse_group_id(tag: str) -> tuple[str, tuple[int, ...]]:
 
     Grammar: cyclic:n | dihedral:n | A4 | S4 | A5 | PSL2:d | PGL2:d |
     Zp^m | gamma:m:n (rank m, unity order n; gamma:m:1 == Zp^m).  A
-    parameter out of range raises ValueError.
+    parameter out of range raises ValueError, and so does gamma:0:n for
+    n > 1, which is the group cyclic:n.
     """
     t = tag.strip()
     if t in ("A4", "S4", "A5"):
@@ -247,6 +248,8 @@ def parse_group_id(tag: str) -> tuple[str, tuple[int, ...]]:
     least = (0, 1) if kind == "gamma" else (1,)
     if any(v < lo for v, lo in zip(params, least)):
         raise ValueError(f"group tag {tag!r} has a parameter out of range")
+    if kind == "gamma" and params[0] == 0 and params[1] > 1:
+        raise ValueError(f"group tag {tag!r} has rank 0: the group is cyclic:{params[1]}")
     return kind, params
 
 

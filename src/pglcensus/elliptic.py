@@ -122,8 +122,8 @@ def _check_on_curve(E: ECurve, P: ECPoint) -> None:
 
 def ec_point_sort_key(P: ECPoint):
     if P.is_zero:
-        return (0, (), ())
-    return (1, P.x.coeffs, P.y.coeffs)
+        return (0, 0, 0)
+    return (1, P.x.code, P.y.code)
 
 
 def ec_point_embed(P: ECPoint, target: FieldSpec) -> ECPoint:
@@ -193,7 +193,7 @@ def ec_points(E: ECurve, r: int = 1) -> tuple[ECPoint, ...]:
     pts = [ec_infinity(ext)]
     for x in field_elements(ext):
         rhs = fq_add(fq_add(fq_mul(x, fq_mul(x, x)), fq_mul(a, x)), b)
-        for y in sqrt.get(rhs.coeffs, ()):
+        for y in sqrt.get(rhs.code, ()):
             pts.append(ECPoint(ext, x, y))
     return tuple(sorted(pts, key=ec_point_sort_key))
 
@@ -246,7 +246,7 @@ class ECAut:
 
 
 def ec_aut_sort_key(phi: ECAut):
-    return (ec_point_sort_key(phi.P), phi.u.coeffs)
+    return (ec_point_sort_key(phi.P), phi.u.code)
 
 
 def sigma_apply(u: FqElem, Q: ECPoint) -> ECPoint:
@@ -279,10 +279,10 @@ def aut_inverse(phi: ECAut) -> ECAut:
 
 
 @lru_cache(maxsize=None)
-def _one_minus_sigma_fibres(E: ECurve, u_coeffs: tuple[int, ...], r: int) -> dict:
+def _one_minus_sigma_fibres(E: ECurve, u_code: int, r: int) -> dict:
     """Fibres of Q -> Q - sigma_u(Q) on E(F_{q^r}), keyed by image point."""
     ext = extension_field(E.spec, r)
-    u = FqElem(ext, u_coeffs)
+    u = FqElem(ext, u_code)
     fibres: dict = {}
     for Q in ec_points(E, r):
         img = ec_sub(E, Q, sigma_apply(u, Q))
@@ -301,7 +301,7 @@ def aut_fixed_points(E: ECurve, phi: ECAut, r: int = 1) -> tuple[ECPoint, ...]:
     u = fq_embed(phi.u, ext)
     if u == fq_one(ext):
         return ()  # translation by P != O
-    fibre = _one_minus_sigma_fibres(E, u.coeffs, r).get(P, ())
+    fibre = _one_minus_sigma_fibres(E, u.code, r).get(P, ())
     return tuple(sorted(fibre, key=ec_point_sort_key))
 
 
@@ -312,7 +312,7 @@ def kernel_one_minus_sigma(E: ECurve, u: FqElem, r: int = 1) -> tuple[ECPoint, .
         raise ValueError("1 - sigma is the zero map for u = 1")
     ext = extension_field(E.spec, r)
     uu = fq_embed(u, ext)
-    fibre = _one_minus_sigma_fibres(E, uu.coeffs, r).get(ec_infinity(ext), ())
+    fibre = _one_minus_sigma_fibres(E, uu.code, r).get(ec_infinity(ext), ())
     return tuple(sorted(fibre, key=ec_point_sort_key))
 
 
@@ -444,7 +444,7 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
     one = fq_one(E.spec)
     base_pts = ec_points(E, 1)
     kernel_size = {
-        (u.coeffs, r): len(kernel_one_minus_sigma(E, u, r))
+        (u.code, r): len(kernel_one_minus_sigma(E, u, r))
         for u in aut0(E, 1)
         if u != one
         for r in levels
@@ -462,10 +462,10 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
                 phi = ECAut(E, ec_point_embed(P, ext), fq_embed(u, ext))
                 fibre = aut_fixed_points(E, phi, r)
                 fibre_sizes.append(len(fibre))
-                if u != one and fibre and len(fibre) != kernel_size[(u.coeffs, r)]:
+                if u != one and fibre and len(fibre) != kernel_size[(u.code, r)]:
                     violations.append(
                         f"(P={render_ec_point(P)}, u={render_element(u)}) at r={r}: "
-                        f"fibre size {len(fibre)} != kernel size {kernel_size[(u.coeffs, r)]}"
+                        f"fibre size {len(fibre)} != kernel size {kernel_size[(u.code, r)]}"
                     )
             free_everywhere = all(s == 0 for s in fibre_sizes)
             expected_free = (u == one) and not P.is_zero

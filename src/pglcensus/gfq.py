@@ -1,16 +1,25 @@
 """Exact arithmetic in finite fields F_{p^n}.
 
-Elements are coefficient vectors (constant term first) modulo a fixed monic
-irreducible polynomial over F_p.  All arithmetic is exact integer arithmetic;
-fields stay at desk scale (q up to ~10^4), so irreducibility testing, root
-finding and subfield embeddings are done by exhaustive methods rather than
-probabilistic factorization.  Monic quadratics (the fixed-point equations of
-PGL2) are solved in closed form from per-field square-root and Artin-Schreier
-tables.
+An element is a polynomial in x of degree < n over F_p, taken modulo a fixed
+monic irreducible polynomial, and is stored as one integer, its code: the
+base-p number whose digits are the coefficients c0 (constant term, most
+significant digit) to c_{n-1}.  Code order is therefore the lexicographic
+order of coefficient vectors, and element k of the field is the one with
+code k.  Arithmetic is table lookup.  Each field builds, once and on first
+use, antilog/log tables over a primitive element g and a Zech table
+k -> log(1 + g^k) (K. Huber, "Some comments on Zech's logarithms", IEEE
+Trans. Inf. Theory 36, 1990): a product adds two logs, a sum or difference
+adds a Zech log, and inverses, powers, orders, roots of unity and subfields
+are index arithmetic.  The tables take O(q) memory and time, which suits the
+desk scale the package stays at (q up to ~10^4).  Irreducibility testing,
+root finding and subfield embeddings are done by exhaustive methods rather
+than probabilistic factorization.  Monic quadratics (the fixed-point
+equations of PGL2) are solved in closed form from per-field square-root and
+Artin-Schreier tables.
 
 Conventions used throughout the package:
 
-* elements are ordered lexicographically by coefficient vector,
+* elements are ordered lexicographically by coefficient vector, i.e. by code,
 * the "auto" modulus of F_{p^n} is the lexicographically smallest monic
   irreducible polynomial of degree n over F_p,
 * extension fields are never entered silently: any operation whose result may
@@ -25,8 +34,9 @@ Text formats (shared with the CLI): a field is "p^n" (auto modulus) or
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 
@@ -94,7 +104,8 @@ def _pp_is_irreducible(f: Sequence[int], p: int) -> bool:
 @dataclass(frozen=True)
 class FieldSpec:
     """A concrete presentation of F_{p^n}: prime p, degree n, monic irreducible
-    modulus of degree n over F_p (constant term first, length n+1)."""
+    modulus of degree n over F_p (constant term first, length n+1).  The
+    field's lookup tables hang off the spec and are built on first use."""
 
     p: int
     n: int
@@ -114,30 +125,63 @@ class FieldSpec:
             raise ValueError(f"modulus must be monic, got {m}")
         if not _pp_is_irreducible(m, self.p):
             raise ValueError(f"modulus {m} is reducible over F_{self.p}")
+        # specs key every per-field cache, so the hash is computed once
+        object.__setattr__(self, "_hash", hash((self.p, self.n, self.modulus)))
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def q(self) -> int:
         return self.p ** self.n
+
+    @cached_property
+    def _tables(self) -> _FieldTables:
+        return _FieldTables(self)
+
+    @cached_property
+    def _inv(self) -> list:
+        return _inverse_cache(self)
 
     def __repr__(self) -> str:
         return f"FieldSpec({render_field_spec(self)})"
 
 
-@dataclass(frozen=True)
 class FqElem:
-    """Element of F_{p^n} as a length-n coefficient vector, constant term first."""
+    """Element of F_{p^n} as its code: the base-p number whose digits are the
+    coefficients, constant term c0 most significant.  Immutable, since the
+    field tables hand out shared instances."""
 
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
+    __slots__ = ("spec", "code")
+
+    def __init__(self, spec: FieldSpec, code: int):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "code", code)
+        self.__post_init__()
 
     def __post_init__(self):
-        if len(self.coeffs) != self.spec.n:
-            raise ValueError(f"element needs {self.spec.n} coefficients, got {self.coeffs}")
-        if any(not (0 <= c < self.spec.p) for c in self.coeffs):
-            raise ValueError(f"coefficients must lie in [0, {self.spec.p}), got {self.coeffs}")
+        if not 0 <= self.code < self.spec.q:
+            raise ValueError(f"element code must lie in [0, {self.spec.q}), got {self.code}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: field elements are immutable")
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficient vector, constant term first."""
+        p, n = self.spec.p, self.spec.n
+        return tuple(self.code // p ** (n - 1 - i) % p for i in range(n))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.code == 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FqElem):
+            return NotImplemented
+        return self.code == other.code and (self.spec is other.spec or self.spec == other.spec)
+
+    def __hash__(self) -> int:
+        return hash(self.code)
 
     def __add__(self, other: FqElem) -> FqElem:
         return fq_add(self, other)
@@ -161,9 +205,17 @@ class FqElem:
         return f"Fq({render_element(self)} in {self.spec.p}^{self.spec.n})"
 
 
+# the arithmetic calls this only when the two specs are not one object
 def _check_same_spec(a: FqElem, b: FqElem) -> None:
     if a.spec != b.spec:
         raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
+
+
+def _code(coeffs: Sequence[int], p: int) -> int:
+    c = 0
+    for d in coeffs:
+        c = c * p + d
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -197,44 +249,34 @@ def field_make(p: int, n: int, modulus="auto") -> FieldSpec:
 
 
 def fq_zero(spec: FieldSpec) -> FqElem:
-    return FqElem(spec, (0,) * spec.n)
+    return FqElem(spec, 0)
 
 
 def fq_one(spec: FieldSpec) -> FqElem:
-    return FqElem(spec, (1,) + (0,) * (spec.n - 1))
+    return FqElem(spec, spec.q // spec.p)
 
 
 def fq_gen(spec: FieldSpec) -> FqElem:
     """The residue of x, a root of the modulus (equals 0 when n = 1)."""
     if spec.n == 1:
         return fq_zero(spec)
-    return FqElem(spec, (0, 1) + (0,) * (spec.n - 2))
+    return FqElem(spec, spec.q // spec.p ** 2)
 
 
 def fq_from_int(spec: FieldSpec, k: int) -> FqElem:
     """Image of the integer k under Z -> F_p -> F_{p^n}."""
-    return FqElem(spec, (k % spec.p,) + (0,) * (spec.n - 1))
+    return FqElem(spec, k % spec.p * (spec.q // spec.p))
 
 
 def fq_from_coeffs(spec: FieldSpec, coeffs: Sequence[int]) -> FqElem:
-    return FqElem(spec, tuple(int(c) % spec.p for c in coeffs))
+    digits = [int(c) % spec.p for c in coeffs]
+    if len(digits) != spec.n:
+        raise ValueError(f"element needs {spec.n} coefficients, got {tuple(coeffs)}")
+    return FqElem(spec, _code(digits, spec.p))
 
 
-def fq_add(a: FqElem, b: FqElem) -> FqElem:
-    _check_same_spec(a, b)
-    p = a.spec.p
-    return FqElem(a.spec, tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def fq_sub(a: FqElem, b: FqElem) -> FqElem:
-    _check_same_spec(a, b)
-    p = a.spec.p
-    return FqElem(a.spec, tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def fq_neg(a: FqElem) -> FqElem:
-    p = a.spec.p
-    return FqElem(a.spec, tuple((-x) % p for x in a.coeffs))
+# ---------------------------------------------------------------------------
+# the per-field tables; schoolbook products only build them
 
 
 @lru_cache(maxsize=None)
@@ -247,16 +289,14 @@ def _reduction_rows(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def fq_mul(a: FqElem, b: FqElem) -> FqElem:
-    _check_same_spec(a, b)
-    spec = a.spec
+def _vec_mul(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Schoolbook product of two coefficient vectors, reduced by the modulus
+    (cheap when a is sparse)."""
     n, p = spec.n, spec.p
-    if n == 1:
-        return FqElem(spec, ((a.coeffs[0] * b.coeffs[0]) % p,))
     conv = [0] * (2 * n - 1)
-    for i, ai in enumerate(a.coeffs):
+    for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b.coeffs):
+            for j, bj in enumerate(b):
                 conv[i + j] += ai * bj
     out = conv[:n]
     rows = _reduction_rows(spec)
@@ -266,28 +306,135 @@ def fq_mul(a: FqElem, b: FqElem) -> FqElem:
             row = rows[k - n]
             for j in range(n):
                 out[j] += c * row[j]
-    return FqElem(spec, tuple(x % p for x in out))
+    return tuple(x % p for x in out)
+
+
+def _vec_pow(spec: FieldSpec, a: Sequence[int], e: int) -> tuple[int, ...]:
+    result = (1,) + (0,) * (spec.n - 1)
+    while e:
+        if e & 1:
+            result = _vec_mul(spec, a, result)
+        a = _vec_mul(spec, a, a)
+        e >>= 1
+    return result
+
+
+def _primitive_element(spec: FieldSpec) -> tuple[int, ...]:
+    """The first generator of the multiplicative group, by degree and then by
+    coefficients, as a coefficient vector.  g generates iff g^((q-1)/l) != 1
+    for every prime l dividing q - 1; the modulus's root x need not."""
+    p, n, m = spec.p, spec.n, spec.q - 1
+    one = (1,) + (0,) * (n - 1)
+    exponents = [m // l for l in range(2, m + 1) if m % l == 0 and is_prime(l)]
+    for t in range(1, spec.q):
+        g = tuple(t // p**i % p for i in range(n))
+        if all(_vec_pow(spec, g, e) != one for e in exponents):
+            return g
+    raise AssertionError("the multiplicative group of a finite field is cyclic (unreachable)")
+
+
+class _FieldTables:
+    """Lookup tables of one field over a primitive element g, with m = q - 1:
+
+    * elems[c]: the element with code c (the tuple field_elements returns);
+    * log[c]: the k in [0, m) with g^k = elems[c] (None for c = 0);
+    * exp[k]: g^k for 0 <= k < 2m, so two logs add without reduction;
+    * zech[k]: the Zech logarithm log(1 + g^k), None where 1 + g^k = 0; kept
+      for 0 <= k < 2m, so any -2m < k < 2m indexes it (Python wraps k < 0);
+    * half: log(-1).
+
+    O(q) to build: one sparse product per power of g (g has low degree), and
+    1 + g^k is the code of g^k plus p^(n-1), mod q.
+    """
+
+    __slots__ = ("elems", "log", "exp", "zech", "half", "m")
+
+    def __init__(self, spec: FieldSpec):
+        p, q = spec.p, spec.q
+        m = q - 1
+        g = _primitive_element(spec)
+        log = [None] * q
+        codes = []
+        power = (1,) + (0,) * (spec.n - 1)
+        for k in range(m):
+            c = _code(power, p)
+            codes.append(c)
+            log[c] = k
+            power = _vec_mul(spec, g, power)
+        one = q // p
+        self.elems = elems = field_elements(spec)
+        self.log = log
+        self.exp = [elems[c] for c in codes] * 2
+        self.zech = [log[(c + one) % q] for c in codes] * 2
+        self.half = 0 if p == 2 else m // 2
+        self.m = m
+
+
+# ---------------------------------------------------------------------------
+# arithmetic: table lookups
+
+
+def fq_add(a: FqElem, b: FqElem) -> FqElem:
+    if a.spec is not b.spec:
+        _check_same_spec(a, b)
+    x, y = a.code, b.code
+    if not x:
+        return b
+    if not y:
+        return a
+    t = a.spec._tables
+    i = t.log[x]
+    z = t.zech[t.log[y] - i]  # g^i + g^j = g^i (1 + g^(j-i))
+    return t.elems[0] if z is None else t.exp[i + z]
+
+
+def fq_sub(a: FqElem, b: FqElem) -> FqElem:
+    if a.spec is not b.spec:
+        _check_same_spec(a, b)
+    x, y = a.code, b.code
+    if not y:
+        return a
+    t = a.spec._tables
+    j = t.log[y] + t.half  # log(-b)
+    if not x:
+        return t.exp[j]
+    i = t.log[x]
+    z = t.zech[j - i]
+    return t.elems[0] if z is None else t.exp[i + z]
+
+
+def fq_neg(a: FqElem) -> FqElem:
+    if not a.code:
+        return a
+    t = a.spec._tables
+    return t.exp[t.log[a.code] + t.half]
+
+
+def fq_mul(a: FqElem, b: FqElem) -> FqElem:
+    if a.spec is not b.spec:
+        _check_same_spec(a, b)
+    x, y = a.code, b.code
+    if not x:
+        return a
+    if not y:
+        return b
+    t = a.spec._tables
+    return t.exp[t.log[x] + t.log[y]]
 
 
 @lru_cache(maxsize=None)
-def _inverse_cache(spec: FieldSpec) -> dict:
-    return {}
+def _inverse_cache(spec: FieldSpec) -> list:
+    """inv[c]: the inverse of the element with code c (None for 0), since
+    log(1/x) = m - log(x)."""
+    t = spec._tables
+    return [None] + [t.exp[t.m - t.log[c]] for c in range(1, spec.q)]
 
 
 def fq_inv(a: FqElem) -> FqElem:
-    """Multiplicative inverse a^(q-2), by Fermat's little theorem (memoized
-    per field; fields are desk-scale)."""
-    if a.is_zero():
+    """Multiplicative inverse: one lookup in the field's inverse table."""
+    if not a.code:
         raise ZeroDivisionError("inverse of zero")
-    spec = a.spec
-    cache = _inverse_cache(spec)
-    hit = cache.get(a.coeffs)
-    if hit is not None:
-        return FqElem(spec, hit)
-    inv = fq_pow(a, spec.q - 2).coeffs
-    cache[a.coeffs] = inv
-    cache[inv] = a.coeffs
-    return FqElem(spec, inv)
+    return a.spec._inv[a.code]
 
 
 def fq_div(a: FqElem, b: FqElem) -> FqElem:
@@ -295,35 +442,41 @@ def fq_div(a: FqElem, b: FqElem) -> FqElem:
 
 
 def fq_pow(a: FqElem, e: int) -> FqElem:
-    if e < 0:
-        return fq_pow(fq_inv(a), -e)
-    result = fq_one(a.spec)
-    base = a
-    while e:
-        if e & 1:
-            result = fq_mul(result, base)
-        base = fq_mul(base, base)
-        e >>= 1
-    return result
+    if not a.code:
+        if e < 0:
+            raise ZeroDivisionError("inverse of zero")
+        return a if e else fq_one(a.spec)
+    t = a.spec._tables
+    return t.exp[t.log[a.code] * e % t.m]
 
 
 @lru_cache(maxsize=None)
 def field_elements(spec: FieldSpec) -> tuple[FqElem, ...]:
-    """All q elements in canonical (lexicographic coefficient) order."""
-    return tuple(FqElem(spec, t) for t in itertools.product(range(spec.p), repeat=spec.n))
+    """All q elements in canonical (lexicographic coefficient) order, which is
+    code order: field_elements(spec)[k].code == k."""
+    return tuple(FqElem(spec, k) for k in range(spec.q))
+
+
+def _by_code(a: FqElem) -> int:
+    return a.code
 
 
 def element_order(a: FqElem) -> int:
-    """Multiplicative order of a nonzero element."""
+    """Multiplicative order of a nonzero element: m / gcd(log a, m)."""
     if a.is_zero():
         raise ValueError("zero has no multiplicative order")
-    one = fq_one(a.spec)
-    x = a
-    k = 1
-    while x != one:
-        x = fq_mul(x, a)
-        k += 1
-    return k
+    t = a.spec._tables
+    return t.m // math.gcd(t.log[a.code], t.m)
+
+
+def subfield_elements(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
+    """The p^d elements of the subfield F_{p^d} (d = sub_degree divides n) in
+    canonical order: 0 and the powers of g^((q-1)/(p^d-1))."""
+    if spec.n % sub_degree != 0:
+        raise ValueError(f"subfield degree {sub_degree} does not divide {spec.n}")
+    t = spec._tables
+    step = t.m // (spec.p**sub_degree - 1)
+    return sorted([t.elems[0]] + t.exp[: t.m : step], key=_by_code)
 
 
 # ---------------------------------------------------------------------------
@@ -331,56 +484,53 @@ def element_order(a: FqElem) -> int:
 
 
 @lru_cache(maxsize=None)
-def _embedding_powers(src: FieldSpec, dst: FieldSpec) -> tuple[FqElem, ...]:
-    """Powers 0..src.n-1 of the image of the src generator in dst.
+def _embedding_table(src: FieldSpec, dst: FieldSpec) -> tuple[FqElem, ...]:
+    """The image in dst of each element of src, by code.
 
-    The generator is sent to the first root (canonical element order) of the
-    src modulus inside dst, which makes the embedding deterministic.
+    The src generator is sent to the first root (canonical element order) of
+    the src modulus inside dst, which makes the embedding deterministic; the
+    roots lie in the subfield of order src.q.
     """
-    root = None
-    for x in field_elements(dst):
-        acc = fq_zero(dst)
-        for c in reversed(src.modulus):
-            acc = fq_add(fq_mul(acc, x), fq_from_int(dst, c))
-        if acc.is_zero():
-            root = x
-            break
+    modulus = [fq_from_int(dst, c) for c in src.modulus]
+    root = next((x for x in subfield_elements(dst, src.n) if poly_eval(modulus, x).is_zero()), None)
     if root is None:
         raise AssertionError(f"no root of {src.modulus} in {dst!r} (unreachable for m | n)")
-    powers = [fq_one(dst)]
-    for _ in range(src.n - 1):
-        powers.append(fq_mul(powers[-1], root))
-    return tuple(powers)
+    powers = [fq_pow(root, i) for i in range(src.n)]
+    table = []
+    for x in field_elements(src):
+        acc = fq_zero(dst)
+        for c, w in zip(x.coeffs, powers):
+            if c:
+                acc = fq_add(acc, fq_mul(fq_from_int(dst, c), w))
+        table.append(acc)
+    return tuple(table)
 
 
 def fq_embed(a: FqElem, target: FieldSpec) -> FqElem:
     """Embed a into the target field.  Requires same p and source degree
     dividing target degree; the embedding is a fixed field homomorphism."""
-    if a.spec == target:
+    spec = a.spec
+    if spec is target or spec == target:
         return a
-    if a.spec.p != target.p:
-        raise ValueError(f"cannot embed: characteristic {a.spec.p} != {target.p}")
-    if target.n % a.spec.n != 0:
-        raise ValueError(f"cannot embed: degree {a.spec.n} does not divide {target.n}")
-    powers = _embedding_powers(a.spec, target)
-    acc = fq_zero(target)
-    for c, g in zip(a.coeffs, powers):
-        if c:
-            acc = fq_add(acc, fq_mul(fq_from_int(target, c), g))
-    return acc
+    if spec.p != target.p:
+        raise ValueError(f"cannot embed: characteristic {spec.p} != {target.p}")
+    if target.n % spec.n != 0:
+        raise ValueError(f"cannot embed: degree {spec.n} does not divide {target.n}")
+    return _embedding_table(spec, target)[a.code]
 
 
 @lru_cache(maxsize=None)
 def _projection_table(src: FieldSpec, sub: FieldSpec) -> dict:
-    return {fq_embed(x, src).coeffs: x for x in field_elements(sub)}
+    """Code in src -> the element of the subfield sub that embeds onto it."""
+    return {fq_embed(x, src).code: x for x in field_elements(sub)}
 
 
 def fq_project(a: FqElem, target: FieldSpec):
     """Inverse of fq_embed on its image: the element of the subfield `target`
     mapping to a, or None if a is not in the embedded subfield."""
-    if a.spec == target:
+    if a.spec is target or a.spec == target:
         return a
-    return _projection_table(a.spec, target).get(a.coeffs)
+    return _projection_table(a.spec, target).get(a.code)
 
 
 def extension_field(spec: FieldSpec, r: int) -> FieldSpec:
@@ -393,7 +543,7 @@ def extension_field(spec: FieldSpec, r: int) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# roots of unity
+# roots of unity: the powers of g^((q-1)/d)
 
 
 def roots_of_unity(spec: FieldSpec, n: int):
@@ -402,8 +552,8 @@ def roots_of_unity(spec: FieldSpec, n: int):
     count is always gcd(n, q-1)."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    one = fq_one(spec)
-    roots = [x for x in field_elements(spec) if not x.is_zero() and fq_pow(x, n) == one]
+    t = spec._tables
+    roots = sorted(t.exp[: t.m : t.m // math.gcd(n, t.m)], key=_by_code)
     has_primitive = (spec.q - 1) % n == 0
     return roots, has_primitive
 
@@ -422,7 +572,8 @@ def minimal_extension_for_unity(spec: FieldSpec, n: int) -> int:
 
 
 def primitive_root_of_unity(spec: FieldSpec, n: int) -> FqElem:
-    """The canonically smallest element of exact multiplicative order n."""
+    """The canonically smallest element of exact multiplicative order n: the
+    least g^(k(q-1)/n) with k prime to n."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     if n % spec.p == 0:
@@ -433,10 +584,9 @@ def primitive_root_of_unity(spec: FieldSpec, n: int) -> FqElem:
             f"no primitive {n}-th root of unity in F_{spec.p}^{spec.n}; "
             f"minimal sufficient extension degree is {r}"
         )
-    for x in field_elements(spec):
-        if not x.is_zero() and element_order(x) == n:
-            return x
-    raise AssertionError("primitive root promised by n | q-1 but not found")
+    t = spec._tables
+    step = t.m // n
+    return min((t.exp[k * step] for k in range(n) if math.gcd(k, n) == 1), key=_by_code)
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +664,19 @@ def poly_roots(coeffs: Sequence[FqElem], r: int):
 
 @lru_cache(maxsize=None)
 def _sqrt_table(spec: FieldSpec) -> dict:
-    """v -> the square roots of v, in canonical order (keyed by coefficients)."""
+    """v -> the square roots of v, in canonical order (keyed by code)."""
     table: dict = {}
     for y in field_elements(spec):
-        table.setdefault(fq_mul(y, y).coeffs, []).append(y)
+        table.setdefault(fq_mul(y, y).code, []).append(y)
     return table
 
 
 @lru_cache(maxsize=None)
 def _artin_schreier_table(spec: FieldSpec) -> dict:
-    """v -> the solutions y of y^2 + y = v (keyed by coefficients; p = 2)."""
+    """v -> the solutions y of y^2 + y = v (keyed by code; p = 2)."""
     table: dict = {}
     for y in field_elements(spec):
-        table.setdefault(fq_add(fq_mul(y, y), y).coeffs, []).append(y)
+        table.setdefault(fq_add(fq_mul(y, y), y).code, []).append(y)
     return table
 
 
@@ -540,13 +690,13 @@ def monic_quadratic_roots(B: FqElem, C: FqElem) -> list[FqElem]:
     if spec.p != 2:
         disc = fq_sub(fq_mul(B, B), fq_mul(fq_from_int(spec, 4), C))
         half = fq_from_int(spec, (spec.p + 1) // 2)
-        roots = [fq_mul(fq_sub(s, B), half) for s in _sqrt_table(spec).get(disc.coeffs, ())]
+        roots = [fq_mul(fq_sub(s, B), half) for s in _sqrt_table(spec).get(disc.code, ())]
     elif B.is_zero():
-        roots = _sqrt_table(spec)[C.coeffs]
+        roots = _sqrt_table(spec)[C.code]
     else:
         v = fq_div(C, fq_mul(B, B))
-        roots = [fq_mul(B, y) for y in _artin_schreier_table(spec).get(v.coeffs, ())]
-    return sorted(roots, key=lambda x: x.coeffs)
+        roots = [fq_mul(B, y) for y in _artin_schreier_table(spec).get(v.code, ())]
+    return sorted(roots, key=_by_code)
 
 
 # ---------------------------------------------------------------------------
@@ -624,4 +774,6 @@ def parse_element(spec: FieldSpec, text: str) -> FqElem:
     parts = [int(t) for t in text.strip().split(",")]
     if len(parts) != spec.n:
         raise ValueError(f"element of F_{spec.p}^{spec.n} needs {spec.n} coefficients, got {text!r}")
-    return FqElem(spec, tuple(parts))
+    if any(not (0 <= c < spec.p) for c in parts):
+        raise ValueError(f"coefficients must lie in [0, {spec.p}), got {tuple(parts)}")
+    return FqElem(spec, _code(parts, spec.p))

@@ -85,10 +85,10 @@ def pp1_points(spec: FieldSpec) -> Iterator[PP1]:
 
 
 def pp1_sort_key(P: PP1):
-    # affine points in coefficient order first, infinity last
+    # affine points in element order first, infinity last
     if P.is_infinity:
-        return (1, ())
-    return (0, P.x.coeffs)
+        return (1, 0)
+    return (0, P.x.code)
 
 
 def pp1_embed(P: PP1, target: FieldSpec) -> PP1:
@@ -200,7 +200,7 @@ def mob_project(m: Moebius, target: FieldSpec) -> Optional[Moebius]:
 
 
 def mob_sort_key(m: Moebius):
-    return (m.a.coeffs, m.b.coeffs, m.c.coeffs, m.d.coeffs)
+    return (m.a.code, m.b.code, m.c.code, m.d.code)
 
 
 def mob_apply(m: Moebius, P: PP1) -> PP1:

@@ -32,12 +32,12 @@ from .gfq import (
     fq_inv,
     fq_mul,
     fq_one,
-    fq_pow,
     fq_zero,
     parse_field_spec,
     primitive_root_of_unity,
     render_field_spec,
     roots_of_unity,
+    subfield_elements,
 )
 from .moebius import (
     Moebius,
@@ -228,15 +228,6 @@ def std_A5(spec: FieldSpec) -> SubgroupPGL2:
     return _make_subgroup(spec, H.elements, "A5")
 
 
-def subfield_elements(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
-    """Elements of the subfield with p^sub_degree elements: the solutions of
-    x^(p^d) = x."""
-    if spec.n % sub_degree != 0:
-        raise ValueError(f"subfield degree {sub_degree} does not divide {spec.n}")
-    q0 = spec.p ** sub_degree
-    return [x for x in field_elements(spec) if fq_pow(x, q0) == x]
-
-
 def _subfield_fp_basis(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
     vecs = [x.coeffs for x in subfield_elements(spec, sub_degree)]
     return [fq_from_coeffs(spec, v) for v in fp_echelon(vecs, spec.p)]
@@ -420,11 +411,11 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
         g2 = _translation_parts(U2)
         if g1 is None or g2 is None:
             return _simplify_witness(_conjugacy_fallback(K1, K2, ext), base)
-        set2 = {x.coeffs for x in g2}
+        set2 = {x.code for x in g2}
         for alpha in field_elements(ext):
             if alpha.is_zero():
                 continue
-            if {fq_mul(alpha, x).coeffs for x in g1} == set2:
+            if {fq_mul(alpha, x).code for x in g1} == set2:
                 g = mob_compose(s2, mob_compose(_diag(ext, alpha), t1))
                 if _conjugates_onto(g, K1, K2):
                     return _simplify_witness(g, base)

@@ -186,11 +186,26 @@ class TestTagGrammar:
 
     @pytest.mark.parametrize(
         "tag",
-        ["cyclic:0", "dihedral:-2", "PSL2:0", "PSL2:-1", "PGL2:-1", "Zp^-1", "gamma:-1:1", "gamma:1:0", "gamma:1:-1"],
+        [
+            "cyclic:0",
+            "dihedral:-2",
+            "PSL2:0",
+            "PSL2:-1",
+            "PGL2:-1",
+            "Zp^-1",
+            "gamma:-1:1",
+            "gamma:1:0",
+            "gamma:1:-1",
+            "gamma:0:2",
+        ],
     )
     def test_out_of_range_parameter_rejected(self, tag):
         with pytest.raises(ValueError, match=f"'{re.escape(tag)}'"):
             parse_group_id(tag)
+
+    def test_rank_zero_gamma_names_the_cyclic_tag(self):
+        with pytest.raises(ValueError, match="cyclic:3"):
+            parse_group_id("gamma:0:3")
 
 
 def census_count(spec, tag, locus_text, r=1):

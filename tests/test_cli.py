@@ -26,6 +26,10 @@ OUT_OF_RANGE_TAGS = [
     ("census", "--field", "2^2", "--group", "gamma:1:0", "--locus", "inf"),
     ("build-group", "--field", "5^1", "--group", "PSL2:-1"),
     ("build-group", "--field", "5^1", "--group", "PGL2:-1"),
+    # rank 0 with n > 1 is the group cyclic:n
+    ("census", "--field", "5^1", "--group", "gamma:0:2", "--locus", "0,inf"),
+    ("build-group", "--field", "5^1", "--group", "gamma:0:2"),
+    ("locus", "--field", "5^1", "--group", "gamma:0:2"),
 ]
 
 OUT_OF_RANGE_RANKS = [
@@ -187,6 +191,55 @@ class TestDeterminism:
         r2 = subprocess.run(cmd, capture_output=True, check=True)
         assert r1.stdout == r2.stdout
         assert json.loads(r1.stdout)["count"] == 3
+
+
+# Two presentations of one field: the auto modulus and an explicit one.  x has
+# order 4 of 8 under the auto modulus of F_9 (3^2/1,0,1) and order 5 of 15
+# under 2^4/1,1,1,1,1; it is primitive under the other two.
+PRESENTATIONS = [("3^2", "3^2/2,1,1"), ("2^4", "2^4/1,1,1,1,1")]
+LOCUS_TAGS = (
+    [f"cyclic:{n}" for n in range(1, 16)]
+    + [f"dihedral:{n}" for n in range(1, 16)]
+    + ["A4", "S4", "A5", "PSL2:1", "PGL2:1", "PSL2:2"]
+    + [f"Zp^{m}" for m in range(5)]
+    + ["gamma:1:2", "gamma:1:3", "gamma:2:2", "gamma:2:3", "gamma:2:4", "gamma:2:8", "gamma:4:3", "gamma:4:5"]
+)
+
+
+def json_or_exit(*argv):
+    code, out = run_cli(*argv)
+    return json.loads(out) if code == 0 else code
+
+
+class TestModulusInvariance:
+    """A field isomorphism between two presentations fixes 0 and infinity and
+    carries every standard model to a standard model, so none of these
+    answers may depend on the modulus."""
+
+    @pytest.mark.parametrize("fields", PRESENTATIONS, ids=lambda fields: fields[0])
+    def test_field_info_and_p1fp(self, fields):
+        orders = {json_or_exit("field-info", "--field", f)["pgl2_order"] for f in fields}
+        assert len(orders) == 1
+        assert all(json_or_exit("verify-p1fp", "--field", f)["ok"] for f in fields)
+
+    @pytest.mark.parametrize("fields", PRESENTATIONS, ids=lambda fields: fields[0])
+    def test_locus_sizes(self, fields):
+        for tag in LOCUS_TAGS:
+            answers = []
+            for f in fields:
+                data = json_or_exit("locus", "--field", f, "--group", tag)
+                answers.append(data if isinstance(data, int) else (data["order"], data["count"]))
+            assert len(set(answers)) == 1, (tag, answers)
+
+    @pytest.mark.parametrize("fields", PRESENTATIONS, ids=lambda fields: fields[0])
+    def test_census_counts(self, fields):
+        p, n = (int(t) for t in fields[0].split("^"))
+        zero = ",".join(["0"] * n)
+        queries = [(f"Zp^{m}", "inf") for m in range(n + 1)]
+        queries += [(f"cyclic:{k}", f"{zero},inf") for k in range(1, p**n) if (p**n - 1) % k == 0]
+        for tag, locus in queries:
+            counts = {json_or_exit("census", "--field", f, "--group", tag, "--locus", locus)["count"] for f in fields}
+            assert len(counts) == 1, (tag, counts)
 
 
 class TestVerifyCommands:

@@ -6,15 +6,19 @@ import pytest
 
 from pglcensus.gfq import (
     FieldSpec,
+    FqElem,
+    element_order,
     field_elements,
     field_make,
     fp_echelon,
     fq_add,
     fq_embed,
+    fq_from_coeffs,
     fq_from_int,
     fq_gen,
     fq_inv,
     fq_mul,
+    fq_neg,
     fq_one,
     fq_pow,
     fq_project,
@@ -328,3 +332,167 @@ class TestTextFormats:
     def test_bad_element_width(self):
         with pytest.raises(ValueError):
             parse_element(F9, "1")
+
+    @pytest.mark.parametrize("text", ["0,3", "3,0", "1,-1"])
+    def test_out_of_range_coefficient_rejected(self, text):
+        # "0,3" would read as the in-range code 3 = (1, 0) if only codes were checked
+        with pytest.raises(ValueError, match="coefficients"):
+            parse_element(F9, text)
+
+
+# ---------------------------------------------------------------------------
+# the tables against schoolbook coefficient-vector arithmetic
+
+
+def ref_add(spec, a, b):
+    return tuple((x + y) % spec.p for x, y in zip(a, b))
+
+
+def ref_neg(spec, a):
+    return tuple(-x % spec.p for x in a)
+
+
+def ref_mul(spec, a, b):
+    """Convolve, then reduce by the monic modulus from the top degree down."""
+    p, n, mod = spec.p, spec.n, spec.modulus
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k] % p
+        for j in range(n + 1):
+            prod[k - n + j] -= c * mod[j]
+    return tuple(x % p for x in prod[:n])
+
+
+def ref_pow(spec, a, e):
+    result = (1,) + (0,) * (spec.n - 1)
+    while e:
+        if e & 1:
+            result = ref_mul(spec, result, a)
+        a = ref_mul(spec, a, a)
+        e >>= 1
+    return result
+
+
+def ref_order(spec, a):
+    one = (1,) + (0,) * (spec.n - 1)
+    x, k = a, 1
+    while x != one:
+        x, k = ref_mul(spec, x, a), k + 1
+    return k
+
+
+def ref_inverse(spec, a):
+    one = (1,) + (0,) * (spec.n - 1)
+    return next(b.coeffs for b in field_elements(spec) if ref_mul(spec, a, b.coeffs) == one)
+
+
+def check_pair(spec, a, b):
+    u, v = a.coeffs, b.coeffs
+    assert fq_add(a, b).coeffs == ref_add(spec, u, v)
+    assert fq_sub(a, b).coeffs == ref_add(spec, u, ref_neg(spec, v))
+    assert fq_mul(a, b).coeffs == ref_mul(spec, u, v)
+
+
+SMALL_FIELDS = [
+    field_make(p, n) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61) for n in range(1, 7)
+    if p**n <= 64
+] + [
+    parse_field_spec("2^4/1,1,1,1,1"),  # x has order 5, not 15
+    parse_field_spec("3^2/1,0,1"),  # the auto modulus; x has order 4, not 8
+    parse_field_spec("3^2/2,1,1"),
+]
+
+
+class TestTablesAgainstSchoolbook:
+    @pytest.mark.parametrize("spec", SMALL_FIELDS, ids=render_field_spec)
+    def test_every_pair_and_element(self, spec):
+        xs = field_elements(spec)
+        for a, b in itertools.product(xs, repeat=2):
+            check_pair(spec, a, b)
+        for a in xs:
+            assert fq_neg(a).coeffs == ref_neg(spec, a.coeffs)
+            for e in (0, 1, 2, 3, spec.p, spec.q - 2, spec.q + 1):
+                assert fq_pow(a, e).coeffs == ref_pow(spec, a.coeffs, e)
+            if not a.is_zero():
+                assert fq_inv(a).coeffs == ref_inverse(spec, a.coeffs)
+                assert fq_pow(a, -3) == fq_pow(fq_inv(a), 3)
+                assert element_order(a) == ref_order(spec, a.coeffs)
+
+    @pytest.mark.parametrize("text", ["7^4", "13^3", "2^12"])
+    def test_seeded_pairs_in_larger_fields(self, text):
+        spec = parse_field_spec(text)
+        rng = random.Random(2024)
+        xs = field_elements(spec)
+        for _ in range(2000):
+            a, b = rng.choice(xs), rng.choice(xs)
+            check_pair(spec, a, b)
+            e = rng.randrange(spec.q)
+            assert fq_pow(a, e).coeffs == ref_pow(spec, a.coeffs, e)
+            if not a.is_zero():
+                assert ref_mul(spec, a.coeffs, fq_inv(a).coeffs) == fq_one(spec).coeffs
+        # orders of a few elements, checked against the definition
+        for a in rng.sample(xs[1:], 3):
+            k = element_order(a)
+            assert (spec.q - 1) % k == 0
+            assert ref_pow(spec, a.coeffs, k) == fq_one(spec).coeffs
+            assert all(ref_pow(spec, a.coeffs, k // ell) != fq_one(spec).coeffs for ell in prime_divisors(k))
+
+    def test_zero_has_no_inverse_or_order(self):
+        with pytest.raises(ZeroDivisionError):
+            fq_pow(fq_zero(F9), -1)
+        with pytest.raises(ValueError):
+            element_order(fq_zero(F9))
+        assert fq_pow(fq_zero(F9), 0) == fq_one(F9)
+
+
+def prime_divisors(k):
+    return [d for d in range(2, k + 1) if k % d == 0 and all(d % e for e in range(2, d))]
+
+
+class TestCodes:
+    @pytest.mark.parametrize("spec", SMALL_FIELDS + [parse_field_spec("7^4")], ids=render_field_spec)
+    def test_code_is_index_and_coeffs_round_trip(self, spec):
+        xs = field_elements(spec)
+        assert [x.coeffs for x in xs] == list(itertools.product(range(spec.p), repeat=spec.n))
+        for k, x in enumerate(xs):
+            assert x.code == k
+            assert fq_from_coeffs(spec, x.coeffs) == x
+
+    def test_elements_are_immutable(self):
+        x = fq_one(F9)
+        with pytest.raises(AttributeError):
+            x.code = 0
+        assert x == fq_one(F9)
+
+    def test_out_of_range_code_rejected(self):
+        with pytest.raises(ValueError, match="code"):
+            FqElem(F9, 9)
+        with pytest.raises(ValueError, match="code"):
+            FqElem(F9, -1)
+
+
+def scan_roots_of_unity(spec, n):
+    """The exhaustive scan roots_of_unity used before the tables."""
+    one = fq_one(spec)
+    roots = [x for x in field_elements(spec) if not x.is_zero() and ref_pow(spec, x.coeffs, n) == one.coeffs]
+    return roots, (spec.q - 1) % n == 0
+
+
+def scan_primitive_root_of_unity(spec, n):
+    """The exhaustive scan primitive_root_of_unity used before the tables."""
+    for x in field_elements(spec):
+        if not x.is_zero() and ref_order(spec, x.coeffs) == n:
+            return x
+    raise AssertionError("no primitive root")
+
+
+class TestRootsOfUnityAgainstScans:
+    @pytest.mark.parametrize("spec", SMALL_FIELDS, ids=render_field_spec)
+    def test_equal_to_the_scans(self, spec):
+        for n in range(1, 18):
+            assert roots_of_unity(spec, n) == scan_roots_of_unity(spec, n)
+            if (spec.q - 1) % n == 0:
+                assert primitive_root_of_unity(spec, n) == scan_primitive_root_of_unity(spec, n)

@@ -101,6 +101,17 @@ GOLDEN = {
     # a map fixing both points (x -> 4x) would also be one
     "conjugate --field 13^1 --gens1 [12,0;0,1]|[0,2;1,0] --gens2 [12,0;0,1]|[0,7;1,0]":
         ("2bc5447681b9f0c3bb2b7741542f03812b8128b1ed7aa2333d690f93fc9af2ee", 0),
+    # explicit moduli whose root x is not a primitive element (x has order 5
+    # in F_16 and order 4 in F_9; 3^2/1,0,1 is also the auto modulus), and a
+    # curve whose check reaches F_{7^4}
+    "locus --field 2^4/1,1,1,1,1 --group dihedral:3":
+        ("af96c998e3303387d8ddfa96da6502622c41c16726b21b2fec107ea6460be690", 0),
+    "census --field 3^2/1,0,1 --group Zp^1 --locus 1,1":
+        ("d9ac7a5649b3622ff38c2658e4bcbd04244a016fe28133e6e94e7d5c0796aeca", 0),
+    "verify-p1fp --field 3^2/1,0,1":
+        ("98569653f767360ddf652863cf7f43f40691a84c5aed6ef2721080161a344132", 0),
+    "verify-genus1 --curve 7^1:a=2,b=3 --levels 1-4":
+        ("d44ae0aea529139f6d92fa6da35bc49f89b914b2cca1869ccbf7885bbcf0677d", 0),
 }
 
 
