@@ -17,8 +17,11 @@ def close(gens: Sequence[T], op: Callable[[T, T], T], seen: Iterable[T], cap: Op
 
     `seen` must already be closed (the identity alone, or a subgroup); it is
     copied, not modified.  In a finite group the result is the subgroup that
-    `seen` and `gens` generate.  Returns None as soon as the set has more
-    than `cap` members.
+    `seen` and `gens` generate provided `seen` is generated by members of
+    `gens` or is normalized by `gens`: the closure multiplies by `gens` on
+    the left only, so it is the set of products w*s, w a word in `gens` and s
+    in `seen`, which is a subgroup only under that condition.  Returns None
+    as soon as the set has more than `cap` members.
     """
     seen = set(seen)
     boundary = [g for g in gens if g not in seen]

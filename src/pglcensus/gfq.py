@@ -131,6 +131,14 @@ class FieldSpec:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        # the per-field caches hand out one shared spec per field
+        if self is other:
+            return True
+        if not isinstance(other, FieldSpec):
+            return NotImplemented
+        return (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
+
     @cached_property
     def q(self) -> int:
         return self.p ** self.n

@@ -3,10 +3,15 @@
 An element of PGL2(F_q) is stored as a normalized 2x2 matrix: the class
 representative is scaled so that the first nonzero entry in scan order
 (a, b, c, d) equals 1, which makes equality, hashing and sorted subgroup
-listings well defined.
+listings well defined.  Each map also carries one int, its key
+((a*q + b)*q + c)*q + d over the entry codes, computed once at construction:
+the hash is the key, and equality compares keys and then fields, so the
+closures and the mob_compose cache never hash or compare field elements.
+Within one field, key order is the lexicographic order of the entries.
 
 Points of P^1 are either affine, with a single field coordinate (projective
-[x:1]), or the point at infinity [1:0].  Fixed points of a non-identity map
+[x:1]), or the point at infinity [1:0].  A point's key is the code of x, or q
+for infinity, so infinity sorts last.  Fixed points of a non-identity map
 are eigen-directions of its matrix; since the characteristic polynomial is
 quadratic, extension degree r = 2 always suffices to capture every fixed
 point of the algebraic closure.
@@ -50,16 +55,36 @@ from .gfq import (
 )
 
 
-@dataclass(frozen=True)
-class PP1:
-    """A point of P^1(F_q): affine with coordinate x, or infinity (x is None)."""
+class _Keyed:
+    """An immutable value over a field, identified by its spec and one int
+    `key` that subclasses set once in __init__."""
 
-    spec: FieldSpec
-    x: Optional[FqElem]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x is not None and self.x.spec != self.spec:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.key == other.key and (self.spec is other.spec or self.spec == other.spec)
+
+    def __hash__(self) -> int:
+        return self.key
+
+
+class PP1(_Keyed):
+    """A point of P^1(F_q): affine with coordinate x, or infinity (x is None).
+    Its key is the code of x, or q for infinity."""
+
+    __slots__ = ("spec", "x", "key")
+
+    def __init__(self, spec: FieldSpec, x: Optional[FqElem]):
+        if x is not None and x.spec is not spec and x.spec != spec:
             raise ValueError("point coordinate lives in the wrong field")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "key", spec.q if x is None else x.code)
 
     @property
     def is_infinity(self) -> bool:
@@ -84,11 +109,9 @@ def pp1_points(spec: FieldSpec) -> Iterator[PP1]:
     yield pp1_infinity(spec)
 
 
-def pp1_sort_key(P: PP1):
-    # affine points in element order first, infinity last
-    if P.is_infinity:
-        return (1, 0)
-    return (0, P.x.code)
+def pp1_sort_key(P: PP1) -> int:
+    # within one field: affine points in element order first, infinity last
+    return P.key
 
 
 def pp1_embed(P: PP1, target: FieldSpec) -> PP1:
@@ -136,15 +159,20 @@ def parse_point_list(spec: FieldSpec, text: str) -> list[PP1]:
     return points
 
 
-@dataclass(frozen=True)
-class Moebius:
-    """Normalized representative of an element of PGL2(F_q)."""
+class Moebius(_Keyed):
+    """Normalized representative of an element of PGL2(F_q).  Its key is the
+    entry codes read as the base-q number abcd."""
 
-    spec: FieldSpec
-    a: FqElem
-    b: FqElem
-    c: FqElem
-    d: FqElem
+    __slots__ = ("spec", "a", "b", "c", "d", "key")
+
+    def __init__(self, spec: FieldSpec, a: FqElem, b: FqElem, c: FqElem, d: FqElem):
+        q = spec.q
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "key", ((a.code * q + b.code) * q + c.code) * q + d.code)
 
     def __repr__(self) -> str:
         return f"Moebius({render_moebius(self)})"
@@ -154,7 +182,7 @@ def mob_make(a: FqElem, b: FqElem, c: FqElem, d: FqElem) -> Moebius:
     """Build the PGL2 class of [[a,b],[c,d]]; rejects singular matrices."""
     spec = a.spec
     for entry in (b, c, d):
-        if entry.spec != spec:
+        if entry.spec is not spec and entry.spec != spec:
             raise ValueError("matrix entries live in different fields")
     det = fq_sub(fq_mul(a, d), fq_mul(b, c))
     if det.is_zero():
@@ -199,14 +227,15 @@ def mob_project(m: Moebius, target: FieldSpec) -> Optional[Moebius]:
     return mob_make(*entries)
 
 
-def mob_sort_key(m: Moebius):
-    return (m.a.code, m.b.code, m.c.code, m.d.code)
+def mob_sort_key(m: Moebius) -> int:
+    # within one field: lexicographic in the entry codes (a, b, c, d)
+    return m.key
 
 
 def mob_apply(m: Moebius, P: PP1) -> PP1:
     """Matrix action on projective coordinates.  If the map and the point live
     in different but compatible fields, the smaller one is embedded."""
-    if m.spec != P.spec:
+    if m.spec is not P.spec and m.spec != P.spec:
         if P.spec.n % m.spec.n == 0 and P.spec.p == m.spec.p:
             m = mob_embed(m, P.spec)
         elif m.spec.n % P.spec.n == 0 and m.spec.p == P.spec.p:
@@ -229,7 +258,7 @@ def mob_apply(m: Moebius, P: PP1) -> PP1:
 def mob_compose(m1: Moebius, m2: Moebius) -> Moebius:
     """Composition m1 after m2 (matrix product M1*M2).  Memoized: closure,
     order and conjugacy searches revisit the same products constantly."""
-    if m1.spec != m2.spec:
+    if m1.spec is not m2.spec and m1.spec != m2.spec:
         raise ValueError("cannot compose maps over different fields")
     return mob_make(
         fq_add(fq_mul(m1.a, m2.a), fq_mul(m1.b, m2.c)),

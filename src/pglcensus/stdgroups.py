@@ -233,25 +233,29 @@ def _subfield_fp_basis(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
     return [fq_from_coeffs(spec, v) for v in fp_echelon(vecs, spec.p)]
 
 
+def _transvections(spec: FieldSpec, sub_degree: int) -> list[Moebius]:
+    """The elementary transvections over an F_p-basis of F_{p^d}, which
+    generate PSL2 of that subfield."""
+    one, zero = fq_one(spec), fq_zero(spec)
+    gens = []
+    for g in _subfield_fp_basis(spec, sub_degree):
+        gens.append(mob_make(one, g, zero, one))
+        gens.append(mob_make(one, zero, g, one))
+    return gens
+
+
 def std_PSL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     """PSL2 of the subfield F_{p^d}, generated by the elementary transvections
     over an F_p-basis of the subfield.  Order (q0^3 - q0)/gcd(2, q0 - 1)."""
-    basis = _subfield_fp_basis(spec, sub_degree)
-    one, zero = fq_one(spec), fq_zero(spec)
-    gens = []
-    for g in basis:
-        gens.append(mob_make(one, g, zero, one))
-        gens.append(mob_make(one, zero, g, one))
-    H = close_generators(gens)
+    H = close_generators(_transvections(spec, sub_degree))
     return _make_subgroup(spec, H.elements, f"PSL2:{sub_degree}")
 
 
 def std_PGL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     """PGL2 of the subfield F_{p^d}: the PSL2 generators plus diag(delta, 1)
     for delta a multiplicative generator of the subfield.  Order q0^3 - q0."""
-    psl = std_PSL2(spec, sub_degree)
     delta = primitive_root_of_unity(spec, spec.p ** sub_degree - 1)
-    H = close_generators(list(psl.elements) + [_diag(spec, delta)])
+    H = close_generators(_transvections(spec, sub_degree) + [_diag(spec, delta)])
     return _make_subgroup(spec, H.elements, f"PGL2:{sub_degree}")
 
 

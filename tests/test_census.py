@@ -44,6 +44,7 @@ from pglcensus.stdgroups import (
     fingerprint,
     stabilized_locus,
     subgroup_from_json,
+    subgroup_project,
 )
 
 F2 = field_make(2, 1)
@@ -473,52 +474,69 @@ def subgroups_f3():
     return all_subgroups(F3)
 
 
+@pytest.fixture(scope="module")
+def subgroups_f5():
+    return all_subgroups(F5)
+
+
+def assert_census_equals_filtered_scan(spec, subgroups, tag):
+    # group the scanned subgroups with the model's fingerprint by stabilized
+    # locus; the census at each locus must return exactly them: over spec
+    # when the locus is rational there, else over F_{q^2}, restricted to the
+    # matches inside PGL2(spec).  A locus that is all of P^1(F_{q^2}) is
+    # skipped: that census conjugates by every element of PGL2(F_{q^2}).
+    from pglcensus.census import _standard_models
+
+    kind, params = parse_group_id(tag)
+    model = _standard_models(spec, kind, params)[0]
+    fp = fingerprint(model)
+    by_locus = {}
+    for H in subgroups:
+        if fingerprint(H) != fp:
+            continue
+        locus = stabilized_locus(H, 2)
+        by_locus.setdefault(locus, set()).add(H.elements)
+    assert by_locus, f"no subgroups with the fingerprint of {tag}"
+    ext = extension_field(spec, 2)
+    for locus, members in by_locus.items():
+        locus_level1 = stabilized_locus_level1(locus, spec)
+        if locus_level1 is not None:
+            rep = enum_actions(CensusQuery(spec, tag, locus_level1, r=1))
+            assert {H.elements for H in rep.matches} == members, (tag, locus)
+        elif len(locus) <= ext.q:
+            rep = enum_actions(CensusQuery(ext, tag, stabilized_locus_level1(locus, ext), r=1))
+            rational = (subgroup_project(H, spec) for H in rep.matches)
+            assert {H.elements for H in rational if H is not None} == members, (tag, locus)
+
+
+# every tag with a standard model over F5 (cyclic:3, dihedral:3 and A5 need F25)
+F5_TAGS = [
+    "cyclic:1", "cyclic:2", "cyclic:4", "dihedral:1", "dihedral:2", "dihedral:4",
+    "A4", "S4", "PSL2:1", "PGL2:1", "Zp^1", "gamma:1:2", "gamma:1:4",
+]
+
+
 class TestCensusCompleteness:
     def test_subgroup_scan_sizes(self, subgroups_f3, subgroups_f4):
         # PGL2(F3) has 30 subgroups; PGL2(F4) has 59
         assert len(subgroups_f3) == 30
         assert len(subgroups_f4) == 59
 
+    def test_subgroup_scan_size_over_F5(self, subgroups_f5):
+        # PGL2(F5) is S5, which has 156 subgroups
+        assert len(subgroups_f5) == 156
+
     @pytest.mark.parametrize("tag", ["Zp^1", "Zp^2", "cyclic:3", "dihedral:3"])
     def test_census_equals_filtered_scan_over_F4(self, subgroups_f4, tag):
-        from pglcensus.census import _standard_models
-
-        kind, params = parse_group_id(tag)
-        model = _standard_models(F4, kind, params)[0]
-        fp = fingerprint(model)
-        by_locus = {}
-        for H in subgroups_f4:
-            if fingerprint(H) != fp:
-                continue
-            locus = stabilized_locus(H, 2)
-            by_locus.setdefault(locus, set()).add(H.elements)
-        assert by_locus, f"no subgroups with the fingerprint of {tag}"
-        for locus, members in by_locus.items():
-            locus_level1 = stabilized_locus_level1(locus, F4)
-            if locus_level1 is None:
-                continue  # locus has irrational points; not expressible as a query
-            rep = enum_actions(CensusQuery(F4, tag, locus_level1, r=1))
-            assert {H.elements for H in rep.matches} == members, (tag, locus)
+        assert_census_equals_filtered_scan(F4, subgroups_f4, tag)
 
     @pytest.mark.parametrize("tag", ["Zp^1", "cyclic:2"])
     def test_census_equals_filtered_scan_over_F3(self, subgroups_f3, tag):
-        from pglcensus.census import _standard_models
+        assert_census_equals_filtered_scan(F3, subgroups_f3, tag)
 
-        kind, params = parse_group_id(tag)
-        model = _standard_models(F3, kind, params)[0]
-        fp = fingerprint(model)
-        by_locus = {}
-        for H in subgroups_f3:
-            if fingerprint(H) != fp:
-                continue
-            locus = stabilized_locus(H, 2)
-            by_locus.setdefault(locus, set()).add(H.elements)
-        for locus, members in by_locus.items():
-            locus_level1 = stabilized_locus_level1(locus, F3)
-            if locus_level1 is None:
-                continue
-            rep = enum_actions(CensusQuery(F3, tag, locus_level1, r=1))
-            assert {H.elements for H in rep.matches} == members, (tag, locus)
+    @pytest.mark.parametrize("tag", F5_TAGS)
+    def test_census_equals_filtered_scan_over_F5(self, subgroups_f5, tag):
+        assert_census_equals_filtered_scan(F5, subgroups_f5, tag)
 
 
 def _all_points(spec):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pglcensus.gfq import (
+    FieldSpec,
     extension_field,
     field_elements,
     field_make,
@@ -17,6 +18,7 @@ from pglcensus.gfq import (
     render_element,
 )
 from pglcensus.moebius import (
+    PP1,
     mob_apply,
     mob_compose,
     mob_conjugate,
@@ -78,6 +80,78 @@ class TestMake:
             lam = elems[rng.randrange(1, 5)]
             rescaled = mob_make(*(x * lam for x in (m.a, m.b, m.c, m.d)))
             assert rescaled == m
+
+
+class TestIdentity:
+    """A map is identified by its field and one int over its normalized
+    entry codes, a point by its field and the code of x (q for infinity)."""
+
+    def test_equal_iff_same_entries(self):
+        elems = list(pgl2_elements(F4))
+        for i, m1 in enumerate(elems):
+            for j, m2 in enumerate(elems):
+                assert (m1 == m2) == (i == j)
+                assert (m1 != m2) == (i != j)
+
+    def test_rebuilt_map_is_equal_and_hashes_alike(self):
+        for m in itertools.islice(pgl2_elements(F9), 0, 720, 13):
+            twin = mob_make(*(x * fq_gen(F9) for x in (m.a, m.b, m.c, m.d)))
+            assert twin is not m and twin == m and hash(twin) == hash(m)
+            assert (twin.a, twin.b, twin.c, twin.d) == (m.a, m.b, m.c, m.d)
+
+    def test_same_codes_over_different_moduli_are_unequal(self):
+        Fa = field_make(3, 2, [1, 0, 1])
+        Fb = field_make(3, 2, [2, 1, 1])
+        text = "[1,0,1,1;0,0,1,0]"
+        ma, mb = parse_moebius(Fa, text), parse_moebius(Fb, text)
+        assert hash(ma) == hash(mb) and ma != mb
+        assert len({ma, mb}) == 2
+        Pa, Pb = parse_point(Fa, "1,1"), parse_point(Fb, "1,1")
+        assert hash(Pa) == hash(Pb) and Pa != Pb
+        assert pp1_infinity(Fa) != pp1_infinity(Fb)
+
+    def test_directly_built_spec_matches_field_make(self):
+        shared = field_make(3, 2, [1, 0, 1])
+        fresh = FieldSpec(3, 2, (1, 0, 1))
+        assert fresh is not shared and fresh == shared and hash(fresh) == hash(shared)
+        text = "[1,2,0,1;1,1,2,2]"
+        m1, m2 = parse_moebius(shared, text), parse_moebius(fresh, text)
+        assert m1 == m2 and hash(m1) == hash(m2) and len({m1, m2}) == 1
+        assert parse_point(shared, "2,1") == parse_point(fresh, "2,1")
+        assert pp1_infinity(shared) == pp1_infinity(fresh)
+
+    def test_other_types_never_compare_equal(self):
+        m, P = mob_identity(F5), pt(F5, 3)
+        assert m != m.key and P != P.key
+        assert m.__eq__(P) is NotImplemented and P.__eq__(m) is NotImplemented
+
+    @pytest.mark.parametrize("spec", [F4, F5, F9, field_make(2, 4)], ids=["F4", "F5", "F9", "F16"])
+    def test_sets_count_the_group_and_the_line(self, spec):
+        q = spec.q
+        assert len(set(pgl2_elements(spec))) == q ** 3 - q
+        assert len(set(pp1_points(spec))) == q + 1
+
+    def test_maps_are_immutable(self):
+        m = mk(F5, 1, 2, 3, 4)
+        for name in ("spec", "a", "b", "c", "d", "key"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, getattr(m, name))
+        with pytest.raises(AttributeError):
+            m.extra = 1
+
+    def test_points_are_immutable(self):
+        P = pt(F5, 2)
+        for name in ("spec", "x", "key"):
+            with pytest.raises(AttributeError):
+                setattr(P, name, getattr(P, name))
+
+    def test_point_in_wrong_field_rejected(self):
+        with pytest.raises(ValueError, match="wrong field"):
+            PP1(F5, fq_one(F7))
+
+    def test_mixed_field_matrix_rejected(self):
+        with pytest.raises(ValueError, match="different fields"):
+            mob_make(fq_one(F5), fq_zero(F7), fq_zero(F5), fq_one(F5))
 
 
 class TestApply:

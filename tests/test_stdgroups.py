@@ -150,6 +150,13 @@ class TestStandardConstructors:
         a, b = std_PGL2(F2, 1), std_PSL2(F2, 1)
         assert a.elements == b.elements and a.order == 6
 
+    def test_pgl2_closes_generators_not_elements(self):
+        # one product per generator and element, not |PSL2| products per element
+        mob_compose.cache_clear()
+        H = std_PGL2(F11, 1)
+        assert mob_compose.cache_info().misses <= 4 * H.order
+        assert H.elements == tuple(pgl2_elements(F11))
+
     def test_psl2_subfield_inside_extension(self):
         H = std_PSL2(F9, 1)  # PSL2(F3) inside PGL2(F9)
         assert H.order == 12  # (27 - 3) / 2
