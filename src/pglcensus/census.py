@@ -29,6 +29,7 @@ from .closure import subgroups_of_order
 from .gfq import (
     FieldSpec,
     FqElem,
+    by_code,
     extension_field,
     field_make,
     fp_echelon,
@@ -48,14 +49,12 @@ from .moebius import (
     mob_infinity_to,
     mob_make,
     mob_order,
-    mob_sort_key,
     parse_point,
     parse_point_list,
     pgl2_elements,
     pp1_embed,
     pp1_infinity,
     pp1_project,
-    pp1_sort_key,
     render_point,
     transporters,
 )
@@ -289,27 +288,23 @@ def _elementary_abelian_fingerprint(ext: FieldSpec, m: int) -> Fingerprint:
 
 
 def _subgroup_sort_key(H: SubgroupPGL2):
-    return tuple(mob_sort_key(m) for m in H.elements)
+    return tuple(m.code for m in H.elements)
 
 
 def _verified(
     candidates: Iterable[SubgroupPGL2],
-    S: tuple[PP1, ...],
+    S2: tuple[PP1, ...],
     expected_fp: Fingerprint,
 ) -> list[SubgroupPGL2]:
-    """Keep candidates whose recomputed stabilized locus is exactly S and whose
+    """Keep candidates whose recomputed stabilized locus over F_{q^2r} is
+    exactly S2, the queried locus embedded there and sorted, and whose
     fingerprint equals the expected one; deduplicate by element set."""
-    ext2 = None
-    S2 = None
     seen = set()
     out = []
     for H in candidates:
         if H.elements in seen:
             continue
         seen.add(H.elements)
-        if ext2 is None:
-            ext2 = extension_field(H.spec, 2)
-            S2 = tuple(sorted((pp1_embed(P, ext2) for P in S), key=pp1_sort_key))
         if stabilized_locus(H, 2) != S2:
             continue
         if fingerprint(H) != expected_fp:
@@ -336,11 +331,13 @@ def enum_actions(query: CensusQuery) -> CensusReport:
     byte-deterministic.
     """
     ext = extension_field(query.spec, query.r)
-    S = tuple(sorted({pp1_embed(P, ext) for P in query.locus}, key=pp1_sort_key))
+    S = tuple(sorted({pp1_embed(P, ext) for P in query.locus}, key=by_code))
     # reports echo the normalized query: locus embedded into the working
     # field, deduplicated and sorted
     query = CensusQuery(query.spec, query.group_id, S, query.r)
     kind, params = parse_group_id(query.group_id)
+    ext2 = extension_field(ext, 2)
+    S2 = tuple(sorted((pp1_embed(P, ext2) for P in S), key=by_code))
 
     if kind == "gamma" and params[1] == 1:
         m = params[0]
@@ -351,7 +348,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
                 conjugate_subgroup(gamma_to_unipotent(G), move)
                 for G in enum_additive_subgroups(ext, m)
             ]
-            matches = _verified(candidates, S, expected)
+            matches = _verified(candidates, S2, expected)
             verdict = "grows_with_field"
             notes = f"one action per rank-{m} additive subgroup of {render_field_spec(ext)}"
         elif len(S) == 0 and m == 0:
@@ -370,8 +367,6 @@ def enum_actions(query: CensusQuery) -> CensusReport:
         return CensusReport(query, tuple(matches), len(matches), verdict, notes=notes)
 
     models = _standard_models(ext, kind, params)
-    ext2 = extension_field(ext, 2)
-    S2 = tuple(sorted((pp1_embed(P, ext2) for P in S), key=pp1_sort_key))
     candidates: list[SubgroupPGL2] = []
     for H0 in models:
         L0 = stabilized_locus(H0, 2)  # the full locus, over ext2
@@ -392,7 +387,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
         # |S| <= 1 never matches a non-elementary-abelian model
 
     expected = fingerprint(models[0]) if models else None
-    matches = _verified(candidates, S, expected) if expected is not None else []
+    matches = _verified(candidates, S2, expected) if expected is not None else []
     return CensusReport(query, tuple(matches), len(matches), "finite")
 
 

@@ -8,9 +8,10 @@ automorphisms.  An automorphism is stored as a pair (P, u): translate by P
 after scaling by u, so (P, u)(Q) = sigma_u(Q) + P and composition is
 (P, u)(Q, v) = (P + sigma_u(Q), u v).
 
-All point sets are exhausted at an explicit level r, i.e. over E(F_{q^r});
-torsion, kernels and fixed-point fibres come from direct scans, never from
-division polynomials.
+Points are gfq.CodedValue instances, so they hash and sort by one int code
+(O first).  All point sets are exhausted at an explicit level r, i.e. over
+E(F_{q^r}); torsion, kernels and fixed-point fibres come from direct scans,
+never from division polynomials.
 
 Everything here powers exhaustive verification of the genus-1 finiteness
 facts: an automorphism is fixed point free iff it is a nontrivial pure
@@ -28,9 +29,11 @@ from typing import Optional, Sequence
 
 from .closure import subgroups_of_order
 from .gfq import (
+    CodedValue,
     FieldSpec,
     FqElem,
     _sqrt_table,
+    by_code,
     extension_field,
     field_elements,
     fq_add,
@@ -47,6 +50,7 @@ from .gfq import (
     parse_field_spec,
     render_element,
     render_field_spec,
+    roots_of_unity,
 )
 
 
@@ -76,14 +80,18 @@ class ECurve:
         return f"ECurve({render_curve(self)})"
 
 
-@dataclass(frozen=True)
-class ECPoint:
+class ECPoint(CodedValue):
     """A point of E(F_{q^r}): affine coordinates in the stated field, or the
-    base point O (x = y = None)."""
+    base point O (x = y = None).  Its code is 0 for O and 1 + x q + y over the
+    coordinate codes otherwise, so O sorts first, then (x, y) in code order."""
 
-    spec: FieldSpec
-    x: Optional[FqElem]
-    y: Optional[FqElem]
+    __slots__ = ("x", "y")
+
+    def __init__(self, spec: FieldSpec, x: Optional[FqElem], y: Optional[FqElem]):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "code", 0 if x is None else 1 + x.code * spec.q + y.code)
 
     @property
     def is_zero(self) -> bool:
@@ -120,12 +128,6 @@ def _check_on_curve(E: ECurve, P: ECPoint) -> None:
         raise ValueError(f"{render_ec_point(P)} is not on {render_curve(E)}")
 
 
-def ec_point_sort_key(P: ECPoint):
-    if P.is_zero:
-        return (0, 0, 0)
-    return (1, P.x.code, P.y.code)
-
-
 def ec_point_embed(P: ECPoint, target: FieldSpec) -> ECPoint:
     if P.is_zero:
         return ec_infinity(target)
@@ -147,11 +149,11 @@ def ec_add(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
     if P1.spec != P2.spec:
         raise ValueError("points live in different fields")
     spec = P1.spec
-    a, _ = _curve_coeffs(E, spec)
     if P1.x == P2.x:
         if P1.y != P2.y or P1.y.is_zero():
             return ec_infinity(spec)  # vertical line
         # tangent slope (3x^2 + a) / 2y
+        a = fq_embed(E.a, spec)
         three_x2 = fq_mul(fq_from_int(spec, 3), fq_mul(P1.x, P1.x))
         slope = fq_div(fq_add(three_x2, a), fq_mul(fq_from_int(spec, 2), P1.y))
     else:
@@ -195,23 +197,17 @@ def ec_points(E: ECurve, r: int = 1) -> tuple[ECPoint, ...]:
         rhs = fq_add(fq_add(fq_mul(x, fq_mul(x, x)), fq_mul(a, x)), b)
         for y in sqrt.get(rhs.code, ()):
             pts.append(ECPoint(ext, x, y))
-    return tuple(sorted(pts, key=ec_point_sort_key))
+    return tuple(sorted(pts, key=by_code))
 
 
 def aut0(E: ECurve, r: int = 1) -> tuple[FqElem, ...]:
     """The base-point-fixing automorphisms over F_{q^r}, as their scaling
-    factors u (u^4 a = a, u^6 b = b).  Contains 1 and -1; has 2, 4 or 6
+    factors u (u^4 a = a, u^6 b = b), in code order: the 6th roots of unity
+    if a = 0, the 4th if b = 0, else +-1.  Contains 1 and -1; has 2, 4 or 6
     members depending on whether a or b vanishes and which roots of unity are
     present."""
-    ext = extension_field(E.spec, r)
-    a, b = _curve_coeffs(E, ext)
-    out = []
-    for u in field_elements(ext):
-        if u.is_zero():
-            continue
-        if fq_mul(fq_pow(u, 4), a) == a and fq_mul(fq_pow(u, 6), b) == b:
-            out.append(u)
-    return tuple(out)
+    d = 6 if E.a.is_zero() else 4 if E.b.is_zero() else 2
+    return tuple(roots_of_unity(extension_field(E.spec, r), d)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +242,7 @@ class ECAut:
 
 
 def ec_aut_sort_key(phi: ECAut):
-    return (ec_point_sort_key(phi.P), phi.u.code)
+    return (phi.P.code, phi.u.code)
 
 
 def sigma_apply(u: FqElem, Q: ECPoint) -> ECPoint:
@@ -302,7 +298,7 @@ def aut_fixed_points(E: ECurve, phi: ECAut, r: int = 1) -> tuple[ECPoint, ...]:
     if u == fq_one(ext):
         return ()  # translation by P != O
     fibre = _one_minus_sigma_fibres(E, u.code, r).get(P, ())
-    return tuple(sorted(fibre, key=ec_point_sort_key))
+    return tuple(sorted(fibre, key=by_code))
 
 
 def kernel_one_minus_sigma(E: ECurve, u: FqElem, r: int = 1) -> tuple[ECPoint, ...]:
@@ -313,7 +309,7 @@ def kernel_one_minus_sigma(E: ECurve, u: FqElem, r: int = 1) -> tuple[ECPoint, .
     ext = extension_field(E.spec, r)
     uu = fq_embed(u, ext)
     fibre = _one_minus_sigma_fibres(E, uu.code, r).get(ec_infinity(ext), ())
-    return tuple(sorted(fibre, key=ec_point_sort_key))
+    return tuple(sorted(fibre, key=by_code))
 
 
 @dataclass(frozen=True)
@@ -403,10 +399,10 @@ def enum_spf_actions(E: ECurve, n: int, r: int = 1) -> list[tuple[ECPoint, ...]]
     O = ec_infinity(ext)
     torsion = [P for P in ec_points(E, r) if ec_scalar(E, n, P) == O]
     subs = (
-        tuple(sorted(H, key=ec_point_sort_key))
+        tuple(sorted(H, key=by_code))
         for H in subgroups_of_order(torsion, partial(ec_add, E), O, n)
     )
-    return sorted(subs, key=lambda sub: tuple(ec_point_sort_key(P) for P in sub))
+    return sorted(subs, key=lambda sub: tuple(P.code for P in sub))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +505,7 @@ def verify_genus1_finiteness(E: ECurve, S: Sequence[ECPoint], r: int = 1) -> Gen
     if not S:
         raise ValueError("the stabilized locus bound needs a nonempty point set")
     ext = extension_field(E.spec, r)
-    S_pts = tuple(sorted({ec_point_embed(P, ext) for P in S}, key=ec_point_sort_key))
+    S_pts = tuple(sorted({ec_point_embed(P, ext) for P in S}, key=by_code))
     S_set = set(S_pts)
     one = fq_one(ext)
 
@@ -539,7 +535,7 @@ def verify_genus1_finiteness(E: ECurve, S: Sequence[ECPoint], r: int = 1) -> Gen
             fibre = aut_fixed_points(E, shifted, r)
             if fibre and set(fibre) <= S_set:
                 good.append(Q)
-        compatible.append((phi, tuple(sorted(good, key=ec_point_sort_key))))
+        compatible.append((phi, tuple(sorted(good, key=by_code))))
 
     kernel_sizes = tuple(
         (render_element(u), len(kernel_one_minus_sigma(E, u, r)))

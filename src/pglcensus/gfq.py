@@ -20,6 +20,9 @@ Artin-Schreier tables.
 Conventions used throughout the package:
 
 * elements are ordered lexicographically by coefficient vector, i.e. by code,
+* field elements, P^1 points, PGL2 maps and elliptic-curve points share one
+  immutable base, CodedValue: each is a spec and one int code, hashed by the
+  code and compared by code and spec, and sorted by code (`by_code`),
 * the "auto" modulus of F_{p^n} is the lexicographically smallest monic
   irreducible polynomial of degree n over F_p,
 * extension fields are never entered silently: any operation whose result may
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -155,12 +159,37 @@ class FieldSpec:
         return f"FieldSpec({render_field_spec(self)})"
 
 
-class FqElem:
+class CodedValue:
+    """An immutable value over a field, identified by its spec and one int
+    `code` that subclasses set once in __init__: field elements, points of
+    P^1, PGL2 maps and elliptic-curve points.  The hash is the code, equality
+    compares types, then codes, then specs, and within one field and type
+    code order is the canonical order (sort with `by_code`)."""
+
+    __slots__ = ("spec", "code")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.code == other.code and (self.spec is other.spec or self.spec == other.spec)
+
+    def __hash__(self) -> int:
+        return self.code
+
+
+# the canonical sort key of every CodedValue
+by_code = operator.attrgetter("code")
+
+
+class FqElem(CodedValue):
     """Element of F_{p^n} as its code: the base-p number whose digits are the
     coefficients, constant term c0 most significant.  Immutable, since the
     field tables hand out shared instances."""
 
-    __slots__ = ("spec", "code")
+    __slots__ = ()
 
     def __init__(self, spec: FieldSpec, code: int):
         object.__setattr__(self, "spec", spec)
@@ -171,9 +200,6 @@ class FqElem:
         if not 0 <= self.code < self.spec.q:
             raise ValueError(f"element code must lie in [0, {self.spec.q}), got {self.code}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: field elements are immutable")
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         """The coefficient vector, constant term first."""
@@ -182,14 +208,6 @@ class FqElem:
 
     def is_zero(self) -> bool:
         return self.code == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FqElem):
-            return NotImplemented
-        return self.code == other.code and (self.spec is other.spec or self.spec == other.spec)
-
-    def __hash__(self) -> int:
-        return hash(self.code)
 
     def __add__(self, other: FqElem) -> FqElem:
         return fq_add(self, other)
@@ -465,10 +483,6 @@ def field_elements(spec: FieldSpec) -> tuple[FqElem, ...]:
     return tuple(FqElem(spec, k) for k in range(spec.q))
 
 
-def _by_code(a: FqElem) -> int:
-    return a.code
-
-
 def element_order(a: FqElem) -> int:
     """Multiplicative order of a nonzero element: m / gcd(log a, m)."""
     if a.is_zero():
@@ -484,7 +498,7 @@ def subfield_elements(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
         raise ValueError(f"subfield degree {sub_degree} does not divide {spec.n}")
     t = spec._tables
     step = t.m // (spec.p**sub_degree - 1)
-    return sorted([t.elems[0]] + t.exp[: t.m : step], key=_by_code)
+    return sorted([t.elems[0]] + t.exp[: t.m : step], key=by_code)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +575,7 @@ def roots_of_unity(spec: FieldSpec, n: int):
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     t = spec._tables
-    roots = sorted(t.exp[: t.m : t.m // math.gcd(n, t.m)], key=_by_code)
+    roots = sorted(t.exp[: t.m : t.m // math.gcd(n, t.m)], key=by_code)
     has_primitive = (spec.q - 1) % n == 0
     return roots, has_primitive
 
@@ -594,7 +608,7 @@ def primitive_root_of_unity(spec: FieldSpec, n: int) -> FqElem:
         )
     t = spec._tables
     step = t.m // n
-    return min((t.exp[k * step] for k in range(n) if math.gcd(k, n) == 1), key=_by_code)
+    return min((t.exp[k * step] for k in range(n) if math.gcd(k, n) == 1), key=by_code)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +718,7 @@ def monic_quadratic_roots(B: FqElem, C: FqElem) -> list[FqElem]:
     else:
         v = fq_div(C, fq_mul(B, B))
         roots = [fq_mul(B, y) for y in _artin_schreier_table(spec).get(v.code, ())]
-    return sorted(roots, key=_by_code)
+    return sorted(roots, key=by_code)
 
 
 # ---------------------------------------------------------------------------

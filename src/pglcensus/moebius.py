@@ -3,15 +3,15 @@
 An element of PGL2(F_q) is stored as a normalized 2x2 matrix: the class
 representative is scaled so that the first nonzero entry in scan order
 (a, b, c, d) equals 1, which makes equality, hashing and sorted subgroup
-listings well defined.  Each map also carries one int, its key
-((a*q + b)*q + c)*q + d over the entry codes, computed once at construction:
-the hash is the key, and equality compares keys and then fields, so the
-closures and the mob_compose cache never hash or compare field elements.
-Within one field, key order is the lexicographic order of the entries.
+listings well defined.  Maps and points are gfq.CodedValue instances.  A
+map's code is ((a*q + b)*q + c)*q + d over the entry codes, computed once at
+construction, so the closures and the mob_compose cache never hash or compare
+field elements; within one field, code order is the lexicographic order of
+the entries.
 
 Points of P^1 are either affine, with a single field coordinate (projective
-[x:1]), or the point at infinity [1:0].  A point's key is the code of x, or q
-for infinity, so infinity sorts last.  Fixed points of a non-identity map
+[x:1]), or the point at infinity [1:0].  A point's code is the code of x, or
+q for infinity, so infinity sorts last.  Fixed points of a non-identity map
 are eigen-directions of its matrix; since the characteristic polynomial is
 quadratic, extension degree r = 2 always suffices to capture every fixed
 point of the algebraic closure.
@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .gfq import (
+    CodedValue,
     FieldSpec,
     FqElem,
     extension_field,
@@ -55,36 +56,18 @@ from .gfq import (
 )
 
 
-class _Keyed:
-    """An immutable value over a field, identified by its spec and one int
-    `key` that subclasses set once in __init__."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.key == other.key and (self.spec is other.spec or self.spec == other.spec)
-
-    def __hash__(self) -> int:
-        return self.key
-
-
-class PP1(_Keyed):
+class PP1(CodedValue):
     """A point of P^1(F_q): affine with coordinate x, or infinity (x is None).
-    Its key is the code of x, or q for infinity."""
+    Its code is the code of x, or q for infinity."""
 
-    __slots__ = ("spec", "x", "key")
+    __slots__ = ("x",)
 
     def __init__(self, spec: FieldSpec, x: Optional[FqElem]):
         if x is not None and x.spec is not spec and x.spec != spec:
             raise ValueError("point coordinate lives in the wrong field")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "key", spec.q if x is None else x.code)
+        object.__setattr__(self, "code", spec.q if x is None else x.code)
 
     @property
     def is_infinity(self) -> bool:
@@ -107,11 +90,6 @@ def pp1_points(spec: FieldSpec) -> Iterator[PP1]:
     for x in field_elements(spec):
         yield pp1_affine(x)
     yield pp1_infinity(spec)
-
-
-def pp1_sort_key(P: PP1) -> int:
-    # within one field: affine points in element order first, infinity last
-    return P.key
 
 
 def pp1_embed(P: PP1, target: FieldSpec) -> PP1:
@@ -159,11 +137,11 @@ def parse_point_list(spec: FieldSpec, text: str) -> list[PP1]:
     return points
 
 
-class Moebius(_Keyed):
-    """Normalized representative of an element of PGL2(F_q).  Its key is the
+class Moebius(CodedValue):
+    """Normalized representative of an element of PGL2(F_q).  Its code is the
     entry codes read as the base-q number abcd."""
 
-    __slots__ = ("spec", "a", "b", "c", "d", "key")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, spec: FieldSpec, a: FqElem, b: FqElem, c: FqElem, d: FqElem):
         q = spec.q
@@ -172,7 +150,7 @@ class Moebius(_Keyed):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "key", ((a.code * q + b.code) * q + c.code) * q + d.code)
+        object.__setattr__(self, "code", ((a.code * q + b.code) * q + c.code) * q + d.code)
 
     def __repr__(self) -> str:
         return f"Moebius({render_moebius(self)})"
@@ -225,11 +203,6 @@ def mob_project(m: Moebius, target: FieldSpec) -> Optional[Moebius]:
     if any(e is None for e in entries):
         return None
     return mob_make(*entries)
-
-
-def mob_sort_key(m: Moebius) -> int:
-    # within one field: lexicographic in the entry codes (a, b, c, d)
-    return m.key
 
 
 def mob_apply(m: Moebius, P: PP1) -> PP1:
@@ -326,32 +299,23 @@ def mob_fixed_points(m: Moebius, r: int) -> list[PP1]:
 
 
 def _to_zero_one_inf(z1: PP1, z2: PP1, z3: PP1) -> Moebius:
-    """The unique map sending (z1, z2, z3) to (0, 1, inf)."""
-    spec = z1.spec
-    one = fq_one(spec)
-    zero = fq_zero(spec)
-    if z1.is_infinity:
-        # x -> (z2 - z3) / (x - z3)
-        return mob_make(zero, fq_sub(z2.x, z3.x), one, fq_neg(z3.x))
-    if z2.is_infinity:
-        # x -> (x - z1) / (x - z3)
-        return mob_make(one, fq_neg(z1.x), one, fq_neg(z3.x))
-    if z3.is_infinity:
-        # x -> (x - z1) / (z2 - z1)
-        return mob_make(one, fq_neg(z1.x), zero, fq_sub(z2.x, z1.x))
-    # x -> ((x - z1)(z2 - z3)) / ((x - z3)(z2 - z1))
-    u = fq_sub(z2.x, z3.x)
-    v = fq_sub(z2.x, z1.x)
-    return mob_make(u, fq_neg(fq_mul(z1.x, u)), v, fq_neg(fq_mul(z3.x, v)))
+    """The unique map sending (z1, z2, z3) to (0, 1, inf).  In homogeneous
+    coordinates z_i = [x_i:y_i] (inf = [1:0]) with d_ij = x_i y_j - y_i x_j it
+    is [[y1 d23, -x1 d23], [y3 d21, -x3 d21]]."""
+    one, zero = fq_one(z1.spec), fq_zero(z1.spec)
+    (x1, y1), (x2, y2), (x3, y3) = ((one, zero) if z.is_infinity else (z.x, one) for z in (z1, z2, z3))
+    d23 = fq_sub(fq_mul(x2, y3), fq_mul(y2, x3))
+    d21 = fq_sub(fq_mul(x2, y1), fq_mul(y2, x1))
+    return mob_make(fq_mul(y1, d23), fq_neg(fq_mul(x1, d23)), fq_mul(y3, d21), fq_neg(fq_mul(x3, d21)))
 
 
 def mob_from_three_points(src: Sequence[PP1], dst: Sequence[PP1]) -> Moebius:
     """The unique Moebius map sending the ordered triple src to dst."""
     if len(src) != 3 or len(dst) != 3:
         raise ValueError("need exactly three source and three destination points")
-    if len({pp1_sort_key(P) for P in src}) != 3:
+    if len(set(src)) != 3:
         raise ValueError("source points must be pairwise distinct")
-    if len({pp1_sort_key(P) for P in dst}) != 3:
+    if len(set(dst)) != 3:
         raise ValueError("destination points must be pairwise distinct")
     spec = src[0].spec
     for P in list(src) + list(dst):
@@ -478,7 +442,7 @@ def poly_map_ramification(coeffs: Sequence[FqElem], r: int) -> list[RamPoint]:
             raise AssertionError("zero of f' with multiplicity < 2 (unreachable)")
         out.append(RamPoint(pp1_affine(x0), e, e % spec.p != 0))
     out.append(RamPoint(pp1_infinity(ext), deg, deg % spec.p != 0))
-    return sorted(out, key=lambda rp: pp1_sort_key(rp.point))
+    return sorted(out, key=lambda rp: rp.point.code)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .closure import close
 from .gfq import (
     FieldSpec,
     FqElem,
+    by_code,
     extension_field,
     field_elements,
     fp_echelon,
@@ -54,11 +55,9 @@ from .moebius import (
     mob_make,
     mob_order,
     mob_project,
-    mob_sort_key,
     parse_moebius,
     pgl2_elements,
     pp1_points,
-    pp1_sort_key,
     render_moebius,
     render_point,
     transporters,
@@ -100,7 +99,7 @@ class Fingerprint:
 
 
 def _make_subgroup(spec: FieldSpec, elements: Iterable[Moebius], tag: str) -> SubgroupPGL2:
-    elems = sorted(set(elements), key=mob_sort_key)
+    elems = sorted(set(elements), key=by_code)
     if mob_identity(spec) not in elems:
         raise ValueError("a subgroup must contain the identity")
     return SubgroupPGL2(spec, tuple(elems), tag)
@@ -327,7 +326,7 @@ def stabilized_locus(H: SubgroupPGL2, r: int) -> tuple[PP1, ...]:
         if mob_is_identity(m):
             continue
         pts.update(mob_fixed_points(m, r))
-    return tuple(sorted(pts, key=pp1_sort_key))
+    return tuple(sorted(pts, key=by_code))
 
 
 def _generating_set(H: SubgroupPGL2) -> tuple[Moebius, ...]:

@@ -19,6 +19,7 @@ from pglcensus.census import (
     verify_main_theorem,
 )
 from pglcensus.gfq import (
+    by_code,
     extension_field,
     field_elements,
     field_make,
@@ -35,7 +36,6 @@ from pglcensus.moebius import (
     pgl2_elements,
     pp1_affine,
     pp1_infinity,
-    pp1_sort_key,
     render_point,
 )
 from pglcensus.stdgroups import (
@@ -243,7 +243,7 @@ class TestEnumActions:
         assert rep.count == 7
         ext2 = extension_field(F8, 2)
         expected = tuple(
-            sorted([__import__("pglcensus.moebius", fromlist=["pp1_affine"]).pp1_affine(fq_zero(ext2))], key=pp1_sort_key)
+            sorted([__import__("pglcensus.moebius", fromlist=["pp1_affine"]).pp1_affine(fq_zero(ext2))], key=by_code)
         )
         for H in rep.matches:
             locus = stabilized_locus(H, 2)
@@ -297,7 +297,7 @@ class TestEnumActions:
         for H in rep.matches:
             assert fingerprint(H) == fingerprint(embedded)
             assert stabilized_locus(H, 2) == tuple(
-                sorted((pp1_embed_local(P) for P in S2), key=pp1_sort_key)
+                sorted((pp1_embed_local(P) for P in S2), key=by_code)
             )
 
     def test_empty_locus_census_finds_only_the_trivial_group(self):

@@ -129,6 +129,15 @@ class TestConjugateCommand:
             assert _conjugates_onto(parse_moebius(spec, data["witness"]), H1, H2)
 
 
+    def test_degenerate_search_past_the_brute_force_cap_is_usage_error(self, capsys):
+        # x -> -1/x fixes the square roots of -1, which F31 lacks: the
+        # level-1 loci are empty, and q = 31 is past the brute-force cap
+        code, out = run_cli("conjugate", "--field", "31^1", "--gens1", "[0,30;1,0]", "--gens2", "[0,30;1,0]")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 class TestCensusCommand:
     def test_count_seven(self):
         code, out = run_cli("census", "--field", "2^3", "--group", "Zp^1", "--locus", "inf")

@@ -4,6 +4,7 @@ import pytest
 
 from pglcensus.elliptic import (
     ECAut,
+    ECPoint,
     ECurve,
     aut0,
     aut_apply,
@@ -28,11 +29,17 @@ from pglcensus.elliptic import (
     verify_genus1_finiteness,
 )
 from pglcensus.gfq import (
+    by_code,
+    extension_field,
+    field_elements,
     field_make,
+    fq_embed,
     fq_from_int,
     fq_one,
+    fq_pow,
     fq_zero,
 )
+from pglcensus.moebius import pp1_infinity
 
 F5 = field_make(5, 1)
 F7 = field_make(7, 1)
@@ -105,7 +112,89 @@ class TestPointsAndGroupLaw:
                 assert ec_scalar(E_GENERIC, k, Q) == acc
 
 
+class TestPointIdentity:
+    """A point is identified by its field and one int: 0 for O, else
+    1 + x q + y over the coordinate codes."""
+
+    def test_equal_iff_same_coordinates(self):
+        pts = ec_points(E_J0, 2)
+        for Q1 in pts:
+            for Q2 in pts:
+                assert (Q1 == Q2) == ((Q1.x, Q1.y) == (Q2.x, Q2.y))
+            twin = ECPoint(Q1.spec, Q1.x, Q1.y)
+            assert twin is not Q1 and twin == Q1 and hash(twin) == hash(Q1)
+
+    def test_same_codes_over_different_moduli_are_unequal(self):
+        Fa, Fb = field_make(5, 2, [2, 0, 1]), field_make(5, 2, [3, 0, 1])
+        Ea, Eb = (ECurve(F, fq_zero(F), fq_one(F)) for F in (Fa, Fb))  # y^2 = x^3 + 1
+        Qa, Qb = ec_point(Ea, fq_zero(Fa), fq_one(Fa)), ec_point(Eb, fq_zero(Fb), fq_one(Fb))
+        assert hash(Qa) == hash(Qb) and Qa != Qb
+        assert len({Qa, Qb}) == 2
+        assert ec_infinity(Fa) != ec_infinity(Fb)
+
+    def test_points_are_immutable(self):
+        Q = P(E_GENERIC, 0, 1)
+        for name in ("spec", "x", "y", "code"):
+            with pytest.raises(AttributeError):
+                setattr(Q, name, getattr(Q, name))
+        with pytest.raises(AttributeError):
+            Q.extra = 1
+
+    def test_other_types_never_compare_equal(self):
+        O, Q = ec_infinity(F5), P(E_GENERIC, 0, 1)
+        assert O != O.code and Q != Q.code
+        # O and the field's zero share field and code 0
+        assert O != fq_zero(F5) and O.__eq__(fq_zero(F5)) is NotImplemented
+        assert Q.__eq__(pp1_infinity(F5)) is NotImplemented
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_sets_count_the_points(self, name, r):
+        E = CURVES[name]
+        ext = extension_field(E.spec, r)
+        a, b = fq_embed(E.a, ext), fq_embed(E.b, ext)
+        squares = {}
+        for y in field_elements(ext):
+            squares[y * y] = squares.get(y * y, 0) + 1
+        count = 1 + sum(squares.get(fq_pow(x, 3) + a * x + b, 0) for x in field_elements(ext))
+        assert len(set(ec_points(E, r))) == len(ec_points(E, r)) == count
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_code_order_is_the_coordinate_order(self, name):
+        def old_key(Q):
+            return (0, 0, 0) if Q.is_zero else (1, Q.x.code, Q.y.code)
+
+        pts = list(ec_points(CURVES[name], 2))
+        assert pts == sorted(pts, key=old_key)
+        assert sorted(reversed(pts), key=by_code) == pts
+
+
+def _aut0_scan(E, r):
+    """Reference for aut0: every nonzero u of F_{q^r} with u^4 a = a and
+    u^6 b = b, found by scanning the field in code order."""
+    ext = extension_field(E.spec, r)
+    a, b = fq_embed(E.a, ext), fq_embed(E.b, ext)
+    return tuple(
+        u
+        for u in field_elements(ext)
+        if not u.is_zero() and fq_pow(u, 4) * a == a and fq_pow(u, 6) * b == b
+    )
+
+
 class TestAut0:
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("spec", [F5, F7], ids=["F5", "F7"])
+    def test_roots_of_unity_match_the_scan(self, spec, r):
+        checked = 0
+        for a, b in itertools.product(field_elements(spec), repeat=2):
+            try:
+                E = ECurve(spec, a, b)
+            except ValueError:
+                continue  # singular
+            assert aut0(E, r) == _aut0_scan(E, r)
+            checked += 1
+        assert checked == spec.q * (spec.q - 1)  # the nonsingular (a, b) over F_q
+
     def test_generic_curve_has_only_negation(self):
         us = aut0(E_GENERIC, 1)
         assert [u.coeffs[0] for u in us] == [1, 4]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pglcensus.gfq import (
+    by_code,
     FieldSpec,
     extension_field,
     field_elements,
@@ -37,7 +38,6 @@ from pglcensus.moebius import (
     pp1_affine,
     pp1_infinity,
     pp1_points,
-    pp1_sort_key,
     render_moebius,
     render_point,
     transporters,
@@ -122,7 +122,7 @@ class TestIdentity:
 
     def test_other_types_never_compare_equal(self):
         m, P = mob_identity(F5), pt(F5, 3)
-        assert m != m.key and P != P.key
+        assert m != m.code and P != P.code
         assert m.__eq__(P) is NotImplemented and P.__eq__(m) is NotImplemented
 
     @pytest.mark.parametrize("spec", [F4, F5, F9, field_make(2, 4)], ids=["F4", "F5", "F9", "F16"])
@@ -133,7 +133,7 @@ class TestIdentity:
 
     def test_maps_are_immutable(self):
         m = mk(F5, 1, 2, 3, 4)
-        for name in ("spec", "a", "b", "c", "d", "key"):
+        for name in ("spec", "a", "b", "c", "d", "code"):
             with pytest.raises(AttributeError):
                 setattr(m, name, getattr(m, name))
         with pytest.raises(AttributeError):
@@ -141,7 +141,7 @@ class TestIdentity:
 
     def test_points_are_immutable(self):
         P = pt(F5, 2)
-        for name in ("spec", "x", "key"):
+        for name in ("spec", "x", "code"):
             with pytest.raises(AttributeError):
                 setattr(P, name, getattr(P, name))
 
@@ -410,7 +410,7 @@ class TestTextFormats:
 
     def test_sorted_with_infinity_last(self):
         pts = [pp1_infinity(F5)] + [pt(F5, k) for k in (3, 1)]
-        ordered = sorted(pts, key=pp1_sort_key)
+        ordered = sorted(pts, key=by_code)
         assert [render_point(P) for P in ordered] == ["1", "3", "inf"]
 
 
