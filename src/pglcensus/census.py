@@ -62,6 +62,7 @@ from .stdgroups import (
     Fingerprint,
     SubgroupPGL2,
     _make_subgroup,
+    _translation_parts,
     conjugate_subgroup,
     fingerprint,
     stabilized_locus,
@@ -174,12 +175,9 @@ def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
 def unipotent_to_gamma(H: SubgroupPGL2) -> AdditiveSubgroup:
     """Inverse of gamma_to_unipotent; rejects groups that are not pure
     translation groups (i.e. do not fix infinity unipotently)."""
-    one = fq_one(H.spec)
-    parts = []
-    for m in H.elements:
-        if not (m.a == one and m.c.is_zero() and m.d == one):
-            raise ValueError(f"{m!r} is not a translation: the group is not unipotent on infinity")
-        parts.append(m.b)
+    parts = _translation_parts(H)
+    if parts is None:
+        raise ValueError(f"{H!r} is not a translation group: it is not unipotent on infinity")
     return additive_subgroup(H.spec, parts)
 
 
@@ -187,7 +185,7 @@ def scale_subgroup(gamma: AdditiveSubgroup, alpha: FqElem) -> AdditiveSubgroup:
     """The subspace alpha * gamma, re-canonicalized.  alpha must be nonzero."""
     if alpha.is_zero():
         raise ValueError("scaling by zero collapses the subgroup")
-    if alpha.spec != gamma.spec:
+    if alpha.spec is not gamma.spec:
         raise ValueError("scalar lives in the wrong field")
     return additive_subgroup(gamma.spec, [fq_mul(alpha, b) for b in gamma.basis])
 

@@ -65,7 +65,7 @@ class ECurve:
     def __post_init__(self):
         if self.spec.p <= 3:
             raise ValueError("short Weierstrass curves require characteristic > 3")
-        if self.a.spec != self.spec or self.b.spec != self.spec:
+        if self.a.spec is not self.spec or self.b.spec is not self.spec:
             raise ValueError("coefficients live in the wrong field")
         four = fq_from_int(self.spec, 4)
         twenty_seven = fq_from_int(self.spec, 27)
@@ -111,7 +111,7 @@ def _curve_coeffs(E: ECurve, spec: FieldSpec) -> tuple[FqElem, FqElem]:
 
 def ec_point(E: ECurve, x: FqElem, y: FqElem) -> ECPoint:
     """An affine point, checked against the curve equation over its field."""
-    if x.spec != y.spec:
+    if x.spec is not y.spec:
         raise ValueError("coordinates live in different fields")
     P = ECPoint(x.spec, x, y)
     _check_on_curve(E, P)
@@ -146,7 +146,7 @@ def ec_add(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
         return P2
     if P2.is_zero:
         return P1
-    if P1.spec != P2.spec:
+    if P1.spec is not P2.spec:
         raise ValueError("points live in different fields")
     spec = P1.spec
     if P1.x == P2.x:
@@ -226,7 +226,7 @@ class ECAut:
     def __post_init__(self):
         if self.u.is_zero():
             raise ValueError("scaling factor must be nonzero")
-        if self.P.spec != self.u.spec:
+        if self.P.spec is not self.u.spec:
             raise ValueError("translation point and scaling factor live in different fields")
         _check_on_curve(self.curve, self.P)
         a, b = _curve_coeffs(self.curve, self.u.spec)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -105,47 +104,42 @@ def _pp_is_irreducible(f: Sequence[int], p: int) -> bool:
 # field specifications and elements
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """A concrete presentation of F_{p^n}: prime p, degree n, monic irreducible
-    modulus of degree n over F_p (constant term first, length n+1).  The
+    modulus of degree n over F_p (constant term first, length n+1).  There is
+    one spec per field: the constructor returns the stored spec of (p, n,
+    modulus) when there is one, so specs compare and hash by identity.  The
     field's lookup tables hang off the spec and are built on first use."""
 
-    p: int
-    n: int
-    modulus: tuple[int, ...]
+    _interned: dict = {}
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
-        if self.n < 1:
-            raise ValueError(f"extension degree must be >= 1, got {self.n}")
-        m = self.modulus
-        if len(m) != self.n + 1:
-            raise ValueError(f"modulus must have degree {self.n} (length {self.n + 1}), got {m}")
-        if any(not (0 <= c < self.p) for c in m):
-            raise ValueError(f"modulus coefficients must lie in [0, {self.p}), got {m}")
-        if m[-1] != 1:
-            raise ValueError(f"modulus must be monic, got {m}")
-        if not _pp_is_irreducible(m, self.p):
-            raise ValueError(f"modulus {m} is reducible over F_{self.p}")
-        # specs key every per-field cache, so the hash is computed once
-        object.__setattr__(self, "_hash", hash((self.p, self.n, self.modulus)))
+    def __new__(cls, p: int, n: int, modulus: Sequence[int]):
+        key = (p, n, tuple(modulus))
+        spec = cls._interned.get(key)
+        if spec is None:
+            m = key[2]
+            if not is_prime(p):
+                raise ValueError(f"characteristic {p} is not prime")
+            if n < 1:
+                raise ValueError(f"extension degree must be >= 1, got {n}")
+            if len(m) != n + 1:
+                raise ValueError(f"modulus must have degree {n} (length {n + 1}), got {m}")
+            if any(not (0 <= c < p) for c in m):
+                raise ValueError(f"modulus coefficients must lie in [0, {p}), got {m}")
+            if m[-1] != 1:
+                raise ValueError(f"modulus must be monic, got {m}")
+            if not _pp_is_irreducible(m, p):
+                raise ValueError(f"modulus {m} is reducible over F_{p}")
+            spec = object.__new__(cls)
+            spec.__dict__.update(p=p, n=n, modulus=m, q=p**n)
+            spec = cls._interned.setdefault(key, spec)
+        return spec
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: FieldSpec is immutable")
 
-    def __eq__(self, other) -> bool:
-        # the per-field caches hand out one shared spec per field
-        if self is other:
-            return True
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
-
-    @cached_property
-    def q(self) -> int:
-        return self.p ** self.n
+    def __reduce__(self):
+        return FieldSpec, (self.p, self.n, self.modulus)
 
     @cached_property
     def _tables(self) -> _FieldTables:
@@ -174,7 +168,7 @@ class CodedValue:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.code == other.code and (self.spec is other.spec or self.spec == other.spec)
+        return self.code == other.code and self.spec is other.spec
 
     def __hash__(self) -> int:
         return self.code
@@ -231,12 +225,6 @@ class FqElem(CodedValue):
         return f"Fq({render_element(self)} in {self.spec.p}^{self.spec.n})"
 
 
-# the arithmetic calls this only when the two specs are not one object
-def _check_same_spec(a: FqElem, b: FqElem) -> None:
-    if a.spec != b.spec:
-        raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
-
-
 def _code(coeffs: Sequence[int], p: int) -> int:
     c = 0
     for d in coeffs:
@@ -253,11 +241,6 @@ def _auto_modulus(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found (unreachable)")
 
 
-@lru_cache(maxsize=None)
-def _field_make_cached(p: int, n: int, modulus: tuple[int, ...]) -> FieldSpec:
-    return FieldSpec(p, n, modulus)
-
-
 def field_make(p: int, n: int, modulus="auto") -> FieldSpec:
     """Construct F_{p^n}.  modulus is "auto" (lexicographically smallest monic
     irreducible of degree n) or an explicit coefficient list, constant first."""
@@ -270,8 +253,8 @@ def field_make(p: int, n: int, modulus="auto") -> FieldSpec:
             raise ValueError(f"unknown modulus selector {modulus!r}")
         mod = _auto_modulus(p, n)
     else:
-        mod = tuple(int(c) % p for c in modulus)
-    return _field_make_cached(p, n, mod)
+        mod = tuple(int(c) for c in modulus)
+    return FieldSpec(p, n, mod)
 
 
 def fq_zero(spec: FieldSpec) -> FqElem:
@@ -402,7 +385,7 @@ class _FieldTables:
 
 def fq_add(a: FqElem, b: FqElem) -> FqElem:
     if a.spec is not b.spec:
-        _check_same_spec(a, b)
+        raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
     x, y = a.code, b.code
     if not x:
         return b
@@ -416,7 +399,7 @@ def fq_add(a: FqElem, b: FqElem) -> FqElem:
 
 def fq_sub(a: FqElem, b: FqElem) -> FqElem:
     if a.spec is not b.spec:
-        _check_same_spec(a, b)
+        raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
     x, y = a.code, b.code
     if not y:
         return a
@@ -438,7 +421,7 @@ def fq_neg(a: FqElem) -> FqElem:
 
 def fq_mul(a: FqElem, b: FqElem) -> FqElem:
     if a.spec is not b.spec:
-        _check_same_spec(a, b)
+        raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
     x, y = a.code, b.code
     if not x:
         return a
@@ -532,7 +515,7 @@ def fq_embed(a: FqElem, target: FieldSpec) -> FqElem:
     """Embed a into the target field.  Requires same p and source degree
     dividing target degree; the embedding is a fixed field homomorphism."""
     spec = a.spec
-    if spec is target or spec == target:
+    if spec is target:
         return a
     if spec.p != target.p:
         raise ValueError(f"cannot embed: characteristic {spec.p} != {target.p}")
@@ -550,7 +533,7 @@ def _projection_table(src: FieldSpec, sub: FieldSpec) -> dict:
 def fq_project(a: FqElem, target: FieldSpec):
     """Inverse of fq_embed on its image: the element of the subfield `target`
     mapping to a, or None if a is not in the embedded subfield."""
-    if a.spec is target or a.spec == target:
+    if a.spec is target:
         return a
     return _projection_table(a.spec, target).get(a.code)
 
@@ -707,7 +690,8 @@ def monic_quadratic_roots(B: FqElem, C: FqElem) -> list[FqElem]:
     sorted, in closed form from the per-field tables: (-B +- s)/2 for the
     square roots s of B^2 - 4C when p is odd; when p = 2 the unique square
     root of C if B = 0, else x = B y with y^2 + y = C/B^2."""
-    _check_same_spec(B, C)
+    if B.spec is not C.spec:
+        raise ValueError(f"field mismatch: {B.spec!r} vs {C.spec!r}")
     spec = B.spec
     if spec.p != 2:
         disc = fq_sub(fq_mul(B, B), fq_mul(fq_from_int(spec, 4), C))

@@ -63,7 +63,7 @@ class PP1(CodedValue):
     __slots__ = ("x",)
 
     def __init__(self, spec: FieldSpec, x: Optional[FqElem]):
-        if x is not None and x.spec is not spec and x.spec != spec:
+        if x is not None and x.spec is not spec:
             raise ValueError("point coordinate lives in the wrong field")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "x", x)
@@ -160,7 +160,7 @@ def mob_make(a: FqElem, b: FqElem, c: FqElem, d: FqElem) -> Moebius:
     """Build the PGL2 class of [[a,b],[c,d]]; rejects singular matrices."""
     spec = a.spec
     for entry in (b, c, d):
-        if entry.spec is not spec and entry.spec != spec:
+        if entry.spec is not spec:
             raise ValueError("matrix entries live in different fields")
     det = fq_sub(fq_mul(a, d), fq_mul(b, c))
     if det.is_zero():
@@ -208,7 +208,7 @@ def mob_project(m: Moebius, target: FieldSpec) -> Optional[Moebius]:
 def mob_apply(m: Moebius, P: PP1) -> PP1:
     """Matrix action on projective coordinates.  If the map and the point live
     in different but compatible fields, the smaller one is embedded."""
-    if m.spec is not P.spec and m.spec != P.spec:
+    if m.spec is not P.spec:
         if P.spec.n % m.spec.n == 0 and P.spec.p == m.spec.p:
             m = mob_embed(m, P.spec)
         elif m.spec.n % P.spec.n == 0 and m.spec.p == P.spec.p:
@@ -231,7 +231,7 @@ def mob_apply(m: Moebius, P: PP1) -> PP1:
 def mob_compose(m1: Moebius, m2: Moebius) -> Moebius:
     """Composition m1 after m2 (matrix product M1*M2).  Memoized: closure,
     order and conjugacy searches revisit the same products constantly."""
-    if m1.spec is not m2.spec and m1.spec != m2.spec:
+    if m1.spec is not m2.spec:
         raise ValueError("cannot compose maps over different fields")
     return mob_make(
         fq_add(fq_mul(m1.a, m2.a), fq_mul(m1.b, m2.c)),
@@ -319,7 +319,7 @@ def mob_from_three_points(src: Sequence[PP1], dst: Sequence[PP1]) -> Moebius:
         raise ValueError("destination points must be pairwise distinct")
     spec = src[0].spec
     for P in list(src) + list(dst):
-        if P.spec != spec:
+        if P.spec is not spec:
             raise ValueError("all six points must live in one field")
     return mob_compose(mob_inverse(_to_zero_one_inf(*dst)), _to_zero_one_inf(*src))
 

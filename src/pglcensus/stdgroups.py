@@ -111,7 +111,7 @@ def close_generators(gens: Sequence[Moebius], cap: Optional[int] = None, tag: st
         raise ValueError("need at least one generator")
     spec = gens[0].spec
     for g in gens:
-        if g.spec != spec:
+        if g.spec is not spec:
             raise ValueError("generators live in different fields")
     if cap is None:
         cap = spec.q ** 3 - spec.q
@@ -127,7 +127,7 @@ def subgroup_embed(H: SubgroupPGL2, target: FieldSpec) -> SubgroupPGL2:
 
 def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL2]:
     """Pull the subgroup back to a subfield, or None if any entry is irrational."""
-    if H.spec == target:
+    if H.spec is target:
         return H
     out = []
     for m in H.elements:
@@ -139,7 +139,7 @@ def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL
 
 
 def conjugate_subgroup(H: SubgroupPGL2, g: Moebius, tag: Optional[str] = None) -> SubgroupPGL2:
-    if g.spec != H.spec:
+    if g.spec is not H.spec:
         raise ValueError("conjugator must live in the subgroup's field")
     return _make_subgroup(H.spec, (mob_conjugate(g, m) for m in H.elements), tag or H.tag)
 
@@ -370,7 +370,7 @@ def _conjugates_onto(g: Moebius, H1: SubgroupPGL2, H2: SubgroupPGL2) -> bool:
 def _simplify_witness(g: Optional[Moebius], base: FieldSpec) -> Optional[Moebius]:
     """Project a conjugator back down to the base field when its entries are
     rational there; otherwise return it over the search field."""
-    if g is None or g.spec == base:
+    if g is None or g.spec is base:
         return g
     down = mob_project(g, base)
     return down if down is not None else g
@@ -385,10 +385,12 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
     a conjugator maps locus L1 onto locus L2, so it is g0 t with g0 from
     moebius.transporters(L1, L2) and t fixing L1 pointwise: only the identity
     for size >= 3, the torus through both points for size 2.  For size 1 both
-    groups reduce to translation groups where conjugacy is scalar scaling of
-    the translation sets.  Loci are computed at level r; r >= 2 captures all.
+    groups may reduce to translation groups, where conjugacy is scalar scaling
+    of the translation sets.  Loci are computed at level r.  Loci of fewer
+    than two points that are not those of translation groups are taken in the
+    capture field F_{q^{2r}} instead, keeping the maps rational over F_{q^r}.
     """
-    if H1.spec != H2.spec:
+    if H1.spec is not H2.spec:
         raise ValueError("subgroups must live over the same field")
     if H1.order != H2.order:
         return None
@@ -405,56 +407,48 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
 
     if len(L1) == 1:
         # t1 and s2^{-1} carry the loci to infinity, where both groups
-        # should become translation groups
+        # may become translation groups
         t1 = mob_inverse(mob_infinity_to(L1[0]))
         s2 = mob_infinity_to(L2[0])
-        U1 = conjugate_subgroup(K1, t1)
-        U2 = conjugate_subgroup(K2, mob_inverse(s2))
-        g1 = _translation_parts(U1)
-        g2 = _translation_parts(U2)
-        if g1 is None or g2 is None:
-            return _simplify_witness(_conjugacy_fallback(K1, K2, ext), base)
-        set2 = {x.code for x in g2}
-        for alpha in field_elements(ext):
-            if alpha.is_zero():
-                continue
-            if {fq_mul(alpha, x).code for x in g1} == set2:
-                g = mob_compose(s2, mob_compose(_diag(ext, alpha), t1))
-                if _conjugates_onto(g, K1, K2):
-                    return _simplify_witness(g, base)
-        return None
+        g1 = _translation_parts(conjugate_subgroup(K1, t1))
+        g2 = _translation_parts(conjugate_subgroup(K2, mob_inverse(s2)))
+        if g1 is not None and g2 is not None:
+            set2 = {x.code for x in g2}
+            for alpha in field_elements(ext):
+                if alpha.is_zero():
+                    continue
+                if {fq_mul(alpha, x).code for x in g1} == set2:
+                    g = mob_compose(s2, mob_compose(_diag(ext, alpha), t1))
+                    if _conjugates_onto(g, K1, K2):
+                        return _simplify_witness(g, base)
+            return None
 
-    if len(L1) >= 2:
-        # g = g0 t with g0 from transporters(L1, L2) and t fixing L1
-        # pointwise: only the identity for 3 or more points; for 2, the
-        # torus, one t per image of the first point outside L1, starting
-        # with the identity.  Each t is tried with every g0 before the next,
-        # so a plain transporter always comes first
-        fix = [mob_identity(ext)]
-        if len(L1) == 2:
-            src = (L1[0], L1[1], next(P for P in pp1_points(ext) if P not in L1))
-            fix = (mob_from_three_points(src, (L1[0], L1[1], P)) for P in pp1_points(ext) if P not in L1)
-        for t in fix:
-            for g0 in transporters(L1, L2):
-                g = mob_compose(g0, t)
-                if _conjugates_onto(g, K1, K2):
-                    return _simplify_witness(g, base)
-        return None
-
-    # empty loci at this level (all fixed points irrational): fall back
-    return _simplify_witness(_conjugacy_fallback(K1, K2, ext), base)
-
-
-_BRUTE_FORCE_CAP = 30
-
-
-def _conjugacy_fallback(K1: SubgroupPGL2, K2: SubgroupPGL2, ext: FieldSpec) -> Optional[Moebius]:
-    if ext.q > _BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"conjugacy search degenerate at this level and q^r = {ext.q} exceeds "
-            f"the brute-force cap {_BRUTE_FORCE_CAP}; raise r"
-        )
-    return _bruteforce_search(K1, K2)
+    search = ext
+    if len(L1) < 2:
+        # p-elements have rational fixed points, so in the capture field,
+        # where every fixed point lies, both loci have two or more points
+        search = extension_field(base, 2 * r)
+        L1 = stabilized_locus(H1, 2 * r)
+        L2 = stabilized_locus(H2, 2 * r)
+        if len(L1) != len(L2):
+            return None
+    # g = g0 t with g0 from transporters(L1, L2) and t fixing L1 pointwise:
+    # only the identity for 3 or more points; for 2, the torus, one t per
+    # image of the first point outside L1, starting with the identity.  Each
+    # t is tried with every g0 before the next, so a plain transporter
+    # always comes first
+    fix = [mob_identity(search)]
+    if len(L1) == 2:
+        src = (L1[0], L1[1], next(P for P in pp1_points(search) if P not in L1))
+        fix = (mob_from_three_points(src, (L1[0], L1[1], P)) for P in pp1_points(search) if P not in L1)
+    for t in fix:
+        for g0 in transporters(L1, L2):
+            g = mob_compose(g0, t)
+            if search is not ext:
+                g = mob_project(g, ext)
+            if g is not None and _conjugates_onto(g, K1, K2):
+                return _simplify_witness(g, base)
+    return None
 
 
 def _bruteforce_search(K1: SubgroupPGL2, K2: SubgroupPGL2) -> Optional[Moebius]:
@@ -469,7 +463,7 @@ def _bruteforce_search(K1: SubgroupPGL2, K2: SubgroupPGL2) -> Optional[Moebius]:
 
 def is_conjugate_bruteforce(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius]:
     """Independent oracle: scan every element of PGL2(F_{q^r}) for a conjugator."""
-    if H1.spec != H2.spec:
+    if H1.spec is not H2.spec:
         raise ValueError("subgroups must live over the same field")
     if H1.order != H2.order:
         return None

@@ -38,6 +38,13 @@ OUT_OF_RANGE_RANKS = [
     ("verify-main", "--p", "2", "--levels", "1-2", "--m", "7"),
 ]
 
+# modulus coefficients are rejected, not reduced mod p
+OUT_OF_RANGE_MODULI = [
+    ("field-info", "--field", "2^2/1,1,3"),
+    ("field-info", "--field", "3^2/-2,0,1"),
+    ("field-info", "--field", "5^1/5,1"),
+]
+
 EMPTY_LEVELS = [
     ("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "3-1"),
     ("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", ","),
@@ -129,13 +136,19 @@ class TestConjugateCommand:
             assert _conjugates_onto(parse_moebius(spec, data["witness"]), H1, H2)
 
 
-    def test_degenerate_search_past_the_brute_force_cap_is_usage_error(self, capsys):
+    def test_degenerate_loci_are_searched_in_the_capture_field(self):
         # x -> -1/x fixes the square roots of -1, which F31 lacks: the
-        # level-1 loci are empty, and q = 31 is past the brute-force cap
-        code, out = run_cli("conjugate", "--field", "31^1", "--gens1", "[0,30;1,0]", "--gens2", "[0,30;1,0]")
-        err = capsys.readouterr().err
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        # level-1 loci are empty, so the search takes them in F961
+        spec = parse_field_spec("31^1")
+        H = close_generators([parse_moebius(spec, "[0,30;1,0]")])
+        args = ("conjugate", "--field", "31^1", "--gens1", "[0,30;1,0]", "--gens2", "[0,30;1,0]")
+        code, out = run_cli(*args)
+        brute_code, brute_out = run_cli(*args, "--brute")
+        data = json.loads(out)
+        assert code == brute_code == 0
+        assert data["conjugate"] is True and json.loads(brute_out)["conjugate"] is True
+        assert data["witness_field"] == "31^1"
+        assert _conjugates_onto(parse_moebius(spec, data["witness"]), H, H)
 
 
 class TestCensusCommand:
@@ -312,8 +325,9 @@ class TestUsageErrors:
         [
             ("census", "--field", "5^1", "--group", "cyclic:4", "--locus", "7,inf"),
             ("fixed-points", "--field", "5^1", "--map", "[1,5;0,1]"),
+            *OUT_OF_RANGE_MODULI,
         ],
-        ids=["locus", "map"],
+        ids=["locus", "map", "modulus-2^2", "modulus-3^2", "modulus-5^1"],
     )
     def test_out_of_range_coefficient_exits_two(self, argv):
         code, out = run_cli(*argv)
@@ -360,6 +374,7 @@ def exit_code(argv):
 MALFORMED = [
     *OUT_OF_RANGE_TAGS,
     *OUT_OF_RANGE_RANKS,
+    *OUT_OF_RANGE_MODULI,
     *EMPTY_LEVELS,
     ("ramification", "--field", "3^1", "--poly", ","),
     ("ramification", "--field", "3^1", "--poly", ""),

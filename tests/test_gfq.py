@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -83,6 +85,40 @@ class TestFieldMake:
                 winner = cand
                 break
             assert spec.modulus == winner
+
+
+class TestInterning:
+    """Each field is one FieldSpec object, so specs compare by identity."""
+
+    def test_constructor_returns_the_field_make_spec(self):
+        assert FieldSpec(3, 2, (1, 0, 1)) is field_make(3, 2, [1, 0, 1])
+
+    def test_explicit_auto_modulus_is_the_auto_spec(self):
+        assert field_make(2, 2, [1, 1, 1]) is field_make(2, 2)
+
+    def test_extension_field_is_the_auto_spec(self):
+        assert extension_field(field_make(2, 2), 2) is field_make(2, 4)
+
+    def test_copies_are_the_spec(self):
+        assert copy.deepcopy(F9) is F9 and pickle.loads(pickle.dumps(F9)) is F9
+
+    @pytest.mark.parametrize("name", ["p", "q", "modulus", "other"])
+    def test_attributes_cannot_be_assigned(self, name):
+        with pytest.raises(AttributeError):
+            setattr(F9, name, 3)
+        assert (F9.p, F9.n, F9.q, F9.modulus) == (3, 2, 9, (1, 0, 1))
+
+    def test_reducible_modulus_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="reducible"):
+                FieldSpec(2, 2, (0, 0, 1))
+            with pytest.raises(ValueError, match="reducible"):
+                field_make(2, 2, [0, 0, 1])
+
+    @pytest.mark.parametrize("p, n, modulus", [(2, 2, [1, 1, 3]), (3, 2, [-2, 0, 1]), (5, 1, [5, 1])])
+    def test_out_of_range_modulus_coefficients_are_rejected_not_reduced(self, p, n, modulus):
+        with pytest.raises(ValueError, match=r"\[0, "):
+            field_make(p, n, modulus)
 
 
 class TestArithmeticExamples:

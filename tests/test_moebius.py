@@ -113,7 +113,7 @@ class TestIdentity:
     def test_directly_built_spec_matches_field_make(self):
         shared = field_make(3, 2, [1, 0, 1])
         fresh = FieldSpec(3, 2, (1, 0, 1))
-        assert fresh is not shared and fresh == shared and hash(fresh) == hash(shared)
+        assert fresh is shared and fresh == shared and hash(fresh) == hash(shared)
         text = "[1,2,0,1;1,1,2,2]"
         m1, m2 = parse_moebius(shared, text), parse_moebius(fresh, text)
         assert m1 == m2 and hash(m1) == hash(m2) and len({m1, m2}) == 1

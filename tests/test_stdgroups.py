@@ -368,7 +368,7 @@ class TestConjugacy:
 
     def test_fallback_when_locus_is_irrational_at_level_one(self):
         # the order-3 subgroup of PGL2(F2) has both fixed points in F4, so at
-        # r = 1 the loci are empty and the brute-force fallback runs
+        # r = 1 the loci are empty and the search takes them in F4
         g = mk(F2, 0, 1, 1, 1)
         H = close_generators([g])
         assert H.order == 3
