@@ -14,9 +14,9 @@ PGL2(F_{q^r}) with stabilized locus exactly S form
 
 Every reported match is re-verified from scratch: its stabilized locus is
 recomputed and compared with S, and its fingerprint is compared with the
-model's.  An independent brute-force oracle (scan all order-p elements fixing
-the point, then close subsets) cross-checks the elementary-abelian counts
-with no classification knowledge.
+model's.  An independent brute-force oracle (scan the stabilizer of the point
+for maps g != 1 with g^p = 1, then grow subgroups from them by closure)
+cross-checks the elementary-abelian counts with no classification knowledge.
 """
 
 from __future__ import annotations
@@ -32,29 +32,32 @@ from .gfq import (
     by_code,
     extension_field,
     field_make,
+    field_elements,
     fp_echelon,
     fq_from_coeffs,
     fq_from_int,
     fq_mul,
     fq_one,
     fq_zero,
+    is_prime,
     parse_field_spec,
     render_field_spec,
 )
 from .moebius import (
     PP1,
+    Moebius,
     mob_apply,
     mob_compose,
+    mob_conjugate,
     mob_identity,
     mob_infinity_to,
     mob_make,
-    mob_order,
     parse_point,
     parse_point_list,
-    pgl2_elements,
     pp1_embed,
     pp1_infinity,
     pp1_project,
+    render_moebius,
     render_point,
     transporters,
 )
@@ -393,34 +396,91 @@ def enum_actions(query: CensusQuery) -> CensusReport:
 # independent oracle for the elementary-abelian census
 
 
-def oracle_enum_elem_abelian(
-    spec: FieldSpec, m: int, point: PP1, r: int = 1, cap: int = 100_000
-) -> list[SubgroupPGL2]:
+# The most work one row of verify_main_theorem may take, in units of one
+# uncached map composition: about 10 us in CPython 3.11 on one core of a
+# 2-vCPU x86-64 container, so about 10 s a row.  Set from measured times of
+# the oracle and the census; README lists the worst accepted cases.
+WORK_BOUND = 1_000_000
+
+
+def dichotomy_work(p: int, n: int, m: int, affine: bool = False) -> int:
+    """Estimated cost of the (Z/pZ)^m oracle over F_{p^n} and of the census
+    of the same subgroups, in uncached map compositions.  With q = p^n, each
+    term fitted to measured times:
+
+    * the oracle's scan: q(q - 1) maps, p - 1 compositions each for the power
+      test, plus 3 for the conjugation (two products and an inverse) when
+      the point is affine;
+    * the first products of two order-p maps, (q - 1)^2, when m >= 2;
+    * the growth, at a quarter since its compositions are mostly cache hits:
+      [n choose k]_p subgroups of order p^k (k < m), each closed
+      (q - p^k)/(p^(k+1) - p^k) times at (k + 1) p^(k+1) compositions;
+    * the subgroups held, [n choose m]_p of p^m maps each: the oracle's
+      final power test (p - 1 compositions a map, at a quarter), and 6 a
+      map for the census that rebuilds and verifies each of them.
+    """
+    q = p ** n
+    scan = q * (q - 1) * (p + 2 if affine else p - 1)
+    pairs = (q - 1) ** 2 if m >= 2 else 0
+    grow = sum(gaussian_binomial(n, k, p) * (k + 1) * (q - p ** k) for k in range(m))
+    held = gaussian_binomial(n, m, p) * p ** m
+    return scan + pairs + (grow + held * (p - 1)) // 4 + 6 * held
+
+
+def _check_work(p: int, n: int, m: int, affine: bool = False) -> None:
+    work = dichotomy_work(p, n, m, affine)
+    if work > WORK_BOUND:
+        raise ValueError(
+            f"(Z/{p}Z)^{m} over F_{{{p}^{n}}} would take an estimated {work} map compositions, "
+            f"over the bound WORK_BOUND = {WORK_BOUND} (about 10 s)"
+        )
+
+
+def _has_order_p(g: Moebius, p: int, ident: Moebius) -> bool:
+    """g != 1 and g^p = 1, by p - 1 compositions."""
+    x = g
+    for _ in range(p - 1):
+        x = mob_compose(x, g)
+    return g != ident and x == ident
+
+
+def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1, r: int = 1) -> list[SubgroupPGL2]:
     """Brute-force census of (Z/pZ)^m-subgroups fixing one point, with no
-    classification knowledge: scan all of PGL2(F_{q^r}) for elements of order
-    p fixing the point, then grow subgroups of exponent p and order p^m by
-    incremental closure over subsets of those elements."""
+    classification knowledge.  The stabilizer of P in PGL2(F_{q^r}) is
+    t Stab(inf) t^{-1} for any t with t(inf) = P, and Stab(inf) is the
+    q^r(q^r - 1) maps [1,b;0,d], d != 0 (c = 0 is what fixing inf means).
+    Each conjugate is checked to fix P, kept when it has order p (g != 1 and
+    g^p = 1), and subgroups of order p^m are grown from the kept maps by
+    closing generator lists (`subgroups_of_order`); those of exponent p are
+    returned.  Refuses a field and rank whose dichotomy_work is over
+    WORK_BOUND."""
     ext = extension_field(spec, r)
-    if ext.q ** 3 - ext.q > cap:
-        raise ValueError(f"|PGL2| = {ext.q ** 3 - ext.q} exceeds the oracle cap {cap}")
     P = pp1_embed(point, ext)
+    _check_work(ext.p, ext.n, m, affine=not P.is_infinity)
     p = ext.p
     ident = mob_identity(ext)
-    order_p = [
-        g
-        for g in pgl2_elements(ext)
-        if g != ident and mob_apply(g, P) == P and mob_order(g) == p
-    ]
+    one, zero = fq_one(ext), fq_zero(ext)
+    elems = field_elements(ext)
+    stab = (Moebius(ext, one, b, zero, d) for b in elems for d in elems[1:])
+    if not P.is_infinity:
+        t = mob_infinity_to(P)
+        stab = (mob_conjugate(t, g) for g in stab)
+    order_p = []
+    for g in stab:
+        if mob_apply(g, P) != P:
+            raise AssertionError(f"{render_moebius(g)} does not fix {render_point(P)}: t(inf) != P")
+        if _has_order_p(g, p, ident):
+            order_p.append(g)
     found = [
         _make_subgroup(ext, H, "unclassified")
         for H in subgroups_of_order(order_p, mob_compose, ident, p ** m)
-        if all(mob_order(g) == p for g in H if g != ident)
+        if all(_has_order_p(g, p, ident) for g in H if g != ident)
     ]
     return sorted(found, key=_subgroup_sort_key)
 
 
 # ---------------------------------------------------------------------------
-# the finite/infinite dichotomy at desk scale
+# the finite/infinite dichotomy, within WORK_BOUND
 
 
 @dataclass(frozen=True)
@@ -483,10 +543,6 @@ class MainTheoremReport:
         return out
 
 
-_DESK_PRIMES = (2, 3, 5)
-_DESK_MAX_N = 4
-
-
 def verify_main_theorem(
     p: int,
     n_values: Sequence[int],
@@ -503,16 +559,25 @@ def verify_main_theorem(
     1..max(levels); levels below m are skipped.  Extra queries (tag,
     locus-text) are censused at every level and must return a
     level-independent constant; their locus points are written over the prime
-    field (e.g. "0,inf") and embedded into each level.
+    field (e.g. "0,inf") and embedded into each level.  Any prime p is
+    accepted; a run with a row whose dichotomy_work is over WORK_BOUND is
+    refused before any work.
     """
-    if p not in _DESK_PRIMES:
-        raise ValueError(f"desk-scale bounds: p must be one of {_DESK_PRIMES}, got {p}")
+    if p < 2:
+        raise ValueError(f"p must be a prime, got {p}")
     n_values = tuple(sorted(set(n_values)))
-    if not n_values or n_values[0] < 1 or n_values[-1] > _DESK_MAX_N:
-        raise ValueError(f"desk-scale bounds: levels must lie in 1..{_DESK_MAX_N}, got {n_values}")
-    bad_m = [m for m in m_values or () if not 1 <= m <= n_values[-1]]
+    if not n_values or n_values[0] < 1:
+        raise ValueError(f"levels must be at least 1, got {n_values}")
+    top = n_values[-1]
+    bad_m = [m for m in m_values or () if not 1 <= m <= top]
     if bad_m:
-        raise ValueError(f"rank m must lie in 1..{n_values[-1]} (the largest level), got {bad_m[0]}")
+        raise ValueError(f"rank m must lie in 1..{top} (the largest level), got {bad_m[0]}")
+    # the work grows with the level, so the top level bounds every row
+    for m in m_values if m_values is not None else range(1, top + 1):
+        _check_work(p, top, m)
+    # after the bound, which keeps p below about 100, so trial division is quick
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
 
     rows = []
     per_m_counts: dict[int, list[tuple[int, int]]] = {}

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -423,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
 
     p = add("verify-main", _cmd_verify_main, "finite/infinite census dichotomy across field levels")
-    p.add_argument("--p", type=int, required=True, choices=(2, 3, 5))
+    p.add_argument("--p", type=int, required=True, help="any prime whose rows stay within census.WORK_BOUND")
     p.add_argument("--levels", default="1-2", help='e.g. "1-4" or "1,2"')
     p.add_argument("--m", type=int, help="restrict to one rank, in 1..max(levels) (default: all m <= n)")
     p.add_argument("--tags", help='extra constant-count queries "tag@locus;tag@locus"')
@@ -445,12 +446,22 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     stream = out if out is not None else sys.stdout
+    if stream is None:  # started with stdout closed
+        print("error: stdout is closed", file=sys.stderr)
+        return 2
     try:
         code, payload, rows_key, columns = args.handler(args)
     except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _emit(payload, args.format, rows_key, columns, stream)
+    try:
+        _emit(payload, args.format, rows_key, columns, stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): the verdict stands, and stdout
+        # goes to devnull so the interpreter's final flush cannot fail again
+        if stream is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

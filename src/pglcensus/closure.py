@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
+from .gfq import is_prime
+
 T = TypeVar("T", bound=Hashable)
 
 
@@ -43,20 +45,33 @@ def close(gens: Sequence[T], op: Callable[[T, T], T], seen: Iterable[T], cap: Op
 def subgroups_of_order(elements: Sequence[T], op: Callable[[T, T], T], identity: T, order: int) -> set[frozenset[T]]:
     """Every subgroup with exactly `order` members that some of `elements`
     generate, grown one element at a time from the trivial group.  Subgroups
-    that pass `order` on the way are dropped."""
-    layer = {frozenset((identity,))}
+    that pass `order` on the way are dropped.
+
+    Each subgroup H of a layer keeps the generator list it was grown from,
+    and H<g> is the closure of that list plus g over H: `close` then
+    multiplies by len(gens) + 1 maps, not by |H| + 1, and is correct because
+    H is generated by members of the list.  When H<g> has prime index over H
+    (every step in a p-group), no subgroup lies strictly between them, so
+    each g' in H<g> outside H gives H<g> again and is skipped.
+    """
+    layer = {frozenset((identity,)): ()}
     found = set()
     while layer:
-        next_layer = set()
-        for H in layer:
+        next_layer = {}
+        for H, gens in layer.items():
             if len(H) == order:
                 found.add(H)
                 continue
+            covered = set(H)
             for g in elements:
-                if g in H:
+                if g in covered:
                     continue
-                grown = close([*H, g], op, H, cap=order)
-                if grown is not None:
-                    next_layer.add(frozenset(grown))
+                grown = close([*gens, g], op, H, cap=order)
+                if grown is None:
+                    continue
+                grown = frozenset(grown)
+                next_layer.setdefault(grown, (*gens, g))
+                if is_prime(len(grown) // len(H)):
+                    covered |= grown
         layer = next_layer
     return found

@@ -93,6 +93,9 @@ class ECPoint(CodedValue):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "code", 0 if x is None else 1 + x.code * spec.q + y.code)
 
+    def __reduce__(self):
+        return ECPoint, (self.spec, self.x, self.y)
+
     @property
     def is_zero(self) -> bool:
         return self.x is None

@@ -76,7 +76,7 @@ def _pp_mod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     db = len(b) - 1
     inv_lead = pow(b[-1], p - 2, p)
     da = len(a) - 1
-    while da >= db and _pp_trim(a) != (0,):
+    while da >= db:
         if a[da] == 0:
             da -= 1
             continue
@@ -158,7 +158,9 @@ class CodedValue:
     `code` that subclasses set once in __init__: field elements, points of
     P^1, PGL2 maps and elliptic-curve points.  The hash is the code, equality
     compares types, then codes, then specs, and within one field and type
-    code order is the canonical order (sort with `by_code`)."""
+    code order is the canonical order (sort with `by_code`).  Each subclass
+    defines __reduce__ to rebuild through its constructor, so copy and pickle
+    never restore a slot through the __setattr__ guard."""
 
     __slots__ = ("spec", "code")
 
@@ -189,6 +191,9 @@ class FqElem(CodedValue):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "code", code)
         self.__post_init__()
+
+    def __reduce__(self):
+        return FqElem, (self.spec, self.code)
 
     def __post_init__(self):
         if not 0 <= self.code < self.spec.q:

@@ -69,6 +69,9 @@ class PP1(CodedValue):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "code", spec.q if x is None else x.code)
 
+    def __reduce__(self):
+        return PP1, (self.spec, self.x)
+
     @property
     def is_infinity(self) -> bool:
         return self.x is None
@@ -151,6 +154,9 @@ class Moebius(CodedValue):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "code", ((a.code * q + b.code) * q + c.code) * q + d.code)
+
+    def __reduce__(self):
+        return Moebius, (self.spec, self.a, self.b, self.c, self.d)
 
     def __repr__(self) -> str:
         return f"Moebius({render_moebius(self)})"

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import json
 import re
 
 import pytest
 
+import pglcensus.census as census
 from pglcensus.census import (
     CensusQuery,
     additive_subgroup,
@@ -18,6 +20,7 @@ from pglcensus.census import (
     unipotent_to_gamma,
     verify_main_theorem,
 )
+from pglcensus.closure import close
 from pglcensus.gfq import (
     by_code,
     extension_field,
@@ -28,10 +31,14 @@ from pglcensus.gfq import (
     fq_inv,
     fq_one,
     fq_zero,
+    is_prime,
 )
 from pglcensus.moebius import (
     mob_apply,
+    mob_compose,
+    mob_identity,
     mob_make,
+    mob_order,
     parse_point_list,
     pgl2_elements,
     pp1_affine,
@@ -429,9 +436,71 @@ class TestOracle:
         rep = enum_actions(CensusQuery(F4, "Zp^1", (point,), r=1))
         assert {H.elements for H in oracle} == {H.elements for H in rep.matches}
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            oracle_enum_elem_abelian(F8, 1, pp1_infinity(F8), cap=10)
+    def test_cap(self, monkeypatch):
+        # just inside the bound the oracle runs, one composition over it refuses
+        work = census.dichotomy_work(2, 3, 1)
+        monkeypatch.setattr(census, "WORK_BOUND", work)
+        assert len(oracle_enum_elem_abelian(F8, 1, pp1_infinity(F8))) == 7
+        monkeypatch.setattr(census, "WORK_BOUND", work - 1)
+        with pytest.raises(ValueError, match="WORK_BOUND"):
+            oracle_enum_elem_abelian(F8, 1, pp1_infinity(F8))
+
+    def test_affine_point_costs_the_conjugation(self):
+        assert census.dichotomy_work(2, 3, 1, affine=True) == census.dichotomy_work(2, 3, 1) + 3 * 8 * 7
+
+
+# The oracle as it was before it scanned only the point stabilizer: all of
+# PGL2(F_q), the fixed-point test by mob_apply and the order by mob_order,
+# and subgroups grown by closing all of H plus one element.  It is the
+# reference the stabilizer scan must reproduce element for element.
+
+
+def _reference_subgroups_of_order(elements, op, identity, order):
+    layer = {frozenset((identity,))}
+    found = set()
+    while layer:
+        next_layer = set()
+        for H in layer:
+            if len(H) == order:
+                found.add(H)
+                continue
+            for g in elements:
+                if g in H:
+                    continue
+                grown = close([*H, g], op, H, cap=order)
+                if grown is not None:
+                    next_layer.add(frozenset(grown))
+        layer = next_layer
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_order_p(spec, point):
+    ident = mob_identity(spec)
+    return [g for g in pgl2_elements(spec) if g != ident and mob_apply(g, point) == point and mob_order(g) == spec.p]
+
+
+def reference_oracle(spec, m, point):
+    ident = mob_identity(spec)
+    return {
+        H
+        for H in _reference_subgroups_of_order(_reference_order_p(spec, point), mob_compose, ident, spec.p ** m)
+        if all(mob_order(g) == spec.p for g in H if g != ident)
+    }
+
+
+SMALL_FIELDS = [(p, n) for p in range(2, 33) if is_prime(p) for n in range(1, 6) if p ** n <= 32]
+
+
+@pytest.mark.parametrize("point_kind", ["inf", "affine"])
+@pytest.mark.parametrize("p,n", SMALL_FIELDS, ids=[f"{p}^{n}" for p, n in SMALL_FIELDS])
+def test_oracle_matches_full_pgl2_scan(p, n, point_kind):
+    spec = field_make(p, n)
+    point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(field_elements(spec)[-1])
+    for m in range(1, n + 1):
+        found = {frozenset(H.elements) for H in oracle_enum_elem_abelian(spec, m, point)}
+        assert found == reference_oracle(spec, m, point)
+        assert len(found) == gaussian_binomial(n, m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +658,50 @@ class TestMainTheorem:
             )
             assert rep.count == 0
 
-    def test_desk_bounds_enforced(self):
-        with pytest.raises(ValueError, match="desk-scale"):
-            verify_main_theorem(7, [1])
-        with pytest.raises(ValueError, match="desk-scale"):
-            verify_main_theorem(2, [5])
+    def test_desk_bounds_enforced(self, monkeypatch):
+        # the bound is the largest row work of the run: just inside it
+        # verify-main runs, one composition over it refuses
+        work = max(census.dichotomy_work(2, 3, m) for m in (1, 2, 3))
+        monkeypatch.setattr(census, "WORK_BOUND", work)
+        assert verify_main_theorem(2, [1, 2, 3]).ok
+        monkeypatch.setattr(census, "WORK_BOUND", work - 1)
+        with pytest.raises(ValueError, match="WORK_BOUND"):
+            verify_main_theorem(2, [1, 2, 3])
+
+    def test_refused_before_any_work(self, monkeypatch):
+        def no_census(query):
+            raise AssertionError("a refused run must not start a census")
+
+        monkeypatch.setattr(census, "enum_actions", no_census)
+        # a huge p is refused by the bound before any trial division
+        for p, levels in ((2, [1, 10]), (3, [6]), (7, [4]), (101, [1]), (10 ** 18 + 3, [1])):
+            with pytest.raises(ValueError, match="WORK_BOUND"):
+                verify_main_theorem(p, levels)
+
+    def test_bound_admits_the_documented_runs(self):
+        # the benchmark's and golden tests' towers, the worst cases in the
+        # README, and the first rank or level past each of them
+        inside = {
+            (2, 4): (1, 2, 3, 4), (3, 2): (1, 2), (5, 2): (1, 2),
+            (2, 6): (1, 2, 3, 4, 5, 6), (2, 7): (1, 2, 3), (2, 8): (1, 2), (2, 9): (1,),
+            (3, 5): (1, 2, 3, 4, 5), (5, 3): (1, 2, 3), (7, 3): (1, 2, 3), (13, 2): (1, 2), (97, 1): (1,),
+        }
+        outside = [(2, 7, 4), (2, 9, 2), (2, 10, 1), (3, 6, 1), (5, 4, 1), (7, 4, 1), (17, 2, 1), (101, 1, 1)]
+        for (p, top), ms in inside.items():
+            for m in ms:
+                assert census.dichotomy_work(p, top, m) <= census.WORK_BOUND, (p, top, m)
+        for p, n, m in outside:
+            assert census.dichotomy_work(p, n, m) > census.WORK_BOUND, (p, n, m)
+
+    def test_p7_levels_1_2(self):
+        report = verify_main_theorem(7, [1, 2])
+        assert report.ok
+        assert [(r.n, r.m, r.oracle_count) for r in report.rows] == [(1, 1, 1), (2, 1, 8), (2, 2, 1)]
+
+    @pytest.mark.parametrize("p", [4, 1, 0, -3])
+    def test_non_prime_p_refused(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            verify_main_theorem(p, [1])
 
     def test_report_json_shape(self):
         from pglcensus.census import main_theorem_report_to_json

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -37,6 +38,9 @@ OUT_OF_RANGE_RANKS = [
     ("verify-main", "--p", "2", "--levels", "1", "--m", "0"),
     ("verify-main", "--p", "2", "--levels", "1-2", "--m", "7"),
 ]
+
+# --p takes any int; verify-main refuses every non-prime
+NON_PRIME_P = [("verify-main", "--p", p, "--levels", "1") for p in ("4", "1", "0", "-3")]
 
 # modulus coefficients are rejected, not reduced mod p
 OUT_OF_RANGE_MODULI = [
@@ -390,6 +394,7 @@ MALFORMED = [
     ("verify-main", "--p", "2", "--levels", "0"),
     ("verify-main", "--p", "2", "--levels", ""),
     ("verify-main", "--p", "2", "--levels", "1", "--tags", "PSL2:-1@inf"),
+    *NON_PRIME_P,
     ("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "abc"),
     ("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "0"),
     ("fixed-points", "--field", "5^1", "--map", "[1,2]"),
@@ -412,3 +417,44 @@ MALFORMED = [
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
 def test_malformed_input_exits_without_traceback(argv):
     assert exit_code(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv", NON_PRIME_P, ids=" ".join)
+def test_non_prime_p_is_a_usage_error(argv, capsys):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err.startswith("error: p must be a prime")
+
+
+def test_verify_main_over_the_bound_names_it(capsys):
+    assert exit_code(("verify-main", "--p", "2", "--levels", "1-10", "--m", "1")) == 2
+    assert "WORK_BOUND" in capsys.readouterr().err
+
+
+def test_verify_main_p7():
+    code, out = run_cli("verify-main", "--p", "7", "--levels", "1-2")
+    assert code == 0
+    rows = json.loads(out)["dichotomy"]
+    assert [(r["n"], r["m"], r["oracle"], r["gaussian"]) for r in rows] == [(1, 1, 1, 1), (2, 1, 8, 8), (2, 2, 1, 1)]
+
+
+class TestOutputStream:
+    """Output that cannot be written ends the run without a traceback."""
+
+    def test_stdout_closed(self):
+        cmd = [sys.executable, "-m", "pglcensus", "field-info", "--field", "5^1"]
+        r = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert r.returncode in (0, 2)
+        assert b"Traceback" not in r.stderr
+
+    def test_reader_stops_early(self):
+        # about 100 KB of JSON, more than a pipe holds, so the writer is still
+        # writing when the reader goes away
+        cmd = [sys.executable, "-m", "pglcensus", "additive-subgroups", "--field", "2^6", "--rank", "3"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(400)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() in (0, 2)
+        assert len(head) == 400
+        assert b"Traceback" not in err and b"BrokenPipe" not in err

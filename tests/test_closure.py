@@ -1,3 +1,7 @@
+import itertools
+
+import pytest
+
 from pglcensus.closure import close, subgroups_of_order
 
 
@@ -41,3 +45,74 @@ class TestSubgroupsOfOrder:
         # two chains ({0} < {0,3,6,9} and {0} < {0,6} < {0,3,6,9}), and none of order 5
         assert subgroups_of_order(range(12), add_mod(12), 0, 4) == {frozenset({0, 3, 6, 9})}
         assert subgroups_of_order(range(12), add_mod(12), 0, 5) == set()
+
+
+def compose_perm(a, b):
+    """a after b, permutations of range(n) as tuples."""
+    return tuple(a[i] for i in b)
+
+
+S3 = list(itertools.permutations(range(3)))
+# the symmetries of a square with corners 0, 1, 2, 3 in cyclic order
+D4_ROTATION = (1, 2, 3, 0)
+D4_REFLECTION = (0, 3, 2, 1)
+
+
+def _d4():
+    return sorted(close([D4_ROTATION, D4_REFLECTION], compose_perm, {(0, 1, 2, 3)}))
+
+
+def brute_force_subgroups(elements, identity, order):
+    """The subgroups generated by some subset of `elements`, of the given order."""
+    out = set()
+    for k in range(len(elements) + 1):
+        for subset in itertools.combinations(elements, k):
+            H = close(list(subset), compose_perm, {identity})
+            if len(H) == order:
+                out.add(frozenset(H))
+    return out
+
+
+class TestNonAbelian:
+    @pytest.mark.parametrize(
+        "name,elements,orders",
+        [
+            ("S3", S3, (1, 2, 3, 6)),
+            ("S3-transpositions", [(1, 0, 2), (2, 1, 0), (0, 2, 1)], (1, 2, 3, 6)),
+            ("D4", _d4(), (1, 2, 4, 8)),
+            ("D4-reflections", [g for g in _d4() if compose_perm(g, g) == (0, 1, 2, 3)], (1, 2, 4, 8)),
+        ],
+    )
+    def test_against_subset_scan(self, name, elements, orders):
+        identity = tuple(range(len(elements[0])))
+        for order in orders:
+            expected = brute_force_subgroups(elements, identity, order)
+            assert subgroups_of_order(elements, compose_perm, identity, order) == expected
+
+    def test_known_counts(self):
+        assert len(_d4()) == 8
+        identity = (0, 1, 2, 3)
+        counts = [len(subgroups_of_order(_d4(), compose_perm, identity, k)) for k in (1, 2, 4, 8)]
+        assert counts == [1, 5, 3, 1]
+        assert [len(subgroups_of_order(S3, compose_perm, (0, 1, 2), k)) for k in (1, 2, 3, 6)] == [1, 3, 1, 1]
+
+    def test_s4_with_long_cycles_first(self):
+        # From the trivial group a 4-cycle closes to a cyclic group of index 4,
+        # which holds a double transposition; that step is not of prime index,
+        # so the double transposition must still be tried on its own, or the
+        # normal Klein four-group is never reached.  Every subgroup of S4 is
+        # generated by two elements, so the pair scan is complete.
+        S4 = list(itertools.permutations(range(4)))
+        identity = (0, 1, 2, 3)
+
+        def order(g):
+            return len(close([g], compose_perm, {identity}))
+
+        elements = sorted(S4, key=lambda g: -order(g))
+        pairs = {frozenset(close([a, b], compose_perm, {identity})) for a in S4 for b in S4}
+        counts = []
+        for k in (1, 2, 3, 4, 6, 8, 12, 24):
+            found = subgroups_of_order(elements, compose_perm, identity, k)
+            assert found == {H for H in pairs if len(H) == k}
+            counts.append(len(found))
+        assert counts == [1, 9, 4, 7, 4, 3, 1, 1]
