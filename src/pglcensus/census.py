@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .closure import subgroups_of_order
+from .closure import is_prime, order, subgroups_of_order
 from .gfq import (
     FieldSpec,
     FqElem,
@@ -39,8 +39,6 @@ from .gfq import (
     fq_mul,
     fq_one,
     fq_zero,
-    is_prime,
-    parse_field_spec,
     render_field_spec,
 )
 from .moebius import (
@@ -52,7 +50,6 @@ from .moebius import (
     mob_identity,
     mob_infinity_to,
     mob_make,
-    parse_point,
     parse_point_list,
     pp1_embed,
     pp1_infinity,
@@ -78,7 +75,6 @@ from .stdgroups import (
     std_PSL2,
     std_S4,
     subgroup_embed,
-    subgroup_from_json,
     subgroup_project,
     subgroup_to_json,
 )
@@ -436,14 +432,6 @@ def _check_work(p: int, n: int, m: int, affine: bool = False) -> None:
         )
 
 
-def _has_order_p(g: Moebius, p: int, ident: Moebius) -> bool:
-    """g != 1 and g^p = 1, by p - 1 compositions."""
-    x = g
-    for _ in range(p - 1):
-        x = mob_compose(x, g)
-    return g != ident and x == ident
-
-
 def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1, r: int = 1) -> list[SubgroupPGL2]:
     """Brute-force census of (Z/pZ)^m-subgroups fixing one point, with no
     classification knowledge.  The stabilizer of P in PGL2(F_{q^r}) is
@@ -469,12 +457,12 @@ def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1, r: int = 1) ->
     for g in stab:
         if mob_apply(g, P) != P:
             raise AssertionError(f"{render_moebius(g)} does not fix {render_point(P)}: t(inf) != P")
-        if _has_order_p(g, p, ident):
+        if order(g, mob_compose, ident, p) == p:
             order_p.append(g)
     found = [
         _make_subgroup(ext, H, "unclassified")
         for H in subgroups_of_order(order_p, mob_compose, ident, p ** m)
-        if all(_has_order_p(g, p, ident) for g in H if g != ident)
+        if all(order(g, mob_compose, ident, p) == p for g in H if g != ident)
     ]
     return sorted(found, key=_subgroup_sort_key)
 
@@ -633,8 +621,8 @@ def verify_main_theorem(
 
 
 # ---------------------------------------------------------------------------
-# serialization (to_json/from_json pairs are exact inverses on normalized
-# reports, which is what enum_actions and verify_main_theorem emit)
+# serialization (the CLI's JSON payloads; a census match decodes back to its
+# subgroup with stdgroups.subgroup_from_json)
 
 
 def census_report_to_json(report: CensusReport) -> dict:
@@ -655,22 +643,6 @@ def census_report_to_json(report: CensusReport) -> dict:
         "matches": [subgroup_to_json(H, 1) for H in report.matches],
         "notes": report.notes,
     }
-
-
-def census_report_from_json(data: dict) -> CensusReport:
-    q = data["query"]
-    spec = parse_field_spec(q["field"])
-    locus_field = parse_field_spec(q["locus_field"])
-    locus = tuple(parse_point(locus_field, text) for text in q["locus"])
-    query = CensusQuery(spec, q["group"], locus, r=q["ext"])
-    matches = tuple(subgroup_from_json(m) for m in data["matches"])
-    return CensusReport(
-        query=query,
-        matches=matches,
-        count=data["count"],
-        verdict=data["verdict"],
-        notes=data.get("notes", ""),
-    )
 
 
 def main_theorem_report_to_json(report: MainTheoremReport) -> dict:
@@ -704,33 +676,3 @@ def main_theorem_report_to_json(report: MainTheoremReport) -> dict:
         "ok": report.ok,
         "mismatches": report.mismatches(),
     }
-
-
-def main_theorem_report_from_json(data: dict) -> MainTheoremReport:
-    rows = tuple(
-        DichotomyRow(
-            n=r["n"],
-            m=r["m"],
-            census_count=r["census"],
-            subspace_count=r["subspaces"],
-            oracle_count=r["oracle"],
-            gaussian=r["gaussian"],
-        )
-        for r in data["dichotomy"]
-    )
-    bounded = tuple(
-        BoundedRow(
-            tag=b["tag"],
-            locus_text=b["locus"],
-            counts=tuple(tuple(t) for t in b["counts"]),
-            constant=b["constant"],
-        )
-        for b in data["bounded"]
-    )
-    return MainTheoremReport(
-        p=data["p"],
-        n_values=tuple(data["levels"]),
-        rows=rows,
-        growth_ok=tuple((g["m"], g["strictly_growing"]) for g in data["growth"]),
-        bounded_rows=bounded,
-    )

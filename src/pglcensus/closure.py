@@ -1,17 +1,43 @@
-"""Closure of finite sets under a group law, and layered subgroup growth.
+"""Closure of finite sets under a group law, layered subgroup growth, and
+the order of one element.
 
-Both functions are generic: elements are any hashable values and `op` is
-the group law, so the PGL2 constructors, the elementary-abelian oracle and
-the genus-1 translation census share one implementation.
+These functions are generic: elements are any hashable values and `op` is
+the group law, so the PGL2 constructors, the elementary-abelian oracle, the
+genus-1 translation census and every order search (maps, curve points,
+integers mod n) share one implementation.  The module imports nothing else
+from the package, so every layer, the field layer included, can use it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
-from .gfq import is_prime
-
 T = TypeVar("T", bound=Hashable)
+
+
+def is_prime(m: int) -> bool:
+    if m < 2:
+        return False
+    if m % 2 == 0:
+        return m == 2
+    d = 3
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def order(x: T, op: Callable[[T, T], T], identity: T, cap: int) -> Optional[int]:
+    """The least k >= 1 with x^k = identity under `op`, or None when k would
+    pass `cap`: at most cap - 1 products, and fewer when the order is small."""
+    power, k = x, 1
+    while power != identity:
+        if k >= cap:
+            return None
+        power = op(power, x)
+        k += 1
+    return k
 
 
 def close(gens: Sequence[T], op: Callable[[T, T], T], seen: Iterable[T], cap: Optional[int] = None) -> Optional[set[T]]:

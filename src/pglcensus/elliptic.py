@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional, Sequence
 
-from .closure import subgroups_of_order
+from .closure import order, subgroups_of_order
 from .gfq import (
     CodedValue,
     FieldSpec,
@@ -170,29 +170,22 @@ def ec_sub(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
     return ec_add(E, P1, ec_neg(E, P2))
 
 
-def ec_scalar(E: ECurve, k: int, P: ECPoint) -> ECPoint:
-    if k < 0:
-        return ec_scalar(E, -k, ec_neg(E, P))
-    acc = ec_infinity(P.spec)
-    add = P
-    while k:
-        if k & 1:
-            acc = ec_add(E, acc, add)
-        add = ec_add(E, add, add)
-        k >>= 1
-    return acc
-
-
 _POINT_CAP = 10_000
+
+
+def _level(E: ECurve, r: int) -> FieldSpec:
+    """F_{q^r}, refused before it is built when q^r passes _POINT_CAP: every
+    level-r computation here scans E(F_{q^r}) or the field itself."""
+    if E.spec.q ** r > _POINT_CAP:
+        raise ValueError(f"point enumeration capped at q^r <= {_POINT_CAP}, got {E.spec.q ** r}")
+    return extension_field(E.spec, r)
 
 
 @lru_cache(maxsize=None)
 def ec_points(E: ECurve, r: int = 1) -> tuple[ECPoint, ...]:
     """All points of E(F_{q^r}), by scanning x and solving for y.  Sorted
     canonically with O first."""
-    ext = extension_field(E.spec, r)
-    if ext.q > _POINT_CAP:
-        raise ValueError(f"point enumeration capped at q^r <= {_POINT_CAP}, got {ext.q}")
+    ext = _level(E, r)
     a, b = _curve_coeffs(E, ext)
     sqrt = _sqrt_table(ext)
     pts = [ec_infinity(ext)]
@@ -210,7 +203,7 @@ def aut0(E: ECurve, r: int = 1) -> tuple[FqElem, ...]:
     members depending on whether a or b vanishes and which roots of unity are
     present."""
     d = 6 if E.a.is_zero() else 4 if E.b.is_zero() else 2
-    return tuple(roots_of_unity(extension_field(E.spec, r), d)[0])
+    return tuple(roots_of_unity(_level(E, r), d)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -255,32 +248,10 @@ def sigma_apply(u: FqElem, Q: ECPoint) -> ECPoint:
     return ECPoint(Q.spec, fq_mul(u2, Q.x), fq_mul(fq_mul(u2, u), Q.y))
 
 
-def aut_apply(phi: ECAut, Q: ECPoint) -> ECPoint:
-    return ec_add(phi.curve, sigma_apply(phi.u, Q), phi.P)
-
-
-def aut_compose(phi1: ECAut, phi2: ECAut) -> ECAut:
-    """(P1, u1) after (P2, u2) = (P1 + sigma_{u1}(P2), u1 u2)."""
-    if phi1.curve != phi2.curve:
-        raise ValueError("automorphisms of different curves")
-    return ECAut(
-        phi1.curve,
-        ec_add(phi1.curve, sigma_apply(phi1.u, phi2.P), phi1.P),
-        fq_mul(phi1.u, phi2.u),
-    )
-
-
-def aut_inverse(phi: ECAut) -> ECAut:
-    from .gfq import fq_inv
-
-    u_inv = fq_inv(phi.u)
-    return ECAut(phi.curve, ec_neg(phi.curve, sigma_apply(u_inv, phi.P)), u_inv)
-
-
 @lru_cache(maxsize=None)
 def _one_minus_sigma_fibres(E: ECurve, u_code: int, r: int) -> dict:
     """Fibres of Q -> Q - sigma_u(Q) on E(F_{q^r}), keyed by image point."""
-    ext = extension_field(E.spec, r)
+    ext = _level(E, r)
     u = FqElem(ext, u_code)
     fibres: dict = {}
     for Q in ec_points(E, r):
@@ -295,7 +266,7 @@ def aut_fixed_points(E: ECurve, phi: ECAut, r: int = 1) -> tuple[ECPoint, ...]:
     fixes everything); a nontrivial pure translation is fixed point free."""
     if phi.is_identity:
         raise ValueError("the identity automorphism fixes every point")
-    ext = extension_field(E.spec, r)
+    ext = _level(E, r)
     P = ec_point_embed(phi.P, ext)
     u = fq_embed(phi.u, ext)
     if u == fq_one(ext):
@@ -309,7 +280,7 @@ def kernel_one_minus_sigma(E: ECurve, u: FqElem, r: int = 1) -> tuple[ECPoint, .
     Undefined for u = 1 (the map is zero)."""
     if u == fq_one(u.spec):
         raise ValueError("1 - sigma is the zero map for u = 1")
-    ext = extension_field(E.spec, r)
+    ext = _level(E, r)
     uu = fq_embed(u, ext)
     fibre = _one_minus_sigma_fibres(E, uu.code, r).get(ec_infinity(ext), ())
     return tuple(sorted(fibre, key=by_code))
@@ -329,7 +300,7 @@ class FixingAutsReport:
 
 def count_auts_fixing(E: ECurve, Q: ECPoint, r: int = 1) -> FixingAutsReport:
     _check_on_curve(E, Q)
-    ext = extension_field(E.spec, r)
+    ext = _level(E, r)
     Q = ec_point_embed(Q, ext)
     us = aut0(E, r)
     witnesses = []
@@ -349,19 +320,20 @@ def count_auts_fixing(E: ECurve, Q: ECPoint, r: int = 1) -> FixingAutsReport:
     return FixingAutsReport(point=Q, count=len(witnesses), witnesses=tuple(witnesses), scan_count=scan)
 
 
+def _torsion(E: ECurve, n: int, r: int) -> dict[ECPoint, int]:
+    """The points of E(F_{q^r})[n], in code order, each with its order."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    add, O = partial(ec_add, E), ec_infinity(_level(E, r))
+    orders = ((Q, order(Q, add, O, n)) for Q in ec_points(E, r))
+    return {Q: k for Q, k in orders if k is not None and n % k == 0}
+
+
 def torsion_invariant_factors(E: ECurve, n: int, r: int = 1) -> tuple[int, int]:
     """Invariant factors (d1, d2) of the n-torsion subgroup of E(F_{q^r}):
     d1 is the exponent, d1*d2 the order (the group has rank at most 2)."""
-    pts = ec_points(E, r)
-    O = ec_infinity(extension_field(E.spec, r))
-    torsion = [Q for Q in pts if ec_scalar(E, n, Q) == O]
-    exponent = 1
-    for Q in torsion:
-        k, acc = 1, Q
-        while acc != O:
-            acc = ec_add(E, acc, Q)
-            k += 1
-        exponent = exponent * k // math.gcd(exponent, k)
+    torsion = _torsion(E, n, r)
+    exponent = math.lcm(*torsion.values())
     return exponent, len(torsion) // exponent
 
 
@@ -396,14 +368,10 @@ def enum_spf_actions(E: ECurve, n: int, r: int = 1) -> list[tuple[ECPoint, ...]]
     """All order-n subgroups of the n-torsion of E(F_{q^r}).  These are the
     translation groups realizing the stabilized-point-free actions of order n
     visible at level r; enumerated by incremental closure, no structure theory."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    ext = extension_field(E.spec, r)
-    O = ec_infinity(ext)
-    torsion = [P for P in ec_points(E, r) if ec_scalar(E, n, P) == O]
+    torsion = list(_torsion(E, n, r))
     subs = (
         tuple(sorted(H, key=by_code))
-        for H in subgroups_of_order(torsion, partial(ec_add, E), O, n)
+        for H in subgroups_of_order(torsion, partial(ec_add, E), ec_infinity(_level(E, r)), n)
     )
     return sorted(subs, key=lambda sub: tuple(P.code for P in sub))
 
@@ -457,7 +425,7 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
             checked += 1
             fibre_sizes = []
             for r in levels:
-                ext = extension_field(E.spec, r)
+                ext = _level(E, r)
                 phi = ECAut(E, ec_point_embed(P, ext), fq_embed(u, ext))
                 fibre = aut_fixed_points(E, phi, r)
                 fibre_sizes.append(len(fibre))
@@ -507,7 +475,7 @@ class Genus1FinitenessReport:
 def verify_genus1_finiteness(E: ECurve, S: Sequence[ECPoint], r: int = 1) -> Genus1FinitenessReport:
     if not S:
         raise ValueError("the stabilized locus bound needs a nonempty point set")
-    ext = extension_field(E.spec, r)
+    ext = _level(E, r)
     S_pts = tuple(sorted({ec_point_embed(P, ext) for P in S}, key=by_code))
     S_set = set(S_pts)
     one = fq_one(ext)
@@ -603,18 +571,3 @@ def render_ec_point(P: ECPoint) -> str:
     if P.is_zero:
         return "O"
     return f"({render_element(P.x)},{render_element(P.y)})"
-
-
-def parse_ec_point(E: ECurve, spec: FieldSpec, text: str) -> ECPoint:
-    text = text.strip()
-    if text == "O":
-        return ec_infinity(spec)
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"point must be O or (x,y), got {text!r}")
-    inner = text[1:-1]
-    parts = [int(t) for t in inner.split(",")]
-    if len(parts) != 2 * spec.n:
-        raise ValueError(f"point {text!r} does not hold two elements of F_{spec.p}^{spec.n}")
-    x = parse_element(spec, ",".join(str(v) for v in parts[: spec.n]))
-    y = parse_element(spec, ",".join(str(v) for v in parts[spec.n :]))
-    return ec_point(E, x, y)

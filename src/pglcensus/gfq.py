@@ -9,8 +9,8 @@ code k.  Arithmetic is table lookup.  Each field builds, once and on first
 use, antilog/log tables over a primitive element g and a Zech table
 k -> log(1 + g^k) (K. Huber, "Some comments on Zech's logarithms", IEEE
 Trans. Inf. Theory 36, 1990): a product adds two logs, a sum or difference
-adds a Zech log, and inverses, powers, orders, roots of unity and subfields
-are index arithmetic.  The tables take O(q) memory and time, which suits the
+adds a Zech log, and inverses, powers, roots of unity and subfields are
+index arithmetic.  The tables take O(q) memory and time, which suits the
 desk scale the package stays at (q up to ~10^4).  Irreducibility testing,
 root finding and subfield embeddings are done by exhaustive methods rather
 than probabilistic factorization.  Monic quadratics (the fixed-point
@@ -40,20 +40,9 @@ import itertools
 import math
 import operator
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
+from .closure import is_prime, order
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +460,6 @@ def field_elements(spec: FieldSpec) -> tuple[FqElem, ...]:
     return tuple(FqElem(spec, k) for k in range(spec.q))
 
 
-def element_order(a: FqElem) -> int:
-    """Multiplicative order of a nonzero element: m / gcd(log a, m)."""
-    if a.is_zero():
-        raise ValueError("zero has no multiplicative order")
-    t = a.spec._tables
-    return t.m // math.gcd(t.log[a.code], t.m)
-
-
 def subfield_elements(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
     """The p^d elements of the subfield F_{p^d} (d = sub_degree divides n) in
     canonical order: 0 and the powers of g^((q-1)/(p^d-1))."""
@@ -568,17 +549,17 @@ def roots_of_unity(spec: FieldSpec, n: int):
     return roots, has_primitive
 
 
-def minimal_extension_for_unity(spec: FieldSpec, n: int) -> int:
+# Far past any field the tables can hold, so the search only words a message.
+_UNITY_DEGREE_CAP = 64
+
+
+def minimal_extension_for_unity(spec: FieldSpec, n: int) -> Optional[int]:
     """Smallest r with n | q^r - 1, i.e. the least level where a primitive
-    n-th root of unity appears.  Undefined when p | n."""
+    n-th root of unity appears: the order of q mod n, or None past degree
+    _UNITY_DEGREE_CAP.  Undefined when p | n."""
     if n % spec.p == 0:
         raise ValueError(f"no n-th roots of unity for p | n (p={spec.p}, n={n})")
-    r = 1
-    acc = spec.q % n
-    while (acc - 1) % n != 0:
-        acc = (acc * (spec.q % n)) % n
-        r += 1
-    return r
+    return order(spec.q % n, lambda a, b: a * b % n, 1 % n, _UNITY_DEGREE_CAP)
 
 
 def primitive_root_of_unity(spec: FieldSpec, n: int) -> FqElem:
@@ -590,9 +571,10 @@ def primitive_root_of_unity(spec: FieldSpec, n: int) -> FqElem:
         raise ValueError(f"characteristic {spec.p} divides {n}: no primitive root exists")
     if (spec.q - 1) % n != 0:
         r = minimal_extension_for_unity(spec, n)
+        degree = f"is {r}" if r is not None else f"none up to degree {_UNITY_DEGREE_CAP}"
         raise ValueError(
             f"no primitive {n}-th root of unity in F_{spec.p}^{spec.n}; "
-            f"minimal sufficient extension degree is {r}"
+            f"minimal sufficient extension degree {degree}"
         )
     t = spec._tables
     step = t.m // n

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
+from .closure import order
 from .gfq import (
     CodedValue,
     FieldSpec,
@@ -267,15 +268,9 @@ def mob_conjugate(g: Moebius, m: Moebius) -> Moebius:
 
 def mob_order(m: Moebius) -> int:
     """Order in PGL2(F_q); always at most q^3 - q."""
-    ident = mob_identity(m.spec)
-    cap = m.spec.q ** 3 - m.spec.q
-    x = m
-    k = 1
-    while x != ident:
-        x = mob_compose(x, m)
-        k += 1
-        if k > max(cap, 1):
-            raise AssertionError("order exceeded |PGL2|, matrix arithmetic is broken")
+    k = order(m, mob_compose, mob_identity(m.spec), m.spec.q ** 3 - m.spec.q)
+    if k is None:
+        raise AssertionError("order exceeded |PGL2|, matrix arithmetic is broken")
     return k
 
 
@@ -480,11 +475,11 @@ def verify_p1fp(spec: FieldSpec) -> P1FPReport:
             continue
         checked += 1
         fixed = mob_fixed_points(m, 2)
-        order = mob_order(m)
+        k = mob_order(m)
         if len(fixed) not in (1, 2):
             violations.append(f"{render_moebius(m)}: {len(fixed)} fixed points")
-        if (len(fixed) == 1) != (order == spec.p):
+        if (len(fixed) == 1) != (k == spec.p):
             violations.append(
-                f"{render_moebius(m)}: order {order} with {len(fixed)} fixed points"
+                f"{render_moebius(m)}: order {k} with {len(fixed)} fixed points"
             )
     return P1FPReport(spec, spec.q ** 3 - spec.q, checked, tuple(violations))

@@ -17,7 +17,6 @@ lists at desk scale.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -138,10 +137,12 @@ def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL
     return _make_subgroup(target, out, H.tag)
 
 
-def conjugate_subgroup(H: SubgroupPGL2, g: Moebius, tag: Optional[str] = None) -> SubgroupPGL2:
+def conjugate_subgroup(H: SubgroupPGL2, g: Moebius) -> SubgroupPGL2:
     if g.spec is not H.spec:
         raise ValueError("conjugator must live in the subgroup's field")
-    return _make_subgroup(H.spec, (mob_conjugate(g, m) for m in H.elements), tag or H.tag)
+    if mob_is_identity(g):
+        return H
+    return _make_subgroup(H.spec, (mob_conjugate(g, m) for m in H.elements), H.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +177,18 @@ def std_dihedral(spec: FieldSpec, n: int) -> SubgroupPGL2:
         raise ValueError(f"characteristic {spec.p} divides {n}")
     if spec.p == 2 and n <= 1:
         raise ValueError(f"n must be greater than one in characteristic 2, got {n}")
-    H = close_generators([_diag(spec, primitive_root_of_unity(spec, n)), _swap(spec)])
+    H = close_generators([_diag(spec, primitive_root_of_unity(spec, n)), _swap(spec)], tag=f"dihedral:{n}")
     if H.order != 2 * n:
         raise AssertionError(f"dihedral closure has order {H.order}, expected {2 * n}")
-    return _make_subgroup(spec, H.elements, f"dihedral:{n}")
+    return H
+
+
+def _a4_generators(spec: FieldSpec) -> list[Moebius]:
+    """The Klein group {x, -x, 1/x, -1/x} and (x + z4)/(x - z4), z4 a
+    primitive fourth root of unity: generators of the tetrahedral group."""
+    z4 = primitive_root_of_unity(spec, 4)
+    one, zero = fq_one(spec), fq_zero(spec)
+    return [mob_make(zero, -one, one, zero), _swap(spec), mob_make(one, z4, one, -z4)]
 
 
 def std_A4(spec: FieldSpec) -> SubgroupPGL2:
@@ -187,27 +196,22 @@ def std_A4(spec: FieldSpec) -> SubgroupPGL2:
     (x + z4)/(x - z4) with z4 a primitive fourth root of unity.  Order 12."""
     if spec.p in (2, 3):
         raise ValueError(f"A4 model excluded in characteristic {spec.p}")
-    z4 = primitive_root_of_unity(spec, 4)
-    one, zero = fq_one(spec), fq_zero(spec)
-    n1 = mob_make(zero, -one, one, zero)
-    n2 = _swap(spec)
-    c = mob_make(one, z4, one, -z4)
-    H = close_generators([n1, n2, c])
+    H = close_generators(_a4_generators(spec), tag="A4")
     if H.order != 12:
         raise AssertionError(f"A4 closure has order {H.order}, expected 12")
-    return _make_subgroup(spec, H.elements, "A4")
+    return H
 
 
 def std_S4(spec: FieldSpec) -> SubgroupPGL2:
-    """The octahedral group: the A4 model together with diag(z4, 1).  Order 24."""
+    """The octahedral group: the A4 generators together with diag(z4, 1).
+    Order 24."""
     if spec.p in (2, 3):
         raise ValueError(f"S4 model excluded in characteristic {spec.p}")
     z4 = primitive_root_of_unity(spec, 4)
-    A4 = std_A4(spec)
-    H = close_generators(list(A4.elements) + [_diag(spec, z4)])
+    H = close_generators(_a4_generators(spec) + [_diag(spec, z4)], tag="S4")
     if H.order != 24:
         raise AssertionError(f"S4 closure has order {H.order}, expected 24")
-    return _make_subgroup(spec, H.elements, "S4")
+    return H
 
 
 def std_A5(spec: FieldSpec) -> SubgroupPGL2:
@@ -221,10 +225,10 @@ def std_A5(spec: FieldSpec) -> SubgroupPGL2:
     one = fq_one(spec)
     # 1 - z5 - z5^{-1}
     b = fq_one(spec) - z5 - fq_inv(z5)
-    H = close_generators([_diag(spec, z5), mob_make(one, b, one, -one)])
+    H = close_generators([_diag(spec, z5), mob_make(one, b, one, -one)], tag="A5")
     if H.order != 60:
         raise AssertionError(f"A5 closure has order {H.order}, expected 60")
-    return _make_subgroup(spec, H.elements, "A5")
+    return H
 
 
 def _subfield_fp_basis(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
@@ -246,16 +250,14 @@ def _transvections(spec: FieldSpec, sub_degree: int) -> list[Moebius]:
 def std_PSL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     """PSL2 of the subfield F_{p^d}, generated by the elementary transvections
     over an F_p-basis of the subfield.  Order (q0^3 - q0)/gcd(2, q0 - 1)."""
-    H = close_generators(_transvections(spec, sub_degree))
-    return _make_subgroup(spec, H.elements, f"PSL2:{sub_degree}")
+    return close_generators(_transvections(spec, sub_degree), tag=f"PSL2:{sub_degree}")
 
 
 def std_PGL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     """PGL2 of the subfield F_{p^d}: the PSL2 generators plus diag(delta, 1)
     for delta a multiplicative generator of the subfield.  Order q0^3 - q0."""
     delta = primitive_root_of_unity(spec, spec.p ** sub_degree - 1)
-    H = close_generators(_transvections(spec, sub_degree) + [_diag(spec, delta)])
-    return _make_subgroup(spec, H.elements, f"PGL2:{sub_degree}")
+    return close_generators(_transvections(spec, sub_degree) + [_diag(spec, delta)], tag=f"PGL2:{sub_degree}")
 
 
 def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
@@ -497,7 +499,3 @@ def subgroup_from_json(data: dict) -> SubgroupPGL2:
     if H.order != data["order"]:
         raise ValueError(f"generator closure has order {H.order}, record says {data['order']}")
     return H
-
-
-def subgroup_dumps(H: SubgroupPGL2, locus_ext: int = 2) -> str:
-    return json.dumps(subgroup_to_json(H, locus_ext), sort_keys=True)

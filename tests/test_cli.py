@@ -458,3 +458,21 @@ class TestOutputStream:
         assert proc.wait() in (0, 2)
         assert len(head) == 400
         assert b"Traceback" not in err and b"BrokenPipe" not in err
+
+
+# Usage errors that once took minutes: the root-of-unity order search that
+# only words the message, and a genus-1 level whose field F_{5^12} was built
+# before the point cap was checked.
+PROMPT_USAGE_ERRORS = [
+    ("build-group", "--field", "5^1", "--group", "cyclic:100000007"),
+    ("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "1,12"),
+    ("verify-genus1", "--curve", "5^1:a=1,b=1", "--ext", "12"),
+]
+
+
+@pytest.mark.parametrize("argv", PROMPT_USAGE_ERRORS, ids=" ".join)
+def test_usage_error_comes_at_once(argv):
+    cmd = [sys.executable, "-m", "pglcensus", *argv]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:")

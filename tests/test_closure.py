@@ -1,8 +1,11 @@
 import itertools
+import math
 
 import pytest
 
-from pglcensus.closure import close, subgroups_of_order
+from pglcensus.closure import close, order, subgroups_of_order
+from pglcensus.gfq import field_make
+from pglcensus.moebius import mob_compose, mob_identity, pgl2_elements
 
 
 def add_mod(n):
@@ -28,6 +31,36 @@ class TestClose:
     def test_cap(self):
         assert close([1], add_mod(12), {0}, cap=11) is None
         assert close([1], add_mod(12), {0}, cap=12) == set(range(12))
+
+
+def power_loop_order(x, op, identity):
+    """The order by plain repeated multiplication, with no cap."""
+    power, k = x, 1
+    while power != identity:
+        power, k = op(power, x), k + 1
+    return k
+
+
+class TestOrder:
+    def test_identity_has_order_one(self):
+        assert order(0, add_mod(12), 0, 1) == 1
+        assert order((0, 0), add_klein, (0, 0), 5) == 1
+
+    def test_none_past_the_cap(self):
+        assert order(1, add_mod(12), 0, 11) is None
+        assert order(1, add_mod(12), 0, 12) == 12
+        assert order(2, add_mod(12), 0, 5) is None
+
+    def test_every_element_of_z12(self):
+        for x in range(12):
+            assert order(x, add_mod(12), 0, 12) == 12 // math.gcd(x, 12)
+
+    @pytest.mark.parametrize("p,n", [(5, 1), (2, 3)], ids=["F5", "F8"])
+    def test_pgl2_maps_against_a_power_loop(self, p, n):
+        spec = field_make(p, n)
+        ident, cap = mob_identity(spec), spec.q ** 3 - spec.q
+        for g in pgl2_elements(spec):
+            assert order(g, mob_compose, ident, cap) == power_loop_order(g, mob_compose, ident)
 
 
 class TestSubgroupsOfOrder:
@@ -105,10 +138,7 @@ class TestNonAbelian:
         S4 = list(itertools.permutations(range(4)))
         identity = (0, 1, 2, 3)
 
-        def order(g):
-            return len(close([g], compose_perm, {identity}))
-
-        elements = sorted(S4, key=lambda g: -order(g))
+        elements = sorted(S4, key=lambda g: -order(g, compose_perm, identity, 24))
         pairs = {frozenset(close([a, b], compose_perm, {identity})) for a in S4 for b in S4}
         counts = []
         for k in (1, 2, 3, 4, 6, 8, 12, 24):

@@ -1,27 +1,24 @@
+import functools
 import itertools
 
 import pytest
 
+from pglcensus.closure import order
 from pglcensus.elliptic import (
     ECAut,
     ECPoint,
     ECurve,
     aut0,
-    aut_apply,
-    aut_compose,
     aut_fixed_points,
-    aut_inverse,
     count_auts_fixing,
     ec_add,
     ec_infinity,
     ec_neg,
     ec_point,
     ec_points,
-    ec_scalar,
     enum_spf_actions,
     kernel_one_minus_sigma,
     parse_curve,
-    parse_ec_point,
     render_curve,
     render_ec_point,
     standard_test_curves,
@@ -104,12 +101,14 @@ class TestPointsAndGroupLaw:
         for a, b, c in itertools.product(pts, repeat=3):
             assert ec_add(E, ec_add(E, a, b), c) == ec_add(E, a, ec_add(E, b, c))
 
-    def test_scalar_matches_repeated_addition(self):
+    def test_order_matches_repeated_addition(self):
+        O = ec_infinity(F5)
+        add = functools.partial(ec_add, E_GENERIC)
         for Q in ec_points(E_GENERIC, 1):
-            acc = ec_infinity(F5)
-            for k in range(1, 10):
-                acc = ec_add(E_GENERIC, acc, Q)
-                assert ec_scalar(E_GENERIC, k, Q) == acc
+            k, acc = 1, Q
+            while acc != O:
+                k, acc = k + 1, ec_add(E_GENERIC, acc, Q)
+            assert order(Q, add, O, len(ec_points(E_GENERIC, 1))) == k
 
 
 class TestPointIdentity:
@@ -207,21 +206,6 @@ class TestAut0:
 
 
 class TestAutomorphisms:
-    def test_semidirect_composition_law_is_a_group(self):
-        pts = ec_points(E_J1728, 1)
-        us = aut0(E_J1728, 1)
-        auts = [ECAut(E_J1728, Q, u) for Q in pts for u in us]
-        # identity, inverses, associativity, and compatibility with the action
-        ident = ECAut(E_J1728, ec_infinity(F5), fq_one(F5))
-        for f in auts:
-            assert aut_compose(f, aut_inverse(f)) == ident
-        for f, g in itertools.product(auts, repeat=2):
-            comp = aut_compose(f, g)
-            for Q in pts:
-                assert aut_apply(comp, Q) == aut_apply(f, aut_apply(g, Q))
-        for f, g, h in itertools.product(auts, repeat=3):
-            assert aut_compose(aut_compose(f, g), h) == aut_compose(f, aut_compose(g, h))
-
     def test_pure_translation_is_fixed_point_free(self):
         phi = ECAut(E_J1728, P(E_J1728, 0, 0), fq_one(F5))
         assert aut_fixed_points(E_J1728, phi, 1) == ()
@@ -287,7 +271,7 @@ class TestCountAutsFixing:
         rep = count_auts_fixing(E_GENERIC, P(E_GENERIC, 0, 1), 1)
         assert rep.count == 2
         parts = {render_ec_point(w.P) for w in rep.witnesses}
-        double = ec_scalar(E_GENERIC, 2, P(E_GENERIC, 0, 1))
+        double = ec_add(E_GENERIC, P(E_GENERIC, 0, 1), P(E_GENERIC, 0, 1))
         assert parts == {"O", render_ec_point(double)}
 
     @pytest.mark.parametrize("name,E", standard_test_curves(), ids=[n for n, _ in standard_test_curves()])
@@ -379,13 +363,3 @@ class TestGenus1Finiteness:
     def test_kernel_sizes_recorded(self):
         rep = verify_genus1_finiteness(E_J1728, [ec_infinity(F5)], 1)
         assert dict(rep.kernel_sizes)["4"] == 4  # doubling kernel
-
-
-class TestTextFormats:
-    def test_point_round_trip(self):
-        for Q in ec_points(E_J0, 1):
-            assert parse_ec_point(E_J0, F7, render_ec_point(Q)) == Q
-
-    def test_off_curve_point_rejected(self):
-        with pytest.raises(ValueError, match="not on"):
-            parse_ec_point(E_J1728, F5, "(1,1)")

@@ -41,7 +41,6 @@ from pglcensus.stdgroups import (
     std_gamma_semidirect,
     std_PGL2,
     std_PSL2,
-    subgroup_dumps,
     subgroup_from_json,
     subgroup_to_json,
 )
@@ -415,13 +414,14 @@ class TestSerialization:
     )
     def test_json_round_trip(self, build):
         H = build()
-        data = json.loads(subgroup_dumps(H))
+        data = json.loads(json.dumps(subgroup_to_json(H), sort_keys=True))
         K = subgroup_from_json(data)
         assert K.elements == H.elements and K.tag == H.tag
 
     def test_json_is_deterministic(self):
         H = std_cyclic(F5, 4)
-        assert subgroup_dumps(H) == subgroup_dumps(std_cyclic(F5, 4))
+        again = std_cyclic(F5, 4)
+        assert json.dumps(subgroup_to_json(H), sort_keys=True) == json.dumps(subgroup_to_json(again), sort_keys=True)
 
     def test_json_fields(self):
         data = subgroup_to_json(std_cyclic(F5, 4))
