@@ -85,6 +85,7 @@ from .elliptic import (
     abelian_subgroup_count,
     aut0,
     aut_fixed_points,
+    base_change,
     count_auts_fixing,
     ec_add,
     ec_neg,

@@ -34,6 +34,7 @@ from .census import (
 from .elliptic import (
     abelian_subgroup_count,
     aut0,
+    base_change,
     count_auts_fixing,
     ec_points,
     enum_spf_actions,
@@ -293,18 +294,15 @@ def _cmd_verify_genus1(args):
     ok = True
     for name, E in curves:
         dich = verify_fpf_dichotomy(E, levels)
-        pts = ec_points(E, args.ext)
-        auts = aut0(E, args.ext)
-        fixing_ok = all(count_auts_fixing(E, Q, args.ext).count == len(auts) for Q in pts)
+        Er = base_change(E, args.ext)
+        pts = ec_points(Er)
+        auts = aut0(Er)
+        fixing_ok = all(count_auts_fixing(Er, Q).count == len(auts) for Q in pts)
         spf_ok = all(
-            len(enum_spf_actions(E, n, args.ext))
-            == abelian_subgroup_count(torsion_invariant_factors(E, n, args.ext), n)
+            len(enum_spf_actions(Er, n)) == abelian_subgroup_count(torsion_invariant_factors(Er, n), n)
             for n in (1, 2, 3, 4)
         )
-        bounds = []
-        for Q in pts:
-            repf = verify_genus1_finiteness(E, [Q], args.ext)
-            bounds.append(repf.certified_bound)
+        bounds = [verify_genus1_finiteness(Er, [Q]).certified_bound for Q in pts]
         curve_ok = dich.ok and fixing_ok and spf_ok
         ok = ok and curve_ok
         rows.append(

@@ -9,9 +9,11 @@ after scaling by u, so (P, u)(Q) = sigma_u(Q) + P and composition is
 (P, u)(Q, v) = (P + sigma_u(Q), u v).
 
 Points are gfq.CodedValue instances, so they hash and sort by one int code
-(O first).  All point sets are exhausted at an explicit level r, i.e. over
-E(F_{q^r}); torsion, kernels and fixed-point fibres come from direct scans,
-never from division polynomials.
+(O first).  A curve has one field: every function here works over E.spec
+and refuses points or factors from another field.  To work over F_{q^r},
+take base_change(E, r), the same equation with its coefficients embedded.
+Point sets are exhausted over the curve's field; torsion, kernels and
+fixed-point fibres come from direct scans, never from division polynomials.
 
 Everything here powers exhaustive verification of the genus-1 finiteness
 facts: an automorphism is fixed point free iff it is a nontrivial pure
@@ -108,25 +110,26 @@ def ec_infinity(spec: FieldSpec) -> ECPoint:
     return ECPoint(spec, None, None)
 
 
-def _curve_coeffs(E: ECurve, spec: FieldSpec) -> tuple[FqElem, FqElem]:
-    return fq_embed(E.a, spec), fq_embed(E.b, spec)
+def _check_field(E: ECurve, spec: FieldSpec) -> None:
+    if spec is not E.spec:
+        raise ValueError(f"field mismatch: {spec!r} vs the curve's {E.spec!r}")
 
 
 def ec_point(E: ECurve, x: FqElem, y: FqElem) -> ECPoint:
-    """An affine point, checked against the curve equation over its field."""
-    if x.spec is not y.spec:
-        raise ValueError("coordinates live in different fields")
-    P = ECPoint(x.spec, x, y)
+    """An affine point, checked against the curve equation over E's field."""
+    _check_field(E, x.spec)
+    _check_field(E, y.spec)
+    P = ECPoint(E.spec, x, y)
     _check_on_curve(E, P)
     return P
 
 
 def _check_on_curve(E: ECurve, P: ECPoint) -> None:
+    _check_field(E, P.spec)
     if P.is_zero:
         return
-    a, b = _curve_coeffs(E, P.spec)
     lhs = fq_mul(P.y, P.y)
-    rhs = fq_add(fq_add(fq_mul(P.x, fq_mul(P.x, P.x)), fq_mul(a, P.x)), b)
+    rhs = fq_add(fq_add(fq_mul(P.x, fq_mul(P.x, P.x)), fq_mul(E.a, P.x)), E.b)
     if lhs != rhs:
         raise ValueError(f"{render_ec_point(P)} is not on {render_curve(E)}")
 
@@ -156,9 +159,8 @@ def ec_add(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
         if P1.y != P2.y or P1.y.is_zero():
             return ec_infinity(spec)  # vertical line
         # tangent slope (3x^2 + a) / 2y
-        a = fq_embed(E.a, spec)
         three_x2 = fq_mul(fq_from_int(spec, 3), fq_mul(P1.x, P1.x))
-        slope = fq_div(fq_add(three_x2, a), fq_mul(fq_from_int(spec, 2), P1.y))
+        slope = fq_div(fq_add(three_x2, E.a), fq_mul(fq_from_int(spec, 2), P1.y))
     else:
         slope = fq_div(fq_sub(P2.y, P1.y), fq_sub(P2.x, P1.x))
     x3 = fq_sub(fq_sub(fq_mul(slope, slope), P1.x), P2.x)
@@ -173,37 +175,40 @@ def ec_sub(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
 _POINT_CAP = 10_000
 
 
-def _level(E: ECurve, r: int) -> FieldSpec:
-    """F_{q^r}, refused before it is built when q^r passes _POINT_CAP: every
-    level-r computation here scans E(F_{q^r}) or the field itself."""
+@lru_cache(maxsize=None)
+def base_change(E: ECurve, r: int) -> ECurve:
+    """E over F_{q^r}, refused before the field is built when q^r passes
+    _POINT_CAP: every computation on a curve scans its points or its field."""
     if E.spec.q ** r > _POINT_CAP:
         raise ValueError(f"point enumeration capped at q^r <= {_POINT_CAP}, got {E.spec.q ** r}")
-    return extension_field(E.spec, r)
+    if r == 1:
+        return E
+    ext = extension_field(E.spec, r)
+    return ECurve(ext, fq_embed(E.a, ext), fq_embed(E.b, ext))
 
 
 @lru_cache(maxsize=None)
-def ec_points(E: ECurve, r: int = 1) -> tuple[ECPoint, ...]:
-    """All points of E(F_{q^r}), by scanning x and solving for y.  Sorted
-    canonically with O first."""
-    ext = _level(E, r)
-    a, b = _curve_coeffs(E, ext)
-    sqrt = _sqrt_table(ext)
-    pts = [ec_infinity(ext)]
-    for x in field_elements(ext):
-        rhs = fq_add(fq_add(fq_mul(x, fq_mul(x, x)), fq_mul(a, x)), b)
+def ec_points(E: ECurve) -> tuple[ECPoint, ...]:
+    """All points of E over its field, by scanning x and solving for y.
+    Sorted canonically with O first."""
+    spec = E.spec
+    sqrt = _sqrt_table(spec)
+    pts = [ec_infinity(spec)]
+    for x in field_elements(spec):
+        rhs = fq_add(fq_add(fq_mul(x, fq_mul(x, x)), fq_mul(E.a, x)), E.b)
         for y in sqrt.get(rhs.code, ()):
-            pts.append(ECPoint(ext, x, y))
+            pts.append(ECPoint(spec, x, y))
     return tuple(sorted(pts, key=by_code))
 
 
-def aut0(E: ECurve, r: int = 1) -> tuple[FqElem, ...]:
-    """The base-point-fixing automorphisms over F_{q^r}, as their scaling
+def aut0(E: ECurve) -> tuple[FqElem, ...]:
+    """The base-point-fixing automorphisms over E's field, as their scaling
     factors u (u^4 a = a, u^6 b = b), in code order: the 6th roots of unity
     if a = 0, the 4th if b = 0, else +-1.  Contains 1 and -1; has 2, 4 or 6
     members depending on whether a or b vanishes and which roots of unity are
     present."""
     d = 6 if E.a.is_zero() else 4 if E.b.is_zero() else 2
-    return tuple(roots_of_unity(_level(E, r), d)[0])
+    return tuple(roots_of_unity(E.spec, d)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +225,11 @@ class ECAut:
     u: FqElem
 
     def __post_init__(self):
+        _check_field(self.curve, self.u.spec)
         if self.u.is_zero():
             raise ValueError("scaling factor must be nonzero")
-        if self.P.spec is not self.u.spec:
-            raise ValueError("translation point and scaling factor live in different fields")
         _check_on_curve(self.curve, self.P)
-        a, b = _curve_coeffs(self.curve, self.u.spec)
+        a, b = self.curve.a, self.curve.b
         if fq_mul(fq_pow(self.u, 4), a) != a or fq_mul(fq_pow(self.u, 6), b) != b:
             raise ValueError("u is not an automorphism scaling factor for this curve")
 
@@ -249,67 +253,55 @@ def sigma_apply(u: FqElem, Q: ECPoint) -> ECPoint:
 
 
 @lru_cache(maxsize=None)
-def _one_minus_sigma_fibres(E: ECurve, u_code: int, r: int) -> dict:
-    """Fibres of Q -> Q - sigma_u(Q) on E(F_{q^r}), keyed by image point."""
-    ext = _level(E, r)
-    u = FqElem(ext, u_code)
+def _one_minus_sigma_fibres(E: ECurve, u: FqElem) -> dict[ECPoint, tuple[ECPoint, ...]]:
+    """Fibres of Q -> Q - sigma_u(Q) on the points of E, keyed by image
+    point.  Each fibre is nonempty and in point order."""
     fibres: dict = {}
-    for Q in ec_points(E, r):
-        img = ec_sub(E, Q, sigma_apply(u, Q))
-        fibres.setdefault(img, []).append(Q)
-    return fibres
+    for Q in ec_points(E):
+        fibres.setdefault(ec_sub(E, Q, sigma_apply(u, Q)), []).append(Q)
+    return {img: tuple(fibre) for img, fibre in fibres.items()}
 
 
-def aut_fixed_points(E: ECurve, phi: ECAut, r: int = 1) -> tuple[ECPoint, ...]:
-    """Fixed points of phi in E(F_{q^r}): the solutions of sigma_u(Q) + P = Q,
+def aut_fixed_points(phi: ECAut) -> tuple[ECPoint, ...]:
+    """Fixed points of phi on its curve: the solutions of sigma_u(Q) + P = Q,
     i.e. the fibre of (1 - sigma_u) over P.  The identity is rejected (it
     fixes everything); a nontrivial pure translation is fixed point free."""
     if phi.is_identity:
         raise ValueError("the identity automorphism fixes every point")
-    ext = _level(E, r)
-    P = ec_point_embed(phi.P, ext)
-    u = fq_embed(phi.u, ext)
-    if u == fq_one(ext):
+    if phi.u == fq_one(phi.u.spec):
         return ()  # translation by P != O
-    fibre = _one_minus_sigma_fibres(E, u.code, r).get(P, ())
-    return tuple(sorted(fibre, key=by_code))
+    return _one_minus_sigma_fibres(phi.curve, phi.u).get(phi.P, ())
 
 
-def kernel_one_minus_sigma(E: ECurve, u: FqElem, r: int = 1) -> tuple[ECPoint, ...]:
-    """ker(1 - sigma_u) inside E(F_{q^r}): the points with Q - sigma_u(Q) = O.
+def kernel_one_minus_sigma(E: ECurve, u: FqElem) -> tuple[ECPoint, ...]:
+    """ker(1 - sigma_u) inside the points of E: the Q with Q - sigma_u(Q) = O.
     Undefined for u = 1 (the map is zero)."""
     if u == fq_one(u.spec):
         raise ValueError("1 - sigma is the zero map for u = 1")
-    ext = _level(E, r)
-    uu = fq_embed(u, ext)
-    fibre = _one_minus_sigma_fibres(E, uu.code, r).get(ec_infinity(ext), ())
-    return tuple(sorted(fibre, key=by_code))
+    return _one_minus_sigma_fibres(E, u).get(ec_infinity(E.spec), ())
 
 
 @dataclass(frozen=True)
 class FixingAutsReport:
     """Automorphisms fixing one point: the closed-form witnesses (one
-    translation part per scaling factor, P = Q - sigma_u(Q)) cross-checked
-    against a full scan of E(F_{q^r}) x Aut_0."""
+    translation part per scaling factor, P = Q - sigma_u(Q)), which
+    count_auts_fixing cross-checks against a full scan of E x Aut_0."""
 
     point: ECPoint
     count: int
     witnesses: tuple[ECAut, ...]
-    scan_count: int
 
 
-def count_auts_fixing(E: ECurve, Q: ECPoint, r: int = 1) -> FixingAutsReport:
+def count_auts_fixing(E: ECurve, Q: ECPoint) -> FixingAutsReport:
     _check_on_curve(E, Q)
-    ext = _level(E, r)
-    Q = ec_point_embed(Q, ext)
-    us = aut0(E, r)
+    us = aut0(E)
     witnesses = []
     for u in us:
         P = ec_sub(E, Q, sigma_apply(u, Q))
         witnesses.append(ECAut(E, P, u))
     scan = 0
     for u in us:
-        for P in ec_points(E, r):
+        for P in ec_points(E):
             if ec_add(E, sigma_apply(u, Q), P) == Q:
                 scan += 1
     witnesses.sort(key=ec_aut_sort_key)
@@ -317,22 +309,22 @@ def count_auts_fixing(E: ECurve, Q: ECPoint, r: int = 1) -> FixingAutsReport:
         raise AssertionError(
             f"scan found {scan} automorphisms fixing {Q!r} but the closed form gives {len(witnesses)}"
         )
-    return FixingAutsReport(point=Q, count=len(witnesses), witnesses=tuple(witnesses), scan_count=scan)
+    return FixingAutsReport(point=Q, count=len(witnesses), witnesses=tuple(witnesses))
 
 
-def _torsion(E: ECurve, n: int, r: int) -> dict[ECPoint, int]:
-    """The points of E(F_{q^r})[n], in code order, each with its order."""
+def _torsion(E: ECurve, n: int) -> dict[ECPoint, int]:
+    """The points of E[n] over E's field, in code order, each with its order."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    add, O = partial(ec_add, E), ec_infinity(_level(E, r))
-    orders = ((Q, order(Q, add, O, n)) for Q in ec_points(E, r))
+    add, O = partial(ec_add, E), ec_infinity(E.spec)
+    orders = ((Q, order(Q, add, O, n)) for Q in ec_points(E))
     return {Q: k for Q, k in orders if k is not None and n % k == 0}
 
 
-def torsion_invariant_factors(E: ECurve, n: int, r: int = 1) -> tuple[int, int]:
-    """Invariant factors (d1, d2) of the n-torsion subgroup of E(F_{q^r}):
-    d1 is the exponent, d1*d2 the order (the group has rank at most 2)."""
-    torsion = _torsion(E, n, r)
+def torsion_invariant_factors(E: ECurve, n: int) -> tuple[int, int]:
+    """Invariant factors (d1, d2) of the n-torsion subgroup of E over its
+    field: d1 is the exponent, d1*d2 the order (the group has rank at most 2)."""
+    torsion = _torsion(E, n)
     exponent = math.lcm(*torsion.values())
     return exponent, len(torsion) // exponent
 
@@ -364,14 +356,15 @@ def abelian_subgroup_count(invariants: tuple[int, int], n: int) -> int:
     return sum(1 for s in subs if len(s) == n)
 
 
-def enum_spf_actions(E: ECurve, n: int, r: int = 1) -> list[tuple[ECPoint, ...]]:
-    """All order-n subgroups of the n-torsion of E(F_{q^r}).  These are the
-    translation groups realizing the stabilized-point-free actions of order n
-    visible at level r; enumerated by incremental closure, no structure theory."""
-    torsion = list(_torsion(E, n, r))
+def enum_spf_actions(E: ECurve, n: int) -> list[tuple[ECPoint, ...]]:
+    """All order-n subgroups of the n-torsion of E over its field.  These are
+    the translation groups realizing the stabilized-point-free actions of
+    order n visible over that field; enumerated by incremental closure, no
+    structure theory."""
+    torsion = list(_torsion(E, n))
     subs = (
         tuple(sorted(H, key=by_code))
-        for H in subgroups_of_order(torsion, partial(ec_add, E), ec_infinity(_level(E, r)), n)
+        for H in subgroups_of_order(torsion, partial(ec_add, E), ec_infinity(E.spec), n)
     )
     return sorted(subs, key=lambda sub: tuple(P.code for P in sub))
 
@@ -409,30 +402,30 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
         # with no level, every (P, u != 1) would count as free everywhere
         raise ValueError("need at least one level")
     one = fq_one(E.spec)
-    base_pts = ec_points(E, 1)
+    base_pts = ec_points(base_change(E, 1))  # the base scan is capped too
+    curves = [base_change(E, r) for r in levels]
     kernel_size = {
-        (u.code, r): len(kernel_one_minus_sigma(E, u, r))
-        for u in aut0(E, 1)
+        (u, r): len(kernel_one_minus_sigma(Er, fq_embed(u, Er.spec)))
+        for u in aut0(E)
         if u != one
-        for r in levels
+        for r, Er in zip(levels, curves)
     }
     violations = []
     checked = 0
-    for u in aut0(E, 1):
+    for u in aut0(E):
         for P in base_pts:
             if u == one and P.is_zero:
                 continue  # identity
             checked += 1
             fibre_sizes = []
-            for r in levels:
-                ext = _level(E, r)
-                phi = ECAut(E, ec_point_embed(P, ext), fq_embed(u, ext))
-                fibre = aut_fixed_points(E, phi, r)
+            for r, Er in zip(levels, curves):
+                phi = ECAut(Er, ec_point_embed(P, Er.spec), fq_embed(u, Er.spec))
+                fibre = aut_fixed_points(phi)
                 fibre_sizes.append(len(fibre))
-                if u != one and fibre and len(fibre) != kernel_size[(u.code, r)]:
+                if u != one and fibre and len(fibre) != kernel_size[(u, r)]:
                     violations.append(
                         f"(P={render_ec_point(P)}, u={render_element(u)}) at r={r}: "
-                        f"fibre size {len(fibre)} != kernel size {kernel_size[(u.code, r)]}"
+                        f"fibre size {len(fibre)} != kernel size {kernel_size[(u, r)]}"
                     )
             free_everywhere = all(s == 0 for s in fibre_sizes)
             expected_free = (u == one) and not P.is_zero
@@ -450,20 +443,19 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
 
 @dataclass(frozen=True)
 class Genus1FinitenessReport:
-    """Certificate that only finitely many level-r group actions can have a
-    nonempty stabilized locus inside S.
+    """Certificate that only finitely many group actions over E's field can
+    have a nonempty stabilized locus inside S.
 
     fixing: the non-identity automorphisms whose (nonempty) fixed locus lies
     inside S.  compatible_translations: per such phi = (P, u), the
     translations psi = (Q, 1) whose composite with phi still has its fixed
-    fibre inside S; an empty fibre at level r means the composite's fixed
-    points live beyond level r, hence outside S, so such psi are excluded.
-    Any admissible action is a subgroup of {identity} + fixing + those
+    fibre inside S; an empty fibre means the composite's fixed points lie
+    beyond E's field, hence outside S, so such psi are excluded.  Any
+    admissible action is a subgroup of {identity} + fixing + those
     translations, which bounds the number of actions by 2^admissible_count.
     """
 
     curve: ECurve
-    level: int
     locus: tuple[ECPoint, ...]
     fixing: tuple[tuple[ECAut, tuple[ECPoint, ...]], ...]
     compatible_translations: tuple[tuple[ECAut, tuple[ECPoint, ...]], ...]
@@ -472,58 +464,41 @@ class Genus1FinitenessReport:
     certified_bound: int
 
 
-def verify_genus1_finiteness(E: ECurve, S: Sequence[ECPoint], r: int = 1) -> Genus1FinitenessReport:
+def verify_genus1_finiteness(E: ECurve, S: Sequence[ECPoint]) -> Genus1FinitenessReport:
+    """Read off the fibres of 1 - sigma_u, for each u != 1 in Aut_0: (P, u)
+    fixes a nonempty set inside S exactly when P lies in A_u, the images
+    whose fibre lies inside S.  Translating (P, u) by Q gives (P + Q, u), so
+    the compatible translations of (P, u) are the P' - P, P' != P in A_u."""
     if not S:
         raise ValueError("the stabilized locus bound needs a nonempty point set")
-    ext = _level(E, r)
-    S_pts = tuple(sorted({ec_point_embed(P, ext) for P in S}, key=by_code))
-    S_set = set(S_pts)
-    one = fq_one(ext)
+    for Q in S:
+        _check_on_curve(E, Q)
+    S_set = set(S)
+    S_pts = tuple(sorted(S_set, key=by_code))
+    one = fq_one(E.spec)
 
-    fixing = []
-    seen = set()
-    for Q in S_pts:
-        for u in aut0(E, r):
-            P = ec_sub(E, Q, sigma_apply(u, Q))
-            phi = ECAut(E, P, u)
-            if phi.is_identity or phi in seen:
-                continue
-            seen.add(phi)
-            fixed = aut_fixed_points(E, phi, r)
-            if fixed and set(fixed) <= S_set:
-                fixing.append((phi, fixed))
-    fixing.sort(key=lambda pair: ec_aut_sort_key(pair[0]))
-
-    compatible = []
-    for phi, _ in fixing:
-        if phi.u == one:
+    certified = []
+    kernel_sizes = []
+    for u in aut0(E):
+        if u == one:
             continue  # translations have no fixed points; cannot appear here
-        good = []
-        for Q in ec_points(E, r):
-            if Q.is_zero:
-                continue
-            shifted = ECAut(E, ec_add(E, phi.P, Q), phi.u)
-            fibre = aut_fixed_points(E, shifted, r)
-            if fibre and set(fibre) <= S_set:
-                good.append(Q)
-        compatible.append((phi, tuple(sorted(good, key=by_code))))
+        fibres = _one_minus_sigma_fibres(E, u)
+        kernel_sizes.append((render_element(u), len(kernel_one_minus_sigma(E, u))))
+        images = {ec_sub(E, Q, sigma_apply(u, Q)) for Q in S_pts}
+        A_u = [P for P in images if S_set.issuperset(fibres[P])]
+        for P in A_u:
+            shifts = tuple(sorted((ec_sub(E, P2, P) for P2 in A_u if P2 != P), key=by_code))
+            certified.append((ECAut(E, P, u), fibres[P], shifts))
+    certified.sort(key=lambda entry: ec_aut_sort_key(entry[0]))
 
-    kernel_sizes = tuple(
-        (render_element(u), len(kernel_one_minus_sigma(E, u, r)))
-        for u in aut0(E, r)
-        if u != one
-    )
-    translations = set()
-    for _, qs in compatible:
-        translations.update(qs)
-    admissible = 1 + len(fixing) + len(translations)
+    translations = {Q for _, _, shifts in certified for Q in shifts}
+    admissible = 1 + len(certified) + len(translations)
     return Genus1FinitenessReport(
         curve=E,
-        level=r,
         locus=S_pts,
-        fixing=tuple(fixing),
-        compatible_translations=tuple(compatible),
-        kernel_sizes=kernel_sizes,
+        fixing=tuple((phi, fixed) for phi, fixed, _ in certified),
+        compatible_translations=tuple((phi, shifts) for phi, _, shifts in certified),
+        kernel_sizes=tuple(kernel_sizes),
         admissible_count=admissible,
         certified_bound=2 ** admissible,
     )

@@ -240,14 +240,14 @@ def test_criterion_7_genus1_suite():
     for name, E in standard_test_curves():
         dich = verify_fpf_dichotomy(E, levels=(1, 2, 3))
         assert dich.ok, (name, dich.violations)
-        n_aut = len(aut0(E, 1))
-        for Q in ec_points(E, 1):
-            assert count_auts_fixing(E, Q, 1).count == n_aut
+        n_aut = len(aut0(E))
+        for Q in ec_points(E):
+            assert count_auts_fixing(E, Q).count == n_aut
         for n in (1, 2, 3, 4):
-            expected = abelian_subgroup_count(torsion_invariant_factors(E, n, 1), n)
-            assert len(enum_spf_actions(E, n, 1)) == expected
-        for Q in ec_points(E, 1):
-            rep = verify_genus1_finiteness(E, [Q], 1)
+            expected = abelian_subgroup_count(torsion_invariant_factors(E, n), n)
+            assert len(enum_spf_actions(E, n)) == expected
+        for Q in ec_points(E):
+            rep = verify_genus1_finiteness(E, [Q])
             assert rep.certified_bound >= 2
             assert rep.certified_bound == 2 ** rep.admissible_count
     print("ACCEPTANCE 7: genus-1 exhaustive suite over the versioned curves -- PASS")

@@ -419,6 +419,66 @@ def test_malformed_input_exits_without_traceback(argv):
     assert exit_code(argv) in (0, 1, 2)
 
 
+# Every form of the tag grammar, swept through the group commands over the
+# small fields: whatever the answer, it is an exit code, never a traceback.
+SWEEP_FIELDS = ["2^1", "2^2", "2^3", "3^1", "3^2", "5^1", "7^1"]
+SWEEP_TAGS = [
+    *(f"cyclic:{n}" for n in range(1, 6)),
+    *(f"dihedral:{n}" for n in range(1, 5)),
+    "A4",
+    "S4",
+    "A5",
+    "PSL2:1",
+    "PSL2:2",
+    "PGL2:1",
+    "PGL2:2",
+    *(f"Zp^{m}" for m in range(3)),
+    "gamma:1:1",
+    "gamma:1:2",
+    "gamma:1:3",
+    "gamma:2:3",
+    "gamma:1:4",
+    "gamma:0:1",
+]
+SWEEP_COMMANDS = {
+    "build-group": ("build-group",),
+    "locus": ("locus",),
+    "census-0,inf": ("census", "--locus", "0,inf"),
+    "census-inf": ("census", "--locus", "inf"),
+    "census-empty": ("census", "--locus", ""),
+}
+
+
+def _escaped(argvs):
+    """The command lines whose run ends in an exit code outside {0, 1, 2} or
+    in an exception that escapes cli.main, with what happened."""
+    bad = []
+    for argv in argvs:
+        try:
+            code = exit_code(argv)
+        except Exception as err:  # the defect under test: report every one
+            bad.append((" ".join(argv), repr(err)))
+            continue
+        if code not in (0, 1, 2):
+            bad.append((" ".join(argv), code))
+    return bad
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS)
+@pytest.mark.parametrize("command", sorted(SWEEP_COMMANDS))
+def test_tag_sweep_exits_without_traceback(command, field):
+    argvs = [(*SWEEP_COMMANDS[command], "--field", field, "--group", tag) for tag in SWEEP_TAGS]
+    assert _escaped(argvs) == []
+
+
+@pytest.mark.parametrize("ext", ["1", "2"])
+def test_genus1_sweep_exits_without_traceback(ext):
+    curves = [f"5^1:a={a},b={b}" for a in range(5) for b in range(5) if (4 * a ** 3 + 27 * b ** 2) % 5]
+    assert len(curves) == 20  # the nonsingular curves over F5
+    argvs = [("verify-genus1", "--curve", c, "--ext", ext, "--levels", "1-2") for c in curves]
+    assert _escaped(argvs) == []
+
+
 @pytest.mark.parametrize("argv", NON_PRIME_P, ids=" ".join)
 def test_non_prime_p_is_a_usage_error(argv, capsys):
     assert exit_code(argv) == 2

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -10,17 +11,22 @@ from pglcensus.elliptic import (
     ECurve,
     aut0,
     aut_fixed_points,
+    base_change,
     count_auts_fixing,
     ec_add,
+    ec_aut_sort_key,
     ec_infinity,
     ec_neg,
     ec_point,
+    ec_point_embed,
     ec_points,
+    ec_sub,
     enum_spf_actions,
     kernel_one_minus_sigma,
     parse_curve,
     render_curve,
     render_ec_point,
+    sigma_apply,
     standard_test_curves,
     verify_fpf_dichotomy,
     verify_genus1_finiteness,
@@ -35,6 +41,7 @@ from pglcensus.gfq import (
     fq_one,
     fq_pow,
     fq_zero,
+    render_element,
 )
 from pglcensus.moebius import pp1_infinity
 
@@ -72,16 +79,13 @@ class TestCurveConstruction:
 
 class TestPointsAndGroupLaw:
     def test_point_sets(self):
-        assert [render_ec_point(Q) for Q in ec_points(E_J1728, 1)] == ["O", "(0,0)", "(2,0)", "(3,0)"]
-        assert len(ec_points(E_GENERIC, 1)) == 9
-        assert len(ec_points(E_J0, 1)) == 12
+        assert [render_ec_point(Q) for Q in ec_points(E_J1728)] == ["O", "(0,0)", "(2,0)", "(3,0)"]
+        assert len(ec_points(E_GENERIC)) == 9
+        assert len(ec_points(E_J0)) == 12
 
     def test_level_two_contains_level_one(self):
-        from pglcensus.gfq import extension_field
-        from pglcensus.elliptic import ec_point_embed
-
-        lvl2 = set(ec_points(E_J1728, 2))
-        for Q in ec_points(E_J1728, 1):
+        lvl2 = set(ec_points(base_change(E_J1728, 2)))
+        for Q in ec_points(E_J1728):
             assert ec_point_embed(Q, extension_field(F5, 2)) in lvl2
 
     def test_two_torsion_addition(self):
@@ -89,13 +93,13 @@ class TestPointsAndGroupLaw:
 
     def test_identity_and_inverse(self):
         O = ec_infinity(F5)
-        for Q in ec_points(E_GENERIC, 1):
+        for Q in ec_points(E_GENERIC):
             assert ec_add(E_GENERIC, Q, O) == Q
             assert ec_add(E_GENERIC, Q, ec_neg(E_GENERIC, Q)) == O
 
     @pytest.mark.parametrize("E", [E_J1728, E_GENERIC], ids=["j1728", "generic"])
     def test_associativity_and_commutativity_exhaustive(self, E):
-        pts = ec_points(E, 1)
+        pts = ec_points(E)
         for a, b in itertools.product(pts, repeat=2):
             assert ec_add(E, a, b) == ec_add(E, b, a)
         for a, b, c in itertools.product(pts, repeat=3):
@@ -104,11 +108,11 @@ class TestPointsAndGroupLaw:
     def test_order_matches_repeated_addition(self):
         O = ec_infinity(F5)
         add = functools.partial(ec_add, E_GENERIC)
-        for Q in ec_points(E_GENERIC, 1):
+        for Q in ec_points(E_GENERIC):
             k, acc = 1, Q
             while acc != O:
                 k, acc = k + 1, ec_add(E_GENERIC, acc, Q)
-            assert order(Q, add, O, len(ec_points(E_GENERIC, 1))) == k
+            assert order(Q, add, O, len(ec_points(E_GENERIC))) == k
 
 
 class TestPointIdentity:
@@ -116,7 +120,7 @@ class TestPointIdentity:
     1 + x q + y over the coordinate codes."""
 
     def test_equal_iff_same_coordinates(self):
-        pts = ec_points(E_J0, 2)
+        pts = ec_points(base_change(E_J0, 2))
         for Q1 in pts:
             for Q2 in pts:
                 assert (Q1 == Q2) == ((Q1.x, Q1.y) == (Q2.x, Q2.y))
@@ -156,16 +160,25 @@ class TestPointIdentity:
         for y in field_elements(ext):
             squares[y * y] = squares.get(y * y, 0) + 1
         count = 1 + sum(squares.get(fq_pow(x, 3) + a * x + b, 0) for x in field_elements(ext))
-        assert len(set(ec_points(E, r))) == len(ec_points(E, r)) == count
+        Er = base_change(E, r)
+        assert len(set(ec_points(Er))) == len(ec_points(Er)) == count
 
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_code_order_is_the_coordinate_order(self, name):
         def old_key(Q):
             return (0, 0, 0) if Q.is_zero else (1, Q.x.code, Q.y.code)
 
-        pts = list(ec_points(CURVES[name], 2))
+        pts = list(ec_points(base_change(CURVES[name], 2)))
         assert pts == sorted(pts, key=old_key)
         assert sorted(reversed(pts), key=by_code) == pts
+
+
+def _nonsingular_curves(spec):
+    for a, b in itertools.product(field_elements(spec), repeat=2):
+        try:
+            yield ECurve(spec, a, b)
+        except ValueError:
+            continue  # singular
 
 
 def _aut0_scan(E, r):
@@ -184,91 +197,83 @@ class TestAut0:
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("spec", [F5, F7], ids=["F5", "F7"])
     def test_roots_of_unity_match_the_scan(self, spec, r):
-        checked = 0
-        for a, b in itertools.product(field_elements(spec), repeat=2):
-            try:
-                E = ECurve(spec, a, b)
-            except ValueError:
-                continue  # singular
-            assert aut0(E, r) == _aut0_scan(E, r)
-            checked += 1
-        assert checked == spec.q * (spec.q - 1)  # the nonsingular (a, b) over F_q
+        curves = list(_nonsingular_curves(spec))
+        for E in curves:
+            assert aut0(base_change(E, r)) == _aut0_scan(E, r)
+        assert len(curves) == spec.q * (spec.q - 1)  # the nonsingular (a, b) over F_q
 
     def test_generic_curve_has_only_negation(self):
-        us = aut0(E_GENERIC, 1)
+        us = aut0(E_GENERIC)
         assert [u.coeffs[0] for u in us] == [1, 4]
 
     def test_j1728_has_four(self):
-        assert [u.coeffs[0] for u in aut0(E_J1728, 1)] == [1, 2, 3, 4]
+        assert [u.coeffs[0] for u in aut0(E_J1728)] == [1, 2, 3, 4]
 
     def test_j0_has_six(self):
-        assert len(aut0(E_J0, 1)) == 6
+        assert len(aut0(E_J0)) == 6
 
 
 class TestAutomorphisms:
     def test_pure_translation_is_fixed_point_free(self):
         phi = ECAut(E_J1728, P(E_J1728, 0, 0), fq_one(F5))
-        assert aut_fixed_points(E_J1728, phi, 1) == ()
-        assert aut_fixed_points(E_J1728, phi, 2) == ()
+        assert aut_fixed_points(phi) == ()
+        E2 = base_change(E_J1728, 2)
+        phi2 = ECAut(E2, ec_point_embed(phi.P, E2.spec), fq_one(E2.spec))
+        assert aut_fixed_points(phi2) == ()
 
     def test_negation_fixes_two_torsion(self):
         phi = ECAut(E_J1728, ec_infinity(F5), fq_from_int(F5, 4))
-        assert len(aut_fixed_points(E_J1728, phi, 1)) == 4
+        assert len(aut_fixed_points(phi)) == 4
 
     def test_identity_signalled(self):
         with pytest.raises(ValueError, match="identity"):
-            aut_fixed_points(E_J1728, ECAut(E_J1728, ec_infinity(F5), fq_one(F5)), 1)
+            aut_fixed_points(ECAut(E_J1728, ec_infinity(F5), fq_one(F5)))
 
     def test_off_curve_translation_rejected(self):
-        from pglcensus.elliptic import ECPoint
-
         bad = ECPoint(F5, fq_one(F5), fq_one(F5))  # (1,1) is not on y^2 = x^3 + x
         with pytest.raises(ValueError, match="not on"):
             ECAut(E_J1728, bad, fq_one(F5))
         with pytest.raises(ValueError, match="not on"):
-            count_auts_fixing(E_J1728, bad, 1)
+            count_auts_fixing(E_J1728, bad)
 
     def test_kernel_of_doubling(self):
-        ker = kernel_one_minus_sigma(E_J1728, fq_from_int(F5, 4), 1)
+        ker = kernel_one_minus_sigma(E_J1728, fq_from_int(F5, 4))
         assert len(ker) == 4  # full rational two-torsion
 
     def test_kernel_of_zeta4(self):
-        ker = kernel_one_minus_sigma(E_J1728, fq_from_int(F5, 2), 1)
+        ker = kernel_one_minus_sigma(E_J1728, fq_from_int(F5, 2))
         assert {render_ec_point(Q) for Q in ker} == {"O", "(0,0)"}
-        assert len(ec_points(E_J1728, 1)) % len(ker) == 0
+        assert len(ec_points(E_J1728)) % len(ker) == 0
 
     def test_kernel_rejects_u_one(self):
         with pytest.raises(ValueError):
-            kernel_one_minus_sigma(E_J1728, fq_one(F5), 1)
+            kernel_one_minus_sigma(E_J1728, fq_one(F5))
 
     def test_nonempty_fixed_sets_are_kernel_cosets(self):
         for r in (1, 2):
-            for u in aut0(E_J1728, 1):
+            Er = base_change(E_J1728, r)
+            for u in aut0(E_J1728):
                 if u == fq_one(F5):
                     continue
-                ker = kernel_one_minus_sigma(E_J1728, u, r)
-                for Q in ec_points(E_J1728, 1):
-                    from pglcensus.gfq import extension_field, fq_embed
-                    from pglcensus.elliptic import ec_point_embed
-
-                    ext = extension_field(F5, r)
-                    phi = ECAut(E_J1728, ec_point_embed(Q, ext), fq_embed(u, ext))
-                    fixed = aut_fixed_points(E_J1728, phi, r)
+                ker = kernel_one_minus_sigma(Er, fq_embed(u, Er.spec))
+                for Q in ec_points(E_J1728):
+                    phi = ECAut(Er, ec_point_embed(Q, Er.spec), fq_embed(u, Er.spec))
+                    fixed = aut_fixed_points(phi)
                     assert len(fixed) in (0, len(ker))
 
 
 class TestCountAutsFixing:
     def test_base_point(self):
-        rep = count_auts_fixing(E_J1728, ec_infinity(F5), 1)
+        rep = count_auts_fixing(E_J1728, ec_infinity(F5))
         assert rep.count == 4
         assert all(w.P.is_zero for w in rep.witnesses)
 
     def test_two_torsion_point(self):
-        rep = count_auts_fixing(E_J1728, P(E_J1728, 0, 0), 1)
+        rep = count_auts_fixing(E_J1728, P(E_J1728, 0, 0))
         assert rep.count == 4
 
     def test_generic_point(self):
-        rep = count_auts_fixing(E_GENERIC, P(E_GENERIC, 0, 1), 1)
+        rep = count_auts_fixing(E_GENERIC, P(E_GENERIC, 0, 1))
         assert rep.count == 2
         parts = {render_ec_point(w.P) for w in rep.witnesses}
         double = ec_add(E_GENERIC, P(E_GENERIC, 0, 1), P(E_GENERIC, 0, 1))
@@ -276,19 +281,19 @@ class TestCountAutsFixing:
 
     @pytest.mark.parametrize("name,E", standard_test_curves(), ids=[n for n, _ in standard_test_curves()])
     def test_every_point_fixed_by_aut0_many(self, name, E):
-        size = len(aut0(E, 1))
-        for Q in ec_points(E, 1):
-            assert count_auts_fixing(E, Q, 1).count == size
+        size = len(aut0(E))
+        for Q in ec_points(E):
+            assert count_auts_fixing(E, Q).count == size
 
 
 class TestSpfActions:
     def test_counts_on_j1728(self):
-        assert len(enum_spf_actions(E_J1728, 2, 1)) == 3
-        assert len(enum_spf_actions(E_J1728, 1, 1)) == 1
-        assert len(enum_spf_actions(E_J1728, 3, 1)) == 0
+        assert len(enum_spf_actions(E_J1728, 2)) == 3
+        assert len(enum_spf_actions(E_J1728, 1)) == 1
+        assert len(enum_spf_actions(E_J1728, 3)) == 0
 
     def test_subgroups_really_are_subgroups(self):
-        for sub in enum_spf_actions(E_J0, 2, 1) + enum_spf_actions(E_J0, 3, 1):
+        for sub in enum_spf_actions(E_J0, 2) + enum_spf_actions(E_J0, 3):
             members = set(sub)
             for a, b in itertools.product(sub, repeat=2):
                 assert ec_add(E_J0, a, b) in members
@@ -297,9 +302,9 @@ class TestSpfActions:
         from pglcensus.elliptic import torsion_invariant_factors
 
         # E_J1728(F5) is the Klein group: full 2-torsion (2, 2)
-        assert torsion_invariant_factors(E_J1728, 2, 1) == (2, 2)
+        assert torsion_invariant_factors(E_J1728, 2) == (2, 2)
         # E_GENERIC(F5) has order 9 with no 2-torsion
-        assert torsion_invariant_factors(E_GENERIC, 2, 1) == (1, 1)
+        assert torsion_invariant_factors(E_GENERIC, 2) == (1, 1)
 
     def test_abelian_subgroup_count_known_groups(self):
         from pglcensus.elliptic import abelian_subgroup_count
@@ -314,9 +319,9 @@ class TestSpfActions:
     def test_counts_match_abstract_subgroup_counts(self, name, E, n):
         from pglcensus.elliptic import abelian_subgroup_count, torsion_invariant_factors
 
-        invariants = torsion_invariant_factors(E, n, 1)
+        invariants = torsion_invariant_factors(E, n)
         expected = abelian_subgroup_count(invariants, n)
-        assert len(enum_spf_actions(E, n, 1)) == expected
+        assert len(enum_spf_actions(E, n)) == expected
 
 
 class TestFpfDichotomy:
@@ -334,10 +339,10 @@ class TestFpfDichotomy:
 class TestGenus1Finiteness:
     def test_rejects_empty_locus(self):
         with pytest.raises(ValueError):
-            verify_genus1_finiteness(E_J1728, [], 1)
+            verify_genus1_finiteness(E_J1728, [])
 
     def test_generic_singleton_base_point(self):
-        rep = verify_genus1_finiteness(E_GENERIC, [ec_infinity(F5)], 1)
+        rep = verify_genus1_finiteness(E_GENERIC, [ec_infinity(F5)])
         # the only non-identity automorphism with fixed locus inside {O} is
         # negation, and no nontrivial translation is compatible with it
         assert len(rep.fixing) == 1
@@ -349,17 +354,115 @@ class TestGenus1Finiteness:
         assert rep.certified_bound == 4
 
     def test_full_rational_locus_is_still_finite(self):
-        rep = verify_genus1_finiteness(E_J1728, list(ec_points(E_J1728, 1)), 1)
-        assert rep.admissible_count <= len(ec_points(E_J1728, 1)) * len(aut0(E_J1728, 1)) + 1
+        rep = verify_genus1_finiteness(E_J1728, list(ec_points(E_J1728)))
+        assert rep.admissible_count <= len(ec_points(E_J1728)) * len(aut0(E_J1728)) + 1
         assert rep.certified_bound == 2 ** rep.admissible_count
 
     @pytest.mark.parametrize("name,E", standard_test_curves(), ids=[n for n, _ in standard_test_curves()])
     def test_every_singleton_gets_a_bound(self, name, E):
-        for Q in ec_points(E, 1):
-            rep = verify_genus1_finiteness(E, [Q], 1)
+        for Q in ec_points(E):
+            rep = verify_genus1_finiteness(E, [Q])
             assert rep.certified_bound >= 2
             assert rep.admissible_count >= 1
 
     def test_kernel_sizes_recorded(self):
-        rep = verify_genus1_finiteness(E_J1728, [ec_infinity(F5)], 1)
+        rep = verify_genus1_finiteness(E_J1728, [ec_infinity(F5)])
         assert dict(rep.kernel_sizes)["4"] == 4  # doubling kernel
+
+
+class TestBaseChange:
+    def test_level_one_is_the_curve_itself(self):
+        # equal, not identical: an equal curve may already sit in the cache
+        assert base_change(E_J1728, 1) == E_J1728
+
+    def test_coefficients_are_embedded(self):
+        E2 = base_change(E_J0, 2)
+        assert E2.spec is extension_field(F7, 2)
+        assert (E2.a, E2.b) == (fq_embed(E_J0.a, E2.spec), fq_embed(E_J0.b, E2.spec))
+        assert base_change(E_J0, 2) is E2
+
+    def test_cap_refused_before_the_field_is_built(self):
+        with pytest.raises(ValueError, match=r"capped at q\^r <= 10000, got 244140625"):
+            base_change(E_GENERIC, 12)
+
+    def test_bad_degree_is_a_usage_error(self):
+        for r in (0, -1):
+            with pytest.raises(ValueError, match="extension degree"):
+                base_change(E_GENERIC, r)
+
+
+class TestFieldMismatch:
+    """Points and scaling factors must live in the curve's own field."""
+
+    E2 = base_change(E_J1728, 2)
+    F25 = extension_field(F5, 2)
+
+    def test_point_coordinates(self):
+        with pytest.raises(ValueError, match="field mismatch"):
+            ec_point(self.E2, fq_zero(F5), fq_zero(F5))
+        with pytest.raises(ValueError, match="field mismatch"):
+            ec_point(E_J1728, fq_zero(self.F25), fq_zero(self.F25))
+
+    def test_automorphism_factors(self):
+        with pytest.raises(ValueError, match="field mismatch"):
+            ECAut(self.E2, ec_infinity(self.F25), fq_from_int(F5, 4))
+        with pytest.raises(ValueError, match="field mismatch"):
+            ECAut(self.E2, ec_infinity(F5), fq_embed(fq_from_int(F5, 4), self.F25))
+
+    def test_points_given_to_scans(self):
+        base_O = ec_infinity(F5)
+        with pytest.raises(ValueError, match="field mismatch"):
+            count_auts_fixing(self.E2, base_O)
+        with pytest.raises(ValueError, match="field mismatch"):
+            verify_genus1_finiteness(self.E2, [base_O])
+
+
+def reference_certificate(E, S):
+    """The finiteness certificate by the E-wide scan: every (P, u) fixing a
+    point of S whose fixed fibre lies inside S, and, per such (P, u), every
+    translation Q != O whose composite (P + Q, u) still fixes a nonempty
+    subset of S.  Returns fixing, compatible translations, kernel sizes and
+    the admissible count."""
+    S_set = set(S)
+    one = fq_one(E.spec)
+    fixing, seen = [], set()
+    for Q in sorted(S_set, key=by_code):
+        for u in aut0(E):
+            phi = ECAut(E, ec_sub(E, Q, sigma_apply(u, Q)), u)
+            if phi.is_identity or phi in seen:
+                continue
+            seen.add(phi)
+            fixed = aut_fixed_points(phi)
+            if fixed and set(fixed) <= S_set:
+                fixing.append((phi, fixed))
+    fixing.sort(key=lambda pair: ec_aut_sort_key(pair[0]))
+    compatible = []
+    for phi, _ in fixing:
+        good = []
+        for Q in ec_points(E):
+            if Q.is_zero:
+                continue
+            fibre = aut_fixed_points(ECAut(E, ec_add(E, phi.P, Q), phi.u))
+            if fibre and set(fibre) <= S_set:
+                good.append(Q)
+        compatible.append((phi, tuple(sorted(good, key=by_code))))
+    kernel_sizes = tuple((render_element(u), len(kernel_one_minus_sigma(E, u))) for u in aut0(E) if u != one)
+    translations = {Q for _, qs in compatible for Q in qs}
+    return tuple(fixing), tuple(compatible), kernel_sizes, 1 + len(fixing) + len(translations)
+
+
+CERTIFIED = [(F5, 1), (F5, 2), (F7, 1)]
+
+
+@pytest.mark.parametrize("spec,r", CERTIFIED, ids=[f"{s.p}^{r}" for s, r in CERTIFIED])
+def test_certificate_matches_the_e_wide_scan(spec, r):
+    rng = random.Random(f"{spec.p}^{r}")
+    for E in _nonsingular_curves(spec):
+        Er = base_change(E, r)
+        pts = ec_points(Er)
+        loci = [[Q] for Q in pts] + [rng.sample(pts, min(k, len(pts))) for k in (2, 3, 5)] + [list(pts)]
+        for S in loci:
+            rep = verify_genus1_finiteness(Er, S)
+            got = (rep.fixing, rep.compatible_translations, rep.kernel_sizes, rep.admissible_count)
+            assert got == reference_certificate(Er, S), (render_curve(E), r, [render_ec_point(Q) for Q in S])
+            assert rep.certified_bound == 2 ** rep.admissible_count

@@ -112,6 +112,12 @@ GOLDEN = {
         ("98569653f767360ddf652863cf7f43f40691a84c5aed6ef2721080161a344132", 0),
     "verify-genus1 --curve 7^1:a=2,b=3 --levels 1-4":
         ("d44ae0aea529139f6d92fa6da35bc49f89b914b2cca1869ccbf7885bbcf0677d", 0),
+    # the --ext path: point scans, fixing counts, torsion and singleton
+    # certificates over F_{q^2}, at j = 1728 and j = 0
+    "verify-genus1 --curve 5^1:a=1,b=0 --ext 2":
+        ("f32cb2520a6d9f2c339ad46cd6a36fddcd41a1999093d35d8443bc9261d35e56", 0),
+    "verify-genus1 --curve 7^1:a=0,b=1 --ext 2":
+        ("9972b58617decf0b1d016d637ca24ef536b9880bd1d53430a6119ff436e6f4f4", 0),
     # PGL2 of the prime field closed from its generators, not its elements
     "locus --field 11^1 --group PGL2:1":
         ("391714445593168c29cf91100df49ab71140366ed89d29e087e27188e46128d4", 0),
