@@ -14,6 +14,10 @@ and refuses points or factors from another field.  To work over F_{q^r},
 take base_change(E, r), the same equation with its coefficients embedded.
 Point sets are exhausted over the curve's field; torsion, kernels and
 fixed-point fibres come from direct scans, never from division polynomials.
+The group law runs on coordinate codes: each curve binds one chord-tangent
+law over its field's log, antilog and Zech tables, and the scans of
+1 - sigma_u and of the automorphisms fixing a point call it on ints,
+building no point for an intermediate sum.
 
 Everything here powers exhaustive verification of the genus-1 finiteness
 facts: an automorphism is fixed point free iff it is a nontrivial pure
@@ -25,6 +29,7 @@ stabilized locus inside a finite S admit a certified finite bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional, Sequence
@@ -39,14 +44,12 @@ from .gfq import (
     extension_field,
     field_elements,
     fq_add,
-    fq_div,
     fq_embed,
     fq_from_int,
     fq_mul,
     fq_neg,
     fq_one,
     fq_pow,
-    fq_sub,
     fq_zero,
     parse_element,
     parse_field_spec,
@@ -146,26 +149,70 @@ def ec_neg(E: ECurve, P: ECPoint) -> ECPoint:
     return ECPoint(P.spec, P.x, fq_neg(P.y))
 
 
+@lru_cache(maxsize=None)
+def _chord_tangent(E: ECurve):
+    """The chord-tangent law of E on coordinate codes: law(x1, y1, x2, y2)
+    gives the codes (x3, y3) of P1 + P2 for affine P1 and P2, or None when the
+    sum is O.  Every field operation is a lookup in the log, antilog and Zech
+    tables of E's field, bound here once per curve."""
+    t = E.spec._tables
+    m, half, log, zech = t.m, t.half, t.log, t.zech
+    exp = [g.code for g in t.exp[:m]] * 3  # g^k by code for any 0 <= k < 3m
+    log2, log3 = log[fq_from_int(E.spec, 2).code], log[fq_from_int(E.spec, 3).code]
+    a = E.a.code
+
+    def add(c, d):
+        if not c:
+            return d
+        if not d:
+            return c
+        i = log[c]
+        z = zech[log[d] - i]  # g^i + g^j = g^i (1 + g^(j-i))
+        return 0 if z is None else exp[i + z]
+
+    def sub(c, d):
+        if not d:
+            return c
+        j = log[d] + half  # log(-d)
+        if not c:
+            return exp[j]
+        i = log[c]
+        z = zech[j - i]
+        return 0 if z is None else exp[i + z]
+
+    def law(x1, y1, x2, y2):
+        if x1 == x2:
+            if y1 != y2 or not y1:
+                return None  # vertical line
+            # tangent slope (3x^2 + a) / 2y
+            num = add(exp[log3 + 2 * log[x1]], a) if x1 else a
+            den = log2 + log[y1]
+        else:
+            num = sub(y2, y1)
+            den = log[sub(x2, x1)]
+        if not num:  # horizontal line: x3 = -(x1 + x2), y3 = -y1
+            return sub(0, add(x1, x2)), sub(0, y1)
+        s = (log[num] - den) % m  # log of the slope
+        x3 = sub(sub(exp[2 * s], x1), x2)
+        d = sub(x1, x3)
+        return x3, sub(exp[s + log[d]], y1) if d else sub(0, y1)
+
+    return law
+
+
 def ec_add(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
     """Chord-tangent group law with identity O."""
     if P1.is_zero:
         return P2
     if P2.is_zero:
         return P1
-    if P1.spec is not P2.spec:
-        raise ValueError("points live in different fields")
-    spec = P1.spec
-    if P1.x == P2.x:
-        if P1.y != P2.y or P1.y.is_zero():
-            return ec_infinity(spec)  # vertical line
-        # tangent slope (3x^2 + a) / 2y
-        three_x2 = fq_mul(fq_from_int(spec, 3), fq_mul(P1.x, P1.x))
-        slope = fq_div(fq_add(three_x2, E.a), fq_mul(fq_from_int(spec, 2), P1.y))
-    else:
-        slope = fq_div(fq_sub(P2.y, P1.y), fq_sub(P2.x, P1.x))
-    x3 = fq_sub(fq_sub(fq_mul(slope, slope), P1.x), P2.x)
-    y3 = fq_sub(fq_mul(slope, fq_sub(P1.x, x3)), P1.y)
-    return ECPoint(spec, x3, y3)
+    _check_field(E, P1.spec)
+    _check_field(E, P2.spec)
+    xy = _chord_tangent(E)(P1.x.code, P1.y.code, P2.x.code, P2.y.code)
+    if xy is None:
+        return ec_infinity(E.spec)
+    elems = E.spec._tables.elems
+    return ECPoint(E.spec, elems[xy[0]], elems[xy[1]])
 
 
 def ec_sub(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
@@ -252,14 +299,41 @@ def sigma_apply(u: FqElem, Q: ECPoint) -> ECPoint:
     return ECPoint(Q.spec, fq_mul(u2, Q.x), fq_mul(fq_mul(u2, u), Q.y))
 
 
+def _scaling_codes(E: ECurve, log_u: int):
+    """sigma_u on coordinate codes, given log u: (x, y) -> (u^2 x, u^3 y)."""
+    t = E.spec._tables
+    log, exp = t.log, t.exp
+    shift_x, shift_y = 2 * log_u % t.m, 3 * log_u % t.m
+
+    def scale(x, y):
+        return (exp[shift_x + log[x]].code if x else 0), (exp[shift_y + log[y]].code if y else 0)
+
+    return scale
+
+
 @lru_cache(maxsize=None)
 def _one_minus_sigma_fibres(E: ECurve, u: FqElem) -> dict[ECPoint, tuple[ECPoint, ...]]:
     """Fibres of Q -> Q - sigma_u(Q) on the points of E, keyed by image
     point.  Each fibre is nonempty and in point order."""
+    _check_field(E, u.spec)
+    if u.is_zero():
+        raise ValueError("scaling factor must be nonzero")
+    t = E.spec._tables
+    law, pts, q = _chord_tangent(E), ec_points(E), E.spec.q
+    neg_sigma = _scaling_codes(E, t.log[u.code] + t.half)  # -sigma_u = sigma_{-u}
     fibres: dict = {}
-    for Q in ec_points(E):
-        fibres.setdefault(ec_sub(E, Q, sigma_apply(u, Q)), []).append(Q)
-    return {img: tuple(fibre) for img, fibre in fibres.items()}
+    for Q in pts:
+        if Q.is_zero:
+            image = None
+        else:
+            x, y = Q.x.code, Q.y.code
+            image = law(x, y, *neg_sigma(x, y))
+        fibres.setdefault(image, []).append(Q)
+    # each image is a point of E, so look it up by its code (O is pts[0])
+    return {
+        pts[0 if xy is None else bisect_left(pts, 1 + xy[0] * q + xy[1], key=by_code)]: tuple(fibre)
+        for xy, fibre in fibres.items()
+    }
 
 
 def aut_fixed_points(phi: ECAut) -> tuple[ECPoint, ...]:
@@ -299,11 +373,16 @@ def count_auts_fixing(E: ECurve, Q: ECPoint) -> FixingAutsReport:
     for u in us:
         P = ec_sub(E, Q, sigma_apply(u, Q))
         witnesses.append(ECAut(E, P, u))
+    # the full scan of E x Aut_0 for sigma_u(Q) + P = Q, on coordinate codes
+    law, log = _chord_tangent(E), E.spec._tables.log
+    coords = [None if P.is_zero else (P.x.code, P.y.code) for P in ec_points(E)]
+    target = None if Q.is_zero else (Q.x.code, Q.y.code)
     scan = 0
     for u in us:
-        for P in ec_points(E):
-            if ec_add(E, sigma_apply(u, Q), P) == Q:
-                scan += 1
+        s = None if Q.is_zero else _scaling_codes(E, log[u.code])(*target)
+        for c in coords:
+            total = c if s is None else s if c is None else law(*s, *c)
+            scan += total == target
     witnesses.sort(key=ec_aut_sort_key)
     if scan != len(witnesses):
         raise AssertionError(

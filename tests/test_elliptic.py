@@ -9,6 +9,7 @@ from pglcensus.elliptic import (
     ECAut,
     ECPoint,
     ECurve,
+    _one_minus_sigma_fibres,
     aut0,
     aut_fixed_points,
     base_change,
@@ -36,10 +37,14 @@ from pglcensus.gfq import (
     extension_field,
     field_elements,
     field_make,
+    fq_add,
+    fq_div,
     fq_embed,
     fq_from_int,
+    fq_mul,
     fq_one,
     fq_pow,
+    fq_sub,
     fq_zero,
     render_element,
 )
@@ -409,6 +414,17 @@ class TestFieldMismatch:
         with pytest.raises(ValueError, match="field mismatch"):
             ECAut(self.E2, ec_infinity(F5), fq_embed(fq_from_int(F5, 4), self.F25))
 
+    def test_scaling_factor_given_to_kernel(self):
+        with pytest.raises(ValueError, match="field mismatch"):
+            kernel_one_minus_sigma(self.E2, fq_from_int(F5, 4))
+        with pytest.raises(ValueError, match="nonzero"):
+            kernel_one_minus_sigma(self.E2, fq_zero(self.F25))
+
+    def test_points_given_to_group_law(self):
+        Q = P(E_J1728, 0, 0)
+        with pytest.raises(ValueError, match="field mismatch"):
+            ec_add(self.E2, Q, Q)
+
     def test_points_given_to_scans(self):
         base_O = ec_infinity(F5)
         with pytest.raises(ValueError, match="field mismatch"):
@@ -466,3 +482,111 @@ def test_certificate_matches_the_e_wide_scan(spec, r):
             got = (rep.fixing, rep.compatible_translations, rep.kernel_sizes, rep.admissible_count)
             assert got == reference_certificate(Er, S), (render_curve(E), r, [render_ec_point(Q) for Q in S])
             assert rep.certified_bound == 2 ** rep.admissible_count
+
+
+# ---------------------------------------------------------------------------
+# the chord-tangent law on coordinate codes against the FqElem law
+
+
+def reference_ec_add(E, P1, P2):
+    """The chord-tangent law in FqElem arithmetic (Silverman, The Arithmetic
+    of Elliptic Curves, III.2): the reference for ec_add, which runs the same
+    law on coordinate codes."""
+    if P1.is_zero:
+        return P2
+    if P2.is_zero:
+        return P1
+    spec = P1.spec
+    if P1.x == P2.x:
+        if P1.y != P2.y or P1.y.is_zero():
+            return ec_infinity(spec)  # vertical line
+        three_x2 = fq_mul(fq_from_int(spec, 3), fq_mul(P1.x, P1.x))
+        slope = fq_div(fq_add(three_x2, E.a), fq_mul(fq_from_int(spec, 2), P1.y))
+    else:
+        slope = fq_div(fq_sub(P2.y, P1.y), fq_sub(P2.x, P1.x))
+    x3 = fq_sub(fq_sub(fq_mul(slope, slope), P1.x), P2.x)
+    y3 = fq_sub(fq_mul(slope, fq_sub(P1.x, x3)), P1.y)
+    return ECPoint(spec, x3, y3)
+
+
+def reference_fibres(E, u):
+    """The fibres of Q -> Q - sigma_u(Q), built with the reference law."""
+    fibres = {}
+    for Q in ec_points(E):
+        fibres.setdefault(reference_ec_add(E, Q, ec_neg(E, sigma_apply(u, Q))), []).append(Q)
+    return {image: tuple(fibre) for image, fibre in fibres.items()}
+
+
+LAW_LEVELS = [(F5, 1), (F5, 2), (F7, 1), (F7, 2)]
+
+
+@pytest.mark.parametrize("spec,r", LAW_LEVELS, ids=[f"{s.p}^{r}" for s, r in LAW_LEVELS])
+def test_code_law_matches_the_reference(spec, r):
+    """Every sum of two points, and every fibre table of 1 - sigma_u with
+    u != 1, on every nonsingular curve over F5 and F7 at levels 1 and 2."""
+    for E in _nonsingular_curves(spec):
+        Er = base_change(E, r)
+        pts = ec_points(Er)
+        for P1, P2 in itertools.product(pts, repeat=2):
+            assert ec_add(Er, P1, P2) == reference_ec_add(Er, P1, P2), (render_curve(Er), P1, P2)
+        for u in aut0(Er):
+            if u != fq_one(Er.spec):
+                assert _one_minus_sigma_fibres(Er, u) == reference_fibres(Er, u), (render_curve(Er), u)
+
+
+def _law_cases(r, keep):
+    """(curve, point) for every affine point of every nonsingular curve over
+    F5 and F7, taken to level r, for which keep(E, Q) holds."""
+    for spec in (F5, F7):
+        for E in _nonsingular_curves(spec):
+            Er = base_change(E, r)
+            for Q in ec_points(Er):
+                if not Q.is_zero and keep(Er, Q):
+                    yield Er, Q
+
+
+@pytest.mark.parametrize("r", [1, 2])
+class TestCodeLawEdgeCases:
+    """The branches of the code law, at r = 1 and in F_{q^2}, where the log
+    indices of a sum or a quotient are negative or wrap past q - 1."""
+
+    def test_horizontal_tangent(self, r):
+        def flat(E, Q):  # 3x^2 + a = 0, so 2Q has slope 0
+            return not Q.y.is_zero() and (fq_mul(fq_from_int(E.spec, 3), fq_mul(Q.x, Q.x)) + E.a).is_zero()
+
+        cases = list(_law_cases(r, flat))
+        assert cases
+        for E, Q in cases:
+            # slope 0: 2Q = (-2x, -y)
+            expected = ECPoint(E.spec, -(Q.x + Q.x), -Q.y)
+            assert ec_add(E, Q, Q) == expected == reference_ec_add(E, Q, Q)
+
+    def test_two_torsion(self, r):
+        cases = list(_law_cases(r, lambda E, Q: Q.y.is_zero()))
+        assert cases
+        for E, Q in cases:
+            assert ec_add(E, Q, Q) == ec_infinity(E.spec)
+
+    def test_points_on_x_zero(self, r):
+        cases = list(_law_cases(r, lambda E, Q: Q.x.is_zero()))
+        assert cases
+        for E, Q in cases:
+            for R in ec_points(E):
+                assert ec_add(E, Q, R) == reference_ec_add(E, Q, R)
+                assert ec_add(E, R, Q) == reference_ec_add(E, R, Q)
+
+    def test_inverse_sums_to_o(self, r):
+        cases = list(_law_cases(r, lambda E, Q: True))
+        assert cases
+        for E, Q in cases:
+            assert ec_add(E, Q, ec_neg(E, Q)) == ec_infinity(E.spec)
+
+    def test_doubling_against_the_other_point_on_the_vertical(self, r):
+        """Q + Q is the tangent, Q + (x, -y) the vertical line through Q."""
+        cases = list(_law_cases(r, lambda E, Q: not Q.y.is_zero()))
+        assert cases
+        for E, Q in cases:
+            twin = ECPoint(E.spec, Q.x, -Q.y)
+            assert twin != Q and twin in ec_points(E)
+            assert ec_add(E, Q, twin) == ec_infinity(E.spec)
+            assert ec_add(E, Q, Q) == reference_ec_add(E, Q, Q) != ec_infinity(E.spec)
