@@ -6,8 +6,8 @@ PGL2(F_{q^r}) with stabilized locus exactly S form
 
 * a single conjugacy-transporter orbit when |S| >= 2 (finitely many matches,
   and the count is stable as the field grows): each match is g H0 g^{-1}
-  with g(L0) = S for a model H0 with locus L0, one g per coset of the
-  pointwise stabilizer of L0 sufficing, or
+  with g(L0) = S for a model H0 with locus L0, one g per coset g.Fix(L0).H0
+  sufficing (Fix(L0) the pointwise stabilizer of L0), or
 * one match per rank-m additive subgroup of the field when the type is
   (Z/pZ)^m and |S| = 1 - a count that equals the Gaussian binomial
   [n choose m]_p and grows without bound along the field tower.
@@ -319,10 +319,12 @@ def enum_actions(query: CensusQuery) -> CensusReport:
     * |S| = 1, elementary-abelian tag: one subgroup per rank-m additive
       subgroup of F_{q^r}, conjugated so its stabilized point is the queried
       one.  This is the growing side of the dichotomy.
-    * |S| >= 2: g H0 g^{-1} for each g from moebius.transporters(L0, S), L0 the
-      model's full locus: one g per coset of its pointwise stabilizer (trivial,
-      or for |L0| = 2 the torus containing H0).  Over F_{q^r} if L0 is rational
-      there, else over F_{q^{2r}}, keeping the conjugates inside PGL2(F_{q^r}).
+    * |S| >= 2: g H0 g^{-1} for each g from moebius.transporters(L0, S, H0),
+      L0 the model's full locus: one g per coset g.Fix(L0).H0, Fix(L0) its
+      pointwise stabilizer (trivial, or for |L0| = 2 the torus containing
+      H0), since every map of a coset gives the same conjugate.  Over F_{q^r}
+      if L0 is rational there, else over F_{q^{2r}}, keeping the conjugates
+      inside PGL2(F_{q^r}).
 
     Matches are deduplicated and sorted canonically, so the report is
     byte-deterministic.
@@ -372,13 +374,15 @@ def enum_actions(query: CensusQuery) -> CensusReport:
         if len(S) == 0:
             candidates.append(H0)  # only the trivial model has empty locus
         elif len(S) >= 2:
-            # one transporter per coset g.Fix(L0) is enough: Fix(L0) is
-            # trivial for |L0| >= 3, and for |L0| = 2 it is the abelian torus
-            # through L0, which contains H0, so conjugating by it changes nothing
+            # one transporter per coset g.Fix(L0).H0 is enough: g.t.h H0
+            # (g.t.h)^{-1} = g H0 g^{-1} for h in H0 and t in Fix(L0), which is
+            # trivial for |L0| >= 3 and for |L0| = 2 the abelian torus through
+            # L0, which contains H0
             if all(pp1_project(P, ext) is not None for P in L0):  # then every g is rational too
-                maps, model = transporters([pp1_project(P, ext) for P in L0], S), H0
+                model, locus, target = H0, [pp1_project(P, ext) for P in L0], S
             else:
-                maps, model = transporters(L0, S2), subgroup_embed(H0, ext2)
+                model, locus, target = subgroup_embed(H0, ext2), L0, S2
+            maps = transporters(locus, target, model.elements)
             conjugates = (subgroup_project(conjugate_subgroup(model, g), ext) for g in maps)
             candidates.extend(H for H in conjugates if H is not None)
         # |S| <= 1 never matches a non-elementary-abelian model

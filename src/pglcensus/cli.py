@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -367,6 +368,7 @@ def _cmd_ramification(args):
 # argument parsing
 
 
+@functools.cache  # parse_args leaves the parser as it is, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pglcensus",

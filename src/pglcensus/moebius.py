@@ -325,13 +325,20 @@ def mob_from_three_points(src: Sequence[PP1], dst: Sequence[PP1]) -> Moebius:
     return mob_compose(mob_inverse(_to_zero_one_inf(*dst)), _to_zero_one_inf(*src))
 
 
-def transporters(L0: Sequence[PP1], S: Sequence[PP1]) -> Iterator[Moebius]:
-    """One map g with g(L0) = S per coset g.Fix(L0) of the pointwise
-    stabilizer of L0 (distinct points of one field, none if |L0| != |S|).
+def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[Moebius] = ()) -> Iterator[Moebius]:
+    """One map g with g(L0) = S per coset g.Fix(L0).H, where Fix(L0) is the
+    pointwise stabilizer of L0 and H, by default trivial, is a group that
+    stabilizes L0 setwise (distinct points of one field, none if
+    |L0| != |S|).
     |L0| >= 3: Fix(L0) = 1; per ordered triple of S, in permutations order,
-    the map sending L0[:3] onto it, if it sends the rest of L0 into S.
+    the map sending L0[:3] onto it, if it sends the rest of L0 into S and is
+    not g.h for an earlier g: since (g.h)(L0[j]) = g(L0[i]) with
+    h(L0[j]) = L0[i], each g yielded marks the triples of its coset, which
+    are then skipped before their map is built.  So the maps are those of
+    transporters(L0, S) that come first in their coset, in the same order.
     |L0| = 2: Fix(L0) is a torus; one map per arrangement of S, sending the
-    first point of P^1 outside L0 to the first one outside S."""
+    first point of P^1 outside L0 to the first one outside S.  H is not used
+    there: a census model with a two-point locus lies in the torus."""
     if len(L0) != len(S):
         return
     if len(L0) < 2:
@@ -343,12 +350,26 @@ def transporters(L0: Sequence[PP1], S: Sequence[PP1]) -> Iterator[Moebius]:
         for first, second in ((S[0], S[1]), (S[1], S[0])):
             yield mob_from_three_points(src, (first, second, third))
         return
+    where = {P: i for i, P in enumerate(L0)}
+    try:
+        # h(L0[j]) = L0[perm[j]], one perm per h in H; only j < 3 is used
+        perms = {tuple(where[mob_apply(h, P)] for P in L0)[:3] for h in H}
+    except KeyError:
+        raise ValueError("H does not stabilize L0") from None
     targets = set(S)
-    rest = L0[3:] if len(S) <= spec.q else ()  # S = P^1: every map qualifies
+    covered = set()
     for dst in itertools.permutations(S, 3):
+        if dst in covered:
+            continue
         g = mob_from_three_points(L0[:3], dst)
-        if all(mob_apply(g, P) in targets for P in rest):
+        image = list(dst)  # g(L0)
+        for P in L0[3:]:
+            image.append(mob_apply(g, P))
+            if image[-1] not in targets:
+                break
+        else:
             yield g
+            covered.update((image[i], image[j], image[k]) for i, j, k in perms)
 
 
 def pgl2_elements(spec: FieldSpec) -> Iterator[Moebius]:

@@ -434,17 +434,20 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
         L2 = stabilized_locus(H2, 2 * r)
         if len(L1) != len(L2):
             return None
-    # g = g0 t with g0 from transporters(L1, L2) and t fixing L1 pointwise:
-    # only the identity for 3 or more points; for 2, the torus, one t per
-    # image of the first point outside L1, starting with the identity.  Each
-    # t is tried with every g0 before the next, so a plain transporter
-    # always comes first
+    # g = g0 t with g0 from transporters(L1, L2, H1) and t fixing L1
+    # pointwise: only the identity for 3 or more points; for 2, the torus,
+    # one t per image of the first point outside L1, starting with the
+    # identity.  Each t is tried with every g0 before the next, so a plain
+    # transporter always comes first.  H1 stabilizes L1, and g0 h for h in
+    # H1 conjugates H1 onto H2 exactly when g0 does, so the transporters
+    # skip it; the first witness is the same as without H1
     fix = [mob_identity(search)]
     if len(L1) == 2:
         src = (L1[0], L1[1], next(P for P in pp1_points(search) if P not in L1))
         fix = (mob_from_three_points(src, (L1[0], L1[1], P)) for P in pp1_points(search) if P not in L1)
+    H1_search = subgroup_embed(H1, search).elements
     for t in fix:
-        for g0 in transporters(L1, L2):
+        for g0 in transporters(L1, L2, H1_search):
             g = mob_compose(g0, t)
             if search is not ext:
                 g = mob_project(g, ext)

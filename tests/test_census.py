@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -6,6 +7,7 @@ import re
 import pytest
 
 import pglcensus.census as census
+import pglcensus.moebius as moebius
 from pglcensus.census import (
     CensusQuery,
     additive_subgroup,
@@ -57,6 +59,7 @@ F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
 F5 = field_make(5, 1)
+F7 = field_make(7, 1)
 F8 = field_make(2, 3)
 F9 = field_make(3, 2)
 
@@ -236,6 +239,19 @@ class TestEnumActions:
         assert rep.count == 1
         (H,) = rep.matches
         assert {render_point(P) for P in stabilized_locus(H, 1)} == {"2", "3"}
+
+    def test_one_conjugation_per_coset_of_the_model(self, monkeypatch):
+        # dihedral:3 at all of P^1(F7): each of the 336 maps of PGL2(F7)
+        # transports the locus, and the 6 maps of a coset g.H0 give one
+        # conjugate, so 56 maps are built and conjugate the model
+        calls = collections.Counter()
+        for module, name in ((moebius, "mob_from_three_points"), (census, "conjugate_subgroup")):
+            def counted(*args, f=getattr(module, name), name=name):
+                calls[name] += 1
+                return f(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf").count == 28
+        assert calls == {"mob_from_three_points": 56, "conjugate_subgroup": 56}
 
     def test_cyclic_census_locus_size_mismatch(self):
         assert census_count(F5, "cyclic:4", "0,1,inf").count == 0
@@ -551,8 +567,8 @@ def assert_census_equals_filtered_scan(spec, subgroups, tag):
     # group the scanned subgroups with the model's fingerprint by stabilized
     # locus; the census at each locus must return exactly them: over spec
     # when the locus is rational there, else over F_{q^2}, restricted to the
-    # matches inside PGL2(spec).  A locus that is all of P^1(F_{q^2}) is
-    # skipped: that census conjugates by every element of PGL2(F_{q^2}).
+    # matches inside PGL2(spec).  This includes loci that are all of
+    # P^1(F_{q^2}), where every map of PGL2(F_{q^2}) is a transporter.
     from pglcensus.census import _standard_models
 
     kind, params = parse_group_id(tag)
@@ -571,7 +587,7 @@ def assert_census_equals_filtered_scan(spec, subgroups, tag):
         if locus_level1 is not None:
             rep = enum_actions(CensusQuery(spec, tag, locus_level1, r=1))
             assert {H.elements for H in rep.matches} == members, (tag, locus)
-        elif len(locus) <= ext.q:
+        else:
             rep = enum_actions(CensusQuery(ext, tag, stabilized_locus_level1(locus, ext), r=1))
             rational = (subgroup_project(H, spec) for H in rep.matches)
             assert {H.elements for H in rational if H is not None} == members, (tag, locus)

@@ -367,6 +367,18 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
 
+    def test_parser_is_reused_unchanged(self):
+        # one parser serves every call in a process: after a rejected command
+        # line and a run with non-default options, a command prints the bytes
+        # of a fresh run
+        argv = ["census", "--field", "5^1", "--group", "cyclic:4", "--locus", "0,inf"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bogus"])
+        assert exc.value.code == 2
+        assert run_cli(*argv[:-2], "--locus", "0,0,inf", "--ext", "2", "--format", "csv")[0] == 0
+        fresh = subprocess.run([sys.executable, "-m", "pglcensus", *argv], capture_output=True, text=True, timeout=60)
+        assert run_cli(*argv) == (fresh.returncode, fresh.stdout)
+
 
 def exit_code(argv):
     try:

@@ -121,6 +121,21 @@ GOLDEN = {
     # PGL2 of the prime field closed from its generators, not its elements
     "locus --field 11^1 --group PGL2:1":
         ("391714445593168c29cf91100df49ab71140366ed89d29e087e27188e46128d4", 0),
+    # transport modulo the model: dihedral:3 at all of P^1(F_7) (28 matches
+    # from 336 maps), at a moved five-point locus over F_16 (10 matches), and
+    # the Klein group over F_11, whose locus (with +-i) is irrational there
+    "census --field 7^1 --group dihedral:3 --locus 0,1,2,3,4,5,6,inf":
+        ("66721eb52e29af9c8621d8114ad6c7ccfd9827dc9fc9c73fd4f676401922fa00", 0),
+    "census --field 2^4 --group dihedral:3 --locus 0,0,1,1,0,1,0,0,1,1,0,0,1,1,1,0,1,1,1,1":
+        ("b748724ab3dc1cbafa74bc2b195739d1571a7c7e4ff765768f82278fa956afab", 0),
+    "census --field 11^1 --group dihedral:2 --locus 0,3,4,6,7,inf":
+        ("f03b0123924a1ffc6eb92d499dd34ddd33eefe373b128731ec6680501f04ed32", 0),
+    # conjugacy at loci of six and eight points: two S3 over F_7 with a
+    # witness, and A4 against S3 x Z2 over F_5, which are not conjugate
+    "conjugate --field 7^1 --gens1 [0,1;1,0]|[0,1;2,0] --gens2 [0,1;1,0]|[0,1;6,1]":
+        ("b2ab6717087a00ec0f05b5abbd43eb26b0e82071d7cdfd4a4ea223ef7053bd98", 0),
+    "conjugate --field 5^1 --gens1 [0,1;1,0]|[0,1;4,0]|[1,1;2,3] --gens2 [0,1;1,0]|[0,1;4,1]|[1,1;2,4]":
+        ("5b668a141b5ab2afbdf880b364e6f9eb724b098fc7b1f7f34151e803d2166d24", 0),
 }
 
 

@@ -334,6 +334,49 @@ class TestTransporters:
                 splits = [(g0, t) for g0 in reps for t in fix if mob_compose(g0, t) == g]
                 assert len(splits) == 1
 
+    # standard models H with L0 = their stabilized locus over the field, which
+    # H stabilizes setwise: all of it where it is rational, else its rational
+    # part (F3 PGL2:1, F5 S4, F7 PGL2:1, which is all of PGL2(F7), and the
+    # Klein group over F7 at {0, 1, 6, inf}, the only L0 here short of P^1)
+    MODELS = [
+        (F3, "gamma:1:2"), (F3, "PGL2:1"), (F4, "dihedral:3"), (F4, "gamma:2:3"),
+        (F5, "dihedral:2"), (F5, "gamma:1:4"), (F5, "S4"),
+        (F7, "dihedral:2"), (F7, "dihedral:3"), (F7, "gamma:1:3"), (F7, "PGL2:1"),
+    ]
+
+    @staticmethod
+    def model(spec, tag):
+        from pglcensus.census import _standard_models, parse_group_id
+        from pglcensus.stdgroups import stabilized_locus
+
+        H = _standard_models(spec, *parse_group_id(tag))[0]
+        return H.elements, list(stabilized_locus(H, 1))
+
+    @pytest.mark.parametrize("spec,tag", MODELS, ids=lambda c: str(getattr(c, "q", c)))
+    def test_one_map_per_coset_of_the_model(self, spec, tag):
+        H, L0 = self.model(spec, tag)
+        rng = random.Random(1000 * spec.q + len(H))
+        move = rng.choice(list(pgl2_elements(spec)))
+        moved = sorted({mob_apply(move, P) for P in L0}, key=by_code)
+        for S in (moved, rng.sample(list(pp1_points(spec)), len(L0))):
+            plain = list(transporters(L0, S))
+            reps = list(transporters(L0, S, H))
+            cosets = [{mob_compose(g, h) for h in H} for g in reps]
+            covered = set().union(*cosets)
+            # pairwise disjoint, and together every g with g(L0) = S
+            assert sum(map(len, cosets)) == len(covered)
+            assert covered == set(self.scanned(spec, L0, S))
+            # each representative is the first map of its coset that
+            # transporters(L0, S) yields, in the same order
+            assert reps == [next(g for g in plain if g in coset) for coset in cosets]
+            assert reps == sorted(reps, key=plain.index)
+
+    def test_model_must_stabilize_the_locus(self):
+        H, _ = self.model(F7, "dihedral:3")
+        points = list(pp1_points(F7))
+        with pytest.raises(ValueError, match="stabilize"):
+            list(transporters(points[:4], points[:4], H))
+
     def test_sizes_must_agree(self):
         points = list(pp1_points(F5))
         assert list(transporters(points[:3], points[:4])) == []
