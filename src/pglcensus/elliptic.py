@@ -12,12 +12,15 @@ Points are gfq.CodedValue instances, so they hash and sort by one int code
 (O first).  A curve has one field: every function here works over E.spec
 and refuses points or factors from another field.  To work over F_{q^r},
 take base_change(E, r), the same equation with its coefficients embedded.
-Point sets are exhausted over the curve's field; torsion, kernels and
-fixed-point fibres come from direct scans, never from division polynomials.
-The group law runs on coordinate codes: each curve binds one chord-tangent
-law over its field's log, antilog and Zech tables, and the scans of
-1 - sigma_u and of the automorphisms fixing a point call it on ints,
-building no point for an intermediate sum.
+Point sets are exhausted over the curve's field, and torsion, kernels and
+fixed-point fibres over that field come from direct scans.  The group law
+runs on coordinate codes: each curve binds one chord-tangent law over its
+field's log, antilog and Zech tables, and the scans of 1 - sigma_u and of
+the automorphisms fixing a point call it on ints, building no point for an
+intermediate sum.  The fixed-point dichotomy alone looks above E's field,
+and it builds no field to do so: the x-coordinates of a fibre of 1 - sigma_u
+are the roots of a polynomial of degree <= 4 over E's field, whose
+distinct-degree factorization gives the fibre's size at every level.
 
 Everything here powers exhaustive verification of the genus-1 finiteness
 facts: an automorphism is fixed point free iff it is a nontrivial pure
@@ -39,8 +42,16 @@ from .gfq import (
     CodedValue,
     FieldSpec,
     FqElem,
+    _code_ops,
     _sqrt_table,
     by_code,
+    cpoly_ddf,
+    cpoly_deriv,
+    cpoly_divmod,
+    cpoly_gcd,
+    cpoly_mul,
+    cpoly_powmod,
+    cpoly_sub,
     extension_field,
     field_elements,
     fq_add,
@@ -137,12 +148,6 @@ def _check_on_curve(E: ECurve, P: ECPoint) -> None:
         raise ValueError(f"{render_ec_point(P)} is not on {render_curve(E)}")
 
 
-def ec_point_embed(P: ECPoint, target: FieldSpec) -> ECPoint:
-    if P.is_zero:
-        return ec_infinity(target)
-    return ECPoint(target, fq_embed(P.x, target), fq_embed(P.y, target))
-
-
 def ec_neg(E: ECurve, P: ECPoint) -> ECPoint:
     if P.is_zero:
         return P
@@ -154,31 +159,11 @@ def _chord_tangent(E: ECurve):
     """The chord-tangent law of E on coordinate codes: law(x1, y1, x2, y2)
     gives the codes (x3, y3) of P1 + P2 for affine P1 and P2, or None when the
     sum is O.  Every field operation is a lookup in the log, antilog and Zech
-    tables of E's field, bound here once per curve."""
-    t = E.spec._tables
-    m, half, log, zech = t.m, t.half, t.log, t.zech
-    exp = [g.code for g in t.exp[:m]] * 3  # g^k by code for any 0 <= k < 3m
+    tables of E's field (gfq._code_ops), bound here once per curve."""
+    ops = _code_ops(E.spec)
+    log, exp, m, add, sub = ops.log, ops.exp, ops.m, ops.add, ops.sub
     log2, log3 = log[fq_from_int(E.spec, 2).code], log[fq_from_int(E.spec, 3).code]
     a = E.a.code
-
-    def add(c, d):
-        if not c:
-            return d
-        if not d:
-            return c
-        i = log[c]
-        z = zech[log[d] - i]  # g^i + g^j = g^i (1 + g^(j-i))
-        return 0 if z is None else exp[i + z]
-
-    def sub(c, d):
-        if not d:
-            return c
-        j = log[d] + half  # log(-d)
-        if not c:
-            return exp[j]
-        i = log[c]
-        z = zech[j - i]
-        return 0 if z is None else exp[i + z]
 
     def law(x1, y1, x2, y2):
         if x1 == x2:
@@ -222,12 +207,20 @@ def ec_sub(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
 _POINT_CAP = 10_000
 
 
-@lru_cache(maxsize=None)
-def base_change(E: ECurve, r: int) -> ECurve:
-    """E over F_{q^r}, refused before the field is built when q^r passes
-    _POINT_CAP: every computation on a curve scans its points or its field."""
+def _check_level(E: ECurve, r: int) -> None:
+    """Refuse level r of E, building no field: past _POINT_CAP, the bound on
+    point scans, or below 1.  base_change and the dichotomy's levels both
+    pass through here."""
     if E.spec.q ** r > _POINT_CAP:
         raise ValueError(f"point enumeration capped at q^r <= {_POINT_CAP}, got {E.spec.q ** r}")
+    if r < 1:
+        raise ValueError(f"extension degree must be >= 1, got {r}")
+
+
+@lru_cache(maxsize=None)
+def base_change(E: ECurve, r: int) -> ECurve:
+    """E over F_{q^r}, refused by _check_level before the field is built."""
+    _check_level(E, r)
     if r == 1:
         return E
     ext = extension_field(E.spec, r)
@@ -301,12 +294,12 @@ def sigma_apply(u: FqElem, Q: ECPoint) -> ECPoint:
 
 def _scaling_codes(E: ECurve, log_u: int):
     """sigma_u on coordinate codes, given log u: (x, y) -> (u^2 x, u^3 y)."""
-    t = E.spec._tables
-    log, exp = t.log, t.exp
-    shift_x, shift_y = 2 * log_u % t.m, 3 * log_u % t.m
+    ops = _code_ops(E.spec)
+    log, exp = ops.log, ops.exp
+    shift_x, shift_y = 2 * log_u % ops.m, 3 * log_u % ops.m
 
     def scale(x, y):
-        return (exp[shift_x + log[x]].code if x else 0), (exp[shift_y + log[y]].code if y else 0)
+        return (exp[shift_x + log[x]] if x else 0), (exp[shift_y + log[y]] if y else 0)
 
     return scale
 
@@ -475,43 +468,99 @@ class FpfDichotomyReport:
         return not self.violations
 
 
+def _one_minus_sigma_map(E: ECurve, u: FqElem) -> tuple[list, list]:
+    """x(Q - sigma_u(Q)) = N(x) / D(x) for u != 1, as code polynomials in
+    lowest terms (Silverman, AEC III.2).  For u = -1 it is the doubling map;
+    else, with v = -u, the chord through Q and sigma_v(Q) = (v^2 x, v^3 y)
+    has slope (v^3 - 1) y / ((v^2 - 1) x)."""
+    spec, a, b = E.spec, E.a, E.b
+    one, zero = fq_one(spec), fq_zero(spec)
+    if u == -one:
+        k = partial(fq_from_int, spec)
+        N = [a * a, k(-8) * b, k(-2) * a, zero, one]
+        D = [k(4) * b, k(4) * a, zero, k(4)]
+    else:
+        v2 = u * u
+        c, w = (one + u * v2) ** 2, (v2 - one) ** 2  # v^3 - 1 = -(1 + u^3)
+        N = [c * b, c * a, zero, c - (one + v2) * w]
+        D = [zero, zero, w]
+    N, D = ([c.code for c in poly] for poly in (N, D))
+    g = cpoly_gcd(spec, N, D)
+    return cpoly_divmod(spec, N, g)[0], cpoly_divmod(spec, D, g)[0]
+
+
+def _fibre_sizes(E: ECurve, N: list, D: list, P: ECPoint, levels: tuple[int, ...]) -> list[int]:
+    """|(1 - sigma_u)^{-1}(P)| over F_{q^r} for each r in levels, where N/D is
+    the x-map of 1 - sigma_u: the x-coordinates of the fibre are the roots of
+    h = N - x_P D (of D when P = O), and the distinct-degree factorization of
+    its squarefree part over E's field tells which of them lie in F_{q^r}.
+
+    If y_P != 0, each root carries one fibre point, rational with its x.  If
+    y_P = 0, the fibre is closed under negation, and a root x carries the
+    1 + chi(f(x)) points (x, +-sqrt(f(x))), chi the quadratic character of
+    F_{q^r}; for the irreducible factors of degree k, chi(f(x)) is 0, or
+    chi_k(f(x)) = f^((q^k - 1)/2) mod the factor when r/k is odd, and 1 when
+    r/k is even.  The fibre over O also holds O."""
+    spec, q, one = E.spec, E.spec.q, E.spec.q // E.spec.p
+    h = D if P.is_zero else cpoly_sub(spec, N, cpoly_mul(spec, [P.x.code], D))
+    # the squarefree part: deg h <= 4 < p, so h' = 0 only for constant h
+    parts = cpoly_ddf(spec, cpoly_divmod(spec, h, cpoly_gcd(spec, h, cpoly_deriv(spec, h)))[0])
+    if not P.is_zero and P.y.code:
+        return [sum(len(g) - 1 for k, g in parts.items() if r % k == 0) for r in levels]
+    f = [E.b.code, E.a.code, 0, one]
+    counts = []  # per part: its degree k and its roots with chi_k(f(x)) = 0, 1, -1
+    for k, g in parts.items():
+        fg = cpoly_divmod(spec, f, g)[1]
+        zeros = len(cpoly_gcd(spec, g, fg)) - 1
+        chi = cpoly_powmod(spec, fg, (q**k - 1) // 2, g)
+        squares = len(cpoly_gcd(spec, g, cpoly_sub(spec, chi, [one]))) - 1
+        counts.append((k, zeros, squares, len(g) - 1 - zeros - squares))
+    return [
+        int(P.is_zero) + sum(z + 2 * s + (0 if r // k % 2 else 2 * n) for k, z, s, n in counts if r % k == 0)
+        for r in levels
+    ]
+
+
 def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDichotomyReport:
+    """Fibre sizes from _fibre_sizes, over E's own field for every level.
+    When level 1 is among the levels, its sizes must equal the point scan
+    _one_minus_sigma_fibres, else AssertionError."""
     levels = tuple(levels)
     if not levels:
         # with no level, every (P, u != 1) would count as free everywhere
         raise ValueError("need at least one level")
+    for r in (1, *levels):  # level 1 first: the base points are scanned
+        _check_level(E, r)
     one = fq_one(E.spec)
-    base_pts = ec_points(base_change(E, 1))  # the base scan is capped too
-    curves = [base_change(E, r) for r in levels]
-    kernel_size = {
-        (u, r): len(kernel_one_minus_sigma(Er, fq_embed(u, Er.spec)))
-        for u in aut0(E)
-        if u != one
-        for r, Er in zip(levels, curves)
-    }
+    base_pts = ec_points(E)
     violations = []
-    checked = 0
+    checked = len(base_pts) - 1  # the pure translations: free at every level
     for u in aut0(E):
+        if u == one:
+            continue
+        N, D = _one_minus_sigma_map(E, u)
+        kernel = _fibre_sizes(E, N, D, base_pts[0], levels)
+        scan = _one_minus_sigma_fibres(E, u) if 1 in levels else None
         for P in base_pts:
-            if u == one and P.is_zero:
-                continue  # identity
             checked += 1
-            fibre_sizes = []
-            for r, Er in zip(levels, curves):
-                phi = ECAut(Er, ec_point_embed(P, Er.spec), fq_embed(u, Er.spec))
-                fibre = aut_fixed_points(phi)
-                fibre_sizes.append(len(fibre))
-                if u != one and fibre and len(fibre) != kernel_size[(u, r)]:
+            fibre_sizes = kernel if P.is_zero else _fibre_sizes(E, N, D, P, levels)
+            if scan is not None:
+                got, want = fibre_sizes[levels.index(1)], len(scan.get(P, ()))
+                if got != want:
+                    raise AssertionError(
+                        f"fibre polynomial of (P={render_ec_point(P)}, u={render_element(u)}) "
+                        f"gives {got} points at r=1, the scan {want}"
+                    )
+            for r, size, kernel_size in zip(levels, fibre_sizes, kernel):
+                if size and size != kernel_size:
                     violations.append(
                         f"(P={render_ec_point(P)}, u={render_element(u)}) at r={r}: "
-                        f"fibre size {len(fibre)} != kernel size {kernel_size[(u, r)]}"
+                        f"fibre size {size} != kernel size {kernel_size}"
                     )
-            free_everywhere = all(s == 0 for s in fibre_sizes)
-            expected_free = (u == one) and not P.is_zero
-            if free_everywhere != expected_free:
+            if not any(fibre_sizes):
                 violations.append(
                     f"(P={render_ec_point(P)}, u={render_element(u)}): fibre sizes {fibre_sizes} "
-                    f"across levels {levels}, expected {'free' if expected_free else 'fixed points'}"
+                    f"across levels {levels}, expected fixed points"
                 )
     return FpfDichotomyReport(E, levels, checked, tuple(violations))
 

@@ -15,7 +15,11 @@ desk scale the package stays at (q up to ~10^4).  Irreducibility testing,
 root finding and subfield embeddings are done by exhaustive methods rather
 than probabilistic factorization.  Monic quadratics (the fixed-point
 equations of PGL2) are solved in closed form from per-field square-root and
-Artin-Schreier tables.
+Artin-Schreier tables.  Polynomials over F_q on element codes (the cpoly_*
+helpers) divide, take gcds and powers modulo a polynomial, and split a
+squarefree polynomial by the degrees of its irreducible factors, all over
+the field's own tables: this tells in which F_{q^r} the roots lie without
+building F_{q^r}.
 
 Conventions used throughout the package:
 
@@ -40,7 +44,7 @@ import itertools
 import math
 import operator
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .closure import is_prime, order
 
@@ -228,7 +232,9 @@ def _code(coeffs: Sequence[int], p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _auto_modulus(p: int, n: int) -> tuple[int, ...]:
-    for tail in itertools.product(range(p), repeat=n):
+    # for n >= 2 the p^(n-1) candidates with c0 = 0 are divisible by x
+    digits = [range(1 if n >= 2 else 0, p)] + [range(p)] * (n - 1)
+    for tail in itertools.product(*digits):
         cand = tuple(tail) + (1,)
         if _pp_is_irreducible(cand, p):
             return cand
@@ -371,6 +377,50 @@ class _FieldTables:
         self.zech = [log[(c + one) % q] for c in codes] * 2
         self.half = 0 if p == 2 else m // 2
         self.m = m
+
+
+class _CodeOps(NamedTuple):
+    """Field operations on element codes, for loops that build no FqElem:
+    log and m as in _FieldTables, exp[k] the code of g^k for 0 <= k < 3m (so
+    three logs add without reduction), and add, sub and mul on codes."""
+
+    log: list
+    exp: list
+    m: int
+    add: Callable[[int, int], int]
+    sub: Callable[[int, int], int]
+    mul: Callable[[int, int], int]
+
+
+@lru_cache(maxsize=None)
+def _code_ops(spec: FieldSpec) -> _CodeOps:
+    t = spec._tables
+    m, half, log, zech = t.m, t.half, t.log, t.zech
+    exp = [g.code for g in t.exp[:m]] * 3
+
+    def add(c, d):
+        if not c:
+            return d
+        if not d:
+            return c
+        i = log[c]
+        z = zech[log[d] - i]  # g^i + g^j = g^i (1 + g^(j-i))
+        return 0 if z is None else exp[i + z]
+
+    def sub(c, d):
+        if not d:
+            return c
+        j = log[d] + half  # log(-d)
+        if not c:
+            return exp[j]
+        i = log[c]
+        z = zech[j - i]
+        return 0 if z is None else exp[i + z]
+
+    def mul(c, d):
+        return exp[log[c] + log[d]] if c and d else 0
+
+    return _CodeOps(log, exp, m, add, sub, mul)
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +702,111 @@ def poly_roots(coeffs: Sequence[FqElem], r: int):
         if poly_eval(f, x).is_zero():
             out.append((x, root_multiplicity(f, x)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# polynomials over F_q on codes: lists of element codes, constant term first,
+# with no trailing zero (the zero polynomial is []).  The helpers run on the
+# field's log, antilog and Zech tables and build no FqElem.
+
+
+def _cp_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _cp_monic(ops: _CodeOps, a: list) -> list:
+    shift = ops.m - ops.log[a[-1]]  # log of 1/lead
+    return [ops.exp[shift + ops.log[c]] if c else 0 for c in a]
+
+
+def cpoly_sub(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list:
+    sub = _code_ops(spec).sub
+    return _cp_trim([sub(c, d) for c, d in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def cpoly_mul(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list:
+    if not a or not b:
+        return []
+    ops = _code_ops(spec)
+    add, log, exp = ops.add, ops.log, ops.exp
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                if d:
+                    out[i + j] = add(out[i + j], exp[log[c] + log[d]])
+    return out
+
+
+def cpoly_divmod(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[list, list]:
+    """The quotient and remainder of a by b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    ops = _code_ops(spec)
+    sub, log, exp = ops.sub, ops.log, ops.exp
+    db = len(b) - 1
+    rem = list(a)
+    quot = [0] * max(len(a) - db, 0)
+    shift = ops.m - log[b[-1]]  # log of 1/lead(b)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db]
+        if c:
+            k = log[c] + shift  # log of the quotient term, < 2m
+            quot[i] = exp[k]
+            for j, d in enumerate(b):
+                if d:
+                    rem[i + j] = sub(rem[i + j], exp[k + log[d]])
+    return _cp_trim(quot), _cp_trim(rem[:db])
+
+
+def cpoly_gcd(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list:
+    """The monic gcd of a and b, by Euclid ([] when both are zero)."""
+    while b:
+        a, b = b, cpoly_divmod(spec, a, b)[1]
+    return _cp_monic(_code_ops(spec), a) if a else []
+
+
+def cpoly_powmod(spec: FieldSpec, a: Sequence[int], e: int, mod: Sequence[int]) -> list:
+    """a^e modulo mod (e >= 0), by square and multiply."""
+    result = cpoly_divmod(spec, [spec.q // spec.p], mod)[1]
+    a = cpoly_divmod(spec, a, mod)[1]
+    while e:
+        if e & 1:
+            result = cpoly_divmod(spec, cpoly_mul(spec, result, a), mod)[1]
+        e >>= 1
+        if e:
+            a = cpoly_divmod(spec, cpoly_mul(spec, a, a), mod)[1]
+    return result
+
+
+def cpoly_deriv(spec: FieldSpec, a: Sequence[int]) -> list:
+    mul, p, one = _code_ops(spec).mul, spec.p, spec.q // spec.p
+    return _cp_trim([mul(i % p * one, a[i]) for i in range(1, len(a))])
+
+
+def cpoly_ddf(spec: FieldSpec, h: Sequence[int]) -> dict[int, list]:
+    """The distinct-degree factorization of a squarefree h: {k: the monic
+    product of the irreducible factors of h of degree k}, for the k that
+    occur, in increasing order.  The part of degree k is the gcd of what is
+    left of h with x^(q^k) - x (D. G. Cantor and H. Zassenhaus, "A new
+    algorithm for factoring polynomials over finite fields", Math. Comp. 36,
+    1981)."""
+    x = [0, spec.q // spec.p]
+    h = _cp_monic(_code_ops(spec), h) if h else []
+    parts = {}
+    w, k = x, 0
+    while len(h) - 1 >= 2 * (k + 1):
+        k += 1
+        w = cpoly_powmod(spec, w, spec.q, h)
+        g = cpoly_gcd(spec, h, cpoly_sub(spec, w, x))
+        if len(g) > 1:
+            parts[k] = g
+            h = cpoly_divmod(spec, h, g)[0]  # the next powmod reduces w by it
+    if len(h) > 1:
+        parts[len(h) - 1] = h
+    return parts
 
 
 @lru_cache(maxsize=None)

@@ -502,6 +502,11 @@ def test_verify_main_over_the_bound_names_it(capsys):
     assert "WORK_BOUND" in capsys.readouterr().err
 
 
+def test_genus1_level_past_the_point_cap_is_a_usage_error(capsys):
+    assert exit_code(("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "1,12")) == 2
+    assert capsys.readouterr().err == "error: point enumeration capped at q^r <= 10000, got 244140625\n"
+
+
 def test_verify_main_p7():
     code, out = run_cli("verify-main", "--p", "7", "--levels", "1-2")
     assert code == 0

@@ -4,12 +4,15 @@ import random
 
 import pytest
 
+from pglcensus import elliptic
 from pglcensus.closure import order
 from pglcensus.elliptic import (
     ECAut,
     ECPoint,
     ECurve,
+    _fibre_sizes,
     _one_minus_sigma_fibres,
+    _one_minus_sigma_map,
     aut0,
     aut_fixed_points,
     base_change,
@@ -19,7 +22,6 @@ from pglcensus.elliptic import (
     ec_infinity,
     ec_neg,
     ec_point,
-    ec_point_embed,
     ec_points,
     ec_sub,
     enum_spf_actions,
@@ -61,6 +63,13 @@ E_J0 = CURVES["F7_j0"]            # y^2 = x^3 + 1 over F7
 def P(E, x, y):
     spec = E.spec
     return ec_point(E, fq_from_int(spec, x), fq_from_int(spec, y))
+
+
+def ec_point_embed(Q, target):
+    """Q with its coordinates embedded in the target field (O goes to O)."""
+    if Q.is_zero:
+        return ec_infinity(target)
+    return ECPoint(target, fq_embed(Q.x, target), fq_embed(Q.y, target))
 
 
 class TestCurveConstruction:
@@ -339,6 +348,79 @@ class TestFpfDichotomy:
     def test_rejects_empty_levels(self):
         with pytest.raises(ValueError):
             verify_fpf_dichotomy(E_J1728, [])
+
+    def test_levels_refused_in_order_before_any_work(self):
+        with pytest.raises(ValueError, match="got 244140625"):
+            verify_fpf_dichotomy(E_GENERIC, (1, 12, 0))
+        with pytest.raises(ValueError, match="extension degree must be >= 1, got 0"):
+            verify_fpf_dichotomy(E_GENERIC, (1, 0, 12))
+
+    def test_builds_no_field_above_the_curve(self, monkeypatch):
+        def refuse(spec, r):
+            raise AssertionError(f"extension_field({spec!r}, {r}) called")
+
+        monkeypatch.setattr(elliptic, "extension_field", refuse)
+        E = parse_curve("7^1:a=2,b=3")  # fixed points at level 4 only for (2,1)
+        rep = verify_fpf_dichotomy(E, (1, 2, 3, 4))
+        assert rep.ok and rep.pairs_checked == 2 * len(ec_points(E)) - 1
+        assert not verify_fpf_dichotomy(E, (1, 2, 3)).ok
+
+    def test_level_one_is_cross_checked_against_the_scan(self, monkeypatch):
+        # level 1 need not come first: (2,1) on this curve is fixed at level 4 only
+        assert verify_fpf_dichotomy(parse_curve("7^1:a=2,b=3"), (4, 1)).ok
+        monkeypatch.setattr(elliptic, "_one_minus_sigma_fibres", lambda E, u: {})
+        with pytest.raises(AssertionError, match="at r=1, the scan 0"):
+            verify_fpf_dichotomy(E_J1728, (2, 1))
+        assert verify_fpf_dichotomy(E_J1728, (2, 3)).ok  # level 1 absent: no cross-check
+
+
+def scanned_fibre_sizes(E, u, P, levels):
+    """|(1 - sigma_u)^{-1}(P)| at each level, by the point scan of E over
+    F_{q^r}: the reference for _fibre_sizes."""
+    sizes = []
+    for r in levels:
+        Er = base_change(E, r)
+        fibres = _one_minus_sigma_fibres(Er, fq_embed(u, Er.spec))
+        sizes.append(len(fibres.get(ec_point_embed(P, Er.spec), ())))
+    return sizes
+
+
+def seeded_curves(spec, k, seed):
+    """k nonsingular curves over spec from each class a = 0 (j = 0), b = 0
+    (j = 1728) and ab != 0, so every size of Aut_0 the field allows occurs."""
+    rng = random.Random(seed)
+    classes = {}
+    for E in _nonsingular_curves(spec):
+        classes.setdefault((E.a.is_zero(), E.b.is_zero()), []).append(E)
+    return [E for key in sorted(classes) for E in rng.sample(classes[key], k)]
+
+
+F49 = field_make(7, 2)
+FIBRE_CASES = {
+    "F5 levels 1-4": (lambda: list(_nonsingular_curves(F5)), (1, 2, 3, 4)),
+    "F7 levels 1-3": (lambda: list(_nonsingular_curves(F7)), (1, 2, 3)),
+    "F7 level 4": (lambda: seeded_curves(F7, 2, 4), (4,)),
+    "F49 levels 1-2": (lambda: seeded_curves(F49, 2, 49), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIBRE_CASES))
+def test_fibre_polynomial_counts_match_the_scan(case):
+    """Every (u != 1, P) of the curves, the kernel (P = O) included."""
+    curves, levels = FIBRE_CASES[case]
+    for E in curves():
+        for u in aut0(E):
+            if u == fq_one(E.spec):
+                continue
+            N, D = _one_minus_sigma_map(E, u)
+            for Q in ec_points(E):
+                got = _fibre_sizes(E, N, D, Q, levels)
+                assert got == scanned_fibre_sizes(E, u, Q, levels), (render_curve(E), render_element(u), Q)
+
+
+def test_seeded_curves_cover_every_aut0_size():
+    assert {len(aut0(E)) for E in seeded_curves(F7, 2, 4)} == {2, 6}  # no i in F7
+    assert {len(aut0(E)) for E in seeded_curves(F49, 2, 49)} == {2, 4, 6}
 
 
 class TestGenus1Finiteness:

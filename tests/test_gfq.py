@@ -6,9 +6,17 @@ import random
 
 import pytest
 
+from pglcensus.closure import is_prime
 from pglcensus.gfq import (
     FieldSpec,
     FqElem,
+    _auto_modulus,
+    _pp_is_irreducible,
+    cpoly_ddf,
+    cpoly_deriv,
+    cpoly_divmod,
+    cpoly_gcd,
+    cpoly_powmod,
     field_elements,
     field_make,
     fp_echelon,
@@ -30,6 +38,7 @@ from pglcensus.gfq import (
     monic_quadratic_roots,
     parse_element,
     parse_field_spec,
+    poly_deriv,
     poly_eval,
     poly_roots,
     primitive_root_of_unity,
@@ -84,6 +93,18 @@ class TestFieldMake:
                 winner = cand
                 break
             assert spec.modulus == winner
+
+
+# every p^n <= 3^6
+SMALL_PN = [(p, n) for p in range(2, 730) if is_prime(p) for n in range(1, 10) if p**n <= 3**6]
+
+
+def test_auto_modulus_equals_the_full_lexicographic_search():
+    """The search skips the candidates with c0 = 0 (divisible by x) for n >= 2."""
+    for p, n in SMALL_PN:
+        full = next(t + (1,) for t in itertools.product(range(p), repeat=n) if _pp_is_irreducible(t + (1,), p))
+        assert _auto_modulus(p, n) == full, (p, n)
+    assert len(SMALL_PN) == 152  # 129 primes and 23 proper powers
 
 
 class TestInterning:
@@ -521,3 +542,110 @@ class TestRootsOfUnityAgainstScans:
             assert roots_of_unity(spec, n) == scan_roots_of_unity(spec, n)
             if (spec.q - 1) % n == 0:
                 assert primitive_root_of_unity(spec, n) == scan_primitive_root_of_unity(spec, n)
+
+
+# ---------------------------------------------------------------------------
+# F_q[x] on codes against evaluation in FqElem arithmetic
+
+F16 = field_make(2, 4)
+CPOLY_FIELDS = [F5, F9, F16]
+
+
+def as_elems(spec, a):
+    return [FqElem(spec, c) for c in a] or [fq_zero(spec)]
+
+
+def value(spec, a, x):
+    return poly_eval(as_elems(spec, a), x)
+
+
+def random_cpoly(rng, spec, degree):
+    """A polynomial of the given degree (nonzero leading code)."""
+    return [rng.randrange(spec.q) for _ in range(degree)] + [rng.randrange(1, spec.q)]
+
+
+def from_roots(spec, lead, roots):
+    """lead * prod (x - r) in FqElem arithmetic, as codes."""
+    coeffs = [lead]
+    for r in roots:
+        shifted = [fq_zero(spec)] + coeffs  # x * coeffs
+        coeffs = [fq_sub(c, fq_mul(r, d)) for c, d in zip(shifted, coeffs + [fq_zero(spec)])]
+    return [c.code for c in coeffs]
+
+
+@pytest.mark.parametrize("spec", CPOLY_FIELDS, ids=render_field_spec)
+class TestCodePolynomials:
+    def test_divmod(self, spec):
+        # a - (quot * b + rem) has degree < q, so vanishing on F_q means zero
+        rng = random.Random(spec.q)
+        for _ in range(60):
+            a = random_cpoly(rng, spec, rng.randrange(min(spec.q, 6)))
+            b = random_cpoly(rng, spec, rng.randrange(len(a) + 1))
+            quot, rem = cpoly_divmod(spec, a, b)
+            assert len(rem) < len(b) and (not quot or quot[-1]) and (not rem or rem[-1])
+            for x in field_elements(spec):
+                assert value(spec, a, x) == value(spec, quot, x) * value(spec, b, x) + value(spec, rem, x)
+        with pytest.raises(ZeroDivisionError):
+            cpoly_divmod(spec, [1], [])
+
+    def test_gcd_of_split_polynomials(self, spec):
+        rng = random.Random(spec.q)
+        pool = list(field_elements(spec))[:4]
+        for _ in range(40):
+            ma, mb = ([rng.randrange(3) for _ in pool] for _ in range(2))
+            lead = FqElem(spec, rng.randrange(1, spec.q))
+            a = from_roots(spec, lead, [r for r, k in zip(pool, ma) for _ in range(k)])
+            b = from_roots(spec, fq_one(spec), [r for r, k in zip(pool, mb) for _ in range(k)])
+            common = [r for r, i, j in zip(pool, ma, mb) for _ in range(min(i, j))]
+            assert cpoly_gcd(spec, a, b) == cpoly_gcd(spec, b, a) == from_roots(spec, fq_one(spec), common)
+        assert cpoly_gcd(spec, [], []) == []
+        assert cpoly_gcd(spec, [0, 0, spec.q - 1], []) == [0, 0, fq_one(spec).code]
+
+    def test_powmod_at_the_roots_of_the_modulus(self, spec):
+        # the residue has degree < deg mod, so its values at deg mod distinct roots fix it
+        rng = random.Random(spec.q)
+        for e in (0, 1, 2, 7, spec.q, spec.q**3 - 1, 12345):
+            for _ in range(8):
+                roots = rng.sample(list(field_elements(spec)), rng.randrange(1, 5))
+                mod = from_roots(spec, fq_one(spec), roots)
+                a = random_cpoly(rng, spec, rng.randrange(6))
+                got = cpoly_powmod(spec, a, e, mod)
+                assert len(got) < len(mod)
+                for r in roots:
+                    assert value(spec, got, r) == fq_pow(value(spec, a, r), e)
+
+    def test_deriv(self, spec):
+        rng = random.Random(spec.q)
+        for degree in range(7):
+            a = random_cpoly(rng, spec, degree)
+            assert as_elems(spec, cpoly_deriv(spec, a)) == list(poly_deriv(as_elems(spec, a)))
+
+    def test_distinct_degree_parts(self, spec):
+        """Each part of degree k has all its roots, simple, in F_{q^k} and none
+        in a smaller field of the tower; so h has sum_{k | r} deg(part_k)
+        roots in F_{q^r}."""
+        rng = random.Random(spec.q)
+        top = 3 if spec.q > 9 else 4  # keeps F_{q^k} at most 6561 elements
+        degrees = set()
+        tried = 0
+        while tried < 40:
+            h = random_cpoly(rng, spec, rng.randrange(1, top + 1))
+            h = cpoly_divmod(spec, h, [h[-1]])[0]  # monic
+            if cpoly_gcd(spec, h, cpoly_deriv(spec, h)) != [fq_one(spec).code]:
+                continue  # not squarefree
+            tried += 1
+            parts = cpoly_ddf(spec, h)
+            assert list(parts) == sorted(parts)
+            assert sum(len(g) - 1 for g in parts.values()) == len(h) - 1
+            for k, g in parts.items():
+                degrees.add(k)
+                assert (len(g) - 1) % k == 0 and g[-1] == fq_one(spec).code
+                roots = poly_roots(as_elems(spec, g), k)
+                assert len(roots) == len(g) - 1 and all(m == 1 for _, m in roots)
+                for d in range(1, k):
+                    if k % d == 0:
+                        assert poly_roots(as_elems(spec, g), d) == []
+            for r in range(1, top + 1):
+                expected = sum(len(g) - 1 for k, g in parts.items() if r % k == 0)
+                assert len(poly_roots(as_elems(spec, h), r)) == expected
+        assert degrees == set(range(1, top + 1))

@@ -136,6 +136,18 @@ GOLDEN = {
         ("b2ab6717087a00ec0f05b5abbd43eb26b0e82071d7cdfd4a4ea223ef7053bd98", 0),
     "conjugate --field 5^1 --gens1 [0,1;1,0]|[0,1;4,0]|[1,1;2,3] --gens2 [0,1;1,0]|[0,1;4,1]|[1,1;2,4]":
         ("5b668a141b5ab2afbdf880b364e6f9eb724b098fc7b1f7f34151e803d2166d24", 0),
+    # the fixed-point dichotomy read off fibre polynomials: three [0, 0, 0]
+    # violations at the default levels, one at the 2-torsion point (6,0);
+    # j = 0 at levels without 1 and with a repeat; j = 1728 at levels 1-4;
+    # and a curve over F_49 whose violations reach level 2
+    "verify-genus1 --curve 7^1:a=2,b=3":
+        ("75883735e2a0cde4e753fc991707aef24ef1c523bf6b2d9aabefabb1a8b05872", 1),
+    "verify-genus1 --curve 7^1:a=0,b=1 --levels 2,4,2":
+        ("86f646ec7e21a3a2fee616d68e49044cbdc2d71a79c366de694e17a63ccdcab1", 1),
+    "verify-genus1 --curve 5^1:a=4,b=0 --levels 1-4":
+        ("7fdd1d8343aacd6790aa1d2402d33d35426fdb168f3396fc6ba6128d6edcda1a", 0),
+    "verify-genus1 --curve 7^2:a=1,1,b=3,0 --levels 1-2":
+        ("df5bacefea37462030541c3472b01e988acf45e9f83f83edb4b0217cbb73277c", 1),
 }
 
 
