@@ -11,15 +11,19 @@ k -> log(1 + g^k) (K. Huber, "Some comments on Zech's logarithms", IEEE
 Trans. Inf. Theory 36, 1990): a product adds two logs, a sum or difference
 adds a Zech log, and inverses, powers, roots of unity and subfields are
 index arithmetic.  The tables take O(q) memory and time, which suits the
-desk scale the package stays at (q up to ~10^4).  Irreducibility testing,
-root finding and subfield embeddings are done by exhaustive methods rather
-than probabilistic factorization.  Monic quadratics (the fixed-point
-equations of PGL2) are solved in closed form from per-field square-root and
-Artin-Schreier tables.  Polynomials over F_q on element codes (the cpoly_*
-helpers) divide, take gcds and powers modulo a polynomial, and split a
-squarefree polynomial by the degrees of its irreducible factors, all over
-the field's own tables: this tells in which F_{q^r} the roots lie without
-building F_{q^r}.
+desk scale the package stays at (q up to ~10^4).  Monic quadratics (the
+fixed-point equations of PGL2) are solved in closed form from per-field
+square-root and Artin-Schreier tables.
+
+Polynomials over F_q are lists of element codes, and the cpoly_* helpers are
+the one polynomial layer: they divide, take gcds and powers modulo a
+polynomial, and split a squarefree polynomial by the degrees of its
+irreducible factors, all over the field's own tables, which tells in which
+F_{q^r} the roots lie without building F_{q^r}.  A modulus is tested for
+irreducibility by that split over F_p (Ben-Or's test, polynomial in n), so
+a field's spec costs only F_p's tables.  Roots (poly_roots) and the root
+behind a subfield embedding are still found exhaustively, by trying every
+element x of the field with division by t - x.
 
 Conventions used throughout the package:
 
@@ -50,50 +54,6 @@ from .closure import is_prime, order
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p, represented as int tuples with constant term first
-
-
-def _pp_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pp_mod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    """The remainder of a modulo b."""
-    a = list(_pp_trim(a))
-    b = _pp_trim(b)
-    if b == (0,):
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    da = len(a) - 1
-    while da >= db:
-        if a[da] == 0:
-            da -= 1
-            continue
-        c = (a[da] * inv_lead) % p
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-        da -= 1
-    return _pp_trim(a)
-
-
-def _pp_is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree up to deg(f)/2."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    for d in range(1, n // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = tuple(tail) + (1,)
-            if _pp_mod(f, g, p) == (0,):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # field specifications and elements
 
 
@@ -121,7 +81,7 @@ class FieldSpec:
                 raise ValueError(f"modulus coefficients must lie in [0, {p}), got {m}")
             if m[-1] != 1:
                 raise ValueError(f"modulus must be monic, got {m}")
-            if not _pp_is_irreducible(m, p):
+            if not _is_irreducible(m, p):
                 raise ValueError(f"modulus {m} is reducible over F_{p}")
             spec = object.__new__(cls)
             spec.__dict__.update(p=p, n=n, modulus=m, q=p**n)
@@ -236,7 +196,7 @@ def _auto_modulus(p: int, n: int) -> tuple[int, ...]:
     digits = [range(1 if n >= 2 else 0, p)] + [range(p)] * (n - 1)
     for tail in itertools.product(*digits):
         cand = tuple(tail) + (1,)
-        if _pp_is_irreducible(cand, p):
+        if _is_irreducible(cand, p):
             return cand
     raise AssertionError("no irreducible polynomial found (unreachable)")
 
@@ -291,10 +251,10 @@ def fq_from_coeffs(spec: FieldSpec, coeffs: Sequence[int]) -> FqElem:
 @lru_cache(maxsize=None)
 def _reduction_rows(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     """x^k mod modulus for k = n .. 2n-2, as length-n coefficient rows."""
-    rows = []
+    fp, rows = field_make(spec.p, 1), []
     for k in range(spec.n, 2 * spec.n - 1):
-        red = _pp_mod((0,) * k + (1,), spec.modulus, spec.p)
-        rows.append(red + (0,) * (spec.n - len(red)))
+        red = cpoly_divmod(fp, [0] * k + [1], spec.modulus)[1]
+        rows.append(tuple(red) + (0,) * (spec.n - len(red)))
     return tuple(rows)
 
 
@@ -532,8 +492,8 @@ def _embedding_table(src: FieldSpec, dst: FieldSpec) -> tuple[FqElem, ...]:
     the src modulus inside dst, which makes the embedding deterministic; the
     roots lie in the subfield of order src.q.
     """
-    modulus = [fq_from_int(dst, c) for c in src.modulus]
-    root = next((x for x in subfield_elements(dst, src.n) if poly_eval(modulus, x).is_zero()), None)
+    modulus = [fq_from_int(dst, c).code for c in src.modulus]
+    root = next((x for x in subfield_elements(dst, src.n) if cpoly_multiplicity(dst, modulus, x.code)), None)
     if root is None:
         raise AssertionError(f"no root of {src.modulus} in {dst!r} (unreachable for m | n)")
     powers = [fq_pow(root, i) for i in range(src.n)]
@@ -632,82 +592,10 @@ def primitive_root_of_unity(spec: FieldSpec, n: int) -> FqElem:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_q (coefficient lists of FqElem, constant term first)
-
-
-def poly_trim(coeffs: Sequence[FqElem]) -> tuple[FqElem, ...]:
-    c = list(coeffs)
-    while len(c) > 1 and c[-1].is_zero():
-        c.pop()
-    return tuple(c)
-
-
-def poly_is_zero(coeffs: Sequence[FqElem]) -> bool:
-    return all(c.is_zero() for c in coeffs)
-
-
-def poly_eval(coeffs: Sequence[FqElem], x: FqElem) -> FqElem:
-    acc = fq_zero(x.spec)
-    for c in reversed(coeffs):
-        acc = fq_add(fq_mul(acc, x), c)
-    return acc
-
-
-def poly_deriv(coeffs: Sequence[FqElem]) -> tuple[FqElem, ...]:
-    spec = coeffs[0].spec
-    if len(coeffs) == 1:
-        return (fq_zero(spec),)
-    out = []
-    for i in range(1, len(coeffs)):
-        out.append(fq_mul(fq_from_int(spec, i), coeffs[i]))
-    return poly_trim(out)
-
-
-def poly_embed(coeffs: Sequence[FqElem], target: FieldSpec) -> tuple[FqElem, ...]:
-    return tuple(fq_embed(c, target) for c in coeffs)
-
-
-def root_multiplicity(coeffs: Sequence[FqElem], x0: FqElem) -> int:
-    """Multiplicity of x0 as a root, by repeated synthetic division by (x - x0)."""
-    f = list(poly_trim(coeffs))
-    mult = 0
-    while not poly_is_zero(f):
-        # synthetic division: f = (x - x0) * q + rem, rem = f(x0)
-        quot = [fq_zero(x0.spec)] * max(1, len(f) - 1)
-        carry = fq_zero(x0.spec)
-        for i in range(len(f) - 1, 0, -1):
-            carry = fq_add(f[i], fq_mul(carry, x0))
-            quot[i - 1] = carry
-        rem = fq_add(f[0], fq_mul(carry, x0))
-        if not rem.is_zero():
-            break
-        mult += 1
-        f = quot
-    return mult
-
-
-def poly_roots(coeffs: Sequence[FqElem], r: int):
-    """All roots of the polynomial in F_{q^r} with multiplicities, found by
-    exhaustive evaluation after embedding the coefficients.
-
-    Returns a canonically sorted list of (root, multiplicity) pairs.
-    """
-    if poly_is_zero(coeffs):
-        raise ValueError("zero polynomial has every element as a root")
-    spec = coeffs[0].spec
-    ext = extension_field(spec, r)
-    f = poly_embed(poly_trim(coeffs), ext)
-    out = []
-    for x in field_elements(ext):
-        if poly_eval(f, x).is_zero():
-            out.append((x, root_multiplicity(f, x)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # polynomials over F_q on codes: lists of element codes, constant term first,
 # with no trailing zero (the zero polynomial is []).  The helpers run on the
-# field's log, antilog and Zech tables and build no FqElem.
+# field's log, antilog and Zech tables; only cpoly_from_elems and poly_roots
+# take or give FqElem.
 
 
 def _cp_trim(a: list) -> list:
@@ -807,6 +695,55 @@ def cpoly_ddf(spec: FieldSpec, h: Sequence[int]) -> dict[int, list]:
     if len(h) > 1:
         parts[len(h) - 1] = h
     return parts
+
+
+def _is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Whether the monic f over F_p (coefficients in [0, p), constant term
+    first) is irreducible.  Degree 1 is, before any table is built, which
+    ends the recursion through the prime field's own spec.  Of degree n >= 2,
+    f is reducible iff it has an irreducible factor of degree <= n/2, which
+    the first gcds of cpoly_ddf find whether or not f is squarefree; so f is
+    irreducible iff its distinct-degree factorization is {n: f} (M. Ben-Or,
+    "Probabilistic algorithms in finite fields", FOCS 1981)."""
+    n = len(f) - 1
+    return n == 1 or cpoly_ddf(field_make(p, 1), f) == {n: list(f)}
+
+
+def cpoly_from_elems(coeffs: Sequence[FqElem]) -> tuple[FieldSpec, list]:
+    """The field and the code list of a polynomial given by FqElem
+    coefficients, constant term first, which must share one field."""
+    if not coeffs:
+        raise ValueError("polynomial needs at least one coefficient")
+    spec = coeffs[0].spec
+    if any(c.spec is not spec for c in coeffs):
+        raise ValueError("field mismatch: the coefficients lie in different fields")
+    return spec, _cp_trim([c.code for c in coeffs])
+
+
+def cpoly_multiplicity(spec: FieldSpec, a: Sequence[int], x: int) -> int:
+    """How many times t - x divides the nonzero a (x an element code): the
+    multiplicity of x as a root, 0 when it is none."""
+    line = [_code_ops(spec).sub(0, x), spec.q // spec.p]
+    e = 0
+    while True:
+        quot, rem = cpoly_divmod(spec, a, line)
+        if rem:
+            return e
+        a, e = quot, e + 1
+
+
+def poly_roots(coeffs: Sequence[FqElem], r: int):
+    """All roots of the polynomial in F_{q^r} with their multiplicities, as a
+    canonically sorted list of (root, multiplicity) pairs.  The coefficients
+    are embedded into F_{q^r}, and each element x of it is tried by dividing
+    by t - x on codes for as long as the remainder is zero."""
+    spec, f = cpoly_from_elems(coeffs)
+    if not f:
+        raise ValueError("zero polynomial has every element as a root")
+    ext = extension_field(spec, r)
+    f = [fq_embed(c, ext).code for c in coeffs[: len(f)]]
+    elems = field_elements(ext)
+    return [(elems[x], e) for x in range(ext.q) if (e := cpoly_multiplicity(ext, f, x))]
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,10 @@ from .gfq import (
     CodedValue,
     FieldSpec,
     FqElem,
+    cpoly_deriv,
+    cpoly_divmod,
+    cpoly_from_elems,
+    cpoly_multiplicity,
     extension_field,
     field_elements,
     fq_add,
@@ -46,14 +50,7 @@ from .gfq import (
     fq_zero,
     monic_quadratic_roots,
     parse_element,
-    poly_deriv,
-    poly_embed,
-    poly_eval,
-    poly_is_zero,
-    poly_roots,
-    poly_trim,
     render_element,
-    root_multiplicity,
 )
 
 
@@ -437,34 +434,32 @@ class RamPoint:
 def poly_map_ramification(coeffs: Sequence[FqElem], r: int) -> list[RamPoint]:
     """Ramification locus in P^1(F_{q^r}) of the map x -> f(x), deg f >= 2.
 
-    The index at x0 is the multiplicity of (x - x0) in f(x) - f(x0), which is
-    correct in wild cases where the derivative count fails; the map totally
-    ramifies at infinity with index deg f.  Inseparable maps (f' = 0) are
-    rejected.
+    The index at x0 is the multiplicity of (t - x0) in f(t) - f(x0), which is
+    correct in wild cases where the derivative count fails.  Since f - f(x0)
+    = (t - x0)·g with g the quotient of f by t - x0, that is one more than
+    the multiplicity of x0 in g, and x0 ramifies iff g(x0) = f'(x0) = 0.
+    Every x0 in F_{q^r} is tried by that division on element codes.  The map
+    totally ramifies at infinity with index deg f.  Inseparable maps (f' = 0)
+    are rejected.
     """
-    if not coeffs:
-        raise ValueError("polynomial map needs at least one coefficient")
-    spec = coeffs[0].spec
-    f = poly_trim(coeffs)
-    deg = len(f) - 1
+    spec, f = cpoly_from_elems(coeffs)
+    deg = max(len(f) - 1, 0)
     if deg < 2:
         raise ValueError(f"polynomial map must have degree >= 2, got degree {deg}")
-    fprime = poly_deriv(f)
-    if poly_is_zero(fprime):
+    if not cpoly_deriv(spec, f):
         raise ValueError("inseparable map: the derivative vanishes identically")
     ext = extension_field(spec, r)
-    f_ext = poly_embed(f, ext)
+    f = [fq_embed(c, ext).code for c in coeffs[: deg + 1]]
+    one, elems = ext.q // ext.p, field_elements(ext)
     out = []
-    # affine ramification points are exactly the zeros of f'
-    for x0, _ in poly_roots(fprime, r):
-        shifted = list(f_ext)
-        shifted[0] = fq_sub(shifted[0], poly_eval(f_ext, x0))
-        e = root_multiplicity(shifted, x0)
-        if e < 2:
-            raise AssertionError("zero of f' with multiplicity < 2 (unreachable)")
-        out.append(RamPoint(pp1_affine(x0), e, e % spec.p != 0))
+    for x0 in range(ext.q):
+        g = cpoly_divmod(ext, f, [fq_neg(elems[x0]).code, one])[0]
+        e = 1 + cpoly_multiplicity(ext, g, x0)
+        if e > 1:
+            out.append(RamPoint(pp1_affine(elems[x0]), e, e % spec.p != 0))
+    # infinity's code is q, after every affine point
     out.append(RamPoint(pp1_infinity(ext), deg, deg % spec.p != 0))
-    return sorted(out, key=lambda rp: rp.point.code)
+    return out
 
 
 # ---------------------------------------------------------------------------

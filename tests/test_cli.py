@@ -67,6 +67,13 @@ class TestFieldInfo:
         code, _ = run_cli("field-info", "--field", "2^2/0,0,1")
         assert code == 2
 
+    def test_big_field_modulus(self):
+        # the modulus search and its irreducibility tests are polynomial in n
+        code, out = run_cli("field-info", "--field", "2^40")
+        assert code == 0
+        modulus = json.loads(out)["modulus"]
+        assert [i for i, c in enumerate(modulus) if c] == [0, 35, 36, 37, 40]
+
 
 class TestFixedPoints:
     def test_translation(self):
@@ -312,6 +319,16 @@ class TestRamification:
         indices = sorted(row["index"] for row in data["ramification"])
         assert indices == [2, 2, 2, 2, 5]
         assert all(row["tame"] for row in data["ramification"])
+
+    def test_wild_point(self):
+        # x^3 + x^4 over F3: f - f(0) = x^3 (1 + x) gives index 3 at 0, wild,
+        # where f' = x^3 would give ord(f') + 1 = 4
+        code, out = run_cli("ramification", "--field", "3^1", "--poly", "0,0,0,1,1")
+        assert code == 0
+        assert json.loads(out)["ramification"] == [
+            {"index": 3, "point": "0", "tame": False},
+            {"index": 4, "point": "inf", "tame": True},
+        ]
 
     def test_inseparable_is_usage_error(self):
         code, _ = run_cli("ramification", "--field", "3^1", "--poly", "0,0,0,1")

@@ -11,11 +11,12 @@ from pglcensus.gfq import (
     FieldSpec,
     FqElem,
     _auto_modulus,
-    _pp_is_irreducible,
+    _is_irreducible,
     cpoly_ddf,
     cpoly_deriv,
     cpoly_divmod,
     cpoly_gcd,
+    cpoly_mul,
     cpoly_powmod,
     field_elements,
     field_make,
@@ -38,8 +39,6 @@ from pglcensus.gfq import (
     monic_quadratic_roots,
     parse_element,
     parse_field_spec,
-    poly_deriv,
-    poly_eval,
     poly_roots,
     primitive_root_of_unity,
     render_element,
@@ -95,6 +94,56 @@ class TestFieldMake:
             assert spec.modulus == winner
 
 
+def fp_remainder(a, b, p):
+    """The remainder of a by the monic b over F_p (int tuples, constant term
+    first), by long division."""
+    a = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1]
+        for j, d in enumerate(b):
+            a[i + j] = (a[i + j] - c * d) % p
+    return a[: len(b) - 1]
+
+
+def trial_division_irreducible(f, p):
+    """The reference: the monic f of degree n >= 1 is irreducible over F_p iff
+    no monic polynomial of degree 1 to n/2 divides it."""
+    n = len(f) - 1
+    return not any(
+        not any(fp_remainder(f, tail + (1,), p))
+        for d in range(1, n // 2 + 1)
+        for tail in itertools.product(range(p), repeat=d)
+    )
+
+
+def monic_polynomials(p, n):
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=n)]
+
+
+def mobius_mu(n):
+    primes = [l for l in range(2, n + 1) if n % l == 0 and is_prime(l)]
+    if any(n % (l * l) == 0 for l in primes):
+        return 0
+    return (-1) ** len(primes)
+
+
+# the largest degree checked over each small prime: 4,756 monic polynomials
+IRREDUCIBILITY_DEGREES = {2: 9, 3: 6, 5: 4, 7: 3, 11: 3}
+
+
+@pytest.mark.parametrize("p", sorted(IRREDUCIBILITY_DEGREES))
+def test_irreducibility_against_trial_division_and_gauss(p):
+    for n in range(1, IRREDUCIBILITY_DEGREES[p] + 1):
+        irreducible = 0
+        for f in monic_polynomials(p, n):
+            got = _is_irreducible(f, p)
+            assert got == trial_division_irreducible(f, p), (p, f)
+            irreducible += got
+        # Gauss: (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles of degree n
+        gauss = sum(mobius_mu(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        assert irreducible == gauss, (p, n)
+
+
 # every p^n <= 3^6
 SMALL_PN = [(p, n) for p in range(2, 730) if is_prime(p) for n in range(1, 10) if p**n <= 3**6]
 
@@ -102,7 +151,7 @@ SMALL_PN = [(p, n) for p in range(2, 730) if is_prime(p) for n in range(1, 10) i
 def test_auto_modulus_equals_the_full_lexicographic_search():
     """The search skips the candidates with c0 = 0 (divisible by x) for n >= 2."""
     for p, n in SMALL_PN:
-        full = next(t + (1,) for t in itertools.product(range(p), repeat=n) if _pp_is_irreducible(t + (1,), p))
+        full = next(f for f in monic_polynomials(p, n) if trial_division_irreducible(f, p))
         assert _auto_modulus(p, n) == full, (p, n)
     assert len(SMALL_PN) == 152  # 129 primes and 23 proper powers
 
@@ -325,6 +374,26 @@ class TestPolyRoots:
         f = polymul(polymul(lin1, lin1), lin2)
         roots = dict((x.coeffs[0], m) for x, m in poly_roots(f, 1))
         assert roots == {1: 2, 2: 1}
+
+    @pytest.mark.parametrize("spec", [F4, F5, F9], ids=render_field_spec)
+    def test_known_roots_and_multiplicities(self, spec):
+        """lead * prod (x - r)^m times a cubic with no root in F_{q^2}."""
+        rng = random.Random(spec.q)
+        one, ext = fq_one(spec).code, extension_field(spec, 2)
+        cubics = [list(t) + [one] for t in itertools.product(range(spec.q), repeat=3)]
+        cubics = [c for c in cubics if not scan_roots(spec, c, 2)]
+        for _ in range(20):
+            mults = {x: rng.randrange(1, 4) for x in rng.sample(field_elements(spec), rng.randrange(4))}
+            lead = FqElem(spec, rng.randrange(1, spec.q))
+            split = from_roots(spec, lead, [x for x, m in mults.items() for _ in range(m)])
+            f = as_elems(spec, cpoly_mul(spec, split, rng.choice(cubics)))
+            assert poly_roots(f, 1) == sorted(mults.items(), key=lambda xm: xm[0].code)
+            embedded = [(fq_embed(x, ext), m) for x, m in mults.items()]
+            assert poly_roots(f, 2) == sorted(embedded, key=lambda xm: xm[0].code)
+
+    def test_coefficients_from_two_fields_rejected(self):
+        with pytest.raises(ValueError, match="field mismatch"):
+            poly_roots([fq_one(F4), fq_one(field_make(2, 4))], 1)
 
 
 class TestMonicQuadraticRoots:
@@ -555,8 +624,30 @@ def as_elems(spec, a):
     return [FqElem(spec, c) for c in a] or [fq_zero(spec)]
 
 
+def horner(coeffs, x):
+    acc = fq_zero(x.spec)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def value(spec, a, x):
-    return poly_eval(as_elems(spec, a), x)
+    return horner(as_elems(spec, a), x)
+
+
+def elem_deriv(coeffs):
+    """The derivative in FqElem arithmetic, trimmed to at least one term."""
+    out = [fq_from_int(c.spec, i) * c for i, c in enumerate(coeffs)][1:] or [fq_zero(coeffs[0].spec)]
+    while len(out) > 1 and out[-1].is_zero():
+        out.pop()
+    return out
+
+
+def scan_roots(spec, a, r):
+    """The distinct roots of a in F_{q^r}, by evaluating at every element."""
+    ext = extension_field(spec, r)
+    f = [fq_embed(c, ext) for c in as_elems(spec, a)]
+    return [x for x in field_elements(ext) if horner(f, x).is_zero()]
 
 
 def random_cpoly(rng, spec, degree):
@@ -618,7 +709,7 @@ class TestCodePolynomials:
         rng = random.Random(spec.q)
         for degree in range(7):
             a = random_cpoly(rng, spec, degree)
-            assert as_elems(spec, cpoly_deriv(spec, a)) == list(poly_deriv(as_elems(spec, a)))
+            assert as_elems(spec, cpoly_deriv(spec, a)) == elem_deriv(as_elems(spec, a))
 
     def test_distinct_degree_parts(self, spec):
         """Each part of degree k has all its roots, simple, in F_{q^k} and none
@@ -640,12 +731,12 @@ class TestCodePolynomials:
             for k, g in parts.items():
                 degrees.add(k)
                 assert (len(g) - 1) % k == 0 and g[-1] == fq_one(spec).code
-                roots = poly_roots(as_elems(spec, g), k)
-                assert len(roots) == len(g) - 1 and all(m == 1 for _, m in roots)
+                # deg g distinct roots: all of them, each simple
+                assert len(scan_roots(spec, g, k)) == len(g) - 1
                 for d in range(1, k):
                     if k % d == 0:
-                        assert poly_roots(as_elems(spec, g), d) == []
+                        assert scan_roots(spec, g, d) == []
             for r in range(1, top + 1):
                 expected = sum(len(g) - 1 for k, g in parts.items() if r % k == 0)
-                assert len(poly_roots(as_elems(spec, h), r)) == expected
+                assert len(scan_roots(spec, h, r)) == expected
         assert degrees == set(range(1, top + 1))

@@ -405,6 +405,14 @@ class TestRamification:
         with pytest.raises(ValueError, match="degree"):
             poly_map_ramification(self.poly(F5, 1, 1), 1)
 
+    def test_coefficients_from_two_fields_rejected(self):
+        # x + x^2 with the leading coefficient in F25: codes alone carry no field
+        coeffs = self.poly(F5, 0, 1) + [fq_one(field_make(5, 2))]
+        with pytest.raises(ValueError, match="field mismatch"):
+            poly_map_ramification(coeffs, 1)
+        with pytest.raises(ValueError, match="field mismatch"):
+            poly_map_ramification(coeffs[::-1], 2)
+
     def test_family_member_over_F3(self):
         # x^5 + x at level 2: infinity with index 5, four points of index 2
         ram = poly_map_ramification(self.poly(F3, 0, 1, 0, 0, 0, 1), 2)
