@@ -353,7 +353,7 @@ def _cmd_ramification(args):
     payload = {
         "schema": "pglcensus/ramification/v1",
         "field": render_field_spec(spec),
-        "degree": len(coeffs) - 1,
+        "degree": ram[-1].index,  # infinity, listed last, has index deg f
         "ext": args.ext,
         "count": len(ram),
         "ramification": [

@@ -37,12 +37,11 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional, Sequence
 
-from .closure import order, subgroups_of_order
+from .closure import close, order, subgroups_of_order
 from .gfq import (
     CodedValue,
     FieldSpec,
     FqElem,
-    _code_ops,
     _sqrt_table,
     by_code,
     cpoly_ddf,
@@ -158,10 +157,10 @@ def ec_neg(E: ECurve, P: ECPoint) -> ECPoint:
 def _chord_tangent(E: ECurve):
     """The chord-tangent law of E on coordinate codes: law(x1, y1, x2, y2)
     gives the codes (x3, y3) of P1 + P2 for affine P1 and P2, or None when the
-    sum is O.  Every field operation is a lookup in the log, antilog and Zech
-    tables of E's field (gfq._code_ops), bound here once per curve."""
-    ops = _code_ops(E.spec)
-    log, exp, m, add, sub = ops.log, ops.exp, ops.m, ops.add, ops.sub
+    sum is O.  Every field operation is a code operation or a lookup in the
+    tables of E's field (gfq._FieldTables), bound here once per curve."""
+    t = E.spec._tables
+    log, exp, m, add, sub = t.log, t.exp, t.m, t.add, t.sub
     log2, log3 = log[fq_from_int(E.spec, 2).code], log[fq_from_int(E.spec, 3).code]
     a = E.a.code
 
@@ -294,9 +293,9 @@ def sigma_apply(u: FqElem, Q: ECPoint) -> ECPoint:
 
 def _scaling_codes(E: ECurve, log_u: int):
     """sigma_u on coordinate codes, given log u: (x, y) -> (u^2 x, u^3 y)."""
-    ops = _code_ops(E.spec)
-    log, exp = ops.log, ops.exp
-    shift_x, shift_y = 2 * log_u % ops.m, 3 * log_u % ops.m
+    t = E.spec._tables
+    log, exp = t.log, t.exp
+    shift_x, shift_y = 2 * log_u % t.m, 3 * log_u % t.m
 
     def scale(x, y):
         return (exp[shift_x + log[x]] if x else 0), (exp[shift_y + log[y]] if y else 0)
@@ -409,22 +408,11 @@ def abelian_subgroup_count(invariants: tuple[int, int], n: int) -> int:
     d2 = max(d2, 1)
     members = [(i, j) for i in range(d1) for j in range(d2)]
 
-    def close(gens):
-        out = {(0, 0)}
-        frontier = [(0, 0)]
-        while frontier:
-            fresh = []
-            for g in gens:
-                for x in frontier:
-                    y = ((x[0] + g[0]) % d1, (x[1] + g[1]) % d2)
-                    if y not in out:
-                        out.add(y)
-                        fresh.append(y)
-            frontier = fresh
-        return frozenset(out)
+    def op(g, x):
+        return (g[0] + x[0]) % d1, (g[1] + x[1]) % d2
 
-    subs = {close([a]) for a in members}
-    subs |= {close([a, b]) for a in members for b in members}
+    # a subgroup of a group of rank <= 2 has two generators (a = b: cyclic)
+    subs = {frozenset(close([a, b], op, {(0, 0)})) for a in members for b in members}
     return sum(1 for s in subs if len(s) == n)
 
 

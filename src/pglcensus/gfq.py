@@ -5,13 +5,14 @@ monic irreducible polynomial, and is stored as one integer, its code: the
 base-p number whose digits are the coefficients c0 (constant term, most
 significant digit) to c_{n-1}.  Code order is therefore the lexicographic
 order of coefficient vectors, and element k of the field is the one with
-code k.  Arithmetic is table lookup.  Each field builds, once and on first
-use, antilog/log tables over a primitive element g and a Zech table
-k -> log(1 + g^k) (K. Huber, "Some comments on Zech's logarithms", IEEE
-Trans. Inf. Theory 36, 1990): a product adds two logs, a sum or difference
-adds a Zech log, and inverses, powers, roots of unity and subfields are
-index arithmetic.  The tables take O(q) memory and time, which suits the
-desk scale the package stays at (q up to ~10^4).  Monic quadratics (the
+code k.  Each field builds, once and on first use, one _FieldTables: log
+and antilog tables over a primitive element g, a Zech table k -> log(1 + g^k)
+(K. Huber, IEEE Trans. Inf. Theory 36, 1990), and the field's one add, sub
+and mul on codes: a product adds two logs, a sum or difference adds a Zech
+log.  The fq_* functions wrap them for FqElem; loops that build no FqElem
+(cpoly_*, PGL2, the genus-1 law) call them directly.  Inverses, powers, roots
+of unity and subfields are index arithmetic.  The tables take O(q) memory
+and time, which suits the desk scale (q up to ~10^4).  Monic quadratics (the
 fixed-point equations of PGL2) are solved in closed form from per-field
 square-root and Artin-Schreier tables.
 
@@ -48,7 +49,7 @@ import itertools
 import math
 import operator
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .closure import is_prime, order
 
@@ -83,10 +84,16 @@ class FieldSpec:
                 raise ValueError(f"modulus must be monic, got {m}")
             if not _is_irreducible(m, p):
                 raise ValueError(f"modulus {m} is reducible over F_{p}")
-            spec = object.__new__(cls)
-            spec.__dict__.update(p=p, n=n, modulus=m, q=p**n)
-            spec = cls._interned.setdefault(key, spec)
+            spec = cls._intern(key)
         return spec
+
+    @classmethod
+    def _intern(cls, key: tuple) -> FieldSpec:
+        """The stored spec of a checked (p, n, modulus), storing it if new."""
+        spec = object.__new__(cls)
+        p, n, m = key
+        spec.__dict__.update(p=p, n=n, modulus=m, q=p**n)
+        return cls._interned.setdefault(key, spec)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: FieldSpec is immutable")
@@ -197,6 +204,8 @@ def _auto_modulus(p: int, n: int) -> tuple[int, ...]:
     for tail in itertools.product(*digits):
         cand = tuple(tail) + (1,)
         if _is_irreducible(cand, p):
+            # stored now, FieldSpec(p, n, cand) does not test it again
+            FieldSpec._intern((p, n, cand))
             return cand
     raise AssertionError("no irreducible polynomial found (unreachable)")
 
@@ -303,20 +312,21 @@ def _primitive_element(spec: FieldSpec) -> tuple[int, ...]:
 
 
 class _FieldTables:
-    """Lookup tables of one field over a primitive element g, with m = q - 1:
+    """A field's one set of tables, over a primitive element g, m = q - 1:
 
     * elems[c]: the element with code c (the tuple field_elements returns);
     * log[c]: the k in [0, m) with g^k = elems[c] (None for c = 0);
-    * exp[k]: g^k for 0 <= k < 2m, so two logs add without reduction;
+    * exp[k]: the code of g^k for 0 <= k < 3m (three logs add unreduced);
     * zech[k]: the Zech logarithm log(1 + g^k), None where 1 + g^k = 0; kept
       for 0 <= k < 2m, so any -2m < k < 2m indexes it (Python wraps k < 0);
-    * half: log(-1).
+    * half: log(-1);
+    * add, sub, mul: the field's arithmetic on element codes.
 
     O(q) to build: one sparse product per power of g (g has low degree), and
     1 + g^k is the code of g^k plus p^(n-1), mod q.
     """
 
-    __slots__ = ("elems", "log", "exp", "zech", "half", "m")
+    __slots__ = ("elems", "log", "exp", "zech", "half", "m", "add", "sub", "mul")
 
     def __init__(self, spec: FieldSpec):
         p, q = spec.p, spec.q
@@ -331,108 +341,66 @@ class _FieldTables:
             log[c] = k
             power = _vec_mul(spec, g, power)
         one = q // p
-        self.elems = elems = field_elements(spec)
+        self.elems = field_elements(spec)
         self.log = log
-        self.exp = [elems[c] for c in codes] * 2
-        self.zech = [log[(c + one) % q] for c in codes] * 2
-        self.half = 0 if p == 2 else m // 2
+        self.exp = exp = codes * 3
+        self.zech = zech = [log[(c + one) % q] for c in codes] * 2
+        self.half = half = 0 if p == 2 else m // 2
         self.m = m
 
+        def add(c, d):
+            if not c:
+                return d
+            if not d:
+                return c
+            i = log[c]
+            z = zech[log[d] - i]  # g^i + g^j = g^i (1 + g^(j-i))
+            return 0 if z is None else exp[i + z]
 
-class _CodeOps(NamedTuple):
-    """Field operations on element codes, for loops that build no FqElem:
-    log and m as in _FieldTables, exp[k] the code of g^k for 0 <= k < 3m (so
-    three logs add without reduction), and add, sub and mul on codes."""
+        def sub(c, d):
+            if not d:
+                return c
+            j = log[d] + half  # log(-d)
+            if not c:
+                return exp[j]
+            i = log[c]
+            z = zech[j - i]
+            return 0 if z is None else exp[i + z]
 
-    log: list
-    exp: list
-    m: int
-    add: Callable[[int, int], int]
-    sub: Callable[[int, int], int]
-    mul: Callable[[int, int], int]
+        def mul(c, d):
+            return exp[log[c] + log[d]] if c and d else 0
 
-
-@lru_cache(maxsize=None)
-def _code_ops(spec: FieldSpec) -> _CodeOps:
-    t = spec._tables
-    m, half, log, zech = t.m, t.half, t.log, t.zech
-    exp = [g.code for g in t.exp[:m]] * 3
-
-    def add(c, d):
-        if not c:
-            return d
-        if not d:
-            return c
-        i = log[c]
-        z = zech[log[d] - i]  # g^i + g^j = g^i (1 + g^(j-i))
-        return 0 if z is None else exp[i + z]
-
-    def sub(c, d):
-        if not d:
-            return c
-        j = log[d] + half  # log(-d)
-        if not c:
-            return exp[j]
-        i = log[c]
-        z = zech[j - i]
-        return 0 if z is None else exp[i + z]
-
-    def mul(c, d):
-        return exp[log[c] + log[d]] if c and d else 0
-
-    return _CodeOps(log, exp, m, add, sub, mul)
+        self.add, self.sub, self.mul = add, sub, mul
 
 
 # ---------------------------------------------------------------------------
-# arithmetic: table lookups
+# arithmetic: the table's code operations on FqElem
 
 
 def fq_add(a: FqElem, b: FqElem) -> FqElem:
     if a.spec is not b.spec:
         raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
-    x, y = a.code, b.code
-    if not x:
-        return b
-    if not y:
-        return a
     t = a.spec._tables
-    i = t.log[x]
-    z = t.zech[t.log[y] - i]  # g^i + g^j = g^i (1 + g^(j-i))
-    return t.elems[0] if z is None else t.exp[i + z]
+    return t.elems[t.add(a.code, b.code)]
 
 
 def fq_sub(a: FqElem, b: FqElem) -> FqElem:
     if a.spec is not b.spec:
         raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
-    x, y = a.code, b.code
-    if not y:
-        return a
     t = a.spec._tables
-    j = t.log[y] + t.half  # log(-b)
-    if not x:
-        return t.exp[j]
-    i = t.log[x]
-    z = t.zech[j - i]
-    return t.elems[0] if z is None else t.exp[i + z]
+    return t.elems[t.sub(a.code, b.code)]
 
 
 def fq_neg(a: FqElem) -> FqElem:
-    if not a.code:
-        return a
     t = a.spec._tables
-    return t.exp[t.log[a.code] + t.half]
+    return t.elems[t.sub(0, a.code)]
 
 
 def fq_mul(a: FqElem, b: FqElem) -> FqElem:
     if a.spec is not b.spec:
         raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
-    x, y = a.code, b.code
-    if not x:
-        return a
-    if not y:
-        return b
     t = a.spec._tables
-    return t.exp[t.log[x] + t.log[y]]
+    return t.elems[t.mul(a.code, b.code)]
 
 
 @lru_cache(maxsize=None)
@@ -440,7 +408,7 @@ def _inverse_cache(spec: FieldSpec) -> list:
     """inv[c]: the inverse of the element with code c (None for 0), since
     log(1/x) = m - log(x)."""
     t = spec._tables
-    return [None] + [t.exp[t.m - t.log[c]] for c in range(1, spec.q)]
+    return [None] + [t.elems[t.exp[t.m - t.log[c]]] for c in range(1, spec.q)]
 
 
 def fq_inv(a: FqElem) -> FqElem:
@@ -460,7 +428,7 @@ def fq_pow(a: FqElem, e: int) -> FqElem:
             raise ZeroDivisionError("inverse of zero")
         return a if e else fq_one(a.spec)
     t = a.spec._tables
-    return t.exp[t.log[a.code] * e % t.m]
+    return t.elems[t.exp[t.log[a.code] * e % t.m]]
 
 
 @lru_cache(maxsize=None)
@@ -477,7 +445,7 @@ def subfield_elements(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
         raise ValueError(f"subfield degree {sub_degree} does not divide {spec.n}")
     t = spec._tables
     step = t.m // (spec.p**sub_degree - 1)
-    return sorted([t.elems[0]] + t.exp[: t.m : step], key=by_code)
+    return [t.elems[c] for c in sorted([0] + t.exp[: t.m : step])]
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +522,7 @@ def roots_of_unity(spec: FieldSpec, n: int):
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     t = spec._tables
-    roots = sorted(t.exp[: t.m : t.m // math.gcd(n, t.m)], key=by_code)
+    roots = [t.elems[c] for c in sorted(t.exp[: t.m : t.m // math.gcd(n, t.m)])]
     has_primitive = (spec.q - 1) % n == 0
     return roots, has_primitive
 
@@ -588,7 +556,7 @@ def primitive_root_of_unity(spec: FieldSpec, n: int) -> FqElem:
         )
     t = spec._tables
     step = t.m // n
-    return min((t.exp[k * step] for k in range(n) if math.gcd(k, n) == 1), key=by_code)
+    return t.elems[min(t.exp[k * step] for k in range(n) if math.gcd(k, n) == 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -604,21 +572,22 @@ def _cp_trim(a: list) -> list:
     return a
 
 
-def _cp_monic(ops: _CodeOps, a: list) -> list:
-    shift = ops.m - ops.log[a[-1]]  # log of 1/lead
-    return [ops.exp[shift + ops.log[c]] if c else 0 for c in a]
+def _cp_monic(spec: FieldSpec, a: list) -> list:
+    t = spec._tables
+    shift = t.m - t.log[a[-1]]  # log of 1/lead
+    return [t.exp[shift + t.log[c]] if c else 0 for c in a]
 
 
 def cpoly_sub(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list:
-    sub = _code_ops(spec).sub
+    sub = spec._tables.sub
     return _cp_trim([sub(c, d) for c, d in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def cpoly_mul(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list:
     if not a or not b:
         return []
-    ops = _code_ops(spec)
-    add, log, exp = ops.add, ops.log, ops.exp
+    t = spec._tables
+    add, log, exp = t.add, t.log, t.exp
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if c:
@@ -632,12 +601,12 @@ def cpoly_divmod(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[l
     """The quotient and remainder of a by b."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    ops = _code_ops(spec)
-    sub, log, exp = ops.sub, ops.log, ops.exp
+    t = spec._tables
+    sub, log, exp = t.sub, t.log, t.exp
     db = len(b) - 1
     rem = list(a)
     quot = [0] * max(len(a) - db, 0)
-    shift = ops.m - log[b[-1]]  # log of 1/lead(b)
+    shift = t.m - log[b[-1]]  # log of 1/lead(b)
     for i in range(len(quot) - 1, -1, -1):
         c = rem[i + db]
         if c:
@@ -653,7 +622,7 @@ def cpoly_gcd(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list:
     """The monic gcd of a and b, by Euclid ([] when both are zero)."""
     while b:
         a, b = b, cpoly_divmod(spec, a, b)[1]
-    return _cp_monic(_code_ops(spec), a) if a else []
+    return _cp_monic(spec, a) if a else []
 
 
 def cpoly_powmod(spec: FieldSpec, a: Sequence[int], e: int, mod: Sequence[int]) -> list:
@@ -670,7 +639,7 @@ def cpoly_powmod(spec: FieldSpec, a: Sequence[int], e: int, mod: Sequence[int]) 
 
 
 def cpoly_deriv(spec: FieldSpec, a: Sequence[int]) -> list:
-    mul, p, one = _code_ops(spec).mul, spec.p, spec.q // spec.p
+    mul, p, one = spec._tables.mul, spec.p, spec.q // spec.p
     return _cp_trim([mul(i % p * one, a[i]) for i in range(1, len(a))])
 
 
@@ -682,7 +651,7 @@ def cpoly_ddf(spec: FieldSpec, h: Sequence[int]) -> dict[int, list]:
     algorithm for factoring polynomials over finite fields", Math. Comp. 36,
     1981)."""
     x = [0, spec.q // spec.p]
-    h = _cp_monic(_code_ops(spec), h) if h else []
+    h = _cp_monic(spec, h) if h else []
     parts = {}
     w, k = x, 0
     while len(h) - 1 >= 2 * (k + 1):
@@ -723,7 +692,7 @@ def cpoly_from_elems(coeffs: Sequence[FqElem]) -> tuple[FieldSpec, list]:
 def cpoly_multiplicity(spec: FieldSpec, a: Sequence[int], x: int) -> int:
     """How many times t - x divides the nonzero a (x an element code): the
     multiplicity of x as a root, 0 when it is none."""
-    line = [_code_ops(spec).sub(0, x), spec.q // spec.p]
+    line = [spec._tables.sub(0, x), spec.q // spec.p]
     e = 0
     while True:
         quot, rem = cpoly_divmod(spec, a, line)

@@ -7,7 +7,8 @@ listings well defined.  Maps and points are gfq.CodedValue instances.  A
 map's code is ((a*q + b)*q + c)*q + d over the entry codes, computed once at
 construction, so the closures and the mob_compose cache never hash or compare
 field elements; within one field, code order is the lexicographic order of
-the entries.
+the entries.  Products, inverses and normalization (_normalized) run on entry
+codes with the field's code operations, as the genus-1 law does.
 
 Points of P^1 are either affine, with a single field coordinate (projective
 [x:1]), or the point at infinity [1:0].  A point's code is the code of x, or
@@ -160,26 +161,30 @@ class Moebius(CodedValue):
         return f"Moebius({render_moebius(self)})"
 
 
+def _normalized(spec: FieldSpec, a: int, b: int, c: int, d: int) -> Moebius:
+    """The PGL2 class of [[a,b],[c,d]] on entry codes, scaled by 1/(a or b):
+    a nonsingular matrix has a nonzero first row.  Rejects singular ones."""
+    t = spec._tables
+    mul, log, exp, elems = t.mul, t.log, t.exp, t.elems
+    if not t.sub(mul(a, d), mul(b, c)):
+        raise ValueError("singular matrix does not define a Moebius map")
+    shift = t.m - log[a or b]  # log of 1/(a or b)
+    return Moebius(
+        spec,
+        elems[exp[shift + log[a]] if a else 0],
+        elems[exp[shift + log[b]] if b else 0],
+        elems[exp[shift + log[c]] if c else 0],
+        elems[exp[shift + log[d]] if d else 0],
+    )
+
+
 def mob_make(a: FqElem, b: FqElem, c: FqElem, d: FqElem) -> Moebius:
     """Build the PGL2 class of [[a,b],[c,d]]; rejects singular matrices."""
     spec = a.spec
     for entry in (b, c, d):
         if entry.spec is not spec:
             raise ValueError("matrix entries live in different fields")
-    det = fq_sub(fq_mul(a, d), fq_mul(b, c))
-    if det.is_zero():
-        raise ValueError("singular matrix does not define a Moebius map")
-    for entry in (a, b, c, d):
-        if not entry.is_zero():
-            scale = fq_inv(entry)
-            return Moebius(
-                spec,
-                fq_mul(a, scale),
-                fq_mul(b, scale),
-                fq_mul(c, scale),
-                fq_mul(d, scale),
-            )
-    raise AssertionError("nonsingular matrix with all entries zero (unreachable)")
+    return _normalized(spec, a.code, b.code, c.code, d.code)
 
 
 @lru_cache(maxsize=None)
@@ -235,18 +240,26 @@ def mob_apply(m: Moebius, P: PP1) -> PP1:
 def mob_compose(m1: Moebius, m2: Moebius) -> Moebius:
     """Composition m1 after m2 (matrix product M1*M2).  Memoized: closure,
     order and conjugacy searches revisit the same products constantly."""
-    if m1.spec is not m2.spec:
+    spec = m1.spec
+    if m2.spec is not spec:
         raise ValueError("cannot compose maps over different fields")
-    return mob_make(
-        fq_add(fq_mul(m1.a, m2.a), fq_mul(m1.b, m2.c)),
-        fq_add(fq_mul(m1.a, m2.b), fq_mul(m1.b, m2.d)),
-        fq_add(fq_mul(m1.c, m2.a), fq_mul(m1.d, m2.c)),
-        fq_add(fq_mul(m1.c, m2.b), fq_mul(m1.d, m2.d)),
+    t = spec._tables
+    add, mul = t.add, t.mul
+    a1, b1, c1, d1 = m1.a.code, m1.b.code, m1.c.code, m1.d.code
+    a2, b2, c2, d2 = m2.a.code, m2.b.code, m2.c.code, m2.d.code
+    return _normalized(
+        spec,
+        add(mul(a1, a2), mul(b1, c2)),
+        add(mul(a1, b2), mul(b1, d2)),
+        add(mul(c1, a2), mul(d1, c2)),
+        add(mul(c1, b2), mul(d1, d2)),
     )
 
 
 def mob_inverse(m: Moebius) -> Moebius:
-    return mob_make(m.d, fq_neg(m.b), fq_neg(m.c), m.a)
+    """The adjugate [[d,-b],[-c,a]], on entry codes."""
+    sub = m.spec._tables.sub
+    return _normalized(m.spec, m.d.code, sub(0, m.b.code), sub(0, m.c.code), m.a.code)
 
 
 def mob_infinity_to(P: PP1) -> Moebius:

@@ -330,6 +330,13 @@ class TestRamification:
             {"index": 4, "point": "inf", "tame": True},
         ]
 
+    def test_degree_ignores_trailing_zeros(self):
+        # x + x^2 given with a zero x^3 coefficient has degree 2, infinity's index
+        code, out = run_cli("ramification", "--field", "3^1", "--poly", "0,1,1,0")
+        data = json.loads(out)
+        assert code == 0 and data["degree"] == 2
+        assert data["ramification"][-1] == {"index": 2, "point": "inf", "tame": True}
+
     def test_inseparable_is_usage_error(self):
         code, _ = run_cli("ramification", "--field", "3^1", "--poly", "0,0,0,1")
         assert code == 2

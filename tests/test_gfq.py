@@ -3,6 +3,8 @@ import itertools
 import math
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -170,6 +172,23 @@ class TestInterning:
 
     def test_copies_are_the_spec(self):
         assert copy.deepcopy(F9) is F9 and pickle.loads(pickle.dumps(F9)) is F9
+
+    def test_each_modulus_is_tested_once(self):
+        """In a fresh process, field_make(2, 8) tests the auto modulus it
+        returns once (the search interns its spec), and an unpickled spec with
+        an explicit modulus is still tested, once."""
+        script = (
+            "import pickle, sys\n"
+            "from pglcensus import gfq\n"
+            "seen, test = [], gfq._is_irreducible\n"
+            "gfq._is_irreducible = lambda f, p: seen.append(tuple(f)) or test(f, p)\n"
+            "auto = gfq.field_make(2, 8)\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(seen.count(auto.modulus), seen.count(loaded.modulus))\n"
+        )
+        explicit = pickle.dumps(field_make(3, 2, [2, 1, 1]))
+        run = subprocess.run([sys.executable, "-c", script], input=explicit, capture_output=True, check=True, timeout=60)
+        assert run.stdout.split() == [b"1", b"1"]
 
     @pytest.mark.parametrize("name", ["p", "q", "modulus", "other"])
     def test_attributes_cannot_be_assigned(self, name):

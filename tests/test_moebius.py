@@ -20,6 +20,7 @@ from pglcensus.gfq import (
 )
 from pglcensus.moebius import (
     PP1,
+    _normalized,
     mob_apply,
     mob_compose,
     mob_conjugate,
@@ -200,6 +201,62 @@ class TestGroupLaw:
     def test_inverse_is_inverse(self):
         for m in pgl2_elements(F4):
             assert mob_compose(m, mob_inverse(m)) == mob_identity(F4)
+
+
+def reference_normalized(a, b, c, d):
+    """The entries of [[a,b],[c,d]] scaled so that the first nonzero one is 1,
+    by schoolbook FqElem arithmetic, or None when the matrix is singular."""
+    if (a * d - b * c).is_zero():
+        return None
+    lead = next(x for x in (a, b, c, d) if not x.is_zero())
+    return tuple(x / lead for x in (a, b, c, d))
+
+
+def entries(m):
+    return m.a, m.b, m.c, m.d
+
+
+def reference_compose(m1, m2):
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = entries(m1), entries(m2)
+    return reference_normalized(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
+def reference_inverse(m):
+    return reference_normalized(m.d, -m.b, -m.c, m.a)
+
+
+class TestCodeArithmetic:
+    """PGL2 products, inverses and normalization run on entry codes; they
+    must agree with the schoolbook FqElem reference."""
+
+    @pytest.mark.parametrize("spec", [F3, F4], ids=["F3", "F4"])
+    def test_every_code_matrix_against_reference(self, spec):
+        elems = field_elements(spec)
+        for codes in itertools.product(range(spec.q), repeat=4):
+            want = reference_normalized(*(elems[c] for c in codes))
+            if want is None:
+                with pytest.raises(ValueError, match="singular"):
+                    _normalized(spec, *codes)
+            else:
+                assert entries(_normalized(spec, *codes)) == want, codes
+
+    @pytest.mark.parametrize("spec", [F3, F4], ids=["F3", "F4"])
+    def test_every_pair_against_reference(self, spec):
+        group = list(pgl2_elements(spec))
+        for m1 in group:
+            assert entries(mob_inverse(m1)) == reference_inverse(m1)
+            for m2 in group:
+                assert entries(mob_compose(m1, m2)) == reference_compose(m1, m2)
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (2, 4), (5, 2)], ids=["F9", "F16", "F25"])
+    def test_seeded_pairs_against_reference(self, p, n):
+        spec = field_make(p, n)
+        rng = random.Random(p * 100 + n)
+        group = list(pgl2_elements(spec))
+        for _ in range(400):
+            m1, m2 = rng.choice(group), rng.choice(group)
+            assert entries(mob_compose(m1, m2)) == reference_compose(m1, m2)
+            assert entries(mob_inverse(m1)) == reference_inverse(m1)
 
 
 class TestOrder:
