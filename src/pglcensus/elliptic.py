@@ -15,12 +15,14 @@ take base_change(E, r), the same equation with its coefficients embedded.
 Point sets are exhausted over the curve's field, and torsion, kernels and
 fixed-point fibres over that field come from direct scans.  The group law
 runs on coordinate codes: each curve binds one chord-tangent law over its
-field's log, antilog and Zech tables, and the scans of 1 - sigma_u and of
-the automorphisms fixing a point call it on ints, building no point for an
-intermediate sum.  The fixed-point dichotomy alone looks above E's field,
-and it builds no field to do so: the x-coordinates of a fibre of 1 - sigma_u
-are the roots of a polynomial of degree <= 4 over E's field, whose
-distinct-degree factorization gives the fibre's size at every level.
+field's log, antilog and Zech tables, and the scan of 1 - sigma_u calls it
+on ints, building no point for an intermediate sum.  That scan runs once per
+(curve, u) and also checks the automorphisms fixing each point, so checking
+all N points costs O(|Aut_0| N) law calls.  The fixed-point dichotomy alone
+looks above E's field, and it builds no field to do so: the x-coordinates of
+a fibre of 1 - sigma_u are the roots of a polynomial of degree <= 4 over E's
+field, whose distinct-degree factorization gives the fibre's size at every
+level.
 
 Everything here powers exhaustive verification of the genus-1 finiteness
 facts: an automorphism is fixed point free iff it is a nontrivial pure
@@ -350,8 +352,8 @@ def kernel_one_minus_sigma(E: ECurve, u: FqElem) -> tuple[ECPoint, ...]:
 @dataclass(frozen=True)
 class FixingAutsReport:
     """Automorphisms fixing one point: the closed-form witnesses (one
-    translation part per scaling factor, P = Q - sigma_u(Q)), which
-    count_auts_fixing cross-checks against a full scan of E x Aut_0."""
+    translation part per scaling factor, P = Q - sigma_u(Q)), each of which
+    count_auts_fixing cross-checks against the fibre table of 1 - sigma_u."""
 
     point: ECPoint
     count: int
@@ -359,44 +361,40 @@ class FixingAutsReport:
 
 
 def count_auts_fixing(E: ECurve, Q: ECPoint) -> FixingAutsReport:
+    """The automorphisms (P_u, u) fixing Q, one per u in Aut_0, with the
+    closed-form translation part P_u = Q - sigma_u(Q).  The fibre table of
+    1 - sigma_u, cached per curve, computes every Q - sigma_u(Q) by its own
+    scan: Q must lie in the fibre over P_u, else AssertionError."""
     _check_on_curve(E, Q)
-    us = aut0(E)
     witnesses = []
-    for u in us:
+    for u in aut0(E):
         P = ec_sub(E, Q, sigma_apply(u, Q))
+        fibre = _one_minus_sigma_fibres(E, u).get(P, ())
+        i = bisect_left(fibre, Q.code, key=by_code)  # fibres are in point order
+        if i == len(fibre) or fibre[i] != Q:
+            raise AssertionError(
+                f"{Q!r} is missing from the fibre of 1 - sigma_u over its witness {P!r}, u={render_element(u)}"
+            )
         witnesses.append(ECAut(E, P, u))
-    # the full scan of E x Aut_0 for sigma_u(Q) + P = Q, on coordinate codes
-    law, log = _chord_tangent(E), E.spec._tables.log
-    coords = [None if P.is_zero else (P.x.code, P.y.code) for P in ec_points(E)]
-    target = None if Q.is_zero else (Q.x.code, Q.y.code)
-    scan = 0
-    for u in us:
-        s = None if Q.is_zero else _scaling_codes(E, log[u.code])(*target)
-        for c in coords:
-            total = c if s is None else s if c is None else law(*s, *c)
-            scan += total == target
     witnesses.sort(key=ec_aut_sort_key)
-    if scan != len(witnesses):
-        raise AssertionError(
-            f"scan found {scan} automorphisms fixing {Q!r} but the closed form gives {len(witnesses)}"
-        )
     return FixingAutsReport(point=Q, count=len(witnesses), witnesses=tuple(witnesses))
 
 
-def _torsion(E: ECurve, n: int) -> dict[ECPoint, int]:
+@lru_cache(maxsize=None)
+def _torsion(E: ECurve, n: int) -> tuple[tuple[ECPoint, int], ...]:
     """The points of E[n] over E's field, in code order, each with its order."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     add, O = partial(ec_add, E), ec_infinity(E.spec)
     orders = ((Q, order(Q, add, O, n)) for Q in ec_points(E))
-    return {Q: k for Q, k in orders if k is not None and n % k == 0}
+    return tuple((Q, k) for Q, k in orders if k is not None and n % k == 0)
 
 
 def torsion_invariant_factors(E: ECurve, n: int) -> tuple[int, int]:
     """Invariant factors (d1, d2) of the n-torsion subgroup of E over its
     field: d1 is the exponent, d1*d2 the order (the group has rank at most 2)."""
     torsion = _torsion(E, n)
-    exponent = math.lcm(*torsion.values())
+    exponent = math.lcm(*(k for _, k in torsion))
     return exponent, len(torsion) // exponent
 
 
@@ -421,7 +419,7 @@ def enum_spf_actions(E: ECurve, n: int) -> list[tuple[ECPoint, ...]]:
     the translation groups realizing the stabilized-point-free actions of
     order n visible over that field; enumerated by incremental closure, no
     structure theory."""
-    torsion = list(_torsion(E, n))
+    torsion = [Q for Q, _ in _torsion(E, n)]
     subs = (
         tuple(sorted(H, key=by_code))
         for H in subgroups_of_order(torsion, partial(ec_add, E), ec_infinity(E.spec), n)
@@ -510,9 +508,11 @@ def _fibre_sizes(E: ECurve, N: list, D: list, P: ECPoint, levels: tuple[int, ...
 
 
 def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDichotomyReport:
-    """Fibre sizes from _fibre_sizes, over E's own field for every level.
-    When level 1 is among the levels, its sizes must equal the point scan
-    _one_minus_sigma_fibres, else AssertionError."""
+    """Fibre sizes from _fibre_sizes, over E's own field for every level,
+    factored once per x-coordinate: a point with y = 0 is alone on its x,
+    and for y != 0 the sizes depend on x alone.  When level 1 is among the
+    levels, its sizes must equal the point scan _one_minus_sigma_fibres,
+    else AssertionError."""
     levels = tuple(levels)
     if not levels:
         # with no level, every (P, u != 1) would count as free everywhere
@@ -529,9 +529,13 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
         N, D = _one_minus_sigma_map(E, u)
         kernel = _fibre_sizes(E, N, D, base_pts[0], levels)
         scan = _one_minus_sigma_fibres(E, u) if 1 in levels else None
+        by_x = {}  # P and -P share x_P, and for y_P != 0 every fibre size
         for P in base_pts:
             checked += 1
-            fibre_sizes = kernel if P.is_zero else _fibre_sizes(E, N, D, P, levels)
+            if P.is_zero:
+                fibre_sizes = kernel
+            elif (fibre_sizes := by_x.get(P.x.code)) is None:
+                fibre_sizes = by_x[P.x.code] = _fibre_sizes(E, N, D, P, levels)
             if scan is not None:
                 got, want = fibre_sizes[levels.index(1)], len(scan.get(P, ()))
                 if got != want:

@@ -528,7 +528,8 @@ def all_subgroups(spec):
     # breadth-first over the subgroup lattice: from every discovered subgroup,
     # extend its generating set by each outside element; complete because any
     # subgroup arises by adjoining its generators one at a time, from whatever
-    # representation its prefix subgroups were stored with
+    # representation its prefix subgroups were stored with.  <H, g> = <H, gh>
+    # for every h in H, so one representative per coset gH is adjoined
     ident = mob_make(fq_one(spec), fq_zero(spec), fq_zero(spec), fq_one(spec))
     elements = list(pgl2_elements(spec))
     trivial = close_generators([ident])
@@ -537,9 +538,11 @@ def all_subgroups(spec):
     while layer:
         next_layer = {}
         for H, gens in layer.values():
+            covered = set(H.elements)
             for g in elements:
-                if g in H:
+                if g in covered:
                     continue
+                covered.update(mob_compose(g, h) for h in H.elements)
                 grown = close_generators(gens + [g])
                 if grown.elements not in everything:
                     everything[grown.elements] = grown

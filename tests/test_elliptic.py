@@ -1,10 +1,13 @@
+import collections
 import functools
+import io
 import itertools
 import random
 
 import pytest
 
 from pglcensus import elliptic
+from pglcensus.cli import main
 from pglcensus.closure import order
 from pglcensus.elliptic import (
     ECAut,
@@ -672,3 +675,113 @@ class TestCodeLawEdgeCases:
             assert twin != Q and twin in ec_points(E)
             assert ec_add(E, Q, twin) == ec_infinity(E.spec)
             assert ec_add(E, Q, Q) == reference_ec_add(E, Q, Q) != ec_infinity(E.spec)
+
+
+# ---------------------------------------------------------------------------
+# the fixing check against the E x Aut_0 scan
+
+
+def reference_fixing(E, Q):
+    """Every automorphism (P, u) fixing Q, by the full scan of E x Aut_0 for
+    sigma_u(Q) + P = Q: the reference for count_auts_fixing, which reads the
+    fibre tables of 1 - sigma_u instead.  (ec_add is checked against the
+    reference law above, at the same levels.)"""
+    found = []
+    for u in aut0(E):
+        moved = sigma_apply(u, Q)
+        found += [ECAut(E, P, u) for P in ec_points(E) if ec_add(E, moved, P) == Q]
+    return tuple(sorted(found, key=ec_aut_sort_key))
+
+
+@pytest.mark.parametrize("spec,r", LAW_LEVELS, ids=[f"{s.p}^{r}" for s, r in LAW_LEVELS])
+def test_fixing_matches_the_scan(spec, r):
+    """Count and witnesses at every point of every nonsingular curve over F5
+    and F7, at levels 1 and 2."""
+    for E in _nonsingular_curves(spec):
+        Er = base_change(E, r)
+        for Q in ec_points(Er):
+            rep = count_auts_fixing(Er, Q)
+            want = reference_fixing(Er, Q)
+            assert (rep.point, rep.count, rep.witnesses) == (Q, len(want), want), (render_curve(Er), Q)
+
+
+def test_fixing_check_reads_the_fibre_tables(monkeypatch):
+    """Q removed from the fibre over its witness is reported, for every u."""
+    E, Q = E_J0, P(E_J0, 2, 3)
+    real = elliptic._one_minus_sigma_fibres
+    for u in aut0(E):
+        def without_q(curve, v, u=u):
+            fibres = real(curve, v)
+            if v != u:
+                return fibres
+            return {image: tuple(R for R in fibre if R != Q) for image, fibre in fibres.items()}
+
+        monkeypatch.setattr(elliptic, "_one_minus_sigma_fibres", without_q)
+        with pytest.raises(AssertionError, match=rf"missing from the fibre .* u={render_element(u)}$"):
+            count_auts_fixing(E, Q)
+    monkeypatch.undo()
+    assert count_auts_fixing(E, Q).count == 6
+
+
+# ---------------------------------------------------------------------------
+# work counts: every stage of verify-genus1 is linear in the point count
+
+
+def _counting(monkeypatch, name, key=lambda *args: None):
+    """Replace elliptic.<name> by a wrapper that counts its calls by key."""
+    calls = collections.Counter()
+    real = getattr(elliptic, name)
+
+    def wrapper(*args):
+        calls[key(*args)] += 1
+        return real(*args)
+
+    monkeypatch.setattr(elliptic, name, wrapper)
+    return calls
+
+
+class TestWorkCounts:
+    def test_dichotomy_factors_once_per_x(self, monkeypatch):
+        calls = _counting(monkeypatch, "_fibre_sizes")
+        for _, E in standard_test_curves():
+            calls.clear()
+            assert verify_fpf_dichotomy(E).ok
+            xs = {Q.x.code for Q in ec_points(E) if not Q.is_zero}
+            # per u != 1, the kernel, then one factorization per x-coordinate:
+            # fewer than one per point on every curve but F5_j1728, whose
+            # affine points all have y = 0
+            assert calls[None] == (len(aut0(E)) - 1) * (1 + len(xs))
+
+    def test_torsion_scan_once_per_curve_and_order(self, monkeypatch):
+        elliptic._torsion.cache_clear()
+        # the n-torsion walk calls order(Q, add, O, n) once per point Q
+        walks = _counting(monkeypatch, "order", key=lambda Q, add, O, n: (add.args[0], n))
+        assert main(["verify-genus1", "--curve", "7^1:a=0,b=1", "--ext", "2"], out=io.StringIO()) == 0
+        Er = base_change(parse_curve("7^1:a=0,b=1"), 2)
+        assert walks == {(Er, n): len(ec_points(Er)) for n in (1, 2, 3, 4)}
+
+    @pytest.mark.parametrize("curve", ["5^1:a=1,b=0", "7^1:a=0,b=1"])
+    def test_law_calls_linear_in_the_points(self, monkeypatch, curve):
+        elliptic._one_minus_sigma_fibres.cache_clear()
+        elliptic._torsion.cache_clear()
+        real = elliptic._chord_tangent
+        calls = collections.Counter()
+
+        def counting_law(E):
+            law = real(E)
+
+            def counted(*codes):
+                calls[E] += 1
+                return law(*codes)
+
+            return counted
+
+        monkeypatch.setattr(elliptic, "_chord_tangent", counting_law)
+        assert main(["verify-genus1", "--curve", curve, "--ext", "2"], out=io.StringIO()) == 0
+        Er = base_change(parse_curve(curve), 2)
+        n_pts, n_aut = len(ec_points(Er)), len(aut0(Er))
+        # per u, N calls each for a fibre table, the witnesses and the
+        # singleton bounds; at most n - 1 sums per point for each n-torsion
+        # walk, n <= 4; and the closures over at most 16 torsion points.  The
+        # E x Aut_0 scan alone made |Aut_0| N^2, here 32 or 48 |Aut_0| N.
+        assert sum(calls.values()) <= 6 * n_aut * n_pts

@@ -118,6 +118,14 @@ GOLDEN = {
         ("f32cb2520a6d9f2c339ad46cd6a36fddcd41a1999093d35d8443bc9261d35e56", 0),
     "verify-genus1 --curve 7^1:a=0,b=1 --ext 2":
         ("9972b58617decf0b1d016d637ca24ef536b9880bd1d53430a6119ff436e6f4f4", 0),
+    # the fixing check, torsion and singleton bounds above level 2: F_125
+    # and F_625 at j = 1728 (N = 640 at F_625), F_343 at j = 0
+    "verify-genus1 --curve 5^1:a=1,b=0 --ext 3":
+        ("f5aeee6f736499c8c776ac554c7c9ce1be7ff622da0bf190d669cca46529365d", 0),
+    "verify-genus1 --curve 5^1:a=1,b=0 --ext 4":
+        ("ed3a548271921d8d1416f589095ed5e9f970b61eb2f0a563f341608fb04092db", 0),
+    "verify-genus1 --curve 7^1:a=0,b=1 --ext 3":
+        ("f02f2c103a2f6be7a13b06a7cd67622e228dd056a87cf1105d36b7e6790f5594", 0),
     # PGL2 of the prime field closed from its generators, not its elements
     "locus --field 11^1 --group PGL2:1":
         ("391714445593168c29cf91100df49ab71140366ed89d29e087e27188e46128d4", 0),
