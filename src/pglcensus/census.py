@@ -249,23 +249,23 @@ def parse_group_id(tag: str) -> tuple[str, tuple[int, ...]]:
     return kind, params
 
 
+# the constructor of each kind's one standard model, called as (ext, *params)
+_MODEL_CONSTRUCTORS = {
+    "cyclic": std_cyclic,
+    "dihedral": std_dihedral,
+    "A4": std_A4,
+    "S4": std_S4,
+    "A5": std_A5,
+    "PSL2": std_PSL2,
+    "PGL2": std_PGL2,
+}
+
+
 def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...]) -> list[SubgroupPGL2]:
     """Standard models over the working field for a tag.  Most tags have one
     model; gamma tags with n > 1 have one per admissible additive subgroup."""
-    if kind == "cyclic":
-        return [std_cyclic(ext, params[0])]
-    if kind == "dihedral":
-        return [std_dihedral(ext, params[0])]
-    if kind == "A4":
-        return [std_A4(ext)]
-    if kind == "S4":
-        return [std_S4(ext)]
-    if kind == "A5":
-        return [std_A5(ext)]
-    if kind == "PSL2":
-        return [std_PSL2(ext, params[0])]
-    if kind == "PGL2":
-        return [std_PGL2(ext, params[0])]
+    if kind in _MODEL_CONSTRUCTORS:
+        return [_MODEL_CONSTRUCTORS[kind](ext, *params)]
     if kind == "gamma":
         m, n = params
         models = []
@@ -428,43 +428,48 @@ def dichotomy_work(p: int, n: int, m: int, affine: bool = False) -> int:
 
 
 def _check_work(p: int, n: int, m: int, affine: bool = False) -> None:
-    work = dichotomy_work(p, n, m, affine)
-    if work > WORK_BOUND:
+    # the work is at least q = p^n >= 2^n, so a q over the bound is refused
+    # first, and no huge q or work is raised to its power or printed
+    q_over = n >= WORK_BOUND.bit_length() or p ** n > WORK_BOUND
+    work = None if q_over else dichotomy_work(p, n, m, affine)
+    if q_over or work > WORK_BOUND:
+        estimate = f"at least q = {p}^{n}" if q_over else f"an estimated {work}"
         raise ValueError(
-            f"(Z/{p}Z)^{m} over F_{{{p}^{n}}} would take an estimated {work} map compositions, "
+            f"(Z/{p}Z)^{m} over F_{{{p}^{n}}} would take {estimate} map compositions, "
             f"over the bound WORK_BOUND = {WORK_BOUND} (about 10 s)"
         )
 
 
-def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1, r: int = 1) -> list[SubgroupPGL2]:
-    """Brute-force census of (Z/pZ)^m-subgroups fixing one point, with no
-    classification knowledge.  The stabilizer of P in PGL2(F_{q^r}) is
+def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1) -> list[SubgroupPGL2]:
+    """Brute-force census of (Z/pZ)^m-subgroups of PGL2(F_q) fixing a point
+    P of P^1(F_q), with no classification knowledge.  The stabilizer of P is
     t Stab(inf) t^{-1} for any t with t(inf) = P, and Stab(inf) is the
-    q^r(q^r - 1) maps [1,b;0,d], d != 0 (c = 0 is what fixing inf means).
+    q(q - 1) maps [1,b;0,d], d != 0 (c = 0 is what fixing inf means).
     Each conjugate is checked to fix P, kept when it has order p (g != 1 and
     g^p = 1), and subgroups of order p^m are grown from the kept maps by
     closing generator lists (`subgroups_of_order`); those of exponent p are
-    returned.  Refuses a field and rank whose dichotomy_work is over
+    returned.  A point over another field raises ValueError (field
+    mismatch), as does a field and rank whose dichotomy_work is over
     WORK_BOUND."""
-    ext = extension_field(spec, r)
-    P = pp1_embed(point, ext)
-    _check_work(ext.p, ext.n, m, affine=not P.is_infinity)
-    p = ext.p
-    ident = mob_identity(ext)
-    one, zero = fq_one(ext), fq_zero(ext)
-    elems = field_elements(ext)
-    stab = (Moebius(ext, one, b, zero, d) for b in elems for d in elems[1:])
-    if not P.is_infinity:
-        t = mob_infinity_to(P)
+    if point.spec is not spec:
+        raise ValueError(f"field mismatch: point over {point.spec!r}, oracle over {spec!r}")
+    _check_work(spec.p, spec.n, m, affine=not point.is_infinity)
+    p = spec.p
+    ident = mob_identity(spec)
+    one, zero = fq_one(spec), fq_zero(spec)
+    elems = field_elements(spec)
+    stab = (Moebius(spec, one, b, zero, d) for b in elems for d in elems[1:])
+    if not point.is_infinity:
+        t = mob_infinity_to(point)
         stab = (mob_conjugate(t, g) for g in stab)
     order_p = []
     for g in stab:
-        if mob_apply(g, P) != P:
-            raise AssertionError(f"{render_moebius(g)} does not fix {render_point(P)}: t(inf) != P")
+        if mob_apply(g, point) != point:
+            raise AssertionError(f"{render_moebius(g)} does not fix {render_point(point)}: t(inf) != P")
         if order(g, mob_compose, ident, p) == p:
             order_p.append(g)
     found = [
-        _make_subgroup(ext, H, "unclassified")
+        _make_subgroup(spec, H, "unclassified")
         for H in subgroups_of_order(order_p, mob_compose, ident, p ** m)
         if all(order(g, mob_compose, ident, p) == p for g in H if g != ident)
     ]
@@ -512,11 +517,7 @@ class MainTheoremReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            all(r.ok for r in self.rows)
-            and all(g for _, g in self.growth_ok)
-            and all(b.ok for b in self.bounded_rows)
-        )
+        return not self.mismatches()
 
     def mismatches(self) -> list[str]:
         out = []
@@ -533,6 +534,23 @@ class MainTheoremReport:
             if not b.ok:
                 out.append(f"{b.tag} at {b.locus_text}: counts {b.counts} are not constant")
         return out
+
+
+def check_main_theorem_run(p: int, top: int, m_values: Optional[Sequence[int]] = None) -> None:
+    """Refuse, before any work, a verify_main_theorem run whose largest level
+    is top: p not a prime, a rank outside 1..top, or a row over WORK_BOUND.
+    It needs no other level, so a range of levels is refused unexpanded."""
+    if p < 2:
+        raise ValueError(f"p must be a prime, got {p}")
+    bad_m = [m for m in m_values or () if not 1 <= m <= top]
+    if bad_m:
+        raise ValueError(f"rank m must lie in 1..{top} (the largest level), got {bad_m[0]}")
+    # the work grows with the level, so the top level bounds every row
+    for m in m_values if m_values is not None else range(1, top + 1):
+        _check_work(p, top, m)
+    # after the bound, which keeps p below about 100, so trial division is quick
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
 
 
 def verify_main_theorem(
@@ -555,21 +573,10 @@ def verify_main_theorem(
     accepted; a run with a row whose dichotomy_work is over WORK_BOUND is
     refused before any work.
     """
-    if p < 2:
-        raise ValueError(f"p must be a prime, got {p}")
     n_values = tuple(sorted(set(n_values)))
     if not n_values or n_values[0] < 1:
         raise ValueError(f"levels must be at least 1, got {n_values}")
-    top = n_values[-1]
-    bad_m = [m for m in m_values or () if not 1 <= m <= top]
-    if bad_m:
-        raise ValueError(f"rank m must lie in 1..{top} (the largest level), got {bad_m[0]}")
-    # the work grows with the level, so the top level bounds every row
-    for m in m_values if m_values is not None else range(1, top + 1):
-        _check_work(p, top, m)
-    # after the bound, which keeps p below about 100, so trial division is quick
-    if not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
+    check_main_theorem_run(p, n_values[-1], m_values)
 
     rows = []
     per_m_counts: dict[int, list[tuple[int, int]]] = {}
@@ -580,7 +587,7 @@ def verify_main_theorem(
         for m in ms:
             report = enum_actions(CensusQuery(spec, f"Zp^{m}", (inf,), r=1))
             subspaces = len(enum_additive_subgroups(spec, m))
-            oracle = len(oracle_enum_elem_abelian(spec, m, inf, r=1))
+            oracle = len(oracle_enum_elem_abelian(spec, m, inf))
             rows.append(
                 DichotomyRow(
                     n=n,
@@ -593,13 +600,10 @@ def verify_main_theorem(
             )
             per_m_counts.setdefault(m, []).append((n, report.count))
 
-    growth = []
-    for m, counts in sorted(per_m_counts.items()):
-        ok = True
-        for (_, c1), (n2, c2) in zip(counts, counts[1:]):
-            if n2 > m and not c2 > c1:
-                ok = False
-        growth.append((m, ok))
+    growth = [
+        (m, all(c2 > c1 for (_, c1), (n2, c2) in zip(counts, counts[1:]) if n2 > m))
+        for m, counts in sorted(per_m_counts.items())
+    ]
 
     bounded = []
     prime = field_make(p, 1)

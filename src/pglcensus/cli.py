@@ -20,11 +20,12 @@ import io
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .census import (
     CensusQuery,
     census_report_to_json,
+    check_main_theorem_run,
     enum_actions,
     enum_additive_subgroups,
     gaussian_binomial,
@@ -33,6 +34,7 @@ from .census import (
     verify_main_theorem,
 )
 from .elliptic import (
+    _check_level,
     abelian_subgroup_count,
     aut0,
     base_change,
@@ -76,9 +78,9 @@ def _emit(payload: dict, fmt: str, rows_key: Optional[str], columns: Optional[li
         out.write(json.dumps(payload, sort_keys=True, indent=2))
         out.write("\n")
         return
+    rows = payload.get(rows_key, [])
+    cols = columns or []
     if fmt == "csv":
-        rows = payload.get(rows_key, []) if rows_key else []
-        cols = columns or (sorted(rows[0].keys()) if rows else [])
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=cols, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
@@ -87,8 +89,6 @@ def _emit(payload: dict, fmt: str, rows_key: Optional[str], columns: Optional[li
         out.write(buf.getvalue())
         return
     # human table
-    rows = payload.get(rows_key, []) if rows_key else []
-    cols = columns or (sorted(rows[0].keys()) if rows else [])
     for key in sorted(payload):
         if key == rows_key or key == "schema":
             continue
@@ -116,11 +116,16 @@ def _human_cell(value) -> str:
     return _csv_cell(value)
 
 
-def _parse_levels(text: str) -> list[int]:
+def _parse_levels(text: str, check_top: Callable[[int], None]) -> list[int]:
+    """Levels "1,2" or a range "1-4".  check_top refuses a range's top level
+    before the range is expanded, so a huge range fills no memory."""
     text = text.strip()
     if "-" in text:
         lo, _, hi = text.partition("-")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi)
+        if lo <= hi:
+            check_top(hi)
+        return list(range(lo, hi + 1))
     return [int(t) for t in text.split(",") if t.strip()]
 
 
@@ -275,12 +280,9 @@ def _cmd_verify_main(args):
             if not locus_text:
                 raise ValueError(f"--tags entries look like tag@locus, got {part!r}")
             extra.append((tag, locus_text))
-    report = verify_main_theorem(
-        args.p,
-        _parse_levels(args.levels),
-        m_values=None if args.m is None else [args.m],
-        extra_queries=extra,
-    )
+    m_values = None if args.m is None else [args.m]
+    levels = _parse_levels(args.levels, lambda top: check_main_theorem_run(args.p, top, m_values))
+    report = verify_main_theorem(args.p, levels, m_values=m_values, extra_queries=extra)
     payload = main_theorem_report_to_json(report)
     return (0 if report.ok else 1), payload, "dichotomy", ["n", "m", "census", "subspaces", "oracle", "gaussian", "ok"]
 
@@ -290,7 +292,12 @@ def _cmd_verify_genus1(args):
         curves = [("curve", parse_curve(args.curve))]
     else:
         curves = list(standard_test_curves())
-    levels = _parse_levels(args.levels)
+
+    def check_top(top):
+        for _, E in curves:
+            _check_level(E, top)
+
+    levels = _parse_levels(args.levels, check_top)
     rows = []
     ok = True
     for name, E in curves:

@@ -212,8 +212,11 @@ def _check_level(E: ECurve, r: int) -> None:
     """Refuse level r of E, building no field: past _POINT_CAP, the bound on
     point scans, or below 1.  base_change and the dichotomy's levels both
     pass through here."""
-    if E.spec.q ** r > _POINT_CAP:
-        raise ValueError(f"point enumeration capped at q^r <= {_POINT_CAP}, got {E.spec.q ** r}")
+    # q > 2, so q^r > _POINT_CAP once r reaches the cap's bit length: that
+    # q^r is refused before it is raised
+    if r >= _POINT_CAP.bit_length() or E.spec.q ** r > _POINT_CAP:
+        got = E.spec.q ** r if r < _POINT_CAP.bit_length() else f"{E.spec.q}^{r}"
+        raise ValueError(f"point enumeration capped at q^r <= {_POINT_CAP}, got {got}")
     if r < 1:
         raise ValueError(f"extension degree must be >= 1, got {r}")
 
@@ -444,7 +447,6 @@ class FpfDichotomyReport:
     kernel's size.
     """
 
-    curve: ECurve
     levels: tuple[int, ...]
     pairs_checked: int
     violations: tuple[str, ...]
@@ -554,7 +556,7 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
                     f"(P={render_ec_point(P)}, u={render_element(u)}): fibre sizes {fibre_sizes} "
                     f"across levels {levels}, expected fixed points"
                 )
-    return FpfDichotomyReport(E, levels, checked, tuple(violations))
+    return FpfDichotomyReport(levels, checked, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +577,6 @@ class Genus1FinitenessReport:
     translations, which bounds the number of actions by 2^admissible_count.
     """
 
-    curve: ECurve
-    locus: tuple[ECPoint, ...]
     fixing: tuple[tuple[ECAut, tuple[ECPoint, ...]], ...]
     compatible_translations: tuple[tuple[ECAut, tuple[ECPoint, ...]], ...]
     kernel_sizes: tuple[tuple[str, int], ...]
@@ -614,8 +614,6 @@ def verify_genus1_finiteness(E: ECurve, S: Sequence[ECPoint]) -> Genus1Finitenes
     translations = {Q for _, _, shifts in certified for Q in shifts}
     admissible = 1 + len(certified) + len(translations)
     return Genus1FinitenessReport(
-        curve=E,
-        locus=S_pts,
         fixing=tuple((phi, fixed) for phi, fixed, _ in certified),
         compatible_translations=tuple((phi, shifts) for phi, _, shifts in certified),
         kernel_sizes=tuple(kernel_sizes),

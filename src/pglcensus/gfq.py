@@ -105,10 +105,6 @@ class FieldSpec:
     def _tables(self) -> _FieldTables:
         return _FieldTables(self)
 
-    @cached_property
-    def _inv(self) -> list:
-        return _inverse_cache(self)
-
     def __repr__(self) -> str:
         return f"FieldSpec({render_field_spec(self)})"
 
@@ -317,16 +313,16 @@ class _FieldTables:
     * elems[c]: the element with code c (the tuple field_elements returns);
     * log[c]: the k in [0, m) with g^k = elems[c] (None for c = 0);
     * exp[k]: the code of g^k for 0 <= k < 3m (three logs add unreduced);
-    * zech[k]: the Zech logarithm log(1 + g^k), None where 1 + g^k = 0; kept
-      for 0 <= k < 2m, so any -2m < k < 2m indexes it (Python wraps k < 0);
     * half: log(-1);
-    * add, sub, mul: the field's arithmetic on element codes.
+    * add, sub, mul: the field's arithmetic on element codes, over the Zech
+      logarithms log(1 + g^k) (None where 1 + g^k = 0), kept for
+      0 <= k < 2m so that any -2m < k < 2m indexes them (Python wraps k < 0).
 
     O(q) to build: one sparse product per power of g (g has low degree), and
     1 + g^k is the code of g^k plus p^(n-1), mod q.
     """
 
-    __slots__ = ("elems", "log", "exp", "zech", "half", "m", "add", "sub", "mul")
+    __slots__ = ("elems", "log", "exp", "half", "m", "add", "sub", "mul")
 
     def __init__(self, spec: FieldSpec):
         p, q = spec.p, spec.q
@@ -344,7 +340,7 @@ class _FieldTables:
         self.elems = field_elements(spec)
         self.log = log
         self.exp = exp = codes * 3
-        self.zech = zech = [log[(c + one) % q] for c in codes] * 2
+        zech = [log[(c + one) % q] for c in codes] * 2
         self.half = half = 0 if p == 2 else m // 2
         self.m = m
 
@@ -415,7 +411,7 @@ def fq_inv(a: FqElem) -> FqElem:
     """Multiplicative inverse: one lookup in the field's inverse table."""
     if not a.code:
         raise ZeroDivisionError("inverse of zero")
-    return a.spec._inv[a.code]
+    return _inverse_cache(a.spec)[a.code]
 
 
 def fq_div(a: FqElem, b: FqElem) -> FqElem:

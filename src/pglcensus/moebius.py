@@ -198,12 +198,7 @@ def mob_is_identity(m: Moebius) -> bool:
 
 
 def mob_embed(m: Moebius, target: FieldSpec) -> Moebius:
-    return mob_make(
-        fq_embed(m.a, target),
-        fq_embed(m.b, target),
-        fq_embed(m.c, target),
-        fq_embed(m.d, target),
-    )
+    return mob_make(*(fq_embed(e, target) for e in (m.a, m.b, m.c, m.d)))
 
 
 def mob_project(m: Moebius, target: FieldSpec) -> Optional[Moebius]:
@@ -215,15 +210,11 @@ def mob_project(m: Moebius, target: FieldSpec) -> Optional[Moebius]:
 
 
 def mob_apply(m: Moebius, P: PP1) -> PP1:
-    """Matrix action on projective coordinates.  If the map and the point live
-    in different but compatible fields, the smaller one is embedded."""
+    """Matrix action on projective coordinates.  The map and the point must
+    live in one field (embed either with mob_embed or pp1_embed first), else
+    ValueError: fields are never enlarged silently."""
     if m.spec is not P.spec:
-        if P.spec.n % m.spec.n == 0 and P.spec.p == m.spec.p:
-            m = mob_embed(m, P.spec)
-        elif m.spec.n % P.spec.n == 0 and m.spec.p == P.spec.p:
-            P = pp1_embed(P, m.spec)
-        else:
-            raise ValueError(f"incompatible fields: map over {m.spec!r}, point over {P.spec!r}")
+        raise ValueError(f"field mismatch: map over {m.spec!r}, point over {P.spec!r}")
     if P.is_infinity:
         # [1:0] -> [a:c]
         if m.c.is_zero():
@@ -485,7 +476,6 @@ class P1FPReport:
     have one or two fixed points over F_{q^2}, with exactly one precisely for
     the elements of order p."""
 
-    spec: FieldSpec
     group_order: int
     checked: int
     violations: tuple[str, ...]
@@ -511,4 +501,4 @@ def verify_p1fp(spec: FieldSpec) -> P1FPReport:
             violations.append(
                 f"{render_moebius(m)}: order {k} with {len(fixed)} fixed points"
             )
-    return P1FPReport(spec, spec.q ** 3 - spec.q, checked, tuple(violations))
+    return P1FPReport(spec.q ** 3 - spec.q, checked, tuple(violations))

@@ -17,6 +17,8 @@ lists at desk scale.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -77,13 +79,6 @@ class SubgroupPGL2:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, m: Moebius) -> bool:
-        cache = self.__dict__.get("_element_set")
-        if cache is None:
-            cache = frozenset(self.elements)
-            object.__setattr__(self, "_element_set", cache)
-        return m in cache
 
     def __repr__(self) -> str:
         return f"SubgroupPGL2({self.tag}, order {self.order} over {render_field_spec(self.spec)})"
@@ -157,6 +152,15 @@ def _swap(spec: FieldSpec) -> Moebius:
     return mob_make(fq_zero(spec), fq_one(spec), fq_one(spec), fq_zero(spec))
 
 
+def _closed_model(gens: Sequence[Moebius], tag: str, order: int) -> SubgroupPGL2:
+    """The closure of a standard model's generators, which must have the
+    order the model's docstring states."""
+    H = close_generators(gens, tag=tag)
+    if H.order != order:
+        raise AssertionError(f"{tag} closure has order {H.order}, expected {order}")
+    return H
+
+
 def std_cyclic(spec: FieldSpec, n: int) -> SubgroupPGL2:
     """The diagonal group diag(mu_n, 1), cyclic of order n.  Needs p∤n and a
     primitive n-th root of unity in the field."""
@@ -177,10 +181,7 @@ def std_dihedral(spec: FieldSpec, n: int) -> SubgroupPGL2:
         raise ValueError(f"characteristic {spec.p} divides {n}")
     if spec.p == 2 and n <= 1:
         raise ValueError(f"n must be greater than one in characteristic 2, got {n}")
-    H = close_generators([_diag(spec, primitive_root_of_unity(spec, n)), _swap(spec)], tag=f"dihedral:{n}")
-    if H.order != 2 * n:
-        raise AssertionError(f"dihedral closure has order {H.order}, expected {2 * n}")
-    return H
+    return _closed_model([_diag(spec, primitive_root_of_unity(spec, n)), _swap(spec)], f"dihedral:{n}", 2 * n)
 
 
 def _a4_generators(spec: FieldSpec) -> list[Moebius]:
@@ -196,10 +197,7 @@ def std_A4(spec: FieldSpec) -> SubgroupPGL2:
     (x + z4)/(x - z4) with z4 a primitive fourth root of unity.  Order 12."""
     if spec.p in (2, 3):
         raise ValueError(f"A4 model excluded in characteristic {spec.p}")
-    H = close_generators(_a4_generators(spec), tag="A4")
-    if H.order != 12:
-        raise AssertionError(f"A4 closure has order {H.order}, expected 12")
-    return H
+    return _closed_model(_a4_generators(spec), "A4", 12)
 
 
 def std_S4(spec: FieldSpec) -> SubgroupPGL2:
@@ -208,10 +206,7 @@ def std_S4(spec: FieldSpec) -> SubgroupPGL2:
     if spec.p in (2, 3):
         raise ValueError(f"S4 model excluded in characteristic {spec.p}")
     z4 = primitive_root_of_unity(spec, 4)
-    H = close_generators(_a4_generators(spec) + [_diag(spec, z4)], tag="S4")
-    if H.order != 24:
-        raise AssertionError(f"S4 closure has order {H.order}, expected 24")
-    return H
+    return _closed_model(_a4_generators(spec) + [_diag(spec, z4)], "S4", 24)
 
 
 def std_A5(spec: FieldSpec) -> SubgroupPGL2:
@@ -225,10 +220,7 @@ def std_A5(spec: FieldSpec) -> SubgroupPGL2:
     one = fq_one(spec)
     # 1 - z5 - z5^{-1}
     b = fq_one(spec) - z5 - fq_inv(z5)
-    H = close_generators([_diag(spec, z5), mob_make(one, b, one, -one)], tag="A5")
-    if H.order != 60:
-        raise AssertionError(f"A5 closure has order {H.order}, expected 60")
-    return H
+    return _closed_model([_diag(spec, z5), mob_make(one, b, one, -one)], "A5", 60)
 
 
 def _subfield_fp_basis(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
@@ -250,14 +242,17 @@ def _transvections(spec: FieldSpec, sub_degree: int) -> list[Moebius]:
 def std_PSL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     """PSL2 of the subfield F_{p^d}, generated by the elementary transvections
     over an F_p-basis of the subfield.  Order (q0^3 - q0)/gcd(2, q0 - 1)."""
-    return close_generators(_transvections(spec, sub_degree), tag=f"PSL2:{sub_degree}")
+    q0 = spec.p ** sub_degree
+    order = (q0 ** 3 - q0) // math.gcd(2, q0 - 1)
+    return _closed_model(_transvections(spec, sub_degree), f"PSL2:{sub_degree}", order)
 
 
 def std_PGL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     """PGL2 of the subfield F_{p^d}: the PSL2 generators plus diag(delta, 1)
     for delta a multiplicative generator of the subfield.  Order q0^3 - q0."""
-    delta = primitive_root_of_unity(spec, spec.p ** sub_degree - 1)
-    return close_generators(_transvections(spec, sub_degree) + [_diag(spec, delta)], tag=f"PGL2:{sub_degree}")
+    q0 = spec.p ** sub_degree
+    delta = primitive_root_of_unity(spec, q0 - 1)
+    return _closed_model(_transvections(spec, sub_degree) + [_diag(spec, delta)], f"PGL2:{sub_degree}", q0 ** 3 - q0)
 
 
 def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
@@ -302,19 +297,10 @@ def fingerprint(H: SubgroupPGL2) -> Fingerprint:
     for m in H.elements:
         k = mob_order(m)
         counts[k] = counts.get(k, 0) + 1
-    abelian = True
-    elems = H.elements
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if mob_compose(elems[i], elems[j]) != mob_compose(elems[j], elems[i]):
-                abelian = False
-                break
-        if not abelian:
-            break
     return Fingerprint(
         order=H.order,
         element_orders=tuple(sorted(counts.items())),
-        abelian=abelian,
+        abelian=all(mob_compose(a, b) == mob_compose(b, a) for a, b in itertools.combinations(H.elements, 2)),
         p_regular=H.order % H.spec.p != 0,
     )
 

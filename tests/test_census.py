@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import json
@@ -9,9 +10,13 @@ import pytest
 import pglcensus.census as census
 import pglcensus.moebius as moebius
 from pglcensus.census import (
+    BoundedRow,
     CensusQuery,
+    DichotomyRow,
+    MainTheoremReport,
     additive_subgroup,
     census_report_to_json,
+    check_main_theorem_run,
     enum_actions,
     enum_additive_subgroups,
     gamma_to_unipotent,
@@ -460,6 +465,12 @@ class TestOracle:
         with pytest.raises(ValueError, match="WORK_BOUND"):
             oracle_enum_elem_abelian(F8, 1, pp1_infinity(F8))
 
+    def test_point_of_another_field_is_refused(self):
+        # the oracle runs over the point's own field and embeds nothing
+        for spec, point in ((F4, pp1_infinity(F2)), (F2, pp1_infinity(F4)), (F8, pp1_affine(fq_gen(F4)))):
+            with pytest.raises(ValueError, match="field mismatch"):
+                oracle_enum_elem_abelian(spec, 1, point)
+
     def test_affine_point_costs_the_conjugation(self):
         assert census.dichotomy_work(2, 3, 1, affine=True) == census.dichotomy_work(2, 3, 1) + 3 * 8 * 7
 
@@ -715,6 +726,46 @@ class TestMainTheorem:
         report = verify_main_theorem(7, [1, 2])
         assert report.ok
         assert [(r.n, r.m, r.oracle_count) for r in report.rows] == [(1, 1, 1), (2, 1, 8), (2, 2, 1)]
+
+    def test_huge_level_refused_without_big_integers(self):
+        # q = p^n alone is over the bound, so the refusal neither raises a
+        # huge q nor prints a work estimate of more than 4300 digits
+        for p, n in ((2, 8000), (3, 10 ** 8), (10 ** 4000 + 1, 1)):
+            with pytest.raises(ValueError, match=rf"at least q = {p}\^{n} map compositions, over the bound WORK_BOUND"):
+                verify_main_theorem(p, [n])
+
+    def test_run_checked_from_its_top_level_alone(self):
+        check_main_theorem_run(2, 4)
+        check_main_theorem_run(2, 8, [2])
+        for p, top, m_values, message in (
+            (1, 3, None, "prime"),
+            (2, 3, [4], "rank m must lie in 1..3"),
+            (2, 10 ** 9, None, "WORK_BOUND"),
+            (4, 2, None, "prime"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check_main_theorem_run(p, top, m_values)
+
+    def test_mismatches_name_each_failing_row(self):
+        row = DichotomyRow(n=2, m=1, census_count=3, subspace_count=3, oracle_count=3, gaussian=3)
+        steady = BoundedRow(tag="cyclic:4", locus_text="0,inf", counts=((1, 1), (2, 1)), constant=1)
+        clean = MainTheoremReport(p=5, n_values=(1, 2), rows=(row,), growth_ok=((1, True),), bounded_rows=(steady,))
+        assert clean.ok and clean.mismatches() == []
+        bad_row = dataclasses.replace(row, oracle_count=2)
+        flat = ((1, True), (2, False))
+        drifting = dataclasses.replace(steady, counts=((1, 1), (2, 2)), constant=2)
+        expected = {
+            "rows": "n=2 m=1: census 3, subspaces 3, oracle 2, gaussian 3",
+            "growth_ok": "m=2: counts do not strictly grow with the field level",
+            "bounded_rows": "cyclic:4 at 0,inf: counts ((1, 1), (2, 2)) are not constant",
+        }
+        for field, value in (("rows", (bad_row,)), ("growth_ok", flat), ("bounded_rows", (drifting,))):
+            report = dataclasses.replace(clean, **{field: value})
+            assert not report.ok
+            assert report.mismatches() == [expected[field]]
+        every = dataclasses.replace(clean, rows=(row, bad_row), growth_ok=flat, bounded_rows=(steady, drifting))
+        assert not every.ok
+        assert every.mismatches() == [expected["rows"], expected["growth_ok"], expected["bounded_rows"]]
 
     @pytest.mark.parametrize("p", [4, 1, 0, -3])
     def test_non_prime_p_refused(self, p):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -524,6 +525,47 @@ def test_non_prime_p_is_a_usage_error(argv, capsys):
 def test_verify_main_over_the_bound_names_it(capsys):
     assert exit_code(("verify-main", "--p", "2", "--levels", "1-10", "--m", "1")) == 2
     assert "WORK_BOUND" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["8000", "100000000", "1-100000000", "1,2,8000"])
+def test_verify_main_far_past_the_bound_names_it(levels, capsys):
+    # q = 2^n alone is over the bound: refused without raising it or
+    # printing a work estimate of more than 4300 digits
+    assert exit_code(("verify-main", "--p", "2", "--levels", levels)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: (Z/2Z)^1 over F_{2^") and "WORK_BOUND" in err
+
+
+def test_verify_main_huge_p_names_the_bound(capsys):
+    assert exit_code(("verify-main", "--p", str(10 ** 4000 + 1), "--levels", "1")) == 2
+    assert "WORK_BOUND" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["100000000", "1-100000000"])
+def test_genus1_level_far_past_the_point_cap_names_it(levels, capsys):
+    assert exit_code(("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", levels)) == 2
+    assert capsys.readouterr().err == "error: point enumeration capped at q^r <= 10000, got 5^100000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-main", "--p", "2", "--levels", "1-1000000000"),
+        ("verify-genus1", "--curve", "5^1:a=1,b=0", "--levels", "1-1000000000"),
+        ("verify-genus1", "--levels", "1-1000000000"),
+    ],
+    ids=" ".join,
+)
+def test_huge_level_range_refused_before_it_is_expanded(argv):
+    # under a 1 GiB address space, expanding the range first ends in a
+    # MemoryError traceback and exit 1, which the CLI reserves for mismatches
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cmd = [sys.executable, "-m", "pglcensus", *argv]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and ("WORK_BOUND" in r.stderr or "capped at q^r" in r.stderr)
 
 
 def test_genus1_level_past_the_point_cap_is_a_usage_error(capsys):

@@ -24,6 +24,7 @@ from pglcensus.moebius import (
     mob_apply,
     mob_compose,
     mob_conjugate,
+    mob_embed,
     mob_fixed_points,
     mob_from_three_points,
     mob_identity,
@@ -171,11 +172,22 @@ class TestApply:
         assert mob_apply(m, pt(F5, 0)).is_infinity
         assert mob_apply(m, pp1_infinity(F5)) == pt(F5, 0)
 
-    def test_point_in_extension_is_embedded(self):
-        m = mk(F2, 1, 1, 0, 1)  # x -> x + 1 over F2
+    def test_map_embedded_into_the_point_field(self):
+        m = mob_embed(mk(F2, 1, 1, 0, 1), F4)  # x -> x + 1 over F2, read over F4
         t = fq_gen(F4)
         image = mob_apply(m, pp1_affine(t))
         assert render_element(image.x) == "1,1"  # t + 1
+
+    @pytest.mark.parametrize("point", [pp1_affine(fq_gen(F4)), pp1_infinity(F4)], ids=["affine", "inf"])
+    def test_point_of_another_field_is_refused(self, point):
+        # fields are never enlarged silently: neither side is embedded
+        m = mk(F2, 1, 1, 0, 1)
+        with pytest.raises(ValueError, match="field mismatch"):
+            mob_apply(m, point)
+        with pytest.raises(ValueError, match="field mismatch"):
+            mob_apply(mob_embed(m, F4), pp1_infinity(F2))
+        with pytest.raises(ValueError, match="field mismatch"):
+            mob_apply(mk(F3, 1, 1, 0, 1), pp1_infinity(F2))
 
 
 class TestGroupLaw:
@@ -313,14 +325,16 @@ class TestFixedPoints:
     @pytest.mark.parametrize("spec", [F2, F3, F4, F5])
     def test_conjugation_covariance(self, spec):
         ident = mob_identity(spec)
+        ext = extension_field(spec, 2)
         all_elems = list(pgl2_elements(spec))
         fixed = {m: set(mob_fixed_points(m, 2)) for m in all_elems if m != ident}
         for g in all_elems:
+            g_ext = mob_embed(g, ext)  # the fixed points live over F_{q^2}
             for m in all_elems:
                 if m == ident:
                     continue
                 conj = mob_conjugate(g, m)
-                moved = {mob_apply(g, P) for P in fixed[m]}
+                moved = {mob_apply(g_ext, P) for P in fixed[m]}
                 assert moved == fixed[conj]
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import pglcensus.stdgroups as stdgroups
 from pglcensus.census import additive_subgroup, enum_additive_subgroups, gamma_to_unipotent
 from pglcensus.gfq import (
     field_elements,
@@ -148,6 +149,23 @@ class TestStandardConstructors:
         assert std_PGL2(F3, 1).order == 24
         a, b = std_PGL2(F2, 1), std_PSL2(F2, 1)
         assert a.elements == b.elements and a.order == 6
+
+    def test_model_closure_of_another_order_is_refused(self, monkeypatch):
+        # every closed model checks the order its docstring states: in
+        # characteristic 2, gcd(2, q0 - 1) = 1 and PSL2 = PGL2
+        assert std_PSL2(F4, 2).order == std_PGL2(F4, 2).order == 60
+        assert std_PSL2(F8, 1).order == 6
+        diag2 = mob_make(fq_from_int(F5, 2), fq_zero(F5), fq_zero(F5), fq_one(F5))  # order 4
+        with pytest.raises(AssertionError, match=r"cyclic:4 closure has order 4, expected 5"):
+            stdgroups._closed_model([diag2], "cyclic:4", 5)
+        # with x -> x + 1 as the only transvection, both closures fall short
+        def one_transvection(spec, sub_degree):
+            return [mob_make(*(fq_from_int(spec, v) for v in (1, 1, 0, 1)))]
+
+        monkeypatch.setattr(stdgroups, "_transvections", one_transvection)
+        for build, tag in ((std_PSL2, "PSL2:1"), (std_PGL2, "PGL2:1")):
+            with pytest.raises(AssertionError, match=rf"{tag} closure has order"):
+                build(F5, 1)
 
     def test_pgl2_closes_generators_not_elements(self):
         # one product per generator and element, not |PSL2| products per element
