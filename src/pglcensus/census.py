@@ -53,7 +53,6 @@ from .moebius import (
     parse_point_list,
     pp1_embed,
     pp1_infinity,
-    pp1_project,
     render_moebius,
     render_point,
     transporters,
@@ -65,6 +64,7 @@ from .stdgroups import (
     _translation_parts,
     conjugate_subgroup,
     fingerprint,
+    irrational_locus_pairs,
     stabilized_locus,
     std_A4,
     std_A5,
@@ -290,19 +290,22 @@ def _subgroup_sort_key(H: SubgroupPGL2):
 
 def _verified(
     candidates: Iterable[SubgroupPGL2],
-    S2: tuple[PP1, ...],
+    S: tuple[PP1, ...],
     expected_fp: Fingerprint,
 ) -> list[SubgroupPGL2]:
-    """Keep candidates whose recomputed stabilized locus over F_{q^2r} is
-    exactly S2, the queried locus embedded there and sorted, and whose
-    fingerprint equals the expected one; deduplicate by element set."""
+    """Keep candidates whose locus over the algebraic closure is exactly S,
+    the queried locus over the census field F_{q^r}, sorted, and whose
+    fingerprint equals the expected one; deduplicate by element set.  The
+    locus is recomputed over F_{q^r}, and no element may have its fixed
+    points outside F_{q^r} (stdgroups.irrational_locus_pairs): a rational S
+    is then the whole locus, with no table of F_{q^{2r}} built."""
     seen = set()
     out = []
     for H in candidates:
         if H.elements in seen:
             continue
         seen.add(H.elements)
-        if stabilized_locus(H, 2) != S2:
+        if stabilized_locus(H, 1) != S or irrational_locus_pairs(H):
             continue
         if fingerprint(H) != expected_fp:
             continue
@@ -326,8 +329,12 @@ def enum_actions(query: CensusQuery) -> CensusReport:
       if L0 is rational there, else over F_{q^{2r}}, keeping the conjugates
       inside PGL2(F_{q^r}).
 
-    Matches are deduplicated and sorted canonically, so the report is
-    byte-deterministic.
+    Loci are decided over the census field F_{q^r}.  A model's full locus
+    has |stabilized_locus(H0, 1)| + 2 |irrational_locus_pairs(H0)| points
+    (stdgroups), so a model of the wrong size is skipped without leaving
+    F_{q^r}.  F_{q^{2r}} is built only for a model whose full locus has |S|
+    points but leaves F_{q^r}.  Matches are deduplicated and sorted
+    canonically, so the report is byte-deterministic.
     """
     ext = extension_field(query.spec, query.r)
     S = tuple(sorted({pp1_embed(P, ext) for P in query.locus}, key=by_code))
@@ -335,8 +342,6 @@ def enum_actions(query: CensusQuery) -> CensusReport:
     # field, deduplicated and sorted
     query = CensusQuery(query.spec, query.group_id, S, query.r)
     kind, params = parse_group_id(query.group_id)
-    ext2 = extension_field(ext, 2)
-    S2 = tuple(sorted((pp1_embed(P, ext2) for P in S), key=by_code))
 
     if kind == "gamma" and params[1] == 1:
         m = params[0]
@@ -347,7 +352,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
                 conjugate_subgroup(gamma_to_unipotent(G), move)
                 for G in enum_additive_subgroups(ext, m)
             ]
-            matches = _verified(candidates, S2, expected)
+            matches = _verified(candidates, S, expected)
             verdict = "grows_with_field"
             notes = f"one action per rank-{m} additive subgroup of {render_field_spec(ext)}"
         elif len(S) == 0 and m == 0:
@@ -368,8 +373,9 @@ def enum_actions(query: CensusQuery) -> CensusReport:
     models = _standard_models(ext, kind, params)
     candidates: list[SubgroupPGL2] = []
     for H0 in models:
-        L0 = stabilized_locus(H0, 2)  # the full locus, over ext2
-        if len(L0) != len(S):
+        L0 = stabilized_locus(H0, 1)
+        # the full locus is L0 and two points per irrational_locus_pairs entry
+        if len(L0) + 2 * len(irrational_locus_pairs(H0)) != len(S):
             continue
         if len(S) == 0:
             candidates.append(H0)  # only the trivial model has empty locus
@@ -378,17 +384,19 @@ def enum_actions(query: CensusQuery) -> CensusReport:
             # (g.t.h)^{-1} = g H0 g^{-1} for h in H0 and t in Fix(L0), which is
             # trivial for |L0| >= 3 and for |L0| = 2 the abelian torus through
             # L0, which contains H0
-            if all(pp1_project(P, ext) is not None for P in L0):  # then every g is rational too
-                model, locus, target = H0, [pp1_project(P, ext) for P in L0], S
+            if len(L0) == len(S):  # L0 is the full locus, so every g is rational too
+                model, locus, target = H0, L0, S
             else:
-                model, locus, target = subgroup_embed(H0, ext2), L0, S2
+                ext2 = extension_field(ext, 2)
+                model, locus = subgroup_embed(H0, ext2), stabilized_locus(H0, 2)
+                target = tuple(sorted((pp1_embed(P, ext2) for P in S), key=by_code))
             maps = transporters(locus, target, model.elements)
             conjugates = (subgroup_project(conjugate_subgroup(model, g), ext) for g in maps)
             candidates.extend(H for H in conjugates if H is not None)
         # |S| <= 1 never matches a non-elementary-abelian model
 
     expected = fingerprint(models[0]) if models else None
-    matches = _verified(candidates, S2, expected) if expected is not None else []
+    matches = _verified(candidates, S, expected) if expected is not None else []
     return CensusReport(query, tuple(matches), len(matches), "finite")
 
 

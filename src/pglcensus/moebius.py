@@ -275,28 +275,39 @@ def mob_order(m: Moebius) -> int:
     return k
 
 
+def _fixed_quadratic(m: Moebius) -> Optional[tuple[FqElem, FqElem]]:
+    """(B, C) over the map's field with the affine fixed points of m the roots
+    of the monic x^2 + Bx + C: B = (d-a)/c and C = -b/c, from the eigen-
+    direction equation c x^2 + (d-a) x - b = 0.  None when c = 0, where m
+    fixes infinity and every fixed point is rational."""
+    if m.c.is_zero():
+        return None
+    inv_c = fq_inv(m.c)
+    return fq_mul(fq_sub(m.d, m.a), inv_c), fq_neg(fq_mul(m.b, inv_c))
+
+
 def mob_fixed_points(m: Moebius, r: int) -> list[PP1]:
     """Fixed points of a non-identity map in P^1(F_{q^r}), canonically sorted.
 
-    These are the eigen-directions of the matrix: affine solutions of
-    c x^2 + (d-a) x - b = 0 plus infinity when c = 0.  Taking r >= 2 captures
-    every fixed point of the algebraic closure; the result then has exactly
-    one or two points.  The quadratic is solved in closed form by
-    gfq.monic_quadratic_roots, not by scanning F_{q^r}.
+    These are the eigen-directions of the matrix: infinity and b/(d-a) when
+    c = 0, else the roots of the quadratic of _fixed_quadratic, solved in
+    closed form by gfq.monic_quadratic_roots, not by scanning F_{q^r}.
+    Taking r >= 2 captures every fixed point of the algebraic closure; the
+    result then has exactly one or two points.  Either all of them lie in
+    F_q, or they are a Frobenius-conjugate pair outside it: so at r = 1 the
+    result is empty exactly when the quadratic has no root in F_q.
     """
     if mob_is_identity(m):
         raise ValueError("the identity fixes every point of P^1")
     ext = extension_field(m.spec, r)
-    d_minus_a = fq_sub(m.d, m.a)
-    if m.c.is_zero():
+    quadratic = _fixed_quadratic(m)
+    if quadratic is None:
         # x -> (ax + b)/d fixes b/(d-a) unless d = a, and infinity
+        d_minus_a = fq_sub(m.d, m.a)
         if d_minus_a.is_zero():
             return [pp1_infinity(ext)]
         return [pp1_affine(fq_embed(fq_div(m.b, d_minus_a), ext)), pp1_infinity(ext)]
-    # the roots of x^2 + ((d-a)/c) x - b/c, normalized over F_q and solved in F_{q^r}
-    inv_c = fq_inv(m.c)
-    B = fq_embed(fq_mul(d_minus_a, inv_c), ext)
-    C = fq_embed(fq_neg(fq_mul(m.b, inv_c)), ext)
+    B, C = (fq_embed(x, ext) for x in quadratic)
     return [pp1_affine(x) for x in monic_quadratic_roots(B, C)]
 
 

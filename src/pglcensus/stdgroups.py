@@ -35,6 +35,7 @@ from .gfq import (
     fq_mul,
     fq_one,
     fq_zero,
+    monic_quadratic_roots,
     parse_field_spec,
     primitive_root_of_unity,
     render_field_spec,
@@ -44,6 +45,7 @@ from .gfq import (
 from .moebius import (
     Moebius,
     PP1,
+    _fixed_quadratic,
     mob_compose,
     mob_conjugate,
     mob_embed,
@@ -315,6 +317,21 @@ def stabilized_locus(H: SubgroupPGL2, r: int) -> tuple[PP1, ...]:
             continue
         pts.update(mob_fixed_points(m, r))
     return tuple(sorted(pts, key=by_code))
+
+
+def irrational_locus_pairs(H: SubgroupPGL2) -> set[tuple[int, int]]:
+    """The stabilized points of H outside F_q, one Frobenius-conjugate pair
+    per distinct fixed-point quadratic with no root in F_q, keyed by the codes
+    of its (B, C).  Distinct irreducible monic quadratics share no root, so
+    the locus over the algebraic closure has len(stabilized_locus(H, 1)) +
+    2 * len(irrational_locus_pairs(H)) points, and it is stabilized_locus(H,
+    1) exactly when this set is empty."""
+    pairs = set()
+    for m in H.elements:
+        quadratic = _fixed_quadratic(m)
+        if quadratic is not None and not monic_quadratic_roots(*quadratic):
+            pairs.add((quadratic[0].code, quadratic[1].code))
+    return pairs
 
 
 def _generating_set(H: SubgroupPGL2) -> tuple[Moebius, ...]:

@@ -38,6 +38,7 @@ from pglcensus.gfq import (
     fq_inv,
     fq_one,
     fq_zero,
+    parse_field_spec,
 )
 from pglcensus.moebius import (
     mob_apply,
@@ -48,13 +49,16 @@ from pglcensus.moebius import (
     parse_point_list,
     pgl2_elements,
     pp1_affine,
+    pp1_embed,
     pp1_infinity,
+    pp1_project,
     render_point,
 )
 from pglcensus.stdgroups import (
     close_generators,
     conjugate_subgroup,
     fingerprint,
+    irrational_locus_pairs,
     stabilized_locus,
     subgroup_from_json,
     subgroup_project,
@@ -635,6 +639,40 @@ class TestCensusCompleteness:
     @pytest.mark.parametrize("tag", F5_TAGS)
     def test_census_equals_filtered_scan_over_F5(self, subgroups_f5, tag):
         assert_census_equals_filtered_scan(F5, subgroups_f5, tag)
+
+
+def assert_locus_counted_over_census_field(H):
+    # the level-1 locus, embedded, is the rational part of the level-2 one,
+    # and each distinct quadratic with no root in F_q adds two more points
+    ext = extension_field(H.spec, 2)
+    full = stabilized_locus(H, 2)
+    rational = [P for P in full if pp1_project(P, H.spec) is not None]
+    assert sorted((pp1_embed(P, ext) for P in stabilized_locus(H, 1)), key=by_code) == rational, H
+    assert 2 * len(irrational_locus_pairs(H)) == len(full) - len(rational), H
+
+
+class TestLocusOverCensusField:
+    def test_every_scanned_subgroup(self, subgroups_f3, subgroups_f4, subgroups_f5):
+        for H in subgroups_f3 + subgroups_f4 + subgroups_f5:
+            assert_locus_counted_over_census_field(H)
+
+    @pytest.mark.parametrize(
+        "field, tag, rational, pairs",
+        [
+            ("7^1", "dihedral:2", 4, 1),
+            ("5^1", "A4", 6, 4),
+            ("13^1", "S4", 14, 6),
+            ("7^1", "PGL2:1", 8, 21),
+            ("3^3", "PGL2:1", 4, 3),
+            ("3^3", "PSL2:1", 4, 3),
+        ],
+    )
+    def test_models_whose_locus_leaves_the_field(self, field, tag, rational, pairs):
+        from pglcensus.census import _standard_models
+
+        (model,) = _standard_models(parse_field_spec(field), *parse_group_id(tag))
+        assert (len(stabilized_locus(model, 1)), len(irrational_locus_pairs(model))) == (rational, pairs)
+        assert_locus_counted_over_census_field(model)
 
 
 def _all_points(spec):

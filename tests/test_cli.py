@@ -405,6 +405,34 @@ class TestUsageErrors:
         assert run_cli(*argv) == (fresh.returncode, fresh.stdout)
 
 
+# run a command in a fresh interpreter, then print the (p, n) of every field
+# it built
+FIELDS_BUILT = """
+import io, sys
+from pglcensus.cli import main
+from pglcensus.gfq import FieldSpec
+code = main(sys.argv[1:], out=io.StringIO())
+print(code, sorted({(p, n) for p, n, _ in FieldSpec._interned}))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, built",
+    [
+        # the PGL2:1 model's locus has 4 + 2 * 3 points, not 4: no F_{3^6}
+        ("census --field 3^3 --group PGL2:1 --locus 0,0,0,1,0,0,2,0,0,inf", [(3, 1), (3, 3)]),
+        # the cyclic:4 model's locus {0, inf} is rational: no F_{5^4}
+        ("verify-main --p 5 --levels 2 --m 1 --tags cyclic:4@0,inf", [(5, 1), (5, 2)]),
+        # the Klein group's locus leaves F_7 with six points: transport over F_49
+        ("census --field 7^1 --group dihedral:2 --locus 0,1,2,3,6,inf", [(7, 1), (7, 2)]),
+    ],
+)
+def test_census_builds_the_capture_field_only_to_transport(command, built):
+    cmd = [sys.executable, "-c", FIELDS_BUILT, *command.split()]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert r.stdout == f"0 {built}\n", r.stderr
+
+
 def exit_code(argv):
     try:
         return main(list(argv), out=io.StringIO())

@@ -157,6 +157,18 @@ GOLDEN = {
         ("7fdd1d8343aacd6790aa1d2402d33d35426fdb168f3396fc6ba6128d6edcda1a", 0),
     "verify-genus1 --curve 7^2:a=1,1,b=3,0 --levels 1-2":
         ("df5bacefea37462030541c3472b01e988acf45e9f83f83edb4b0217cbb73277c", 1),
+    # censuses decided over the census field: a PGL2:1 model over F_243
+    # whose locus leaves it, dihedral:3 (count 0) and cyclic:3 (count 1)
+    # at a pair, the last over F_1024, whose capture field F_{2^20} the
+    # census needs no tables of
+    "census --field 3^5 --group PGL2:1 --locus 0,0,0,0,0,1,0,0,0,0,2,0,0,0,0,inf":
+        ("d673c8abc841c794e2f1a15d646d2e10a97abb465ce36c2c79f23b67451fa995", 0),
+    "census --field 2^8 --group dihedral:3 --locus 0,0,0,0,0,0,0,0,inf":
+        ("b025a67c976ded2eae0aa1513de4d29e225f881b4ff10295d5b840073c29dd9c", 0),
+    "census --field 7^3 --group cyclic:3 --locus 0,0,0,inf":
+        ("9abf2f7d4c2b68a13d2738f1c0d5b9d374785b6818739833c2ef8b494f62c768", 0),
+    "census --field 2^10 --group cyclic:3 --locus 0,0,0,0,0,0,0,0,0,0,inf":
+        ("da20548593f9e1ae65ac6951cbf75b511f394609485908bca62dc645808b8245", 0),
     # the csv and human views, whose row loops the JSON hashes never run
     "locus --field 5^1 --group A4 --format human":
         ("ac7ecd676a1e4c4fc9893392867cb5faa92ce867f7a1b1d250de2cb18e01f830", 0),

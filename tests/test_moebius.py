@@ -38,8 +38,10 @@ from pglcensus.moebius import (
     pgl2_elements,
     poly_map_ramification,
     pp1_affine,
+    pp1_embed,
     pp1_infinity,
     pp1_points,
+    pp1_project,
     render_moebius,
     render_point,
     transporters,
@@ -321,6 +323,22 @@ class TestFixedPoints:
                 if m.c.is_zero():
                     expected.append(pp1_infinity(ext))
                 assert mob_fixed_points(m, r) == expected, render_moebius(m)
+
+    @pytest.mark.parametrize("spec", [F4, F5, F9])
+    def test_rational_fixed_points_or_a_conjugate_pair_outside(self, spec):
+        # a quadratic with one root in F_q has both there, so the level-1
+        # fixed points are either all of them or none, and none exactly when
+        # the level-2 ones are two points outside F_q
+        ident = mob_identity(spec)
+        ext = extension_field(spec, 2)
+        for m in pgl2_elements(spec):
+            if m == ident:
+                continue
+            level1, level2 = mob_fixed_points(m, 1), mob_fixed_points(m, 2)
+            outside = [P for P in level2 if pp1_project(P, spec) is None]
+            assert (not level1) == (len(outside) == len(level2) == 2), render_moebius(m)
+            if level1:
+                assert sorted((pp1_embed(P, ext) for P in level1), key=by_code) == level2
 
     @pytest.mark.parametrize("spec", [F2, F3, F4, F5])
     def test_conjugation_covariance(self, spec):
