@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .closure import is_prime, order, subgroups_of_order
@@ -32,7 +33,6 @@ from .gfq import (
     by_code,
     extension_field,
     field_make,
-    field_elements,
     fp_echelon,
     fq_from_coeffs,
     fq_from_int,
@@ -43,12 +43,11 @@ from .gfq import (
 )
 from .moebius import (
     PP1,
-    Moebius,
-    mob_apply,
-    mob_compose,
-    mob_conjugate,
-    mob_identity,
+    _code_law,
+    _entry_codes,
+    _from_codes,
     mob_infinity_to,
+    mob_inverse,
     mob_make,
     parse_point_list,
     pp1_embed,
@@ -448,38 +447,57 @@ def _check_work(p: int, n: int, m: int, affine: bool = False) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _order_p_stabilizer(spec: FieldSpec, point: PP1) -> tuple[tuple[int, int, int, int], ...]:
+    """The maps of order p that fix P, as entry-code tuples of the field's
+    code law, in scan order.  The stabilizer of P is t Stab(inf) t^{-1} for
+    any t with t(inf) = P, and Stab(inf) is the q(q - 1) maps [1,b;0,d],
+    d != 0 (c = 0 is what fixing inf means).  Each conjugate is checked to
+    fix P and kept when g != 1 and g^p = 1.  Cached per (field, point), so
+    the ranks of one level share one scan."""
+    law, _, ident = _code_law(spec)
+    add, mul = spec._tables.add, spec._tables.mul
+    p, q, x = spec.p, spec.q, point.code
+    stab = ((ident[0], b, 0, d) for b in range(q) for d in range(1, q))
+    if not point.is_infinity:
+        to_point = mob_infinity_to(point)
+        conj, conj_inv = _entry_codes(to_point), _entry_codes(mob_inverse(to_point))
+        stab = (law(law(conj, g), conj_inv) for g in stab)
+    kept = []
+    for g in stab:
+        a, b, c, d = g
+        if x == q:  # g[1:0] = [a:c] is [1:0] when c = 0
+            fixed = not c
+        else:  # g[x:1] = [ax + b : cx + d] is [x:1] when cx + d = den != 0, ax + b = x den
+            den = add(mul(c, x), d)
+            fixed = den and add(mul(a, x), b) == mul(x, den)
+        if not fixed:
+            raise AssertionError(f"{render_moebius(_from_codes(spec, g))} does not fix {render_point(point)}: t(inf) != P")
+        if order(g, law, ident, p) == p:
+            kept.append(g)
+    return tuple(kept)
+
+
 def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1) -> list[SubgroupPGL2]:
     """Brute-force census of (Z/pZ)^m-subgroups of PGL2(F_q) fixing a point
-    P of P^1(F_q), with no classification knowledge.  The stabilizer of P is
-    t Stab(inf) t^{-1} for any t with t(inf) = P, and Stab(inf) is the
-    q(q - 1) maps [1,b;0,d], d != 0 (c = 0 is what fixing inf means).
-    Each conjugate is checked to fix P, kept when it has order p (g != 1 and
-    g^p = 1), and subgroups of order p^m are grown from the kept maps by
-    closing generator lists (`subgroups_of_order`); those of exponent p are
-    returned.  A point over another field raises ValueError (field
+    P of P^1(F_q), with no classification knowledge.  The maps of order p
+    in the stabilizer of P (_order_p_stabilizer) generate subgroups of
+    order p^m, grown by closing generator lists (`subgroups_of_order`); those
+    of exponent p are returned.  Products run on entry codes through the
+    field's code law, memoized per call, and maps are built only for the
+    subgroups returned.  A point over another field raises ValueError (field
     mismatch), as does a field and rank whose dichotomy_work is over
     WORK_BOUND."""
     if point.spec is not spec:
         raise ValueError(f"field mismatch: point over {point.spec!r}, oracle over {spec!r}")
     _check_work(spec.p, spec.n, m, affine=not point.is_infinity)
     p = spec.p
-    ident = mob_identity(spec)
-    one, zero = fq_one(spec), fq_zero(spec)
-    elems = field_elements(spec)
-    stab = (Moebius(spec, one, b, zero, d) for b in elems for d in elems[1:])
-    if not point.is_infinity:
-        t = mob_infinity_to(point)
-        stab = (mob_conjugate(t, g) for g in stab)
-    order_p = []
-    for g in stab:
-        if mob_apply(g, point) != point:
-            raise AssertionError(f"{render_moebius(g)} does not fix {render_point(point)}: t(inf) != P")
-        if order(g, mob_compose, ident, p) == p:
-            order_p.append(g)
+    law, _, ident = _code_law(spec)
+    op = lru_cache(maxsize=None)(law)
     found = [
-        _make_subgroup(spec, H, "unclassified")
-        for H in subgroups_of_order(order_p, mob_compose, ident, p ** m)
-        if all(order(g, mob_compose, ident, p) == p for g in H if g != ident)
+        _make_subgroup(spec, (_from_codes(spec, g) for g in H), "unclassified")
+        for H in subgroups_of_order(_order_p_stabilizer(spec, point), op, ident, p ** m)
+        if all(order(g, op, ident, p) == p for g in H if g != ident)
     ]
     return sorted(found, key=_subgroup_sort_key)
 

@@ -7,8 +7,9 @@ listings well defined.  Maps and points are gfq.CodedValue instances.  A
 map's code is ((a*q + b)*q + c)*q + d over the entry codes, computed once at
 construction, so the closures and the mob_compose cache never hash or compare
 field elements; within one field, code order is the lexicographic order of
-the entries.  Products, inverses and normalization (_normalized) run on entry
-codes with the field's code operations, as the genus-1 law does.
+the entries.  Products, inverses and normalization run on 4-tuples of entry
+codes through the one per-field law _code_law, as the genus-1 law does;
+the oracle and fingerprint call it directly, off the mob_compose cache.
 
 Points of P^1 are either affine, with a single field coordinate (projective
 [x:1]), or the point at infinity [1:0].  A point's code is the code of x, or
@@ -161,21 +162,59 @@ class Moebius(CodedValue):
         return f"Moebius({render_moebius(self)})"
 
 
-def _normalized(spec: FieldSpec, a: int, b: int, c: int, d: int) -> Moebius:
-    """The PGL2 class of [[a,b],[c,d]] on entry codes, scaled by 1/(a or b):
-    a nonsingular matrix has a nonzero first row.  Rejects singular ones."""
+@lru_cache(maxsize=None)
+def _code_law(spec: FieldSpec):
+    """PGL2(F_q) on 4-tuples (a, b, c, d) of entry codes, bound once per
+    field as elliptic._chord_tangent binds a curve's law: (law, normalize,
+    identity).  normalize(a, b, c, d) scales [[a,b],[c,d]] by 1/(a or b), as
+    a nonsingular matrix has a nonzero first row, and refuses singular ones;
+    law(x, y) is the normalized product x*y (x after y); identity is
+    (one, 0, 0, one), where one = q // p is the code of 1."""
     t = spec._tables
-    mul, log, exp, elems = t.mul, t.log, t.exp, t.elems
-    if not t.sub(mul(a, d), mul(b, c)):
-        raise ValueError("singular matrix does not define a Moebius map")
-    shift = t.m - log[a or b]  # log of 1/(a or b)
-    return Moebius(
-        spec,
-        elems[exp[shift + log[a]] if a else 0],
-        elems[exp[shift + log[b]] if b else 0],
-        elems[exp[shift + log[c]] if c else 0],
-        elems[exp[shift + log[d]] if d else 0],
-    )
+    add, sub, mul, log, exp, m = t.add, t.sub, t.mul, t.log, t.exp, t.m
+    one = spec.q // spec.p
+
+    def scaled(a, b, c, d):
+        shift = m - log[a or b]  # log of 1/(a or b)
+        return (
+            exp[shift + log[a]] if a else 0,
+            exp[shift + log[b]] if b else 0,
+            exp[shift + log[c]] if c else 0,
+            exp[shift + log[d]] if d else 0,
+        )
+
+    def normalize(a, b, c, d):
+        if not sub(mul(a, d), mul(b, c)):
+            raise ValueError("singular matrix does not define a Moebius map")
+        return scaled(a, b, c, d)
+
+    def law(x, y):
+        # a product of nonsingular matrices is nonsingular
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        return scaled(
+            add(mul(a1, a2), mul(b1, c2)),
+            add(mul(a1, b2), mul(b1, d2)),
+            add(mul(c1, a2), mul(d1, c2)),
+            add(mul(c1, b2), mul(d1, d2)),
+        )
+
+    return law, normalize, (one, 0, 0, one)
+
+
+def _entry_codes(m: Moebius) -> tuple[int, int, int, int]:
+    return m.a.code, m.b.code, m.c.code, m.d.code
+
+
+def _from_codes(spec: FieldSpec, codes: tuple[int, int, int, int]) -> Moebius:
+    elems = spec._tables.elems
+    a, b, c, d = codes
+    return Moebius(spec, elems[a], elems[b], elems[c], elems[d])
+
+
+def _normalized(spec: FieldSpec, a: int, b: int, c: int, d: int) -> Moebius:
+    """The PGL2 class of [[a,b],[c,d]] on entry codes; rejects singular ones."""
+    return _from_codes(spec, _code_law(spec)[1](a, b, c, d))
 
 
 def mob_make(a: FqElem, b: FqElem, c: FqElem, d: FqElem) -> Moebius:
@@ -234,17 +273,7 @@ def mob_compose(m1: Moebius, m2: Moebius) -> Moebius:
     spec = m1.spec
     if m2.spec is not spec:
         raise ValueError("cannot compose maps over different fields")
-    t = spec._tables
-    add, mul = t.add, t.mul
-    a1, b1, c1, d1 = m1.a.code, m1.b.code, m1.c.code, m1.d.code
-    a2, b2, c2, d2 = m2.a.code, m2.b.code, m2.c.code, m2.d.code
-    return _normalized(
-        spec,
-        add(mul(a1, a2), mul(b1, c2)),
-        add(mul(a1, b2), mul(b1, d2)),
-        add(mul(c1, a2), mul(d1, c2)),
-        add(mul(c1, b2), mul(d1, d2)),
-    )
+    return _from_codes(spec, _code_law(spec)[0](_entry_codes(m1), _entry_codes(m2)))
 
 
 def mob_inverse(m: Moebius) -> Moebius:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .closure import close
+from .closure import close, order
 from .gfq import (
     FieldSpec,
     FqElem,
@@ -45,6 +45,8 @@ from .gfq import (
 from .moebius import (
     Moebius,
     PP1,
+    _code_law,
+    _entry_codes,
     _fixed_quadratic,
     mob_compose,
     mob_conjugate,
@@ -56,7 +58,6 @@ from .moebius import (
     mob_inverse,
     mob_is_identity,
     mob_make,
-    mob_order,
     mob_project,
     parse_moebius,
     pgl2_elements,
@@ -294,15 +295,20 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
 
 
 def fingerprint(H: SubgroupPGL2) -> Fingerprint:
-    """Order, element-order multiset, abelian flag and p-regularity flag."""
+    """Order, element-order multiset, abelian flag and p-regularity flag,
+    the orders and the pairwise commutation test on entry codes through
+    the field's code law."""
+    law, _, ident = _code_law(H.spec)
+    codes = [_entry_codes(m) for m in H.elements]
+    cap = H.spec.q ** 3 - H.spec.q
     counts: dict[int, int] = {}
-    for m in H.elements:
-        k = mob_order(m)
+    for x in codes:
+        k = order(x, law, ident, cap)
         counts[k] = counts.get(k, 0) + 1
     return Fingerprint(
         order=H.order,
         element_orders=tuple(sorted(counts.items())),
-        abelian=all(mob_compose(a, b) == mob_compose(b, a) for a, b in itertools.combinations(H.elements, 2)),
+        abelian=all(law(x, y) == law(y, x) for x, y in itertools.combinations(codes, 2)),
         p_regular=H.order % H.spec.p != 0,
     )
 

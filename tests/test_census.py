@@ -55,6 +55,7 @@ from pglcensus.moebius import (
     render_point,
 )
 from pglcensus.stdgroups import (
+    Fingerprint,
     close_generators,
     conjugate_subgroup,
     fingerprint,
@@ -478,6 +479,22 @@ class TestOracle:
     def test_affine_point_costs_the_conjugation(self):
         assert census.dichotomy_work(2, 3, 1, affine=True) == census.dichotomy_work(2, 3, 1) + 3 * 8 * 7
 
+    @pytest.mark.parametrize("p,n", [(2, 4), (5, 2)], ids=["F16", "F25"])
+    @pytest.mark.parametrize("point_kind", ["inf", "affine"])
+    def test_ranks_share_one_scan_off_the_mob_compose_cache(self, p, n, point_kind):
+        # the ranks of one level share one stabilizer scan, and the scan and
+        # the growth run on entry codes, so the shared cache neither grows
+        # nor records a lookup
+        spec = field_make(p, n)
+        point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(fq_gen(spec))
+        census._order_p_stabilizer.cache_clear()
+        before = mob_compose.cache_info()
+        for m in range(1, n + 1):
+            assert len(oracle_enum_elem_abelian(spec, m, point)) == gaussian_binomial(n, m, p)
+        assert mob_compose.cache_info() == before
+        info = census._order_p_stabilizer.cache_info()
+        assert (info.misses, info.hits) == (1, n - 1)
+
 
 # The oracle as it was before it scanned only the point stabilizer: all of
 # PGL2(F_q), the fixed-point test by mob_apply and the order by mob_order,
@@ -639,6 +656,23 @@ class TestCensusCompleteness:
     @pytest.mark.parametrize("tag", F5_TAGS)
     def test_census_equals_filtered_scan_over_F5(self, subgroups_f5, tag):
         assert_census_equals_filtered_scan(F5, subgroups_f5, tag)
+
+
+def reference_fingerprint(H):
+    # fingerprint as it was before it ran on entry codes: orders by mob_order
+    # and the commutation test by mob_compose pairs
+    counts = collections.Counter(mob_order(m) for m in H.elements)
+    return Fingerprint(
+        order=H.order,
+        element_orders=tuple(sorted(counts.items())),
+        abelian=all(mob_compose(a, b) == mob_compose(b, a) for a, b in itertools.combinations(H.elements, 2)),
+        p_regular=H.order % H.spec.p != 0,
+    )
+
+
+def test_fingerprint_matches_reference(subgroups_f3, subgroups_f4, subgroups_f5):
+    for H in subgroups_f3 + subgroups_f4 + subgroups_f5:
+        assert fingerprint(H) == reference_fingerprint(H), H
 
 
 def assert_locus_counted_over_census_field(H):

@@ -169,6 +169,12 @@ GOLDEN = {
         ("9abf2f7d4c2b68a13d2738f1c0d5b9d374785b6818739833c2ef8b494f62c768", 0),
     "census --field 2^10 --group cyclic:3 --locus 0,0,0,0,0,0,0,0,0,0,inf":
         ("da20548593f9e1ae65ac6951cbf75b511f394609485908bca62dc645808b8245", 0),
+    # the oracle's point-stabilizer scan at its large end: three rows over
+    # F_13 and F_169, and one row over F_512
+    "verify-main --p 13 --levels 1-2":
+        ("cdee6e16ccc6349101d4a320eb6bcabd0e5eef7f0da74b0cd39b91cfe51a05b0", 0),
+    "verify-main --p 2 --levels 9 --m 1":
+        ("41d30c637c78ceed01e087189cbcd310d9d98adb8ffcea5e97bd42c63542860a", 0),
     # the csv and human views, whose row loops the JSON hashes never run
     "locus --field 5^1 --group A4 --format human":
         ("ac7ecd676a1e4c4fc9893392867cb5faa92ce867f7a1b1d250de2cb18e01f830", 0),

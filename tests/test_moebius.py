@@ -20,6 +20,7 @@ from pglcensus.gfq import (
 )
 from pglcensus.moebius import (
     PP1,
+    _code_law,
     _normalized,
     mob_apply,
     mob_compose,
@@ -230,6 +231,10 @@ def entries(m):
     return m.a, m.b, m.c, m.d
 
 
+def entry_codes(m):
+    return tuple(x.code for x in entries(m))
+
+
 def reference_compose(m1, m2):
     (a1, b1, c1, d1), (a2, b2, c2, d2) = entries(m1), entries(m2)
     return reference_normalized(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
@@ -256,20 +261,29 @@ class TestCodeArithmetic:
 
     @pytest.mark.parametrize("spec", [F3, F4], ids=["F3", "F4"])
     def test_every_pair_against_reference(self, spec):
+        # through mob_compose and through the code law it wraps
+        law, _, identity = _code_law(spec)
+        assert identity == entry_codes(mob_identity(spec))
         group = list(pgl2_elements(spec))
         for m1 in group:
             assert entries(mob_inverse(m1)) == reference_inverse(m1)
             for m2 in group:
-                assert entries(mob_compose(m1, m2)) == reference_compose(m1, m2)
+                want = reference_compose(m1, m2)
+                assert entries(mob_compose(m1, m2)) == want
+                assert law(entry_codes(m1), entry_codes(m2)) == tuple(x.code for x in want)
 
     @pytest.mark.parametrize("p, n", [(3, 2), (2, 4), (5, 2)], ids=["F9", "F16", "F25"])
     def test_seeded_pairs_against_reference(self, p, n):
         spec = field_make(p, n)
+        law, _, identity = _code_law(spec)
+        assert identity == entry_codes(mob_identity(spec))
         rng = random.Random(p * 100 + n)
         group = list(pgl2_elements(spec))
         for _ in range(400):
             m1, m2 = rng.choice(group), rng.choice(group)
-            assert entries(mob_compose(m1, m2)) == reference_compose(m1, m2)
+            want = reference_compose(m1, m2)
+            assert entries(mob_compose(m1, m2)) == want
+            assert law(entry_codes(m1), entry_codes(m2)) == tuple(x.code for x in want)
             assert entries(mob_inverse(m1)) == reference_inverse(m1)
 
 
