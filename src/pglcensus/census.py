@@ -295,16 +295,17 @@ def _verified(
     """Keep candidates whose locus over the algebraic closure is exactly S,
     the queried locus over the census field F_{q^r}, sorted, and whose
     fingerprint equals the expected one; deduplicate by element set.  The
-    locus is recomputed over F_{q^r}, and no element may have its fixed
-    points outside F_{q^r} (stdgroups.irrational_locus_pairs): a rational S
-    is then the whole locus, with no table of F_{q^{2r}} built."""
+    locus is recomputed over F_{q^r} in one fixed-point pass, which also
+    fails when some element has its fixed points outside F_{q^r}
+    (stabilized_locus with complete=True): a rational S is then the whole
+    locus, with no table of F_{q^{2r}} built."""
     seen = set()
     out = []
     for H in candidates:
         if H.elements in seen:
             continue
         seen.add(H.elements)
-        if stabilized_locus(H, 1) != S or irrational_locus_pairs(H):
+        if stabilized_locus(H, 1, complete=True) != S:
             continue
         if fingerprint(H) != expected_fp:
             continue
@@ -660,8 +661,8 @@ def verify_main_theorem(
 
 
 def census_report_to_json(report: CensusReport) -> dict:
-    # match loci are verified to lie in the working field, so they are
-    # rendered at level 1 (the census field itself)
+    # every match's locus was verified to be the query's, over the working
+    # field, so that is rendered at level 1 (the census field itself)
     q = report.query
     return {
         "schema": "pglcensus/census/v2",
@@ -674,7 +675,7 @@ def census_report_to_json(report: CensusReport) -> dict:
         },
         "count": report.count,
         "verdict": report.verdict,
-        "matches": [subgroup_to_json(H, 1) for H in report.matches],
+        "matches": [subgroup_to_json(H, 1, q.locus) for H in report.matches],
         "notes": report.notes,
     }
 

@@ -9,7 +9,9 @@ construction, so the closures and the mob_compose cache never hash or compare
 field elements; within one field, code order is the lexicographic order of
 the entries.  Products, inverses and normalization run on 4-tuples of entry
 codes through the one per-field law _code_law, as the genus-1 law does;
-the oracle and fingerprint call it directly, off the mob_compose cache.
+the oracle, fingerprint and conjugation call it directly, off the
+mob_compose cache.  The action on points and the three-point frames run on
+point codes through _code_points, which transporters search with.
 
 Points of P^1 are either affine, with a single field coordinate (projective
 [x:1]), or the point at infinity [1:0].  A point's code is the code of x, or
@@ -40,7 +42,6 @@ from .gfq import (
     cpoly_multiplicity,
     extension_field,
     field_elements,
-    fq_add,
     fq_div,
     fq_embed,
     fq_inv,
@@ -202,6 +203,46 @@ def _code_law(spec: FieldSpec):
     return law, normalize, (one, 0, 0, one)
 
 
+@lru_cache(maxsize=None)
+def _code_points(spec: FieldSpec):
+    """PGL2(F_q) on point codes (infinity is q), bound once per field next to
+    _code_law: (apply, frame).  apply(g, x) is the image of the point x under
+    the map with entry codes g; frame(x1, x2, x3) is the entry codes, not
+    normalized, of the map sending the distinct points x1, x2, x3 to (0, 1,
+    inf): in homogeneous coordinates z_i = [x_i:y_i] (inf = [1:0]) with
+    d_ij = x_i y_j - y_i x_j it is [[y1 d23, -x1 d23], [y3 d21, -x3 d21]]."""
+    t = spec._tables
+    add, sub, mul, log, exp, m = t.add, t.sub, t.mul, t.log, t.exp, t.m
+    q, one = spec.q, spec.q // spec.p
+
+    def div(u, v):  # v != 0
+        return exp[log[u] - log[v] + m] if u else 0
+
+    def apply(g, x):
+        a, b, c, d = g
+        if x == q:  # [1:0] -> [a:c]
+            return div(a, c) if c else q
+        den = add(mul(c, x), d)
+        return div(add(mul(a, x), b), den) if den else q
+
+    def frame(x1, x2, x3):
+        (x1, y1), (x2, y2), (x3, y3) = ((one, 0) if x == q else (x, one) for x in (x1, x2, x3))
+        d23 = sub(mul(x2, y3), mul(y2, x3))
+        d21 = sub(mul(x2, y1), mul(y2, x1))
+        return mul(y1, d23), sub(0, mul(x1, d23)), mul(y3, d21), sub(0, mul(x3, d21))
+
+    return apply, frame
+
+
+def _triple_map(spec: FieldSpec, source: tuple[int, int, int, int], dst: tuple[int, int, int]) -> tuple[int, int, int, int]:
+    """Entry codes of the map sending a triple with frame `source` (from
+    _code_points) to the distinct point codes dst: the adjugate of dst's frame
+    after `source`, one normalized product."""
+    a, b, c, d = _code_points(spec)[1](*dst)
+    sub = spec._tables.sub
+    return _code_law(spec)[0]((d, sub(0, b), sub(0, c), a), source)
+
+
 def _entry_codes(m: Moebius) -> tuple[int, int, int, int]:
     return m.a.code, m.b.code, m.c.code, m.d.code
 
@@ -252,18 +293,11 @@ def mob_apply(m: Moebius, P: PP1) -> PP1:
     """Matrix action on projective coordinates.  The map and the point must
     live in one field (embed either with mob_embed or pp1_embed first), else
     ValueError: fields are never enlarged silently."""
-    if m.spec is not P.spec:
-        raise ValueError(f"field mismatch: map over {m.spec!r}, point over {P.spec!r}")
-    if P.is_infinity:
-        # [1:0] -> [a:c]
-        if m.c.is_zero():
-            return pp1_infinity(m.spec)
-        return pp1_affine(fq_div(m.a, m.c))
-    num = fq_add(fq_mul(m.a, P.x), m.b)
-    den = fq_add(fq_mul(m.c, P.x), m.d)
-    if den.is_zero():
-        return pp1_infinity(m.spec)
-    return pp1_affine(fq_div(num, den))
+    spec = m.spec
+    if spec is not P.spec:
+        raise ValueError(f"field mismatch: map over {spec!r}, point over {P.spec!r}")
+    x = _code_points(spec)[0](_entry_codes(m), P.code)
+    return pp1_infinity(spec) if x == spec.q else pp1_affine(spec._tables.elems[x])
 
 
 @lru_cache(maxsize=1 << 18)
@@ -340,30 +374,23 @@ def mob_fixed_points(m: Moebius, r: int) -> list[PP1]:
     return [pp1_affine(x) for x in monic_quadratic_roots(B, C)]
 
 
-def _to_zero_one_inf(z1: PP1, z2: PP1, z3: PP1) -> Moebius:
-    """The unique map sending (z1, z2, z3) to (0, 1, inf).  In homogeneous
-    coordinates z_i = [x_i:y_i] (inf = [1:0]) with d_ij = x_i y_j - y_i x_j it
-    is [[y1 d23, -x1 d23], [y3 d21, -x3 d21]]."""
-    one, zero = fq_one(z1.spec), fq_zero(z1.spec)
-    (x1, y1), (x2, y2), (x3, y3) = ((one, zero) if z.is_infinity else (z.x, one) for z in (z1, z2, z3))
-    d23 = fq_sub(fq_mul(x2, y3), fq_mul(y2, x3))
-    d21 = fq_sub(fq_mul(x2, y1), fq_mul(y2, x1))
-    return mob_make(fq_mul(y1, d23), fq_neg(fq_mul(x1, d23)), fq_mul(y3, d21), fq_neg(fq_mul(x3, d21)))
+def _distinct_codes(points: Sequence[PP1], spec: FieldSpec, role: str) -> tuple[int, ...]:
+    for P in points:
+        if P.spec is not spec:
+            raise ValueError("all points must live in one field")
+    codes = tuple(P.code for P in points)
+    if len(set(codes)) != len(codes):
+        raise ValueError(f"{role} points must be pairwise distinct")
+    return codes
 
 
 def mob_from_three_points(src: Sequence[PP1], dst: Sequence[PP1]) -> Moebius:
     """The unique Moebius map sending the ordered triple src to dst."""
     if len(src) != 3 or len(dst) != 3:
         raise ValueError("need exactly three source and three destination points")
-    if len(set(src)) != 3:
-        raise ValueError("source points must be pairwise distinct")
-    if len(set(dst)) != 3:
-        raise ValueError("destination points must be pairwise distinct")
     spec = src[0].spec
-    for P in list(src) + list(dst):
-        if P.spec is not spec:
-            raise ValueError("all six points must live in one field")
-    return mob_compose(mob_inverse(_to_zero_one_inf(*dst)), _to_zero_one_inf(*src))
+    source = _code_points(spec)[1](*_distinct_codes(src, spec, "source"))
+    return _from_codes(spec, _triple_map(spec, source, _distinct_codes(dst, spec, "destination")))
 
 
 def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[Moebius] = ()) -> Iterator[Moebius]:
@@ -379,37 +406,47 @@ def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[Moebius] = ())
     transporters(L0, S) that come first in their coset, in the same order.
     |L0| = 2: Fix(L0) is a torus; one map per arrangement of S, sending the
     first point of P^1 outside L0 to the first one outside S.  H is not used
-    there: a census model with a two-point locus lies in the torus."""
+    there: a census model with a two-point locus lies in the torus.
+    The search runs on point and entry codes: the frame of L0[:3] is built
+    once, and each triple costs one _triple_map and the images of L0[3:]."""
     if len(L0) != len(S):
         return
     if len(L0) < 2:
         raise ValueError("transporters need at least two points")
     spec = L0[0].spec
+    src = _distinct_codes(L0, spec, "source")
+    dst = _distinct_codes(S, spec, "destination")
+    apply, frame = _code_points(spec)
     if len(L0) == 2:
-        src = (L0[0], L0[1], next(P for P in pp1_points(spec) if P not in L0))
-        third = next(P for P in pp1_points(spec) if P not in S)
-        for first, second in ((S[0], S[1]), (S[1], S[0])):
-            yield mob_from_three_points(src, (first, second, third))
+        # infinity's code is q, after every affine point
+        source = frame(*src, next(x for x in range(spec.q + 1) if x not in src))
+        third = next(x for x in range(spec.q + 1) if x not in dst)
+        for first, second in ((dst[0], dst[1]), (dst[1], dst[0])):
+            yield _from_codes(spec, _triple_map(spec, source, (first, second, third)))
         return
-    where = {P: i for i, P in enumerate(L0)}
+    where = {x: i for i, x in enumerate(src)}
+    for h in H:
+        if h.spec is not spec:
+            raise ValueError(f"field mismatch: map over {h.spec!r}, points over {spec!r}")
     try:
         # h(L0[j]) = L0[perm[j]], one perm per h in H; only j < 3 is used
-        perms = {tuple(where[mob_apply(h, P)] for P in L0)[:3] for h in H}
+        perms = {tuple(where[apply(_entry_codes(h), x)] for x in src)[:3] for h in H}
     except KeyError:
         raise ValueError("H does not stabilize L0") from None
-    targets = set(S)
+    source, rest = frame(*src[:3]), src[3:]
+    targets = set(dst)
     covered = set()
-    for dst in itertools.permutations(S, 3):
-        if dst in covered:
+    for triple in itertools.permutations(dst, 3):
+        if triple in covered:
             continue
-        g = mob_from_three_points(L0[:3], dst)
-        image = list(dst)  # g(L0)
-        for P in L0[3:]:
-            image.append(mob_apply(g, P))
+        g = _triple_map(spec, source, triple)
+        image = list(triple)  # g(L0)
+        for x in rest:
+            image.append(apply(g, x))
             if image[-1] not in targets:
                 break
         else:
-            yield g
+            yield _from_codes(spec, g)
             covered.update((image[i], image[j], image[k]) for i, j, k in perms)
 
 

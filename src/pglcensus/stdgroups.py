@@ -47,6 +47,7 @@ from .moebius import (
     PP1,
     _code_law,
     _entry_codes,
+    _from_codes,
     _fixed_quadratic,
     mob_compose,
     mob_conjugate,
@@ -136,11 +137,16 @@ def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL
 
 
 def conjugate_subgroup(H: SubgroupPGL2, g: Moebius) -> SubgroupPGL2:
-    if g.spec is not H.spec:
+    """g H g^{-1}, on entry codes through the field's code law, with g^{-1}
+    computed once."""
+    spec = H.spec
+    if g.spec is not spec:
         raise ValueError("conjugator must live in the subgroup's field")
     if mob_is_identity(g):
         return H
-    return _make_subgroup(H.spec, (mob_conjugate(g, m) for m in H.elements), H.tag)
+    law = _code_law(spec)[0]
+    x, x_inv = _entry_codes(g), _entry_codes(mob_inverse(g))
+    return _make_subgroup(spec, (_from_codes(spec, law(law(x, _entry_codes(m)), x_inv)) for m in H.elements), H.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -296,32 +302,38 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
 
 def fingerprint(H: SubgroupPGL2) -> Fingerprint:
     """Order, element-order multiset, abelian flag and p-regularity flag,
-    the orders and the pairwise commutation test on entry codes through
-    the field's code law."""
+    on entry codes through the field's code law.  H is abelian when its
+    generating set (_generating_set) commutes pairwise."""
     law, _, ident = _code_law(H.spec)
-    codes = [_entry_codes(m) for m in H.elements]
     cap = H.spec.q ** 3 - H.spec.q
     counts: dict[int, int] = {}
-    for x in codes:
-        k = order(x, law, ident, cap)
+    for m in H.elements:
+        k = order(_entry_codes(m), law, ident, cap)
         counts[k] = counts.get(k, 0) + 1
+    gens = [_entry_codes(g) for g in _generating_set(H)]
     return Fingerprint(
         order=H.order,
         element_orders=tuple(sorted(counts.items())),
-        abelian=all(law(x, y) == law(y, x) for x, y in itertools.combinations(codes, 2)),
+        abelian=all(law(x, y) == law(y, x) for x, y in itertools.combinations(gens, 2)),
         p_regular=H.order % H.spec.p != 0,
     )
 
 
-def stabilized_locus(H: SubgroupPGL2, r: int) -> tuple[PP1, ...]:
+def stabilized_locus(H: SubgroupPGL2, r: int, complete: bool = False) -> Optional[tuple[PP1, ...]]:
     """Points of P^1(F_{q^r}) with non-trivial stabilizer: the union of the
     fixed-point sets of the non-identity elements.  r >= 2 guarantees that
-    every stabilized point of the algebraic closure is captured."""
+    every stabilized point of the algebraic closure is captured.  With
+    complete=True the result is None unless it is the whole locus over the
+    algebraic closure: an element's fixed points lie in F_{q^r} all or none
+    (mob_fixed_points), so that is when no element's set is empty."""
     pts = set()
     for m in H.elements:
         if mob_is_identity(m):
             continue
-        pts.update(mob_fixed_points(m, r))
+        fixed = mob_fixed_points(m, r)
+        if complete and not fixed:
+            return None
+        pts.update(fixed)
     return tuple(sorted(pts, key=by_code))
 
 
@@ -341,19 +353,23 @@ def irrational_locus_pairs(H: SubgroupPGL2) -> set[tuple[int, int]]:
 
 
 def _generating_set(H: SubgroupPGL2) -> tuple[Moebius, ...]:
-    """A small deterministic generating set, grown greedily in canonical order."""
-    ident = mob_identity(H.spec)
+    """A small deterministic generating set, grown greedily in canonical
+    order, closed on entry codes through the field's code law."""
+    law, _, ident = _code_law(H.spec)
     gens: list[Moebius] = []
+    codes: list[tuple[int, int, int, int]] = []
     span = {ident}
     for m in H.elements:
-        if m in span:
+        x = _entry_codes(m)
+        if x in span:
             continue
         gens.append(m)
-        span = close(gens, mob_compose, span)
+        codes.append(x)
+        span = close(codes, law, span)
         if len(span) == H.order:
             break
     if not gens:  # trivial group
-        return (ident,)
+        return (mob_identity(H.spec),)
     return tuple(gens)
 
 
@@ -490,8 +506,12 @@ def is_conjugate_bruteforce(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optio
 # serialization
 
 
-def subgroup_to_json(H: SubgroupPGL2, locus_ext: int = 2) -> dict:
-    locus = stabilized_locus(H, locus_ext)
+def subgroup_to_json(H: SubgroupPGL2, locus_ext: int = 2, locus: Optional[Sequence[PP1]] = None) -> dict:
+    """H's record.  `locus` is its stabilized locus over F_{q^locus_ext} when
+    the caller has already computed it (a census renders the locus that it
+    verified); by default it is computed here."""
+    if locus is None:
+        locus = stabilized_locus(H, locus_ext)
     locus_field = extension_field(H.spec, locus_ext)
     return {
         "field": render_field_spec(H.spec),

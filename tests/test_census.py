@@ -9,6 +9,7 @@ import pytest
 
 import pglcensus.census as census
 import pglcensus.moebius as moebius
+import pglcensus.stdgroups as stdgroups
 from pglcensus.census import (
     BoundedRow,
     CensusQuery,
@@ -56,6 +57,7 @@ from pglcensus.moebius import (
 )
 from pglcensus.stdgroups import (
     Fingerprint,
+    _generating_set,
     close_generators,
     conjugate_subgroup,
     fingerprint,
@@ -253,15 +255,33 @@ class TestEnumActions:
     def test_one_conjugation_per_coset_of_the_model(self, monkeypatch):
         # dihedral:3 at all of P^1(F7): each of the 336 maps of PGL2(F7)
         # transports the locus, and the 6 maps of a coset g.H0 give one
-        # conjugate, so 56 maps are built and conjugate the model
+        # conjugate, so 56 maps are built (one _triple_map each) and
+        # conjugate the model
         calls = collections.Counter()
-        for module, name in ((moebius, "mob_from_three_points"), (census, "conjugate_subgroup")):
+        for module, name in ((moebius, "_triple_map"), (census, "conjugate_subgroup")):
             def counted(*args, f=getattr(module, name), name=name):
                 calls[name] += 1
                 return f(*args)
             monkeypatch.setattr(module, name, counted)
         assert census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf").count == 28
-        assert calls == {"mob_from_three_points": 56, "conjugate_subgroup": 56}
+        assert calls == {"_triple_map": 56, "conjugate_subgroup": 56}
+
+    def test_one_fixed_point_pass_per_candidate(self, monkeypatch):
+        # the same census: the model's locus and pairs once, then one
+        # stabilized_locus per distinct candidate (the 56 conjugates are the
+        # 28 matches, twice each) and none in the JSON, which renders the
+        # locus _verified checked
+        calls = collections.Counter()
+        for name in ("stabilized_locus", "irrational_locus_pairs"):
+            def counted(*args, f=getattr(census, name), name=name, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            monkeypatch.setattr(census, name, counted)
+        report = census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf")
+        assert calls == {"stabilized_locus": 1 + 28, "irrational_locus_pairs": 1}
+        data = census_report_to_json(report)
+        assert calls == {"stabilized_locus": 1 + 28, "irrational_locus_pairs": 1}
+        assert data["matches"] == [stdgroups.subgroup_to_json(H, 1) for H in report.matches]
 
     def test_cyclic_census_locus_size_mismatch(self):
         assert census_count(F5, "cyclic:4", "0,1,inf").count == 0
@@ -675,6 +695,22 @@ def test_fingerprint_matches_reference(subgroups_f3, subgroups_f4, subgroups_f5)
         assert fingerprint(H) == reference_fingerprint(H), H
 
 
+def reference_generating_set(H):
+    # _generating_set as it was before it closed on entry codes: the same
+    # greedy choice in canonical order, closed by mob_compose
+    gens, span = [], {mob_identity(H.spec)}
+    for m in H.elements:
+        if m not in span:
+            gens.append(m)
+            span = close(gens, mob_compose, span)
+    return tuple(gens) or (mob_identity(H.spec),)
+
+
+def test_generating_set_matches_reference(subgroups_f3, subgroups_f4, subgroups_f5):
+    for H in subgroups_f3 + subgroups_f4 + subgroups_f5:
+        assert _generating_set(H) == reference_generating_set(H), H
+
+
 def assert_locus_counted_over_census_field(H):
     # the level-1 locus, embedded, is the rational part of the level-2 one,
     # and each distinct quadratic with no root in F_q adds two more points
@@ -683,6 +719,10 @@ def assert_locus_counted_over_census_field(H):
     rational = [P for P in full if pp1_project(P, H.spec) is not None]
     assert sorted((pp1_embed(P, ext) for P in stabilized_locus(H, 1)), key=by_code) == rational, H
     assert 2 * len(irrational_locus_pairs(H)) == len(full) - len(rational), H
+    # the one-pass test of _verified: the level-1 locus when it is the whole
+    # locus, None when some fixed points leave F_q
+    whole = stabilized_locus(H, 1, complete=True)
+    assert whole == (None if irrational_locus_pairs(H) else stabilized_locus(H, 1)), H
 
 
 class TestLocusOverCensusField:

@@ -175,6 +175,12 @@ GOLDEN = {
         ("cdee6e16ccc6349101d4a320eb6bcabd0e5eef7f0da74b0cd39b91cfe51a05b0", 0),
     "verify-main --p 2 --levels 9 --m 1":
         ("41d30c637c78ceed01e087189cbcd310d9d98adb8ffcea5e97bd42c63542860a", 0),
+    # transport and conjugation at all of P^1(F_25): S4 (650 matches) and
+    # PSL2 of the prime field (130 matches)
+    "census --field 5^2 --group S4 --locus 0,0,0,1,0,2,0,3,0,4,1,0,1,1,1,2,1,3,1,4,2,0,2,1,2,2,2,3,2,4,3,0,3,1,3,2,3,3,3,4,4,0,4,1,4,2,4,3,4,4,inf":
+        ("74e6f05bb0951410edc872a25123c957127565540b22894f2b805abdfa6fd391", 0),
+    "census --field 5^2 --group PSL2:1 --locus 0,0,0,1,0,2,0,3,0,4,1,0,1,1,1,2,1,3,1,4,2,0,2,1,2,2,2,3,2,4,3,0,3,1,3,2,3,3,3,4,4,0,4,1,4,2,4,3,4,4,inf":
+        ("2b76068710d8e9f065f5d75383a825fe97b3e455ffb3ce6d620fbdc4437bbeb5", 0),
     # the csv and human views, whose row loops the JSON hashes never run
     "locus --field 5^1 --group A4 --format human":
         ("ac7ecd676a1e4c4fc9893392867cb5faa92ce867f7a1b1d250de2cb18e01f830", 0),

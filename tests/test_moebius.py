@@ -9,12 +9,16 @@ from pglcensus.gfq import (
     extension_field,
     field_elements,
     field_make,
+    fq_add,
+    fq_div,
     fq_from_int,
     fq_gen,
+    fq_mul,
     fq_neg,
     fq_one,
     fq_sub,
     fq_zero,
+    parse_field_spec,
     poly_roots,
     render_element,
 )
@@ -487,6 +491,100 @@ class TestTransporters:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             list(transporters([pt(F5, 0)], [pt(F5, 1)]))
+
+
+# transporters as it was before it ran on point codes: the object-level
+# body, with the FqElem three-point map and point action it used
+
+
+def reference_apply(m, P):
+    if P.is_infinity:
+        return pp1_infinity(m.spec) if m.c.is_zero() else pp1_affine(fq_div(m.a, m.c))
+    num = fq_add(fq_mul(m.a, P.x), m.b)
+    den = fq_add(fq_mul(m.c, P.x), m.d)
+    return pp1_infinity(m.spec) if den.is_zero() else pp1_affine(fq_div(num, den))
+
+
+def reference_to_zero_one_inf(z1, z2, z3):
+    one, zero = fq_one(z1.spec), fq_zero(z1.spec)
+    (x1, y1), (x2, y2), (x3, y3) = ((one, zero) if z.is_infinity else (z.x, one) for z in (z1, z2, z3))
+    d23 = fq_sub(fq_mul(x2, y3), fq_mul(y2, x3))
+    d21 = fq_sub(fq_mul(x2, y1), fq_mul(y2, x1))
+    return mob_make(fq_mul(y1, d23), fq_neg(fq_mul(x1, d23)), fq_mul(y3, d21), fq_neg(fq_mul(x3, d21)))
+
+
+def reference_from_three_points(src, dst):
+    return mob_compose(mob_inverse(reference_to_zero_one_inf(*dst)), reference_to_zero_one_inf(*src))
+
+
+def reference_transporters(L0, S, H=()):
+    if len(L0) != len(S):
+        return
+    spec = L0[0].spec
+    if len(L0) == 2:
+        src = (L0[0], L0[1], next(P for P in pp1_points(spec) if P not in L0))
+        third = next(P for P in pp1_points(spec) if P not in S)
+        for first, second in ((S[0], S[1]), (S[1], S[0])):
+            yield reference_from_three_points(src, (first, second, third))
+        return
+    where = {P: i for i, P in enumerate(L0)}
+    perms = {tuple(where[reference_apply(h, P)] for P in L0)[:3] for h in H}
+    targets = set(S)
+    covered = set()
+    for dst in itertools.permutations(S, 3):
+        if dst in covered:
+            continue
+        g = reference_from_three_points(L0[:3], dst)
+        image = list(dst)
+        for P in L0[3:]:
+            image.append(reference_apply(g, P))
+            if image[-1] not in targets:
+                break
+        else:
+            yield g
+            covered.update((image[i], image[j], image[k]) for i, j, k in perms)
+
+
+class TestTransportersAgainstReference:
+    """The code-level transporters yield the reference's maps, in its order,
+    on seeded (L0, S, H): L0 a standard model's stabilized locus and H the
+    model, S the image of L0 under a seeded map and a seeded sample of P^1.
+    The cyclic models have |L0| = 2; dihedral:2 over F7 has a locus that is
+    irrational there, so it runs over F49, as the census does."""
+
+    MODELS = [
+        ("7^1", "dihedral:3", 1), ("7^1", "gamma:1:3", 1), ("7^1", "cyclic:3", 1), ("7^1", "dihedral:2", 2),
+        ("3^2", "dihedral:2", 1), ("3^2", "cyclic:4", 1),
+        ("2^4", "dihedral:3", 1), ("2^4", "cyclic:5", 1),
+        ("5^2", "A4", 1), ("5^2", "dihedral:3", 1), ("5^2", "cyclic:3", 1),
+    ]
+
+    @staticmethod
+    def random_map(rng, spec):
+        elems = field_elements(spec)
+        while True:
+            try:
+                return mob_make(*(rng.choice(elems) for _ in range(4)))
+            except ValueError:  # singular
+                continue
+
+    @pytest.mark.parametrize("field,tag,r", MODELS, ids=lambda c: str(c))
+    def test_same_maps_in_the_same_order(self, field, tag, r):
+        from pglcensus.census import _standard_models, parse_group_id
+        from pglcensus.stdgroups import stabilized_locus, subgroup_embed
+
+        spec = parse_field_spec(field)
+        (H0,) = _standard_models(spec, *parse_group_id(tag))
+        search = extension_field(spec, r)
+        H, L0 = subgroup_embed(H0, search).elements, list(stabilized_locus(H0, r))
+        assert r == 1 or len(stabilized_locus(H0, 1)) < len(L0)
+        rng = random.Random(f"{field}:{tag}")
+        g = mob_embed(self.random_map(rng, spec), search)
+        moved = sorted({mob_apply(g, P) for P in L0}, key=by_code)
+        for S in (moved, rng.sample(list(pp1_points(search)), len(L0))):
+            for group in ((), H):
+                assert list(transporters(L0, S, group)) == list(reference_transporters(L0, S, group))
+        assert list(transporters(L0, moved, H))  # g's coset at least
 
 
 class TestRamification:

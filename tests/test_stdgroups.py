@@ -407,6 +407,24 @@ class TestConjugacy:
                 assert fingerprint(K) == fp
                 assert len(stabilized_locus(K, 2)) == size
 
+    def test_conjugation_inverts_once(self, monkeypatch):
+        # S4 over F13 by seeded maps: one mob_inverse per call, not one per
+        # element, and the same subgroup as mob_conjugate element by element
+        calls = []
+
+        def counted(m, f=stdgroups.mob_inverse):
+            calls.append(m)
+            return f(m)
+
+        monkeypatch.setattr(stdgroups, "mob_inverse", counted)
+        H = stdgroups.std_S4(F13)
+        # the identity returns H as it is, with no inverse
+        maps = random.Random(13).sample([g for g in pgl2_elements(F13) if g != mob_identity(F13)], 5)
+        for k, g in enumerate(maps, 1):
+            K = conjugate_subgroup(H, g)
+            assert len(calls) == k
+            assert set(K.elements) == {mob_conjugate(g, m) for m in H.elements}
+
 
 def _scalar_related(G1, G2):
     from pglcensus.census import scale_subgroup
