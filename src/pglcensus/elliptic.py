@@ -15,10 +15,14 @@ take base_change(E, r), the same equation with its coefficients embedded.
 Point sets are exhausted over the curve's field, and torsion, kernels and
 fixed-point fibres over that field come from direct scans.  The group law
 runs on coordinate codes: each curve binds one chord-tangent law over its
-field's log, antilog and Zech tables, and the scan of 1 - sigma_u calls it
-on ints, building no point for an intermediate sum.  That scan runs once per
-(curve, u) and also checks the automorphisms fixing each point, so checking
-all N points costs O(|Aut_0| N) law calls.  The fixed-point dichotomy alone
+field's log, antilog and Zech tables, and the scans call it on (x, y) code
+pairs (None for O), building a point only for what they return.  The scan
+of 1 - sigma_u runs once per (curve, u) into a cached fibre table, and the
+per-curve checks read those tables: the fixing check applies each (P, u) to
+the points of its fibre over P, and the singleton bound counts the fibres
+of one point, so checking all N points costs O(|Aut_0| N) law calls.  The
+n-torsion walks and the translation-subgroup closures run on code pairs
+through the same law.  The fixed-point dichotomy alone
 looks above E's field, and it builds no field to do so: the x-coordinates of
 a fibre of 1 - sigma_u are the roots of a polynomial of degree <= 4 over E's
 field, whose distinct-degree factorization gives the fibre's size at every
@@ -33,6 +37,7 @@ stabilized locus inside a finite S admit a certified finite bound.
 
 from __future__ import annotations
 
+import collections
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -205,6 +210,20 @@ def ec_sub(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
     return ec_add(E, P1, ec_neg(E, P2))
 
 
+def _xy(Q: ECPoint) -> Optional[tuple[int, int]]:
+    """Q as the code law takes it: its coordinate codes (x, y), None for O."""
+    return None if Q.is_zero else (Q.x.code, Q.y.code)
+
+
+def _code_add(law, A, B):
+    """A + B for (x, y) code pairs through a curve's law, None standing for O."""
+    if A is None:
+        return B
+    if B is None:
+        return A
+    return law(*A, *B)
+
+
 _POINT_CAP = 10_000
 
 
@@ -352,11 +371,41 @@ def kernel_one_minus_sigma(E: ECurve, u: FqElem) -> tuple[ECPoint, ...]:
     return _one_minus_sigma_fibres(E, u).get(ec_infinity(E.spec), ())
 
 
+def _fixing_pairs(E: ECurve, u: FqElem, only: Optional[ECPoint] = None):
+    """(Q, P) for every point Q of E, or for `only`, with P the translation
+    part of the automorphism (P, u) fixing Q, read off the fibre table of
+    1 - sigma_u: Q lies in the fibre over P.  Each pair is checked by
+    applying (P, u) to Q on codes, sigma_u(Q) + P = Q through the law (the
+    definition of fixing, not the table's own Q - sigma_u(Q)), else
+    AssertionError."""
+    law, scale = _chord_tangent(E), _scaling_codes(E, E.spec._tables.log[u.code])
+    for P, fibre in _one_minus_sigma_fibres(E, u).items():
+        xy_P = _xy(P)
+        for Q in fibre:
+            if only is not None and Q != only:
+                continue
+            xy_Q = _xy(Q)
+            if _code_add(law, None if xy_Q is None else scale(*xy_Q), xy_P) != xy_Q:
+                raise AssertionError(
+                    f"(P={render_ec_point(P)}, u={render_element(u)}) does not fix {render_ec_point(Q)}"
+                )
+            yield Q, P
+
+
+def fixing_counts_ok(E: ECurve) -> bool:
+    """Whether every point of E is fixed by exactly |Aut_0| automorphisms:
+    for each u in Aut_0 the checked pairs of _fixing_pairs, one pass over the
+    fibre table of 1 - sigma_u, must cover E's points once each.  Then each
+    point is fixed by one (P, u) per u, since P = Q - sigma_u(Q) is unique."""
+    codes = [Q.code for Q in ec_points(E)]
+    return all(sorted(Q.code for Q, _ in _fixing_pairs(E, u)) == codes for u in aut0(E))
+
+
 @dataclass(frozen=True)
 class FixingAutsReport:
-    """Automorphisms fixing one point: the closed-form witnesses (one
-    translation part per scaling factor, P = Q - sigma_u(Q)), each of which
-    count_auts_fixing cross-checks against the fibre table of 1 - sigma_u."""
+    """Automorphisms fixing one point: one witness (P, u) per scaling
+    factor, read off the fibre table of 1 - sigma_u and checked by
+    _fixing_pairs."""
 
     point: ECPoint
     count: int
@@ -364,32 +413,28 @@ class FixingAutsReport:
 
 
 def count_auts_fixing(E: ECurve, Q: ECPoint) -> FixingAutsReport:
-    """The automorphisms (P_u, u) fixing Q, one per u in Aut_0, with the
-    closed-form translation part P_u = Q - sigma_u(Q).  The fibre table of
-    1 - sigma_u, cached per curve, computes every Q - sigma_u(Q) by its own
-    scan: Q must lie in the fibre over P_u, else AssertionError."""
+    """The automorphisms (P_u, u) fixing Q, one per u in Aut_0, from the
+    same pairs as fixing_counts_ok: P_u is the image of the fibre of
+    1 - sigma_u that holds Q.  A Q in no fibre raises AssertionError."""
     _check_on_curve(E, Q)
     witnesses = []
     for u in aut0(E):
-        P = ec_sub(E, Q, sigma_apply(u, Q))
-        fibre = _one_minus_sigma_fibres(E, u).get(P, ())
-        i = bisect_left(fibre, Q.code, key=by_code)  # fibres are in point order
-        if i == len(fibre) or fibre[i] != Q:
-            raise AssertionError(
-                f"{Q!r} is missing from the fibre of 1 - sigma_u over its witness {P!r}, u={render_element(u)}"
-            )
-        witnesses.append(ECAut(E, P, u))
+        parts = [P for _, P in _fixing_pairs(E, u, Q)]
+        if not parts:
+            raise AssertionError(f"{Q!r} is missing from the fibre table of 1 - sigma_u, u={render_element(u)}")
+        witnesses += (ECAut(E, P, u) for P in parts)
     witnesses.sort(key=ec_aut_sort_key)
     return FixingAutsReport(point=Q, count=len(witnesses), witnesses=tuple(witnesses))
 
 
 @lru_cache(maxsize=None)
 def _torsion(E: ECurve, n: int) -> tuple[tuple[ECPoint, int], ...]:
-    """The points of E[n] over E's field, in code order, each with its order."""
+    """The points of E[n] over E's field, in code order, each with its order:
+    one order walk per point, on code pairs through the law."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    add, O = partial(ec_add, E), ec_infinity(E.spec)
-    orders = ((Q, order(Q, add, O, n)) for Q in ec_points(E))
+    add = partial(_code_add, _chord_tangent(E))
+    orders = ((Q, order(_xy(Q), add, None, n)) for Q in ec_points(E))
     return tuple((Q, k) for Q, k in orders if k is not None and n % k == 0)
 
 
@@ -422,10 +467,10 @@ def enum_spf_actions(E: ECurve, n: int) -> list[tuple[ECPoint, ...]]:
     the translation groups realizing the stabilized-point-free actions of
     order n visible over that field; enumerated by incremental closure, no
     structure theory."""
-    torsion = [Q for Q, _ in _torsion(E, n)]
+    torsion = {_xy(Q): Q for Q, _ in _torsion(E, n)}  # closed on code pairs
     subs = (
-        tuple(sorted(H, key=by_code))
-        for H in subgroups_of_order(torsion, partial(ec_add, E), ec_infinity(E.spec), n)
+        tuple(sorted((torsion[xy] for xy in H), key=by_code))
+        for H in subgroups_of_order(list(torsion), partial(_code_add, _chord_tangent(E)), None, n)
     )
     return sorted(subs, key=lambda sub: tuple(P.code for P in sub))
 
@@ -620,6 +665,23 @@ def verify_genus1_finiteness(E: ECurve, S: Sequence[ECPoint]) -> Genus1Finitenes
         admissible_count=admissible,
         certified_bound=2 ** admissible,
     )
+
+
+def max_singleton_bound(E: ECurve) -> int:
+    """The largest verify_genus1_finiteness(E, [Q]).certified_bound over the
+    points Q of E, read off the fibre tables with no law call.  For S = {Q},
+    (P, u) is admissible exactly when Q's fibre under 1 - sigma_u is (Q,),
+    and a lone admissible (P, u) has no compatible translation, so Q's bound
+    is 2^(1 + #{u != 1 : Q is alone in its fibre})."""
+    one = fq_one(E.spec)
+    alone = collections.Counter(
+        fibre[0]
+        for u in aut0(E)
+        if u != one
+        for fibre in _one_minus_sigma_fibres(E, u).values()
+        if len(fibre) == 1
+    )
+    return 2 ** (1 + max(alone.values(), default=0))
 
 
 # ---------------------------------------------------------------------------

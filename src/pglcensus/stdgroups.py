@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .closure import close, order
@@ -83,6 +84,12 @@ class SubgroupPGL2:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def generators(self) -> tuple[Moebius, ...]:
+        """_generating_set(self), computed once per subgroup: a census match
+        is fingerprinted and then rendered from the same set."""
+        return _generating_set(self)
 
     def __repr__(self) -> str:
         return f"SubgroupPGL2({self.tag}, order {self.order} over {render_field_spec(self.spec)})"
@@ -303,14 +310,14 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
 def fingerprint(H: SubgroupPGL2) -> Fingerprint:
     """Order, element-order multiset, abelian flag and p-regularity flag,
     on entry codes through the field's code law.  H is abelian when its
-    generating set (_generating_set) commutes pairwise."""
+    generating set (H.generators) commutes pairwise."""
     law, _, ident = _code_law(H.spec)
     cap = H.spec.q ** 3 - H.spec.q
     counts: dict[int, int] = {}
     for m in H.elements:
         k = order(_entry_codes(m), law, ident, cap)
         counts[k] = counts.get(k, 0) + 1
-    gens = [_entry_codes(g) for g in _generating_set(H)]
+    gens = [_entry_codes(g) for g in H.generators]
     return Fingerprint(
         order=H.order,
         element_orders=tuple(sorted(counts.items())),
@@ -482,7 +489,7 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
 
 
 def _bruteforce_search(K1: SubgroupPGL2, K2: SubgroupPGL2) -> Optional[Moebius]:
-    gens = _generating_set(K1)
+    gens = K1.generators
     elems2 = set(K2.elements)
     for g in pgl2_elements(K1.spec):
         if all(mob_conjugate(g, m) in elems2 for m in gens):
@@ -516,7 +523,7 @@ def subgroup_to_json(H: SubgroupPGL2, locus_ext: int = 2, locus: Optional[Sequen
     return {
         "field": render_field_spec(H.spec),
         "tag": H.tag,
-        "generators": [render_moebius(m) for m in _generating_set(H)],
+        "generators": [render_moebius(m) for m in H.generators],
         "order": H.order,
         "locus": [render_point(P) for P in locus],
         "locus_field": render_field_spec(locus_field),

@@ -53,6 +53,7 @@ from pglcensus.moebius import (
     pp1_embed,
     pp1_infinity,
     pp1_project,
+    render_moebius,
     render_point,
 )
 from pglcensus.stdgroups import (
@@ -282,6 +283,27 @@ class TestEnumActions:
         data = census_report_to_json(report)
         assert calls == {"stabilized_locus": 1 + 28, "irrational_locus_pairs": 1}
         assert data["matches"] == [stdgroups.subgroup_to_json(H, 1) for H in report.matches]
+
+    def test_one_generating_set_per_match(self, monkeypatch):
+        # the same census: fingerprint computes each match's generating set
+        # (and the model's, unless an earlier run cached it), and the JSON
+        # renders the cached set, computing none
+        calls = []
+
+        def counted(H, f=stdgroups._generating_set):
+            calls.append(H)
+            return f(H)
+
+        monkeypatch.setattr(stdgroups, "_generating_set", counted)
+        report = census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf")
+        assert report.count == 28 and len(calls) <= report.count + 1
+        before = len(calls)
+        data = census_report_to_json(report)
+        assert len(calls) == before
+        monkeypatch.undo()
+        assert [m["generators"] for m in data["matches"]] == [
+            [render_moebius(g) for g in _generating_set(H)] for H in report.matches
+        ]
 
     def test_cyclic_census_locus_size_mismatch(self):
         assert census_count(F5, "cyclic:4", "0,1,inf").count == 0

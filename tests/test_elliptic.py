@@ -28,7 +28,9 @@ from pglcensus.elliptic import (
     ec_points,
     ec_sub,
     enum_spf_actions,
+    fixing_counts_ok,
     kernel_one_minus_sigma,
+    max_singleton_bound,
     parse_curve,
     render_curve,
     render_ec_point,
@@ -754,11 +756,38 @@ class TestWorkCounts:
 
     def test_torsion_scan_once_per_curve_and_order(self, monkeypatch):
         elliptic._torsion.cache_clear()
-        # the n-torsion walk calls order(Q, add, O, n) once per point Q
-        walks = _counting(monkeypatch, "order", key=lambda Q, add, O, n: (add.args[0], n))
+        # the n-torsion walk calls order(xy, add, None, n) once per point,
+        # add being the code sum through the curve's law
+        walks = _counting(monkeypatch, "order", key=lambda xy, add, O, n: (add.args[0], n))
         assert main(["verify-genus1", "--curve", "7^1:a=0,b=1", "--ext", "2"], out=io.StringIO()) == 0
         Er = base_change(parse_curve("7^1:a=0,b=1"), 2)
-        assert walks == {(Er, n): len(ec_points(Er)) for n in (1, 2, 3, 4)}
+        law = elliptic._chord_tangent(Er)
+        assert walks == {(law, n): len(ec_points(Er)) for n in (1, 2, 3, 4)}
+
+    @pytest.mark.parametrize("curve", ["5^1:a=1,b=0", "13^1:a=1,b=0", "7^1:a=0,b=1"])
+    def test_no_per_point_certificate_or_witness(self, monkeypatch, curve):
+        """The fixing check and the singleton bound are per-curve passes: no
+        certificate, no per-point fixing count, no ec_sub and no ECAut."""
+        from pglcensus import cli
+
+        calls = collections.Counter()
+        for name in ("verify_genus1_finiteness", "count_auts_fixing", "ec_sub"):
+            def counted(*args, name=name, f=getattr(elliptic, name)):
+                calls[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(elliptic, name, counted)
+            monkeypatch.setattr(cli, name, counted, raising=False)
+        real_init = ECAut.__post_init__
+
+        def counted_init(phi):
+            calls["ECAut"] += 1
+            real_init(phi)
+
+        monkeypatch.setattr(ECAut, "__post_init__", counted_init)
+        for ext in ("1", "2"):
+            assert main(["verify-genus1", "--curve", curve, "--ext", ext], out=io.StringIO()) == 0
+        assert calls == {}
 
     @pytest.mark.parametrize("curve", ["5^1:a=1,b=0", "7^1:a=0,b=1"])
     def test_law_calls_linear_in_the_points(self, monkeypatch, curve):
@@ -780,8 +809,90 @@ class TestWorkCounts:
         assert main(["verify-genus1", "--curve", curve, "--ext", "2"], out=io.StringIO()) == 0
         Er = base_change(parse_curve(curve), 2)
         n_pts, n_aut = len(ec_points(Er)), len(aut0(Er))
-        # per u, N calls each for a fibre table, the witnesses and the
-        # singleton bounds; at most n - 1 sums per point for each n-torsion
-        # walk, n <= 4; and the closures over at most 16 torsion points.  The
-        # E x Aut_0 scan alone made |Aut_0| N^2, here 32 or 48 |Aut_0| N.
-        assert sum(calls.values()) <= 6 * n_aut * n_pts
+        # per u, N calls each for a fibre table and the fixing pass, and none
+        # for the singleton bound; at most n - 1 sums per point for each
+        # n-torsion walk, n <= 4; and the closures over at most 16 torsion
+        # points (4.1 and 3.4 |Aut_0| N here).  The E x Aut_0 scan alone made
+        # |Aut_0| N^2, here 32 or 48 |Aut_0| N.
+        assert sum(calls.values()) <= 5 * n_aut * n_pts
+
+
+# ---------------------------------------------------------------------------
+# the per-curve passes of verify-genus1 against the per-point routes
+
+
+def reference_torsion(E, n):
+    """_torsion on points, one order walk per point through ec_add: the
+    reference for the walks on code pairs."""
+    add, O = functools.partial(ec_add, E), ec_infinity(E.spec)
+    orders = ((Q, order(Q, add, O, n)) for Q in ec_points(E))
+    return tuple((Q, k) for Q, k in orders if k is not None and n % k == 0)
+
+
+def reference_spf_actions(E, n):
+    """enum_spf_actions on points, closed through ec_add: the reference for
+    the closures on code pairs."""
+    from pglcensus.closure import subgroups_of_order
+
+    torsion = [Q for Q, _ in reference_torsion(E, n)]
+    subs = (
+        tuple(sorted(H, key=by_code))
+        for H in subgroups_of_order(torsion, functools.partial(ec_add, E), ec_infinity(E.spec), n)
+    )
+    return sorted(subs, key=lambda sub: tuple(Q.code for Q in sub))
+
+
+@pytest.mark.parametrize("spec,r", LAW_LEVELS, ids=[f"{s.p}^{r}" for s, r in LAW_LEVELS])
+def test_per_curve_passes_match_the_per_point_routes(spec, r):
+    """On every nonsingular curve over F5 and F7, at levels 1 and 2: the
+    singleton bound is the largest singleton certificate, the fixing check
+    agrees with count_auts_fixing at every point, and the torsion walks and
+    closures on codes equal their bodies on points."""
+    for E in _nonsingular_curves(spec):
+        Er = base_change(E, r)
+        pts, size = ec_points(Er), len(aut0(Er))
+        label = render_curve(Er)
+        assert max_singleton_bound(Er) == max(verify_genus1_finiteness(Er, [Q]).certified_bound for Q in pts), label
+        assert fixing_counts_ok(Er) is True
+        assert all(count_auts_fixing(Er, Q).count == size for Q in pts), label
+        for n in (1, 2, 3, 4):
+            assert elliptic._torsion(Er, n) == reference_torsion(Er, n), (label, n)
+            assert enum_spf_actions(Er, n) == reference_spf_actions(Er, n), (label, n)
+
+
+@pytest.mark.parametrize("wrong", ["identity", "minus u"])
+def test_wrong_sigma_in_the_fixing_pass_is_caught(monkeypatch, wrong):
+    """A fixing pass that scales by the wrong sigma_u raises AssertionError:
+    the pairs are checked by applying them.  sigma_{-u} = -sigma_u agrees
+    with sigma_u on 2-torsion, so "minus u" is tested on the curves with a
+    point of larger order, all of the suite but F5_j1728 (the Klein group)."""
+    real = elliptic._scaling_codes
+    curves = [E for _, E in standard_test_curves()]
+    if wrong == "minus u":
+        curves = [E for E in curves if any(k > 2 for _, k in elliptic._torsion(E, len(ec_points(E))))]
+        assert len(curves) == 3
+    for E in curves:
+        assert fixing_counts_ok(E)  # the fibre tables are cached first
+
+    def mutated(E, log_u):
+        return real(E, 0 if wrong == "identity" else log_u + E.spec._tables.half)
+
+    monkeypatch.setattr(elliptic, "_scaling_codes", mutated)
+    for E in curves:
+        with pytest.raises(AssertionError, match="does not fix"):
+            fixing_counts_ok(E)
+
+
+def test_fixing_check_needs_a_partition(monkeypatch):
+    """A fibre table that drops a point fails the per-curve check, and the
+    per-point count reports the missing point."""
+    E, Q = E_J0, P(E_J0, 2, 3)
+    real = elliptic._one_minus_sigma_fibres
+
+    def without_q(curve, v):
+        return {image: tuple(R for R in fibre if R != Q) for image, fibre in real(curve, v).items()}
+
+    monkeypatch.setattr(elliptic, "_one_minus_sigma_fibres", without_q)
+    assert fixing_counts_ok(E) is False
+    with pytest.raises(AssertionError, match="missing from the fibre"):
+        count_auts_fixing(E, Q)

@@ -188,6 +188,12 @@ GOLDEN = {
         ("d8cb725d71f7ab62c7da2a7ddb50dc58b92a10f78b007d7f251b055326356356", 0),
     "verify-genus1 --format human":
         ("2227143b070a2e954d26a82f90c52ab731b03666bf4f98d81d9edb429731b4cb", 0),
+    # the per-curve fixing check, singleton bound and torsion walks over
+    # F_{q^2} for the whole standard suite, and at j = 1728 over F_169 in csv
+    "verify-genus1 --ext 2":
+        ("a0af22ac7c04073076f284958efd261904ed19b2f485d7081b227f6cf40aa9f8", 0),
+    "verify-genus1 --curve 13^1:a=1,b=0 --ext 2 --format csv":
+        ("acead391a8966106e91aec71e7f79f7baa06cb8a5cc2f15a8813226e9cde44df", 0),
 }
 
 
