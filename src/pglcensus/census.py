@@ -22,7 +22,6 @@ cross-checks the elementary-abelian counts with no classification knowledge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -30,6 +29,7 @@ from .closure import is_prime, order, subgroups_of_order
 from .gfq import (
     FieldSpec,
     FqElem,
+    Record,
     by_code,
     extension_field,
     field_make,
@@ -83,8 +83,7 @@ from .stdgroups import (
 # additive subgroups (F_p-subspaces of F_{p^n})
 
 
-@dataclass(frozen=True)
-class AdditiveSubgroup:
+class AdditiveSubgroup(Record):
     """An F_p-subspace of F_{p^n} in reduced-echelon basis form.  Two equal
     subspaces always carry the identical basis tuple."""
 
@@ -192,8 +191,7 @@ def scale_subgroup(gamma: AdditiveSubgroup, alpha: FqElem) -> AdditiveSubgroup:
 # census queries
 
 
-@dataclass(frozen=True)
-class CensusQuery:
+class CensusQuery(Record):
     """Ask for all subgroups of PGL2(F_{q^r}) of a given classification tag
     whose stabilized locus is exactly the given point set."""
 
@@ -203,8 +201,7 @@ class CensusQuery:
     r: int = 1
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(Record):
     query: CensusQuery
     matches: tuple[SubgroupPGL2, ...]
     count: int
@@ -507,8 +504,7 @@ def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1) -> list[Subgro
 # the finite/infinite dichotomy, within WORK_BOUND
 
 
-@dataclass(frozen=True)
-class DichotomyRow:
+class DichotomyRow(Record):
     n: int
     m: int
     census_count: int
@@ -521,8 +517,7 @@ class DichotomyRow:
         return self.census_count == self.subspace_count == self.oracle_count == self.gaussian
 
 
-@dataclass(frozen=True)
-class BoundedRow:
+class BoundedRow(Record):
     tag: str
     locus_text: str
     counts: tuple[tuple[int, int], ...]  # (n, count)
@@ -534,8 +529,7 @@ class BoundedRow:
         return all(v == values[0] for v in values)
 
 
-@dataclass(frozen=True)
-class MainTheoremReport:
+class MainTheoremReport(Record):
     p: int
     n_values: tuple[int, ...]
     rows: tuple[DichotomyRow, ...]

@@ -14,7 +14,6 @@ cyclic:n, dihedral:n, A4, S4, A5, PSL2:d, PGL2:d, Zp^m, gamma:m:n.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -81,6 +80,8 @@ def _emit(payload: dict, fmt: str, rows_key: Optional[str], columns: Optional[li
     rows = payload.get(rows_key, [])
     cols = columns or []
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=cols, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()

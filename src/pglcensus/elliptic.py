@@ -40,7 +40,6 @@ from __future__ import annotations
 import collections
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional, Sequence
 
@@ -49,6 +48,7 @@ from .gfq import (
     CodedValue,
     FieldSpec,
     FqElem,
+    Record,
     _sqrt_table,
     by_code,
     cpoly_ddf,
@@ -76,8 +76,7 @@ from .gfq import (
 )
 
 
-@dataclass(frozen=True)
-class ECurve:
+class ECurve(Record):
     """y^2 = x^3 + ax + b over F_q with p > 3 and nonzero discriminant."""
 
     spec: FieldSpec
@@ -278,8 +277,7 @@ def aut0(E: ECurve) -> tuple[FqElem, ...]:
 # automorphisms as pairs (translation point, scaling factor)
 
 
-@dataclass(frozen=True)
-class ECAut:
+class ECAut(Record):
     """An automorphism (P, u): Q -> sigma_u(Q) + P, where sigma_u scales
     (x, y) to (u^2 x, u^3 y)."""
 
@@ -401,8 +399,7 @@ def fixing_counts_ok(E: ECurve) -> bool:
     return all(sorted(Q.code for Q, _ in _fixing_pairs(E, u)) == codes for u in aut0(E))
 
 
-@dataclass(frozen=True)
-class FixingAutsReport:
+class FixingAutsReport(Record):
     """Automorphisms fixing one point: one witness (P, u) per scaling
     factor, read off the fibre table of 1 - sigma_u and checked by
     _fixing_pairs."""
@@ -479,8 +476,7 @@ def enum_spf_actions(E: ECurve, n: int) -> list[tuple[ECPoint, ...]]:
 # exhaustive verification of the fixed-point dichotomy
 
 
-@dataclass(frozen=True)
-class FpfDichotomyReport:
+class FpfDichotomyReport(Record):
     """Exhaustive check of: an automorphism (P, u) is fixed point free iff it
     is a nontrivial pure translation (u = 1 and P != O).
 
@@ -608,8 +604,7 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
 # finiteness certificate for prescribed stabilized loci
 
 
-@dataclass(frozen=True)
-class Genus1FinitenessReport:
+class Genus1FinitenessReport(Record):
     """Certificate that only finitely many group actions over E's field can
     have a nonempty stabilized locus inside S.
 

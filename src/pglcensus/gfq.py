@@ -29,9 +29,13 @@ element x of the field with division by t - x.
 Conventions used throughout the package:
 
 * elements are ordered lexicographically by coefficient vector, i.e. by code,
-* field elements, P^1 points, PGL2 maps and elliptic-curve points share one
-  immutable base, CodedValue: each is a spec and one int code, hashed by the
-  code and compared by code and spec, and sorted by code (`by_code`),
+* a value type has one of two immutable bases.  Field elements, P^1
+  points, PGL2 maps and elliptic-curve points are CodedValues: each is a spec
+  and one int code, hashed by the code, compared by code and spec, and sorted
+  by code (`by_code`).  Every other value (subgroups, curves, queries and
+  reports) is a Record of named fields, compared and hashed by exact type and
+  field values.  No module imports dataclasses, whose import chain
+  (inspect, ast, dis, tokenize) every CLI process would pay at start-up,
 * the "auto" modulus of F_{p^n} is the lexicographically smallest monic
   irreducible polynomial of degree n over F_p,
 * extension fields are never entered silently: any operation whose result may
@@ -134,6 +138,58 @@ class CodedValue:
 
 # the canonical sort key of every CodedValue
 by_code = operator.attrgetter("code")
+
+
+class Record:
+    """An immutable value with named fields: the reports and the other
+    values that are not one code.  A subclass declares its fields as class
+    annotations, in order, and a class attribute of a field's name is its
+    default.  It is built positionally or by keyword, then checked by its
+    __post_init__ if it has one, and compared and hashed by exact type and
+    field values, as a frozen dataclass is.  Copy and pickle restore the
+    fields without __setattr__, and a cached_property stored beside them is
+    no field: eq, hash, repr and replace ignore it."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [f for f in cls.__annotations__ if f not in cls._fields]
+        cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
+        cls._fields = fields = cls._fields + tuple(own)
+        cls._values = operator.attrgetter(*fields)
+        # one small __init__ per class, with the fields as its parameters: the
+        # interpreter binds the arguments, and setting each field as an
+        # attribute keeps the fast instance layout that a filled __dict__ loses
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in fields)
+        body = "".join(f"    _set(self, {f!r}, {f})\n" for f in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "    self.__post_init__()\n"
+        namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        exec(f"def __init__(self, {params}):\n{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, checked like a new value."""
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
 
 
 class FqElem(CodedValue):

@@ -27,7 +27,6 @@ of its two entries; a point is "inf" or an element in coefficient form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -36,6 +35,7 @@ from .gfq import (
     CodedValue,
     FieldSpec,
     FqElem,
+    Record,
     cpoly_deriv,
     cpoly_divmod,
     cpoly_from_elems,
@@ -498,8 +498,7 @@ def parse_moebius(spec: FieldSpec, text: str) -> Moebius:
 # ramification of polynomial self-maps of P^1
 
 
-@dataclass(frozen=True)
-class RamPoint:
+class RamPoint(Record):
     """A ramification point of a polynomial map: where it lives, its index e,
     and whether the ramification is tame (p does not divide e)."""
 
@@ -547,8 +546,7 @@ def poly_map_ramification(coeffs: Sequence[FqElem], r: int) -> list[RamPoint]:
 # exhaustive fixed-point census over one field
 
 
-@dataclass(frozen=True)
-class P1FPReport:
+class P1FPReport(Record):
     """Result of scanning all of PGL2(F_q): every non-identity element must
     have one or two fixed points over F_{q^2}, with exactly one precisely for
     the elements of order p."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -27,6 +26,7 @@ from .closure import close, order
 from .gfq import (
     FieldSpec,
     FqElem,
+    Record,
     by_code,
     extension_field,
     field_elements,
@@ -73,8 +73,7 @@ if TYPE_CHECKING:
     from .census import AdditiveSubgroup
 
 
-@dataclass(frozen=True)
-class SubgroupPGL2:
+class SubgroupPGL2(Record):
     """A finite subgroup of PGL2(F_q) as a sorted tuple of normalized maps."""
 
     spec: FieldSpec
@@ -95,8 +94,7 @@ class SubgroupPGL2:
         return f"SubgroupPGL2({self.tag}, order {self.order} over {render_field_spec(self.spec)})"
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Record):
     order: int
     element_orders: tuple[tuple[int, int], ...]  # (order, count), sorted
     abelian: bool

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import itertools
 import json
@@ -885,19 +884,19 @@ class TestMainTheorem:
         steady = BoundedRow(tag="cyclic:4", locus_text="0,inf", counts=((1, 1), (2, 1)), constant=1)
         clean = MainTheoremReport(p=5, n_values=(1, 2), rows=(row,), growth_ok=((1, True),), bounded_rows=(steady,))
         assert clean.ok and clean.mismatches() == []
-        bad_row = dataclasses.replace(row, oracle_count=2)
+        bad_row = row.replace(oracle_count=2)
         flat = ((1, True), (2, False))
-        drifting = dataclasses.replace(steady, counts=((1, 1), (2, 2)), constant=2)
+        drifting = steady.replace(counts=((1, 1), (2, 2)), constant=2)
         expected = {
             "rows": "n=2 m=1: census 3, subspaces 3, oracle 2, gaussian 3",
             "growth_ok": "m=2: counts do not strictly grow with the field level",
             "bounded_rows": "cyclic:4 at 0,inf: counts ((1, 1), (2, 2)) are not constant",
         }
         for field, value in (("rows", (bad_row,)), ("growth_ok", flat), ("bounded_rows", (drifting,))):
-            report = dataclasses.replace(clean, **{field: value})
+            report = clean.replace(**{field: value})
             assert not report.ok
             assert report.mismatches() == [expected[field]]
-        every = dataclasses.replace(clean, rows=(row, bad_row), growth_ok=flat, bounded_rows=(steady, drifting))
+        every = clean.replace(rows=(row, bad_row), growth_ok=flat, bounded_rows=(steady, drifting))
         assert not every.ok
         assert every.mismatches() == [expected["rows"], expected["growth_ok"], expected["bounded_rows"]]
 
