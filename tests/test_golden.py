@@ -11,6 +11,7 @@ CHANGES.md with the diff of the old output against the new.
 
 import hashlib
 import io
+import sys
 
 import pytest
 
@@ -203,3 +204,52 @@ def test_stdout_hash_and_exit_code(command):
     code = main(command.split(), out=buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert (digest, code) == GOLDEN[command]
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# argparse's own output: the top-level and per-command help, an unknown
+# command, missing arguments and an unrecognized one, each as the SHA-256
+# of stdout and of stderr with the exit code.  argparse words its help
+# differently across Python versions, so the hashes hold for the version
+# that recorded them; test_parser_matches_the_full_parser runs everywhere.
+PARSER_PYTHON = (3, 11)
+PARSER_GOLDEN = {
+    "": (EMPTY, "300822600cd4a5f87b991389a5b49eb235dc93c9ed8e6dc060e4500f9543b6aa", 2),
+    "--help": ("6d5a42efb604dc3741b4656c5ba4b5e03abba4f79fe44fffcd2c3d57589840cd", EMPTY, 0),
+    "nosuch": (EMPTY, "d01891077f07ef7aa352ce81281b34b1eae190818b9430595f1d003588910cce", 2),
+    "field-info --help": ("41229759399eb0b2e97b68f2630b0506945af91a08cb94c436e37b0222035db9", EMPTY, 0),
+    "fixed-points --help": ("a5293fd2d8a49d983f542eb0a30ee6ecf68c28690897f1f1edfe2140b183b9d7", EMPTY, 0),
+    "build-group --help": ("da16995f4f10b97e001ddd32a4042b0419343cfad73a8ad7014b039e26041f44", EMPTY, 0),
+    "locus --help": ("bec30dd3c79ad364283ddb622b6fc7e3121f587820e4e687e49d79f14bfcd9ac", EMPTY, 0),
+    "conjugate --help": ("78134f03b8425a6a6f254f47ea5421fd378473356198dac0703d2f4449b054cc", EMPTY, 0),
+    "census --help": ("deaad6c0175bad7a3e7bf9d106160efbe71b6b5946ad432c9ae9d320e74243a4", EMPTY, 0),
+    "additive-subgroups --help": ("2455a5f1c1e52f9bcda7620b9a3dca656614c53cd3118796803719fc12d088be", EMPTY, 0),
+    "verify-p1fp --help": ("3282b046e0853f6cbc268a7f4b0856848acedb7b94607e26818af5d3f381afb5", EMPTY, 0),
+    "verify-main --help": ("8098d41c113d56dba08c30c40b7c44dc06baff5203c6c28db11cd1486e16995b", EMPTY, 0),
+    "verify-genus1 --help": ("3c1a338b4208de74e8da901e0ff44b14047ff0ff3d3d2da5b95607e507a3304c", EMPTY, 0),
+    "ramification --help": ("2c1519e4a3a62347ae8c15098128661d7d592de737813f26b845161c1bc496b5", EMPTY, 0),
+    "census --field 5^1": (EMPTY, "aee1c1b5ff7f7e2d7a13bfc50d6440cef95b5193bb84eb1142fe3cd938efe8ac", 2),
+    "verify-main": (EMPTY, "a206c8d3e973906ad5462e1e26e0197994e4197671823d46b7cdcdf7fafd3fe5", 2),
+    # the top-level usage line, which lists every command
+    "census --field 5^1 --group Zp^1 --locus inf --bogus":
+        (EMPTY, "632a913c40fe01670906010f4b1e97a8523d9a6e9c950b5d1721ab85722f7bfc", 2),
+}
+
+
+def run_parser(command, capsys, monkeypatch):
+    """(stdout, stderr, exit code) of a command line that argparse answers,
+    at a fixed terminal width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    captured = capsys.readouterr()
+    return captured.out, captured.err, exc.value.code
+
+
+@pytest.mark.skipif(sys.version_info[:2] != PARSER_PYTHON, reason="argparse help text varies by Python version")
+@pytest.mark.parametrize("command", sorted(PARSER_GOLDEN))
+def test_help_and_usage_error_hashes(command, capsys, monkeypatch):
+    out, err, code = run_parser(command, capsys, monkeypatch)
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert (digest(out), digest(err), code) == PARSER_GOLDEN[command]
