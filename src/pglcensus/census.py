@@ -35,10 +35,7 @@ from .gfq import (
     field_make,
     fp_echelon,
     fq_from_coeffs,
-    fq_from_int,
     fq_mul,
-    fq_one,
-    fq_zero,
     render_field_spec,
 )
 from .moebius import (
@@ -48,7 +45,6 @@ from .moebius import (
     _from_codes,
     mob_infinity_to,
     mob_inverse,
-    mob_make,
     parse_point_list,
     pp1_embed,
     pp1_infinity,
@@ -94,16 +90,23 @@ class AdditiveSubgroup(Record):
     def rank(self) -> int:
         return len(self.basis)
 
+    def element_codes(self) -> list[int]:
+        """The codes of the p^rank members of the subspace, the sums
+        c_1 b_1 + ... + c_r b_r over the basis with 0 <= c_i < p, in
+        lexicographic order of (c_1, ..., c_r)."""
+        add = self.spec._tables.add
+        codes = [0]
+        for b in self.basis:
+            multiples = [0]
+            for _ in range(self.spec.p - 1):
+                multiples.append(add(multiples[-1], b.code))
+            codes = [add(x, y) for x in codes for y in multiples]
+        return codes
+
     def elements(self) -> list[FqElem]:
-        """All p^rank members of the subspace, in a deterministic order."""
-        out = []
-        for combo in itertools.product(range(self.spec.p), repeat=self.rank):
-            acc = fq_zero(self.spec)
-            for c, b in zip(combo, self.basis):
-                if c:
-                    acc = acc + fq_mul(fq_from_int(self.spec, c), b)
-            out.append(acc)
-        return out
+        """All p^rank members of the subspace, in element_codes order."""
+        elems = self.spec._tables.elems
+        return [elems[c] for c in self.element_codes()]
 
     def __repr__(self) -> str:
         basis = "; ".join(",".join(str(c) for c in b.coeffs) for b in self.basis)
@@ -162,10 +165,11 @@ def enum_additive_subgroups(spec: FieldSpec, m: int) -> list[AdditiveSubgroup]:
 
 
 def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
-    """The translation group {x -> x + g : g in gamma}, tagged Zp^m."""
+    """The translation group {x -> x + g : g in gamma}, tagged Zp^m, built
+    from the element codes of gamma: each [1,g;0,1] is already normalized."""
     spec = gamma.spec
-    one, zero = fq_one(spec), fq_zero(spec)
-    elems = [mob_make(one, g, zero, one) for g in gamma.elements()]
+    one = spec.q // spec.p
+    elems = (_from_codes(spec, (one, g, 0, one)) for g in gamma.element_codes())
     return _make_subgroup(spec, elems, f"Zp^{gamma.rank}")
 
 

@@ -375,83 +375,98 @@ def _cmd_ramification(args):
 # argument parsing
 
 
-@functools.cache  # parse_args leaves the parser as it is, so one per process serves every call
-def _build_parser() -> argparse.ArgumentParser:
+# name -> (handler, help, arguments): each argument is (flag, add_argument
+# keywords), after the --format every command takes
+_COMMANDS = {
+    "field-info": (_cmd_field_info, "describe a finite field", (
+        ("--field", dict(required=True, help='field spec, e.g. "5^2" or "2^2/1,1,1"')),
+    )),
+    "fixed-points": (_cmd_fixed_points, "fixed points of a Moebius map", (
+        ("--field", dict(required=True)),
+        ("--map", dict(required=True, help='matrix "[a,b;c,d]"')),
+        ("--ext", dict(type=int, default=2, help="extension degree for the fixed points (2 captures all)")),
+    )),
+    "build-group": (_cmd_build_group, "build a standard subgroup or close generators", (
+        ("--field", dict(required=True)),
+        ("--group", dict(help="classification tag, e.g. cyclic:4")),
+        ("--gens", dict(help='generators "[..]|[..]" (overrides --group)')),
+        ("--ext", dict(type=int, default=2, help="extension degree for the reported locus")),
+    )),
+    "locus": (_cmd_locus, "stabilized locus of a subgroup", (
+        ("--field", dict(required=True)),
+        ("--group", dict()),
+        ("--gens", dict()),
+        ("--ext", dict(type=int, default=2)),
+    )),
+    "conjugate": (_cmd_conjugate, "decide conjugacy of two subgroups", (
+        ("--field", dict(required=True)),
+        ("--gens1", dict(required=True)),
+        ("--gens2", dict(required=True)),
+        ("--ext", dict(type=int, default=1, help="conjugators are searched over F_{q^ext}")),
+        ("--brute", dict(action="store_true", help="full scan of PGL2 instead of transporter search")),
+    )),
+    "census": (_cmd_census, "all subgroups with a given tag and stabilized locus", (
+        ("--field", dict(required=True)),
+        ("--group", dict(required=True)),
+        ("--locus", dict(required=True, help='e.g. "0,inf" (points over the --ext field)')),
+        ("--ext", dict(type=int, default=1, help="census runs in PGL2(F_{q^ext})")),
+        ("--jobs", dict(type=int, default=1, help="accepted and ignored (the census runs serially)")),
+    )),
+    "additive-subgroups": (_cmd_additive_subgroups, "rank-m additive subgroups of the field", (
+        ("--field", dict(required=True)),
+        ("--rank", dict(type=int, required=True)),
+    )),
+    "verify-p1fp": (_cmd_verify_p1fp, "exhaustive fixed-point dichotomy over one field", (
+        ("--field", dict(required=True)),
+    )),
+    "verify-main": (_cmd_verify_main, "finite/infinite census dichotomy across field levels", (
+        ("--p", dict(type=int, required=True, help="any prime whose rows stay within census.WORK_BOUND")),
+        ("--levels", dict(default="1-2", help='e.g. "1-4" or "1,2"')),
+        ("--m", dict(type=int, help="restrict to one rank, in 1..max(levels) (default: all m <= n)")),
+        ("--tags", dict(help='extra constant-count queries "tag@locus;tag@locus"')),
+    )),
+    "verify-genus1": (_cmd_verify_genus1, "genus-1 verification suite", (
+        ("--curve", dict(help='curve spec "p^n:a=...,b=..." (default: the versioned suite)')),
+        ("--ext", dict(type=int, default=1, help="level for point scans")),
+        ("--levels", dict(default="1-3", help="levels for the fixed-point dichotomy")),
+    )),
+    "ramification": (_cmd_ramification, "ramification locus of a polynomial self-map", (
+        ("--field", dict(required=True)),
+        ("--poly", dict(required=True, help="coefficients, constant term first")),
+        ("--ext", dict(type=int, default=1)),
+    )),
+}
+
+
+@functools.cache  # parse_args leaves a parser as it is, so one per command serves every call
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with every command's subparser, or, for a command name,
+    with that one alone: a process that runs one command builds one of the
+    eleven.  Its usage line still lists every command, as argparse's errors
+    print it, so help and error output is the same either way."""
     parser = argparse.ArgumentParser(
         prog="pglcensus",
         description="Exact census of finite group actions on P^1 and on elliptic curves over finite fields.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    # the metavar argparse makes from the full choice list
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        handler, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv", "human"), default="json")
-        return p
-
-    p = add("field-info", _cmd_field_info, "describe a finite field")
-    p.add_argument("--field", required=True, help='field spec, e.g. "5^2" or "2^2/1,1,1"')
-
-    p = add("fixed-points", _cmd_fixed_points, "fixed points of a Moebius map")
-    p.add_argument("--field", required=True)
-    p.add_argument("--map", required=True, help='matrix "[a,b;c,d]"')
-    p.add_argument("--ext", type=int, default=2, help="extension degree for the fixed points (2 captures all)")
-
-    p = add("build-group", _cmd_build_group, "build a standard subgroup or close generators")
-    p.add_argument("--field", required=True)
-    p.add_argument("--group", help="classification tag, e.g. cyclic:4")
-    p.add_argument("--gens", help='generators "[..]|[..]" (overrides --group)')
-    p.add_argument("--ext", type=int, default=2, help="extension degree for the reported locus")
-
-    p = add("locus", _cmd_locus, "stabilized locus of a subgroup")
-    p.add_argument("--field", required=True)
-    p.add_argument("--group")
-    p.add_argument("--gens")
-    p.add_argument("--ext", type=int, default=2)
-
-    p = add("conjugate", _cmd_conjugate, "decide conjugacy of two subgroups")
-    p.add_argument("--field", required=True)
-    p.add_argument("--gens1", required=True)
-    p.add_argument("--gens2", required=True)
-    p.add_argument("--ext", type=int, default=1, help="conjugators are searched over F_{q^ext}")
-    p.add_argument("--brute", action="store_true", help="full scan of PGL2 instead of transporter search")
-
-    p = add("census", _cmd_census, "all subgroups with a given tag and stabilized locus")
-    p.add_argument("--field", required=True)
-    p.add_argument("--group", required=True)
-    p.add_argument("--locus", required=True, help='e.g. "0,inf" (points over the --ext field)')
-    p.add_argument("--ext", type=int, default=1, help="census runs in PGL2(F_{q^ext})")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored (the census runs serially)")
-
-    p = add("additive-subgroups", _cmd_additive_subgroups, "rank-m additive subgroups of the field")
-    p.add_argument("--field", required=True)
-    p.add_argument("--rank", type=int, required=True)
-
-    p = add("verify-p1fp", _cmd_verify_p1fp, "exhaustive fixed-point dichotomy over one field")
-    p.add_argument("--field", required=True)
-
-    p = add("verify-main", _cmd_verify_main, "finite/infinite census dichotomy across field levels")
-    p.add_argument("--p", type=int, required=True, help="any prime whose rows stay within census.WORK_BOUND")
-    p.add_argument("--levels", default="1-2", help='e.g. "1-4" or "1,2"')
-    p.add_argument("--m", type=int, help="restrict to one rank, in 1..max(levels) (default: all m <= n)")
-    p.add_argument("--tags", help='extra constant-count queries "tag@locus;tag@locus"')
-
-    p = add("verify-genus1", _cmd_verify_genus1, "genus-1 verification suite")
-    p.add_argument("--curve", help='curve spec "p^n:a=...,b=..." (default: the versioned suite)')
-    p.add_argument("--ext", type=int, default=1, help="level for point scans")
-    p.add_argument("--levels", default="1-3", help="levels for the fixed-point dichotomy")
-
-    p = add("ramification", _cmd_ramification, "ramification locus of a polynomial self-map")
-    p.add_argument("--field", required=True)
-    p.add_argument("--poly", required=True, help="coefficients, constant term first")
-    p.add_argument("--ext", type=int, default=1)
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no arguments, -h and an unknown name get the full parser, which lists
+    # every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     stream = out if out is not None else sys.stdout
     if stream is None:  # started with stdout closed
         print("error: stdout is closed", file=sys.stderr)

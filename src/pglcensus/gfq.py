@@ -370,15 +370,18 @@ class _FieldTables:
     * log[c]: the k in [0, m) with g^k = elems[c] (None for c = 0);
     * exp[k]: the code of g^k for 0 <= k < 3m (three logs add unreduced);
     * half: log(-1);
-    * add, sub, mul: the field's arithmetic on element codes, over the Zech
-      logarithms log(1 + g^k) (None where 1 + g^k = 0), kept for
-      0 <= k < 2m so that any -2m < k < 2m indexes them (Python wraps k < 0).
+    * zech[k]: the Zech logarithm log(1 + g^k) (None where 1 + g^k = 0),
+      kept for 0 <= k < 2m so that any -2m < k < 2m indexes it (Python wraps
+      k < 0);
+    * add, sub, mul: the field's arithmetic on element codes, over zech.
+      Code-level loops call them; moebius._code_law extends log and zech to
+      a zero sentinel and runs PGL2 products on the arrays themselves.
 
     O(q) to build: one sparse product per power of g (g has low degree), and
     1 + g^k is the code of g^k plus p^(n-1), mod q.
     """
 
-    __slots__ = ("elems", "log", "exp", "half", "m", "add", "sub", "mul")
+    __slots__ = ("elems", "log", "exp", "half", "m", "zech", "add", "sub", "mul")
 
     def __init__(self, spec: FieldSpec):
         p, q = spec.p, spec.q
@@ -396,7 +399,7 @@ class _FieldTables:
         self.elems = field_elements(spec)
         self.log = log
         self.exp = exp = codes * 3
-        zech = [log[(c + one) % q] for c in codes] * 2
+        self.zech = zech = [log[(c + one) % q] for c in codes] * 2
         self.half = half = 0 if p == 2 else m // 2
         self.m = m
 

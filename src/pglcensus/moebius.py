@@ -164,72 +164,133 @@ class Moebius(CodedValue):
 
 
 @lru_cache(maxsize=None)
+def _log_arrays(spec: FieldSpec):
+    """The arrays _code_law and _code_points run on, built once per field
+    from its log, exp and Zech tables (gfq._FieldTables: m = q - 1, logs to
+    a primitive g, exp[k] for -3m <= k < 3m as Python wraps k < 0):
+    (lg, neg, zx, zero), each of size O(q).
+
+    * zero = 4m stands for the log of 0, so that the log of a product of
+      entries is the sum of their logs with no branch: below 2m - 1 when the
+      product is nonzero, at least zero when a factor is 0;
+    * lg[c] is the log of code c, zero for c = 0, and neg[c] the code of -c;
+    * zx[k], for -2 zero <= k <= 2 zero: the sum of two products with logs u
+      and v has the log u + zx[v - u].  For |k| < 2m - 1 both are nonzero
+      (or both 0, and so is the sum) and zx[k] is the Zech log of k, or zero
+      where 1 + g^k = 0; past that one of them is 0, and zx[k] is 0 (v is 0)
+      or k (u is 0).
+
+    A sum's log is then below 3m - 2 when it is nonzero and at least zero
+    when it is 0, and two nonzero ones r, s give the code of g^(r - s) as
+    exp[r - s]."""
+    t = spec._tables
+    m = t.m
+    zero = 4 * m
+    zech = [zero if z is None else z for z in t.zech]  # period m, 2m long
+    near = 2 * m - 1
+    zx = (
+        zech[:near]  # 0 <= k < near
+        + [0] * (2 * zero + 1 - near)  # near <= k <= 2 zero
+        + list(range(-2 * zero, 1 - near))  # -2 zero <= k <= -near
+        + zech[2 * m - near + 1 :]  # -near < k < 0, as k + 2m
+    )
+    lg = [zero] + t.log[1:]
+    neg = [0] + [t.exp[k + t.half] for k in t.log[1:]]
+    return lg, neg, zx, zero
+
+
+@lru_cache(maxsize=None)
 def _code_law(spec: FieldSpec):
     """PGL2(F_q) on 4-tuples (a, b, c, d) of entry codes, bound once per
     field as elliptic._chord_tangent binds a curve's law: (law, normalize,
-    identity).  normalize(a, b, c, d) scales [[a,b],[c,d]] by 1/(a or b), as
-    a nonsingular matrix has a nonzero first row, and refuses singular ones;
-    law(x, y) is the normalized product x*y (x after y); identity is
-    (one, 0, 0, one), where one = q // p is the code of 1."""
-    t = spec._tables
-    add, sub, mul, log, exp, m = t.add, t.sub, t.mul, t.log, t.exp, t.m
+    identity).  law(x, y) is the normalized product x*y (x after y);
+    normalize(a, b, c, d) scales [[a,b],[c,d]] by 1/(a or b), as a
+    nonsingular matrix has a nonzero first row, and refuses singular ones;
+    identity is (one, 0, 0, one), where one = q // p is the code of 1.
+
+    law is one flat function in the log domain of _log_arrays: it reads the
+    8 entry logs once (0 is the sentinel zero, so a product with a zero
+    factor needs no branch), adds each product's logs, takes each entry sum
+    with one zx lookup, and scales by one shift of the leading entry's log,
+    an exp lookup per nonzero entry.  normalize checks ad - bc the same way
+    and scales by a product with the identity."""
+    lg, neg, zx, zero = _log_arrays(spec)
+    exp = spec._tables.exp
     one = spec.q // spec.p
-
-    def scaled(a, b, c, d):
-        shift = m - log[a or b]  # log of 1/(a or b)
-        return (
-            exp[shift + log[a]] if a else 0,
-            exp[shift + log[b]] if b else 0,
-            exp[shift + log[c]] if c else 0,
-            exp[shift + log[d]] if d else 0,
-        )
-
-    def normalize(a, b, c, d):
-        if not sub(mul(a, d), mul(b, c)):
-            raise ValueError("singular matrix does not define a Moebius map")
-        return scaled(a, b, c, d)
+    identity = (one, 0, 0, one)
 
     def law(x, y):
-        # a product of nonsingular matrices is nonsingular
+        # a product of nonsingular matrices is nonsingular, so a or b is nonzero
         a1, b1, c1, d1 = x
         a2, b2, c2, d2 = y
-        return scaled(
-            add(mul(a1, a2), mul(b1, c2)),
-            add(mul(a1, b2), mul(b1, d2)),
-            add(mul(c1, a2), mul(d1, c2)),
-            add(mul(c1, b2), mul(d1, d2)),
-        )
+        a1, b1, c1, d1 = lg[a1], lg[b1], lg[c1], lg[d1]
+        a2, b2, c2, d2 = lg[a2], lg[b2], lg[c2], lg[d2]
+        u = a1 + a2
+        a = u + zx[b1 + c2 - u]
+        u = a1 + b2
+        b = u + zx[b1 + d2 - u]
+        u = c1 + a2
+        c = u + zx[d1 + c2 - u]
+        u = c1 + b2
+        d = u + zx[d1 + d2 - u]
+        if a < zero:
+            return one, exp[b - a] if b < zero else 0, exp[c - a] if c < zero else 0, exp[d - a] if d < zero else 0
+        return 0, one, exp[c - b] if c < zero else 0, exp[d - b] if d < zero else 0
 
-    return law, normalize, (one, 0, 0, one)
+    def normalize(a, b, c, d):
+        u = lg[a] + lg[d]
+        if u + zx[lg[neg[b]] + lg[c] - u] >= zero:  # ad - bc = 0
+            raise ValueError("singular matrix does not define a Moebius map")
+        return law((a, b, c, d), identity)
+
+    return law, normalize, identity
 
 
 @lru_cache(maxsize=None)
 def _code_points(spec: FieldSpec):
     """PGL2(F_q) on point codes (infinity is q), bound once per field next to
-    _code_law: (apply, frame).  apply(g, x) is the image of the point x under
-    the map with entry codes g; frame(x1, x2, x3) is the entry codes, not
-    normalized, of the map sending the distinct points x1, x2, x3 to (0, 1,
-    inf): in homogeneous coordinates z_i = [x_i:y_i] (inf = [1:0]) with
-    d_ij = x_i y_j - y_i x_j it is [[y1 d23, -x1 d23], [y3 d21, -x3 d21]]."""
+    _code_law and over the same arrays: (apply, frame).  apply(g, x) is the
+    image of the point x under the map with entry codes g; frame(x1, x2, x3)
+    is the entry codes, not normalized, of the map sending the distinct
+    points x1, x2, x3 to (0, 1, inf): in homogeneous coordinates z_i =
+    [x_i:y_i] (inf = [1:0]) with d_ij = x_i y_j - y_i x_j it is
+    [[y1 d23, -x1 d23], [y3 d21, -x3 d21]].  As y is 0 or 1, the logs of
+    d23 and d21 are those of one product plus at most one Zech log, below
+    2m - 1 (m = q - 1), and of each entry below 3m - 2: exp reads them."""
+    lg, neg, zx, zero = _log_arrays(spec)
     t = spec._tables
-    add, sub, mul, log, exp, m = t.add, t.sub, t.mul, t.log, t.exp, t.m
-    q, one = spec.q, spec.q // spec.p
-
-    def div(u, v):  # v != 0
-        return exp[log[u] - log[v] + m] if u else 0
+    exp, half, q = t.exp, t.half, spec.q
 
     def apply(g, x):
         a, b, c, d = g
+        a, b, c, d = lg[a], lg[b], lg[c], lg[d]
         if x == q:  # [1:0] -> [a:c]
-            return div(a, c) if c else q
-        den = add(mul(c, x), d)
-        return div(add(mul(a, x), b), den) if den else q
+            num, den = a, c
+        else:  # [x:1] -> [ax + b : cx + d]
+            x = lg[x]
+            u = a + x
+            num = u + zx[b - u]
+            u = c + x
+            den = u + zx[d - u]
+        if den >= zero:
+            return q
+        return exp[num - den] if num < zero else 0
 
     def frame(x1, x2, x3):
-        (x1, y1), (x2, y2), (x3, y3) = ((one, 0) if x == q else (x, one) for x in (x1, x2, x3))
-        d23 = sub(mul(x2, y3), mul(y2, x3))
-        d21 = sub(mul(x2, y1), mul(y2, x1))
-        return mul(y1, d23), sub(0, mul(x1, d23)), mul(y3, d21), sub(0, mul(x3, d21))
+        # the logs of x, y, -x and -y
+        (x1, y1, n1, _), (x2, _, _, ny2), (x3, y3, n3, _) = (
+            (0, zero, half, zero) if x == q else (lg[x], 0, lg[neg[x]], half) for x in (x1, x2, x3)
+        )
+        u = x2 + y3
+        d23 = u + zx[ny2 + x3 - u]
+        u = x2 + y1
+        d21 = u + zx[ny2 + x1 - u]
+        return (
+            exp[y1 + d23] if y1 < zero else 0,
+            exp[n1 + d23] if n1 < zero else 0,
+            exp[y3 + d21] if y3 < zero else 0,
+            exp[n3 + d21] if n3 < zero else 0,
+        )
 
     return apply, frame
 
@@ -239,8 +300,8 @@ def _triple_map(spec: FieldSpec, source: tuple[int, int, int, int], dst: tuple[i
     _code_points) to the distinct point codes dst: the adjugate of dst's frame
     after `source`, one normalized product."""
     a, b, c, d = _code_points(spec)[1](*dst)
-    sub = spec._tables.sub
-    return _code_law(spec)[0]((d, sub(0, b), sub(0, c), a), source)
+    neg = _log_arrays(spec)[1]
+    return _code_law(spec)[0]((d, neg[b], neg[c], a), source)
 
 
 def _entry_codes(m: Moebius) -> tuple[int, int, int, int]:
@@ -312,8 +373,8 @@ def mob_compose(m1: Moebius, m2: Moebius) -> Moebius:
 
 def mob_inverse(m: Moebius) -> Moebius:
     """The adjugate [[d,-b],[-c,a]], on entry codes."""
-    sub = m.spec._tables.sub
-    return _normalized(m.spec, m.d.code, sub(0, m.b.code), sub(0, m.c.code), m.a.code)
+    neg = _log_arrays(m.spec)[1]
+    return _normalized(m.spec, m.d.code, neg[m.b.code], neg[m.c.code], m.a.code)
 
 
 def mob_infinity_to(P: PP1) -> Moebius:

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from pglcensus.cli import main
+from pglcensus.cli import _COMMANDS, _build_parser, main
 
 GOLDEN = {
     # the README examples
@@ -253,3 +253,17 @@ def test_help_and_usage_error_hashes(command, capsys, monkeypatch):
     out, err, code = run_parser(command, capsys, monkeypatch)
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
     assert (digest(out), digest(err), code) == PARSER_GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_parser_matches_the_full_parser(command, capsys, monkeypatch):
+    # main builds one command's subparser alone; its help, an invalid
+    # choice and an unrecognized argument must read as the full parser's
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["--help"], ["--format", "xml"], ["--bogus"]):
+        answers = []
+        for parser in (_build_parser(command), _build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, *argv])
+            answers.append((capsys.readouterr(), exc.value.code))
+        assert answers[0] == answers[1], argv

@@ -25,6 +25,8 @@ from pglcensus.gfq import (
 from pglcensus.moebius import (
     PP1,
     _code_law,
+    _code_points,
+    _log_arrays,
     _normalized,
     mob_apply,
     mob_compose,
@@ -252,7 +254,7 @@ class TestCodeArithmetic:
     """PGL2 products, inverses and normalization run on entry codes; they
     must agree with the schoolbook FqElem reference."""
 
-    @pytest.mark.parametrize("spec", [F3, F4], ids=["F3", "F4"])
+    @pytest.mark.parametrize("spec", [F2, F3, F4, F5], ids=["F2", "F3", "F4", "F5"])
     def test_every_code_matrix_against_reference(self, spec):
         elems = field_elements(spec)
         for codes in itertools.product(range(spec.q), repeat=4):
@@ -263,7 +265,7 @@ class TestCodeArithmetic:
             else:
                 assert entries(_normalized(spec, *codes)) == want, codes
 
-    @pytest.mark.parametrize("spec", [F3, F4], ids=["F3", "F4"])
+    @pytest.mark.parametrize("spec", [F2, F3, F4, F5], ids=["F2", "F3", "F4", "F5"])
     def test_every_pair_against_reference(self, spec):
         # through mob_compose and through the code law it wraps
         law, _, identity = _code_law(spec)
@@ -276,7 +278,11 @@ class TestCodeArithmetic:
                 assert entries(mob_compose(m1, m2)) == want
                 assert law(entry_codes(m1), entry_codes(m2)) == tuple(x.code for x in want)
 
-    @pytest.mark.parametrize("p, n", [(3, 2), (2, 4), (5, 2)], ids=["F9", "F16", "F25"])
+    @pytest.mark.parametrize(
+        "p, n",
+        [(3, 2), (2, 4), (5, 2), (7, 1), (2, 3), (3, 3), (2, 5), (7, 2)],
+        ids=["F9", "F16", "F25", "F7", "F8", "F27", "F32", "F49"],
+    )
     def test_seeded_pairs_against_reference(self, p, n):
         spec = field_make(p, n)
         law, _, identity = _code_law(spec)
@@ -289,6 +295,69 @@ class TestCodeArithmetic:
             assert entries(mob_compose(m1, m2)) == want
             assert law(entry_codes(m1), entry_codes(m2)) == tuple(x.code for x in want)
             assert entries(mob_inverse(m1)) == reference_inverse(m1)
+
+    @pytest.mark.parametrize(
+        "spec, x, y, zeros",
+        [
+            # the a-entry is a1 a2 + b1 c2 = 0 with a zero factor, and with
+            # two nonzero products that cancel (1 + g^k = 0): scaled by b
+            (F5, (0, 1, 1, 0), (1, 1, 0, 1), (0,)),
+            (F5, (1, 1, 0, 1), (1, 0, 4, 1), (0,)),
+            # c1 b2 + d1 d2 = 0 from two nonzero products: the d-entry
+            (F7, (1, 2, 3, 1), (1, 2, 0, 1), (3,)),
+            # p = 2, where log(-1) = 0 and a product cancels its equal
+            (F2, (1, 1, 0, 1), (1, 0, 1, 1), (0,)),
+            (F4, (1, 1, 1, 0), (1, 1, 0, 1), (1,)),
+        ],
+    )
+    def test_entry_sums_that_vanish(self, spec, x, y, zeros):
+        law = _code_law(spec)[0]
+        m1, m2 = mk(spec, *x), mk(spec, *y)
+        got = law(entry_codes(m1), entry_codes(m2))
+        assert got == tuple(e.code for e in reference_compose(m1, m2))
+        assert [i for i, e in enumerate(got) if not e] == list(zeros)
+
+    def test_negation_in_characteristic_two(self):
+        for spec in (F2, F4, F8):
+            neg = _log_arrays(spec)[1]
+            assert neg == list(range(spec.q))
+            for m in pgl2_elements(spec):
+                assert entries(mob_inverse(m)) == reference_inverse(m)
+
+    @pytest.mark.parametrize("spec", [F4, F5], ids=["F4", "F5"])
+    def test_apply_and_frame_against_reference(self, spec):
+        apply, frame = _code_points(spec)
+        points = list(pp1_points(spec))
+        for m in pgl2_elements(spec):
+            for P in points:
+                assert apply(entry_codes(m), P.code) == reference_apply(m, P).code
+        one, zero = fq_one(spec), fq_zero(spec)
+        for z in itertools.permutations(points, 3):
+            (x1, y1), (x2, y2), (x3, y3) = ((one, zero) if P.is_infinity else (P.x, one) for P in z)
+            d23 = x2 * y3 - y2 * x3
+            d21 = x2 * y1 - y2 * x1
+            want = (y1 * d23, -(x1 * d23), y3 * d21, -(x3 * d21))
+            assert frame(*(P.code for P in z)) == tuple(e.code for e in want)
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (2, 4)], ids=["F8", "F9", "F16"])
+    def test_translation_groups_against_reference(self, p, n):
+        from pglcensus.census import enum_additive_subgroups, gamma_to_unipotent
+        from pglcensus.stdgroups import _make_subgroup
+
+        spec = field_make(p, n)
+        for rank in range(n + 1):
+            for gamma in enum_additive_subgroups(spec, rank):
+                # the FqElem construction: each combination of the basis,
+                # one mob_make per member
+                members = []
+                for combo in itertools.product(range(p), repeat=rank):
+                    acc = fq_zero(spec)
+                    for c, b in zip(combo, gamma.basis):
+                        acc = fq_add(acc, fq_mul(fq_from_int(spec, c), b))
+                    members.append(acc)
+                translations = [mob_make(fq_one(spec), g, fq_zero(spec), fq_one(spec)) for g in members]
+                assert gamma.elements() == members
+                assert gamma_to_unipotent(gamma) == _make_subgroup(spec, translations, f"Zp^{rank}")
 
 
 class TestOrder:
