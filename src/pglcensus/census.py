@@ -41,6 +41,7 @@ from .gfq import (
 from .moebius import (
     PP1,
     _code_law,
+    _code_points,
     _entry_codes,
     _from_codes,
     mob_infinity_to,
@@ -458,7 +459,7 @@ def _order_p_stabilizer(spec: FieldSpec, point: PP1) -> tuple[tuple[int, int, in
     fix P and kept when g != 1 and g^p = 1.  Cached per (field, point), so
     the ranks of one level share one scan."""
     law, _, ident = _code_law(spec)
-    add, mul = spec._tables.add, spec._tables.mul
+    apply = _code_points(spec)[0]
     p, q, x = spec.p, spec.q, point.code
     stab = ((ident[0], b, 0, d) for b in range(q) for d in range(1, q))
     if not point.is_infinity:
@@ -467,13 +468,7 @@ def _order_p_stabilizer(spec: FieldSpec, point: PP1) -> tuple[tuple[int, int, in
         stab = (law(law(conj, g), conj_inv) for g in stab)
     kept = []
     for g in stab:
-        a, b, c, d = g
-        if x == q:  # g[1:0] = [a:c] is [1:0] when c = 0
-            fixed = not c
-        else:  # g[x:1] = [ax + b : cx + d] is [x:1] when cx + d = den != 0, ax + b = x den
-            den = add(mul(c, x), d)
-            fixed = den and add(mul(a, x), b) == mul(x, den)
-        if not fixed:
+        if apply(g, x) != x:
             raise AssertionError(f"{render_moebius(_from_codes(spec, g))} does not fix {render_point(point)}: t(inf) != P")
         if order(g, law, ident, p) == p:
             kept.append(g)

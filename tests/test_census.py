@@ -517,6 +517,15 @@ class TestOracle:
             with pytest.raises(ValueError, match="field mismatch"):
                 oracle_enum_elem_abelian(spec, 1, point)
 
+    def test_scan_refuses_a_map_that_moves_the_point(self, monkeypatch):
+        # the stabilizer scan checks that each conjugate fixes the point: a
+        # conjugator that does not take infinity there fails it
+        point = pp1_affine(fq_from_int(F5, 2))
+        monkeypatch.setattr(census, "mob_infinity_to", lambda P: mob_identity(P.spec))
+        census._order_p_stabilizer.cache_clear()
+        with pytest.raises(AssertionError, match=r"\[1,0;0,2\] does not fix 2"):
+            census._order_p_stabilizer(F5, point)
+
     def test_affine_point_costs_the_conjugation(self):
         assert census.dichotomy_work(2, 3, 1, affine=True) == census.dichotomy_work(2, 3, 1) + 3 * 8 * 7
 
