@@ -3,7 +3,9 @@
 Every command prints a single report to stdout in the requested format
 (json is the contract; csv and human are views) and is byte-deterministic:
 two runs with the same arguments produce identical output.  Exit status is
-0 on success, 1 when a verification finds a mismatch, 2 on usage errors.
+0 on success, 1 when a verification finds a mismatch or an internal
+cross-check fails (stderr says "error: internal check failed", stdout is
+empty), 2 on usage errors.
 
 Point lists are comma-separated; "inf" is the point at infinity and an affine
 point is spelled as its n coefficient integers, so over F_4 the pair
@@ -476,6 +478,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except AssertionError as err:  # a cross-check disagreed: no verdict to print
+        print(f"error: internal check failed: {err}", file=sys.stderr)
+        return 1
     try:
         _emit(payload, args.format, rows_key, columns, stream)
         stream.flush()

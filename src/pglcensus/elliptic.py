@@ -25,8 +25,10 @@ n-torsion walks and the translation-subgroup closures run on code pairs
 through the same law.  The fixed-point dichotomy alone
 looks above E's field, and it builds no field to do so: the x-coordinates of
 a fibre of 1 - sigma_u are the roots of a polynomial of degree <= 4 over E's
-field, whose distinct-degree factorization gives the fibre's size at every
-level.
+field, and the degrees of its irreducible factors give the fibre's size at
+every level, with no factoring: one sweep of the field per u finds every
+rational root, and the parity of the discriminant tells {4} from {2, 2}
+(L. Stickelberger, 1897; R. G. Swan, 1962).
 
 Everything here powers exhaustive verification of the genus-1 finiteness
 facts: an automorphism is fixed point free iff it is a nontrivial pure
@@ -51,12 +53,12 @@ from .gfq import (
     Record,
     _sqrt_table,
     by_code,
-    cpoly_ddf,
+    cpoly_chi_disc,
+    cpoly_chi_res,
     cpoly_deriv,
     cpoly_divmod,
     cpoly_gcd,
     cpoly_mul,
-    cpoly_powmod,
     cpoly_sub,
     extension_field,
     field_elements,
@@ -518,44 +520,87 @@ def _one_minus_sigma_map(E: ECurve, u: FqElem) -> tuple[list, list]:
     return cpoly_divmod(spec, N, g)[0], cpoly_divmod(spec, D, g)[0]
 
 
-def _fibre_sizes(E: ECurve, N: list, D: list, P: ECPoint, levels: tuple[int, ...]) -> list[int]:
+def _x_preimages(E: ECurve, N: list, D: list) -> dict:
+    """One sweep of E's field for the x-map N/D of 1 - sigma_u: {c: the x in
+    F_q, in code order, with N(x)/D(x) = c}, and the roots of D under None.
+    These are the rational roots of every fibre polynomial N - c D at once,
+    N and D being coprime."""
+    t = E.spec._tables
+    log, exp, m = t.log, t.exp, t.m
+    preimages: dict = {}
+    for x in range(E.spec.q):
+        n, d = _at(t, N, x), _at(t, D, x)
+        preimages.setdefault((exp[log[n] - log[d] + m] if n else 0) if d else None, []).append(x)
+    return preimages
+
+
+def _at(t, poly: list, x: int) -> int:
+    """The code polynomial poly at the code x, by Horner over the tables t."""
+    v = 0
+    for c in reversed(poly):
+        v = t.add(t.mul(v, x), c)
+    return v
+
+
+def _fibre_sizes(E: ECurve, N: list, D: list, preimages: dict, P: ECPoint, levels: tuple[int, ...]) -> list[int]:
     """|(1 - sigma_u)^{-1}(P)| over F_{q^r} for each r in levels, where N/D is
-    the x-map of 1 - sigma_u: the x-coordinates of the fibre are the roots of
-    h = N - x_P D (of D when P = O), and the distinct-degree factorization of
-    its squarefree part over E's field tells which of them lie in F_{q^r}.
+    the x-map of 1 - sigma_u and preimages its sweep _x_preimages: the
+    x-coordinates of the fibre are the roots of h = N - x_P D (of D when
+    P = O), and the degrees of the irreducible factors of its squarefree part
+    s tell which of them lie in F_{q^r}.
+
+    The sweep gives the rho rational roots.  The rest of s has no linear
+    factor and degree deg s - rho <= 4, so it is one irreducible factor
+    unless it is {2, 2}, which Stickelberger's theorem tells from {4}:
+    chi(disc s) = (-1)^(deg s - #factors) (gfq.cpoly_chi_disc).
 
     If y_P != 0, each root carries one fibre point, rational with its x.  If
-    y_P = 0, the fibre is closed under negation, and a root x carries the
-    1 + chi(f(x)) points (x, +-sqrt(f(x))), chi the quadratic character of
-    F_{q^r}; for the irreducible factors of degree k, chi(f(x)) is 0, or
-    chi_k(f(x)) = f^((q^k - 1)/2) mod the factor when r/k is odd, and 1 when
-    r/k is even.  The fibre over O also holds O."""
-    spec, q, one = E.spec, E.spec.q, E.spec.q // E.spec.p
+    y_P = 0, the fibre is closed under negation, and a root x of degree k
+    carries the 1 + chi(f(x)) points (x, +-sqrt(f(x))), chi the quadratic
+    character of F_{q^r}: chi(f(x)) = chi_k(f(x))^(r/k), and chi_k(f(x)) is
+    chi(N(f(x))) = chi(Res(g, f) / lc(g)^3) over the conjugates, the roots of
+    x's factor g.  The fibre over O also holds O."""
+    spec, t = E.spec, E.spec._tables
+    one = spec.q // spec.p
     h = D if P.is_zero else cpoly_sub(spec, N, cpoly_mul(spec, [P.x.code], D))
-    # the squarefree part: deg h <= 4 < p, so h' = 0 only for constant h
-    parts = cpoly_ddf(spec, cpoly_divmod(spec, h, cpoly_gcd(spec, h, cpoly_deriv(spec, h)))[0])
+    roots = preimages.get(None if P.is_zero else P.x.code, ())
+    # h is squarefree when disc h != 0, or when its roots are all rational
+    chi_disc = 1 if len(h) - 1 == len(roots) else cpoly_chi_disc(spec, h)
+    s = h if chi_disc else cpoly_divmod(spec, h, cpoly_gcd(spec, h, cpoly_deriv(spec, h)))[0]
+    rest = len(s) - 1 - len(roots)
+    split = (2, 2) if rest == 4 and chi_disc == 1 else (rest,) if rest else ()
+    if rest not in (0, 2, 3, 4) or (chi_disc and chi_disc != (-1) ** (rest - len(split))):
+        raise AssertionError(
+            f"fibre polynomial of (P={render_ec_point(P)}) has {len(roots)} rational roots, "
+            f"squarefree degree {len(s) - 1} and disc character {chi_disc}"
+        )
     if not P.is_zero and P.y.code:
-        return [sum(len(g) - 1 for k, g in parts.items() if r % k == 0) for r in levels]
-    f = [E.b.code, E.a.code, 0, one]
-    counts = []  # per part: its degree k and its roots with chi_k(f(x)) = 0, 1, -1
-    for k, g in parts.items():
-        fg = cpoly_divmod(spec, f, g)[1]
-        zeros = len(cpoly_gcd(spec, g, fg)) - 1
-        chi = cpoly_powmod(spec, fg, (q**k - 1) // 2, g)
-        squares = len(cpoly_gcd(spec, g, cpoly_sub(spec, chi, [one]))) - 1
-        counts.append((k, zeros, squares, len(g) - 1 - zeros - squares))
-    return [
-        int(P.is_zero) + sum(z + 2 * s + (0 if r // k % 2 else 2 * n) for k, z, s, n in counts if r % k == 0)
-        for r in levels
-    ]
+        classes = [(k, 0) for k in (1,) * len(roots) + split]  # (degree, chi_k(f(x))): one point per root
+    else:
+        f = [E.b.code, E.a.code, 0, one]
+        classes = [(1, _chi(t, _at(t, f, x))) for x in roots]
+        if split == (2, 2):
+            raise AssertionError(f"fibre polynomial of (P={render_ec_point(P)}) splits as {{2, 2}} under y_P = 0")
+        if rest:
+            g = s  # the rest: s without its rational roots
+            for x in roots:
+                g = cpoly_divmod(spec, g, [t.sub(0, x), one])[0]
+            classes.append((rest, cpoly_chi_res(spec, g, f) * _chi(t, g[-1])))
+    return [int(P.is_zero) + sum(k * (1 + c ** (r // k)) for k, c in classes if r % k == 0) for r in levels]
+
+
+def _chi(t, c: int) -> int:
+    """The quadratic character of the code c: 0, or 1 and -1 by its log's parity."""
+    return 0 if not c else -1 if t.log[c] % 2 else 1
 
 
 def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDichotomyReport:
-    """Fibre sizes from _fibre_sizes, over E's own field for every level,
-    factored once per x-coordinate: a point with y = 0 is alone on its x,
-    and for y != 0 the sizes depend on x alone.  When level 1 is among the
-    levels, its sizes must equal the point scan _one_minus_sigma_fibres,
-    else AssertionError."""
+    """Fibre sizes from _fibre_sizes, over E's own field for every level:
+    per u, one sweep _x_preimages for the rational roots, then one fibre
+    polynomial per x-coordinate, since a point with y = 0 is alone on its x,
+    and for y != 0 the sizes depend on x alone.  No polynomial is factored.
+    When level 1 is among the levels, its sizes must equal the point scan
+    _one_minus_sigma_fibres, else AssertionError."""
     levels = tuple(levels)
     if not levels:
         # with no level, every (P, u != 1) would count as free everywhere
@@ -570,7 +615,8 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
         if u == one:
             continue
         N, D = _one_minus_sigma_map(E, u)
-        kernel = _fibre_sizes(E, N, D, base_pts[0], levels)
+        preimages = _x_preimages(E, N, D)
+        kernel = _fibre_sizes(E, N, D, preimages, base_pts[0], levels)
         scan = _one_minus_sigma_fibres(E, u) if 1 in levels else None
         by_x = {}  # P and -P share x_P, and for y_P != 0 every fibre size
         for P in base_pts:
@@ -578,7 +624,7 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
             if P.is_zero:
                 fibre_sizes = kernel
             elif (fibre_sizes := by_x.get(P.x.code)) is None:
-                fibre_sizes = by_x[P.x.code] = _fibre_sizes(E, N, D, P, levels)
+                fibre_sizes = by_x[P.x.code] = _fibre_sizes(E, N, D, preimages, P, levels)
             if scan is not None:
                 got, want = fibre_sizes[levels.index(1)], len(scan.get(P, ()))
                 if got != want:

@@ -721,6 +721,40 @@ def cpoly_ddf(spec: FieldSpec, h: Sequence[int]) -> dict[int, list]:
     return parts
 
 
+def cpoly_chi_res(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> int:
+    """chi(Res(a, b)), chi the quadratic character of F_q (q odd): 0 when a
+    and b share a root or one of them is zero, else 1 or -1 as the resultant
+    is a square or not.  Walks Euclid's remainder sequence, with
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    r = a mod b and Res(a, c) = c^(deg a) for a constant c, keeping only the
+    parity of the product's log (R. G. Swan, "Factorization of polynomials
+    over finite fields", Pacific J. Math. 12, 1962)."""
+    if spec.p == 2:
+        raise ValueError("the quadratic character needs q odd, got p = 2")
+    log, half = spec._tables.log, spec._tables.half
+    e = 0  # the log of the product so far, mod 2
+    while a and b:
+        m, n = len(a) - 1, len(b) - 1
+        if not n:
+            return -1 if (e + m * log[b[0]]) % 2 else 1
+        r = cpoly_divmod(spec, a, b)[1]  # a itself when deg a < deg b
+        e += half * m * n + (m - len(r) + 1) * log[b[-1]]
+        a, b = b, r
+    return 0
+
+
+def cpoly_chi_disc(spec: FieldSpec, a: Sequence[int]) -> int:
+    """chi(disc a) for a of degree n >= 1 (q odd), from
+    disc a = (-1)^(n(n-1)/2) lc(a)^(n-2-deg a') Res(a, a'): 0 when a has a
+    repeated root.  For a squarefree a with k irreducible factors it is
+    (-1)^(n-k) (L. Stickelberger, 1897; Swan, 1962)."""
+    n, d = len(a) - 1, cpoly_deriv(spec, a)
+    chi = cpoly_chi_res(spec, a, d)  # 0 also when a' = 0 (a is a p-th power)
+    half, log = spec._tables.half, spec._tables.log
+    parity = half * (n * (n - 1) // 2) + (n - 1 - len(d)) * log[a[-1]] if chi else 0
+    return -chi if parity % 2 else chi
+
+
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
     """Whether the monic f over F_p (coefficients in [0, p), constant term
     first) is irreducible.  Degree 1 is, before any table is built, which

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pglcensus import elliptic
+from pglcensus import elliptic, gfq
 from pglcensus.cli import main
 from pglcensus.closure import order
 from pglcensus.elliptic import (
@@ -16,6 +16,7 @@ from pglcensus.elliptic import (
     _fibre_sizes,
     _one_minus_sigma_fibres,
     _one_minus_sigma_map,
+    _x_preimages,
     aut0,
     aut_fixed_points,
     base_change,
@@ -41,6 +42,13 @@ from pglcensus.elliptic import (
 )
 from pglcensus.gfq import (
     by_code,
+    cpoly_ddf,
+    cpoly_deriv,
+    cpoly_divmod,
+    cpoly_gcd,
+    cpoly_mul,
+    cpoly_powmod,
+    cpoly_sub,
     extension_field,
     field_elements,
     field_make,
@@ -378,6 +386,14 @@ class TestFpfDichotomy:
             verify_fpf_dichotomy(E_J1728, (2, 1))
         assert verify_fpf_dichotomy(E_J1728, (2, 3)).ok  # level 1 absent: no cross-check
 
+    def test_failed_cross_check_exits_1_without_traceback(self, monkeypatch, capsys):
+        monkeypatch.setattr(elliptic, "_one_minus_sigma_fibres", lambda E, u: {})
+        assert main(["verify-genus1", "--curve", "5^1:a=1,b=0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: internal check failed: fibre polynomial of (P=O, u=")
+        assert err.endswith("at r=1, the scan 0\n") and "Traceback" not in err
+
 
 def scanned_fibre_sizes(E, u, P, levels):
     """|(1 - sigma_u)^{-1}(P)| at each level, by the point scan of E over
@@ -418,9 +434,85 @@ def test_fibre_polynomial_counts_match_the_scan(case):
             if u == fq_one(E.spec):
                 continue
             N, D = _one_minus_sigma_map(E, u)
+            preimages = _x_preimages(E, N, D)
             for Q in ec_points(E):
-                got = _fibre_sizes(E, N, D, Q, levels)
+                got = _fibre_sizes(E, N, D, preimages, Q, levels)
                 assert got == scanned_fibre_sizes(E, u, Q, levels), (render_curve(E), render_element(u), Q)
+
+
+def reference_fibre_sizes(E, N, D, P, levels, branches):
+    """The fibre sizes by distinct-degree factorization, the reference for
+    _fibre_sizes: cpoly_ddf of the squarefree part of h = N - x_P D (of D
+    for P = O), one point per root of a part of degree k | r if y_P != 0,
+    and if y_P = 0, 1 + chi(f(x)) points per root, with chi_k(f(x)) read off
+    f^((q^k - 1)/2) mod the part.  Adds the branches of _fibre_sizes that
+    the input takes to `branches`."""
+    spec, q, one = E.spec, E.spec.q, E.spec.q // E.spec.p
+    h = D if P.is_zero else cpoly_sub(spec, N, cpoly_mul(spec, [P.x.code], D))
+    s = cpoly_divmod(spec, h, cpoly_gcd(spec, h, cpoly_deriv(spec, h)))[0]
+    parts = cpoly_ddf(spec, s)
+    if len(s) < len(h):
+        branches.add("disc 0")
+    if 4 in parts:
+        branches.add("rest {4}")
+    if len(parts.get(2, ())) == 5:
+        branches.add("rest {2,2}")
+    if not P.is_zero and P.y.code:
+        return [sum(len(g) - 1 for k, g in parts.items() if r % k == 0) for r in levels]
+    f = [E.b.code, E.a.code, 0, one]
+    counts = []  # per part: its degree k and its roots with chi_k(f(x)) = 0, 1, -1
+    for k, g in parts.items():
+        fg = cpoly_divmod(spec, f, g)[1]
+        zeros = len(cpoly_gcd(spec, g, fg)) - 1
+        chi = cpoly_powmod(spec, fg, (q**k - 1) // 2, g)
+        squares = len(cpoly_gcd(spec, g, cpoly_sub(spec, chi, [one]))) - 1
+        counts.append((k, zeros, squares, len(g) - 1 - zeros - squares))
+        if k > 1:
+            branches.add(f"y_P = 0, rest chi {0 if zeros else 1 if squares else -1}")
+    return [
+        int(P.is_zero) + sum(z + 2 * s + (0 if r // k % 2 else 2 * n) for k, z, s, n in counts if r % k == 0)
+        for r in levels
+    ]
+
+
+F11, F13, F25, F121 = field_make(11, 1), field_make(13, 1), field_make(5, 2), field_make(11, 2)
+
+
+def test_fibre_sizes_match_the_distinct_degree_route():
+    """Every (u != 1, P), O and y_P = 0 included, on every nonsingular curve
+    over F11 and F13 and on seeded curves over F25, F49 and F121, at levels
+    1-6 and 12; the sample reaches every branch of _fibre_sizes."""
+    levels = (1, 2, 3, 4, 5, 6, 12)
+    curves = [
+        *_nonsingular_curves(F11),
+        *_nonsingular_curves(F13),
+        *seeded_curves(F25, 3, 25),
+        *seeded_curves(F49, 2, 49),
+        *seeded_curves(F121, 1, 121),
+    ]
+    branches = set()
+    for E in curves:
+        for u in aut0(E):
+            if u == fq_one(E.spec):
+                continue
+            N, D = _one_minus_sigma_map(E, u)
+            preimages = _x_preimages(E, N, D)
+            # the same map over a nonsquare: every fibre polynomial gets a
+            # nonsquare leading coefficient, which the characters must undo
+            scaled = [cpoly_mul(E.spec, [E.spec._tables.exp[1]], poly) for poly in (N, D)]
+            for Q in ec_points(E):
+                want = reference_fibre_sizes(E, N, D, Q, levels, branches)
+                assert _fibre_sizes(E, N, D, preimages, Q, levels) == want, (render_curve(E), render_element(u), Q)
+                if Q.is_zero or not Q.y.code:
+                    assert _fibre_sizes(E, *scaled, preimages, Q, levels) == want, (render_curve(E), render_element(u), Q)
+    assert branches == {
+        "disc 0",
+        "rest {4}",
+        "rest {2,2}",
+        "y_P = 0, rest chi 0",
+        "y_P = 0, rest chi 1",
+        "y_P = 0, rest chi -1",
+    }
 
 
 def test_seeded_curves_cover_every_aut0_size():
@@ -729,30 +821,38 @@ def test_fixing_check_reads_the_fibre_tables(monkeypatch):
 # work counts: every stage of verify-genus1 is linear in the point count
 
 
-def _counting(monkeypatch, name, key=lambda *args: None):
-    """Replace elliptic.<name> by a wrapper that counts its calls by key."""
+def _counting(monkeypatch, name, key=lambda *args: None, module=elliptic):
+    """Replace module.<name> by a wrapper that counts its calls by key."""
     calls = collections.Counter()
-    real = getattr(elliptic, name)
+    real = getattr(module, name)
 
     def wrapper(*args):
         calls[key(*args)] += 1
         return real(*args)
 
-    monkeypatch.setattr(elliptic, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
 class TestWorkCounts:
     def test_dichotomy_factors_once_per_x(self, monkeypatch):
         calls = _counting(monkeypatch, "_fibre_sizes")
+        sweeps = _counting(monkeypatch, "_x_preimages")
+        # nothing factors: elliptic no longer imports the factoring routines,
+        # and none of its gfq calls reaches them
+        assert not hasattr(elliptic, "cpoly_ddf") and not hasattr(elliptic, "cpoly_powmod")
+        factoring = [_counting(monkeypatch, name, module=gfq) for name in ("cpoly_ddf", "cpoly_powmod")]
         for _, E in standard_test_curves():
             calls.clear()
+            sweeps.clear()
             assert verify_fpf_dichotomy(E).ok
             xs = {Q.x.code for Q in ec_points(E) if not Q.is_zero}
-            # per u != 1, the kernel, then one factorization per x-coordinate:
-            # fewer than one per point on every curve but F5_j1728, whose
-            # affine points all have y = 0
+            # per u != 1, one sweep of the field, the kernel, then one fibre
+            # polynomial per x-coordinate: fewer than one per point on every
+            # curve but F5_j1728, whose affine points all have y = 0
+            assert sweeps[None] == len(aut0(E)) - 1
             assert calls[None] == (len(aut0(E)) - 1) * (1 + len(xs))
+        assert not any(factoring)
 
     def test_torsion_scan_once_per_curve_and_order(self, monkeypatch):
         elliptic._torsion.cache_clear()

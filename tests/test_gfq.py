@@ -14,6 +14,8 @@ from pglcensus.gfq import (
     FqElem,
     _auto_modulus,
     _is_irreducible,
+    cpoly_chi_disc,
+    cpoly_chi_res,
     cpoly_ddf,
     cpoly_deriv,
     cpoly_divmod,
@@ -46,6 +48,7 @@ from pglcensus.gfq import (
     render_element,
     render_field_spec,
     roots_of_unity,
+    subfield_elements,
 )
 
 F2 = field_make(2, 1)
@@ -759,3 +762,106 @@ class TestCodePolynomials:
                 expected = sum(len(g) - 1 for k, g in parts.items() if r % k == 0)
                 assert len(scan_roots(spec, h, r)) == expected
         assert degrees == set(range(1, top + 1))
+
+
+# ---------------------------------------------------------------------------
+# quadratic characters of resultants and discriminants, against products
+# over the roots in an extension field
+
+F7, F25, F27 = field_make(7, 1), field_make(5, 2), field_make(3, 3)
+
+
+def euler_chi(x):
+    """The quadratic character of x by Euler's criterion x^((q-1)/2)."""
+    if x.is_zero():
+        return 0
+    return 1 if fq_pow(x, (x.spec.q - 1) // 2) == fq_one(x.spec) else -1
+
+
+def conjugates(x, q):
+    """x, x^q, x^(q^2), ... up to the first repeat: the roots of x's minimal
+    polynomial over F_q."""
+    orbit = [x]
+    while (y := fq_pow(orbit[-1], q)) != x:
+        orbit.append(y)
+    return orbit
+
+
+CHI_LEVELS = [(F5, 6), (F7, 3), (F7, 4), (F9, 2), (F9, 3), (F25, 2), (F25, 3), (F27, 2)]
+
+
+@pytest.mark.parametrize("spec,r", CHI_LEVELS, ids=[f"{render_field_spec(s)} in F_q^{r}" for s, r in CHI_LEVELS])
+def test_characters_of_resultant_and_discriminant(spec, r):
+    """a = lc prod (x - alpha) over whole conjugate classes of F_{q^r}:
+    chi(Res(a, b)) against chi(lc^deg b prod b(alpha)), chi(disc a) against
+    chi(lc^(2n-2) prod_{i<j} (alpha_i - alpha_j)^2), both products taken in
+    F_{q^r}, and for squarefree a against Stickelberger's (-1)^(n - #factors)."""
+    ext = extension_field(spec, r)
+    rng = random.Random(spec.q * 10 + r)
+    # the elements of each field between F_q and F_{q^r}
+    tower = [subfield_elements(ext, spec.n * d) for d in range(1, r + 1) if r % d == 0]
+    outcomes = set()
+    for _ in range(80):
+        classes = []  # the roots of a, one conjugate class per irreducible factor
+        for _ in range(rng.randrange(4)):
+            orbit = conjugates(rng.choice(rng.choice(tower)), spec.q)
+            if rng.randrange(4) == 0 and classes:
+                orbit = classes[0]  # a repeated factor
+            if sum(map(len, classes)) + len(orbit) <= 6:
+                classes.append(orbit)
+        roots = [x for orbit in classes for x in orbit]
+        lead = FqElem(spec, rng.randrange(1, spec.q))
+        lead_ext = fq_embed(lead, ext)
+        a = [fq_project(FqElem(ext, c), spec).code for c in from_roots(ext, lead_ext, roots)]
+        if classes and rng.randrange(3) == 0:  # shares the roots of a's first factor
+            b = [fq_project(FqElem(ext, c), spec).code for c in from_roots(ext, lead_ext, classes[0])]
+        else:
+            b = random_cpoly(rng, spec, rng.randrange(5))
+        b_ext = [fq_embed(c, ext) for c in as_elems(spec, b)]
+        res = fq_pow(lead_ext, len(b) - 1)
+        for x in roots:
+            res = res * horner(b_ext, x)
+        chi_res = cpoly_chi_res(spec, a, b)
+        assert chi_res == euler_chi(fq_project(res, spec)), (a, b)
+        outcomes.add(("res", chi_res))
+        n = len(a) - 1
+        if not n:
+            continue
+        disc = fq_pow(lead_ext, 2 * n - 2)
+        for i, j in itertools.combinations(range(n), 2):
+            disc = disc * fq_pow(roots[i] - roots[j], 2)
+        chi_disc = cpoly_chi_disc(spec, a)
+        assert chi_disc == euler_chi(fq_project(disc, spec)), a
+        if len(set(roots)) == n:  # squarefree
+            assert chi_disc == (-1) ** (n - len(classes))
+        outcomes.add(("disc", chi_disc))
+    every = {(kind, c) for kind in ("res", "disc") for c in (0, 1, -1)}
+    # (-1)^(n - #factors) = -1 needs a factor of even degree
+    assert outcomes == (every if r % 2 == 0 else every - {("disc", -1)})
+
+
+@pytest.mark.parametrize("spec", [F5, F7, F9, F25, F27], ids=render_field_spec)
+def test_resultant_character_edge_cases(spec):
+    g, square = spec._tables.exp[1], spec._tables.exp[2]  # g generates F_q^*, a nonsquare
+    assert euler_chi(FqElem(spec, g)) == -1
+    one = fq_one(spec).code
+    line, quadratic = [g, one], [g, 0, one]
+    # constants: Res(c, d) = 1, Res(a, c) = c^deg a, Res(c, b) = c^deg b
+    assert cpoly_chi_res(spec, [g], [g]) == 1
+    assert cpoly_chi_res(spec, line, [g]) == cpoly_chi_res(spec, [g], line) == -1
+    assert cpoly_chi_res(spec, quadratic, [g]) == cpoly_chi_res(spec, [g], quadratic) == 1
+    assert cpoly_chi_res(spec, line, [square]) == 1
+    # a zero operand, and a common root
+    assert cpoly_chi_res(spec, [], line) == cpoly_chi_res(spec, line, []) == cpoly_chi_res(spec, [], []) == 0
+    assert cpoly_chi_res(spec, line, line) == 0
+    assert cpoly_chi_res(spec, cpoly_mul(spec, line, quadratic), cpoly_mul(spec, line, [one, one])) == 0
+    # the discriminant of a linear polynomial is 1, of a square 0
+    assert cpoly_chi_disc(spec, line) == 1
+    assert cpoly_chi_disc(spec, cpoly_mul(spec, line, line)) == 0
+
+
+@pytest.mark.parametrize("spec", [F2, F4, F8, F16], ids=render_field_spec)
+def test_quadratic_characters_refuse_even_q(spec):
+    for call in (lambda: cpoly_chi_res(spec, [1, 1], [0, 1]), lambda: cpoly_chi_disc(spec, [1, 0, 1])):
+        with pytest.raises(ValueError, match="q odd"):
+            call()
