@@ -45,7 +45,6 @@ from .moebius import (
     _entry_codes,
     _from_codes,
     mob_infinity_to,
-    mob_inverse,
     parse_point_list,
     pp1_embed,
     pp1_infinity,
@@ -56,9 +55,13 @@ from .moebius import (
 from .stdgroups import (
     Fingerprint,
     SubgroupPGL2,
-    _make_subgroup,
+    _code_fingerprint,
+    _code_generators,
+    _code_locus,
+    _conjugator,
+    _project_codes,
+    _subgroup_from_codes,
     _translation_parts,
-    conjugate_subgroup,
     fingerprint,
     irrational_locus_pairs,
     stabilized_locus,
@@ -71,7 +74,6 @@ from .stdgroups import (
     std_PSL2,
     std_S4,
     subgroup_embed,
-    subgroup_project,
     subgroup_to_json,
 )
 
@@ -170,8 +172,7 @@ def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
     from the element codes of gamma: each [1,g;0,1] is already normalized."""
     spec = gamma.spec
     one = spec.q // spec.p
-    elems = (_from_codes(spec, (one, g, 0, one)) for g in gamma.element_codes())
-    return _make_subgroup(spec, elems, f"Zp^{gamma.rank}")
+    return _subgroup_from_codes(spec, sorted((one, g, 0, one) for g in gamma.element_codes()), f"Zp^{gamma.rank}")
 
 
 def unipotent_to_gamma(H: SubgroupPGL2) -> AdditiveSubgroup:
@@ -285,35 +286,37 @@ def _elementary_abelian_fingerprint(ext: FieldSpec, m: int) -> Fingerprint:
     return Fingerprint(order=p ** m, element_orders=orders, abelian=True, p_regular=(m == 0))
 
 
-def _subgroup_sort_key(H: SubgroupPGL2):
-    return tuple(m.code for m in H.elements)
-
-
-def _verified(
-    candidates: Iterable[SubgroupPGL2],
-    S: tuple[PP1, ...],
-    expected_fp: Fingerprint,
-) -> list[SubgroupPGL2]:
-    """Keep candidates whose locus over the algebraic closure is exactly S,
-    the queried locus over the census field F_{q^r}, sorted, and whose
-    fingerprint equals the expected one; deduplicate by element set.  The
-    locus is recomputed over F_{q^r} in one fixed-point pass, which also
-    fails when some element has its fixed points outside F_{q^r}
-    (stabilized_locus with complete=True): a rational S is then the whole
-    locus, with no table of F_{q^{2r}} built."""
+def _verified(spec: FieldSpec, candidates: Iterable[Iterable[tuple]], S: tuple[int, ...], expected_fp: Fingerprint) -> list[tuple]:
+    """(codes, generators) of the candidates (entry codes of subgroups over
+    the census field F_{q^r}) whose locus over the algebraic closure is S,
+    the sorted codes of the queried locus, and whose fingerprint is the
+    expected one, deduplicated by sorted codes, in code order.  The locus is
+    one kernel pass (_code_locus, complete=True), which fails when some
+    fixed points leave F_{q^r}, so no table of F_{q^{2r}} is built."""
     seen = set()
     out = []
-    for H in candidates:
-        if H.elements in seen:
+    for codes in candidates:
+        codes = tuple(sorted(codes))
+        if codes in seen:
             continue
-        seen.add(H.elements)
-        if stabilized_locus(H, 1, complete=True) != S:
+        seen.add(codes)
+        if _code_locus(spec, codes, 1, complete=True) != S:
             continue
-        if fingerprint(H) != expected_fp:
-            continue
-        out.append(H)
-    out.sort(key=_subgroup_sort_key)
-    return out
+        gens = _code_generators(spec, codes)
+        if _code_fingerprint(spec, codes, gens) == expected_fp:
+            out.append((codes, gens))
+    return sorted(out)
+
+
+def _translation_census(spec: FieldSpec, m: int, point: PP1, subspaces: Sequence[AdditiveSubgroup]) -> list[tuple]:
+    """_verified (Z/pZ)^m-subgroups stabilizing only `point`: the group
+    [1,g;0,1], g in G, per subspace G, conjugated by a map taking inf there."""
+    one = spec.q // spec.p
+    groups = ([(one, g, 0, one) for g in G.element_codes()] for G in subspaces)
+    if not point.is_infinity:
+        conj = _conjugator(mob_infinity_to(point))
+        groups = (map(conj, H) for H in groups)
+    return _verified(spec, groups, (point.code,), _elementary_abelian_fingerprint(spec, m))
 
 
 def enum_actions(query: CensusQuery) -> CensusReport:
@@ -323,7 +326,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
 
     * |S| = 1, elementary-abelian tag: one subgroup per rank-m additive
       subgroup of F_{q^r}, conjugated so its stabilized point is the queried
-      one.  This is the growing side of the dichotomy.
+      one (_translation_census).  This is the growing side of the dichotomy.
     * |S| >= 2: g H0 g^{-1} for each g from moebius.transporters(L0, S, H0),
       L0 the model's full locus: one g per coset g.Fix(L0).H0, Fix(L0) its
       pointwise stabilizer (trivial, or for |L0| = 2 the torus containing
@@ -335,8 +338,8 @@ def enum_actions(query: CensusQuery) -> CensusReport:
     has |stabilized_locus(H0, 1)| + 2 |irrational_locus_pairs(H0)| points
     (stdgroups), so a model of the wrong size is skipped without leaving
     F_{q^r}.  F_{q^{2r}} is built only for a model whose full locus has |S|
-    points but leaves F_{q^r}.  Matches are deduplicated and sorted
-    canonically, so the report is byte-deterministic.
+    points but leaves F_{q^r}.  Candidates are verified on entry codes and
+    only matches become SubgroupPGL2s, sorted so the report is deterministic.
     """
     ext = extension_field(query.spec, query.r)
     S = tuple(sorted({pp1_embed(P, ext) for P in query.locus}, key=by_code))
@@ -347,14 +350,10 @@ def enum_actions(query: CensusQuery) -> CensusReport:
 
     if kind == "gamma" and params[1] == 1:
         m = params[0]
-        expected = _elementary_abelian_fingerprint(ext, m)
+        tag = f"Zp^{m}"
         if len(S) == 1 and m >= 1:
-            move = mob_infinity_to(S[0])
-            candidates = [
-                conjugate_subgroup(gamma_to_unipotent(G), move)
-                for G in enum_additive_subgroups(ext, m)
-            ]
-            matches = _verified(candidates, S, expected)
+            found = _translation_census(ext, m, S[0], enum_additive_subgroups(ext, m))
+            matches = [_subgroup_from_codes(ext, codes, tag, gens) for codes, gens in found]
             verdict = "grows_with_field"
             notes = f"one action per rank-{m} additive subgroup of {render_field_spec(ext)}"
         elif len(S) == 0 and m == 0:
@@ -373,14 +372,14 @@ def enum_actions(query: CensusQuery) -> CensusReport:
         return CensusReport(query, tuple(matches), len(matches), verdict, notes=notes)
 
     models = _standard_models(ext, kind, params)
-    candidates: list[SubgroupPGL2] = []
+    candidates: list[Iterable[tuple]] = []
     for H0 in models:
         L0 = stabilized_locus(H0, 1)
         # the full locus is L0 and two points per irrational_locus_pairs entry
         if len(L0) + 2 * len(irrational_locus_pairs(H0)) != len(S):
             continue
         if len(S) == 0:
-            candidates.append(H0)  # only the trivial model has empty locus
+            candidates.append(map(_entry_codes, H0.elements))  # only the trivial model has empty locus
         elif len(S) >= 2:
             # one transporter per coset g.Fix(L0).H0 is enough: g.t.h H0
             # (g.t.h)^{-1} = g H0 g^{-1} for h in H0 and t in Fix(L0), which is
@@ -392,14 +391,18 @@ def enum_actions(query: CensusQuery) -> CensusReport:
                 ext2 = extension_field(ext, 2)
                 model, locus = subgroup_embed(H0, ext2), stabilized_locus(H0, 2)
                 target = tuple(sorted((pp1_embed(P, ext2) for P in S), key=by_code))
-            maps = transporters(locus, target, model.elements)
-            conjugates = (subgroup_project(conjugate_subgroup(model, g), ext) for g in maps)
-            candidates.extend(H for H in conjugates if H is not None)
+            elems = [_entry_codes(h) for h in model.elements]
+            for g in transporters(locus, target, model.elements):
+                H = list(map(_conjugator(g), elems))
+                if model.spec is not ext:
+                    H = _project_codes(model.spec, ext, H)
+                if H is not None:
+                    candidates.append(H)
         # |S| <= 1 never matches a non-elementary-abelian model
 
-    expected = fingerprint(models[0]) if models else None
-    matches = _verified(candidates, S, expected) if expected is not None else []
-    return CensusReport(query, tuple(matches), len(matches), "finite")
+    found = _verified(ext, candidates, tuple(P.code for P in S), fingerprint(models[0])) if models else []
+    matches = tuple(_subgroup_from_codes(ext, codes, models[0].tag, gens) for codes, gens in found)
+    return CensusReport(query, matches, len(matches), "finite")
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +466,7 @@ def _order_p_stabilizer(spec: FieldSpec, point: PP1) -> tuple[tuple[int, int, in
     p, q, x = spec.p, spec.q, point.code
     stab = ((ident[0], b, 0, d) for b in range(q) for d in range(1, q))
     if not point.is_infinity:
-        to_point = mob_infinity_to(point)
-        conj, conj_inv = _entry_codes(to_point), _entry_codes(mob_inverse(to_point))
-        stab = (law(law(conj, g), conj_inv) for g in stab)
+        stab = map(_conjugator(mob_infinity_to(point)), stab)
     kept = []
     for g in stab:
         if apply(g, x) != x:
@@ -475,28 +476,32 @@ def _order_p_stabilizer(spec: FieldSpec, point: PP1) -> tuple[tuple[int, int, in
     return tuple(kept)
 
 
+def _oracle_subgroups(spec: FieldSpec, m: int, point: PP1) -> list[tuple]:
+    """The oracle's subgroups as sorted entry-code tuples, in code order."""
+    p = spec.p
+    law, _, ident = _code_law(spec)
+    op = lru_cache(maxsize=None)(law)
+    return sorted(
+        tuple(sorted(H))
+        for H in subgroups_of_order(_order_p_stabilizer(spec, point), op, ident, p ** m)
+        if all(order(g, op, ident, p) == p for g in H if g != ident)
+    )
+
+
 def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1) -> list[SubgroupPGL2]:
     """Brute-force census of (Z/pZ)^m-subgroups of PGL2(F_q) fixing a point
     P of P^1(F_q), with no classification knowledge.  The maps of order p
     in the stabilizer of P (_order_p_stabilizer) generate subgroups of
     order p^m, grown by closing generator lists (`subgroups_of_order`); those
-    of exponent p are returned.  Products run on entry codes through the
-    field's code law, memoized per call, and maps are built only for the
-    subgroups returned.  A point over another field raises ValueError (field
-    mismatch), as does a field and rank whose dichotomy_work is over
-    WORK_BOUND."""
+    of exponent p are kept.  It runs on entry codes through the field's code
+    law, memoized per call (_oracle_subgroups, which verify_main_theorem
+    counts), and maps are built here for the subgroups returned.  A point
+    over another field raises ValueError (field mismatch), as does a field
+    and rank whose dichotomy_work is over WORK_BOUND."""
     if point.spec is not spec:
         raise ValueError(f"field mismatch: point over {point.spec!r}, oracle over {spec!r}")
     _check_work(spec.p, spec.n, m, affine=not point.is_infinity)
-    p = spec.p
-    law, _, ident = _code_law(spec)
-    op = lru_cache(maxsize=None)(law)
-    found = [
-        _make_subgroup(spec, (_from_codes(spec, g) for g in H), "unclassified")
-        for H in subgroups_of_order(_order_p_stabilizer(spec, point), op, ident, p ** m)
-        if all(order(g, op, ident, p) == p for g in H if g != ident)
-    ]
-    return sorted(found, key=_subgroup_sort_key)
+    return [_subgroup_from_codes(spec, H, "unclassified") for H in _oracle_subgroups(spec, m, point)]
 
 
 # ---------------------------------------------------------------------------
@@ -605,20 +610,20 @@ def verify_main_theorem(
         inf = pp1_infinity(spec)
         ms = [m for m in (m_values if m_values is not None else range(1, n + 1)) if 1 <= m <= n]
         for m in ms:
-            report = enum_actions(CensusQuery(spec, f"Zp^{m}", (inf,), r=1))
-            subspaces = len(enum_additive_subgroups(spec, m))
-            oracle = len(oracle_enum_elem_abelian(spec, m, inf))
+            # the census and the oracle on codes: the counts build no map
+            subspaces = enum_additive_subgroups(spec, m)
+            census_count = len(_translation_census(spec, m, inf, subspaces))
             rows.append(
                 DichotomyRow(
                     n=n,
                     m=m,
-                    census_count=report.count,
-                    subspace_count=subspaces,
-                    oracle_count=oracle,
+                    census_count=census_count,
+                    subspace_count=len(subspaces),
+                    oracle_count=len(_oracle_subgroups(spec, m, inf)),
                     gaussian=gaussian_binomial(n, m, p),
                 )
             )
-            per_m_counts.setdefault(m, []).append((n, report.count))
+            per_m_counts.setdefault(m, []).append((n, census_count))
 
     growth = [
         (m, all(c2 > c1 for (_, c1), (n2, c2) in zip(counts, counts[1:]) if n2 > m))

@@ -822,26 +822,6 @@ def _artin_schreier_table(spec: FieldSpec) -> dict:
     return table
 
 
-def monic_quadratic_roots(B: FqElem, C: FqElem) -> list[FqElem]:
-    """The distinct roots of x^2 + Bx + C in the field of B and C, canonically
-    sorted, in closed form from the per-field tables: (-B +- s)/2 for the
-    square roots s of B^2 - 4C when p is odd; when p = 2 the unique square
-    root of C if B = 0, else x = B y with y^2 + y = C/B^2."""
-    if B.spec is not C.spec:
-        raise ValueError(f"field mismatch: {B.spec!r} vs {C.spec!r}")
-    spec = B.spec
-    if spec.p != 2:
-        disc = fq_sub(fq_mul(B, B), fq_mul(fq_from_int(spec, 4), C))
-        half = fq_from_int(spec, (spec.p + 1) // 2)
-        roots = [fq_mul(fq_sub(s, B), half) for s in _sqrt_table(spec).get(disc.code, ())]
-    elif B.is_zero():
-        roots = _sqrt_table(spec)[C.code]
-    else:
-        v = fq_div(C, fq_mul(B, B))
-        roots = [fq_mul(B, y) for y in _artin_schreier_table(spec).get(v.code, ())]
-    return sorted(roots, key=by_code)
-
-
 # ---------------------------------------------------------------------------
 # F_p-linear algebra on coefficient vectors (shared by subfield bases and
 # additive subgroup canonicalization)

@@ -16,9 +16,9 @@ point codes through _code_points, which transporters search with.
 Points of P^1 are either affine, with a single field coordinate (projective
 [x:1]), or the point at infinity [1:0].  A point's code is the code of x, or
 q for infinity, so infinity sorts last.  Fixed points of a non-identity map
-are eigen-directions of its matrix; since the characteristic polynomial is
-quadratic, extension degree r = 2 always suffices to capture every fixed
-point of the algebraic closure.
+are eigen-directions of its matrix, found on codes by _code_fixed; since the
+characteristic polynomial is quadratic, extension degree r = 2 always
+suffices to capture every fixed point of the algebraic closure.
 
 Text formats: a map is "[a,b;c,d]" where each row holds the 2n coefficients
 of its two entries; a point is "inf" or an element in coefficient form.
@@ -36,22 +36,21 @@ from .gfq import (
     FieldSpec,
     FqElem,
     Record,
+    _artin_schreier_table,
+    _sqrt_table,
     cpoly_deriv,
     cpoly_divmod,
     cpoly_from_elems,
     cpoly_multiplicity,
     extension_field,
     field_elements,
-    fq_div,
     fq_embed,
-    fq_inv,
+    fq_from_int,
     fq_mul,
     fq_neg,
     fq_one,
     fq_project,
-    fq_sub,
     fq_zero,
-    monic_quadratic_roots,
     parse_element,
     render_element,
 )
@@ -295,6 +294,49 @@ def _code_points(spec: FieldSpec):
     return apply, frame
 
 
+@lru_cache(maxsize=None)
+def _code_fixed(spec: FieldSpec, r: int):
+    """Fixed points on entry codes, bound once per (field, r) next to
+    _code_points: (quadratic, fixed).  For a map g with c != 0 its affine
+    fixed points are the roots of x^2 + Bx + C, B = (d - a)/c and C = -b/c,
+    from the eigen-direction equation c x^2 + (d - a) x - b = 0, and
+    quadratic(g) is the codes (B, C).  fixed(g) is the sorted point codes
+    over F_{q^r} (infinity is q^r) fixed by the non-identity map g: infinity
+    and b/(d - a) when c = 0 (infinity alone if d = a), else the roots of
+    that quadratic, embedded by code and read from the tables of F_{q^r}:
+    (-B +- s)/2 for the square roots s of B^2 - 4C when p is odd; when p = 2
+    the square root of C if B = 0, else B y with y^2 + y = C/B^2."""
+    t = spec._tables
+    log, exp, sub, mul = t.log, t.exp, t.sub, t.mul
+    ext = extension_field(spec, r)
+    emb = [fq_embed(x, ext).code for x in field_elements(spec)]
+    emul, esub, inf = ext._tables.mul, ext._tables.sub, ext.q
+    sqrt, solve = _sqrt_table(ext), _artin_schreier_table(ext) if spec.p == 2 else None
+    four, half = fq_from_int(spec, 4).code, fq_from_int(ext, (spec.p + 1) // 2).code
+
+    def div(x, y):
+        return exp[log[x] - log[y]] if x else 0
+
+    def quadratic(g):
+        a, b, c, d = g
+        return div(sub(d, a), c), div(sub(0, b), c)
+
+    def fixed(g):
+        a, b, c, d = g
+        if not c:
+            return [inf] if a == d else [emb[div(b, sub(d, a))], inf]
+        B, C = quadratic(g)
+        if spec.p != 2:
+            roots = (emul(esub(s.code, emb[B]), half) for s in sqrt.get(emb[sub(mul(B, B), mul(four, C))], ()))
+        elif not B:
+            return [sqrt[emb[C]][0].code]
+        else:
+            roots = (emul(emb[B], y.code) for y in solve.get(emb[div(C, mul(B, B))], ()))
+        return sorted(roots)
+
+    return quadratic, fixed
+
+
 def _triple_map(spec: FieldSpec, source: tuple[int, int, int, int], dst: tuple[int, int, int]) -> tuple[int, int, int, int]:
     """Entry codes of the map sending a triple with frame `source` (from
     _code_points) to the distinct point codes dst: the adjugate of dst's frame
@@ -306,6 +348,11 @@ def _triple_map(spec: FieldSpec, source: tuple[int, int, int, int], dst: tuple[i
 
 def _entry_codes(m: Moebius) -> tuple[int, int, int, int]:
     return m.a.code, m.b.code, m.c.code, m.d.code
+
+
+def _point(spec: FieldSpec, x: int) -> PP1:
+    """The point with code x: infinity for x = q."""
+    return PP1(spec, None if x == spec.q else spec._tables.elems[x])
 
 
 def _from_codes(spec: FieldSpec, codes: tuple[int, int, int, int]) -> Moebius:
@@ -357,8 +404,7 @@ def mob_apply(m: Moebius, P: PP1) -> PP1:
     spec = m.spec
     if spec is not P.spec:
         raise ValueError(f"field mismatch: map over {spec!r}, point over {P.spec!r}")
-    x = _code_points(spec)[0](_entry_codes(m), P.code)
-    return pp1_infinity(spec) if x == spec.q else pp1_affine(spec._tables.elems[x])
+    return _point(spec, _code_points(spec)[0](_entry_codes(m), P.code))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -399,40 +445,19 @@ def mob_order(m: Moebius) -> int:
     return k
 
 
-def _fixed_quadratic(m: Moebius) -> Optional[tuple[FqElem, FqElem]]:
-    """(B, C) over the map's field with the affine fixed points of m the roots
-    of the monic x^2 + Bx + C: B = (d-a)/c and C = -b/c, from the eigen-
-    direction equation c x^2 + (d-a) x - b = 0.  None when c = 0, where m
-    fixes infinity and every fixed point is rational."""
-    if m.c.is_zero():
-        return None
-    inv_c = fq_inv(m.c)
-    return fq_mul(fq_sub(m.d, m.a), inv_c), fq_neg(fq_mul(m.b, inv_c))
-
-
 def mob_fixed_points(m: Moebius, r: int) -> list[PP1]:
-    """Fixed points of a non-identity map in P^1(F_{q^r}), canonically sorted.
-
-    These are the eigen-directions of the matrix: infinity and b/(d-a) when
-    c = 0, else the roots of the quadratic of _fixed_quadratic, solved in
-    closed form by gfq.monic_quadratic_roots, not by scanning F_{q^r}.
-    Taking r >= 2 captures every fixed point of the algebraic closure; the
-    result then has exactly one or two points.  Either all of them lie in
-    F_q, or they are a Frobenius-conjugate pair outside it: so at r = 1 the
-    result is empty exactly when the quadratic has no root in F_q.
+    """Fixed points of a non-identity map in P^1(F_{q^r}), canonically sorted:
+    the kernel _code_fixed on the map's entry codes, in closed form, not by
+    scanning F_{q^r}, and a point built for each code it returns.  Taking
+    r >= 2 captures every fixed point of the algebraic closure; the result
+    then has exactly one or two points.  Either all of them lie in F_q, or
+    they are a Frobenius-conjugate pair outside it: so at r = 1 the result is
+    empty exactly when the fixed-point quadratic has no root in F_q.
     """
     if mob_is_identity(m):
         raise ValueError("the identity fixes every point of P^1")
     ext = extension_field(m.spec, r)
-    quadratic = _fixed_quadratic(m)
-    if quadratic is None:
-        # x -> (ax + b)/d fixes b/(d-a) unless d = a, and infinity
-        d_minus_a = fq_sub(m.d, m.a)
-        if d_minus_a.is_zero():
-            return [pp1_infinity(ext)]
-        return [pp1_affine(fq_embed(fq_div(m.b, d_minus_a), ext)), pp1_infinity(ext)]
-    B, C = (fq_embed(x, ext) for x in quadratic)
-    return [pp1_affine(x) for x in monic_quadratic_roots(B, C)]
+    return [_point(ext, x) for x in _code_fixed(m.spec, r)[1](_entry_codes(m))]
 
 
 def _distinct_codes(points: Sequence[PP1], spec: FieldSpec, role: str) -> tuple[int, ...]:

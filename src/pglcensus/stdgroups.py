@@ -27,6 +27,7 @@ from .gfq import (
     FieldSpec,
     FqElem,
     Record,
+    _projection_table,
     by_code,
     extension_field,
     field_elements,
@@ -36,7 +37,6 @@ from .gfq import (
     fq_mul,
     fq_one,
     fq_zero,
-    monic_quadratic_roots,
     parse_field_spec,
     primitive_root_of_unity,
     render_field_spec,
@@ -46,14 +46,14 @@ from .gfq import (
 from .moebius import (
     Moebius,
     PP1,
+    _code_fixed,
     _code_law,
     _entry_codes,
     _from_codes,
-    _fixed_quadratic,
+    _point,
     mob_compose,
     mob_conjugate,
     mob_embed,
-    mob_fixed_points,
     mob_from_three_points,
     mob_identity,
     mob_infinity_to,
@@ -86,8 +86,9 @@ class SubgroupPGL2(Record):
 
     @cached_property
     def generators(self) -> tuple[Moebius, ...]:
-        """_generating_set(self), computed once per subgroup: a census match
-        is fingerprinted and then rendered from the same set."""
+        """_generating_set(self), computed once per subgroup.  A census match
+        comes with the set its verification computed on codes
+        (_subgroup_from_codes), and is rendered from that set."""
         return _generating_set(self)
 
     def __repr__(self) -> str:
@@ -106,6 +107,15 @@ def _make_subgroup(spec: FieldSpec, elements: Iterable[Moebius], tag: str) -> Su
     if mob_identity(spec) not in elems:
         raise ValueError("a subgroup must contain the identity")
     return SubgroupPGL2(spec, tuple(elems), tag)
+
+
+def _subgroup_from_codes(spec: FieldSpec, codes: Sequence[tuple], tag: str, gens: Optional[Sequence[tuple]] = None) -> SubgroupPGL2:
+    """The subgroup with sorted entry codes `codes`; `gens`, its
+    _code_generators if already computed, become its cached generators."""
+    H = SubgroupPGL2(spec, tuple(_from_codes(spec, x) for x in codes), tag)
+    if gens is not None:
+        vars(H)["generators"] = tuple(_from_codes(spec, g) for g in gens)
+    return H
 
 
 def close_generators(gens: Sequence[Moebius], cap: Optional[int] = None, tag: str = "unclassified") -> SubgroupPGL2:
@@ -128,30 +138,41 @@ def subgroup_embed(H: SubgroupPGL2, target: FieldSpec) -> SubgroupPGL2:
     return _make_subgroup(target, (mob_embed(m, target) for m in H.elements), H.tag)
 
 
+def _project_codes(src: FieldSpec, target: FieldSpec, codes: Iterable[tuple]) -> Optional[list[tuple]]:
+    """The maps with entry codes `codes` over src, pulled back to the subfield
+    `target` (a leading 1 stays 1), or None if any entry is irrational."""
+    table = _projection_table(src, target)
+    try:
+        return [tuple(table[e].code for e in x) for x in codes]
+    except KeyError:
+        return None
+
+
 def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL2]:
     """Pull the subgroup back to a subfield, or None if any entry is irrational."""
     if H.spec is target:
         return H
-    out = []
-    for m in H.elements:
-        pm = mob_project(m, target)
-        if pm is None:
-            return None
-        out.append(pm)
-    return _make_subgroup(target, out, H.tag)
+    codes = _project_codes(H.spec, target, map(_entry_codes, H.elements))
+    return None if codes is None else _subgroup_from_codes(target, sorted(codes), H.tag)
+
+
+def _conjugator(g: Moebius):
+    """x -> g x g^{-1} on entry codes through the field's code law, with
+    g^{-1} computed once."""
+    law = _code_law(g.spec)[0]
+    y, y_inv = _entry_codes(g), _entry_codes(mob_inverse(g))
+    return lambda x: law(law(y, x), y_inv)
 
 
 def conjugate_subgroup(H: SubgroupPGL2, g: Moebius) -> SubgroupPGL2:
-    """g H g^{-1}, on entry codes through the field's code law, with g^{-1}
-    computed once."""
+    """g H g^{-1}, on entry codes (_conjugator)."""
     spec = H.spec
     if g.spec is not spec:
         raise ValueError("conjugator must live in the subgroup's field")
     if mob_is_identity(g):
         return H
-    law = _code_law(spec)[0]
-    x, x_inv = _entry_codes(g), _entry_codes(mob_inverse(g))
-    return _make_subgroup(spec, (_from_codes(spec, law(law(x, _entry_codes(m)), x_inv)) for m in H.elements), H.tag)
+    conj = _conjugator(g)
+    return _subgroup_from_codes(spec, sorted(conj(_entry_codes(m)) for m in H.elements), H.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -305,77 +326,89 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
 # invariants
 
 
-def fingerprint(H: SubgroupPGL2) -> Fingerprint:
-    """Order, element-order multiset, abelian flag and p-regularity flag,
-    on entry codes through the field's code law.  H is abelian when its
-    generating set (H.generators) commutes pairwise."""
-    law, _, ident = _code_law(H.spec)
-    cap = H.spec.q ** 3 - H.spec.q
+def _code_fingerprint(spec: FieldSpec, codes: Sequence[tuple], gens: Sequence[tuple]) -> Fingerprint:
+    """The fingerprint of the group with entry codes `codes` and generating
+    set `gens`, through the field's code law: element orders by
+    closure.order, and abelian when the generators commute pairwise."""
+    law, _, ident = _code_law(spec)
+    cap = spec.q ** 3 - spec.q
     counts: dict[int, int] = {}
-    for m in H.elements:
-        k = order(_entry_codes(m), law, ident, cap)
+    for x in codes:
+        k = order(x, law, ident, cap)
         counts[k] = counts.get(k, 0) + 1
-    gens = [_entry_codes(g) for g in H.generators]
     return Fingerprint(
-        order=H.order,
+        order=len(codes),
         element_orders=tuple(sorted(counts.items())),
         abelian=all(law(x, y) == law(y, x) for x, y in itertools.combinations(gens, 2)),
-        p_regular=H.order % H.spec.p != 0,
+        p_regular=len(codes) % spec.p != 0,
     )
+
+
+def fingerprint(H: SubgroupPGL2) -> Fingerprint:
+    """Order, element-order multiset, abelian and p-regularity flags."""
+    return _code_fingerprint(H.spec, [_entry_codes(m) for m in H.elements], [_entry_codes(g) for g in H.generators])
+
+
+def _code_locus(spec: FieldSpec, codes: Iterable[tuple], r: int, complete: bool = False) -> Optional[tuple[int, ...]]:
+    """stabilized_locus on entry and point codes, by the kernel _code_fixed."""
+    fixed = _code_fixed(spec, r)[1]
+    ident = _code_law(spec)[2]
+    pts = set()
+    for x in codes:
+        if x != ident:
+            points = fixed(x)
+            if complete and not points:
+                return None
+            pts.update(points)
+    return tuple(sorted(pts))
 
 
 def stabilized_locus(H: SubgroupPGL2, r: int, complete: bool = False) -> Optional[tuple[PP1, ...]]:
     """Points of P^1(F_{q^r}) with non-trivial stabilizer: the union of the
-    fixed-point sets of the non-identity elements.  r >= 2 guarantees that
-    every stabilized point of the algebraic closure is captured.  With
-    complete=True the result is None unless it is the whole locus over the
-    algebraic closure: an element's fixed points lie in F_{q^r} all or none
-    (mob_fixed_points), so that is when no element's set is empty."""
-    pts = set()
-    for m in H.elements:
-        if mob_is_identity(m):
-            continue
-        fixed = mob_fixed_points(m, r)
-        if complete and not fixed:
-            return None
-        pts.update(fixed)
-    return tuple(sorted(pts, key=by_code))
+    fixed-point sets of the non-identity elements (_code_locus, points built
+    only for the result).  r >= 2 guarantees that every stabilized point of
+    the algebraic closure is captured.  With complete=True the result is
+    None unless it is the whole locus over the algebraic closure: an
+    element's fixed points lie in F_{q^r} all or none (mob_fixed_points), so
+    that is when no element's set is empty."""
+    codes = _code_locus(H.spec, map(_entry_codes, H.elements), r, complete)
+    if codes is None:
+        return None
+    ext = extension_field(H.spec, r)
+    return tuple(_point(ext, x) for x in codes)
 
 
 def irrational_locus_pairs(H: SubgroupPGL2) -> set[tuple[int, int]]:
     """The stabilized points of H outside F_q, one Frobenius-conjugate pair
     per distinct fixed-point quadratic with no root in F_q, keyed by the codes
-    of its (B, C).  Distinct irreducible monic quadratics share no root, so
-    the locus over the algebraic closure has len(stabilized_locus(H, 1)) +
-    2 * len(irrational_locus_pairs(H)) points, and it is stabilized_locus(H,
-    1) exactly when this set is empty."""
-    pairs = set()
-    for m in H.elements:
-        quadratic = _fixed_quadratic(m)
-        if quadratic is not None and not monic_quadratic_roots(*quadratic):
-            pairs.add((quadratic[0].code, quadratic[1].code))
-    return pairs
+    of its (B, C) (moebius._code_fixed).  Distinct irreducible monic
+    quadratics share no root, so the locus over the algebraic closure has
+    len(stabilized_locus(H, 1)) + 2 * len(irrational_locus_pairs(H)) points,
+    and it is stabilized_locus(H, 1) exactly when this set is empty."""
+    quadratic, fixed = _code_fixed(H.spec, 1)
+    codes = map(_entry_codes, H.elements)
+    return {quadratic(x) for x in codes if x[2] and not fixed(x)}
+
+
+def _code_generators(spec: FieldSpec, codes: Sequence[tuple]) -> tuple[tuple, ...]:
+    """A small deterministic generating set of the group with sorted entry
+    codes `codes`, grown greedily in that order through the code law."""
+    law, _, ident = _code_law(spec)
+    gens: list[tuple] = []
+    span = {ident}
+    for x in codes:
+        if x in span:
+            continue
+        gens.append(x)
+        span = close(gens, law, span)
+        if len(span) == len(codes):
+            break
+    return tuple(gens) or (ident,)
 
 
 def _generating_set(H: SubgroupPGL2) -> tuple[Moebius, ...]:
-    """A small deterministic generating set, grown greedily in canonical
-    order, closed on entry codes through the field's code law."""
-    law, _, ident = _code_law(H.spec)
-    gens: list[Moebius] = []
-    codes: list[tuple[int, int, int, int]] = []
-    span = {ident}
-    for m in H.elements:
-        x = _entry_codes(m)
-        if x in span:
-            continue
-        gens.append(m)
-        codes.append(x)
-        span = close(codes, law, span)
-        if len(span) == H.order:
-            break
-    if not gens:  # trivial group
-        return (mob_identity(H.spec),)
-    return tuple(gens)
+    """_code_generators of H, as maps."""
+    return tuple(_from_codes(H.spec, g) for g in _code_generators(H.spec, [_entry_codes(m) for m in H.elements]))
 
 
 # ---------------------------------------------------------------------------

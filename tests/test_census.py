@@ -256,31 +256,32 @@ class TestEnumActions:
         # dihedral:3 at all of P^1(F7): each of the 336 maps of PGL2(F7)
         # transports the locus, and the 6 maps of a coset g.H0 give one
         # conjugate, so 56 maps are built (one _triple_map each) and
-        # conjugate the model
+        # conjugate the model on entry codes (one _conjugator each)
         calls = collections.Counter()
-        for module, name in ((moebius, "_triple_map"), (census, "conjugate_subgroup")):
+        for module, name in ((moebius, "_triple_map"), (census, "_conjugator")):
             def counted(*args, f=getattr(module, name), name=name):
                 calls[name] += 1
                 return f(*args)
             monkeypatch.setattr(module, name, counted)
         assert census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf").count == 28
-        assert calls == {"_triple_map": 56, "conjugate_subgroup": 56}
+        assert calls == {"_triple_map": 56, "_conjugator": 56}
 
     def test_one_fixed_point_pass_per_candidate(self, monkeypatch):
-        # the same census: the model's locus and pairs once, then one
-        # stabilized_locus per distinct candidate (the 56 conjugates are the
-        # 28 matches, twice each) and none in the JSON, which renders the
-        # locus _verified checked
+        # the same census: the model's locus and pairs once, then one pass
+        # of the fixed-point kernel on codes (_code_locus) per distinct
+        # candidate (the 56 conjugates are the 28 matches, twice each) and
+        # none in the JSON, which renders the locus _verified checked
         calls = collections.Counter()
-        for name in ("stabilized_locus", "irrational_locus_pairs"):
+        for name in ("stabilized_locus", "_code_locus", "irrational_locus_pairs"):
             def counted(*args, f=getattr(census, name), name=name, **kwargs):
                 calls[name] += 1
                 return f(*args, **kwargs)
             monkeypatch.setattr(census, name, counted)
         report = census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf")
-        assert calls == {"stabilized_locus": 1 + 28, "irrational_locus_pairs": 1}
+        passes = {"stabilized_locus": 1, "_code_locus": 28, "irrational_locus_pairs": 1}
+        assert calls == passes
         data = census_report_to_json(report)
-        assert calls == {"stabilized_locus": 1 + 28, "irrational_locus_pairs": 1}
+        assert calls == passes
         assert data["matches"] == [stdgroups.subgroup_to_json(H, 1) for H in report.matches]
 
     def test_one_generating_set_per_match(self, monkeypatch):
@@ -840,10 +841,13 @@ class TestMainTheorem:
             verify_main_theorem(2, [1, 2, 3])
 
     def test_refused_before_any_work(self, monkeypatch):
-        def no_census(query):
-            raise AssertionError("a refused run must not start a census")
+        def no_work(*args):
+            raise AssertionError("a refused run must not start a census, a subspace enumeration or the oracle")
 
-        monkeypatch.setattr(census, "enum_actions", no_census)
+        # the tagged queries, the rows' census and subspaces, and the
+        # oracle's search
+        for name in ("enum_actions", "_translation_census", "enum_additive_subgroups", "_oracle_subgroups"):
+            monkeypatch.setattr(census, name, no_work)
         # a huge p is refused by the bound before any trial division
         for p, levels in ((2, [1, 10]), (3, [6]), (7, [4]), (101, [1]), (10 ** 18 + 3, [1])):
             with pytest.raises(ValueError, match="WORK_BOUND"):
@@ -863,6 +867,23 @@ class TestMainTheorem:
                 assert census.dichotomy_work(p, top, m) <= census.WORK_BOUND, (p, top, m)
         for p, n, m in outside:
             assert census.dichotomy_work(p, n, m) > census.WORK_BOUND, (p, n, m)
+
+    def test_rows_build_no_maps(self, monkeypatch):
+        # a row without tags counts the census, the subspaces and the
+        # oracle on entry codes: no Moebius object is built
+        built = []
+
+        def counted(self, *args, f=moebius.Moebius.__init__):
+            built.append(args)
+            f(self, *args)
+
+        monkeypatch.setattr(moebius.Moebius, "__init__", counted)
+        for p, levels in ((2, [1, 2, 3, 4]), (3, [2]), (5, [2])):
+            assert verify_main_theorem(p, levels).ok
+        assert built == []
+        # the census of the same subgroups wraps each match once
+        assert census_count(F8, "Zp^2", "inf").count == 7
+        assert len(built) == 7 * 4 + 7 * 2
 
     def test_p7_levels_1_2(self):
         report = verify_main_theorem(7, [1, 2])

@@ -40,7 +40,6 @@ from pglcensus.gfq import (
     fq_zero,
     extension_field,
     minimal_extension_for_unity,
-    monic_quadratic_roots,
     parse_element,
     parse_field_spec,
     poly_roots,
@@ -50,6 +49,7 @@ from pglcensus.gfq import (
     roots_of_unity,
     subfield_elements,
 )
+from pglcensus.moebius import _code_fixed, _entry_codes, mob_make
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -418,29 +418,58 @@ class TestPolyRoots:
             poly_roots([fq_one(F4), fq_one(field_make(2, 4))], 1)
 
 
+def quadratic_map(B, C):
+    """A map over the field of B and C whose affine fixed points are the
+    roots of x^2 + Bx + C: [a, -C; 1, B + a] for the least a with
+    a(B + a) + C != 0, or None when every such matrix is singular."""
+    spec = B.spec
+    for a in field_elements(spec):
+        if not fq_add(fq_mul(a, fq_add(B, a)), C).is_zero():
+            return mob_make(a, fq_neg(C), fq_one(spec), fq_add(B, a))
+    return None
+
+
+def kernel_roots(B, C, r=1):
+    """The roots of x^2 + Bx + C in F_{q^r}, from the kernel's fixed points."""
+    ext = extension_field(B.spec, r)
+    return [field_elements(ext)[x] for x in _code_fixed(B.spec, r)[1](_entry_codes(quadratic_map(B, C)))]
+
+
 class TestMonicQuadraticRoots:
+    # the roots of a monic quadratic are the affine fixed points of a map,
+    # which moebius._code_fixed finds in closed form from this module's
+    # square-root and Artin-Schreier tables
+
     def test_double_root_in_odd_characteristic(self):
-        assert monic_quadratic_roots(fq_zero(F5), fq_zero(F5)) == [fq_zero(F5)]  # x^2
+        assert kernel_roots(fq_zero(F5), fq_zero(F5)) == [fq_zero(F5)]  # x^2
 
     def test_unique_square_root_in_characteristic_two(self):
-        assert monic_quadratic_roots(fq_zero(F4), fq_one(F4)) == [fq_one(F4)]  # x^2 + 1
+        assert kernel_roots(fq_zero(F4), fq_one(F4)) == [fq_one(F4)]  # x^2 + 1
 
     def test_irreducible_has_no_roots_until_extended(self):
         two = fq_from_int(F3, 2)
-        assert monic_quadratic_roots(fq_zero(F3), fq_sub(fq_zero(F3), two)) == []  # x^2 - 2
-        roots = monic_quadratic_roots(fq_zero(F9), fq_embed(fq_sub(fq_zero(F3), two), F9))
+        minus_two = fq_sub(fq_zero(F3), two)
+        assert kernel_roots(fq_zero(F3), minus_two) == []  # x^2 - 2
+        roots = kernel_roots(fq_zero(F3), minus_two, 2)
         assert [fq_mul(x, x) for x in roots] == [fq_embed(two, F9)] * 2
 
     def test_two_roots_in_characteristic_two_with_linear_term(self):
         one = fq_one(F4)
-        roots = monic_quadratic_roots(one, one)  # x^2 + x + 1
+        roots = kernel_roots(one, one)  # x^2 + x + 1
         assert [x.coeffs for x in roots] == [(0, 1), (1, 1)]
 
     @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F8, F9])
     def test_matches_exhaustive_roots_on_every_monic_quadratic(self, spec):
+        # x^2 + x over F2 is the one quadratic no map of PGL2 has: its fixed
+        # points 0 and 1 force ad = 0
+        skipped = []
         for B, C in itertools.product(field_elements(spec), repeat=2):
+            if quadratic_map(B, C) is None:
+                skipped.append((B.code, C.code))
+                continue
             expected = [x for x, _ in poly_roots([C, B, fq_one(spec)], 1)]
-            assert monic_quadratic_roots(B, C) == expected
+            assert kernel_roots(B, C) == expected
+        assert skipped == ([(1, 0)] if spec.q == 2 else [])
 
 
 class TestEchelon:

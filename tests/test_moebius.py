@@ -6,13 +6,17 @@ import pytest
 from pglcensus.gfq import (
     by_code,
     FieldSpec,
+    _artin_schreier_table,
+    _sqrt_table,
     extension_field,
     field_elements,
     field_make,
     fq_add,
     fq_div,
+    fq_embed,
     fq_from_int,
     fq_gen,
+    fq_inv,
     fq_mul,
     fq_neg,
     fq_one,
@@ -24,8 +28,10 @@ from pglcensus.gfq import (
 )
 from pglcensus.moebius import (
     PP1,
+    _code_fixed,
     _code_law,
     _code_points,
+    _entry_codes,
     _log_arrays,
     _normalized,
     mob_apply,
@@ -441,6 +447,127 @@ class TestFixedPoints:
                 conj = mob_conjugate(g, m)
                 moved = {mob_apply(g_ext, P) for P in fixed[m]}
                 assert moved == fixed[conj]
+
+
+# The fixed-point route before the kernel on entry codes: the quadratic's
+# (B, C) as field elements, its roots in closed form over F_{q^r} from the
+# square-root and Artin-Schreier tables, and a point per root.  The kernel,
+# stabilized_locus and irrational_locus_pairs must reproduce it.
+
+
+def reference_quadratic(m):
+    if m.c.is_zero():
+        return None
+    inv_c = fq_inv(m.c)
+    return fq_mul(fq_sub(m.d, m.a), inv_c), fq_neg(fq_mul(m.b, inv_c))
+
+
+def reference_quadratic_roots(B, C):
+    spec = B.spec
+    if spec.p != 2:
+        disc = fq_sub(fq_mul(B, B), fq_mul(fq_from_int(spec, 4), C))
+        half = fq_from_int(spec, (spec.p + 1) // 2)
+        roots = [fq_mul(fq_sub(s, B), half) for s in _sqrt_table(spec).get(disc.code, ())]
+    elif B.is_zero():
+        roots = _sqrt_table(spec)[C.code]
+    else:
+        v = fq_div(C, fq_mul(B, B))
+        roots = [fq_mul(B, y) for y in _artin_schreier_table(spec).get(v.code, ())]
+    return sorted(roots, key=by_code)
+
+
+def reference_fixed_points(m, r):
+    ext = extension_field(m.spec, r)
+    quadratic = reference_quadratic(m)
+    if quadratic is None:
+        d_minus_a = fq_sub(m.d, m.a)
+        if d_minus_a.is_zero():
+            return [pp1_infinity(ext)]
+        return [pp1_affine(fq_embed(fq_div(m.b, d_minus_a), ext)), pp1_infinity(ext)]
+    B, C = (fq_embed(x, ext) for x in quadratic)
+    return [pp1_affine(x) for x in reference_quadratic_roots(B, C)]
+
+
+def _kernel_case(m, r, fixed):
+    """The branch of the kernel a map takes, for the coverage check."""
+    spec = m.spec
+    if m.c.is_zero():
+        return "c = 0, d = a" if m.d == m.a else "c = 0, d != a"
+    B, C = reference_quadratic(m)
+    if spec.p == 2:
+        return "p = 2, B = 0" if B.is_zero() else "p = 2, B != 0"
+    if r == 2 and fixed and not reference_fixed_points(m, 1):
+        return "root embedded at r = 2"
+    disc = fq_sub(fq_mul(B, B), fq_mul(fq_from_int(spec, 4), C))
+    if disc.is_zero():
+        return "disc = 0"
+    return "nonsquare disc" if disc.code not in _sqrt_table(spec) else "square disc"
+
+
+class TestFixedPointKernel:
+    FIELDS = ["2^1", "3^1", "2^2", "5^1", "7^1", "2^3", "3^2", "11^1", "13^1", "2^4"]
+
+    def test_every_map_against_reference(self):
+        cases = set()
+        for text in self.FIELDS:
+            spec = parse_field_spec(text)
+            ident = mob_identity(spec)
+            for r in (1, 2, 3):
+                fixed = _code_fixed(spec, r)[1]
+                for m in pgl2_elements(spec):
+                    if m == ident:
+                        continue
+                    expected = reference_fixed_points(m, r)
+                    assert fixed(_entry_codes(m)) == [P.code for P in expected], (text, r, render_moebius(m))
+                    assert mob_fixed_points(m, r) == expected
+                    cases.add(_kernel_case(m, r, expected))
+        assert cases == {
+            "c = 0, d = a", "c = 0, d != a", "disc = 0", "nonsquare disc", "square disc",
+            "p = 2, B = 0", "p = 2, B != 0", "root embedded at r = 2",
+        }
+
+    def test_quadratic_is_the_reference_one(self):
+        for spec in (F4, F5, F9):
+            quadratic = _code_fixed(spec, 1)[0]
+            for m in pgl2_elements(spec):
+                if not m.c.is_zero():
+                    assert quadratic(_entry_codes(m)) == tuple(x.code for x in reference_quadratic(m))
+
+
+def reference_locus(H, r, complete=False):
+    points = set()
+    for m in H.elements:
+        if m != mob_identity(H.spec):
+            fixed = reference_fixed_points(m, r)
+            if complete and not fixed:
+                return None
+            points.update(fixed)
+    return tuple(sorted(points, key=by_code))
+
+
+def reference_pairs(H):
+    quadratics = (reference_quadratic(m) for m in H.elements)
+    return {(B.code, C.code) for B, C in filter(None, quadratics) if not reference_quadratic_roots(B, C)}
+
+
+@pytest.mark.parametrize("text", ["2^2", "3^1", "5^1", "7^1", "2^3", "3^2"])
+def test_loci_and_pairs_against_reference_on_seeded_subgroups(text):
+    from pglcensus.stdgroups import close_generators, irrational_locus_pairs, stabilized_locus
+
+    spec = parse_field_spec(text)
+    rng = random.Random(spec.q)
+    elems = list(pgl2_elements(spec))
+    sizes, leaves = set(), set()
+    for _ in range(12):
+        H = close_generators(rng.sample(elems, rng.choice((1, 1, 2))))
+        sizes.add(H.order)
+        leaves.add(stabilized_locus(H, 1, complete=True) is None)
+        for r in (1, 2):
+            for complete in (False, True):
+                assert stabilized_locus(H, r, complete) == reference_locus(H, r, complete), (H, r, complete)
+        assert irrational_locus_pairs(H) == reference_pairs(H), H
+    # groups of several orders, with loci inside F_q and leaving it
+    assert len(sizes) > 2 and leaves == {False, True}
 
 
 class TestThreePoints:
