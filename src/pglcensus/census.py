@@ -427,7 +427,10 @@ def dichotomy_work(p: int, n: int, m: int, affine: bool = False) -> int:
     * the first products of two order-p maps, (q - 1)^2, when m >= 2;
     * the growth, at a quarter since its compositions are mostly cache hits:
       [n choose k]_p subgroups of order p^k (k < m), each closed
-      (q - p^k)/(p^(k+1) - p^k) times at (k + 1) p^(k+1) compositions;
+      (q - p^k)/(p^(k+1) - p^k) times at (k + 1) p^(k+1) compositions.
+      The growth now closes each subgroup once (closure.subgroups_of_order),
+      so this term overstates its cost; it is kept, as are the refusals
+      it pins;
     * the subgroups held, [n choose m]_p of p^m maps each: the oracle's
       final power test (p - 1 compositions a map, at a quarter), and 6 a
       map for the census that rebuilds and verifies each of them.

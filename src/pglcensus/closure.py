@@ -4,8 +4,11 @@ the order of one element.
 These functions are generic: elements are any hashable values and `op` is
 the group law, so the PGL2 constructors, the elementary-abelian oracle, the
 genus-1 translation census and every order search (maps, curve points,
-integers mod n) share one implementation.  The module imports nothing else
-from the package, so every layer, the field layer included, can use it.
+integers mod n) share one implementation.  The layered growth closes each
+subgroup once where every step has prime index (an elementary abelian
+group): a supergroup already found is not regrown from another of its
+maximal subgroups.  The module imports nothing else from the package, so
+every layer, the field layer included, can use it.
 """
 
 from __future__ import annotations
@@ -76,19 +79,28 @@ def subgroups_of_order(elements: Sequence[T], op: Callable[[T, T], T], identity:
     Each subgroup H of a layer keeps the generator list it was grown from,
     and H<g> is the closure of that list plus g over H: `close` then
     multiplies by len(gens) + 1 maps, not by |H| + 1, and is correct because
-    H is generated by members of the list.  When H<g> has prime index over H
-    (every step in a p-group), no subgroup lies strictly between them, so
-    each g' in H<g> outside H gives H<g> again and is skipped.
+    H is generated by members of the list.  When a subgroup K of the next
+    layer contains H with prime index, no subgroup lies strictly between
+    them, so each g in K outside H gives K again and is skipped: H<g> lies
+    in K and, by Lagrange, strictly above H.  That covers the K grown from H
+    itself and, before any g is tried, the K already found from earlier
+    subgroups of the layer, looked up among the K that hold H's last
+    generator.  So where every step has prime index, as in an elementary
+    abelian group, each subgroup is closed exactly once; each keeps the
+    generator list of its first closure either way.
     """
     layer = {frozenset((identity,)): ()}
     found = set()
     while layer:
-        next_layer = {}
+        next_layer, holding = {}, {}
         for H, gens in layer.items():
             if len(H) == order:
                 found.add(H)
                 continue
             covered = set(H)
+            for K in holding.get(gens[-1] if gens else identity, ()):
+                if is_prime(len(K) // len(H)) and H <= K:
+                    covered |= K
             for g in elements:
                 if g in covered:
                     continue
@@ -96,7 +108,10 @@ def subgroups_of_order(elements: Sequence[T], op: Callable[[T, T], T], identity:
                 if grown is None:
                     continue
                 grown = frozenset(grown)
-                next_layer.setdefault(grown, (*gens, g))
+                if grown not in next_layer:
+                    next_layer[grown] = (*gens, g)
+                    for x in grown:
+                        holding.setdefault(x, []).append(grown)
                 if is_prime(len(grown) // len(H)):
                     covered |= grown
         layer = next_layer

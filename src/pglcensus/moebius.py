@@ -305,13 +305,15 @@ def _code_fixed(spec: FieldSpec, r: int):
     and b/(d - a) when c = 0 (infinity alone if d = a), else the roots of
     that quadratic, embedded by code and read from the tables of F_{q^r}:
     (-B +- s)/2 for the square roots s of B^2 - 4C when p is odd; when p = 2
-    the square root of C if B = 0, else B y with y^2 + y = C/B^2."""
+    the square root of C if B = 0, else B y with y^2 + y = C/B^2.  Those
+    tables are built by the first map with c != 0, so a run over maps with
+    c = 0 only (translations, say) never builds them."""
     t = spec._tables
     log, exp, sub, mul = t.log, t.exp, t.sub, t.mul
     ext = extension_field(spec, r)
     emb = [fq_embed(x, ext).code for x in field_elements(spec)]
     emul, esub, inf = ext._tables.mul, ext._tables.sub, ext.q
-    sqrt, solve = _sqrt_table(ext), _artin_schreier_table(ext) if spec.p == 2 else None
+    sqrt = solve = None
     four, half = fq_from_int(spec, 4).code, fq_from_int(ext, (spec.p + 1) // 2).code
 
     def div(x, y):
@@ -322,9 +324,12 @@ def _code_fixed(spec: FieldSpec, r: int):
         return div(sub(d, a), c), div(sub(0, b), c)
 
     def fixed(g):
+        nonlocal sqrt, solve
         a, b, c, d = g
         if not c:
             return [inf] if a == d else [emb[div(b, sub(d, a))], inf]
+        if sqrt is None:
+            sqrt, solve = _sqrt_table(ext), _artin_schreier_table(ext) if spec.p == 2 else None
         B, C = quadratic(g)
         if spec.p != 2:
             roots = (emul(esub(s.code, emb[B]), half) for s in sqrt.get(emb[sub(mul(B, B), mul(four, C))], ()))

@@ -1,11 +1,15 @@
 import itertools
 import math
+from functools import partial
 
 import pytest
 
-from pglcensus.closure import close, order, subgroups_of_order
-from pglcensus.gfq import field_make
-from pglcensus.moebius import mob_compose, mob_identity, pgl2_elements
+from pglcensus import closure
+from pglcensus.census import _order_p_stabilizer
+from pglcensus.closure import close, is_prime, order, subgroups_of_order
+from pglcensus.elliptic import _chord_tangent, _code_add, _torsion, _xy, standard_test_curves
+from pglcensus.gfq import field_elements, field_make
+from pglcensus.moebius import _code_law, mob_compose, mob_identity, pgl2_elements, pp1_affine, pp1_infinity
 
 
 def add_mod(n):
@@ -146,3 +150,109 @@ class TestNonAbelian:
             assert found == {H for H in pairs if len(H) == k}
             counts.append(len(found))
         assert counts == [1, 9, 4, 7, 4, 3, 1, 1]
+
+
+def reference_subgroups_of_order(elements, op, identity, order):
+    """The growth as it was before it indexed the next layer: each subgroup
+    of a layer is regrown from every one of its maximal subgroups, and only
+    the supergroups found from the same H are skipped."""
+    layer = {frozenset((identity,)): ()}
+    found = set()
+    while layer:
+        next_layer = {}
+        for H, gens in layer.items():
+            if len(H) == order:
+                found.add(H)
+                continue
+            covered = set(H)
+            for g in elements:
+                if g in covered:
+                    continue
+                grown = closure.close([*gens, g], op, H, cap=order)
+                if grown is None:
+                    continue
+                grown = frozenset(grown)
+                next_layer.setdefault(grown, (*gens, g))
+                if is_prime(len(grown) // len(H)):
+                    covered |= grown
+        layer = next_layer
+    return found
+
+
+def first_generator_lists(grow, elements, op, identity, order, monkeypatch):
+    """What `grow` returns, each subgroup it closes mapped to the generator
+    list of its first closure, and the number of closures."""
+    first, calls = {}, [0]
+
+    def counted(gens, op, seen, cap=None):
+        calls[0] += 1
+        grown = close(gens, op, seen, cap)
+        if grown is not None:
+            first.setdefault(frozenset(grown), tuple(gens))
+        return grown
+
+    with monkeypatch.context() as m:
+        m.setattr(closure, "close", counted)
+        found = grow(elements, op, identity, order)
+    return found, first, calls[0]
+
+
+ORACLE_CASES = [
+    (p, n, at, m)
+    for p, levels in ((2, 5), (3, 3), (5, 2))
+    for n in range(1, levels + 1)
+    for at in ("inf", "affine")
+    for m in range(n + 1)
+]
+TORSION_CASES = [(name, n) for name, _ in standard_test_curves() for n in range(1, 5)]
+
+
+def oracle_input(p, n, at, m):
+    """The oracle's order-p stabilizer at infinity or at one affine point,
+    with the growth arguments of census._oracle_subgroups."""
+    spec = field_make(p, n)
+    law, _, ident = _code_law(spec)
+    point = pp1_infinity(spec) if at == "inf" else pp1_affine(field_elements(spec)[-1])
+    return _order_p_stabilizer(spec, point), law, ident, p ** m
+
+
+def torsion_input(name, n):
+    """The n-torsion code pairs of a standard curve, as enum_spf_actions grows them."""
+    E = dict(standard_test_curves())[name]
+    return [_xy(Q) for Q, _ in _torsion(E, n)], partial(_code_add, _chord_tangent(E)), None, n
+
+
+class TestLatticeAgainstReference:
+    def check(self, args, monkeypatch):
+        found, first, calls = first_generator_lists(subgroups_of_order, *args, monkeypatch)
+        expected, expected_first, expected_calls = first_generator_lists(reference_subgroups_of_order, *args, monkeypatch)
+        assert found == expected
+        assert first == expected_first
+        assert calls <= expected_calls
+
+    @pytest.mark.parametrize("p,n,at,m", ORACLE_CASES)
+    def test_oracle_stabilizers(self, p, n, at, m, monkeypatch):
+        self.check(oracle_input(p, n, at, m), monkeypatch)
+
+    @pytest.mark.parametrize("name,n", TORSION_CASES)
+    def test_genus1_torsion(self, name, n, monkeypatch):
+        self.check(torsion_input(name, n), monkeypatch)
+
+    @pytest.mark.parametrize("long_cycles_first", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 12, 24])
+    def test_s4_composite_index(self, k, long_cycles_first, monkeypatch):
+        # a supergroup found earlier with composite index over H (D4 over a
+        # subgroup of order 2) holds elements that generate a subgroup
+        # strictly between the two, so it must not cover them
+        identity = (0, 1, 2, 3)
+        elements = list(itertools.permutations(range(4)))
+        if long_cycles_first:
+            elements.sort(key=lambda g: -order(g, compose_perm, identity, 24))
+        self.check((elements, compose_perm, identity, k), monkeypatch)
+
+    @pytest.mark.parametrize("p,n,m,closures", [(2, 4, 3, 65), (2, 6, 4, 2760)])
+    def test_one_closure_per_subgroup(self, p, n, m, closures, monkeypatch):
+        # 15 + 35 + 15 subspaces of F_2^4 of dimensions 1 to 3, and
+        # 63 + 651 + 1395 + 651 of F_2^6 of dimensions 1 to 4
+        _, first, calls = first_generator_lists(subgroups_of_order, *oracle_input(p, n, "inf", m), monkeypatch)
+        assert calls == len(first) == closures

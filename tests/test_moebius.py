@@ -526,6 +526,21 @@ class TestFixedPointKernel:
             "p = 2, B = 0", "p = 2, B != 0", "root embedded at r = 2",
         }
 
+    def test_root_tables_wait_for_a_map_with_c(self):
+        # F_19 at r = 2: no other test reads the square roots of F_361
+        spec = field_make(19, 1)
+        fixed, inf = _code_fixed(spec, 2)[1], spec.q ** 2
+        translations = [m for m in pgl2_elements(spec) if m.c.is_zero() and m.a == m.d and m != mob_identity(spec)]
+        assert len(translations) == spec.q - 1
+        misses = _sqrt_table.cache_info().misses
+        for m in translations:
+            assert fixed(_entry_codes(m)) == [inf]
+        assert _sqrt_table.cache_info().misses == misses
+        m = mob_make(fq_zero(spec), fq_one(spec), fq_one(spec), fq_zero(spec))
+        found = fixed(_entry_codes(m))
+        assert _sqrt_table.cache_info().misses == misses + 1
+        assert found == [P.code for P in reference_fixed_points(m, 2)]
+
     def test_quadratic_is_the_reference_one(self):
         for spec in (F4, F5, F9):
             quadratic = _code_fixed(spec, 1)[0]
