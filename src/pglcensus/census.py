@@ -61,7 +61,6 @@ from .stdgroups import (
     _conjugator,
     _project_codes,
     _subgroup_from_codes,
-    _translation_parts,
     fingerprint,
     irrational_locus_pairs,
     stabilized_locus,
@@ -173,15 +172,6 @@ def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
     spec = gamma.spec
     one = spec.q // spec.p
     return _subgroup_from_codes(spec, sorted((one, g, 0, one) for g in gamma.element_codes()), f"Zp^{gamma.rank}")
-
-
-def unipotent_to_gamma(H: SubgroupPGL2) -> AdditiveSubgroup:
-    """Inverse of gamma_to_unipotent; rejects groups that are not pure
-    translation groups (i.e. do not fix infinity unipotently)."""
-    parts = _translation_parts(H)
-    if parts is None:
-        raise ValueError(f"{H!r} is not a translation group: it is not unipotent on infinity")
-    return additive_subgroup(H.spec, parts)
 
 
 def scale_subgroup(gamma: AdditiveSubgroup, alpha: FqElem) -> AdditiveSubgroup:

@@ -371,19 +371,16 @@ def kernel_one_minus_sigma(E: ECurve, u: FqElem) -> tuple[ECPoint, ...]:
     return _one_minus_sigma_fibres(E, u).get(ec_infinity(E.spec), ())
 
 
-def _fixing_pairs(E: ECurve, u: FqElem, only: Optional[ECPoint] = None):
-    """(Q, P) for every point Q of E, or for `only`, with P the translation
-    part of the automorphism (P, u) fixing Q, read off the fibre table of
-    1 - sigma_u: Q lies in the fibre over P.  Each pair is checked by
-    applying (P, u) to Q on codes, sigma_u(Q) + P = Q through the law (the
-    definition of fixing, not the table's own Q - sigma_u(Q)), else
-    AssertionError."""
+def _fixing_pairs(E: ECurve, u: FqElem):
+    """(Q, P) for every point Q in the fibre table of 1 - sigma_u, with P the
+    translation part of the automorphism (P, u) fixing Q: Q lies in the
+    fibre over P.  Each pair is checked by applying (P, u) to Q on codes,
+    sigma_u(Q) + P = Q through the law (the definition of fixing, not the
+    table's own Q - sigma_u(Q)), else AssertionError."""
     law, scale = _chord_tangent(E), _scaling_codes(E, E.spec._tables.log[u.code])
     for P, fibre in _one_minus_sigma_fibres(E, u).items():
         xy_P = _xy(P)
         for Q in fibre:
-            if only is not None and Q != only:
-                continue
             xy_Q = _xy(Q)
             if _code_add(law, None if xy_Q is None else scale(*xy_Q), xy_P) != xy_Q:
                 raise AssertionError(
@@ -399,31 +396,6 @@ def fixing_counts_ok(E: ECurve) -> bool:
     point is fixed by one (P, u) per u, since P = Q - sigma_u(Q) is unique."""
     codes = [Q.code for Q in ec_points(E)]
     return all(sorted(Q.code for Q, _ in _fixing_pairs(E, u)) == codes for u in aut0(E))
-
-
-class FixingAutsReport(Record):
-    """Automorphisms fixing one point: one witness (P, u) per scaling
-    factor, read off the fibre table of 1 - sigma_u and checked by
-    _fixing_pairs."""
-
-    point: ECPoint
-    count: int
-    witnesses: tuple[ECAut, ...]
-
-
-def count_auts_fixing(E: ECurve, Q: ECPoint) -> FixingAutsReport:
-    """The automorphisms (P_u, u) fixing Q, one per u in Aut_0, from the
-    same pairs as fixing_counts_ok: P_u is the image of the fibre of
-    1 - sigma_u that holds Q.  A Q in no fibre raises AssertionError."""
-    _check_on_curve(E, Q)
-    witnesses = []
-    for u in aut0(E):
-        parts = [P for _, P in _fixing_pairs(E, u, Q)]
-        if not parts:
-            raise AssertionError(f"{Q!r} is missing from the fibre table of 1 - sigma_u, u={render_element(u)}")
-        witnesses += (ECAut(E, P, u) for P in parts)
-    witnesses.sort(key=ec_aut_sort_key)
-    return FixingAutsReport(point=Q, count=len(witnesses), witnesses=tuple(witnesses))
 
 
 @lru_cache(maxsize=None)

@@ -606,7 +606,7 @@ def primitive_root_of_unity(spec: FieldSpec, n: int) -> FqElem:
         r = minimal_extension_for_unity(spec, n)
         degree = f"is {r}" if r is not None else f"none up to degree {_UNITY_DEGREE_CAP}"
         raise ValueError(
-            f"no primitive {n}-th root of unity in F_{spec.p}^{spec.n}; "
+            f"no primitive root of unity of order {n} in F_{spec.p}^{spec.n}; "
             f"minimal sufficient extension degree {degree}"
         )
     t = spec._tables

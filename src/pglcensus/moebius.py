@@ -52,6 +52,7 @@ from .gfq import (
     fq_project,
     fq_zero,
     parse_element,
+    poly_roots,
     render_element,
 )
 
@@ -99,15 +100,6 @@ def pp1_embed(P: PP1, target: FieldSpec) -> PP1:
     if P.is_infinity:
         return pp1_infinity(target)
     return pp1_affine(fq_embed(P.x, target))
-
-
-def pp1_project(P: PP1, target: FieldSpec) -> Optional[PP1]:
-    """Inverse of pp1_embed on its image, or None if P is not rational over
-    the subfield `target`."""
-    if P.is_infinity:
-        return pp1_infinity(target)
-    down = fq_project(P.x, target)
-    return None if down is None else pp1_affine(down)
 
 
 def render_point(P: PP1) -> str:
@@ -608,26 +600,26 @@ def poly_map_ramification(coeffs: Sequence[FqElem], r: int) -> list[RamPoint]:
     The index at x0 is the multiplicity of (t - x0) in f(t) - f(x0), which is
     correct in wild cases where the derivative count fails.  Since f - f(x0)
     = (t - x0)·g with g the quotient of f by t - x0, that is one more than
-    the multiplicity of x0 in g, and x0 ramifies iff g(x0) = f'(x0) = 0.
-    Every x0 in F_{q^r} is tried by that division on element codes.  The map
-    totally ramifies at infinity with index deg f.  Inseparable maps (f' = 0)
-    are rejected.
+    the multiplicity of x0 in g, and x0 ramifies iff g(x0) = f'(x0) = 0.  So
+    the ramified points are the roots of f' in F_{q^r} (gfq.poly_roots), and
+    each index is read off that division on element codes.  The map totally
+    ramifies at infinity with index deg f.  Inseparable maps (f' = 0) are
+    rejected.
     """
     spec, f = cpoly_from_elems(coeffs)
     deg = max(len(f) - 1, 0)
     if deg < 2:
         raise ValueError(f"polynomial map must have degree >= 2, got degree {deg}")
-    if not cpoly_deriv(spec, f):
+    df = cpoly_deriv(spec, f)
+    if not df:
         raise ValueError("inseparable map: the derivative vanishes identically")
     ext = extension_field(spec, r)
     f = [fq_embed(c, ext).code for c in coeffs[: deg + 1]]
-    one, elems = ext.q // ext.p, field_elements(ext)
-    out = []
-    for x0 in range(ext.q):
-        g = cpoly_divmod(ext, f, [fq_neg(elems[x0]).code, one])[0]
-        e = 1 + cpoly_multiplicity(ext, g, x0)
-        if e > 1:
-            out.append(RamPoint(pp1_affine(elems[x0]), e, e % spec.p != 0))
+    one, out = ext.q // ext.p, []
+    for x0, _ in poly_roots([spec._tables.elems[c] for c in df], r):
+        g = cpoly_divmod(ext, f, [fq_neg(x0).code, one])[0]
+        e = 1 + cpoly_multiplicity(ext, g, x0.code)
+        out.append(RamPoint(pp1_affine(x0), e, e % spec.p != 0))
     # infinity's code is q, after every affine point
     out.append(RamPoint(pp1_infinity(ext), deg, deg % spec.p != 0))
     return out

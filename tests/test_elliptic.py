@@ -14,13 +14,13 @@ from pglcensus.elliptic import (
     ECPoint,
     ECurve,
     _fibre_sizes,
+    _fixing_pairs,
     _one_minus_sigma_fibres,
     _one_minus_sigma_map,
     _x_preimages,
     aut0,
     aut_fixed_points,
     base_change,
-    count_auts_fixing,
     ec_add,
     ec_aut_sort_key,
     ec_infinity,
@@ -260,8 +260,7 @@ class TestAutomorphisms:
         bad = ECPoint(F5, fq_one(F5), fq_one(F5))  # (1,1) is not on y^2 = x^3 + x
         with pytest.raises(ValueError, match="not on"):
             ECAut(E_J1728, bad, fq_one(F5))
-        with pytest.raises(ValueError, match="not on"):
-            count_auts_fixing(E_J1728, bad)
+        assert all(bad not in (Q, P) for u in aut0(E_J1728) for Q, P in _fixing_pairs(E_J1728, u))
 
     def test_kernel_of_doubling(self):
         ker = kernel_one_minus_sigma(E_J1728, fq_from_int(F5, 4))
@@ -290,27 +289,30 @@ class TestAutomorphisms:
 
 
 class TestCountAutsFixing:
+    """The automorphisms fixing a point, grouped from the checked pairs of
+    _fixing_pairs (fixing_witnesses)."""
+
     def test_base_point(self):
-        rep = count_auts_fixing(E_J1728, ec_infinity(F5))
-        assert rep.count == 4
-        assert all(w.P.is_zero for w in rep.witnesses)
+        witnesses = fixing_witnesses(E_J1728)[ec_infinity(F5)]
+        assert len(witnesses) == 4
+        assert all(w.P.is_zero for w in witnesses)
 
     def test_two_torsion_point(self):
-        rep = count_auts_fixing(E_J1728, P(E_J1728, 0, 0))
-        assert rep.count == 4
+        assert len(fixing_witnesses(E_J1728)[P(E_J1728, 0, 0)]) == 4
 
     def test_generic_point(self):
-        rep = count_auts_fixing(E_GENERIC, P(E_GENERIC, 0, 1))
-        assert rep.count == 2
-        parts = {render_ec_point(w.P) for w in rep.witnesses}
+        witnesses = fixing_witnesses(E_GENERIC)[P(E_GENERIC, 0, 1)]
+        assert len(witnesses) == 2
+        parts = {render_ec_point(w.P) for w in witnesses}
         double = ec_add(E_GENERIC, P(E_GENERIC, 0, 1), P(E_GENERIC, 0, 1))
         assert parts == {"O", render_ec_point(double)}
 
     @pytest.mark.parametrize("name,E", standard_test_curves(), ids=[n for n, _ in standard_test_curves()])
     def test_every_point_fixed_by_aut0_many(self, name, E):
         size = len(aut0(E))
-        for Q in ec_points(E):
-            assert count_auts_fixing(E, Q).count == size
+        counts = collections.Counter(Q for u in aut0(E) for Q, _ in _fixing_pairs(E, u))
+        assert counts == {Q: size for Q in ec_points(E)}
+        assert fixing_counts_ok(E) is True
 
 
 class TestSpfActions:
@@ -607,7 +609,7 @@ class TestFieldMismatch:
     def test_points_given_to_scans(self):
         base_O = ec_infinity(F5)
         with pytest.raises(ValueError, match="field mismatch"):
-            count_auts_fixing(self.E2, base_O)
+            next(_fixing_pairs(self.E2, fq_from_int(F5, 4)))
         with pytest.raises(ValueError, match="field mismatch"):
             verify_genus1_finiteness(self.E2, [base_O])
 
@@ -777,7 +779,7 @@ class TestCodeLawEdgeCases:
 
 def reference_fixing(E, Q):
     """Every automorphism (P, u) fixing Q, by the full scan of E x Aut_0 for
-    sigma_u(Q) + P = Q: the reference for count_auts_fixing, which reads the
+    sigma_u(Q) + P = Q: the reference for fixing_witnesses, which reads the
     fibre tables of 1 - sigma_u instead.  (ec_add is checked against the
     reference law above, at the same levels.)"""
     found = []
@@ -787,20 +789,34 @@ def reference_fixing(E, Q):
     return tuple(sorted(found, key=ec_aut_sort_key))
 
 
+def fixing_witnesses(E):
+    """The automorphisms fixing each point of E, grouped from the checked
+    pairs of _fixing_pairs, one pass per u: a dict from Q to its witnesses
+    (P, u), sorted as reference_fixing sorts them."""
+    found = collections.defaultdict(list)
+    for u in aut0(E):
+        for Q, P in _fixing_pairs(E, u):
+            found[Q].append(ECAut(E, P, u))
+    return {Q: tuple(sorted(witnesses, key=ec_aut_sort_key)) for Q, witnesses in found.items()}
+
+
 @pytest.mark.parametrize("spec,r", LAW_LEVELS, ids=[f"{s.p}^{r}" for s, r in LAW_LEVELS])
 def test_fixing_matches_the_scan(spec, r):
     """Count and witnesses at every point of every nonsingular curve over F5
     and F7, at levels 1 and 2."""
     for E in _nonsingular_curves(spec):
         Er = base_change(E, r)
+        witnesses = fixing_witnesses(Er)
         for Q in ec_points(Er):
-            rep = count_auts_fixing(Er, Q)
+            got = witnesses.pop(Q, ())
             want = reference_fixing(Er, Q)
-            assert (rep.point, rep.count, rep.witnesses) == (Q, len(want), want), (render_curve(Er), Q)
+            assert (len(got), got) == (len(want), want), (render_curve(Er), Q)
+        assert not witnesses, render_curve(Er)
 
 
 def test_fixing_check_reads_the_fibre_tables(monkeypatch):
-    """Q removed from the fibre over its witness is reported, for every u."""
+    """Q removed from the fibre over its witness loses that witness and fails
+    the check, for every u."""
     E, Q = E_J0, P(E_J0, 2, 3)
     real = elliptic._one_minus_sigma_fibres
     for u in aut0(E):
@@ -811,10 +827,12 @@ def test_fixing_check_reads_the_fibre_tables(monkeypatch):
             return {image: tuple(R for R in fibre if R != Q) for image, fibre in fibres.items()}
 
         monkeypatch.setattr(elliptic, "_one_minus_sigma_fibres", without_q)
-        with pytest.raises(AssertionError, match=rf"missing from the fibre .* u={render_element(u)}$"):
-            count_auts_fixing(E, Q)
+        assert Q not in (R for R, _ in _fixing_pairs(E, u))
+        assert sorted(w.u.code for w in fixing_witnesses(E)[Q]) == [v.code for v in aut0(E) if v != u]
+        assert fixing_counts_ok(E) is False
     monkeypatch.undo()
-    assert count_auts_fixing(E, Q).count == 6
+    assert len(fixing_witnesses(E)[Q]) == 6
+    assert fixing_counts_ok(E) is True
 
 
 # ---------------------------------------------------------------------------
@@ -867,11 +885,12 @@ class TestWorkCounts:
     @pytest.mark.parametrize("curve", ["5^1:a=1,b=0", "13^1:a=1,b=0", "7^1:a=0,b=1"])
     def test_no_per_point_certificate_or_witness(self, monkeypatch, curve):
         """The fixing check and the singleton bound are per-curve passes: no
-        certificate, no per-point fixing count, no ec_sub and no ECAut."""
+        certificate, no ec_sub and no ECAut, and one pass of _fixing_pairs
+        per u at each level, not one per point."""
         from pglcensus import cli
 
         calls = collections.Counter()
-        for name in ("verify_genus1_finiteness", "count_auts_fixing", "ec_sub"):
+        for name in ("verify_genus1_finiteness", "_fixing_pairs", "ec_sub"):
             def counted(*args, name=name, f=getattr(elliptic, name)):
                 calls[name] += 1
                 return f(*args)
@@ -887,7 +906,8 @@ class TestWorkCounts:
         monkeypatch.setattr(ECAut, "__post_init__", counted_init)
         for ext in ("1", "2"):
             assert main(["verify-genus1", "--curve", curve, "--ext", ext], out=io.StringIO()) == 0
-        assert calls == {}
+        E = parse_curve(curve)
+        assert calls == {"_fixing_pairs": sum(len(aut0(base_change(E, r))) for r in (1, 2))}
 
     @pytest.mark.parametrize("curve", ["5^1:a=1,b=0", "7^1:a=0,b=1"])
     def test_law_calls_linear_in_the_points(self, monkeypatch, curve):
@@ -946,7 +966,7 @@ def reference_spf_actions(E, n):
 def test_per_curve_passes_match_the_per_point_routes(spec, r):
     """On every nonsingular curve over F5 and F7, at levels 1 and 2: the
     singleton bound is the largest singleton certificate, the fixing check
-    agrees with count_auts_fixing at every point, and the torsion walks and
+    agrees with fixing_witnesses at every point, and the torsion walks and
     closures on codes equal their bodies on points."""
     for E in _nonsingular_curves(spec):
         Er = base_change(E, r)
@@ -954,7 +974,8 @@ def test_per_curve_passes_match_the_per_point_routes(spec, r):
         label = render_curve(Er)
         assert max_singleton_bound(Er) == max(verify_genus1_finiteness(Er, [Q]).certified_bound for Q in pts), label
         assert fixing_counts_ok(Er) is True
-        assert all(count_auts_fixing(Er, Q).count == size for Q in pts), label
+        witnesses = fixing_witnesses(Er)
+        assert all(len(witnesses[Q]) == size for Q in pts), label
         for n in (1, 2, 3, 4):
             assert elliptic._torsion(Er, n) == reference_torsion(Er, n), (label, n)
             assert enum_spf_actions(Er, n) == reference_spf_actions(Er, n), (label, n)
@@ -984,8 +1005,7 @@ def test_wrong_sigma_in_the_fixing_pass_is_caught(monkeypatch, wrong):
 
 
 def test_fixing_check_needs_a_partition(monkeypatch):
-    """A fibre table that drops a point fails the per-curve check, and the
-    per-point count reports the missing point."""
+    """A fibre table that drops a point fails the per-curve check."""
     E, Q = E_J0, P(E_J0, 2, 3)
     real = elliptic._one_minus_sigma_fibres
 
@@ -994,5 +1014,3 @@ def test_fixing_check_needs_a_partition(monkeypatch):
 
     monkeypatch.setattr(elliptic, "_one_minus_sigma_fibres", without_q)
     assert fixing_counts_ok(E) is False
-    with pytest.raises(AssertionError, match="missing from the fibre"):
-        count_auts_fixing(E, Q)

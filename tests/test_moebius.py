@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -8,6 +9,10 @@ from pglcensus.gfq import (
     FieldSpec,
     _artin_schreier_table,
     _sqrt_table,
+    cpoly_deriv,
+    cpoly_divmod,
+    cpoly_from_elems,
+    cpoly_multiplicity,
     extension_field,
     field_elements,
     field_make,
@@ -20,6 +25,7 @@ from pglcensus.gfq import (
     fq_mul,
     fq_neg,
     fq_one,
+    fq_project,
     fq_sub,
     fq_zero,
     parse_field_spec,
@@ -28,6 +34,7 @@ from pglcensus.gfq import (
 )
 from pglcensus.moebius import (
     PP1,
+    RamPoint,
     _code_fixed,
     _code_law,
     _code_points,
@@ -54,7 +61,6 @@ from pglcensus.moebius import (
     pp1_embed,
     pp1_infinity,
     pp1_points,
-    pp1_project,
     render_moebius,
     render_point,
     transporters,
@@ -428,7 +434,7 @@ class TestFixedPoints:
             if m == ident:
                 continue
             level1, level2 = mob_fixed_points(m, 1), mob_fixed_points(m, 2)
-            outside = [P for P in level2 if pp1_project(P, spec) is None]
+            outside = [P for P in level2 if not P.is_infinity and fq_project(P.x, spec) is None]
             assert (not level1) == (len(outside) == len(level2) == 2), render_moebius(m)
             if level1:
                 assert sorted((pp1_embed(P, ext) for P in level1), key=by_code) == level2
@@ -798,9 +804,48 @@ class TestTransportersAgainstReference:
         assert list(transporters(L0, moved, H))  # g's coset at least
 
 
+def reference_ramification(coeffs, r):
+    """poly_map_ramification by the scan of every x0 in F_{q^r}: divide f by
+    t - x0, and x0 ramifies with index 1 + its multiplicity in the quotient
+    when that is at least 2.  The reference for the scan of the roots of f'."""
+    spec, f = cpoly_from_elems(coeffs)
+    deg = len(f) - 1
+    ext = extension_field(spec, r)
+    f = [fq_embed(c, ext).code for c in coeffs[: deg + 1]]
+    one, elems = ext.q // ext.p, field_elements(ext)
+    out = []
+    for x0 in range(ext.q):
+        g = cpoly_divmod(ext, f, [fq_neg(elems[x0]).code, one])[0]
+        e = 1 + cpoly_multiplicity(ext, g, x0)
+        if e > 1:
+            out.append(RamPoint(pp1_affine(elems[x0]), e, e % spec.p != 0))
+    out.append(RamPoint(pp1_infinity(ext), deg, deg % spec.p != 0))
+    return out
+
+
 class TestRamification:
     def poly(self, spec, *ints):
         return [fq_from_int(spec, k) for k in ints]
+
+    @pytest.mark.parametrize("spec", [F2, F3, F4], ids=["2^1", "3^1", "2^2"])
+    def test_roots_of_the_derivative_match_the_scan(self, spec):
+        """Every monic polynomial of degree 2 to 5, at levels 1 and 2: the
+        same points, indices and tameness as the scan of every element, and
+        the same refusal of an inseparable map.  The sample has wild affine
+        points (p | e) at both levels."""
+        wild = collections.Counter()
+        for deg in range(2, 6):
+            for low in itertools.product(field_elements(spec), repeat=deg):
+                coeffs = [*low, fq_one(spec)]
+                if not cpoly_deriv(spec, cpoly_from_elems(coeffs)[1]):
+                    with pytest.raises(ValueError, match="inseparable"):
+                        poly_map_ramification(coeffs, 1)
+                    continue
+                for r in (1, 2):
+                    ram = poly_map_ramification(coeffs, r)
+                    assert ram == reference_ramification(coeffs, r), ([c.code for c in coeffs], r)
+                    wild[r] += sum(not R.tame for R in ram[:-1])
+        assert wild[1] and wild[2]
 
     def test_squaring_map(self):
         ram = poly_map_ramification(self.poly(F5, 0, 0, 1), 1)

@@ -26,10 +26,8 @@ from pglcensus.census import (
 from pglcensus.elliptic import (
     ECAut,
     ECurve,
-    FixingAutsReport,
     FpfDichotomyReport,
     Genus1FinitenessReport,
-    count_auts_fixing,
     ec_points,
     standard_test_curves,
     verify_fpf_dichotomy,
@@ -62,7 +60,6 @@ def _samples():
     )
     yield ECurve, ("spec", "a", "b"), E
     yield ECAut, ("curve", "P", "u"), ECAut(E, Q, fq_one(F5))
-    yield FixingAutsReport, ("point", "count", "witnesses"), count_auts_fixing(E, Q)
     yield FpfDichotomyReport, ("levels", "pairs_checked", "violations"), verify_fpf_dichotomy(E, (1,))
     yield Genus1FinitenessReport, (
         "fixing", "compatible_translations", "kernel_sizes", "admissible_count", "certified_bound"
@@ -83,7 +80,7 @@ def _values(value, names):
 
 
 def test_fifteen_types():
-    assert len(set(IDS)) == 15
+    assert len(set(IDS)) == 14
     assert all(issubclass(cls, Record) and type(value) is cls for cls, _, value in SAMPLES)
 
 
