@@ -25,7 +25,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .closure import is_prime, order, subgroups_of_order
+from .closure import is_prime, order, subgroup_layers
 from .gfq import (
     FieldSpec,
     FqElem,
@@ -57,6 +57,7 @@ from .stdgroups import (
     SubgroupPGL2,
     _code_fingerprint,
     _code_generators,
+    _code_kernel,
     _code_locus,
     _conjugator,
     _project_codes,
@@ -135,35 +136,31 @@ def gaussian_binomial(n: int, m: int, p: int) -> int:
 def enum_additive_subgroups(spec: FieldSpec, m: int) -> list[AdditiveSubgroup]:
     """All rank-m F_p-subspaces of F_{p^n}, each in canonical echelon form.
 
-    Enumerated directly as reduced echelon matrices: choose pivot columns,
-    then fill the free positions (right of each pivot, outside pivot columns)
-    in every possible way.  The count is the Gaussian binomial [n choose m]_p.
+    Enumerated directly as reduced echelon matrices on element codes: choose
+    pivot columns, then give each row its pivot and every digit at the
+    columns right of the pivot that are no pivot.  A row's code is the sum of
+    its digits times their column's place value, so the rows of one choice
+    of pivots vary independently.  The count is the Gaussian binomial
+    [n choose m]_p.
     """
     n, p = spec.n, spec.p
     if m < 0 or m > n:
         raise ValueError(f"rank must lie in [0, {n}], got {m}")
-    if m == 0:
-        return [AdditiveSubgroup(spec, ())]
-    out = []
+    place = [p ** (n - 1 - j) for j in range(n)]  # the code of the j-th unit vector
+    bases = []
     for pivots in itertools.combinations(range(n), m):
-        free = [
-            (i, j)
-            for i in range(m)
-            for j in range(n)
-            if j > pivots[i] and j not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free)):
-            rows = [[0] * n for _ in range(m)]
-            for i in range(m):
-                rows[i][pivots[i]] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            out.append(
-                AdditiveSubgroup(spec, tuple(fq_from_coeffs(spec, r) for r in rows))
-            )
-    out.sort(key=lambda G: tuple(b.code for b in G.basis))
-    assert len(out) == gaussian_binomial(n, m, p)
-    return out
+        rows = []
+        for i in pivots:
+            codes = [place[i]]
+            for j in range(i + 1, n):
+                if j not in pivots:
+                    codes = [c + v * place[j] for c in codes for v in range(p)]
+            rows.append(codes)
+        bases.extend(itertools.product(*rows))
+    bases.sort()
+    assert len(bases) == gaussian_binomial(n, m, p)
+    elem = {c: FqElem(spec, c) for basis in bases for c in basis}
+    return [AdditiveSubgroup(spec, tuple(map(elem.__getitem__, basis))) for basis in bases]
 
 
 def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
@@ -276,13 +273,15 @@ def _elementary_abelian_fingerprint(ext: FieldSpec, m: int) -> Fingerprint:
     return Fingerprint(order=p ** m, element_orders=orders, abelian=True, p_regular=(m == 0))
 
 
-def _verified(spec: FieldSpec, candidates: Iterable[Iterable[tuple]], S: tuple[int, ...], expected_fp: Fingerprint) -> list[tuple]:
+def _verified(kernel: tuple, candidates: Iterable[Iterable[tuple]], S: tuple[int, ...], expected_fp: Fingerprint) -> list[tuple]:
     """(codes, generators) of the candidates (entry codes of subgroups over
     the census field F_{q^r}) whose locus over the algebraic closure is S,
     the sorted codes of the queried locus, and whose fingerprint is the
-    expected one, deduplicated by sorted codes, in code order.  The locus is
-    one kernel pass (_code_locus, complete=True), which fails when some
-    fixed points leave F_{q^r}, so no table of F_{q^{2r}} is built."""
+    expected one, deduplicated by sorted codes, in code order.  `kernel` is
+    the census field's _code_kernel at level 1, looked up once by the caller
+    and not per candidate.  The locus is one kernel pass (_code_locus,
+    complete=True), which fails when some fixed points leave F_{q^r}, so no
+    table of F_{q^{2r}} is built."""
     seen = set()
     out = []
     for codes in candidates:
@@ -290,23 +289,29 @@ def _verified(spec: FieldSpec, candidates: Iterable[Iterable[tuple]], S: tuple[i
         if codes in seen:
             continue
         seen.add(codes)
-        if _code_locus(spec, codes, 1, complete=True) != S:
+        if _code_locus(kernel, codes, complete=True) != S:
             continue
-        gens = _code_generators(spec, codes)
-        if _code_fingerprint(spec, codes, gens) == expected_fp:
+        gens = _code_generators(kernel, codes)
+        if _code_fingerprint(kernel, codes, gens) == expected_fp:
             out.append((codes, gens))
     return sorted(out)
 
 
 def _translation_census(spec: FieldSpec, m: int, point: PP1, subspaces: Sequence[AdditiveSubgroup]) -> list[tuple]:
     """_verified (Z/pZ)^m-subgroups stabilizing only `point`: the group
-    [1,g;0,1], g in G, per subspace G, conjugated by a map taking inf there."""
+    [1,g;0,1], g in G, per subspace G, conjugated by a map taking inf there.
+    The q maps g -> [1,g;0,1] are built, and conjugated, once: the subspaces
+    cover the field, so the candidates hold every one of them, and they share
+    one tuple per map.  The candidates multiply only these q maps, so the
+    checks share one memo of the law."""
     one = spec.q // spec.p
-    groups = ([(one, g, 0, one) for g in G.element_codes()] for G in subspaces)
+    maps = [(one, g, 0, one) for g in range(spec.q)]
     if not point.is_infinity:
-        conj = _conjugator(mob_infinity_to(point))
-        groups = (map(conj, H) for H in groups)
-    return _verified(spec, groups, (point.code,), _elementary_abelian_fingerprint(spec, m))
+        maps = list(map(_conjugator(mob_infinity_to(point)), maps))
+    groups = ([maps[g] for g in G.element_codes()] for G in subspaces)
+    law, *rest = _code_kernel(spec, 1)
+    kernel = (lru_cache(maxsize=None)(law), *rest)
+    return _verified(kernel, groups, (point.code,), _elementary_abelian_fingerprint(spec, m))
 
 
 def enum_actions(query: CensusQuery) -> CensusReport:
@@ -390,7 +395,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
                     candidates.append(H)
         # |S| <= 1 never matches a non-elementary-abelian model
 
-    found = _verified(ext, candidates, tuple(P.code for P in S), fingerprint(models[0])) if models else []
+    found = _verified(_code_kernel(ext, 1), candidates, tuple(P.code for P in S), fingerprint(models[0])) if models else []
     matches = tuple(_subgroup_from_codes(ext, codes, models[0].tag, gens) for codes, gens in found)
     return CensusReport(query, matches, len(matches), "finite")
 
@@ -418,9 +423,11 @@ def dichotomy_work(p: int, n: int, m: int, affine: bool = False) -> int:
     * the growth, at a quarter since its compositions are mostly cache hits:
       [n choose k]_p subgroups of order p^k (k < m), each closed
       (q - p^k)/(p^(k+1) - p^k) times at (k + 1) p^(k+1) compositions.
-      The growth now closes each subgroup once (closure.subgroups_of_order),
-      so this term overstates its cost; it is kept, as are the refusals
-      it pins;
+      The growth now closes each subgroup once, and the ranks of a level
+      share it (_oracle_growth), so rank m grows only layer m, while this
+      term charges every layer below m too: it overstates the cost more
+      than before.  It is kept, as are the refusals it pins, since a refit
+      changes which inputs are refused;
     * the subgroups held, [n choose m]_p of p^m maps each: the oracle's
       final power test (p - 1 compositions a map, at a quarter), and 6 a
       map for the census that rebuilds and verifies each of them.
@@ -469,32 +476,79 @@ def _order_p_stabilizer(spec: FieldSpec, point: PP1) -> tuple[tuple[int, int, in
     return tuple(kept)
 
 
-def _oracle_subgroups(spec: FieldSpec, m: int, point: PP1) -> list[tuple]:
-    """The oracle's subgroups as sorted entry-code tuples, in code order."""
-    p = spec.p
-    law, _, ident = _code_law(spec)
-    op = lru_cache(maxsize=None)(law)
-    return sorted(
-        tuple(sorted(H))
-        for H in subgroups_of_order(_order_p_stabilizer(spec, point), op, ident, p ** m)
-        if all(order(g, op, ident, p) == p for g in H if g != ident)
-    )
+class _OracleGrowth:
+    """The layered growth (closure.subgroup_layers) of the subgroups that the
+    maps of _order_p_stabilizer generate, through one memoized code law,
+    shared by every rank asked at one (field, point).
+
+    A subgroup X of order p^m is reached along a chain of subgroups of X, a
+    p-group, so each step multiplies the order by at least p and X lies in
+    one of the layers 0..m.  Rank m therefore draws the layers up to m, and
+    a drawn layer k keeps only its subgroups with at least p^k members, the
+    ones a rank >= k may need; the growth itself holds only its last layer.
+    A rank below the last drawn layer starts the growth again, over the
+    same memo."""
+
+    def __init__(self, spec: FieldSpec, point: PP1):
+        law, _, self.ident = _code_law(spec)
+        self.p = spec.p
+        self.op = lru_cache(maxsize=None)(law)
+        self.scanned = _order_p_stabilizer(spec, point)
+        self.order_p = frozenset(self.scanned)
+        self._start()
+
+    def _start(self) -> None:
+        self.layers = subgroup_layers(self.scanned, self.op, self.ident)
+        self.drawn = -1
+        self.held: dict[int, set] = {}  # order -> subgroups of the drawn layers
+
+    def subgroups(self, m: int) -> list[frozenset]:
+        """The subgroups of order p^m whose members other than the identity
+        all have order p, which is membership in the scan: it kept every
+        map of order p that fixes the point."""
+        if m < self.drawn:
+            self._start()
+        while self.drawn < m:
+            self.drawn += 1
+            least = self.p ** self.drawn
+            held = {size: Hs for size, Hs in self.held.items() if size >= least}
+            for H in next(self.layers, ()):
+                if len(H) >= least:
+                    held.setdefault(len(H), set()).add(H)
+            self.held = held
+        return [H for H in self.held.get(self.p ** m, ()) if len(H & self.order_p) == len(H) - 1]
+
+
+@lru_cache(maxsize=1)
+def _oracle_growth(spec: FieldSpec, point: PP1) -> _OracleGrowth:
+    """The oracle's growth at (spec, point): the ranks of one verify-main
+    level share it, and the next level's growth drops it."""
+    return _OracleGrowth(spec, point)
+
+
+def _oracle_subgroups(spec: FieldSpec, m: int, point: PP1) -> list[frozenset]:
+    """The oracle's subgroups of order p^m at the point, as frozensets of
+    entry-code tuples in no fixed order, from the growth that the ranks at
+    (spec, point) share with its law memo (_oracle_growth)."""
+    return _oracle_growth(spec, point).subgroups(m)
 
 
 def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1) -> list[SubgroupPGL2]:
     """Brute-force census of (Z/pZ)^m-subgroups of PGL2(F_q) fixing a point
     P of P^1(F_q), with no classification knowledge.  The maps of order p
     in the stabilizer of P (_order_p_stabilizer) generate subgroups of
-    order p^m, grown by closing generator lists (`subgroups_of_order`); those
-    of exponent p are kept.  It runs on entry codes through the field's code
-    law, memoized per call (_oracle_subgroups, which verify_main_theorem
-    counts), and maps are built here for the subgroups returned.  A point
+    order p^m, grown by closing generator lists (closure.subgroup_layers);
+    those of exponent p are kept.  It runs on entry codes through the
+    field's code law, memoized per (field, point) by the growth that the
+    ranks there share (_oracle_subgroups, which verify_main_theorem counts),
+    and maps are built here for the subgroups returned.  A point
     over another field raises ValueError (field mismatch), as does a field
     and rank whose dichotomy_work is over WORK_BOUND."""
     if point.spec is not spec:
         raise ValueError(f"field mismatch: point over {point.spec!r}, oracle over {spec!r}")
     _check_work(spec.p, spec.n, m, affine=not point.is_infinity)
-    return [_subgroup_from_codes(spec, H, "unclassified") for H in _oracle_subgroups(spec, m, point)]
+    found = sorted(tuple(sorted(H)) for H in _oracle_subgroups(spec, m, point))
+    return [_subgroup_from_codes(spec, H, "unclassified") for H in found]
 
 
 # ---------------------------------------------------------------------------

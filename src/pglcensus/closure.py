@@ -13,9 +13,12 @@ every layer, the field layer included, can use it.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
+from itertools import filterfalse
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T", bound=Hashable)
+# one layer of the subgroup growth: each subgroup and its generator list
+Layer = dict[frozenset[T], tuple[T, ...]]
 
 
 def is_prime(m: int) -> bool:
@@ -71,10 +74,15 @@ def close(gens: Sequence[T], op: Callable[[T, T], T], seen: Iterable[T], cap: Op
     return seen
 
 
-def subgroups_of_order(elements: Sequence[T], op: Callable[[T, T], T], identity: T, order: int) -> set[frozenset[T]]:
-    """Every subgroup with exactly `order` members that some of `elements`
-    generate, grown one element at a time from the trivial group.  Subgroups
-    that pass `order` on the way are dropped.
+def subgroup_layers(elements: Sequence[T], op: Callable[[T, T], T], identity: T, cap: Optional[int] = None) -> Iterator[Layer]:
+    """The subgroups that some of `elements` generate, grown one element at a
+    time from the trivial group, one layer per step: layer k maps each
+    subgroup closed from a list of k of `elements` to the first such list.
+    Layer 0 is the trivial group, and the growth stops at the first empty
+    layer, which it does not yield.  With a `cap`, subgroups of more than `cap` members are dropped
+    and those of exactly `cap` are not grown.  Where some step has composite
+    index a subgroup can recur in a later layer; in an elementary abelian
+    p-group every step has index p, so layer k is the subgroups of order p^k.
 
     Each subgroup H of a layer keeps the generator list it was grown from,
     and H<g> is the closure of that list plus g over H: `close` then
@@ -85,34 +93,44 @@ def subgroups_of_order(elements: Sequence[T], op: Callable[[T, T], T], identity:
     in K and, by Lagrange, strictly above H.  That covers the K grown from H
     itself and, before any g is tried, the K already found from earlier
     subgroups of the layer, looked up among the K that hold H's last
-    generator.  So where every step has prime index, as in an elementary
-    abelian group, each subgroup is closed exactly once; each keeps the
-    generator list of its first closure either way.
+    generator.  So where every step has prime index each subgroup is closed
+    exactly once.  Only the last layer is held between two steps.
     """
     layer = {frozenset((identity,)): ()}
-    found = set()
     while layer:
-        next_layer, holding = {}, {}
-        for H, gens in layer.items():
-            if len(H) == order:
-                found.add(H)
+        yield layer
+        layer = _next_layer(layer, elements, op, identity, cap)
+
+
+def _next_layer(layer: Layer, elements: Sequence[T], op: Callable[[T, T], T], identity: T, cap: Optional[int]) -> Layer:
+    """The layer after `layer` in subgroup_layers; its index of the grown
+    subgroups by member is dropped on return."""
+    next_layer, holding = {}, {}
+    for H, gens in layer.items():
+        if len(H) == cap:
+            continue
+        covered = set(H)
+        for K in filter(H.issubset, holding.get(gens[-1] if gens else identity, ())):
+            if is_prime(len(K) // len(H)):
+                covered |= K
+        # covered grows in the loop, and filterfalse tests each g when it
+        # reaches it
+        for g in filterfalse(covered.__contains__, elements):
+            grown = close([*gens, g], op, H, cap=cap)
+            if grown is None:
                 continue
-            covered = set(H)
-            for K in holding.get(gens[-1] if gens else identity, ()):
-                if is_prime(len(K) // len(H)) and H <= K:
-                    covered |= K
-            for g in elements:
-                if g in covered:
-                    continue
-                grown = close([*gens, g], op, H, cap=order)
-                if grown is None:
-                    continue
-                grown = frozenset(grown)
-                if grown not in next_layer:
-                    next_layer[grown] = (*gens, g)
-                    for x in grown:
-                        holding.setdefault(x, []).append(grown)
-                if is_prime(len(grown) // len(H)):
-                    covered |= grown
-        layer = next_layer
-    return found
+            grown = frozenset(grown)
+            if grown not in next_layer:
+                next_layer[grown] = (*gens, g)
+                for x in grown:
+                    holding.setdefault(x, []).append(grown)
+            if is_prime(len(grown) // len(H)):
+                covered |= grown
+    return next_layer
+
+
+def subgroups_of_order(elements: Sequence[T], op: Callable[[T, T], T], identity: T, order: int) -> set[frozenset[T]]:
+    """Every subgroup with exactly `order` members that some of `elements`
+    generate: the members of that order of the layers of
+    subgroup_layers(elements, op, identity, cap=order)."""
+    return {H for layer in subgroup_layers(elements, op, identity, cap=order) for H in layer if len(H) == order}

@@ -473,10 +473,6 @@ def fq_inv(a: FqElem) -> FqElem:
     return _inverse_cache(a.spec)[a.code]
 
 
-def fq_div(a: FqElem, b: FqElem) -> FqElem:
-    return fq_mul(a, fq_inv(b))
-
-
 def fq_pow(a: FqElem, e: int) -> FqElem:
     if not a.code:
         if e < 0:

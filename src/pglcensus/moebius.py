@@ -106,13 +106,6 @@ def render_point(P: PP1) -> str:
     return "inf" if P.is_infinity else render_element(P.x)
 
 
-def parse_point(spec: FieldSpec, text: str) -> PP1:
-    text = text.strip()
-    if text == "inf":
-        return pp1_infinity(spec)
-    return pp1_affine(parse_element(spec, text))
-
-
 def parse_point_list(spec: FieldSpec, text: str) -> list[PP1]:
     """Parse a comma-separated point list.  The token "inf" is a point; any
     other run of spec.n consecutive integer tokens is one affine coordinate."""

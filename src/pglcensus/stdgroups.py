@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .closure import close, order
@@ -326,12 +326,23 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
 # invariants
 
 
-def _code_fingerprint(spec: FieldSpec, codes: Sequence[tuple], gens: Sequence[tuple]) -> Fingerprint:
-    """The fingerprint of the group with entry codes `codes` and generating
-    set `gens`, through the field's code law: element orders by
-    closure.order, and abelian when the generators commute pairwise."""
+@lru_cache(maxsize=None)
+def _code_kernel(spec: FieldSpec, r: int):
+    """The per-field lookups of the checks on entry codes below, bound once
+    per (field, r), so that a loop over many groups makes none: (law,
+    identity, fixed, cap, p), with law and identity from moebius._code_law,
+    fixed from moebius._code_fixed(spec, r), and cap = |PGL2(F_q)|, which
+    bounds every element order."""
     law, _, ident = _code_law(spec)
-    cap = spec.q ** 3 - spec.q
+    return law, ident, _code_fixed(spec, r)[1], spec.q ** 3 - spec.q, spec.p
+
+
+def _code_fingerprint(kernel: tuple, codes: Sequence[tuple], gens: Sequence[tuple]) -> Fingerprint:
+    """The fingerprint of the group with entry codes `codes` and generating
+    set `gens`, through the code law of `kernel` (_code_kernel): element
+    orders by closure.order, and abelian when the generators commute
+    pairwise."""
+    law, ident, _, cap, p = kernel
     counts: dict[int, int] = {}
     for x in codes:
         k = order(x, law, ident, cap)
@@ -340,19 +351,19 @@ def _code_fingerprint(spec: FieldSpec, codes: Sequence[tuple], gens: Sequence[tu
         order=len(codes),
         element_orders=tuple(sorted(counts.items())),
         abelian=all(law(x, y) == law(y, x) for x, y in itertools.combinations(gens, 2)),
-        p_regular=len(codes) % spec.p != 0,
+        p_regular=len(codes) % p != 0,
     )
 
 
 def fingerprint(H: SubgroupPGL2) -> Fingerprint:
     """Order, element-order multiset, abelian and p-regularity flags."""
-    return _code_fingerprint(H.spec, [_entry_codes(m) for m in H.elements], [_entry_codes(g) for g in H.generators])
+    return _code_fingerprint(_code_kernel(H.spec, 1), [_entry_codes(m) for m in H.elements], [_entry_codes(g) for g in H.generators])
 
 
-def _code_locus(spec: FieldSpec, codes: Iterable[tuple], r: int, complete: bool = False) -> Optional[tuple[int, ...]]:
-    """stabilized_locus on entry and point codes, by the kernel _code_fixed."""
-    fixed = _code_fixed(spec, r)[1]
-    ident = _code_law(spec)[2]
+def _code_locus(kernel: tuple, codes: Iterable[tuple], complete: bool = False) -> Optional[tuple[int, ...]]:
+    """stabilized_locus on entry and point codes, by the fixed-point kernel
+    of `kernel` (_code_kernel at the level of the points)."""
+    _, ident, fixed, _, _ = kernel
     pts = set()
     for x in codes:
         if x != ident:
@@ -371,7 +382,7 @@ def stabilized_locus(H: SubgroupPGL2, r: int, complete: bool = False) -> Optiona
     None unless it is the whole locus over the algebraic closure: an
     element's fixed points lie in F_{q^r} all or none (mob_fixed_points), so
     that is when no element's set is empty."""
-    codes = _code_locus(H.spec, map(_entry_codes, H.elements), r, complete)
+    codes = _code_locus(_code_kernel(H.spec, r), map(_entry_codes, H.elements), complete)
     if codes is None:
         return None
     ext = extension_field(H.spec, r)
@@ -390,10 +401,11 @@ def irrational_locus_pairs(H: SubgroupPGL2) -> set[tuple[int, int]]:
     return {quadratic(x) for x in codes if x[2] and not fixed(x)}
 
 
-def _code_generators(spec: FieldSpec, codes: Sequence[tuple]) -> tuple[tuple, ...]:
+def _code_generators(kernel: tuple, codes: Sequence[tuple]) -> tuple[tuple, ...]:
     """A small deterministic generating set of the group with sorted entry
-    codes `codes`, grown greedily in that order through the code law."""
-    law, _, ident = _code_law(spec)
+    codes `codes`, grown greedily in that order through the code law of
+    `kernel` (_code_kernel)."""
+    law, ident, _, _, _ = kernel
     gens: list[tuple] = []
     span = {ident}
     for x in codes:
@@ -408,7 +420,8 @@ def _code_generators(spec: FieldSpec, codes: Sequence[tuple]) -> tuple[tuple, ..
 
 def _generating_set(H: SubgroupPGL2) -> tuple[Moebius, ...]:
     """_code_generators of H, as maps."""
-    return tuple(_from_codes(H.spec, g) for g in _code_generators(H.spec, [_entry_codes(m) for m in H.elements]))
+    gens = _code_generators(_code_kernel(H.spec, 1), [_entry_codes(m) for m in H.elements])
+    return tuple(_from_codes(H.spec, g) for g in gens)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import re
 import pytest
 
 import pglcensus.census as census
+import pglcensus.closure as closure
 import pglcensus.moebius as moebius
 import pglcensus.stdgroups as stdgroups
 from pglcensus.census import (
@@ -529,21 +530,47 @@ class TestOracle:
     def test_affine_point_costs_the_conjugation(self):
         assert census.dichotomy_work(2, 3, 1, affine=True) == census.dichotomy_work(2, 3, 1) + 3 * 8 * 7
 
-    @pytest.mark.parametrize("p,n", [(2, 4), (5, 2)], ids=["F16", "F25"])
+    @pytest.mark.parametrize("p,n", [(2, 4), (5, 2), (2, 6), (3, 4)], ids=["F16", "F25", "F64", "F81"])
     @pytest.mark.parametrize("point_kind", ["inf", "affine"])
-    def test_ranks_share_one_scan_off_the_mob_compose_cache(self, p, n, point_kind):
-        # the ranks of one level share one stabilizer scan, and the scan and
-        # the growth run on entry codes, so the shared cache neither grows
+    def test_ranks_share_one_scan_off_the_mob_compose_cache(self, p, n, point_kind, monkeypatch):
+        # the ranks of one level share one stabilizer scan and one layered
+        # growth, which closes each subgroup once over all the ranks: the
+        # closures total sum_m [n choose m]_p, 2,824 at F64 and 211 at F81
+        # (a growth per rank made 11,293 and 631).  The scan and the growth
+        # run on entry codes, so the shared mob_compose cache neither grows
         # nor records a lookup
         spec = field_make(p, n)
         point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(fq_gen(spec))
         census._order_p_stabilizer.cache_clear()
+        census._oracle_growth.cache_clear()
+        closures = [0]
+
+        def counted(*args, f=closure.close, **kwargs):
+            closures[0] += 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(closure, "close", counted)
         before = mob_compose.cache_info()
         for m in range(1, n + 1):
             assert len(oracle_enum_elem_abelian(spec, m, point)) == gaussian_binomial(n, m, p)
         assert mob_compose.cache_info() == before
-        info = census._order_p_stabilizer.cache_info()
+        assert census._order_p_stabilizer.cache_info().misses == 1
+        info = census._oracle_growth.cache_info()
         assert (info.misses, info.hits) == (1, n - 1)
+        assert closures[0] == sum(gaussian_binomial(n, m, p) for m in range(1, n + 1))
+
+    @pytest.mark.parametrize("p,n", [(2, 4), (5, 2), (3, 3)], ids=["F16", "F25", "F27"])
+    @pytest.mark.parametrize("point_kind", ["inf", "affine"])
+    def test_ranks_asked_out_of_order(self, p, n, point_kind):
+        # a rank below the growth's last layer starts it again, and a rank
+        # asked twice, or past n (rank 3 of F25), reads the same layers
+        spec = field_make(p, n)
+        point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(field_elements(spec)[-1])
+        census._oracle_growth.cache_clear()
+        for m in (3, 1, 2, 3):
+            found = {frozenset(H.elements) for H in oracle_enum_elem_abelian(spec, m, point)}
+            assert found == reference_oracle(spec, m, point)
+            assert len(found) == gaussian_binomial(n, m, p)
 
 
 # The oracle as it was before it scanned only the point stabilizer: all of

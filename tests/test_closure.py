@@ -152,6 +152,61 @@ class TestNonAbelian:
         assert counts == [1, 9, 4, 7, 4, 3, 1, 1]
 
 
+def _s4_long_cycles_first():
+    identity = (0, 1, 2, 3)
+    return sorted(itertools.permutations(range(4)), key=lambda g: -order(g, compose_perm, identity, 24))
+
+
+class TestSubgroupLayers:
+    @pytest.mark.parametrize(
+        "name,elements,orders",
+        [
+            ("S3", S3, (1, 2, 3, 6)),
+            ("D4", _d4(), (1, 2, 4, 8)),
+            ("S4-long-cycles-first", _s4_long_cycles_first(), (1, 2, 3, 4, 6, 8, 12, 24)),
+        ],
+    )
+    def test_against_subset_scan_per_order(self, name, elements, orders):
+        # every layer, read per order, against the subset scan (for S4 the
+        # pair scan, as every subgroup of S4 has two generators).  A step's
+        # index need not be prime here, so a subgroup can recur in a later
+        # layer, but each layer's generator list closes to its subgroup
+        identity = tuple(range(len(elements[0])))
+        by_order = {}
+        for k, layer in enumerate(closure.subgroup_layers(elements, compose_perm, identity)):
+            for H, gens in layer.items():
+                assert len(gens) == k and close(list(gens), compose_perm, {identity}) == H
+                by_order.setdefault(len(H), set()).add(H)
+        assert sorted(by_order) == list(orders)
+        if len(elements) == 24:
+            pairs = {frozenset(close([a, b], compose_perm, {identity})) for a in elements for b in elements}
+            expected = {k: {H for H in pairs if len(H) == k} for k in orders}
+        else:
+            expected = {k: brute_force_subgroups(elements, identity, k) for k in orders}
+        assert by_order == expected
+
+    def test_cap_drops_larger_subgroups_and_stops_at_the_cap(self):
+        # Z/12 capped at 4: the subgroups of orders 1, 2, 3 and 4, and none
+        # grown past a subgroup of exactly 4 members
+        layers = list(closure.subgroup_layers(range(12), add_mod(12), 0, cap=4))
+        assert [sorted(sorted(H) for H in layer) for layer in layers] == [
+            [[0]],
+            [[0, 3, 6, 9], [0, 4, 8], [0, 6]],
+            [[0, 3, 6, 9]],
+        ]
+
+    def test_elementary_abelian_layers_are_the_orders(self):
+        # (Z/2)^3: layer k is the subgroups of order 2^k, [3 choose k]_2 of them
+        elements = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)][1:]
+
+        def xor(x, y):
+            return tuple(u ^ v for u, v in zip(x, y))
+
+        layers = list(closure.subgroup_layers(elements, xor, (0, 0, 0)))
+        assert [len(layer) for layer in layers] == [1, 7, 7, 1]
+        assert all(len(H) == 2 ** k for k, layer in enumerate(layers) for H in layer)
+
+
 def reference_subgroups_of_order(elements, op, identity, order):
     """The growth as it was before it indexed the next layer: each subgroup
     of a layer is regrown from every one of its maximal subgroups, and only

@@ -53,9 +53,9 @@ from pglcensus.gfq import (
     field_elements,
     field_make,
     fq_add,
-    fq_div,
     fq_embed,
     fq_from_int,
+    fq_inv,
     fq_mul,
     fq_one,
     fq_pow,
@@ -682,9 +682,9 @@ def reference_ec_add(E, P1, P2):
         if P1.y != P2.y or P1.y.is_zero():
             return ec_infinity(spec)  # vertical line
         three_x2 = fq_mul(fq_from_int(spec, 3), fq_mul(P1.x, P1.x))
-        slope = fq_div(fq_add(three_x2, E.a), fq_mul(fq_from_int(spec, 2), P1.y))
+        slope = fq_mul(fq_add(three_x2, E.a), fq_inv(fq_mul(fq_from_int(spec, 2), P1.y)))
     else:
-        slope = fq_div(fq_sub(P2.y, P1.y), fq_sub(P2.x, P1.x))
+        slope = fq_mul(fq_sub(P2.y, P1.y), fq_inv(fq_sub(P2.x, P1.x)))
     x3 = fq_sub(fq_sub(fq_mul(slope, slope), P1.x), P2.x)
     y3 = fq_sub(fq_mul(slope, fq_sub(P1.x, x3)), P1.y)
     return ECPoint(spec, x3, y3)

@@ -17,7 +17,6 @@ from pglcensus.gfq import (
     field_elements,
     field_make,
     fq_add,
-    fq_div,
     fq_embed,
     fq_from_int,
     fq_gen,
@@ -28,6 +27,7 @@ from pglcensus.gfq import (
     fq_project,
     fq_sub,
     fq_zero,
+    parse_element,
     parse_field_spec,
     poly_roots,
     render_element,
@@ -53,7 +53,6 @@ from pglcensus.moebius import (
     mob_make,
     mob_order,
     parse_moebius,
-    parse_point,
     parse_point_list,
     pgl2_elements,
     poly_map_ramification,
@@ -66,6 +65,19 @@ from pglcensus.moebius import (
     transporters,
     verify_p1fp,
 )
+
+
+def fq_div(a, b):
+    return fq_mul(a, fq_inv(b))
+
+
+def parse_point(spec, text):
+    """One point: "inf", or the coefficients of an affine coordinate."""
+    text = text.strip()
+    if text == "inf":
+        return pp1_infinity(spec)
+    return pp1_affine(parse_element(spec, text))
+
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
