@@ -42,7 +42,6 @@ from .moebius import (
     PP1,
     _code_law,
     _code_points,
-    _entry_codes,
     _from_codes,
     mob_infinity_to,
     parse_point_list,
@@ -60,8 +59,7 @@ from .stdgroups import (
     _code_kernel,
     _code_locus,
     _conjugator,
-    _project_codes,
-    _subgroup_from_codes,
+    conjugate_subgroup,
     fingerprint,
     irrational_locus_pairs,
     stabilized_locus,
@@ -74,6 +72,7 @@ from .stdgroups import (
     std_PSL2,
     std_S4,
     subgroup_embed,
+    subgroup_project,
     subgroup_to_json,
 )
 
@@ -168,7 +167,7 @@ def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
     from the element codes of gamma: each [1,g;0,1] is already normalized."""
     spec = gamma.spec
     one = spec.q // spec.p
-    return _subgroup_from_codes(spec, sorted((one, g, 0, one) for g in gamma.element_codes()), f"Zp^{gamma.rank}")
+    return SubgroupPGL2(spec, tuple(sorted((one, g, 0, one) for g in gamma.element_codes())), f"Zp^{gamma.rank}")
 
 
 def scale_subgroup(gamma: AdditiveSubgroup, alpha: FqElem) -> AdditiveSubgroup:
@@ -257,6 +256,8 @@ def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...]) -> list
         return [_MODEL_CONSTRUCTORS[kind](ext, *params)]
     if kind == "gamma":
         m, n = params
+        if m == 0:  # gamma:0:1, the trivial group; mu_1 = {1} lies in no rank-0 gamma
+            return [gamma_to_unipotent(AdditiveSubgroup(ext, ()))]
         models = []
         for gamma in enum_additive_subgroups(ext, m):
             try:
@@ -314,6 +315,15 @@ def _translation_census(spec: FieldSpec, m: int, point: PP1, subspaces: Sequence
     return _verified(kernel, groups, (point.code,), _elementary_abelian_fingerprint(spec, m))
 
 
+def _matches(ext: FieldSpec, found: Sequence[tuple], tag: str) -> tuple[SubgroupPGL2, ...]:
+    """The subgroups of _verified's (codes, generators), each seeded with the
+    generating set its verification computed, which is what it renders."""
+    matches = tuple(SubgroupPGL2(ext, codes, tag) for codes, _ in found)
+    for H, (_, gens) in zip(matches, found):
+        vars(H)["generators"] = gens
+    return matches
+
+
 def enum_actions(query: CensusQuery) -> CensusReport:
     """Enumerate all subgroups of PGL2(F_{q^r}) matching the query.
 
@@ -333,8 +343,8 @@ def enum_actions(query: CensusQuery) -> CensusReport:
     has |stabilized_locus(H0, 1)| + 2 |irrational_locus_pairs(H0)| points
     (stdgroups), so a model of the wrong size is skipped without leaving
     F_{q^r}.  F_{q^{2r}} is built only for a model whose full locus has |S|
-    points but leaves F_{q^r}.  Candidates are verified on entry codes and
-    only matches become SubgroupPGL2s, sorted so the report is deterministic.
+    points but leaves F_{q^r}.  Candidates are verified on entry codes, and
+    the matches are sorted so the report is deterministic.
     """
     ext = extension_field(query.spec, query.r)
     S = tuple(sorted({pp1_embed(P, ext) for P in query.locus}, key=by_code))
@@ -348,12 +358,12 @@ def enum_actions(query: CensusQuery) -> CensusReport:
         tag = f"Zp^{m}"
         if len(S) == 1 and m >= 1:
             found = _translation_census(ext, m, S[0], enum_additive_subgroups(ext, m))
-            matches = [_subgroup_from_codes(ext, codes, tag, gens) for codes, gens in found]
+            matches = _matches(ext, found, tag)
             verdict = "grows_with_field"
             notes = f"one action per rank-{m} additive subgroup of {render_field_spec(ext)}"
         elif len(S) == 0 and m == 0:
             # the trivial group is the unique subgroup with empty locus
-            matches = [gamma_to_unipotent(AdditiveSubgroup(ext, ()))]
+            matches = _standard_models(ext, kind, params)
             verdict = "finite"
             notes = "the trivial action"
         else:
@@ -374,7 +384,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
         if len(L0) + 2 * len(irrational_locus_pairs(H0)) != len(S):
             continue
         if len(S) == 0:
-            candidates.append(map(_entry_codes, H0.elements))  # only the trivial model has empty locus
+            candidates.append(H0.codes)  # only the trivial model has empty locus
         elif len(S) >= 2:
             # one transporter per coset g.Fix(L0).H0 is enough: g.t.h H0
             # (g.t.h)^{-1} = g H0 g^{-1} for h in H0 and t in Fix(L0), which is
@@ -386,18 +396,18 @@ def enum_actions(query: CensusQuery) -> CensusReport:
                 ext2 = extension_field(ext, 2)
                 model, locus = subgroup_embed(H0, ext2), stabilized_locus(H0, 2)
                 target = tuple(sorted((pp1_embed(P, ext2) for P in S), key=by_code))
-            elems = [_entry_codes(h) for h in model.elements]
-            for g in transporters(locus, target, model.elements):
-                H = list(map(_conjugator(g), elems))
+            for g in transporters(locus, target, model.codes):
+                H = conjugate_subgroup(model, g)
                 if model.spec is not ext:
-                    H = _project_codes(model.spec, ext, H)
+                    H = subgroup_project(H, ext)
                 if H is not None:
-                    candidates.append(H)
+                    candidates.append(H.codes)
         # |S| <= 1 never matches a non-elementary-abelian model
 
-    found = _verified(_code_kernel(ext, 1), candidates, tuple(P.code for P in S), fingerprint(models[0])) if models else []
-    matches = tuple(_subgroup_from_codes(ext, codes, models[0].tag, gens) for codes, gens in found)
-    return CensusReport(query, matches, len(matches), "finite")
+    if not models:
+        return CensusReport(query, (), 0, "finite")
+    found = _verified(_code_kernel(ext, 1), candidates, tuple(P.code for P in S), fingerprint(models[0]))
+    return CensusReport(query, _matches(ext, found, models[0].tag), len(found), "finite")
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +551,14 @@ def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1) -> list[Subgro
     those of exponent p are kept.  It runs on entry codes through the
     field's code law, memoized per (field, point) by the growth that the
     ranks there share (_oracle_subgroups, which verify_main_theorem counts),
-    and maps are built here for the subgroups returned.  A point
-    over another field raises ValueError (field mismatch), as does a field
-    and rank whose dichotomy_work is over WORK_BOUND."""
+    and each subgroup is returned as its sorted codes.  A point over another
+    field raises ValueError (field mismatch), as does a field and rank whose
+    dichotomy_work is over WORK_BOUND."""
     if point.spec is not spec:
         raise ValueError(f"field mismatch: point over {point.spec!r}, oracle over {spec!r}")
     _check_work(spec.p, spec.n, m, affine=not point.is_infinity)
     found = sorted(tuple(sorted(H)) for H in _oracle_subgroups(spec, m, point))
-    return [_subgroup_from_codes(spec, H, "unclassified") for H in found]
+    return [SubgroupPGL2(spec, H, "unclassified") for H in found]
 
 
 # ---------------------------------------------------------------------------

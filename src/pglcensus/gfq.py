@@ -505,12 +505,17 @@ def subfield_elements(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
 
 @lru_cache(maxsize=None)
 def _embedding_table(src: FieldSpec, dst: FieldSpec) -> tuple[FqElem, ...]:
-    """The image in dst of each element of src, by code.
+    """The image in dst of each element of src, by code.  Requires the same
+    p and the degree of src dividing that of dst.
 
     The src generator is sent to the first root (canonical element order) of
     the src modulus inside dst, which makes the embedding deterministic; the
     roots lie in the subfield of order src.q.
     """
+    if src.p != dst.p:
+        raise ValueError(f"cannot embed: characteristic {src.p} != {dst.p}")
+    if dst.n % src.n != 0:
+        raise ValueError(f"cannot embed: degree {src.n} does not divide {dst.n}")
     modulus = [fq_from_int(dst, c).code for c in src.modulus]
     root = next((x for x in subfield_elements(dst, src.n) if cpoly_multiplicity(dst, modulus, x.code)), None)
     if root is None:
@@ -529,14 +534,9 @@ def _embedding_table(src: FieldSpec, dst: FieldSpec) -> tuple[FqElem, ...]:
 def fq_embed(a: FqElem, target: FieldSpec) -> FqElem:
     """Embed a into the target field.  Requires same p and source degree
     dividing target degree; the embedding is a fixed field homomorphism."""
-    spec = a.spec
-    if spec is target:
+    if a.spec is target:
         return a
-    if spec.p != target.p:
-        raise ValueError(f"cannot embed: characteristic {spec.p} != {target.p}")
-    if target.n % spec.n != 0:
-        raise ValueError(f"cannot embed: degree {spec.n} does not divide {target.n}")
-    return _embedding_table(spec, target)[a.code]
+    return _embedding_table(a.spec, target)[a.code]
 
 
 @lru_cache(maxsize=None)

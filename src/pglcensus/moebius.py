@@ -9,9 +9,10 @@ construction, so the closures and the mob_compose cache never hash or compare
 field elements; within one field, code order is the lexicographic order of
 the entries.  Products, inverses and normalization run on 4-tuples of entry
 codes through the one per-field law _code_law, as the genus-1 law does;
-the oracle, fingerprint and conjugation call it directly, off the
-mob_compose cache.  The action on points and the three-point frames run on
-point codes through _code_points, which transporters search with.
+the oracle and the subgroups of stdgroups, which are entry-code tuples,
+call it directly, off the mob_compose cache.  The action on points and the
+three-point frames run on point codes through _code_points, which
+transporters search with.
 
 Points of P^1 are either affine, with a single field coordinate (projective
 [x:1]), or the point at infinity [1:0].  A point's code is the code of x, or
@@ -469,11 +470,11 @@ def mob_from_three_points(src: Sequence[PP1], dst: Sequence[PP1]) -> Moebius:
     return _from_codes(spec, _triple_map(spec, source, _distinct_codes(dst, spec, "destination")))
 
 
-def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[Moebius] = ()) -> Iterator[Moebius]:
+def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[tuple[int, int, int, int]] = ()) -> Iterator[Moebius]:
     """One map g with g(L0) = S per coset g.Fix(L0).H, where Fix(L0) is the
-    pointwise stabilizer of L0 and H, by default trivial, is a group that
-    stabilizes L0 setwise (distinct points of one field, none if
-    |L0| != |S|).
+    pointwise stabilizer of L0 and H, by default trivial, is a group, given
+    by the entry codes of its maps over the points' field, that stabilizes
+    L0 setwise (distinct points of one field, none if |L0| != |S|).
     |L0| >= 3: Fix(L0) = 1; per ordered triple of S, in permutations order,
     the map sending L0[:3] onto it, if it sends the rest of L0 into S and is
     not g.h for an earlier g: since (g.h)(L0[j]) = g(L0[i]) with
@@ -501,12 +502,9 @@ def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[Moebius] = ())
             yield _from_codes(spec, _triple_map(spec, source, (first, second, third)))
         return
     where = {x: i for i, x in enumerate(src)}
-    for h in H:
-        if h.spec is not spec:
-            raise ValueError(f"field mismatch: map over {h.spec!r}, points over {spec!r}")
     try:
         # h(L0[j]) = L0[perm[j]], one perm per h in H; only j < 3 is used
-        perms = {tuple(where[apply(_entry_codes(h), x)] for x in src)[:3] for h in H}
+        perms = {tuple(where[apply(h, x)] for x in src)[:3] for h in H}
     except KeyError:
         raise ValueError("H does not stabilize L0") from None
     source, rest = frame(*src[:3]), src[3:]

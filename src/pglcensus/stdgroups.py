@@ -6,8 +6,11 @@ p: the p-regular list (cyclic, dihedral, A4, S4, A5 as explicit matrix
 groups) and the p-irregular list (PSL2/PGL2 of a subfield, semidirect
 products of an additive subgroup with a group of roots of unity).  The
 char-2 dihedral groups and the char-3 A5 come from the same constructors as
-their p-regular counterparts.  Groups are stored as canonically sorted
-element lists, so equality of subgroups is list equality.
+their p-regular counterparts.  A group is stored as the sorted tuple of its
+elements' entry codes (moebius._code_law), which is their canonical map
+order, so equality of subgroups is tuple equality, and every check below
+runs on those codes.  Maps are built only for text (a subgroup's generators)
+and by the conjugacy search, whose witnesses are maps.
 
 Isomorphism types are discriminated by a cheap fingerprint (order,
 element-order multiset, abelian flag) rather than abstract isomorphism
@@ -27,14 +30,13 @@ from .gfq import (
     FieldSpec,
     FqElem,
     Record,
+    _embedding_table,
     _projection_table,
-    by_code,
     extension_field,
     field_elements,
     fp_echelon,
     fq_from_coeffs,
     fq_inv,
-    fq_mul,
     fq_one,
     fq_zero,
     parse_field_spec,
@@ -52,8 +54,6 @@ from .moebius import (
     _from_codes,
     _point,
     mob_compose,
-    mob_conjugate,
-    mob_embed,
     mob_from_three_points,
     mob_identity,
     mob_infinity_to,
@@ -74,22 +74,26 @@ if TYPE_CHECKING:
 
 
 class SubgroupPGL2(Record):
-    """A finite subgroup of PGL2(F_q) as a sorted tuple of normalized maps."""
+    """A finite subgroup of PGL2(F_q) as the sorted tuple of the entry codes
+    (a, b, c, d) of its normalized maps, which holds the identity."""
 
     spec: FieldSpec
-    elements: tuple[Moebius, ...]
+    codes: tuple[tuple[int, int, int, int], ...]
     tag: str
+
+    def __post_init__(self):
+        if _code_law(self.spec)[2] not in self.codes:
+            raise ValueError("a subgroup must contain the identity")
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     @cached_property
-    def generators(self) -> tuple[Moebius, ...]:
-        """_generating_set(self), computed once per subgroup.  A census match
-        comes with the set its verification computed on codes
-        (_subgroup_from_codes), and is rendered from that set."""
-        return _generating_set(self)
+    def generators(self) -> tuple[tuple[int, int, int, int], ...]:
+        """_code_generators of the codes, computed once per subgroup; a census
+        match is seeded with the set its verification computed."""
+        return _code_generators(_code_kernel(self.spec, 1), self.codes)
 
     def __repr__(self) -> str:
         return f"SubgroupPGL2({self.tag}, order {self.order} over {render_field_spec(self.spec)})"
@@ -102,24 +106,9 @@ class Fingerprint(Record):
     p_regular: bool
 
 
-def _make_subgroup(spec: FieldSpec, elements: Iterable[Moebius], tag: str) -> SubgroupPGL2:
-    elems = sorted(set(elements), key=by_code)
-    if mob_identity(spec) not in elems:
-        raise ValueError("a subgroup must contain the identity")
-    return SubgroupPGL2(spec, tuple(elems), tag)
-
-
-def _subgroup_from_codes(spec: FieldSpec, codes: Sequence[tuple], tag: str, gens: Optional[Sequence[tuple]] = None) -> SubgroupPGL2:
-    """The subgroup with sorted entry codes `codes`; `gens`, its
-    _code_generators if already computed, become its cached generators."""
-    H = SubgroupPGL2(spec, tuple(_from_codes(spec, x) for x in codes), tag)
-    if gens is not None:
-        vars(H)["generators"] = tuple(_from_codes(spec, g) for g in gens)
-    return H
-
-
 def close_generators(gens: Sequence[Moebius], cap: Optional[int] = None, tag: str = "unclassified") -> SubgroupPGL2:
-    """Breadth-first closure of a generator list under composition."""
+    """Breadth-first closure of a generator list under composition, on entry
+    codes through the field's code law."""
     if not gens:
         raise ValueError("need at least one generator")
     spec = gens[0].spec
@@ -128,32 +117,33 @@ def close_generators(gens: Sequence[Moebius], cap: Optional[int] = None, tag: st
             raise ValueError("generators live in different fields")
     if cap is None:
         cap = spec.q ** 3 - spec.q
-    seen = close(gens, mob_compose, {mob_identity(spec)}, cap)
+    law, _, ident = _code_law(spec)
+    seen = close([_entry_codes(g) for g in gens], law, {ident}, cap)
     if seen is None:
         raise ValueError(f"closure exceeded cap {cap}")
-    return _make_subgroup(spec, seen, tag)
+    return SubgroupPGL2(spec, tuple(sorted(seen)), tag)
 
 
 def subgroup_embed(H: SubgroupPGL2, target: FieldSpec) -> SubgroupPGL2:
-    return _make_subgroup(target, (mob_embed(m, target) for m in H.elements), H.tag)
-
-
-def _project_codes(src: FieldSpec, target: FieldSpec, codes: Iterable[tuple]) -> Optional[list[tuple]]:
-    """The maps with entry codes `codes` over src, pulled back to the subfield
-    `target` (a leading 1 stays 1), or None if any entry is irrational."""
-    table = _projection_table(src, target)
-    try:
-        return [tuple(table[e].code for e in x) for x in codes]
-    except KeyError:
-        return None
+    """H over an extension field, entry by entry: an embedding keeps 0 and
+    1, so a normalized map stays normalized."""
+    if H.spec is target:
+        return H
+    emb = [x.code for x in _embedding_table(H.spec, target)]
+    return SubgroupPGL2(target, tuple(sorted(tuple(emb[e] for e in x) for x in H.codes)), H.tag)
 
 
 def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL2]:
-    """Pull the subgroup back to a subfield, or None if any entry is irrational."""
+    """Pull the subgroup back to a subfield, entry by entry (a leading 1
+    stays 1), or None if any entry is irrational there."""
     if H.spec is target:
         return H
-    codes = _project_codes(H.spec, target, map(_entry_codes, H.elements))
-    return None if codes is None else _subgroup_from_codes(target, sorted(codes), H.tag)
+    table = _projection_table(H.spec, target)
+    try:
+        codes = sorted(tuple(table[e].code for e in x) for x in H.codes)
+    except KeyError:
+        return None
+    return SubgroupPGL2(target, tuple(codes), H.tag)
 
 
 def _conjugator(g: Moebius):
@@ -166,13 +156,11 @@ def _conjugator(g: Moebius):
 
 def conjugate_subgroup(H: SubgroupPGL2, g: Moebius) -> SubgroupPGL2:
     """g H g^{-1}, on entry codes (_conjugator)."""
-    spec = H.spec
-    if g.spec is not spec:
+    if g.spec is not H.spec:
         raise ValueError("conjugator must live in the subgroup's field")
     if mob_is_identity(g):
         return H
-    conj = _conjugator(g)
-    return _subgroup_from_codes(spec, sorted(conj(_entry_codes(m)) for m in H.elements), H.tag)
+    return SubgroupPGL2(H.spec, tuple(sorted(map(_conjugator(g), H.codes))), H.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +193,8 @@ def std_cyclic(spec: FieldSpec, n: int) -> SubgroupPGL2:
         raise ValueError(f"characteristic {spec.p} divides {n}: no such cyclic model")
     primitive_root_of_unity(spec, n)
     mu, _ = roots_of_unity(spec, n)
-    return _make_subgroup(spec, (_diag(spec, u) for u in mu), f"cyclic:{n}")
+    normalize, one = _code_law(spec)[1], fq_one(spec).code
+    return SubgroupPGL2(spec, tuple(sorted(normalize(u.code, 0, 0, one) for u in mu)), f"cyclic:{n}")
 
 
 def std_dihedral(spec: FieldSpec, n: int) -> SubgroupPGL2:
@@ -303,20 +292,18 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
     if n % spec.p == 0:
         raise ValueError(f"characteristic {spec.p} divides {n}")
     primitive_root_of_unity(spec, n)
-    mu, _ = roots_of_unity(spec, n)
-    gamma_set = set(gamma.elements())
+    mu = [z.code for z in roots_of_unity(spec, n)[0]]
+    gamma_set = set(gamma.element_codes())
+    mul = spec._tables.mul
     for z in mu:
         if z not in gamma_set:
             raise ValueError(f"mu_{n} is not contained in the additive subgroup")
         for g in gamma_set:
-            if fq_mul(z, g) not in gamma_set:
+            if mul(z, g) not in gamma_set:
                 raise ValueError(f"mu_{n} * gamma is not contained in gamma")
     tag = f"Zp^{gamma.rank}" if n == 1 else f"gamma:{gamma.rank}:{n}"
-    elems = []
-    for z in mu:
-        for g in gamma_set:
-            elems.append(mob_make(z, g, fq_zero(spec), fq_one(spec)))
-    H = _make_subgroup(spec, elems, tag)
+    normalize, one = _code_law(spec)[1], fq_one(spec).code
+    H = SubgroupPGL2(spec, tuple(sorted(normalize(z, g, 0, one) for z in mu for g in gamma_set)), tag)
     if H.order != n * spec.p ** gamma.rank:
         raise AssertionError(f"semidirect product has order {H.order}, expected {n * spec.p ** gamma.rank}")
     return H
@@ -357,7 +344,7 @@ def _code_fingerprint(kernel: tuple, codes: Sequence[tuple], gens: Sequence[tupl
 
 def fingerprint(H: SubgroupPGL2) -> Fingerprint:
     """Order, element-order multiset, abelian and p-regularity flags."""
-    return _code_fingerprint(_code_kernel(H.spec, 1), [_entry_codes(m) for m in H.elements], [_entry_codes(g) for g in H.generators])
+    return _code_fingerprint(_code_kernel(H.spec, 1), H.codes, H.generators)
 
 
 def _code_locus(kernel: tuple, codes: Iterable[tuple], complete: bool = False) -> Optional[tuple[int, ...]]:
@@ -382,7 +369,7 @@ def stabilized_locus(H: SubgroupPGL2, r: int, complete: bool = False) -> Optiona
     None unless it is the whole locus over the algebraic closure: an
     element's fixed points lie in F_{q^r} all or none (mob_fixed_points), so
     that is when no element's set is empty."""
-    codes = _code_locus(_code_kernel(H.spec, r), map(_entry_codes, H.elements), complete)
+    codes = _code_locus(_code_kernel(H.spec, r), H.codes, complete)
     if codes is None:
         return None
     ext = extension_field(H.spec, r)
@@ -397,8 +384,7 @@ def irrational_locus_pairs(H: SubgroupPGL2) -> set[tuple[int, int]]:
     len(stabilized_locus(H, 1)) + 2 * len(irrational_locus_pairs(H)) points,
     and it is stabilized_locus(H, 1) exactly when this set is empty."""
     quadratic, fixed = _code_fixed(H.spec, 1)
-    codes = map(_entry_codes, H.elements)
-    return {quadratic(x) for x in codes if x[2] and not fixed(x)}
+    return {quadratic(x) for x in H.codes if x[2] and not fixed(x)}
 
 
 def _code_generators(kernel: tuple, codes: Sequence[tuple]) -> tuple[tuple, ...]:
@@ -418,31 +404,22 @@ def _code_generators(kernel: tuple, codes: Sequence[tuple]) -> tuple[tuple, ...]
     return tuple(gens) or (ident,)
 
 
-def _generating_set(H: SubgroupPGL2) -> tuple[Moebius, ...]:
-    """_code_generators of H, as maps."""
-    gens = _code_generators(_code_kernel(H.spec, 1), [_entry_codes(m) for m in H.elements])
-    return tuple(_from_codes(H.spec, g) for g in gens)
-
-
 # ---------------------------------------------------------------------------
 # conjugacy
 
 
-def _translation_parts(H: SubgroupPGL2) -> Optional[list[FqElem]]:
-    """If every element is a translation x -> x + g, return the g's."""
-    out = []
-    one = fq_one(H.spec)
-    for m in H.elements:
-        if m.a == one and m.c.is_zero() and m.d == one:
-            out.append(m.b)
-        else:
-            return None
-    return out
+def _translation_parts(H: SubgroupPGL2) -> Optional[list[int]]:
+    """If every element is a translation x -> x + g, return the codes of the
+    g's."""
+    one = H.spec.q // H.spec.p
+    if all(a == d == one and not c for a, _, c, d in H.codes):
+        return [b for _, b, _, _ in H.codes]
+    return None
 
 
 def _conjugates_onto(g: Moebius, H1: SubgroupPGL2, H2: SubgroupPGL2) -> bool:
-    elems2 = set(H2.elements)
-    return all(mob_conjugate(g, m) in elems2 for m in H1.elements)
+    conj, codes2 = _conjugator(g), set(H2.codes)
+    return all(conj(x) in codes2 for x in H1.codes)
 
 
 def _simplify_witness(g: Optional[Moebius], base: FieldSpec) -> Optional[Moebius]:
@@ -491,11 +468,11 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
         g1 = _translation_parts(conjugate_subgroup(K1, t1))
         g2 = _translation_parts(conjugate_subgroup(K2, mob_inverse(s2)))
         if g1 is not None and g2 is not None:
-            set2 = {x.code for x in g2}
+            set2, mul = set(g2), ext._tables.mul
             for alpha in field_elements(ext):
                 if alpha.is_zero():
                     continue
-                if {fq_mul(alpha, x).code for x in g1} == set2:
+                if {mul(alpha.code, x) for x in g1} == set2:
                     g = mob_compose(s2, mob_compose(_diag(ext, alpha), t1))
                     if _conjugates_onto(g, K1, K2):
                         return _simplify_witness(g, base)
@@ -521,7 +498,7 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
     if len(L1) == 2:
         src = (L1[0], L1[1], next(P for P in pp1_points(search) if P not in L1))
         fix = (mob_from_three_points(src, (L1[0], L1[1], P)) for P in pp1_points(search) if P not in L1)
-    H1_search = subgroup_embed(H1, search).elements
+    H1_search = subgroup_embed(H1, search).codes
     for t in fix:
         for g0 in transporters(L1, L2, H1_search):
             g = mob_compose(g0, t)
@@ -533,12 +510,11 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
 
 
 def _bruteforce_search(K1: SubgroupPGL2, K2: SubgroupPGL2) -> Optional[Moebius]:
-    gens = K1.generators
-    elems2 = set(K2.elements)
+    gens, codes2 = K1.generators, set(K2.codes)
     for g in pgl2_elements(K1.spec):
-        if all(mob_conjugate(g, m) in elems2 for m in gens):
-            if _conjugates_onto(g, K1, K2):
-                return g
+        conj = _conjugator(g)
+        if all(conj(x) in codes2 for x in gens) and _conjugates_onto(g, K1, K2):
+            return g
     return None
 
 
@@ -567,7 +543,7 @@ def subgroup_to_json(H: SubgroupPGL2, locus_ext: int = 2, locus: Optional[Sequen
     return {
         "field": render_field_spec(H.spec),
         "tag": H.tag,
-        "generators": [render_moebius(m) for m in H.generators],
+        "generators": [render_moebius(_from_codes(H.spec, g)) for g in H.generators],
         "order": H.order,
         "locus": [render_point(P) for P in locus],
         "locus_field": render_field_spec(locus_field),

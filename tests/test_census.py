@@ -42,6 +42,8 @@ from pglcensus.gfq import (
     parse_field_spec,
 )
 from pglcensus.moebius import (
+    _entry_codes,
+    _from_codes,
     mob_apply,
     mob_compose,
     mob_identity,
@@ -57,7 +59,9 @@ from pglcensus.moebius import (
 )
 from pglcensus.stdgroups import (
     Fingerprint,
-    _generating_set,
+    SubgroupPGL2,
+    _code_generators,
+    _code_kernel,
     _translation_parts,
     close_generators,
     conjugate_subgroup,
@@ -75,6 +79,11 @@ F5 = field_make(5, 1)
 F7 = field_make(7, 1)
 F8 = field_make(2, 3)
 F9 = field_make(3, 2)
+
+
+def maps(H):
+    """H's members as maps, in code order."""
+    return [_from_codes(H.spec, x) for x in H.codes]
 
 
 class TestAdditiveSubgroups:
@@ -137,7 +146,7 @@ class TestGammaUnipotentCorrespondence:
         for G in enum_additive_subgroups(F8, m):
             H = gamma_to_unipotent(G)
             assert H.order == 2 ** m
-            assert additive_subgroup(F8, _translation_parts(H)) == G
+            assert additive_subgroup(F8, [field_elements(F8)[g] for g in _translation_parts(H)]) == G
 
     def test_backward_rejects_non_translation_group(self):
         from pglcensus.stdgroups import std_cyclic
@@ -148,8 +157,8 @@ class TestGammaUnipotentCorrespondence:
         seen = set()
         for G in enum_additive_subgroups(F8, 2):
             H = gamma_to_unipotent(G)
-            assert H.elements not in seen
-            seen.add(H.elements)
+            assert H.codes not in seen
+            seen.add(H.codes)
 
 
 class TestScaling:
@@ -180,7 +189,7 @@ class TestScaling:
                 diag = mob_make(alpha, fq_zero(F9), fq_zero(F9), fq_one(F9))
                 left = gamma_to_unipotent(scale_subgroup(G, alpha))
                 right = conjugate_subgroup(gamma_to_unipotent(G), diag)
-                assert left.elements == right.elements
+                assert left.codes == right.codes
 
     def test_scaling_permutes_the_census(self):
         subs = enum_additive_subgroups(F8, 2)
@@ -256,15 +265,15 @@ class TestEnumActions:
         # dihedral:3 at all of P^1(F7): each of the 336 maps of PGL2(F7)
         # transports the locus, and the 6 maps of a coset g.H0 give one
         # conjugate, so 56 maps are built (one _triple_map each) and
-        # conjugate the model on entry codes (one _conjugator each)
+        # conjugate the model on entry codes (one conjugate_subgroup each)
         calls = collections.Counter()
-        for module, name in ((moebius, "_triple_map"), (census, "_conjugator")):
+        for module, name in ((moebius, "_triple_map"), (census, "conjugate_subgroup")):
             def counted(*args, f=getattr(module, name), name=name):
                 calls[name] += 1
                 return f(*args)
             monkeypatch.setattr(module, name, counted)
         assert census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf").count == 28
-        assert calls == {"_triple_map": 56, "_conjugator": 56}
+        assert calls == {"_triple_map": 56, "conjugate_subgroup": 56}
 
     def test_one_fixed_point_pass_per_candidate(self, monkeypatch):
         # the same census: the model's locus and pairs once, then one pass
@@ -285,24 +294,27 @@ class TestEnumActions:
         assert data["matches"] == [stdgroups.subgroup_to_json(H, 1) for H in report.matches]
 
     def test_one_generating_set_per_match(self, monkeypatch):
-        # the same census: fingerprint computes each match's generating set
-        # (and the model's, unless an earlier run cached it), and the JSON
-        # renders the cached set, computing none
+        # the same census: verification computes each candidate's generating
+        # set on codes (census._code_generators, not counted here) and seeds
+        # each match with it, so the cached property computes at most the
+        # model's (unless an earlier run cached it), and the JSON renders the
+        # seeded set, computing none
         calls = []
 
-        def counted(H, f=stdgroups._generating_set):
-            calls.append(H)
-            return f(H)
+        def counted(kernel, codes, f=stdgroups._code_generators):
+            calls.append(codes)
+            return f(kernel, codes)
 
-        monkeypatch.setattr(stdgroups, "_generating_set", counted)
+        monkeypatch.setattr(stdgroups, "_code_generators", counted)
         report = census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf")
-        assert report.count == 28 and len(calls) <= report.count + 1
+        assert report.count == 28 and len(calls) <= 1
         before = len(calls)
         data = census_report_to_json(report)
         assert len(calls) == before
         monkeypatch.undo()
         assert [m["generators"] for m in data["matches"]] == [
-            [render_moebius(g) for g in _generating_set(H)] for H in report.matches
+            [render_moebius(_from_codes(H.spec, g)) for g in _code_generators(_code_kernel(H.spec, 1), H.codes)]
+            for H in report.matches
         ]
 
     def test_cyclic_census_locus_size_mismatch(self):
@@ -343,13 +355,13 @@ class TestEnumActions:
         census_at = {}
         for x in _all_points(spec):
             rep_x = enum_actions(CensusQuery(spec, f"Zp^{m}", (x,), r=1))
-            census_at[render_point(x)] = {M.elements for M in rep_x.matches}
+            census_at[render_point(x)] = {M.codes for M in rep_x.matches}
         for g in pgl2_elements(spec):
             for H in rep.matches:
                 K = conjugate_subgroup(H, g)
                 moved = stabilized_locus(K, 1)
                 assert len(moved) == 1
-                assert K.elements in census_at[render_point(moved[0])]
+                assert K.codes in census_at[render_point(moved[0])]
 
     def test_psl2_census_finds_the_standard_copy(self):
         # PSL2(F3) has six stabilized points away from P^1(F3) (the fixed
@@ -367,7 +379,7 @@ class TestEnumActions:
         assert len(S2) == 10
         rep = enum_actions(CensusQuery(F3, "PSL2:1", S2, r=2))
         embedded = subgroup_embed(model, field_make(3, 2))
-        assert embedded.elements in {M.elements for M in rep.matches}
+        assert embedded.codes in {M.codes for M in rep.matches}
         for H in rep.matches:
             assert fingerprint(H) == fingerprint(embedded)
             assert stabilized_locus(H, 2) == tuple(
@@ -390,7 +402,7 @@ class TestEnumActions:
             a = census_count(F5, "cyclic:2", locus_text)
             b = census_count(F5, "dihedral:1", locus_text)
             assert a.count == b.count == 1
-            assert {H.elements for H in a.matches} == {H.elements for H in b.matches}
+            assert {H.codes for H in a.matches} == {H.codes for H in b.matches}
 
     def test_gamma_tag_with_no_admissible_model_counts_zero(self):
         # rank-1 subgroups of F4 cannot contain mu_3 (four elements needed)
@@ -406,7 +418,7 @@ class TestEnumActions:
         S = stabilized_locus(model, 1)
         rep = enum_actions(CensusQuery(F9, "gamma:1:2", S, r=1))
         assert rep.count >= 1
-        assert model.elements in {M.elements for M in rep.matches}
+        assert model.codes in {M.codes for M in rep.matches}
         for H in rep.matches:
             assert fingerprint(H) == fingerprint(model)
 
@@ -433,13 +445,13 @@ class TestEnumActions:
                     H = close_generators([a, b], cap=6)
                 except ValueError:
                     continue  # pair generates something larger
-                if H.order != 6 or H.elements in seen:
+                if H.order != 6 or H.codes in seen:
                     continue
-                seen.add(H.elements)
+                seen.add(H.codes)
                 if fingerprint(H) == target_fp and stabilized_locus(H, 2) == target_locus:
-                    found.add(H.elements)
+                    found.add(H.codes)
         rep = enum_actions(CensusQuery(F9, "gamma:1:2", S, r=1))
-        assert {H.elements for H in rep.matches} == found
+        assert {H.codes for H in rep.matches} == found
 
     def test_unknown_tag_raises(self):
         with pytest.raises(ValueError):
@@ -449,7 +461,7 @@ class TestEnumActions:
         # independent oracle for the >= 3 point transporter path: enumerate
         # Klein four-groups directly from commuting involutions
         from pglcensus.moebius import mob_compose, mob_identity, mob_order
-        from pglcensus.stdgroups import _make_subgroup, std_dihedral
+        from pglcensus.stdgroups import std_dihedral
 
         involutions = [g for g in pgl2_elements(F5) if mob_order(g) == 2]
         kleins = {}
@@ -457,13 +469,12 @@ class TestEnumActions:
             for b in involutions[i + 1 :]:
                 if mob_compose(a, b) != mob_compose(b, a):
                     continue
-                H = _make_subgroup(
-                    F5, [mob_identity(F5), a, b, mob_compose(a, b)], "dihedral:2"
-                )
-                kleins[H.elements] = H
+                members = [mob_identity(F5), a, b, mob_compose(a, b)]
+                H = SubgroupPGL2(F5, tuple(sorted(map(_entry_codes, members))), "dihedral:2")
+                kleins[H.codes] = H
         by_locus = {}
         for H in kleins.values():
-            by_locus.setdefault(stabilized_locus(H, 2), set()).add(H.elements)
+            by_locus.setdefault(stabilized_locus(H, 2), set()).add(H.codes)
 
         model = std_dihedral(F5, 2)
         model_locus = stabilized_locus(model, 2)
@@ -476,9 +487,9 @@ class TestEnumActions:
             expected = {
                 els for els in members if fingerprint(kleins[els]) == fp
             }
-            assert {H.elements for H in rep.matches} == expected, locus
+            assert {H.codes for H in rep.matches} == expected, locus
         # sanity: the model's own locus bucket is nonempty and detected
-        assert model.elements in by_locus[model_locus]
+        assert model.codes in by_locus[model_locus]
 
 
 class TestOracle:
@@ -495,13 +506,13 @@ class TestOracle:
     def test_oracle_agrees_with_census_elementwise(self):
         rep = census_count(F8, "Zp^1", "inf")
         oracle = oracle_enum_elem_abelian(F8, 1, pp1_infinity(F8))
-        assert {H.elements for H in rep.matches} == {H.elements for H in oracle}
+        assert {H.codes for H in rep.matches} == {H.codes for H in oracle}
 
     def test_oracle_at_affine_point(self):
         point = pp1_affine(fq_one(F4))
         oracle = oracle_enum_elem_abelian(F4, 1, point)
         rep = enum_actions(CensusQuery(F4, "Zp^1", (point,), r=1))
-        assert {H.elements for H in oracle} == {H.elements for H in rep.matches}
+        assert {H.codes for H in oracle} == {H.codes for H in rep.matches}
 
     def test_cap(self, monkeypatch):
         # just inside the bound the oracle runs, one composition over it refuses
@@ -568,7 +579,7 @@ class TestOracle:
         point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(field_elements(spec)[-1])
         census._oracle_growth.cache_clear()
         for m in (3, 1, 2, 3):
-            found = {frozenset(H.elements) for H in oracle_enum_elem_abelian(spec, m, point)}
+            found = {frozenset(maps(H)) for H in oracle_enum_elem_abelian(spec, m, point)}
             assert found == reference_oracle(spec, m, point)
             assert len(found) == gaussian_binomial(n, m, p)
 
@@ -622,7 +633,7 @@ def test_oracle_matches_full_pgl2_scan(p, n, point_kind):
     spec = field_make(p, n)
     point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(field_elements(spec)[-1])
     for m in range(1, n + 1):
-        found = {frozenset(H.elements) for H in oracle_enum_elem_abelian(spec, m, point)}
+        found = {frozenset(maps(H)) for H in oracle_enum_elem_abelian(spec, m, point)}
         assert found == reference_oracle(spec, m, point)
         assert len(found) == gaussian_binomial(n, m, p)
 
@@ -642,20 +653,21 @@ def all_subgroups(spec):
     ident = mob_make(fq_one(spec), fq_zero(spec), fq_zero(spec), fq_one(spec))
     elements = list(pgl2_elements(spec))
     trivial = close_generators([ident])
-    layer = {trivial.elements: (trivial, [])}
-    everything = {trivial.elements: trivial}
+    layer = {trivial.codes: (trivial, [])}
+    everything = {trivial.codes: trivial}
     while layer:
         next_layer = {}
         for H, gens in layer.values():
-            covered = set(H.elements)
+            members = maps(H)
+            covered = set(members)
             for g in elements:
                 if g in covered:
                     continue
-                covered.update(mob_compose(g, h) for h in H.elements)
+                covered.update(mob_compose(g, h) for h in members)
                 grown = close_generators(gens + [g])
-                if grown.elements not in everything:
-                    everything[grown.elements] = grown
-                    next_layer[grown.elements] = (grown, gens + [g])
+                if grown.codes not in everything:
+                    everything[grown.codes] = grown
+                    next_layer[grown.codes] = (grown, gens + [g])
         layer = next_layer
     return list(everything.values())
 
@@ -691,18 +703,18 @@ def assert_census_equals_filtered_scan(spec, subgroups, tag):
         if fingerprint(H) != fp:
             continue
         locus = stabilized_locus(H, 2)
-        by_locus.setdefault(locus, set()).add(H.elements)
+        by_locus.setdefault(locus, set()).add(H.codes)
     assert by_locus, f"no subgroups with the fingerprint of {tag}"
     ext = extension_field(spec, 2)
     for locus, members in by_locus.items():
         locus_level1 = stabilized_locus_level1(locus, spec)
         if locus_level1 is not None:
             rep = enum_actions(CensusQuery(spec, tag, locus_level1, r=1))
-            assert {H.elements for H in rep.matches} == members, (tag, locus)
+            assert {H.codes for H in rep.matches} == members, (tag, locus)
         else:
             rep = enum_actions(CensusQuery(ext, tag, stabilized_locus_level1(locus, ext), r=1))
             rational = (subgroup_project(H, spec) for H in rep.matches)
-            assert {H.elements for H in rational if H is not None} == members, (tag, locus)
+            assert {H.codes for H in rational if H is not None} == members, (tag, locus)
 
 
 # every tag with a standard model over F5 (cyclic:3, dihedral:3 and A5 need F25)
@@ -738,11 +750,12 @@ class TestCensusCompleteness:
 def reference_fingerprint(H):
     # fingerprint as it was before it ran on entry codes: orders by mob_order
     # and the commutation test by mob_compose pairs
-    counts = collections.Counter(mob_order(m) for m in H.elements)
+    members = maps(H)
+    counts = collections.Counter(mob_order(m) for m in members)
     return Fingerprint(
         order=H.order,
         element_orders=tuple(sorted(counts.items())),
-        abelian=all(mob_compose(a, b) == mob_compose(b, a) for a, b in itertools.combinations(H.elements, 2)),
+        abelian=all(mob_compose(a, b) == mob_compose(b, a) for a, b in itertools.combinations(members, 2)),
         p_regular=H.order % H.spec.p != 0,
     )
 
@@ -753,10 +766,10 @@ def test_fingerprint_matches_reference(subgroups_f3, subgroups_f4, subgroups_f5)
 
 
 def reference_generating_set(H):
-    # _generating_set as it was before it closed on entry codes: the same
+    # the generating set as it was before it closed on entry codes: the same
     # greedy choice in canonical order, closed by mob_compose
     gens, span = [], {mob_identity(H.spec)}
-    for m in H.elements:
+    for m in maps(H):
         if m not in span:
             gens.append(m)
             span = close(gens, mob_compose, span)
@@ -765,7 +778,7 @@ def reference_generating_set(H):
 
 def test_generating_set_matches_reference(subgroups_f3, subgroups_f4, subgroups_f5):
     for H in subgroups_f3 + subgroups_f4 + subgroups_f5:
-        assert _generating_set(H) == reference_generating_set(H), H
+        assert H.generators == tuple(map(_entry_codes, reference_generating_set(H))), H
 
 
 def assert_locus_counted_over_census_field(H):
@@ -907,9 +920,32 @@ class TestMainTheorem:
         for p, levels in ((2, [1, 2, 3, 4]), (3, [2]), (5, [2])):
             assert verify_main_theorem(p, levels).ok
         assert built == []
-        # the census of the same subgroups wraps each match once
-        assert census_count(F8, "Zp^2", "inf").count == 7
-        assert len(built) == 7 * 4 + 7 * 2
+        # the census of the same subgroups builds no map either, and its
+        # JSON builds one per generator of each match
+        report = census_count(F8, "Zp^2", "inf")
+        assert report.count == 7 and built == []
+        census_report_to_json(report)
+        assert len(built) == 7 * 2
+
+    def test_affine_census_builds_maps_independent_of_match_count(self, monkeypatch):
+        # Zp^2 at an affine point over F16 (35 matches) and F64 (651): the
+        # maps built are the conjugator's, the same few at both levels, and
+        # none per member of a match
+        built = []
+
+        def counted(self, *args, f=moebius.Moebius.__init__):
+            built.append(args)
+            f(self, *args)
+
+        monkeypatch.setattr(moebius.Moebius, "__init__", counted)
+        sizes = []
+        for n, count in ((4, 35), (6, 651)):
+            spec = field_make(2, n)
+            before = len(built)
+            report = enum_actions(CensusQuery(spec, "Zp^2", (pp1_affine(fq_gen(spec)),), r=1))
+            assert report.count == count
+            sizes.append(len(built) - before)
+        assert sizes[0] == sizes[1]
 
     def test_p7_levels_1_2(self):
         report = verify_main_theorem(7, [1, 2])
@@ -978,7 +1014,7 @@ class TestReportSerialization:
         text = json.dumps(data, sort_keys=True)
         parsed = json.loads(text)
         rebuilt = [subgroup_from_json(m) for m in parsed["matches"]]
-        assert {H.elements for H in rebuilt} == {H.elements for H in rep.matches}
+        assert {H.codes for H in rebuilt} == {H.codes for H in rep.matches}
         assert parsed["count"] == rep.count
 
     def test_census_report_deterministic(self):

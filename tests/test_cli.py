@@ -116,6 +116,19 @@ class TestBuildAndLocus:
         code, out = run_cli("census", "--field", "13^1", "--group", "S4", "--locus", "0,inf")
         assert code == 0 and json.loads(out)["count"] == 0
 
+    @pytest.mark.parametrize("tag", ["Zp^0", "gamma:0:1"])
+    def test_rank_zero_tag_is_the_trivial_group(self, tag):
+        # the census's trivial answer at the empty locus is the tag's model
+        code, out = run_cli("build-group", "--field", "5^1", "--group", tag)
+        built = json.loads(out)
+        assert code == 0 and built["order"] == 1 and built["locus"] == []
+        code, out = run_cli("locus", "--field", "5^1", "--group", tag)
+        data = json.loads(out)
+        assert code == 0 and data["order"] == 1 and data["locus"] == []
+        code, out = run_cli("census", "--field", "5^1", "--group", tag, "--locus", "")
+        (match,) = json.loads(out)["matches"]
+        assert code == 0 and match["generators"] == built["generators"] and match["tag"] == built["tag"]
+
 
 class TestConjugateCommand:
     def test_transporter_and_brute_agree(self):

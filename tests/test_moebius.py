@@ -39,6 +39,7 @@ from pglcensus.moebius import (
     _code_law,
     _code_points,
     _entry_codes,
+    _from_codes,
     _log_arrays,
     _normalized,
     mob_apply,
@@ -366,7 +367,7 @@ class TestCodeArithmetic:
     @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (2, 4)], ids=["F8", "F9", "F16"])
     def test_translation_groups_against_reference(self, p, n):
         from pglcensus.census import enum_additive_subgroups, gamma_to_unipotent
-        from pglcensus.stdgroups import _make_subgroup
+        from pglcensus.stdgroups import SubgroupPGL2
 
         spec = field_make(p, n)
         for rank in range(n + 1):
@@ -381,7 +382,8 @@ class TestCodeArithmetic:
                     members.append(acc)
                 translations = [mob_make(fq_one(spec), g, fq_zero(spec), fq_one(spec)) for g in members]
                 assert gamma.elements() == members
-                assert gamma_to_unipotent(gamma) == _make_subgroup(spec, translations, f"Zp^{rank}")
+                codes = tuple(sorted(map(_entry_codes, translations)))
+                assert gamma_to_unipotent(gamma) == SubgroupPGL2(spec, codes, f"Zp^{rank}")
 
 
 class TestOrder:
@@ -567,9 +569,14 @@ class TestFixedPointKernel:
                     assert quadratic(_entry_codes(m)) == tuple(x.code for x in reference_quadratic(m))
 
 
+def maps(H):
+    """H's members as maps, in code order."""
+    return [_from_codes(H.spec, x) for x in H.codes]
+
+
 def reference_locus(H, r, complete=False):
     points = set()
-    for m in H.elements:
+    for m in maps(H):
         if m != mob_identity(H.spec):
             fixed = reference_fixed_points(m, r)
             if complete and not fixed:
@@ -579,7 +586,7 @@ def reference_locus(H, r, complete=False):
 
 
 def reference_pairs(H):
-    quadratics = (reference_quadratic(m) for m in H.elements)
+    quadratics = (reference_quadratic(m) for m in maps(H))
     return {(B.code, C.code) for B, C in filter(None, quadratics) if not reference_quadratic_roots(B, C)}
 
 
@@ -686,7 +693,7 @@ class TestTransporters:
         from pglcensus.stdgroups import stabilized_locus
 
         H = _standard_models(spec, *parse_group_id(tag))[0]
-        return H.elements, list(stabilized_locus(H, 1))
+        return H.codes, list(stabilized_locus(H, 1))
 
     @pytest.mark.parametrize("spec,tag", MODELS, ids=lambda c: str(getattr(c, "q", c)))
     def test_one_map_per_coset_of_the_model(self, spec, tag):
@@ -697,7 +704,7 @@ class TestTransporters:
         for S in (moved, rng.sample(list(pp1_points(spec)), len(L0))):
             plain = list(transporters(L0, S))
             reps = list(transporters(L0, S, H))
-            cosets = [{mob_compose(g, h) for h in H} for g in reps]
+            cosets = [{mob_compose(g, _from_codes(spec, h)) for h in H} for g in reps]
             covered = set().union(*cosets)
             # pairwise disjoint, and together every g with g(L0) = S
             assert sum(map(len, cosets)) == len(covered)
@@ -805,15 +812,15 @@ class TestTransportersAgainstReference:
         spec = parse_field_spec(field)
         (H0,) = _standard_models(spec, *parse_group_id(tag))
         search = extension_field(spec, r)
-        H, L0 = subgroup_embed(H0, search).elements, list(stabilized_locus(H0, r))
+        H, L0 = subgroup_embed(H0, search), list(stabilized_locus(H0, r))
         assert r == 1 or len(stabilized_locus(H0, 1)) < len(L0)
         rng = random.Random(f"{field}:{tag}")
         g = mob_embed(self.random_map(rng, spec), search)
         moved = sorted({mob_apply(g, P) for P in L0}, key=by_code)
         for S in (moved, rng.sample(list(pp1_points(search)), len(L0))):
-            for group in ((), H):
-                assert list(transporters(L0, S, group)) == list(reference_transporters(L0, S, group))
-        assert list(transporters(L0, moved, H))  # g's coset at least
+            for codes, members in (((), ()), (H.codes, maps(H))):
+                assert list(transporters(L0, S, codes)) == list(reference_transporters(L0, S, members))
+        assert list(transporters(L0, moved, H.codes))  # g's coset at least
 
 
 def reference_ramification(coeffs, r):

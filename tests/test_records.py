@@ -66,7 +66,7 @@ def _samples():
     ), verify_genus1_finiteness(E, [Q])
     yield RamPoint, ("point", "index", "tame"), poly_map_ramification([fq_zero(F5)] * 2 + [fq_one(F5)], 1)[0]
     yield P1FPReport, ("group_order", "checked", "violations"), verify_p1fp(field_make(2, 1))
-    yield SubgroupPGL2, ("spec", "elements", "tag"), H
+    yield SubgroupPGL2, ("spec", "codes", "tag"), H
     yield Fingerprint, ("order", "element_orders", "abelian", "p_regular"), fingerprint(H)
 
 
@@ -203,7 +203,7 @@ def test_copy_and_pickle(cls, names, value, how):
 
 def test_cached_generators_stay_out_of_eq_hash_and_replace():
     K = std_cyclic(F5, 4)
-    fresh = SubgroupPGL2(K.spec, K.elements, K.tag)
+    fresh = SubgroupPGL2(K.spec, K.codes, K.tag)
     gens = K.generators
     assert "generators" in vars(K) and K.generators is gens
     assert K == fresh and hash(K) == hash(fresh) and repr(K) == repr(fresh)

@@ -17,9 +17,12 @@ from pglcensus.gfq import (
     fq_zero,
 )
 from pglcensus.moebius import (
+    _entry_codes,
+    _from_codes,
     mob_apply,
     mob_compose,
     mob_conjugate,
+    mob_embed,
     mob_identity,
     mob_inverse,
     mob_make,
@@ -42,7 +45,9 @@ from pglcensus.stdgroups import (
     std_gamma_semidirect,
     std_PGL2,
     std_PSL2,
+    subgroup_embed,
     subgroup_from_json,
+    subgroup_project,
     subgroup_to_json,
 )
 
@@ -58,6 +63,11 @@ F13 = field_make(13, 1)
 
 def mk(spec, a, b, c, d):
     return mob_make(*(fq_from_int(spec, v) for v in (a, b, c, d)))
+
+
+def maps(H):
+    """H's members as maps, in code order."""
+    return [_from_codes(H.spec, x) for x in H.codes]
 
 
 def _klein_over_F13(a):
@@ -84,15 +94,15 @@ class TestClosure:
 
     def test_closure_idempotent(self):
         for H in (std_cyclic(F5, 4), std_dihedral(F5, 4), std_A4(F5)):
-            again = close_generators(list(H.elements))
-            assert again.elements == H.elements
+            again = close_generators(maps(H))
+            assert again.codes == H.codes
 
 
 class TestStandardConstructors:
     def test_cyclic(self):
         H = std_cyclic(F5, 4)
         assert H.order == 4 and H.tag == "cyclic:4"
-        diag_entries = {m.d.coeffs[0] for m in H.elements}
+        diag_entries = {m.d.coeffs[0] for m in maps(H)}
         assert diag_entries == {1, 2, 3, 4}  # normalized to diag(1, mu^-1)
 
     def test_cyclic_rejects_p_dividing_n(self):
@@ -148,7 +158,7 @@ class TestStandardConstructors:
         assert std_PSL2(F5, 1).order == 60
         assert std_PGL2(F3, 1).order == 24
         a, b = std_PGL2(F2, 1), std_PSL2(F2, 1)
-        assert a.elements == b.elements and a.order == 6
+        assert a.codes == b.codes and a.order == 6
 
     def test_model_closure_of_another_order_is_refused(self, monkeypatch):
         # every closed model checks the order its docstring states: in
@@ -167,12 +177,24 @@ class TestStandardConstructors:
             with pytest.raises(AssertionError, match=rf"{tag} closure has order"):
                 build(F5, 1)
 
-    def test_pgl2_closes_generators_not_elements(self):
-        # one product per generator and element, not |PSL2| products per element
+    def test_pgl2_closes_generators_not_elements(self, monkeypatch):
+        # one product per generator and element, not |PSL2| products per
+        # element, through the code law and off the mob_compose cache
+        products = []
+
+        def counted(gens, op, seen, cap=None, f=stdgroups.close):
+            def law(x, y):
+                products.append(x)
+                return op(x, y)
+
+            return f(gens, law, seen, cap)
+
+        monkeypatch.setattr(stdgroups, "close", counted)
         mob_compose.cache_clear()
         H = std_PGL2(F11, 1)
+        assert len(products) <= 4 * H.order
         assert mob_compose.cache_info().misses <= 4 * H.order
-        assert H.elements == tuple(pgl2_elements(F11))
+        assert H.codes == tuple(map(_entry_codes, pgl2_elements(F11)))
 
     def test_psl2_subfield_inside_extension(self):
         H = std_PSL2(F9, 1)  # PSL2(F3) inside PGL2(F9)
@@ -191,7 +213,7 @@ class TestStandardConstructors:
         gamma = additive_subgroup(F4, [fq_one(F4)])
         H = std_gamma_semidirect(gamma, 1)
         assert H.order == 2 and H.tag == "Zp^1"
-        assert mk(F4, 1, 1, 0, 1) in H.elements
+        assert mk(F4, 1, 1, 0, 1) in maps(H)
 
     def test_gamma_semidirect_rejects_bad_gamma(self):
         gamma = additive_subgroup(F4, [fq_gen(F4)])  # span{t} misses mu_3
@@ -287,7 +309,7 @@ class TestConjugacy:
         g2 = gamma_to_unipotent(additive_subgroup(F4, [fq_gen(F4)]))
         w = is_conjugate(g1, g2, 1)
         assert w is not None
-        assert conjugate_subgroup(g1, w).elements == g2.elements
+        assert conjugate_subgroup(g1, w).codes == g2.codes
         # and the scalar relation itself: t * span{1} = span{t}
         t = fq_gen(F4)
         assert {fq_mul(t, x).coeffs for x in (fq_zero(F4), fq_one(F4))} == {(0, 0), (0, 1)}
@@ -305,7 +327,7 @@ class TestConjugacy:
             brute = is_conjugate_bruteforce(H1, H2, 1)
             assert (fast is None) == (brute is None)
             if fast is not None:
-                assert conjugate_subgroup(H1, fast).elements == H2.elements
+                assert conjugate_subgroup(H1, fast).codes == H2.codes
 
     def test_two_point_locus_conjugacy(self):
         # conjugates of the diagonal group with loci {0, inf} vs {1, 2}
@@ -315,7 +337,7 @@ class TestConjugacy:
         )
         H2 = conjugate_subgroup(H1, g)
         w = is_conjugate(H1, H2, 1)
-        assert w is not None and conjugate_subgroup(H1, w).elements == H2.elements
+        assert w is not None and conjugate_subgroup(H1, w).codes == H2.codes
 
     def test_two_point_locus_needs_the_torus(self):
         # {x, -x, a/x, -a/x} over F13 for a = 2 and a = 5, both non-squares:
@@ -341,7 +363,7 @@ class TestConjugacy:
         g = mk(F5, 1, 2, 0, 1)
         H2 = conjugate_subgroup(H1, g)
         w = is_conjugate(H1, H2, 2)
-        assert w is not None and conjugate_subgroup(H1, w).elements == H2.elements
+        assert w is not None and conjugate_subgroup(H1, w).codes == H2.codes
 
     def test_nonconjugate_same_order_gammas_in_F16(self):
         # In F16, rank-2 additive subgroups split into scaling orbits; the
@@ -381,7 +403,7 @@ class TestConjugacy:
             assert w is not None
             back = is_conjugate(B, A, r)
             assert back is not None
-            assert conjugate_subgroup(B, mob_inverse(w)).elements == A.elements
+            assert conjugate_subgroup(B, mob_inverse(w)).codes == A.codes
 
     def test_fallback_when_locus_is_irrational_at_level_one(self):
         # the order-3 subgroup of PGL2(F2) has both fixed points in F4, so at
@@ -390,7 +412,7 @@ class TestConjugacy:
         H = close_generators([g])
         assert H.order == 3
         w = is_conjugate(H, H, 1)
-        assert w is not None and conjugate_subgroup(H, w).elements == H.elements
+        assert w is not None and conjugate_subgroup(H, w).codes == H.codes
         # at r = 2 the two fixed points are visible and the pair path runs
         w2 = is_conjugate(H, H, 2)
         assert w2 is not None
@@ -419,11 +441,11 @@ class TestConjugacy:
         monkeypatch.setattr(stdgroups, "mob_inverse", counted)
         H = stdgroups.std_S4(F13)
         # the identity returns H as it is, with no inverse
-        maps = random.Random(13).sample([g for g in pgl2_elements(F13) if g != mob_identity(F13)], 5)
-        for k, g in enumerate(maps, 1):
+        conjugators = random.Random(13).sample([g for g in pgl2_elements(F13) if g != mob_identity(F13)], 5)
+        for k, g in enumerate(conjugators, 1):
             K = conjugate_subgroup(H, g)
             assert len(calls) == k
-            assert set(K.elements) == {mob_conjugate(g, m) for m in H.elements}
+            assert set(maps(K)) == {mob_conjugate(g, m) for m in maps(H)}
 
 
 def _scalar_related(G1, G2):
@@ -436,6 +458,37 @@ def _scalar_related(G1, G2):
         if scale_subgroup(G1, alpha) == G2:
             return True
     return False
+
+
+class TestEmbedAndProject:
+    @pytest.mark.parametrize(
+        "build,degree",
+        [
+            (lambda: std_cyclic(F5, 4), 2),
+            (lambda: std_A4(F5), 3),
+            (lambda: std_dihedral(F4, 3), 2),
+            (lambda: std_PGL2(F3, 1), 2),
+        ],
+    )
+    def test_entry_by_entry_against_mob_embed(self, build, degree):
+        # the codes of the embedded maps are those of mob_embed, member by
+        # member, and projecting them back gives H again
+        H = build()
+        ext = field_make(H.spec.p, H.spec.n * degree)
+        K = subgroup_embed(H, ext)
+        assert set(maps(K)) == {mob_embed(m, ext) for m in maps(H)}
+        assert K.tag == H.tag and subgroup_project(K, H.spec) == H
+        assert subgroup_embed(H, H.spec) is H and subgroup_project(H, H.spec) is H
+
+    def test_projection_of_an_irrational_group_is_none(self):
+        # cyclic:3 over F4 holds diag(t, 1), whose entry t is not in F2
+        assert subgroup_project(std_cyclic(F4, 3), F2) is None
+
+    def test_embedding_needs_an_extension(self):
+        with pytest.raises(ValueError, match="cannot embed"):
+            subgroup_embed(std_cyclic(F5, 4), F9)
+        with pytest.raises(ValueError, match="cannot embed"):
+            subgroup_embed(std_cyclic(F4, 3), F8)
 
 
 class TestSerialization:
@@ -452,7 +505,7 @@ class TestSerialization:
         H = build()
         data = json.loads(json.dumps(subgroup_to_json(H), sort_keys=True))
         K = subgroup_from_json(data)
-        assert K.elements == H.elements and K.tag == H.tag
+        assert K.codes == H.codes and K.tag == H.tag
 
     def test_json_is_deterministic(self):
         H = std_cyclic(F5, 4)
