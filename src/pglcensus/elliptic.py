@@ -4,13 +4,13 @@ A curve is short Weierstrass y^2 = x^3 + ax + b with p > 3, so the
 automorphisms fixing the base point O are exactly the scalings
 (x, y) -> (u^2 x, u^3 y) with u^4 a = a and u^6 b = b, and the full
 automorphism group splits as translations semidirect base-point-fixing
-automorphisms.  An automorphism is stored as a pair (P, u): translate by P
+automorphisms.  An automorphism is written as a pair (P, u): translate by P
 after scaling by u, so (P, u)(Q) = sigma_u(Q) + P and composition is
 (P, u)(Q, v) = (P + sigma_u(Q), u v).
 
 Points are gfq.CodedValue instances, so they hash and sort by one int code
 (O first).  A curve has one field: every function here works over E.spec
-and refuses points or factors from another field.  To work over F_{q^r},
+and refuses scaling factors from another field.  To work over F_{q^r},
 take base_change(E, r), the same equation with its coefficients embedded.
 Point sets are exhausted over the curve's field, and torsion, kernels and
 fixed-point fibres over that field come from direct scans.  The group law
@@ -33,8 +33,9 @@ rational root, and the parity of the discriminant tells {4} from {2, 2}
 Everything here powers exhaustive verification of the genus-1 finiteness
 facts: an automorphism is fixed point free iff it is a nontrivial pure
 translation; nonempty fixed sets of (P, u != 1) are cosets of ker(1 - sigma_u);
-each point is fixed by exactly |Aut_0| automorphisms; and group actions with
-stabilized locus inside a finite S admit a certified finite bound.
+each point is fixed by exactly |Aut_0| automorphisms; and the group actions
+whose stabilized locus is one point are finitely many, bounded by
+max_singleton_bound from the same fibre tables.
 """
 
 from __future__ import annotations
@@ -66,9 +67,7 @@ from .gfq import (
     fq_embed,
     fq_from_int,
     fq_mul,
-    fq_neg,
     fq_one,
-    fq_pow,
     fq_zero,
     parse_element,
     parse_field_spec,
@@ -131,36 +130,6 @@ def ec_infinity(spec: FieldSpec) -> ECPoint:
     return ECPoint(spec, None, None)
 
 
-def _check_field(E: ECurve, spec: FieldSpec) -> None:
-    if spec is not E.spec:
-        raise ValueError(f"field mismatch: {spec!r} vs the curve's {E.spec!r}")
-
-
-def ec_point(E: ECurve, x: FqElem, y: FqElem) -> ECPoint:
-    """An affine point, checked against the curve equation over E's field."""
-    _check_field(E, x.spec)
-    _check_field(E, y.spec)
-    P = ECPoint(E.spec, x, y)
-    _check_on_curve(E, P)
-    return P
-
-
-def _check_on_curve(E: ECurve, P: ECPoint) -> None:
-    _check_field(E, P.spec)
-    if P.is_zero:
-        return
-    lhs = fq_mul(P.y, P.y)
-    rhs = fq_add(fq_add(fq_mul(P.x, fq_mul(P.x, P.x)), fq_mul(E.a, P.x)), E.b)
-    if lhs != rhs:
-        raise ValueError(f"{render_ec_point(P)} is not on {render_curve(E)}")
-
-
-def ec_neg(E: ECurve, P: ECPoint) -> ECPoint:
-    if P.is_zero:
-        return P
-    return ECPoint(P.spec, P.x, fq_neg(P.y))
-
-
 @lru_cache(maxsize=None)
 def _chord_tangent(E: ECurve):
     """The chord-tangent law of E on coordinate codes: law(x1, y1, x2, y2)
@@ -190,25 +159,6 @@ def _chord_tangent(E: ECurve):
         return x3, sub(exp[s + log[d]], y1) if d else sub(0, y1)
 
     return law
-
-
-def ec_add(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
-    """Chord-tangent group law with identity O."""
-    if P1.is_zero:
-        return P2
-    if P2.is_zero:
-        return P1
-    _check_field(E, P1.spec)
-    _check_field(E, P2.spec)
-    xy = _chord_tangent(E)(P1.x.code, P1.y.code, P2.x.code, P2.y.code)
-    if xy is None:
-        return ec_infinity(E.spec)
-    elems = E.spec._tables.elems
-    return ECPoint(E.spec, elems[xy[0]], elems[xy[1]])
-
-
-def ec_sub(E: ECurve, P1: ECPoint, P2: ECPoint) -> ECPoint:
-    return ec_add(E, P1, ec_neg(E, P2))
 
 
 def _xy(Q: ECPoint) -> Optional[tuple[int, int]]:
@@ -279,42 +229,6 @@ def aut0(E: ECurve) -> tuple[FqElem, ...]:
 # automorphisms as pairs (translation point, scaling factor)
 
 
-class ECAut(Record):
-    """An automorphism (P, u): Q -> sigma_u(Q) + P, where sigma_u scales
-    (x, y) to (u^2 x, u^3 y)."""
-
-    curve: ECurve
-    P: ECPoint
-    u: FqElem
-
-    def __post_init__(self):
-        _check_field(self.curve, self.u.spec)
-        if self.u.is_zero():
-            raise ValueError("scaling factor must be nonzero")
-        _check_on_curve(self.curve, self.P)
-        a, b = self.curve.a, self.curve.b
-        if fq_mul(fq_pow(self.u, 4), a) != a or fq_mul(fq_pow(self.u, 6), b) != b:
-            raise ValueError("u is not an automorphism scaling factor for this curve")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.P.is_zero and self.u == fq_one(self.u.spec)
-
-    def __repr__(self) -> str:
-        return f"ECAut(P={render_ec_point(self.P)}, u={render_element(self.u)})"
-
-
-def ec_aut_sort_key(phi: ECAut):
-    return (phi.P.code, phi.u.code)
-
-
-def sigma_apply(u: FqElem, Q: ECPoint) -> ECPoint:
-    if Q.is_zero:
-        return Q
-    u2 = fq_mul(u, u)
-    return ECPoint(Q.spec, fq_mul(u2, Q.x), fq_mul(fq_mul(u2, u), Q.y))
-
-
 def _scaling_codes(E: ECurve, log_u: int):
     """sigma_u on coordinate codes, given log u: (x, y) -> (u^2 x, u^3 y)."""
     t = E.spec._tables
@@ -331,7 +245,8 @@ def _scaling_codes(E: ECurve, log_u: int):
 def _one_minus_sigma_fibres(E: ECurve, u: FqElem) -> dict[ECPoint, tuple[ECPoint, ...]]:
     """Fibres of Q -> Q - sigma_u(Q) on the points of E, keyed by image
     point.  Each fibre is nonempty and in point order."""
-    _check_field(E, u.spec)
+    if u.spec is not E.spec:
+        raise ValueError(f"field mismatch: {u.spec!r} vs the curve's {E.spec!r}")
     if u.is_zero():
         raise ValueError("scaling factor must be nonzero")
     t = E.spec._tables
@@ -350,25 +265,6 @@ def _one_minus_sigma_fibres(E: ECurve, u: FqElem) -> dict[ECPoint, tuple[ECPoint
         pts[0 if xy is None else bisect_left(pts, 1 + xy[0] * q + xy[1], key=by_code)]: tuple(fibre)
         for xy, fibre in fibres.items()
     }
-
-
-def aut_fixed_points(phi: ECAut) -> tuple[ECPoint, ...]:
-    """Fixed points of phi on its curve: the solutions of sigma_u(Q) + P = Q,
-    i.e. the fibre of (1 - sigma_u) over P.  The identity is rejected (it
-    fixes everything); a nontrivial pure translation is fixed point free."""
-    if phi.is_identity:
-        raise ValueError("the identity automorphism fixes every point")
-    if phi.u == fq_one(phi.u.spec):
-        return ()  # translation by P != O
-    return _one_minus_sigma_fibres(phi.curve, phi.u).get(phi.P, ())
-
-
-def kernel_one_minus_sigma(E: ECurve, u: FqElem) -> tuple[ECPoint, ...]:
-    """ker(1 - sigma_u) inside the points of E: the Q with Q - sigma_u(Q) = O.
-    Undefined for u = 1 (the map is zero)."""
-    if u == fq_one(u.spec):
-        raise ValueError("1 - sigma is the zero map for u = 1")
-    return _one_minus_sigma_fibres(E, u).get(ec_infinity(E.spec), ())
 
 
 def _fixing_pairs(E: ECurve, u: FqElem):
@@ -619,73 +515,19 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
 
 
 # ---------------------------------------------------------------------------
-# finiteness certificate for prescribed stabilized loci
-
-
-class Genus1FinitenessReport(Record):
-    """Certificate that only finitely many group actions over E's field can
-    have a nonempty stabilized locus inside S.
-
-    fixing: the non-identity automorphisms whose (nonempty) fixed locus lies
-    inside S.  compatible_translations: per such phi = (P, u), the
-    translations psi = (Q, 1) whose composite with phi still has its fixed
-    fibre inside S; an empty fibre means the composite's fixed points lie
-    beyond E's field, hence outside S, so such psi are excluded.  Any
-    admissible action is a subgroup of {identity} + fixing + those
-    translations, which bounds the number of actions by 2^admissible_count.
-    """
-
-    fixing: tuple[tuple[ECAut, tuple[ECPoint, ...]], ...]
-    compatible_translations: tuple[tuple[ECAut, tuple[ECPoint, ...]], ...]
-    kernel_sizes: tuple[tuple[str, int], ...]
-    admissible_count: int
-    certified_bound: int
-
-
-def verify_genus1_finiteness(E: ECurve, S: Sequence[ECPoint]) -> Genus1FinitenessReport:
-    """Read off the fibres of 1 - sigma_u, for each u != 1 in Aut_0: (P, u)
-    fixes a nonempty set inside S exactly when P lies in A_u, the images
-    whose fibre lies inside S.  Translating (P, u) by Q gives (P + Q, u), so
-    the compatible translations of (P, u) are the P' - P, P' != P in A_u."""
-    if not S:
-        raise ValueError("the stabilized locus bound needs a nonempty point set")
-    for Q in S:
-        _check_on_curve(E, Q)
-    S_set = set(S)
-    S_pts = tuple(sorted(S_set, key=by_code))
-    one = fq_one(E.spec)
-
-    certified = []
-    kernel_sizes = []
-    for u in aut0(E):
-        if u == one:
-            continue  # translations have no fixed points; cannot appear here
-        fibres = _one_minus_sigma_fibres(E, u)
-        kernel_sizes.append((render_element(u), len(kernel_one_minus_sigma(E, u))))
-        images = {ec_sub(E, Q, sigma_apply(u, Q)) for Q in S_pts}
-        A_u = [P for P in images if S_set.issuperset(fibres[P])]
-        for P in A_u:
-            shifts = tuple(sorted((ec_sub(E, P2, P) for P2 in A_u if P2 != P), key=by_code))
-            certified.append((ECAut(E, P, u), fibres[P], shifts))
-    certified.sort(key=lambda entry: ec_aut_sort_key(entry[0]))
-
-    translations = {Q for _, _, shifts in certified for Q in shifts}
-    admissible = 1 + len(certified) + len(translations)
-    return Genus1FinitenessReport(
-        fixing=tuple((phi, fixed) for phi, fixed, _ in certified),
-        compatible_translations=tuple((phi, shifts) for phi, _, shifts in certified),
-        kernel_sizes=tuple(kernel_sizes),
-        admissible_count=admissible,
-        certified_bound=2 ** admissible,
-    )
+# the singleton bound
 
 
 def max_singleton_bound(E: ECurve) -> int:
-    """The largest verify_genus1_finiteness(E, [Q]).certified_bound over the
-    points Q of E, read off the fibre tables with no law call.  For S = {Q},
-    (P, u) is admissible exactly when Q's fibre under 1 - sigma_u is (Q,),
-    and a lone admissible (P, u) has no compatible translation, so Q's bound
-    is 2^(1 + #{u != 1 : Q is alone in its fibre})."""
+    """2^(1 + max over the points Q of E of #{u != 1 in Aut_0 : Q is alone in
+    its fibre under 1 - sigma_u}), read off the fibre tables with no law call.
+    An action over E's field with stabilized locus {Q} is made of the identity,
+    the admissible (P, u) and their compatible translations.  (P, u) is
+    admissible when it fixes Q alone: Q's fibre is (Q,), P = Q - sigma_u(Q),
+    one per u counted.  A lone admissible (P, u) has no compatible
+    translation, since (P + R, u) with R != O fixes no point of {Q}: Q's
+    fibre lies over P alone.  So each Q's bound is 2^(1 + its count), and
+    this is the largest singleton bound."""
     one = fq_one(E.spec)
     alone = collections.Counter(
         fibre[0]

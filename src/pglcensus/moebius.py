@@ -9,10 +9,10 @@ construction, so the closures and the mob_compose cache never hash or compare
 field elements; within one field, code order is the lexicographic order of
 the entries.  Products, inverses and normalization run on 4-tuples of entry
 codes through the one per-field law _code_law, as the genus-1 law does;
-the oracle and the subgroups of stdgroups, which are entry-code tuples,
-call it directly, off the mob_compose cache.  The action on points and the
-three-point frames run on point codes through _code_points, which
-transporters search with.
+the oracle, the subgroups of stdgroups, which are entry-code tuples, and
+the verify_p1fp scan call it directly, off the mob_compose cache.  The
+action on points and the three-point frames run on point codes through
+_code_points, which transporters search with.
 
 Points of P^1 are either affine, with a single field coordinate (projective
 [x:1]), or the point at infinity [1:0].  A point's code is the code of x, or
@@ -47,7 +47,6 @@ from .gfq import (
     field_elements,
     fq_embed,
     fq_from_int,
-    fq_mul,
     fq_neg,
     fq_one,
     fq_project,
@@ -524,25 +523,27 @@ def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[tuple[int, int
             covered.update((image[i], image[j], image[k]) for i, j, k in perms)
 
 
+def _pgl2_codes(spec: FieldSpec) -> Iterator[tuple[int, int, int, int]]:
+    """The entry codes of all q^3 - q normalized maps of PGL2(F_q), in
+    canonical (lexicographic entry) order."""
+    one, mul, q = spec.q // spec.p, spec._tables.mul, spec.q
+    # first nonzero entry is b: a = 0, b = 1, c != 0
+    for c in range(1, q):
+        for d in range(q):
+            yield 0, one, c, d
+    # first nonzero entry is a: a = 1, d - bc != 0
+    for b in range(q):
+        for c in range(q):
+            bc = mul(b, c)
+            for d in range(q):
+                if d != bc:
+                    yield one, b, c, d
+
+
 def pgl2_elements(spec: FieldSpec) -> Iterator[Moebius]:
     """All q^3 - q elements of PGL2(F_q) as normalized matrices, in canonical
     (lexicographic entry) order."""
-    one = fq_one(spec)
-    elems = field_elements(spec)
-    # first nonzero entry is a: a = 1, d - bc != 0
-    # first nonzero entry is b: a = 0, b = 1, c != 0
-    zero = fq_zero(spec)
-    for c in elems:
-        if c.is_zero():
-            continue
-        for d in elems:
-            yield Moebius(spec, zero, one, c, d)
-    for b in elems:
-        for c in elems:
-            bc = fq_mul(b, c)
-            for d in elems:
-                if d != bc:
-                    yield Moebius(spec, one, b, c, d)
+    return (_from_codes(spec, g) for g in _pgl2_codes(spec))
 
 
 def render_moebius(m: Moebius) -> str:
@@ -635,19 +636,24 @@ class P1FPReport(Record):
 
 
 def verify_p1fp(spec: FieldSpec) -> P1FPReport:
-    ident = mob_identity(spec)
+    """The scan on entry codes: per map, its fixed points over F_{q^2} by
+    _code_fixed and its order by closure.order over _code_law.  A map is
+    built only to render a violation."""
+    law, _, ident = _code_law(spec)
+    fixed_points = _code_fixed(spec, 2)[1]
+    group_order = spec.q ** 3 - spec.q
     checked = 0
     violations = []
-    for m in pgl2_elements(spec):
-        if m == ident:
+    for g in _pgl2_codes(spec):
+        if g == ident:
             continue
         checked += 1
-        fixed = mob_fixed_points(m, 2)
-        k = mob_order(m)
-        if len(fixed) not in (1, 2):
-            violations.append(f"{render_moebius(m)}: {len(fixed)} fixed points")
-        if (len(fixed) == 1) != (k == spec.p):
-            violations.append(
-                f"{render_moebius(m)}: order {k} with {len(fixed)} fixed points"
-            )
-    return P1FPReport(spec.q ** 3 - spec.q, checked, tuple(violations))
+        n_fixed = len(fixed_points(g))
+        k = order(g, law, ident, group_order)
+        if k is None:
+            raise AssertionError("order exceeded |PGL2|, matrix arithmetic is broken")
+        if n_fixed not in (1, 2):
+            violations.append(f"{render_moebius(_from_codes(spec, g))}: {n_fixed} fixed points")
+        if (n_fixed == 1) != (k == spec.p):
+            violations.append(f"{render_moebius(_from_codes(spec, g))}: order {k} with {n_fixed} fixed points")
+    return P1FPReport(group_order, checked, tuple(violations))

@@ -266,17 +266,18 @@ def _transvections(spec: FieldSpec, sub_degree: int) -> list[Moebius]:
 def std_PSL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     """PSL2 of the subfield F_{p^d}, generated by the elementary transvections
     over an F_p-basis of the subfield.  Order (q0^3 - q0)/gcd(2, q0 - 1)."""
+    gens = _transvections(spec, sub_degree)  # refuses d not dividing n before p^d is raised
     q0 = spec.p ** sub_degree
-    order = (q0 ** 3 - q0) // math.gcd(2, q0 - 1)
-    return _closed_model(_transvections(spec, sub_degree), f"PSL2:{sub_degree}", order)
+    return _closed_model(gens, f"PSL2:{sub_degree}", (q0 ** 3 - q0) // math.gcd(2, q0 - 1))
 
 
 def std_PGL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     """PGL2 of the subfield F_{p^d}: the PSL2 generators plus diag(delta, 1)
     for delta a multiplicative generator of the subfield.  Order q0^3 - q0."""
+    gens = _transvections(spec, sub_degree)  # refuses d not dividing n before p^d is raised
     q0 = spec.p ** sub_degree
-    delta = primitive_root_of_unity(spec, q0 - 1)
-    return _closed_model(_transvections(spec, sub_degree) + [_diag(spec, delta)], f"PGL2:{sub_degree}", q0 ** 3 - q0)
+    gens.append(_diag(spec, primitive_root_of_unity(spec, q0 - 1)))
+    return _closed_model(gens, f"PGL2:{sub_degree}", q0 ** 3 - q0)
 
 
 def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:

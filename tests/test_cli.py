@@ -660,3 +660,20 @@ def test_usage_error_comes_at_once(argv):
     r = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
     assert r.returncode == 2
     assert r.stderr.startswith("error:")
+
+
+# A subfield degree d that does not divide n is refused before p^d is raised:
+# PSL2:30000000 over F5 once ran past 90 s, and PGL2:10000 failed converting
+# an integer of more than 4300 digits for the root-of-unity message.
+@pytest.mark.parametrize("tag", ["PSL2:100000000", "PGL2:100000000"])
+def test_huge_subfield_degree_refused_at_once(tag):
+    cmd = [sys.executable, "-m", "pglcensus", "build-group", "--field", "5^1", "--group", tag]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+    assert r.returncode == 2
+    assert r.stderr == f"error: subfield degree {tag[5:]} does not divide 1\n"
+
+
+@pytest.mark.parametrize("tag", ["PGL2:10000", "PGL2:2"])
+def test_subfield_degree_refused_before_the_root_of_unity(tag, capsys):
+    assert exit_code(("build-group", "--field", "5^1", "--group", tag)) == 2
+    assert capsys.readouterr().err == f"error: subfield degree {tag[5:]} does not divide 1\n"

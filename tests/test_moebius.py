@@ -422,6 +422,28 @@ class TestFixedPoints:
         assert rep.ok, rep.violations
         assert rep.checked == spec.q ** 3 - spec.q - 1
 
+    def test_scan_makes_no_map_product(self):
+        # the scan multiplies entry codes through _code_law, off mob_compose's memo
+        before = mob_compose.cache_info()
+        assert verify_p1fp(F9).ok
+        after = mob_compose.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses
+
+    def test_violations_render_each_map(self, monkeypatch):
+        # with no fixed point found, every map violates the count, and the
+        # maps of order p the dichotomy too, in pgl2_elements order
+        import pglcensus.moebius as moebius
+
+        monkeypatch.setattr(moebius, "_code_fixed", lambda spec, r: (None, lambda g: []))
+        rep = verify_p1fp(F3)
+        maps = [m for m in pgl2_elements(F3) if m != mob_identity(F3)]
+        want = []
+        for m in maps:
+            want.append(f"{render_moebius(m)}: 0 fixed points")
+            if mob_order(m) == 3:
+                want.append(f"{render_moebius(m)}: order 3 with 0 fixed points")
+        assert rep.violations == tuple(want) and rep.checked == len(maps) == 23
+
     @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F7, F8, F9])
     def test_closed_form_matches_exhaustive_roots(self, spec):
         # infinity when c = 0, plus the roots poly_roots finds for c x^2 + (d-a) x - b

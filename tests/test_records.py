@@ -23,25 +23,14 @@ from pglcensus.census import (
     additive_subgroup,
     enum_actions,
 )
-from pglcensus.elliptic import (
-    ECAut,
-    ECurve,
-    FpfDichotomyReport,
-    Genus1FinitenessReport,
-    ec_points,
-    standard_test_curves,
-    verify_fpf_dichotomy,
-    verify_genus1_finiteness,
-)
-from pglcensus.gfq import Record, field_elements, field_make, fq_from_int, fq_one, fq_zero
+from pglcensus.elliptic import ECurve, FpfDichotomyReport, standard_test_curves, verify_fpf_dichotomy
+from pglcensus.gfq import Record, field_elements, field_make, fq_one, fq_zero
 from pglcensus.moebius import P1FPReport, RamPoint, parse_point_list, poly_map_ramification, verify_p1fp
 from pglcensus.stdgroups import Fingerprint, SubgroupPGL2, fingerprint, std_cyclic
 
 F5 = field_make(5, 1)
 F8 = field_make(2, 3)
 E = dict(standard_test_curves())["F5_generic"]
-O = ec_points(E)[0]
-Q = ec_points(E)[-1]
 H = std_cyclic(F5, 4)
 ROW = DichotomyRow(2, 1, 3, 3, 3, 3)
 BOUNDED = BoundedRow("cyclic:4", "0,inf", ((1, 1), (2, 1)), 1)
@@ -59,11 +48,7 @@ def _samples():
         5, (1, 2), (ROW,), ((1, True),), (BOUNDED,)
     )
     yield ECurve, ("spec", "a", "b"), E
-    yield ECAut, ("curve", "P", "u"), ECAut(E, Q, fq_one(F5))
     yield FpfDichotomyReport, ("levels", "pairs_checked", "violations"), verify_fpf_dichotomy(E, (1,))
-    yield Genus1FinitenessReport, (
-        "fixing", "compatible_translations", "kernel_sizes", "admissible_count", "certified_bound"
-    ), verify_genus1_finiteness(E, [Q])
     yield RamPoint, ("point", "index", "tame"), poly_map_ramification([fq_zero(F5)] * 2 + [fq_one(F5)], 1)[0]
     yield P1FPReport, ("group_order", "checked", "violations"), verify_p1fp(field_make(2, 1))
     yield SubgroupPGL2, ("spec", "codes", "tag"), H
@@ -80,7 +65,7 @@ def _values(value, names):
 
 
 def test_fifteen_types():
-    assert len(set(IDS)) == 14
+    assert len(set(IDS)) == 12
     assert all(issubclass(cls, Record) and type(value) is cls for cls, _, value in SAMPLES)
 
 
@@ -163,19 +148,13 @@ def test_dataclass_style_repr():
 
 
 def test_post_init_refusals():
-    zero, one, two = fq_zero(F5), fq_one(F5), fq_from_int(F5, 2)
+    zero, one = fq_zero(F5), fq_one(F5)
     with pytest.raises(ValueError, match="singular"):
         ECurve(F5, zero, zero)
     with pytest.raises(ValueError, match="singular"):
         E.replace(a=zero, b=zero)
     with pytest.raises(ValueError, match="characteristic"):
         ECurve(field_make(3, 1), one, one)
-    with pytest.raises(ValueError, match="nonzero"):
-        ECAut(E, O, zero)
-    with pytest.raises(ValueError, match="scaling factor"):
-        ECAut(E, O, two)  # 2^6 = 4 in F5, so sigma_2 moves b = 1
-    with pytest.raises(ValueError, match="scaling factor"):
-        ECAut(E, O, one).replace(u=two)
     point = poly_map_ramification([zero, zero, one], 1)[0].point
     with pytest.raises(ValueError, match="index"):
         RamPoint(point, 1, True)
