@@ -42,12 +42,11 @@ from .moebius import (
     PP1,
     _code_law,
     _code_points,
-    _from_codes,
+    _render_codes,
     mob_infinity_to,
     parse_point_list,
     pp1_embed,
     pp1_infinity,
-    render_moebius,
     render_point,
     transporters,
 )
@@ -480,7 +479,7 @@ def _order_p_stabilizer(spec: FieldSpec, point: PP1) -> tuple[tuple[int, int, in
     kept = []
     for g in stab:
         if apply(g, x) != x:
-            raise AssertionError(f"{render_moebius(_from_codes(spec, g))} does not fix {render_point(point)}: t(inf) != P")
+            raise AssertionError(f"{_render_codes(spec, g)} does not fix {render_point(point)}: t(inf) != P")
         if order(g, law, ident, p) == p:
             kept.append(g)
     return tuple(kept)

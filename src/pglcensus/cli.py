@@ -21,6 +21,7 @@ import io
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
 from .census import (
@@ -76,8 +77,10 @@ from .stdgroups import (
 
 def _emit(payload: dict, fmt: str, rows_key: Optional[str], columns: Optional[list[str]], out) -> None:
     if fmt == "json":
-        out.write(json.dumps(payload, sort_keys=True, indent=2))
-        out.write("\n")
+        parts = []
+        _json_parts(payload, parts, "\n")
+        parts.append("\n")
+        out.write("".join(parts))
         return
     rows = payload.get(rows_key, [])
     cols = columns or []
@@ -103,6 +106,51 @@ def _emit(payload: dict, fmt: str, rows_key: Optional[str], columns: Optional[li
             out.write("  ".join(_csv_cell(r.get(c)).ljust(w) for c, w in zip(cols, widths)).rstrip() + "\n")
 
 
+def _json_parts(value, parts: list, newline: str) -> None:
+    """Append the text of value, as json.dumps(value, sort_keys=True,
+    indent=2) writes it, to parts; newline is the line break and indent
+    before the value's closing bracket.  With indent set, json.dumps runs
+    its pure-Python encoder; this writer does the same work in fewer calls.
+    It takes str, int, bool, None, lists, tuples and dicts with str keys,
+    and refuses anything else, float included, with TypeError."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _json_parts(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_parts(value[key], parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -123,13 +171,20 @@ def _parse_levels(text: str, check_top: Callable[[int], None]) -> list[int]:
     """Levels "1,2" or a range "1-4".  check_top refuses a range's top level
     before the range is expanded, so a huge range fills no memory."""
     text = text.strip()
-    if "-" in text:
-        lo, _, hi = text.partition("-")
-        lo, hi = int(lo), int(hi)
-        if lo <= hi:
-            check_top(hi)
+    lo, dash, hi = text.partition("-")
+    try:
+        levels = [int(lo), int(hi)] if dash else [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        levels = []
+    if not levels:
+        raise ValueError(f'--levels takes levels "1,2" or a range "1-4", got {text!r}')
+    if dash:
+        lo, hi = levels
+        if lo > hi:
+            raise ValueError(f"--levels range {text!r} runs downward; write {hi}-{lo}")
+        check_top(hi)
         return list(range(lo, hi + 1))
-    return [int(t) for t in text.split(",") if t.strip()]
+    return levels
 
 
 def _group_from_args(spec, args):
@@ -440,6 +495,11 @@ _COMMANDS = {
 }
 
 
+# name -> the subparser that _build_parser(name) made, which main parses
+# the command's own arguments with
+_command_parsers: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache  # parse_args leaves a parser as it is, so one per command serves every call
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser with every command's subparser, or, for a command name,
@@ -460,15 +520,25 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "human"), default="json")
         for flag, options in arguments:
             p.add_argument(flag, **options)
+    if command is not None:
+        _command_parsers[command] = p
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # no arguments, -h and an unknown name get the full parser, which lists
-    # every command
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    # a command's arguments go to its own subparser alone, in one argparse
+    # pass.  The full parser answers the rest: no arguments, -h and an
+    # unknown name, which it lists every command for, and leftover
+    # arguments, whose error it words from the whole command line
+    args = None
+    if argv and argv[0] in _COMMANDS:
+        _build_parser(argv[0])
+        args, extras = _command_parsers[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            args = None
+    if args is None:
+        args = _build_parser().parse_args(argv)
     stream = out if out is not None else sys.stdout
     if stream is None:  # started with stdout closed
         print("error: stdout is closed", file=sys.stderr)

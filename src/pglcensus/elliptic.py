@@ -40,7 +40,6 @@ max_singleton_bound from the same fibre tables.
 
 from __future__ import annotations
 
-import collections
 import math
 from bisect import bisect_left
 from functools import lru_cache, partial
@@ -526,17 +525,15 @@ def max_singleton_bound(E: ECurve) -> int:
     admissible when it fixes Q alone: Q's fibre is (Q,), P = Q - sigma_u(Q),
     one per u counted.  A lone admissible (P, u) has no compatible
     translation, since (P + R, u) with R != O fixes no point of {Q}: Q's
-    fibre lies over P alone.  So each Q's bound is 2^(1 + its count), and
-    this is the largest singleton bound."""
-    one = fq_one(E.spec)
-    alone = collections.Counter(
-        fibre[0]
-        for u in aut0(E)
-        if u != one
-        for fibre in _one_minus_sigma_fibres(E, u).values()
-        if len(fibre) == 1
-    )
-    return 2 ** (1 + max(alone.values(), default=0))
+    fibre lies over P alone.  So each Q's bound is 2^(1 + its count).
+    1 - sigma_u is a group endomorphism of E, so each of its fibres is a
+    coset of its kernel, the fibre over O: Q is alone in its fibre exactly
+    when that kernel is {O}, whatever Q is.  Every point has the same count,
+    the number of u != 1 with a trivial kernel, and one lookup per u reads
+    it."""
+    one, O = fq_one(E.spec), ec_points(E)[0]
+    alone = sum(len(_one_minus_sigma_fibres(E, u)[O]) == 1 for u in aut0(E) if u != one)
+    return 2 ** (1 + alone)
 
 
 # ---------------------------------------------------------------------------

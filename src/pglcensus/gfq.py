@@ -109,6 +109,11 @@ class FieldSpec:
     def _tables(self) -> _FieldTables:
         return _FieldTables(self)
 
+    @cached_property
+    def _texts(self) -> dict[int, str]:
+        """render_element's memo, element code -> text, filled on demand."""
+        return {}
+
     def __repr__(self) -> str:
         return f"FieldSpec({render_field_spec(self)})"
 
@@ -884,7 +889,22 @@ def parse_field_spec(text: str) -> FieldSpec:
 
 
 def render_element(a: FqElem) -> str:
-    return ",".join(str(c) for c in a.coeffs)
+    return _render_code(a.spec, a.code)
+
+
+def _render_code(spec: FieldSpec, code: int) -> str:
+    """The text of the element with this code.  A report renders the same
+    few elements many times, so each text is kept in the field's memo once
+    made; the memo holds only what was rendered, so one element of a big
+    field costs O(n), with no table of the field."""
+    text = spec._texts.get(code)
+    if text is None:
+        p, c, digits = spec.p, code, []
+        for _ in range(spec.n):
+            c, d = divmod(c, p)
+            digits.append(str(d))
+        text = spec._texts[code] = ",".join(reversed(digits))
+    return text
 
 
 def parse_element(spec: FieldSpec, text: str) -> FqElem:

@@ -38,6 +38,7 @@ from .gfq import (
     FqElem,
     Record,
     _artin_schreier_table,
+    _render_code,
     _sqrt_table,
     cpoly_deriv,
     cpoly_divmod,
@@ -53,7 +54,6 @@ from .gfq import (
     fq_zero,
     parse_element,
     poly_roots,
-    render_element,
 )
 
 
@@ -103,7 +103,7 @@ def pp1_embed(P: PP1, target: FieldSpec) -> PP1:
 
 
 def render_point(P: PP1) -> str:
-    return "inf" if P.is_infinity else render_element(P.x)
+    return "inf" if P.is_infinity else _render_code(P.spec, P.code)
 
 
 def parse_point_list(spec: FieldSpec, text: str) -> list[PP1]:
@@ -547,9 +547,13 @@ def pgl2_elements(spec: FieldSpec) -> Iterator[Moebius]:
 
 
 def render_moebius(m: Moebius) -> str:
-    row1 = ",".join([render_element(m.a), render_element(m.b)])
-    row2 = ",".join([render_element(m.c), render_element(m.d)])
-    return f"[{row1};{row2}]"
+    return _render_codes(m.spec, _entry_codes(m))
+
+
+def _render_codes(spec: FieldSpec, codes: tuple[int, int, int, int]) -> str:
+    """render_moebius of the map with these entry codes, with no map built."""
+    a, b, c, d = (_render_code(spec, x) for x in codes)
+    return f"[{a},{b};{c},{d}]"
 
 
 def parse_moebius(spec: FieldSpec, text: str) -> Moebius:
@@ -637,8 +641,8 @@ class P1FPReport(Record):
 
 def verify_p1fp(spec: FieldSpec) -> P1FPReport:
     """The scan on entry codes: per map, its fixed points over F_{q^2} by
-    _code_fixed and its order by closure.order over _code_law.  A map is
-    built only to render a violation."""
+    _code_fixed and its order by closure.order over _code_law.  No map is
+    built: a violation is rendered from its entry codes."""
     law, _, ident = _code_law(spec)
     fixed_points = _code_fixed(spec, 2)[1]
     group_order = spec.q ** 3 - spec.q
@@ -653,7 +657,7 @@ def verify_p1fp(spec: FieldSpec) -> P1FPReport:
         if k is None:
             raise AssertionError("order exceeded |PGL2|, matrix arithmetic is broken")
         if n_fixed not in (1, 2):
-            violations.append(f"{render_moebius(_from_codes(spec, g))}: {n_fixed} fixed points")
+            violations.append(f"{_render_codes(spec, g)}: {n_fixed} fixed points")
         if (n_fixed == 1) != (k == spec.p):
-            violations.append(f"{render_moebius(_from_codes(spec, g))}: order {k} with {n_fixed} fixed points")
+            violations.append(f"{_render_codes(spec, g)}: order {k} with {n_fixed} fixed points")
     return P1FPReport(group_order, checked, tuple(violations))

@@ -9,8 +9,8 @@ char-2 dihedral groups and the char-3 A5 come from the same constructors as
 their p-regular counterparts.  A group is stored as the sorted tuple of its
 elements' entry codes (moebius._code_law), which is their canonical map
 order, so equality of subgroups is tuple equality, and every check below
-runs on those codes.  Maps are built only for text (a subgroup's generators)
-and by the conjugacy search, whose witnesses are maps.
+runs on those codes, and so does rendering a subgroup's generators.  Maps
+are built only by the conjugacy search, whose witnesses are maps.
 
 Isomorphism types are discriminated by a cheap fingerprint (order,
 element-order multiset, abelian flag) rather than abstract isomorphism
@@ -51,8 +51,8 @@ from .moebius import (
     _code_fixed,
     _code_law,
     _entry_codes,
-    _from_codes,
     _point,
+    _render_codes,
     mob_compose,
     mob_from_three_points,
     mob_identity,
@@ -64,7 +64,6 @@ from .moebius import (
     parse_moebius,
     pgl2_elements,
     pp1_points,
-    render_moebius,
     render_point,
     transporters,
 )
@@ -544,7 +543,7 @@ def subgroup_to_json(H: SubgroupPGL2, locus_ext: int = 2, locus: Optional[Sequen
     return {
         "field": render_field_spec(H.spec),
         "tag": H.tag,
-        "generators": [render_moebius(_from_codes(H.spec, g)) for g in H.generators],
+        "generators": [_render_codes(H.spec, g) for g in H.generators],
         "order": H.order,
         "locus": [render_point(P) for P in locus],
         "locus_field": render_field_spec(locus_field),

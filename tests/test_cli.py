@@ -609,6 +609,29 @@ def test_huge_level_range_refused_before_it_is_expanded(argv):
     assert r.stderr.startswith("error:") and ("WORK_BOUND" in r.stderr or "capped at q^r" in r.stderr)
 
 
+MALFORMED_LEVELS = '--levels takes levels "1,2" or a range "1-4", got '
+
+
+@pytest.mark.parametrize("command", [("verify-main", "--p", "2"), ("verify-genus1",)], ids=" ".join)
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ("-3", MALFORMED_LEVELS + "'-3'"),
+        ("1-", MALFORMED_LEVELS + "'1-'"),
+        ("1-2-3", MALFORMED_LEVELS + "'1-2-3'"),
+        ("1-x", MALFORMED_LEVELS + "'1-x'"),
+        ("1,,x", MALFORMED_LEVELS + "'1,,x'"),
+        (",", MALFORMED_LEVELS + "','"),
+        ("2-1", "--levels range '2-1' runs downward; write 1-2"),
+    ],
+)
+def test_malformed_levels_name_the_form(command, levels, message, capsys):
+    # a malformed range or level, and a reversed range, each get one message
+    # that says what --levels takes, before any level is checked or run
+    assert exit_code((*command, "--levels", levels)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_genus1_level_past_the_point_cap_is_a_usage_error(capsys):
     assert exit_code(("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "1,12")) == 2
     assert capsys.readouterr().err == "error: point enumeration capped at q^r <= 10000, got 244140625\n"

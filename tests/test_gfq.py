@@ -513,6 +513,18 @@ class TestTextFormats:
         for x in field_elements(spec):
             assert parse_element(spec, render_element(x)) == x
 
+    def test_rendering_a_big_field_element_memoizes_it_alone(self):
+        # the memo is filled on demand: one element of F_{2^40} costs O(n)
+        # and one entry, and builds no table of the field
+        spec = field_make(2, 40)
+        x = FqElem(spec, 2 ** 39 + 2 ** 20 + 1)
+        before = len(spec._texts)
+        text = render_element(x)
+        assert text == ",".join(str(c) for c in x.coeffs)
+        assert len(spec._texts) == before + 1
+        assert render_element(x) is text
+        assert "_tables" not in vars(spec)
+
     def test_bad_element_width(self):
         with pytest.raises(ValueError):
             parse_element(F9, "1")
