@@ -24,55 +24,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
-from .census import (
-    CensusQuery,
-    census_report_to_json,
-    check_main_theorem_run,
-    enum_actions,
-    enum_additive_subgroups,
-    gaussian_binomial,
-    main_theorem_report_to_json,
-    parse_group_id,
-    verify_main_theorem,
-)
-from .elliptic import (
-    _check_level,
-    abelian_subgroup_count,
-    aut0,
-    base_change,
-    ec_points,
-    enum_spf_actions,
-    fixing_counts_ok,
-    max_singleton_bound,
-    parse_curve,
-    render_curve,
-    standard_test_curves,
-    torsion_invariant_factors,
-    verify_fpf_dichotomy,
-)
-from .gfq import (
-    extension_field,
-    parse_element,
-    parse_field_spec,
-    render_element,
-    render_field_spec,
-)
-from .moebius import (
-    mob_fixed_points,
-    parse_moebius,
-    parse_point_list,
-    poly_map_ramification,
-    render_moebius,
-    render_point,
-    verify_p1fp,
-)
-from .stdgroups import (
-    close_generators,
-    is_conjugate,
-    is_conjugate_bruteforce,
-    stabilized_locus,
-    subgroup_to_json,
-)
+from . import census, elliptic, gfq, moebius, stdgroups
 
 
 def _emit(payload: dict, fmt: str, rows_key: Optional[str], columns: Optional[list[str]], out) -> None:
@@ -189,16 +141,14 @@ def _parse_levels(text: str, check_top: Callable[[int], None]) -> list[int]:
 
 def _group_from_args(spec, args):
     if args.gens:
-        gens = [parse_moebius(spec, g) for g in args.gens.split("|")]
-        return close_generators(gens)
+        gens = [moebius.parse_moebius(spec, g) for g in args.gens.split("|")]
+        return stdgroups.close_generators(gens)
     if not args.group:
         raise ValueError("either --group or --gens is required")
-    from .census import _standard_models
-
-    kind, params = parse_group_id(args.group)
-    models = _standard_models(spec, kind, params)
+    kind, params = census.parse_group_id(args.group)
+    models = census._standard_models(spec, kind, params)
     if not models:
-        raise ValueError(f"no standard model for {args.group} over {render_field_spec(spec)}")
+        raise ValueError(f"no standard model for {args.group} over {gfq.render_field_spec(spec)}")
     return models[0]
 
 
@@ -207,10 +157,10 @@ def _group_from_args(spec, args):
 
 
 def _cmd_field_info(args):
-    spec = parse_field_spec(args.field)
+    spec = gfq.parse_field_spec(args.field)
     payload = {
         "schema": "pglcensus/field-info/v1",
-        "field": render_field_spec(spec),
+        "field": gfq.render_field_spec(spec),
         "p": spec.p,
         "n": spec.n,
         "q": spec.q,
@@ -221,97 +171,97 @@ def _cmd_field_info(args):
 
 
 def _cmd_fixed_points(args):
-    spec = parse_field_spec(args.field)
-    m = parse_moebius(spec, args.map)
-    pts = mob_fixed_points(m, args.ext)
+    spec = gfq.parse_field_spec(args.field)
+    m = moebius.parse_moebius(spec, args.map)
+    pts = moebius.mob_fixed_points(m, args.ext)
     payload = {
         "schema": "pglcensus/fixed-points/v1",
-        "field": render_field_spec(spec),
-        "map": render_moebius(m),
+        "field": gfq.render_field_spec(spec),
+        "map": moebius.render_moebius(m),
         "ext": args.ext,
         "count": len(pts),
-        "fixed_points": [{"point": render_point(P)} for P in pts],
+        "fixed_points": [{"point": moebius.render_point(P)} for P in pts],
     }
     return 0, payload, "fixed_points", ["point"]
 
 
 def _cmd_build_group(args):
-    spec = parse_field_spec(args.field)
+    spec = gfq.parse_field_spec(args.field)
     H = _group_from_args(spec, args)
-    payload = {"schema": "pglcensus/subgroup/v1", **subgroup_to_json(H, args.ext)}
+    payload = {"schema": "pglcensus/subgroup/v1", **stdgroups.subgroup_to_json(H, args.ext)}
     return 0, payload, None, None
 
 
 def _cmd_locus(args):
-    spec = parse_field_spec(args.field)
+    spec = gfq.parse_field_spec(args.field)
     H = _group_from_args(spec, args)
-    pts = stabilized_locus(H, args.ext)
+    pts = stdgroups.stabilized_locus(H, args.ext)
     payload = {
         "schema": "pglcensus/locus/v1",
-        "field": render_field_spec(spec),
+        "field": gfq.render_field_spec(spec),
         "group": H.tag,
         "order": H.order,
         "ext": args.ext,
         "count": len(pts),
-        "locus": [{"point": render_point(P)} for P in pts],
+        "locus": [{"point": moebius.render_point(P)} for P in pts],
     }
     return 0, payload, "locus", ["point"]
 
 
 def _cmd_conjugate(args):
-    spec = parse_field_spec(args.field)
-    H1 = close_generators([parse_moebius(spec, g) for g in args.gens1.split("|")])
-    H2 = close_generators([parse_moebius(spec, g) for g in args.gens2.split("|")])
+    spec = gfq.parse_field_spec(args.field)
+    H1 = stdgroups.close_generators([moebius.parse_moebius(spec, g) for g in args.gens1.split("|")])
+    H2 = stdgroups.close_generators([moebius.parse_moebius(spec, g) for g in args.gens2.split("|")])
     witness = (
-        is_conjugate_bruteforce(H1, H2, args.ext)
+        stdgroups.is_conjugate_bruteforce(H1, H2, args.ext)
         if args.brute
-        else is_conjugate(H1, H2, args.ext)
+        else stdgroups.is_conjugate(H1, H2, args.ext)
     )
     payload = {
         "schema": "pglcensus/conjugate/v1",
-        "field": render_field_spec(spec),
+        "field": gfq.render_field_spec(spec),
         "ext": args.ext,
         "order1": H1.order,
         "order2": H2.order,
         "conjugate": witness is not None,
-        "witness": None if witness is None else render_moebius(witness),
-        "witness_field": None if witness is None else render_field_spec(witness.spec),
+        "witness": None if witness is None else moebius.render_moebius(witness),
+        "witness_field": None if witness is None else gfq.render_field_spec(witness.spec),
         "method": "bruteforce" if args.brute else "transporter",
     }
     return 0, payload, None, None
 
 
 def _cmd_census(args):
-    spec = parse_field_spec(args.field)
-    ext = extension_field(spec, args.ext)
-    locus = tuple(parse_point_list(ext, args.locus))
-    report = enum_actions(CensusQuery(spec, args.group, locus, r=args.ext))
-    payload = census_report_to_json(report)
+    spec = gfq.parse_field_spec(args.field)
+    ext = gfq.extension_field(spec, args.ext)
+    locus = tuple(moebius.parse_point_list(ext, args.locus))
+    report = census.enum_actions(census.CensusQuery(spec, args.group, locus, r=args.ext))
+    payload = census.census_report_to_json(report)
     return 0, payload, "matches", ["tag", "order", "generators", "locus"]
 
 
 def _cmd_additive_subgroups(args):
-    spec = parse_field_spec(args.field)
-    subs = enum_additive_subgroups(spec, args.rank)
+    spec = gfq.parse_field_spec(args.field)
+    subs = census.enum_additive_subgroups(spec, args.rank)
     payload = {
         "schema": "pglcensus/additive-subgroups/v1",
-        "field": render_field_spec(spec),
+        "field": gfq.render_field_spec(spec),
         "rank": args.rank,
         "count": len(subs),
-        "gaussian_binomial": gaussian_binomial(spec.n, args.rank, spec.p),
+        "gaussian_binomial": census.gaussian_binomial(spec.n, args.rank, spec.p),
         "subgroups": [
-            {"basis": [render_element(b) for b in G.basis]} for G in subs
+            {"basis": [gfq.render_element(b) for b in G.basis]} for G in subs
         ],
     }
     return 0, payload, "subgroups", ["basis"]
 
 
 def _cmd_verify_p1fp(args):
-    spec = parse_field_spec(args.field)
-    rep = verify_p1fp(spec)
+    spec = gfq.parse_field_spec(args.field)
+    rep = moebius.verify_p1fp(spec)
     payload = {
         "schema": "pglcensus/verify-p1fp/v1",
-        "field": render_field_spec(spec),
+        "field": gfq.render_field_spec(spec),
         "group_order": rep.group_order,
         "checked": rep.checked,
         "violations": list(rep.violations),
@@ -339,47 +289,48 @@ def _cmd_verify_main(args):
                 raise ValueError(f"--tags entries look like tag@locus, got {part!r}")
             extra.append((tag, locus_text))
     m_values = None if args.m is None else [args.m]
-    levels = _parse_levels(args.levels, lambda top: check_main_theorem_run(args.p, top, m_values))
-    report = verify_main_theorem(args.p, levels, m_values=m_values, extra_queries=extra)
-    payload = main_theorem_report_to_json(report)
+    levels = _parse_levels(args.levels, lambda top: census.check_main_theorem_run(args.p, top, m_values))
+    report = census.verify_main_theorem(args.p, levels, m_values=m_values, extra_queries=extra)
+    payload = census.main_theorem_report_to_json(report)
     return (0 if report.ok else 1), payload, "dichotomy", ["n", "m", "census", "subspaces", "oracle", "gaussian", "ok"]
 
 
 def _cmd_verify_genus1(args):
     if args.curve:
-        curves = [("curve", parse_curve(args.curve))]
+        curves = [("curve", elliptic.parse_curve(args.curve))]
     else:
-        curves = list(standard_test_curves())
+        curves = list(elliptic.standard_test_curves())
 
     def check_top(top):
         for _, E in curves:
-            _check_level(E, top)
+            elliptic._check_level(E, top)
 
     levels = _parse_levels(args.levels, check_top)
     rows = []
     ok = True
     for name, E in curves:
-        dich = verify_fpf_dichotomy(E, levels)
-        Er = base_change(E, args.ext)
-        pts = ec_points(Er)
-        auts = aut0(Er)
-        fixing_ok = fixing_counts_ok(Er)
+        dich = elliptic.verify_fpf_dichotomy(E, levels)
+        Er = elliptic.base_change(E, args.ext)
+        pts = elliptic.ec_points(Er)
+        auts = elliptic.aut0(Er)
+        fixing_ok = elliptic.fixing_counts_ok(Er)
         spf_ok = all(
-            len(enum_spf_actions(Er, n)) == abelian_subgroup_count(torsion_invariant_factors(Er, n), n)
+            len(elliptic.enum_spf_actions(Er, n))
+            == elliptic.abelian_subgroup_count(elliptic.torsion_invariant_factors(Er, n), n)
             for n in (1, 2, 3, 4)
         )
         curve_ok = dich.ok and fixing_ok and spf_ok
         ok = ok and curve_ok
         rows.append(
             {
-                "curve": render_curve(E),
+                "curve": elliptic.render_curve(E),
                 "name": name,
                 "points": len(pts),
                 "aut0": len(auts),
                 "dichotomy_ok": dich.ok,
                 "fixing_counts_ok": fixing_ok,
                 "spf_counts_ok": spf_ok,
-                "max_singleton_bound": max_singleton_bound(Er),
+                "max_singleton_bound": elliptic.max_singleton_bound(Er),
                 "ok": curve_ok,
                 "violations": list(dich.violations),
             }
@@ -405,23 +356,23 @@ def _cmd_verify_genus1(args):
 
 
 def _cmd_ramification(args):
-    spec = parse_field_spec(args.field)
+    spec = gfq.parse_field_spec(args.field)
     tokens = [t for t in args.poly.split(",") if t.strip() != ""]
     if len(tokens) % spec.n != 0:
         raise ValueError(f"--poly must hold a whole number of {spec.n}-coefficient elements")
     coeffs = [
-        parse_element(spec, ",".join(tokens[i : i + spec.n]))
+        gfq.parse_element(spec, ",".join(tokens[i : i + spec.n]))
         for i in range(0, len(tokens), spec.n)
     ]
-    ram = poly_map_ramification(coeffs, args.ext)
+    ram = moebius.poly_map_ramification(coeffs, args.ext)
     payload = {
         "schema": "pglcensus/ramification/v1",
-        "field": render_field_spec(spec),
+        "field": gfq.render_field_spec(spec),
         "degree": ram[-1].index,  # infinity, listed last, has index deg f
         "ext": args.ext,
         "count": len(ram),
         "ramification": [
-            {"point": render_point(rp.point), "index": rp.index, "tame": rp.tame}
+            {"point": moebius.render_point(rp.point), "index": rp.index, "tame": rp.tame}
             for rp in ram
         ],
     }

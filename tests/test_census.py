@@ -907,6 +907,38 @@ class TestMainTheorem:
         for p, n, m in outside:
             assert census.dichotomy_work(p, n, m) > census.WORK_BOUND, (p, n, m)
 
+    # (p, n, m, affine) -> dichotomy_work, as the estimate stands: every
+    # term of it moves some row, so a changed constant fails here and not
+    # only where it moves a refused level.  A refit of the estimate rewrites
+    # this table on purpose.  The rows over WORK_BOUND are the refused ones.
+    WORK_TABLE = {
+        (2, 3, 1, False): 145,
+        (2, 3, 1, True): 313,
+        (2, 4, 2, False): 1448,
+        (2, 4, 3, True): 2358,
+        (3, 2, 1, True): 440,
+        (5, 2, 2, False): 3217,
+        (3, 4, 2, False): 28545,
+        (2, 6, 3, False): 109014,
+        (5, 3, 3, True): 128967,
+        (13, 2, 2, False): 371583,
+        (3, 5, 2, True): 437959,
+        (7, 3, 1, False): 706914,
+        (2, 7, 3, False): 878998,
+        (7, 3, 1, True): 1058832,
+        (3, 6, 1, False): 1068704,
+        (17, 2, 1, False): 1334844,
+        (2, 9, 2, True): 2523956,
+        (5, 4, 1, True): 2735616,
+        (2, 7, 4, False): 2886868,
+        (7, 4, 2, False): 41861175,
+    }
+
+    def test_work_estimate_table(self):
+        assert {row: census.dichotomy_work(*row) for row in self.WORK_TABLE} == self.WORK_TABLE
+        # the table has rows on both sides of the bound
+        assert min(self.WORK_TABLE.values()) <= census.WORK_BOUND < max(self.WORK_TABLE.values())
+
     def test_rows_build_no_maps(self, monkeypatch):
         # a row without tags counts the census, the subspaces and the
         # oracle on entry codes: no Moebius object is built

@@ -2,7 +2,8 @@
 did: field order, positional and keyword construction with defaults,
 refusal of bad field names, immutability, equality and hashing by exact type
 and field values, the __post_init__ checks, copy and pickle, and replace.
-A fresh import of the CLI loads none of the dataclasses import chain."""
+A fresh import of the CLI loads none of the dataclasses import chain, and
+runs no layer module until a command calls it."""
 
 import copy
 import os
@@ -162,6 +163,16 @@ def test_post_init_refusals():
         RamPoint(point, 2, True).replace(index=0)
 
 
+def test_curve_coefficient_from_another_field_refused():
+    # either coefficient alone over the wrong field is refused, not only both
+    F25 = field_make(5, 2)
+    for a, b in ((fq_one(F25), fq_one(F5)), (fq_one(F5), fq_one(F25))):
+        with pytest.raises(ValueError, match="wrong field"):
+            ECurve(F5, a, b)
+        with pytest.raises(ValueError, match="wrong field"):
+            E.replace(a=a, b=b)
+
+
 ROUND_TRIPS = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
@@ -205,7 +216,7 @@ STARTUP = textwrap.dedent(
     print(sorted(set(heavy) & set(sys.modules)))
     buf = io.StringIO()
     code = pglcensus.cli.main("verify-main --p 2 --levels 1-3 --format csv".split(), out=buf)
-    print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest(), "csv" in sys.modules)
+    print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest(), sorted(set(heavy) & set(sys.modules)))
     """
 )
 
@@ -217,7 +228,66 @@ def test_cli_import_loads_no_dataclasses_chain():
     loaded, emitted = run.stdout.splitlines()
     assert loaded == "[]"
     # the golden hash of this command (tests/test_golden.py): csv is
-    # imported on first use and writes the same bytes
+    # imported on first use and writes the same bytes, and the layers the
+    # command ran loaded none of the chain either
     digest = "d8cb725d71f7ab62c7da2a7ddb50dc58b92a10f78b007d7f251b055326356356"
-    assert emitted == f"0 {digest} True"
+    assert emitted == f"0 {digest} ['csv']"
+
+
+LAYERS = ("closure", "gfq", "moebius", "stdgroups", "census", "elliptic")
+
+# import the CLI in a fresh interpreter and list the layer modules that have
+# run, then run the command in argv and list them again.  A module that has
+# not run is still of LazyLoader's module type; the type check reads no
+# attribute, so it loads nothing
+LAZY = textwrap.dedent(
+    f"""
+    import io, sys, types
+    import pglcensus.cli
+    def ran():
+        return [name for name in {LAYERS} if type(sys.modules["pglcensus." + name]) is types.ModuleType]
+    print(ran())
+    print(pglcensus.cli.main(sys.argv[1:], out=io.StringIO()), ran())
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "argv,ran",
+    [
+        ("field-info --field 5^2", ["closure", "gfq"]),
+        ("verify-genus1 --curve 5^1:a=1,b=0", ["closure", "gfq", "elliptic"]),
+        ("census --field 5^1 --group cyclic:4 --locus 0,inf", ["closure", "gfq", "moebius", "stdgroups", "census"]),
+    ],
+    ids=["field-info", "verify-genus1", "census"],
+)
+def test_cli_runs_only_the_layers_its_command_calls(argv, ran):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run(
+        [sys.executable, "-c", LAZY, *argv.split()], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", f"0 {ran}"]
+
+
+# the library surface is served from the lazy layers: importing the package
+# runs none of them, and each name resolves to its layer's own object
+SURFACE = textwrap.dedent(
+    f"""
+    import sys, types
+    import pglcensus
+    print([name for name in {LAYERS} if type(sys.modules["pglcensus." + name]) is types.ModuleType])
+    from pglcensus import field_make, pp1_infinity, CensusQuery, enum_actions, verify_main_theorem
+    for value in (field_make, pp1_infinity, CensusQuery, enum_actions, verify_main_theorem):
+        assert getattr(sys.modules[value.__module__], value.__name__) is value
+    print(hasattr(pglcensus, "nosuch"), [name for name in ("importlib", "sys") if name in vars(pglcensus)])
+    """
+)
+
+
+def test_package_import_runs_no_layer_and_serves_its_names():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-c", SURFACE], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "False []"]
 
