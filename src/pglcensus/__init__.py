@@ -11,7 +11,11 @@ Each layer module is compiled and run on first use: importing the package
 puts all six in sys.modules and binds them as attributes, and a module runs
 when one of its attributes is first read.  So a process pays only for the
 layers it calls.  The package runs in one thread, so the thread-safety
-limits of importlib.util.LazyLoader before Python 3.12 do not apply.
+limits of importlib.util.LazyLoader before Python 3.12 do not apply.  Code
+that only one command reaches lives in that command's module (dichotomy,
+conjugacy, p1checks), which the package neither binds nor looks up: the
+command imports it, and the library name verify_main_theorem imports
+dichotomy when it is first read.
 """
 
 
@@ -36,7 +40,7 @@ _HOMES = {
     "pp1_infinity": "moebius",
     "CensusQuery": "census",
     "enum_actions": "census",
-    "verify_main_theorem": "census",
+    "verify_main_theorem": "dichotomy",
 }
 
 __all__ = ["field_make", "pp1_infinity", "CensusQuery", "enum_actions", "verify_main_theorem"]
@@ -48,4 +52,6 @@ def __getattr__(name):
     home = _HOMES.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[home], name)
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{home}"), name)

@@ -11,6 +11,10 @@ Point lists are comma-separated; "inf" is the point at infinity and an affine
 point is spelled as its n coefficient integers, so over F_4 the pair
 {t, inf} is written "0,1,inf".  Group tags follow the census grammar:
 cyclic:n, dihedral:n, A4, S4, A5, PSL2:d, PGL2:d, Zp^m, gamma:m:n.
+
+This module keeps the parsers, the dispatch and the writers.  Code that only
+one command reaches, its payload included, lives in that command's module
+(dichotomy, conjugacy, p1checks), which its handler imports.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ def _emit(payload: dict, fmt: str, rows_key: Optional[str], columns: Optional[li
     if fmt == "csv":
         import csv
 
+        if rows_key is None:  # a single record: one row of its keys but the schema
+            cols, rows = sorted(k for k in payload if k != "schema"), [payload]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=cols, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
@@ -50,7 +56,7 @@ def _emit(payload: dict, fmt: str, rows_key: Optional[str], columns: Optional[li
     for key in sorted(payload):
         if key == rows_key or key == "schema":
             continue
-        out.write(f"{key}: {_human_cell(payload[key])}\n")
+        out.write(f"{key}: {_csv_cell(payload[key])}\n")
     if rows:
         widths = [max(len(c), *(len(_csv_cell(r.get(c))) for r in rows)) for c in cols]
         out.write("  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip() + "\n")
@@ -110,13 +116,9 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return "|".join(_csv_cell(v) for v in value)
-    return str(value)
-
-
-def _human_cell(value) -> str:
     if isinstance(value, dict):
         return json.dumps(value, sort_keys=True)
-    return _csv_cell(value)
+    return str(value)
 
 
 def _parse_levels(text: str, check_top: Callable[[int], None]) -> list[int]:
@@ -209,26 +211,12 @@ def _cmd_locus(args):
 
 
 def _cmd_conjugate(args):
+    from . import conjugacy
+
     spec = gfq.parse_field_spec(args.field)
     H1 = stdgroups.close_generators([moebius.parse_moebius(spec, g) for g in args.gens1.split("|")])
     H2 = stdgroups.close_generators([moebius.parse_moebius(spec, g) for g in args.gens2.split("|")])
-    witness = (
-        stdgroups.is_conjugate_bruteforce(H1, H2, args.ext)
-        if args.brute
-        else stdgroups.is_conjugate(H1, H2, args.ext)
-    )
-    payload = {
-        "schema": "pglcensus/conjugate/v1",
-        "field": gfq.render_field_spec(spec),
-        "ext": args.ext,
-        "order1": H1.order,
-        "order2": H2.order,
-        "conjugate": witness is not None,
-        "witness": None if witness is None else moebius.render_moebius(witness),
-        "witness_field": None if witness is None else gfq.render_field_spec(witness.spec),
-        "method": "bruteforce" if args.brute else "transporter",
-    }
-    return 0, payload, None, None
+    return 0, conjugacy.conjugate_to_json(H1, H2, args.ext, args.brute), None, None
 
 
 def _cmd_census(args):
@@ -257,41 +245,21 @@ def _cmd_additive_subgroups(args):
 
 
 def _cmd_verify_p1fp(args):
+    from . import p1checks
+
     spec = gfq.parse_field_spec(args.field)
-    rep = moebius.verify_p1fp(spec)
-    payload = {
-        "schema": "pglcensus/verify-p1fp/v1",
-        "field": gfq.render_field_spec(spec),
-        "group_order": rep.group_order,
-        "checked": rep.checked,
-        "violations": list(rep.violations),
-        "ok": rep.ok,
-        "summary": (
-            f"{rep.checked} non-identity elements of PGL2(F_{spec.q}) checked: "
-            f"every fixed-point count lies in {{1,2}}, and it equals 1 exactly "
-            f"for the elements of order {spec.p}"
-            if rep.ok
-            else f"{len(rep.violations)} violations"
-        ),
-    }
-    return 0 if rep.ok else 1, payload, None, None
+    rep = p1checks.verify_p1fp(spec)
+    return (0 if rep.ok else 1), p1checks.p1fp_report_to_json(spec, rep), None, None
 
 
 def _cmd_verify_main(args):
-    extra = []
-    if args.tags:
-        for part in args.tags.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            tag, _, locus_text = part.partition("@")
-            if not locus_text:
-                raise ValueError(f"--tags entries look like tag@locus, got {part!r}")
-            extra.append((tag, locus_text))
+    from . import dichotomy
+
+    extra = dichotomy.parse_tag_queries(args.tags or "")
     m_values = None if args.m is None else [args.m]
-    levels = _parse_levels(args.levels, lambda top: census.check_main_theorem_run(args.p, top, m_values))
-    report = census.verify_main_theorem(args.p, levels, m_values=m_values, extra_queries=extra)
-    payload = census.main_theorem_report_to_json(report)
+    levels = _parse_levels(args.levels, lambda top: dichotomy.check_main_theorem_run(args.p, top, m_values))
+    report = dichotomy.verify_main_theorem(args.p, levels, m_values=m_values, extra_queries=extra)
+    payload = dichotomy.main_theorem_report_to_json(report)
     return (0 if report.ok else 1), payload, "dichotomy", ["n", "m", "census", "subspaces", "oracle", "gaussian", "ok"]
 
 
@@ -305,78 +273,17 @@ def _cmd_verify_genus1(args):
         for _, E in curves:
             elliptic._check_level(E, top)
 
-    levels = _parse_levels(args.levels, check_top)
-    rows = []
-    ok = True
-    for name, E in curves:
-        dich = elliptic.verify_fpf_dichotomy(E, levels)
-        Er = elliptic.base_change(E, args.ext)
-        pts = elliptic.ec_points(Er)
-        auts = elliptic.aut0(Er)
-        fixing_ok = elliptic.fixing_counts_ok(Er)
-        spf_ok = all(
-            len(elliptic.enum_spf_actions(Er, n))
-            == elliptic.abelian_subgroup_count(elliptic.torsion_invariant_factors(Er, n), n)
-            for n in (1, 2, 3, 4)
-        )
-        curve_ok = dich.ok and fixing_ok and spf_ok
-        ok = ok and curve_ok
-        rows.append(
-            {
-                "curve": elliptic.render_curve(E),
-                "name": name,
-                "points": len(pts),
-                "aut0": len(auts),
-                "dichotomy_ok": dich.ok,
-                "fixing_counts_ok": fixing_ok,
-                "spf_counts_ok": spf_ok,
-                "max_singleton_bound": elliptic.max_singleton_bound(Er),
-                "ok": curve_ok,
-                "violations": list(dich.violations),
-            }
-        )
-    payload = {
-        "schema": "pglcensus/verify-genus1/v1",
-        "levels": levels,
-        "ext": args.ext,
-        "curves": rows,
-        "ok": ok,
-    }
-    return (0 if ok else 1), payload, "curves", [
-        "name",
-        "curve",
-        "points",
-        "aut0",
-        "dichotomy_ok",
-        "fixing_counts_ok",
-        "spf_counts_ok",
-        "max_singleton_bound",
-        "ok",
-    ]
+    payload = elliptic.genus1_suite_to_json(curves, _parse_levels(args.levels, check_top), args.ext)
+    columns = "name curve points aut0 dichotomy_ok fixing_counts_ok spf_counts_ok max_singleton_bound ok".split()
+    return (0 if payload["ok"] else 1), payload, "curves", columns
 
 
 def _cmd_ramification(args):
+    from . import p1checks
+
     spec = gfq.parse_field_spec(args.field)
-    tokens = [t for t in args.poly.split(",") if t.strip() != ""]
-    if len(tokens) % spec.n != 0:
-        raise ValueError(f"--poly must hold a whole number of {spec.n}-coefficient elements")
-    coeffs = [
-        gfq.parse_element(spec, ",".join(tokens[i : i + spec.n]))
-        for i in range(0, len(tokens), spec.n)
-    ]
-    ram = moebius.poly_map_ramification(coeffs, args.ext)
-    payload = {
-        "schema": "pglcensus/ramification/v1",
-        "field": gfq.render_field_spec(spec),
-        "degree": ram[-1].index,  # infinity, listed last, has index deg f
-        "ext": args.ext,
-        "count": len(ram),
-        "ramification": [
-            {"point": moebius.render_point(rp.point), "index": rp.index, "tame": rp.tame}
-            for rp in ram
-        ],
-    }
-    return 0, payload, "ramification", ["point", "index", "tame"]
+    ram = p1checks.poly_map_ramification(p1checks.parse_poly(spec, args.poly), args.ext)
+    return 0, p1checks.ramification_to_json(spec, ram, args.ext), "ramification", ["point", "index", "tame"]
 
 
 # ---------------------------------------------------------------------------

@@ -578,3 +578,43 @@ def render_ec_point(P: ECPoint) -> str:
     if P.is_zero:
         return "O"
     return f"({render_element(P.x)},{render_element(P.y)})"
+
+
+# ---------------------------------------------------------------------------
+# the verify-genus1 suite (the CLI's JSON payload)
+
+
+def genus1_suite_to_json(curves: Sequence[tuple[str, ECurve]], levels: Sequence[int], r: int) -> dict:
+    """The verify-genus1 command's record: per named curve, the fixed-point
+    dichotomy at the levels, and over F_{q^r} the point count, |Aut_0|, the
+    fixing counts, the stabilized-point-free actions of orders 1 to 4
+    counted against abelian_subgroup_count, and the singleton bound."""
+    rows = []
+    ok = True
+    for name, E in curves:
+        dich = verify_fpf_dichotomy(E, levels)
+        Er = base_change(E, r)
+        pts = ec_points(Er)
+        auts = aut0(Er)
+        fixing_ok = fixing_counts_ok(Er)
+        spf_ok = all(
+            len(enum_spf_actions(Er, n)) == abelian_subgroup_count(torsion_invariant_factors(Er, n), n)
+            for n in (1, 2, 3, 4)
+        )
+        curve_ok = dich.ok and fixing_ok and spf_ok
+        ok = ok and curve_ok
+        rows.append(
+            {
+                "curve": render_curve(E),
+                "name": name,
+                "points": len(pts),
+                "aut0": len(auts),
+                "dichotomy_ok": dich.ok,
+                "fixing_counts_ok": fixing_ok,
+                "spf_counts_ok": spf_ok,
+                "max_singleton_bound": max_singleton_bound(Er),
+                "ok": curve_ok,
+                "violations": list(dich.violations),
+            }
+        )
+    return {"schema": "pglcensus/verify-genus1/v1", "levels": list(levels), "ext": r, "curves": rows, "ok": ok}

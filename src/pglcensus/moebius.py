@@ -9,10 +9,10 @@ construction, so the closures and the mob_compose cache never hash or compare
 field elements; within one field, code order is the lexicographic order of
 the entries.  Products, inverses and normalization run on 4-tuples of entry
 codes through the one per-field law _code_law, as the genus-1 law does;
-the oracle, the subgroups of stdgroups, which are entry-code tuples, and
-the verify_p1fp scan call it directly, off the mob_compose cache.  The
-action on points and the three-point frames run on point codes through
-_code_points, which transporters search with.
+the oracle (dichotomy), the subgroups of stdgroups, which are entry-code
+tuples, and the verify_p1fp scan (p1checks) call it directly, off the
+mob_compose cache.  The action on points and the three-point frames run on
+point codes through _code_points, which transporters search with.
 
 Points of P^1 are either affine, with a single field coordinate (projective
 [x:1]), or the point at infinity [1:0].  A point's code is the code of x, or
@@ -36,24 +36,17 @@ from .gfq import (
     CodedValue,
     FieldSpec,
     FqElem,
-    Record,
     _artin_schreier_table,
     _render_code,
     _sqrt_table,
-    cpoly_deriv,
-    cpoly_divmod,
-    cpoly_from_elems,
-    cpoly_multiplicity,
     extension_field,
     field_elements,
     fq_embed,
     fq_from_int,
-    fq_neg,
     fq_one,
     fq_project,
     fq_zero,
     parse_element,
-    poly_roots,
 )
 
 
@@ -571,93 +564,3 @@ def parse_moebius(spec: FieldSpec, text: str) -> Moebius:
         entries.append(parse_element(spec, ",".join(str(x) for x in parts[: spec.n])))
         entries.append(parse_element(spec, ",".join(str(x) for x in parts[spec.n :])))
     return mob_make(*entries)
-
-
-# ---------------------------------------------------------------------------
-# ramification of polynomial self-maps of P^1
-
-
-class RamPoint(Record):
-    """A ramification point of a polynomial map: where it lives, its index e,
-    and whether the ramification is tame (p does not divide e)."""
-
-    point: PP1
-    index: int
-    tame: bool
-
-    def __post_init__(self):
-        if self.index < 2:
-            raise ValueError("ramification index must be >= 2")
-
-
-def poly_map_ramification(coeffs: Sequence[FqElem], r: int) -> list[RamPoint]:
-    """Ramification locus in P^1(F_{q^r}) of the map x -> f(x), deg f >= 2.
-
-    The index at x0 is the multiplicity of (t - x0) in f(t) - f(x0), which is
-    correct in wild cases where the derivative count fails.  Since f - f(x0)
-    = (t - x0)·g with g the quotient of f by t - x0, that is one more than
-    the multiplicity of x0 in g, and x0 ramifies iff g(x0) = f'(x0) = 0.  So
-    the ramified points are the roots of f' in F_{q^r} (gfq.poly_roots), and
-    each index is read off that division on element codes.  The map totally
-    ramifies at infinity with index deg f.  Inseparable maps (f' = 0) are
-    rejected.
-    """
-    spec, f = cpoly_from_elems(coeffs)
-    deg = max(len(f) - 1, 0)
-    if deg < 2:
-        raise ValueError(f"polynomial map must have degree >= 2, got degree {deg}")
-    df = cpoly_deriv(spec, f)
-    if not df:
-        raise ValueError("inseparable map: the derivative vanishes identically")
-    ext = extension_field(spec, r)
-    f = [fq_embed(c, ext).code for c in coeffs[: deg + 1]]
-    one, out = ext.q // ext.p, []
-    for x0, _ in poly_roots([spec._tables.elems[c] for c in df], r):
-        g = cpoly_divmod(ext, f, [fq_neg(x0).code, one])[0]
-        e = 1 + cpoly_multiplicity(ext, g, x0.code)
-        out.append(RamPoint(pp1_affine(x0), e, e % spec.p != 0))
-    # infinity's code is q, after every affine point
-    out.append(RamPoint(pp1_infinity(ext), deg, deg % spec.p != 0))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# exhaustive fixed-point census over one field
-
-
-class P1FPReport(Record):
-    """Result of scanning all of PGL2(F_q): every non-identity element must
-    have one or two fixed points over F_{q^2}, with exactly one precisely for
-    the elements of order p."""
-
-    group_order: int
-    checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_p1fp(spec: FieldSpec) -> P1FPReport:
-    """The scan on entry codes: per map, its fixed points over F_{q^2} by
-    _code_fixed and its order by closure.order over _code_law.  No map is
-    built: a violation is rendered from its entry codes."""
-    law, _, ident = _code_law(spec)
-    fixed_points = _code_fixed(spec, 2)[1]
-    group_order = spec.q ** 3 - spec.q
-    checked = 0
-    violations = []
-    for g in _pgl2_codes(spec):
-        if g == ident:
-            continue
-        checked += 1
-        n_fixed = len(fixed_points(g))
-        k = order(g, law, ident, group_order)
-        if k is None:
-            raise AssertionError("order exceeded |PGL2|, matrix arithmetic is broken")
-        if n_fixed not in (1, 2):
-            violations.append(f"{_render_codes(spec, g)}: {n_fixed} fixed points")
-        if (n_fixed == 1) != (k == spec.p):
-            violations.append(f"{_render_codes(spec, g)}: order {k} with {n_fixed} fixed points")
-    return P1FPReport(group_order, checked, tuple(violations))

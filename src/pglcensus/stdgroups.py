@@ -1,4 +1,4 @@
-"""Finite subgroups of PGL2(F_q): construction, invariants, conjugacy.
+"""Finite subgroups of PGL2(F_q): construction and invariants.
 
 Constructors are provided for every group in the two classification lists of
 finite subgroups of PGL2 over an algebraically closed field of characteristic
@@ -10,7 +10,8 @@ their p-regular counterparts.  A group is stored as the sorted tuple of its
 elements' entry codes (moebius._code_law), which is their canonical map
 order, so equality of subgroups is tuple equality, and every check below
 runs on those codes, and so does rendering a subgroup's generators.  Maps
-are built only by the conjugacy search, whose witnesses are maps.
+are built only by the conjugacy search (conjugacy.py), whose witnesses are
+maps.
 
 Isomorphism types are discriminated by a cheap fingerprint (order,
 element-order multiset, abelian flag) rather than abstract isomorphism
@@ -33,7 +34,6 @@ from .gfq import (
     _embedding_table,
     _projection_table,
     extension_field,
-    field_elements,
     fp_echelon,
     fq_from_coeffs,
     fq_inv,
@@ -53,19 +53,11 @@ from .moebius import (
     _entry_codes,
     _point,
     _render_codes,
-    mob_compose,
-    mob_from_three_points,
-    mob_identity,
-    mob_infinity_to,
     mob_inverse,
     mob_is_identity,
     mob_make,
-    mob_project,
     parse_moebius,
-    pgl2_elements,
-    pp1_points,
     render_point,
-    transporters,
 )
 
 if TYPE_CHECKING:
@@ -402,131 +394,6 @@ def _code_generators(kernel: tuple, codes: Sequence[tuple]) -> tuple[tuple, ...]
         if len(span) == len(codes):
             break
     return tuple(gens) or (ident,)
-
-
-# ---------------------------------------------------------------------------
-# conjugacy
-
-
-def _translation_parts(H: SubgroupPGL2) -> Optional[list[int]]:
-    """If every element is a translation x -> x + g, return the codes of the
-    g's."""
-    one = H.spec.q // H.spec.p
-    if all(a == d == one and not c for a, _, c, d in H.codes):
-        return [b for _, b, _, _ in H.codes]
-    return None
-
-
-def _conjugates_onto(g: Moebius, H1: SubgroupPGL2, H2: SubgroupPGL2) -> bool:
-    conj, codes2 = _conjugator(g), set(H2.codes)
-    return all(conj(x) in codes2 for x in H1.codes)
-
-
-def _simplify_witness(g: Optional[Moebius], base: FieldSpec) -> Optional[Moebius]:
-    """Project a conjugator back down to the base field when its entries are
-    rational there; otherwise return it over the search field."""
-    if g is None or g.spec is base:
-        return g
-    down = mob_project(g, base)
-    return down if down is not None else g
-
-
-def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius]:
-    """Search for g in PGL2(F_{q^r}) with g H1 g^{-1} = H2; returns a verified
-    witness (projected back to the base field whenever its entries are
-    rational there) or None.
-
-    The search space is cut down by transporter reasoning on stabilized loci:
-    a conjugator maps locus L1 onto locus L2, so it is g0 t with g0 from
-    moebius.transporters(L1, L2) and t fixing L1 pointwise: only the identity
-    for size >= 3, the torus through both points for size 2.  For size 1 both
-    groups may reduce to translation groups, where conjugacy is scalar scaling
-    of the translation sets.  Loci are computed at level r.  Loci of fewer
-    than two points that are not those of translation groups are taken in the
-    capture field F_{q^{2r}} instead, keeping the maps rational over F_{q^r}.
-    """
-    if H1.spec is not H2.spec:
-        raise ValueError("subgroups must live over the same field")
-    if H1.order != H2.order:
-        return None
-    base = H1.spec
-    ext = extension_field(base, r)
-    K1 = subgroup_embed(H1, ext)
-    K2 = subgroup_embed(H2, ext)
-    if H1.order == 1:
-        return mob_identity(base)
-    L1 = stabilized_locus(H1, r)
-    L2 = stabilized_locus(H2, r)
-    if len(L1) != len(L2):
-        return None
-
-    if len(L1) == 1:
-        # t1 and s2^{-1} carry the loci to infinity, where both groups
-        # may become translation groups
-        t1 = mob_inverse(mob_infinity_to(L1[0]))
-        s2 = mob_infinity_to(L2[0])
-        g1 = _translation_parts(conjugate_subgroup(K1, t1))
-        g2 = _translation_parts(conjugate_subgroup(K2, mob_inverse(s2)))
-        if g1 is not None and g2 is not None:
-            set2, mul = set(g2), ext._tables.mul
-            for alpha in field_elements(ext):
-                if alpha.is_zero():
-                    continue
-                if {mul(alpha.code, x) for x in g1} == set2:
-                    g = mob_compose(s2, mob_compose(_diag(ext, alpha), t1))
-                    if _conjugates_onto(g, K1, K2):
-                        return _simplify_witness(g, base)
-            return None
-
-    search = ext
-    if len(L1) < 2:
-        # p-elements have rational fixed points, so in the capture field,
-        # where every fixed point lies, both loci have two or more points
-        search = extension_field(base, 2 * r)
-        L1 = stabilized_locus(H1, 2 * r)
-        L2 = stabilized_locus(H2, 2 * r)
-        if len(L1) != len(L2):
-            return None
-    # g = g0 t with g0 from transporters(L1, L2, H1) and t fixing L1
-    # pointwise: only the identity for 3 or more points; for 2, the torus,
-    # one t per image of the first point outside L1, starting with the
-    # identity.  Each t is tried with every g0 before the next, so a plain
-    # transporter always comes first.  H1 stabilizes L1, and g0 h for h in
-    # H1 conjugates H1 onto H2 exactly when g0 does, so the transporters
-    # skip it; the first witness is the same as without H1
-    fix = [mob_identity(search)]
-    if len(L1) == 2:
-        src = (L1[0], L1[1], next(P for P in pp1_points(search) if P not in L1))
-        fix = (mob_from_three_points(src, (L1[0], L1[1], P)) for P in pp1_points(search) if P not in L1)
-    H1_search = subgroup_embed(H1, search).codes
-    for t in fix:
-        for g0 in transporters(L1, L2, H1_search):
-            g = mob_compose(g0, t)
-            if search is not ext:
-                g = mob_project(g, ext)
-            if g is not None and _conjugates_onto(g, K1, K2):
-                return _simplify_witness(g, base)
-    return None
-
-
-def _bruteforce_search(K1: SubgroupPGL2, K2: SubgroupPGL2) -> Optional[Moebius]:
-    gens, codes2 = K1.generators, set(K2.codes)
-    for g in pgl2_elements(K1.spec):
-        conj = _conjugator(g)
-        if all(conj(x) in codes2 for x in gens) and _conjugates_onto(g, K1, K2):
-            return g
-    return None
-
-
-def is_conjugate_bruteforce(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius]:
-    """Independent oracle: scan every element of PGL2(F_{q^r}) for a conjugator."""
-    if H1.spec is not H2.spec:
-        raise ValueError("subgroups must live over the same field")
-    if H1.order != H2.order:
-        return None
-    ext = extension_field(H1.spec, r)
-    g = _bruteforce_search(subgroup_embed(H1, ext), subgroup_embed(H2, ext))
-    return _simplify_witness(g, H1.spec)
 
 
 # ---------------------------------------------------------------------------

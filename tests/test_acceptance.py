@@ -14,9 +14,10 @@ from pglcensus.census import (
     enum_additive_subgroups,
     gamma_to_unipotent,
     scale_subgroup,
-    verify_main_theorem,
 )
 from pglcensus.cli import main as cli_main
+from pglcensus.conjugacy import is_conjugate, is_conjugate_bruteforce
+from pglcensus.dichotomy import verify_main_theorem
 from pglcensus.elliptic import (
     aut0,
     enum_spf_actions,
@@ -35,16 +36,10 @@ from pglcensus.gfq import (
     fq_pow,
     fq_zero,
 )
-from pglcensus.moebius import (
-    poly_map_ramification,
-    pp1_infinity,
-    render_point,
-    verify_p1fp,
-)
+from pglcensus.moebius import pp1_infinity, render_point
+from pglcensus.p1checks import poly_map_ramification, verify_p1fp
 from pglcensus.stdgroups import (
     fingerprint,
-    is_conjugate,
-    is_conjugate_bruteforce,
     stabilized_locus,
     std_A4,
     std_A5,

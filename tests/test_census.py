@@ -8,26 +8,30 @@ import pytest
 
 import pglcensus.census as census
 import pglcensus.closure as closure
+import pglcensus.dichotomy as dichotomy
 import pglcensus.moebius as moebius
 import pglcensus.stdgroups as stdgroups
 from pglcensus.census import (
-    BoundedRow,
     CensusQuery,
-    DichotomyRow,
-    MainTheoremReport,
     additive_subgroup,
     census_report_to_json,
-    check_main_theorem_run,
     enum_actions,
     enum_additive_subgroups,
     gamma_to_unipotent,
     gaussian_binomial,
-    oracle_enum_elem_abelian,
     parse_group_id,
     scale_subgroup,
-    verify_main_theorem,
 )
 from pglcensus.closure import close, is_prime
+from pglcensus.conjugacy import _translation_parts
+from pglcensus.dichotomy import (
+    BoundedRow,
+    DichotomyRow,
+    MainTheoremReport,
+    check_main_theorem_run,
+    oracle_enum_elem_abelian,
+    verify_main_theorem,
+)
 from pglcensus.gfq import (
     by_code,
     extension_field,
@@ -62,7 +66,6 @@ from pglcensus.stdgroups import (
     SubgroupPGL2,
     _code_generators,
     _code_kernel,
-    _translation_parts,
     close_generators,
     conjugate_subgroup,
     fingerprint,
@@ -516,7 +519,7 @@ class TestOracle:
 
     def test_cap(self, monkeypatch):
         # just inside the bound the oracle runs, one composition over it refuses
-        work = census.dichotomy_work(2, 3, 1)
+        work = dichotomy.dichotomy_work(2, 3, 1)
         monkeypatch.setattr(census, "WORK_BOUND", work)
         assert len(oracle_enum_elem_abelian(F8, 1, pp1_infinity(F8))) == 7
         monkeypatch.setattr(census, "WORK_BOUND", work - 1)
@@ -533,13 +536,13 @@ class TestOracle:
         # the stabilizer scan checks that each conjugate fixes the point: a
         # conjugator that does not take infinity there fails it
         point = pp1_affine(fq_from_int(F5, 2))
-        monkeypatch.setattr(census, "mob_infinity_to", lambda P: mob_identity(P.spec))
-        census._order_p_stabilizer.cache_clear()
+        monkeypatch.setattr(dichotomy, "mob_infinity_to", lambda P: mob_identity(P.spec))
+        dichotomy._order_p_stabilizer.cache_clear()
         with pytest.raises(AssertionError, match=r"\[1,0;0,2\] does not fix 2"):
-            census._order_p_stabilizer(F5, point)
+            dichotomy._order_p_stabilizer(F5, point)
 
     def test_affine_point_costs_the_conjugation(self):
-        assert census.dichotomy_work(2, 3, 1, affine=True) == census.dichotomy_work(2, 3, 1) + 3 * 8 * 7
+        assert dichotomy.dichotomy_work(2, 3, 1, affine=True) == dichotomy.dichotomy_work(2, 3, 1) + 3 * 8 * 7
 
     @pytest.mark.parametrize("p,n", [(2, 4), (5, 2), (2, 6), (3, 4)], ids=["F16", "F25", "F64", "F81"])
     @pytest.mark.parametrize("point_kind", ["inf", "affine"])
@@ -552,8 +555,8 @@ class TestOracle:
         # nor records a lookup
         spec = field_make(p, n)
         point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(fq_gen(spec))
-        census._order_p_stabilizer.cache_clear()
-        census._oracle_growth.cache_clear()
+        dichotomy._order_p_stabilizer.cache_clear()
+        dichotomy._oracle_growth.cache_clear()
         closures = [0]
 
         def counted(*args, f=closure.close, **kwargs):
@@ -565,8 +568,8 @@ class TestOracle:
         for m in range(1, n + 1):
             assert len(oracle_enum_elem_abelian(spec, m, point)) == gaussian_binomial(n, m, p)
         assert mob_compose.cache_info() == before
-        assert census._order_p_stabilizer.cache_info().misses == 1
-        info = census._oracle_growth.cache_info()
+        assert dichotomy._order_p_stabilizer.cache_info().misses == 1
+        info = dichotomy._oracle_growth.cache_info()
         assert (info.misses, info.hits) == (1, n - 1)
         assert closures[0] == sum(gaussian_binomial(n, m, p) for m in range(1, n + 1))
 
@@ -577,7 +580,7 @@ class TestOracle:
         # asked twice, or past n (rank 3 of F25), reads the same layers
         spec = field_make(p, n)
         point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(field_elements(spec)[-1])
-        census._oracle_growth.cache_clear()
+        dichotomy._oracle_growth.cache_clear()
         for m in (3, 1, 2, 3):
             found = {frozenset(maps(H)) for H in oracle_enum_elem_abelian(spec, m, point)}
             assert found == reference_oracle(spec, m, point)
@@ -872,7 +875,7 @@ class TestMainTheorem:
     def test_desk_bounds_enforced(self, monkeypatch):
         # the bound is the largest row work of the run: just inside it
         # verify-main runs, one composition over it refuses
-        work = max(census.dichotomy_work(2, 3, m) for m in (1, 2, 3))
+        work = max(dichotomy.dichotomy_work(2, 3, m) for m in (1, 2, 3))
         monkeypatch.setattr(census, "WORK_BOUND", work)
         assert verify_main_theorem(2, [1, 2, 3]).ok
         monkeypatch.setattr(census, "WORK_BOUND", work - 1)
@@ -886,7 +889,7 @@ class TestMainTheorem:
         # the tagged queries, the rows' census and subspaces, and the
         # oracle's search
         for name in ("enum_actions", "_translation_census", "enum_additive_subgroups", "_oracle_subgroups"):
-            monkeypatch.setattr(census, name, no_work)
+            monkeypatch.setattr(dichotomy, name, no_work)
         # a huge p is refused by the bound before any trial division
         for p, levels in ((2, [1, 10]), (3, [6]), (7, [4]), (101, [1]), (10 ** 18 + 3, [1])):
             with pytest.raises(ValueError, match="WORK_BOUND"):
@@ -903,9 +906,9 @@ class TestMainTheorem:
         outside = [(2, 7, 4), (2, 9, 2), (2, 10, 1), (3, 6, 1), (5, 4, 1), (7, 4, 1), (17, 2, 1), (101, 1, 1)]
         for (p, top), ms in inside.items():
             for m in ms:
-                assert census.dichotomy_work(p, top, m) <= census.WORK_BOUND, (p, top, m)
+                assert dichotomy.dichotomy_work(p, top, m) <= census.WORK_BOUND, (p, top, m)
         for p, n, m in outside:
-            assert census.dichotomy_work(p, n, m) > census.WORK_BOUND, (p, n, m)
+            assert dichotomy.dichotomy_work(p, n, m) > census.WORK_BOUND, (p, n, m)
 
     # (p, n, m, affine) -> dichotomy_work, as the estimate stands: every
     # term of it moves some row, so a changed constant fails here and not
@@ -935,7 +938,7 @@ class TestMainTheorem:
     }
 
     def test_work_estimate_table(self):
-        assert {row: census.dichotomy_work(*row) for row in self.WORK_TABLE} == self.WORK_TABLE
+        assert {row: dichotomy.dichotomy_work(*row) for row in self.WORK_TABLE} == self.WORK_TABLE
         # the table has rows on both sides of the bound
         assert min(self.WORK_TABLE.values()) <= census.WORK_BOUND < max(self.WORK_TABLE.values())
 
@@ -1030,7 +1033,7 @@ class TestMainTheorem:
             verify_main_theorem(p, [1])
 
     def test_report_json_shape(self):
-        from pglcensus.census import main_theorem_report_to_json
+        from pglcensus.dichotomy import main_theorem_report_to_json
 
         report = verify_main_theorem(3, [1, 2])
         data = main_theorem_report_to_json(report)

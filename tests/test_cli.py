@@ -8,9 +8,10 @@ import sys
 import pytest
 
 from pglcensus.cli import main
+from pglcensus.conjugacy import _conjugates_onto
 from pglcensus.gfq import parse_field_spec
 from pglcensus.moebius import parse_moebius
-from pglcensus.stdgroups import _conjugates_onto, close_generators, subgroup_from_json
+from pglcensus.stdgroups import close_generators, subgroup_from_json
 
 
 def run_cli(*argv):
@@ -700,3 +701,54 @@ def test_huge_subfield_degree_refused_at_once(tag):
 def test_subfield_degree_refused_before_the_root_of_unity(tag, capsys):
     assert exit_code(("build-group", "--field", "5^1", "--group", tag)) == 2
     assert capsys.readouterr().err == f"error: subfield degree {tag[5:]} does not divide 1\n"
+
+
+def _cell(value) -> str:
+    """A JSON value as one csv cell: lists joined by "|", null empty,
+    booleans lower case."""
+    if isinstance(value, list):
+        return "|".join(_cell(v) for v in value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+# the commands whose report is one record, with no rows
+SINGLE_RECORDS = {
+    "field-info": ("field-info", "--field", "3^2"),
+    "build-group": ("build-group", "--field", "5^1", "--group", "cyclic:4"),
+    "conjugate": ("conjugate", "--field", "7^1", "--gens1", "[0,1;1,0]|[0,1;2,0]", "--gens2", "[0,1;1,0]|[0,1;6,1]"),
+    "conjugate-none": ("conjugate", "--field", "5^1", "--gens1", "[0,1;1,0]", "--gens2", "[1,1;0,1]"),
+    "verify-p1fp": ("verify-p1fp", "--field", "3^1"),
+}
+
+
+@pytest.mark.parametrize("argv", SINGLE_RECORDS.values(), ids=SINGLE_RECORDS)
+def test_csv_writes_a_single_record_as_one_row(argv):
+    # a header of the record's keys but the schema, sorted, and one row
+    # that parses back to the JSON payload's values
+    import csv
+
+    code, out = run_cli(*argv)
+    payload = json.loads(out)
+    csv_code, text = run_cli(*argv, "--format", "csv")
+    assert csv_code == code == 0
+    keys = sorted(k for k in payload if k != "schema")
+    assert len(keys) >= 5
+    assert list(csv.reader(io.StringIO(text))) == [keys, [_cell(payload[k]) for k in keys]]
+
+
+def test_human_renders_dicts_in_lists_as_json():
+    code, out = run_cli(
+        "verify-main", "--p", "5", "--levels", "1-2", "--tags", "cyclic:4@0,inf", "--format", "human"
+    )
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    growth = [json.loads(part) for part in lines["growth"].split("|")]
+    assert growth == json.loads(run_cli("verify-main", "--p", "5", "--levels", "1-2")[1])["growth"]
+    assert json.loads(lines["bounded"]) == {
+        "constant": 1, "counts": [[1, 1], [2, 1]], "locus": "0,inf", "ok": True, "tag": "cyclic:4"
+    }
+    assert "True" not in out and "'" not in out

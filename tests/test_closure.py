@@ -5,8 +5,8 @@ from functools import partial
 import pytest
 
 from pglcensus import closure
-from pglcensus.census import _order_p_stabilizer
 from pglcensus.closure import close, is_prime, order, subgroups_of_order
+from pglcensus.dichotomy import _order_p_stabilizer
 from pglcensus.elliptic import _chord_tangent, _code_add, _torsion, _xy, standard_test_curves
 from pglcensus.gfq import field_elements, field_make
 from pglcensus.moebius import _code_law, mob_compose, mob_identity, pgl2_elements, pp1_affine, pp1_infinity
@@ -264,7 +264,7 @@ TORSION_CASES = [(name, n) for name, _ in standard_test_curves() for n in range(
 
 def oracle_input(p, n, at, m):
     """The oracle's order-p stabilizer at infinity or at one affine point,
-    with the growth arguments of census._oracle_subgroups."""
+    with the growth arguments of dichotomy._oracle_subgroups."""
     spec = field_make(p, n)
     law, _, ident = _code_law(spec)
     point = pp1_infinity(spec) if at == "inf" else pp1_affine(field_elements(spec)[-1])

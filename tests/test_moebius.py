@@ -34,7 +34,6 @@ from pglcensus.gfq import (
 )
 from pglcensus.moebius import (
     PP1,
-    RamPoint,
     _code_fixed,
     _code_law,
     _code_points,
@@ -56,7 +55,6 @@ from pglcensus.moebius import (
     parse_moebius,
     parse_point_list,
     pgl2_elements,
-    poly_map_ramification,
     pp1_affine,
     pp1_embed,
     pp1_infinity,
@@ -64,8 +62,8 @@ from pglcensus.moebius import (
     render_moebius,
     render_point,
     transporters,
-    verify_p1fp,
 )
+from pglcensus.p1checks import RamPoint, poly_map_ramification, verify_p1fp
 
 
 def fq_div(a, b):
@@ -432,9 +430,9 @@ class TestFixedPoints:
     def test_violations_render_each_map(self, monkeypatch):
         # with no fixed point found, every map violates the count, and the
         # maps of order p the dichotomy too, in pgl2_elements order
-        import pglcensus.moebius as moebius
+        import pglcensus.p1checks as p1checks
 
-        monkeypatch.setattr(moebius, "_code_fixed", lambda spec, r: (None, lambda g: []))
+        monkeypatch.setattr(p1checks, "_code_fixed", lambda spec, r: (None, lambda g: []))
         rep = verify_p1fp(F3)
         maps = [m for m in pgl2_elements(F3) if m != mob_identity(F3)]
         want = []

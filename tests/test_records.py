@@ -14,19 +14,12 @@ import textwrap
 
 import pytest
 
-from pglcensus.census import (
-    AdditiveSubgroup,
-    BoundedRow,
-    CensusQuery,
-    CensusReport,
-    DichotomyRow,
-    MainTheoremReport,
-    additive_subgroup,
-    enum_actions,
-)
+from pglcensus.census import AdditiveSubgroup, CensusQuery, CensusReport, additive_subgroup, enum_actions
+from pglcensus.dichotomy import BoundedRow, DichotomyRow, MainTheoremReport
 from pglcensus.elliptic import ECurve, FpfDichotomyReport, standard_test_curves, verify_fpf_dichotomy
 from pglcensus.gfq import Record, field_elements, field_make, fq_one, fq_zero
-from pglcensus.moebius import P1FPReport, RamPoint, parse_point_list, poly_map_ramification, verify_p1fp
+from pglcensus.moebius import parse_point_list
+from pglcensus.p1checks import P1FPReport, RamPoint, poly_map_ramification, verify_p1fp
 from pglcensus.stdgroups import Fingerprint, SubgroupPGL2, fingerprint, std_cyclic
 
 F5 = field_make(5, 1)
@@ -235,31 +228,63 @@ def test_cli_import_loads_no_dataclasses_chain():
 
 
 LAYERS = ("closure", "gfq", "moebius", "stdgroups", "census", "elliptic")
+# the modules of code that one command alone reaches: the package neither
+# binds nor looks them up, and the command imports its own
+COMMAND_MODULES = ("dichotomy", "conjugacy", "p1checks")
 
-# import the CLI in a fresh interpreter and list the layer modules that have
-# run, then run the command in argv and list them again.  A module that has
-# not run is still of LazyLoader's module type; the type check reads no
-# attribute, so it loads nothing
+# import the CLI in a fresh interpreter and list the modules that have run,
+# then run the command in argv and list them again.  A layer that has not
+# run is still of LazyLoader's module type; the type check reads no
+# attribute, so it loads nothing.  A command module has run once it is in
+# sys.modules.  The import looks up the six layers and nothing else
 LAZY = textwrap.dedent(
     f"""
-    import io, sys, types
+    import importlib.util, io, sys, types
+    looked, find_spec = [], importlib.util.find_spec
+    importlib.util.find_spec = lambda name, *args: looked.append(name) or find_spec(name, *args)
     import pglcensus.cli
+    importlib.util.find_spec = find_spec
     def ran():
-        return [name for name in {LAYERS} if type(sys.modules["pglcensus." + name]) is types.ModuleType]
-    print(ran())
+        layers = [name for name in {LAYERS} if type(sys.modules["pglcensus." + name]) is types.ModuleType]
+        return layers + [name for name in {COMMAND_MODULES} if "pglcensus." + name in sys.modules]
+    print(looked == ["pglcensus." + name for name in {LAYERS}], ran())
     print(pglcensus.cli.main(sys.argv[1:], out=io.StringIO()), ran())
     """
 )
+
+PGL2 = ["closure", "gfq", "moebius", "stdgroups"]
 
 
 @pytest.mark.parametrize(
     "argv,ran",
     [
         ("field-info --field 5^2", ["closure", "gfq"]),
+        ("fixed-points --field 5^1 --map [1,1;0,1]", ["closure", "gfq", "moebius"]),
+        ("build-group --field 5^1 --group cyclic:4", PGL2 + ["census"]),
+        ("build-group --field 5^1 --gens [0,1;1,0]", PGL2),
+        ("locus --field 5^1 --group cyclic:4", PGL2 + ["census"]),
+        ("conjugate --field 5^1 --gens1 [0,1;1,0] --gens2 [0,1;4,0]", PGL2 + ["conjugacy"]),
+        ("census --field 5^1 --group cyclic:4 --locus 0,inf", PGL2 + ["census"]),
+        ("additive-subgroups --field 2^3 --rank 1", PGL2 + ["census"]),
+        ("verify-p1fp --field 3^1", ["closure", "gfq", "moebius", "p1checks"]),
+        ("verify-main --p 2 --levels 1-2", PGL2 + ["census", "dichotomy"]),
         ("verify-genus1 --curve 5^1:a=1,b=0", ["closure", "gfq", "elliptic"]),
-        ("census --field 5^1 --group cyclic:4 --locus 0,inf", ["closure", "gfq", "moebius", "stdgroups", "census"]),
+        ("ramification --field 5^1 --poly 0,0,1", ["closure", "gfq", "moebius", "p1checks"]),
     ],
-    ids=["field-info", "verify-genus1", "census"],
+    ids=[
+        "field-info",
+        "fixed-points",
+        "build-group",
+        "build-group-gens",
+        "locus",
+        "conjugate",
+        "census",
+        "additive-subgroups",
+        "verify-p1fp",
+        "verify-main",
+        "verify-genus1",
+        "ramification",
+    ],
 )
 def test_cli_runs_only_the_layers_its_command_calls(argv, ran):
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -267,7 +292,7 @@ def test_cli_runs_only_the_layers_its_command_calls(argv, ran):
         [sys.executable, "-c", LAZY, *argv.split()], capture_output=True, text=True, env=env, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["[]", f"0 {ran}"]
+    assert run.stdout.splitlines() == ["True []", f"0 {ran}"]
 
 
 # the library surface is served from the lazy layers: importing the package

@@ -6,6 +6,7 @@ import pytest
 
 import pglcensus.stdgroups as stdgroups
 from pglcensus.census import additive_subgroup, enum_additive_subgroups, gamma_to_unipotent
+from pglcensus.conjugacy import _conjugates_onto, is_conjugate, is_conjugate_bruteforce
 from pglcensus.gfq import (
     field_elements,
     field_make,
@@ -31,12 +32,9 @@ from pglcensus.moebius import (
     render_point,
 )
 from pglcensus.stdgroups import (
-    _conjugates_onto,
     close_generators,
     conjugate_subgroup,
     fingerprint,
-    is_conjugate,
-    is_conjugate_bruteforce,
     stabilized_locus,
     std_A4,
     std_A5,
