@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gfq import (
     FieldSpec,
@@ -38,6 +38,8 @@ from .gfq import (
 )
 from .moebius import (
     PP1,
+    _code_fixed,
+    _kernel,
     mob_infinity_to,
     pp1_embed,
     render_point,
@@ -48,7 +50,6 @@ from .stdgroups import (
     SubgroupPGL2,
     _code_fingerprint,
     _code_generators,
-    _code_kernel,
     _code_locus,
     _conjugator,
     conjugate_subgroup,
@@ -124,21 +125,17 @@ def gaussian_binomial(n: int, m: int, p: int) -> int:
     return num // den
 
 
-def enum_additive_subgroups(spec: FieldSpec, m: int) -> list[AdditiveSubgroup]:
-    """All rank-m F_p-subspaces of F_{p^n}, each in canonical echelon form.
+def _check_rank(spec: FieldSpec, m: int) -> None:
+    if m < 0 or m > spec.n:
+        raise ValueError(f"rank must lie in [0, {spec.n}], got {m}")
 
-    Enumerated directly as reduced echelon matrices on element codes: choose
-    pivot columns, then give each row its pivot and every digit at the
-    columns right of the pivot that are no pivot.  A row's code is the sum of
-    its digits times their column's place value, so the rows of one choice
-    of pivots vary independently.  The count is the Gaussian binomial
-    [n choose m]_p.
-    """
-    n, p = spec.n, spec.p
-    if m < 0 or m > n:
-        raise ValueError(f"rank must lie in [0, {n}], got {m}")
+
+def _echelon_runs(n: int, p: int, m: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The reduced echelon bases of the rank-m subspaces of F_p^n as codes
+    (base-p digits), one sorted run per choice of pivot columns: each row
+    has its pivot and any digits at later columns that are no pivot, so the
+    rows vary independently, each over sorted codes."""
     place = [p ** (n - 1 - j) for j in range(n)]  # the code of the j-th unit vector
-    bases = []
     for pivots in itertools.combinations(range(n), m):
         rows = []
         for i in pivots:
@@ -147,11 +144,23 @@ def enum_additive_subgroups(spec: FieldSpec, m: int) -> list[AdditiveSubgroup]:
                 if j not in pivots:
                     codes = [c + v * place[j] for c in codes for v in range(p)]
             rows.append(codes)
-        bases.extend(itertools.product(*rows))
-    bases.sort()
-    assert len(bases) == gaussian_binomial(n, m, p)
-    elem = {c: FqElem(spec, c) for basis in bases for c in basis}
-    return [AdditiveSubgroup(spec, tuple(map(elem.__getitem__, basis))) for basis in bases]
+        yield itertools.product(*rows)
+
+
+def _subspaces(spec: FieldSpec, bases: Iterable[tuple[int, ...]]) -> Iterator[AdditiveSubgroup]:
+    elem: dict[int, FqElem] = {}  # one element per code
+    for basis in bases:
+        vectors = [elem[c] if c in elem else elem.setdefault(c, FqElem(spec, c)) for c in basis]
+        yield AdditiveSubgroup(spec, tuple(vectors))
+
+
+def enum_additive_subgroups(spec: FieldSpec, m: int) -> list[AdditiveSubgroup]:
+    """All rank-m F_p-subspaces of F_{p^n}, in canonical echelon form and in
+    the order of their basis codes: [n choose m]_p of them."""
+    _check_rank(spec, m)
+    bases = sorted(itertools.chain.from_iterable(_echelon_runs(spec.n, spec.p, m)))
+    assert len(bases) == gaussian_binomial(spec.n, m, spec.p)
+    return list(_subspaces(spec, bases))
 
 
 def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
@@ -241,21 +250,36 @@ _MODEL_CONSTRUCTORS = {
 }
 
 
-def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...]) -> list[SubgroupPGL2]:
+def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...], first: bool = False) -> list[SubgroupPGL2]:
     """Standard models over the working field for a tag.  Most tags have one
-    model; gamma tags with n > 1 have one per admissible additive subgroup."""
+    model; gamma tags with n > 1 have one per admissible additive subgroup,
+    in enum_additive_subgroups order, or with first=True the first one, up
+    to which a merge of the sorted _echelon_runs lists the bases.  Only a
+    subspace that holds 1, as mu_n does, is tried: its echelon basis is 1
+    and that of a rank-(m - 1) subspace of the other n - 1 coordinates."""
     if kind in _MODEL_CONSTRUCTORS:
         return [_MODEL_CONSTRUCTORS[kind](ext, *params)]
     if kind == "gamma":
         m, n = params
         if m == 0:  # gamma:0:1, the trivial group; mu_1 = {1} lies in no rank-0 gamma
             return [gamma_to_unipotent(AdditiveSubgroup(ext, ()))]
+        _check_rank(ext, m)
+        runs = _echelon_runs(ext.n - 1, ext.p, m - 1)
+        if first:  # imported here, so that a census does not load heapq
+            import heapq
+
+            bases = heapq.merge(*runs)
+        else:
+            bases = sorted(itertools.chain.from_iterable(runs))
+        one = ext.q // ext.p
         models = []
-        for gamma in enum_additive_subgroups(ext, m):
+        for gamma in _subspaces(ext, ((one, *basis) for basis in bases)):
             try:
                 models.append(std_gamma_semidirect(gamma, n))
             except ValueError:
                 continue  # this gamma fails the containment/closure conditions
+            if first:
+                break
         return models
     raise UnknownTagError(f"unknown group kind {kind!r}")
 
@@ -266,15 +290,15 @@ def _elementary_abelian_fingerprint(ext: FieldSpec, m: int) -> Fingerprint:
     return Fingerprint(order=p ** m, element_orders=orders, abelian=True, p_regular=(m == 0))
 
 
-def _verified(kernel: tuple, candidates: Iterable[Iterable[tuple]], S: tuple[int, ...], expected_fp: Fingerprint) -> list[tuple]:
+def _verified(spec: FieldSpec, law, candidates: Iterable[Iterable[tuple]], S: tuple, expected_fp: Fingerprint) -> list:
     """(codes, generators) of the candidates (entry codes of subgroups over
-    the census field F_{q^r}) whose locus over the algebraic closure is S,
-    the sorted codes of the queried locus, and whose fingerprint is the
-    expected one, deduplicated by sorted codes, in code order.  `kernel` is
-    the census field's _code_kernel at level 1, looked up once by the caller
-    and not per candidate.  The locus is one kernel pass (_code_locus,
-    complete=True), which fails when some fixed points leave F_{q^r}, so no
-    table of F_{q^{2r}} is built."""
+    the census field spec = F_{q^r}), deduplicated, in code order, whose
+    fingerprint is the expected one and whose locus over the algebraic
+    closure is S, the sorted codes of the queried locus: one pass of
+    _code_fixed at level 1 (_code_locus, complete=True), which fails when
+    some fixed points leave F_{q^r}, so no table of F_{q^{2r}} is built.
+    `law` is the field's code law, or a memo of it."""
+    identity, fixed = _kernel(spec).identity, _code_fixed(spec, 1)
     seen = set()
     out = []
     for codes in candidates:
@@ -282,10 +306,10 @@ def _verified(kernel: tuple, candidates: Iterable[Iterable[tuple]], S: tuple[int
         if codes in seen:
             continue
         seen.add(codes)
-        if _code_locus(kernel, codes, complete=True) != S:
+        if _code_locus(codes, identity, fixed, complete=True) != S:
             continue
-        gens = _code_generators(kernel, codes)
-        if _code_fingerprint(kernel, codes, gens) == expected_fp:
+        gens = _code_generators(codes, law, identity)
+        if _code_fingerprint(spec, codes, gens, law, identity) == expected_fp:
             out.append((codes, gens))
     return sorted(out)
 
@@ -302,9 +326,8 @@ def _translation_census(spec: FieldSpec, m: int, point: PP1, subspaces: Sequence
     if not point.is_infinity:
         maps = list(map(_conjugator(mob_infinity_to(point)), maps))
     groups = ([maps[g] for g in G.element_codes()] for G in subspaces)
-    law, *rest = _code_kernel(spec, 1)
-    kernel = (lru_cache(maxsize=None)(law), *rest)
-    return _verified(kernel, groups, (point.code,), _elementary_abelian_fingerprint(spec, m))
+    law = lru_cache(maxsize=None)(_kernel(spec).law)
+    return _verified(spec, law, groups, (point.code,), _elementary_abelian_fingerprint(spec, m))
 
 
 def _matches(ext: FieldSpec, found: Sequence[tuple], tag: str) -> tuple[SubgroupPGL2, ...]:
@@ -398,7 +421,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
 
     if not models:
         return CensusReport(query, (), 0, "finite")
-    found = _verified(_code_kernel(ext, 1), candidates, tuple(P.code for P in S), fingerprint(models[0]))
+    found = _verified(ext, _kernel(ext).law, candidates, tuple(P.code for P in S), fingerprint(models[0]))
     return CensusReport(query, _matches(ext, found, models[0].tag), len(found), "finite")
 
 

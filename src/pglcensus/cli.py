@@ -148,7 +148,7 @@ def _group_from_args(spec, args):
     if not args.group:
         raise ValueError("either --group or --gens is required")
     kind, params = census.parse_group_id(args.group)
-    models = census._standard_models(spec, kind, params)
+    models = census._standard_models(spec, kind, params, first=True)
     if not models:
         raise ValueError(f"no standard model for {args.group} over {gfq.render_field_spec(spec)}")
     return models[0]

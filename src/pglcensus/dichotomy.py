@@ -27,8 +27,7 @@ from .closure import is_prime, order, subgroup_layers
 from .gfq import FieldSpec, Record, field_make
 from .moebius import (
     PP1,
-    _code_law,
-    _code_points,
+    _kernel,
     _render_codes,
     mob_infinity_to,
     parse_point_list,
@@ -93,8 +92,8 @@ def _order_p_stabilizer(spec: FieldSpec, point: PP1) -> tuple[tuple[int, int, in
     d != 0 (c = 0 is what fixing inf means).  Each conjugate is checked to
     fix P and kept when g != 1 and g^p = 1.  Cached per (field, point), so
     the ranks of one level share one scan."""
-    law, _, ident = _code_law(spec)
-    apply = _code_points(spec)[0]
+    K = _kernel(spec)
+    law, ident, apply = K.law, K.identity, K.apply
     p, q, x = spec.p, spec.q, point.code
     stab = ((ident[0], b, 0, d) for b in range(q) for d in range(1, q))
     if not point.is_infinity:
@@ -122,9 +121,9 @@ class _OracleGrowth:
     same memo."""
 
     def __init__(self, spec: FieldSpec, point: PP1):
-        law, _, self.ident = _code_law(spec)
-        self.p = spec.p
-        self.op = lru_cache(maxsize=None)(law)
+        K = _kernel(spec)
+        self.p, self.ident = spec.p, K.identity
+        self.op = lru_cache(maxsize=None)(K.law)
         self.scanned = _order_p_stabilizer(spec, point)
         self.order_p = frozenset(self.scanned)
         self._start()

@@ -379,7 +379,7 @@ class _FieldTables:
       kept for 0 <= k < 2m so that any -2m < k < 2m indexes it (Python wraps
       k < 0);
     * add, sub, mul: the field's arithmetic on element codes, over zech.
-      Code-level loops call them; moebius._code_law extends log and zech to
+      Code-level loops call them; moebius._kernel extends log and zech to
       a zero sentinel and runs PGL2 products on the arrays themselves.
 
     O(q) to build: one sparse product per power of g (g has low degree), and

@@ -8,11 +8,11 @@ map's code is ((a*q + b)*q + c)*q + d over the entry codes, computed once at
 construction, so the closures and the mob_compose cache never hash or compare
 field elements; within one field, code order is the lexicographic order of
 the entries.  Products, inverses and normalization run on 4-tuples of entry
-codes through the one per-field law _code_law, as the genus-1 law does;
-the oracle (dichotomy), the subgroups of stdgroups, which are entry-code
-tuples, and the verify_p1fp scan (p1checks) call it directly, off the
-mob_compose cache.  The action on points and the three-point frames run on
-point codes through _code_points, which transporters search with.
+codes, and the action on points and the three-point frames on point codes,
+through one kernel per field, _kernel, as the genus-1 law does; the oracle
+(dichotomy), the subgroups of stdgroups, which are entry-code tuples, the
+verify_p1fp scan (p1checks) and transporters call its members directly,
+off the mob_compose cache.
 
 Points of P^1 are either affine, with a single field coordinate (projective
 [x:1]), or the point at infinity [1:0].  A point's code is the code of x, or
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 from .closure import order
@@ -37,6 +38,7 @@ from .gfq import (
     FieldSpec,
     FqElem,
     _artin_schreier_table,
+    _embedding_table,
     _render_code,
     _sqrt_table,
     extension_field,
@@ -141,27 +143,33 @@ class Moebius(CodedValue):
 
 
 @lru_cache(maxsize=None)
-def _log_arrays(spec: FieldSpec):
-    """The arrays _code_law and _code_points run on, built once per field
-    from its log, exp and Zech tables (gfq._FieldTables: m = q - 1, logs to
-    a primitive g, exp[k] for -3m <= k < 3m as Python wraps k < 0):
-    (lg, neg, zx, zero), each of size O(q).
+def _kernel(spec: FieldSpec) -> SimpleNamespace:
+    """PGL2(F_q) on entry and point codes, bound once per field as
+    elliptic._chord_tangent binds a curve's law.  Its members:
 
-    * zero = 4m stands for the log of 0, so that the log of a product of
-      entries is the sum of their logs with no branch: below 2m - 1 when the
-      product is nonzero, at least zero when a factor is 0;
-    * lg[c] is the log of code c, zero for c = 0, and neg[c] the code of -c;
-    * zx[k], for -2 zero <= k <= 2 zero: the sum of two products with logs u
-      and v has the log u + zx[v - u].  For |k| < 2m - 1 both are nonzero
-      (or both 0, and so is the sum) and zx[k] is the Zech log of k, or zero
-      where 1 + g^k = 0; past that one of them is 0, and zx[k] is 0 (v is 0)
-      or k (u is 0).
+    * law(x, y): the normalized product x*y (x after y) of 4-tuples of
+      entry codes (a, b, c, d); identity: (one, 0, 0, one), one = q // p;
+    * normalize(a, b, c, d): [[a,b],[c,d]] scaled by 1/(a or b), as a
+      nonsingular matrix has a nonzero first row; refuses singular ones;
+    * neg[c]: the code of -c;
+    * apply(g, x): the image of the point code x (infinity is q) under g;
+    * frame(x1, x2, x3): the entry codes, not normalized, of the map sending
+      the distinct points x1, x2, x3 to (0, 1, inf): with z_i = [x_i:y_i]
+      (inf = [1:0]) and d_ij = x_i y_j - y_i x_j, [[y1 d23, -x1 d23],
+      [y3 d21, -x3 d21]];
+    * quadratic(g), for c != 0: the codes (B, C) of g's fixed-point
+      quadratic x^2 + Bx + C, from c x^2 + (d - a) x - b = 0.
 
-    A sum's log is then below 3m - 2 when it is nonzero and at least zero
-    when it is 0, and two nonzero ones r, s give the code of g^(r - s) as
-    exp[r - s]."""
+    They run on logs (gfq._FieldTables: m = q - 1, exp[k] for -3m <= k <
+    3m), with zero = 4m for the log of 0 (lg[c] is the log of c), so that
+    a product of entries has the sum of their logs, below 2m - 1 unless a
+    factor is 0, and the sum of two products with logs u and v the log
+    u + zx[v - u]: zx[k] is the Zech log of k (zero where 1 + g^k = 0) for
+    |k| < 2m - 1, else 0 (v is 0) or k (u is 0).  Such a log is below
+    3m - 2, or at least zero for 0, and exp[r - s] is a quotient: law reads
+    the 8 entry logs once and scales by one shift of the leading one."""
     t = spec._tables
-    m = t.m
+    m, exp, half, q = t.m, t.exp, t.half, spec.q
     zero = 4 * m
     zech = [zero if z is None else z for z in t.zech]  # period m, 2m long
     near = 2 * m - 1
@@ -172,28 +180,8 @@ def _log_arrays(spec: FieldSpec):
         + zech[2 * m - near + 1 :]  # -near < k < 0, as k + 2m
     )
     lg = [zero] + t.log[1:]
-    neg = [0] + [t.exp[k + t.half] for k in t.log[1:]]
-    return lg, neg, zx, zero
-
-
-@lru_cache(maxsize=None)
-def _code_law(spec: FieldSpec):
-    """PGL2(F_q) on 4-tuples (a, b, c, d) of entry codes, bound once per
-    field as elliptic._chord_tangent binds a curve's law: (law, normalize,
-    identity).  law(x, y) is the normalized product x*y (x after y);
-    normalize(a, b, c, d) scales [[a,b],[c,d]] by 1/(a or b), as a
-    nonsingular matrix has a nonzero first row, and refuses singular ones;
-    identity is (one, 0, 0, one), where one = q // p is the code of 1.
-
-    law is one flat function in the log domain of _log_arrays: it reads the
-    8 entry logs once (0 is the sentinel zero, so a product with a zero
-    factor needs no branch), adds each product's logs, takes each entry sum
-    with one zx lookup, and scales by one shift of the leading entry's log,
-    an exp lookup per nonzero entry.  normalize checks ad - bc the same way
-    and scales by a product with the identity."""
-    lg, neg, zx, zero = _log_arrays(spec)
-    exp = spec._tables.exp
-    one = spec.q // spec.p
+    neg = [0] + [exp[k + half] for k in t.log[1:]]
+    one = q // spec.p
     identity = (one, 0, 0, one)
 
     def law(x, y):
@@ -219,24 +207,6 @@ def _code_law(spec: FieldSpec):
         if u + zx[lg[neg[b]] + lg[c] - u] >= zero:  # ad - bc = 0
             raise ValueError("singular matrix does not define a Moebius map")
         return law((a, b, c, d), identity)
-
-    return law, normalize, identity
-
-
-@lru_cache(maxsize=None)
-def _code_points(spec: FieldSpec):
-    """PGL2(F_q) on point codes (infinity is q), bound once per field next to
-    _code_law and over the same arrays: (apply, frame).  apply(g, x) is the
-    image of the point x under the map with entry codes g; frame(x1, x2, x3)
-    is the entry codes, not normalized, of the map sending the distinct
-    points x1, x2, x3 to (0, 1, inf): in homogeneous coordinates z_i =
-    [x_i:y_i] (inf = [1:0]) with d_ij = x_i y_j - y_i x_j it is
-    [[y1 d23, -x1 d23], [y3 d21, -x3 d21]].  As y is 0 or 1, the logs of
-    d23 and d21 are those of one product plus at most one Zech log, below
-    2m - 1 (m = q - 1), and of each entry below 3m - 2: exp reads them."""
-    lg, neg, zx, zero = _log_arrays(spec)
-    t = spec._tables
-    exp, half, q = t.exp, t.half, spec.q
 
     def apply(g, x):
         a, b, c, d = g
@@ -269,43 +239,49 @@ def _code_points(spec: FieldSpec):
             exp[n3 + d21] if n3 < zero else 0,
         )
 
-    return apply, frame
+    log, sub = t.log, t.sub
+
+    def quadratic(g):
+        a, b, c, d = g
+        x = sub(d, a)
+        return exp[log[x] - log[c]] if x else 0, exp[log[neg[b]] - log[c]] if b else 0
+
+    return SimpleNamespace(
+        law=law, normalize=normalize, identity=identity, apply=apply, frame=frame, neg=neg, quadratic=quadratic
+    )
 
 
 @lru_cache(maxsize=None)
 def _code_fixed(spec: FieldSpec, r: int):
-    """Fixed points on entry codes, bound once per (field, r) next to
-    _code_points: (quadratic, fixed).  For a map g with c != 0 its affine
-    fixed points are the roots of x^2 + Bx + C, B = (d - a)/c and C = -b/c,
-    from the eigen-direction equation c x^2 + (d - a) x - b = 0, and
-    quadratic(g) is the codes (B, C).  fixed(g) is the sorted point codes
-    over F_{q^r} (infinity is q^r) fixed by the non-identity map g: infinity
-    and b/(d - a) when c = 0 (infinity alone if d = a), else the roots of
-    that quadratic, embedded by code and read from the tables of F_{q^r}:
-    (-B +- s)/2 for the square roots s of B^2 - 4C when p is odd; when p = 2
-    the square root of C if B = 0, else B y with y^2 + y = C/B^2.  Those
-    tables are built by the first map with c != 0, so a run over maps with
-    c = 0 only (translations, say) never builds them."""
+    """fixed(g): the sorted point codes over F_{q^r} (infinity is q^r) fixed
+    by the non-identity map with entry codes g, bound once per (field, r).
+    A translation (c = 0, d = a) fixes infinity alone, any other map with
+    c = 0 also b/(d - a), and one with c != 0 the roots of its quadratic
+    (B, C): (-B +- s)/2 for the square roots s of B^2 - 4C when p is odd;
+    when p = 2 the square root of C if B = 0, else B y with y^2 + y = C/B^2.
+    Only a point other than infinity builds the tables of F_{q^r}."""
     t = spec._tables
     log, exp, sub, mul = t.log, t.exp, t.sub, t.mul
+    quadratic = _kernel(spec).quadratic
     ext = extension_field(spec, r)
-    emb = [fq_embed(x, ext).code for x in field_elements(spec)]
-    emul, esub, inf = ext._tables.mul, ext._tables.sub, ext.q
-    sqrt = solve = None
-    four, half = fq_from_int(spec, 4).code, fq_from_int(ext, (spec.p + 1) // 2).code
+    inf = ext.q
+    four = fq_from_int(spec, 4).code
+    emb = emul = esub = half = sqrt = solve = None
 
     def div(x, y):
         return exp[log[x] - log[y]] if x else 0
 
-    def quadratic(g):
-        a, b, c, d = g
-        return div(sub(d, a), c), div(sub(0, b), c)
-
     def fixed(g):
-        nonlocal sqrt, solve
+        nonlocal emb, emul, esub, half, sqrt, solve
         a, b, c, d = g
+        if not c and a == d:
+            return [inf]
+        if emb is None:
+            emb = [x.code for x in _embedding_table(spec, ext)] if r > 1 else range(spec.q)
+            emul, esub = ext._tables.mul, ext._tables.sub
+            half = fq_from_int(ext, (spec.p + 1) // 2).code
         if not c:
-            return [inf] if a == d else [emb[div(b, sub(d, a))], inf]
+            return [emb[div(b, sub(d, a))], inf]
         if sqrt is None:
             sqrt, solve = _sqrt_table(ext), _artin_schreier_table(ext) if spec.p == 2 else None
         B, C = quadratic(g)
@@ -317,16 +293,16 @@ def _code_fixed(spec: FieldSpec, r: int):
             roots = (emul(emb[B], y.code) for y in solve.get(emb[div(C, mul(B, B))], ()))
         return sorted(roots)
 
-    return quadratic, fixed
+    return fixed
 
 
 def _triple_map(spec: FieldSpec, source: tuple[int, int, int, int], dst: tuple[int, int, int]) -> tuple[int, int, int, int]:
     """Entry codes of the map sending a triple with frame `source` (from
-    _code_points) to the distinct point codes dst: the adjugate of dst's frame
+    the kernel's frame) to the distinct point codes dst: the adjugate of dst's frame
     after `source`, one normalized product."""
-    a, b, c, d = _code_points(spec)[1](*dst)
-    neg = _log_arrays(spec)[1]
-    return _code_law(spec)[0]((d, neg[b], neg[c], a), source)
+    K = _kernel(spec)
+    a, b, c, d = K.frame(*dst)
+    return K.law((d, K.neg[b], K.neg[c], a), source)
 
 
 def _entry_codes(m: Moebius) -> tuple[int, int, int, int]:
@@ -346,7 +322,7 @@ def _from_codes(spec: FieldSpec, codes: tuple[int, int, int, int]) -> Moebius:
 
 def _normalized(spec: FieldSpec, a: int, b: int, c: int, d: int) -> Moebius:
     """The PGL2 class of [[a,b],[c,d]] on entry codes; rejects singular ones."""
-    return _from_codes(spec, _code_law(spec)[1](a, b, c, d))
+    return _from_codes(spec, _kernel(spec).normalize(a, b, c, d))
 
 
 def mob_make(a: FqElem, b: FqElem, c: FqElem, d: FqElem) -> Moebius:
@@ -387,22 +363,24 @@ def mob_apply(m: Moebius, P: PP1) -> PP1:
     spec = m.spec
     if spec is not P.spec:
         raise ValueError(f"field mismatch: map over {spec!r}, point over {P.spec!r}")
-    return _point(spec, _code_points(spec)[0](_entry_codes(m), P.code))
+    return _point(spec, _kernel(spec).apply(_entry_codes(m), P.code))
 
 
 @lru_cache(maxsize=1 << 18)
 def mob_compose(m1: Moebius, m2: Moebius) -> Moebius:
-    """Composition m1 after m2 (matrix product M1*M2).  Memoized: closure,
-    order and conjugacy searches revisit the same products constantly."""
+    """Composition m1 after m2 (matrix product M1*M2).  Only conjugacy,
+    mob_order and mob_conjugate call it; the searches on entry codes call
+    the kernel's law.  It stays memoized, as perfbench's trace reads its
+    cache_info."""
     spec = m1.spec
     if m2.spec is not spec:
         raise ValueError("cannot compose maps over different fields")
-    return _from_codes(spec, _code_law(spec)[0](_entry_codes(m1), _entry_codes(m2)))
+    return _from_codes(spec, _kernel(spec).law(_entry_codes(m1), _entry_codes(m2)))
 
 
 def mob_inverse(m: Moebius) -> Moebius:
     """The adjugate [[d,-b],[-c,a]], on entry codes."""
-    neg = _log_arrays(m.spec)[1]
+    neg = _kernel(m.spec).neg
     return _normalized(m.spec, m.d.code, neg[m.b.code], neg[m.c.code], m.a.code)
 
 
@@ -440,7 +418,7 @@ def mob_fixed_points(m: Moebius, r: int) -> list[PP1]:
     if mob_is_identity(m):
         raise ValueError("the identity fixes every point of P^1")
     ext = extension_field(m.spec, r)
-    return [_point(ext, x) for x in _code_fixed(m.spec, r)[1](_entry_codes(m))]
+    return [_point(ext, x) for x in _code_fixed(m.spec, r)(_entry_codes(m))]
 
 
 def _distinct_codes(points: Sequence[PP1], spec: FieldSpec, role: str) -> tuple[int, ...]:
@@ -458,7 +436,7 @@ def mob_from_three_points(src: Sequence[PP1], dst: Sequence[PP1]) -> Moebius:
     if len(src) != 3 or len(dst) != 3:
         raise ValueError("need exactly three source and three destination points")
     spec = src[0].spec
-    source = _code_points(spec)[1](*_distinct_codes(src, spec, "source"))
+    source = _kernel(spec).frame(*_distinct_codes(src, spec, "source"))
     return _from_codes(spec, _triple_map(spec, source, _distinct_codes(dst, spec, "destination")))
 
 
@@ -485,7 +463,7 @@ def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[tuple[int, int
     spec = L0[0].spec
     src = _distinct_codes(L0, spec, "source")
     dst = _distinct_codes(S, spec, "destination")
-    apply, frame = _code_points(spec)
+    apply, frame = _kernel(spec).apply, _kernel(spec).frame
     if len(L0) == 2:
         # infinity's code is q, after every affine point
         source = frame(*src, next(x for x in range(spec.q + 1) if x not in src))

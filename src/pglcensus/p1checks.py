@@ -24,7 +24,7 @@ from .gfq import (
     poly_roots,
     render_field_spec,
 )
-from .moebius import PP1, _code_fixed, _code_law, _pgl2_codes, _render_codes, pp1_affine, pp1_infinity, render_point
+from .moebius import PP1, _code_fixed, _kernel, _pgl2_codes, _render_codes, pp1_affine, pp1_infinity, render_point
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +117,10 @@ class P1FPReport(Record):
 
 def verify_p1fp(spec: FieldSpec) -> P1FPReport:
     """The scan on entry codes: per map, its fixed points over F_{q^2} by
-    _code_fixed and its order by closure.order over _code_law.  No map is
-    built: a violation is rendered from its entry codes."""
-    law, _, ident = _code_law(spec)
-    fixed_points = _code_fixed(spec, 2)[1]
+    _code_fixed and its order by closure.order over the kernel's law.  No
+    map is built: a violation is rendered from its entry codes."""
+    law, ident = _kernel(spec).law, _kernel(spec).identity
+    fixed_points = _code_fixed(spec, 2)
     group_order = spec.q ** 3 - spec.q
     checked = 0
     violations = []

@@ -7,7 +7,7 @@ groups) and the p-irregular list (PSL2/PGL2 of a subfield, semidirect
 products of an additive subgroup with a group of roots of unity).  The
 char-2 dihedral groups and the char-3 A5 come from the same constructors as
 their p-regular counterparts.  A group is stored as the sorted tuple of its
-elements' entry codes (moebius._code_law), which is their canonical map
+elements' entry codes (moebius._kernel), which is their canonical map
 order, so equality of subgroups is tuple equality, and every check below
 runs on those codes, and so does rendering a subgroup's generators.  Maps
 are built only by the conjugacy search (conjugacy.py), whose witnesses are
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .closure import close, order
@@ -49,8 +49,8 @@ from .moebius import (
     Moebius,
     PP1,
     _code_fixed,
-    _code_law,
     _entry_codes,
+    _kernel,
     _point,
     _render_codes,
     mob_inverse,
@@ -73,7 +73,7 @@ class SubgroupPGL2(Record):
     tag: str
 
     def __post_init__(self):
-        if _code_law(self.spec)[2] not in self.codes:
+        if _kernel(self.spec).identity not in self.codes:
             raise ValueError("a subgroup must contain the identity")
 
     @property
@@ -84,7 +84,8 @@ class SubgroupPGL2(Record):
     def generators(self) -> tuple[tuple[int, int, int, int], ...]:
         """_code_generators of the codes, computed once per subgroup; a census
         match is seeded with the set its verification computed."""
-        return _code_generators(_code_kernel(self.spec, 1), self.codes)
+        K = _kernel(self.spec)
+        return _code_generators(self.codes, K.law, K.identity)
 
     def __repr__(self) -> str:
         return f"SubgroupPGL2({self.tag}, order {self.order} over {render_field_spec(self.spec)})"
@@ -108,8 +109,8 @@ def close_generators(gens: Sequence[Moebius], cap: Optional[int] = None, tag: st
             raise ValueError("generators live in different fields")
     if cap is None:
         cap = spec.q ** 3 - spec.q
-    law, _, ident = _code_law(spec)
-    seen = close([_entry_codes(g) for g in gens], law, {ident}, cap)
+    K = _kernel(spec)
+    seen = close([_entry_codes(g) for g in gens], K.law, {K.identity}, cap)
     if seen is None:
         raise ValueError(f"closure exceeded cap {cap}")
     return SubgroupPGL2(spec, tuple(sorted(seen)), tag)
@@ -140,7 +141,7 @@ def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL
 def _conjugator(g: Moebius):
     """x -> g x g^{-1} on entry codes through the field's code law, with
     g^{-1} computed once."""
-    law = _code_law(g.spec)[0]
+    law = _kernel(g.spec).law
     y, y_inv = _entry_codes(g), _entry_codes(mob_inverse(g))
     return lambda x: law(law(y, x), y_inv)
 
@@ -184,7 +185,7 @@ def std_cyclic(spec: FieldSpec, n: int) -> SubgroupPGL2:
         raise ValueError(f"characteristic {spec.p} divides {n}: no such cyclic model")
     primitive_root_of_unity(spec, n)
     mu, _ = roots_of_unity(spec, n)
-    normalize, one = _code_law(spec)[1], fq_one(spec).code
+    normalize, one = _kernel(spec).normalize, fq_one(spec).code
     return SubgroupPGL2(spec, tuple(sorted(normalize(u.code, 0, 0, one) for u in mu)), f"cyclic:{n}")
 
 
@@ -294,7 +295,7 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
             if mul(z, g) not in gamma_set:
                 raise ValueError(f"mu_{n} * gamma is not contained in gamma")
     tag = f"Zp^{gamma.rank}" if n == 1 else f"gamma:{gamma.rank}:{n}"
-    normalize, one = _code_law(spec)[1], fq_one(spec).code
+    normalize, one = _kernel(spec).normalize, fq_one(spec).code
     H = SubgroupPGL2(spec, tuple(sorted(normalize(z, g, 0, one) for z in mu for g in gamma_set)), tag)
     if H.order != n * spec.p ** gamma.rank:
         raise AssertionError(f"semidirect product has order {H.order}, expected {n * spec.p ** gamma.rank}")
@@ -302,50 +303,41 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
 
 
 # ---------------------------------------------------------------------------
-# invariants
+# invariants: the checks on entry codes take the members of the field's
+# kernel (moebius._kernel, _code_fixed) that they use, looked up by the
+# caller, so that a loop over many groups looks them up once
 
 
-@lru_cache(maxsize=None)
-def _code_kernel(spec: FieldSpec, r: int):
-    """The per-field lookups of the checks on entry codes below, bound once
-    per (field, r), so that a loop over many groups makes none: (law,
-    identity, fixed, cap, p), with law and identity from moebius._code_law,
-    fixed from moebius._code_fixed(spec, r), and cap = |PGL2(F_q)|, which
-    bounds every element order."""
-    law, _, ident = _code_law(spec)
-    return law, ident, _code_fixed(spec, r)[1], spec.q ** 3 - spec.q, spec.p
-
-
-def _code_fingerprint(kernel: tuple, codes: Sequence[tuple], gens: Sequence[tuple]) -> Fingerprint:
-    """The fingerprint of the group with entry codes `codes` and generating
-    set `gens`, through the code law of `kernel` (_code_kernel): element
-    orders by closure.order, and abelian when the generators commute
-    pairwise."""
-    law, ident, _, cap, p = kernel
+def _code_fingerprint(spec: FieldSpec, codes: Sequence[tuple], gens: Sequence[tuple], law, identity) -> Fingerprint:
+    """The fingerprint of the group over spec with entry codes `codes` and
+    generating set `gens`, through the code law `law`: element orders by
+    closure.order, capped at |PGL2(F_q)|, and abelian when the generators
+    commute pairwise."""
+    cap = spec.q ** 3 - spec.q
     counts: dict[int, int] = {}
     for x in codes:
-        k = order(x, law, ident, cap)
+        k = order(x, law, identity, cap)
         counts[k] = counts.get(k, 0) + 1
     return Fingerprint(
         order=len(codes),
         element_orders=tuple(sorted(counts.items())),
         abelian=all(law(x, y) == law(y, x) for x, y in itertools.combinations(gens, 2)),
-        p_regular=len(codes) % p != 0,
+        p_regular=len(codes) % spec.p != 0,
     )
 
 
 def fingerprint(H: SubgroupPGL2) -> Fingerprint:
     """Order, element-order multiset, abelian and p-regularity flags."""
-    return _code_fingerprint(_code_kernel(H.spec, 1), H.codes, H.generators)
+    K = _kernel(H.spec)
+    return _code_fingerprint(H.spec, H.codes, H.generators, K.law, K.identity)
 
 
-def _code_locus(kernel: tuple, codes: Iterable[tuple], complete: bool = False) -> Optional[tuple[int, ...]]:
-    """stabilized_locus on entry and point codes, by the fixed-point kernel
-    of `kernel` (_code_kernel at the level of the points)."""
-    _, ident, fixed, _, _ = kernel
+def _code_locus(codes: Iterable[tuple], identity, fixed, complete: bool = False) -> Optional[tuple[int, ...]]:
+    """stabilized_locus on entry and point codes, by `fixed` (_code_fixed at
+    the level of the points)."""
     pts = set()
     for x in codes:
-        if x != ident:
+        if x != identity:
             points = fixed(x)
             if complete and not points:
                 return None
@@ -361,7 +353,7 @@ def stabilized_locus(H: SubgroupPGL2, r: int, complete: bool = False) -> Optiona
     None unless it is the whole locus over the algebraic closure: an
     element's fixed points lie in F_{q^r} all or none (mob_fixed_points), so
     that is when no element's set is empty."""
-    codes = _code_locus(_code_kernel(H.spec, r), H.codes, complete)
+    codes = _code_locus(H.codes, _kernel(H.spec).identity, _code_fixed(H.spec, r), complete)
     if codes is None:
         return None
     ext = extension_field(H.spec, r)
@@ -371,21 +363,19 @@ def stabilized_locus(H: SubgroupPGL2, r: int, complete: bool = False) -> Optiona
 def irrational_locus_pairs(H: SubgroupPGL2) -> set[tuple[int, int]]:
     """The stabilized points of H outside F_q, one Frobenius-conjugate pair
     per distinct fixed-point quadratic with no root in F_q, keyed by the codes
-    of its (B, C) (moebius._code_fixed).  Distinct irreducible monic
+    of its (B, C) (the kernel's quadratic).  Distinct irreducible monic
     quadratics share no root, so the locus over the algebraic closure has
     len(stabilized_locus(H, 1)) + 2 * len(irrational_locus_pairs(H)) points,
     and it is stabilized_locus(H, 1) exactly when this set is empty."""
-    quadratic, fixed = _code_fixed(H.spec, 1)
+    quadratic, fixed = _kernel(H.spec).quadratic, _code_fixed(H.spec, 1)
     return {quadratic(x) for x in H.codes if x[2] and not fixed(x)}
 
 
-def _code_generators(kernel: tuple, codes: Sequence[tuple]) -> tuple[tuple, ...]:
+def _code_generators(codes: Sequence[tuple], law, identity) -> tuple[tuple, ...]:
     """A small deterministic generating set of the group with sorted entry
-    codes `codes`, grown greedily in that order through the code law of
-    `kernel` (_code_kernel)."""
-    law, ident, _, _, _ = kernel
+    codes `codes`, grown greedily in that order through the code law."""
     gens: list[tuple] = []
-    span = {ident}
+    span = {identity}
     for x in codes:
         if x in span:
             continue
@@ -393,7 +383,7 @@ def _code_generators(kernel: tuple, codes: Sequence[tuple]) -> tuple[tuple, ...]
         span = close(gens, law, span)
         if len(span) == len(codes):
             break
-    return tuple(gens) or (ident,)
+    return tuple(gens) or (identity,)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from pglcensus.gfq import (
 from pglcensus.moebius import (
     _entry_codes,
     _from_codes,
+    _kernel,
     mob_apply,
     mob_compose,
     mob_identity,
@@ -65,7 +66,6 @@ from pglcensus.stdgroups import (
     Fingerprint,
     SubgroupPGL2,
     _code_generators,
-    _code_kernel,
     close_generators,
     conjugate_subgroup,
     fingerprint,
@@ -132,6 +132,31 @@ class TestAdditiveSubgroups:
             assert len(members) == 4
             for a, b in itertools.product(members, repeat=2):
                 assert (a + b).coeffs in key
+
+    @pytest.mark.parametrize("field", ["2^4", "2^6", "3^2", "3^4", "5^2", "7^2"])
+    def test_gamma_models_against_every_subspace(self, field):
+        # the models of gamma:m:n are the subspaces that pass
+        # std_gamma_semidirect, in enum_additive_subgroups order, and the
+        # first one alone (what build-group and locus print) comes from the
+        # merged echelon runs, stopping there
+        from pglcensus.census import _standard_models
+        from pglcensus.stdgroups import std_gamma_semidirect
+
+        spec = parse_field_spec(field)
+        models = 0
+        for m in range(1, spec.n + 1):
+            subspaces = enum_additive_subgroups(spec, m)
+            for n in (n for n in range(1, spec.q) if (spec.q - 1) % n == 0):
+                want = []
+                for G in subspaces:
+                    try:
+                        want.append(std_gamma_semidirect(G, n))
+                    except ValueError:
+                        pass
+                assert _standard_models(spec, "gamma", (m, n)) == want, (m, n)
+                assert _standard_models(spec, "gamma", (m, n), first=True) == want[:1], (m, n)
+                models += len(want)
+        assert models >= 2
 
 
 class TestGammaUnipotentCorrespondence:
@@ -304,9 +329,9 @@ class TestEnumActions:
         # seeded set, computing none
         calls = []
 
-        def counted(kernel, codes, f=stdgroups._code_generators):
+        def counted(codes, law, identity, f=stdgroups._code_generators):
             calls.append(codes)
-            return f(kernel, codes)
+            return f(codes, law, identity)
 
         monkeypatch.setattr(stdgroups, "_code_generators", counted)
         report = census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf")
@@ -315,8 +340,9 @@ class TestEnumActions:
         data = census_report_to_json(report)
         assert len(calls) == before
         monkeypatch.undo()
+        K = _kernel(F7)
         assert [m["generators"] for m in data["matches"]] == [
-            [render_moebius(_from_codes(H.spec, g)) for g in _code_generators(_code_kernel(H.spec, 1), H.codes)]
+            [render_moebius(_from_codes(H.spec, g)) for g in _code_generators(H.codes, K.law, K.identity)]
             for H in report.matches
         ]
 

@@ -9,7 +9,7 @@ import pytest
 
 from pglcensus.cli import main
 from pglcensus.conjugacy import _conjugates_onto
-from pglcensus.gfq import parse_field_spec
+from pglcensus.gfq import extension_field, parse_field_spec
 from pglcensus.moebius import parse_moebius
 from pglcensus.stdgroups import close_generators, subgroup_from_json
 
@@ -116,6 +116,15 @@ class TestBuildAndLocus:
         assert json.loads(out)["order"] == 24
         code, out = run_cli("census", "--field", "13^1", "--group", "S4", "--locus", "0,inf")
         assert code == 0 and json.loads(out)["count"] == 0
+
+    @pytest.mark.parametrize("command", ["locus", "build-group"])
+    def test_translations_build_no_table_of_the_locus_field(self, command):
+        # at the default --ext 2 a translation fixes infinity alone, so the
+        # locus of Zp^1 over F_{2^11} is found with no table of F_{2^22}
+        code, out = run_cli(command, "--field", "2^11", "--group", "Zp^1")
+        data = json.loads(out)
+        assert code == 0 and data["order"] == 2 and len(data["locus"]) == 1
+        assert "_tables" not in vars(extension_field(parse_field_spec("2^11"), 2))
 
     @pytest.mark.parametrize("tag", ["Zp^0", "gamma:0:1"])
     def test_rank_zero_tag_is_the_trivial_group(self, tag):

@@ -9,7 +9,7 @@ from pglcensus.closure import close, is_prime, order, subgroups_of_order
 from pglcensus.dichotomy import _order_p_stabilizer
 from pglcensus.elliptic import _chord_tangent, _code_add, _torsion, _xy, standard_test_curves
 from pglcensus.gfq import field_elements, field_make
-from pglcensus.moebius import _code_law, mob_compose, mob_identity, pgl2_elements, pp1_affine, pp1_infinity
+from pglcensus.moebius import _kernel, mob_compose, mob_identity, pgl2_elements, pp1_affine, pp1_infinity
 
 
 def add_mod(n):
@@ -266,7 +266,7 @@ def oracle_input(p, n, at, m):
     """The oracle's order-p stabilizer at infinity or at one affine point,
     with the growth arguments of dichotomy._oracle_subgroups."""
     spec = field_make(p, n)
-    law, _, ident = _code_law(spec)
+    law, ident = _kernel(spec).law, _kernel(spec).identity
     point = pp1_infinity(spec) if at == "inf" else pp1_affine(field_elements(spec)[-1])
     return _order_p_stabilizer(spec, point), law, ident, p ** m
 

@@ -437,7 +437,7 @@ def quadratic_map(B, C):
 def kernel_roots(B, C, r=1):
     """The roots of x^2 + Bx + C in F_{q^r}, from the kernel's fixed points."""
     ext = extension_field(B.spec, r)
-    return [field_elements(ext)[x] for x in _code_fixed(B.spec, r)[1](_entry_codes(quadratic_map(B, C)))]
+    return [field_elements(ext)[x] for x in _code_fixed(B.spec, r)(_entry_codes(quadratic_map(B, C)))]
 
 
 class TestMonicQuadraticRoots:

@@ -146,6 +146,12 @@ GOLDEN = {
         ("b2ab6717087a00ec0f05b5abbd43eb26b0e82071d7cdfd4a4ea223ef7053bd98", 0),
     "conjugate --field 5^1 --gens1 [0,1;1,0]|[0,1;4,0]|[1,1;2,3] --gens2 [0,1;1,0]|[0,1;4,1]|[1,1;2,4]":
         ("5b668a141b5ab2afbdf880b364e6f9eb724b098fc7b1f7f34151e803d2166d24", 0),
+    # the brute-force oracle's full scan of PGL2, on the README pair
+    # (conjugate) and on A4 against S3 x Z2 over F_5 (not conjugate)
+    "conjugate --field 2^2 --gens1 [1,0,1,0;0,0,1,0] --gens2 [1,0,0,1;0,0,1,0] --brute":
+        ("8be23d552d590bdd0463f34f47e220649bd584f86b9f76a6f012fb1dd8969ecf", 0),
+    "conjugate --field 5^1 --gens1 [0,1;1,0]|[0,1;4,0]|[1,1;2,3] --gens2 [0,1;1,0]|[0,1;4,1]|[1,1;2,4] --brute":
+        ("b505d0cc7139432b42bbabeec6f9ca0aad714ab3fbc6988bfb49b6443069bd67", 0),
     # the fixed-point dichotomy read off fibre polynomials: three [0, 0, 0]
     # violations at the default levels, one at the 2-torsion point (6,0);
     # j = 0 at levels without 1 and with a repeat; j = 1728 at levels 1-4;
@@ -170,6 +176,16 @@ GOLDEN = {
         ("9abf2f7d4c2b68a13d2738f1c0d5b9d374785b6818739833c2ef8b494f62c768", 0),
     "census --field 2^10 --group cyclic:3 --locus 0,0,0,0,0,0,0,0,0,0,inf":
         ("da20548593f9e1ae65ac6951cbf75b511f394609485908bca62dc645808b8245", 0),
+    # the first admissible model of an elementary-abelian or gamma tag, in
+    # subspace order: Zp^4 over F_256 comes after the 11,811 subspaces that
+    # miss 1, and gamma:2:4 over F_81 (an F_9-line) is the 24th of 130; and
+    # the locus of translations at the default --ext 2
+    "build-group --field 2^8 --group Zp^4":
+        ("26f6ab76ce7ca1cf780d3ac551271d7e86e3ef8fb088e2548306afada9c3cdb8", 0),
+    "build-group --field 3^4 --group gamma:2:4":
+        ("519d18cdd49097f8167fc64b8619721503f551c3a1c4e0849a379b54562ff674", 0),
+    "locus --field 2^10 --group Zp^1":
+        ("17737e9bf127477938dac060bfc53751d300a50e5ba94f92697b3414445b2929", 0),
     # the oracle's point-stabilizer scan at its large end: three rows over
     # F_13 and F_169, and one row over F_512
     "verify-main --p 13 --levels 1-2":
@@ -189,6 +205,9 @@ GOLDEN = {
         ("d8cb725d71f7ab62c7da2a7ddb50dc58b92a10f78b007d7f251b055326356356", 0),
     "verify-genus1 --format human":
         ("2227143b070a2e954d26a82f90c52ab731b03666bf4f98d81d9edb429731b4cb", 0),
+    # the human view of a census: its query line, a top-level dict
+    "census --field 2^3 --group Zp^1 --locus inf --format human":
+        ("6273a7d7fe67b947afd18b95ad651454c20f08ed07d41f171a50bf6be72c3e67", 0),
     # the per-curve fixing check, singleton bound and torsion walks over
     # F_{q^2} for the whole standard suite, and at j = 1728 over F_169 in csv
     "verify-genus1 --ext 2":

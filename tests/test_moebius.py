@@ -35,11 +35,9 @@ from pglcensus.gfq import (
 from pglcensus.moebius import (
     PP1,
     _code_fixed,
-    _code_law,
-    _code_points,
     _entry_codes,
     _from_codes,
-    _log_arrays,
+    _kernel,
     _normalized,
     mob_apply,
     mob_compose,
@@ -291,7 +289,7 @@ class TestCodeArithmetic:
     @pytest.mark.parametrize("spec", [F2, F3, F4, F5], ids=["F2", "F3", "F4", "F5"])
     def test_every_pair_against_reference(self, spec):
         # through mob_compose and through the code law it wraps
-        law, _, identity = _code_law(spec)
+        law, identity = _kernel(spec).law, _kernel(spec).identity
         assert identity == entry_codes(mob_identity(spec))
         group = list(pgl2_elements(spec))
         for m1 in group:
@@ -308,7 +306,7 @@ class TestCodeArithmetic:
     )
     def test_seeded_pairs_against_reference(self, p, n):
         spec = field_make(p, n)
-        law, _, identity = _code_law(spec)
+        law, identity = _kernel(spec).law, _kernel(spec).identity
         assert identity == entry_codes(mob_identity(spec))
         rng = random.Random(p * 100 + n)
         group = list(pgl2_elements(spec))
@@ -334,7 +332,7 @@ class TestCodeArithmetic:
         ],
     )
     def test_entry_sums_that_vanish(self, spec, x, y, zeros):
-        law = _code_law(spec)[0]
+        law = _kernel(spec).law
         m1, m2 = mk(spec, *x), mk(spec, *y)
         got = law(entry_codes(m1), entry_codes(m2))
         assert got == tuple(e.code for e in reference_compose(m1, m2))
@@ -342,14 +340,14 @@ class TestCodeArithmetic:
 
     def test_negation_in_characteristic_two(self):
         for spec in (F2, F4, F8):
-            neg = _log_arrays(spec)[1]
+            neg = _kernel(spec).neg
             assert neg == list(range(spec.q))
             for m in pgl2_elements(spec):
                 assert entries(mob_inverse(m)) == reference_inverse(m)
 
     @pytest.mark.parametrize("spec", [F4, F5], ids=["F4", "F5"])
     def test_apply_and_frame_against_reference(self, spec):
-        apply, frame = _code_points(spec)
+        apply, frame = _kernel(spec).apply, _kernel(spec).frame
         points = list(pp1_points(spec))
         for m in pgl2_elements(spec):
             for P in points:
@@ -421,7 +419,7 @@ class TestFixedPoints:
         assert rep.checked == spec.q ** 3 - spec.q - 1
 
     def test_scan_makes_no_map_product(self):
-        # the scan multiplies entry codes through _code_law, off mob_compose's memo
+        # the scan multiplies entry codes through the kernel's law, off mob_compose's memo
         before = mob_compose.cache_info()
         assert verify_p1fp(F9).ok
         after = mob_compose.cache_info()
@@ -432,7 +430,7 @@ class TestFixedPoints:
         # maps of order p the dichotomy too, in pgl2_elements order
         import pglcensus.p1checks as p1checks
 
-        monkeypatch.setattr(p1checks, "_code_fixed", lambda spec, r: (None, lambda g: []))
+        monkeypatch.setattr(p1checks, "_code_fixed", lambda spec, r: lambda g: [])
         rep = verify_p1fp(F3)
         maps = [m for m in pgl2_elements(F3) if m != mob_identity(F3)]
         want = []
@@ -553,7 +551,7 @@ class TestFixedPointKernel:
             spec = parse_field_spec(text)
             ident = mob_identity(spec)
             for r in (1, 2, 3):
-                fixed = _code_fixed(spec, r)[1]
+                fixed = _code_fixed(spec, r)
                 for m in pgl2_elements(spec):
                     if m == ident:
                         continue
@@ -569,7 +567,7 @@ class TestFixedPointKernel:
     def test_root_tables_wait_for_a_map_with_c(self):
         # F_19 at r = 2: no other test reads the square roots of F_361
         spec = field_make(19, 1)
-        fixed, inf = _code_fixed(spec, 2)[1], spec.q ** 2
+        fixed, inf = _code_fixed(spec, 2), spec.q ** 2
         translations = [m for m in pgl2_elements(spec) if m.c.is_zero() and m.a == m.d and m != mob_identity(spec)]
         assert len(translations) == spec.q - 1
         misses = _sqrt_table.cache_info().misses
@@ -583,7 +581,7 @@ class TestFixedPointKernel:
 
     def test_quadratic_is_the_reference_one(self):
         for spec in (F4, F5, F9):
-            quadratic = _code_fixed(spec, 1)[0]
+            quadratic = _kernel(spec).quadratic
             for m in pgl2_elements(spec):
                 if not m.c.is_zero():
                     assert quadratic(_entry_codes(m)) == tuple(x.code for x in reference_quadratic(m))
