@@ -206,29 +206,42 @@ class UnknownTagError(ValueError):
     pass
 
 
+# the form of each tag with parameters, keyed by the text before them
+_TAG_FORMS = {
+    "cyclic:": "cyclic:n",
+    "dihedral:": "dihedral:n",
+    "PSL2:": "PSL2:d",
+    "PGL2:": "PGL2:d",
+    "Zp^": "Zp^m",
+    "gamma:": "gamma:m:n",
+}
+
+
 def parse_group_id(tag: str) -> tuple[str, tuple[int, ...]]:
     """Normalize a classification tag string to (kind, parameters).
 
     Grammar: cyclic:n | dihedral:n | A4 | S4 | A5 | PSL2:d | PGL2:d |
-    Zp^m | gamma:m:n (rank m, unity order n; gamma:m:1 == Zp^m).  A
-    parameter out of range raises ValueError, and so does gamma:0:n for
-    n > 1, which is the group cyclic:n.
+    Zp^m | gamma:m:n (rank m, unity order n; gamma:m:1 == Zp^m).  A tag
+    whose parameters are not that many integers raises ValueError naming
+    its form, and so do a parameter out of range and gamma:0:n for n > 1,
+    which is the group cyclic:n.
     """
     t = tag.strip()
     if t in ("A4", "S4", "A5"):
         return t, ()
-    parsed = None
-    for kind in ("cyclic", "dihedral", "PSL2", "PGL2"):
-        if t.startswith(kind + ":"):
-            parsed = kind, (int(t.split(":")[1]),)
-    if t.startswith("Zp^"):
-        parsed = "gamma", (int(t[3:]), 1)
-    parts = t.split(":")
-    if parts[0] == "gamma" and len(parts) == 3:
-        parsed = "gamma", (int(parts[1]), int(parts[2]))
-    if parsed is None:
+    head = next((h for h in _TAG_FORMS if t.startswith(h)), None)
+    if head is None:
         raise UnknownTagError(f"unknown group tag {tag!r}")
-    kind, params = parsed
+    form, fields = _TAG_FORMS[head], t[len(head) :].split(":")
+    try:
+        params = tuple(int(v) for v in fields)
+    except ValueError:
+        params = ()
+    if len(params) != form.count(":", len(head)) + 1:
+        raise ValueError(f"group tag {tag!r} must look like {form}, with integer parameters")
+    if head == "Zp^":
+        head, params = "gamma:", params + (1,)
+    kind = head[:-1]
     # every parameter is at least 1, except the rank m of Zp^m and gamma:m:n
     least = (0, 1) if kind == "gamma" else (1,)
     if any(v < lo for v, lo in zip(params, least)):

@@ -8,27 +8,26 @@ automorphisms.  An automorphism is written as a pair (P, u): translate by P
 after scaling by u, so (P, u)(Q) = sigma_u(Q) + P and composition is
 (P, u)(Q, v) = (P + sigma_u(Q), u v).
 
-Points are gfq.CodedValue instances, so they hash and sort by one int code
-(O first).  A curve has one field: every function here works over E.spec
-and refuses scaling factors from another field.  To work over F_{q^r},
-take base_change(E, r), the same equation with its coefficients embedded.
-Point sets are exhausted over the curve's field, and torsion, kernels and
-fixed-point fibres over that field come from direct scans.  The group law
-runs on coordinate codes: each curve binds one chord-tangent law over its
-field's log, antilog and Zech tables, and the scans call it on (x, y) code
-pairs (None for O), building a point only for what they return.  The scan
-of 1 - sigma_u runs once per (curve, u) into a cached fibre table, and the
-per-curve checks read those tables: the fixing check applies each (P, u) to
-the points of its fibre over P, and the singleton bound counts the fibres
-of one point, so checking all N points costs O(|Aut_0| N) law calls.  The
-n-torsion walks and the translation-subgroup closures run on code pairs
-through the same law.  The fixed-point dichotomy alone
-looks above E's field, and it builds no field to do so: the x-coordinates of
-a fibre of 1 - sigma_u are the roots of a polynomial of degree <= 4 over E's
-field, and the degrees of its irreducible factors give the fibre's size at
-every level, with no factoring: one sweep of the field per u finds every
-rational root, and the parity of the discriminant tells {4} from {2, 2}
-(L. Stickelberger, 1897; R. G. Swan, 1962).
+A point is its coordinate codes: the pair (x, y), or the empty tuple () for
+O, so tuple order is code order with O first.  A curve has one field: every
+function here works over E.spec and refuses scaling factors from another
+field.  To work over F_{q^r}, take base_change(E, r), the same equation with
+its coefficients embedded.  Point sets are exhausted over the curve's field,
+and torsion, kernels and fixed-point fibres over that field come from direct
+scans.  The group law runs on the codes: each curve binds one chord-tangent
+law over its field's log, antilog and Zech tables.  The scan of 1 - sigma_u
+runs once per (curve, u) into a cached fibre table, keyed by the law's own
+output, and the per-curve checks read those tables: the fixing check applies
+each (P, u) to the points of its fibre over P, and the singleton bound
+counts the fibres of one point, so checking all N points costs O(|Aut_0| N)
+law calls.  The n-torsion walks and the translation-subgroup closures run
+through the same law.  The fixed-point dichotomy alone looks above E's
+field, and it builds no field to do so: the x-coordinates of a fibre of
+1 - sigma_u are the roots of a polynomial of degree <= 4 over E's field, and
+the degrees of its irreducible factors give the fibre's size at every level,
+with no factoring: one sweep of the field per u finds every rational root,
+and the parity of the discriminant tells {4} from {2, 2} (L. Stickelberger,
+1897; R. G. Swan, 1962).
 
 Everything here powers exhaustive verification of the genus-1 finiteness
 facts: an automorphism is fixed point free iff it is a nontrivial pure
@@ -41,18 +40,16 @@ max_singleton_bound from the same fibre tables.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import lru_cache, partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .closure import close, order, subgroups_of_order
 from .gfq import (
-    CodedValue,
     FieldSpec,
     FqElem,
     Record,
+    _render_code,
     _sqrt_table,
-    by_code,
     cpoly_chi_disc,
     cpoly_chi_res,
     cpoly_deriv,
@@ -61,7 +58,6 @@ from .gfq import (
     cpoly_mul,
     cpoly_sub,
     extension_field,
-    field_elements,
     fq_add,
     fq_embed,
     fq_from_int,
@@ -101,40 +97,13 @@ class ECurve(Record):
         return f"ECurve({render_curve(self)})"
 
 
-class ECPoint(CodedValue):
-    """A point of E(F_{q^r}): affine coordinates in the stated field, or the
-    base point O (x = y = None).  Its code is 0 for O and 1 + x q + y over the
-    coordinate codes otherwise, so O sorts first, then (x, y) in code order."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, spec: FieldSpec, x: Optional[FqElem], y: Optional[FqElem]):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "code", 0 if x is None else 1 + x.code * spec.q + y.code)
-
-    def __reduce__(self):
-        return ECPoint, (self.spec, self.x, self.y)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.x is None
-
-    def __repr__(self) -> str:
-        return f"ECPoint({render_ec_point(self)})"
-
-
-def ec_infinity(spec: FieldSpec) -> ECPoint:
-    return ECPoint(spec, None, None)
-
-
 @lru_cache(maxsize=None)
 def _chord_tangent(E: ECurve):
-    """The chord-tangent law of E on coordinate codes: law(x1, y1, x2, y2)
-    gives the codes (x3, y3) of P1 + P2 for affine P1 and P2, or None when the
-    sum is O.  Every field operation is a code operation or a lookup in the
-    tables of E's field (gfq._FieldTables), bound here once per curve."""
+    """The chord-tangent law of E on points: law(x1, y1, x2, y2) gives
+    P1 + P2 for affine P1 = (x1, y1) and P2 = (x2, y2), the pair (x3, y3), or
+    () when the sum is O.  Every field operation is a code operation or a
+    lookup in the tables of E's field (gfq._FieldTables), bound here once per
+    curve."""
     t = E.spec._tables
     log, exp, m, add, sub = t.log, t.exp, t.m, t.add, t.sub
     log2, log3 = log[fq_from_int(E.spec, 2).code], log[fq_from_int(E.spec, 3).code]
@@ -143,7 +112,7 @@ def _chord_tangent(E: ECurve):
     def law(x1, y1, x2, y2):
         if x1 == x2:
             if y1 != y2 or not y1:
-                return None  # vertical line
+                return ()  # vertical line
             # tangent slope (3x^2 + a) / 2y
             num = add(exp[log3 + 2 * log[x1]], a) if x1 else a
             den = log2 + log[y1]
@@ -160,16 +129,11 @@ def _chord_tangent(E: ECurve):
     return law
 
 
-def _xy(Q: ECPoint) -> Optional[tuple[int, int]]:
-    """Q as the code law takes it: its coordinate codes (x, y), None for O."""
-    return None if Q.is_zero else (Q.x.code, Q.y.code)
-
-
 def _code_add(law, A, B):
-    """A + B for (x, y) code pairs through a curve's law, None standing for O."""
-    if A is None:
+    """A + B for points through a curve's law, () being O."""
+    if not A:
         return B
-    if B is None:
+    if not B:
         return A
     return law(*A, *B)
 
@@ -201,17 +165,11 @@ def base_change(E: ECurve, r: int) -> ECurve:
 
 
 @lru_cache(maxsize=None)
-def ec_points(E: ECurve) -> tuple[ECPoint, ...]:
-    """All points of E over its field, by scanning x and solving for y.
-    Sorted canonically with O first."""
-    spec = E.spec
-    sqrt = _sqrt_table(spec)
-    pts = [ec_infinity(spec)]
-    for x in field_elements(spec):
-        rhs = fq_add(fq_add(fq_mul(x, fq_mul(x, x)), fq_mul(E.a, x)), E.b)
-        for y in sqrt.get(rhs.code, ()):
-            pts.append(ECPoint(spec, x, y))
-    return tuple(sorted(pts, key=by_code))
+def ec_points(E: ECurve) -> tuple[tuple[int, ...], ...]:
+    """All points of E over its field, by scanning x and solving for y: O
+    first, then the pairs (x, y) in code order."""
+    t, sqrt, f = E.spec._tables, _sqrt_table(E.spec), [E.b.code, E.a.code, 0, E.spec.q // E.spec.p]
+    return ((),) + tuple((x, y.code) for x in range(E.spec.q) for y in sqrt.get(_at(t, f, x), ()))
 
 
 def aut0(E: ECurve) -> tuple[FqElem, ...]:
@@ -241,29 +199,20 @@ def _scaling_codes(E: ECurve, log_u: int):
 
 
 @lru_cache(maxsize=None)
-def _one_minus_sigma_fibres(E: ECurve, u: FqElem) -> dict[ECPoint, tuple[ECPoint, ...]]:
+def _one_minus_sigma_fibres(E: ECurve, u: FqElem) -> dict[tuple, tuple]:
     """Fibres of Q -> Q - sigma_u(Q) on the points of E, keyed by image
-    point.  Each fibre is nonempty and in point order."""
+    point as the law gives it.  Each fibre is nonempty and in point order."""
     if u.spec is not E.spec:
         raise ValueError(f"field mismatch: {u.spec!r} vs the curve's {E.spec!r}")
     if u.is_zero():
         raise ValueError("scaling factor must be nonzero")
     t = E.spec._tables
-    law, pts, q = _chord_tangent(E), ec_points(E), E.spec.q
+    law = _chord_tangent(E)
     neg_sigma = _scaling_codes(E, t.log[u.code] + t.half)  # -sigma_u = sigma_{-u}
     fibres: dict = {}
-    for Q in pts:
-        if Q.is_zero:
-            image = None
-        else:
-            x, y = Q.x.code, Q.y.code
-            image = law(x, y, *neg_sigma(x, y))
-        fibres.setdefault(image, []).append(Q)
-    # each image is a point of E, so look it up by its code (O is pts[0])
-    return {
-        pts[0 if xy is None else bisect_left(pts, 1 + xy[0] * q + xy[1], key=by_code)]: tuple(fibre)
-        for xy, fibre in fibres.items()
-    }
+    for Q in ec_points(E):
+        fibres.setdefault(Q and law(*Q, *neg_sigma(*Q)), []).append(Q)
+    return {P: tuple(fibre) for P, fibre in fibres.items()}
 
 
 def _fixing_pairs(E: ECurve, u: FqElem):
@@ -274,12 +223,10 @@ def _fixing_pairs(E: ECurve, u: FqElem):
     table's own Q - sigma_u(Q)), else AssertionError."""
     law, scale = _chord_tangent(E), _scaling_codes(E, E.spec._tables.log[u.code])
     for P, fibre in _one_minus_sigma_fibres(E, u).items():
-        xy_P = _xy(P)
         for Q in fibre:
-            xy_Q = _xy(Q)
-            if _code_add(law, None if xy_Q is None else scale(*xy_Q), xy_P) != xy_Q:
+            if _code_add(law, Q and scale(*Q), P) != Q:
                 raise AssertionError(
-                    f"(P={render_ec_point(P)}, u={render_element(u)}) does not fix {render_ec_point(Q)}"
+                    f"(P={render_ec_point(E, P)}, u={render_element(u)}) does not fix {render_ec_point(E, Q)}"
                 )
             yield Q, P
 
@@ -289,18 +236,18 @@ def fixing_counts_ok(E: ECurve) -> bool:
     for each u in Aut_0 the checked pairs of _fixing_pairs, one pass over the
     fibre table of 1 - sigma_u, must cover E's points once each.  Then each
     point is fixed by one (P, u) per u, since P = Q - sigma_u(Q) is unique."""
-    codes = [Q.code for Q in ec_points(E)]
-    return all(sorted(Q.code for Q, _ in _fixing_pairs(E, u)) == codes for u in aut0(E))
+    pts = list(ec_points(E))
+    return all(sorted(Q for Q, _ in _fixing_pairs(E, u)) == pts for u in aut0(E))
 
 
 @lru_cache(maxsize=None)
-def _torsion(E: ECurve, n: int) -> tuple[tuple[ECPoint, int], ...]:
+def _torsion(E: ECurve, n: int) -> tuple[tuple[tuple, int], ...]:
     """The points of E[n] over E's field, in code order, each with its order:
-    one order walk per point, on code pairs through the law."""
+    one order walk per point through the law."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     add = partial(_code_add, _chord_tangent(E))
-    orders = ((Q, order(_xy(Q), add, None, n)) for Q in ec_points(E))
+    orders = ((Q, order(Q, add, (), n)) for Q in ec_points(E))
     return tuple((Q, k) for Q, k in orders if k is not None and n % k == 0)
 
 
@@ -328,17 +275,14 @@ def abelian_subgroup_count(invariants: tuple[int, int], n: int) -> int:
     return sum(1 for s in subs if len(s) == n)
 
 
-def enum_spf_actions(E: ECurve, n: int) -> list[tuple[ECPoint, ...]]:
-    """All order-n subgroups of the n-torsion of E over its field.  These are
-    the translation groups realizing the stabilized-point-free actions of
-    order n visible over that field; enumerated by incremental closure, no
-    structure theory."""
-    torsion = {_xy(Q): Q for Q, _ in _torsion(E, n)}  # closed on code pairs
-    subs = (
-        tuple(sorted((torsion[xy] for xy in H), key=by_code))
-        for H in subgroups_of_order(list(torsion), partial(_code_add, _chord_tangent(E)), None, n)
-    )
-    return sorted(subs, key=lambda sub: tuple(P.code for P in sub))
+def enum_spf_actions(E: ECurve, n: int) -> list[tuple[tuple, ...]]:
+    """All order-n subgroups of the n-torsion of E over its field, each as
+    its sorted points, in sorted order.  These are the translation groups
+    realizing the stabilized-point-free actions of order n visible over that
+    field; enumerated by incremental closure, no structure theory."""
+    torsion = [Q for Q, _ in _torsion(E, n)]
+    add = partial(_code_add, _chord_tangent(E))
+    return sorted(tuple(sorted(H)) for H in subgroups_of_order(torsion, add, (), n))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +353,7 @@ def _at(t, poly: list, x: int) -> int:
     return v
 
 
-def _fibre_sizes(E: ECurve, N: list, D: list, preimages: dict, P: ECPoint, levels: tuple[int, ...]) -> list[int]:
+def _fibre_sizes(E: ECurve, N: list, D: list, preimages: dict, P: tuple, levels: tuple[int, ...]) -> list[int]:
     """|(1 - sigma_u)^{-1}(P)| over F_{q^r} for each r in levels, where N/D is
     the x-map of 1 - sigma_u and preimages its sweep _x_preimages: the
     x-coordinates of the fibre are the roots of h = N - x_P D (of D when
@@ -429,8 +373,8 @@ def _fibre_sizes(E: ECurve, N: list, D: list, preimages: dict, P: ECPoint, level
     x's factor g.  The fibre over O also holds O."""
     spec, t = E.spec, E.spec._tables
     one = spec.q // spec.p
-    h = D if P.is_zero else cpoly_sub(spec, N, cpoly_mul(spec, [P.x.code], D))
-    roots = preimages.get(None if P.is_zero else P.x.code, ())
+    h = cpoly_sub(spec, N, cpoly_mul(spec, [P[0]], D)) if P else D
+    roots = preimages.get(P[0] if P else None, ())
     # h is squarefree when disc h != 0, or when its roots are all rational
     chi_disc = 1 if len(h) - 1 == len(roots) else cpoly_chi_disc(spec, h)
     s = h if chi_disc else cpoly_divmod(spec, h, cpoly_gcd(spec, h, cpoly_deriv(spec, h)))[0]
@@ -438,22 +382,22 @@ def _fibre_sizes(E: ECurve, N: list, D: list, preimages: dict, P: ECPoint, level
     split = (2, 2) if rest == 4 and chi_disc == 1 else (rest,) if rest else ()
     if rest not in (0, 2, 3, 4) or (chi_disc and chi_disc != (-1) ** (rest - len(split))):
         raise AssertionError(
-            f"fibre polynomial of (P={render_ec_point(P)}) has {len(roots)} rational roots, "
+            f"fibre polynomial of (P={render_ec_point(E, P)}) has {len(roots)} rational roots, "
             f"squarefree degree {len(s) - 1} and disc character {chi_disc}"
         )
-    if not P.is_zero and P.y.code:
+    if P and P[1]:
         classes = [(k, 0) for k in (1,) * len(roots) + split]  # (degree, chi_k(f(x))): one point per root
     else:
         f = [E.b.code, E.a.code, 0, one]
         classes = [(1, _chi(t, _at(t, f, x))) for x in roots]
         if split == (2, 2):
-            raise AssertionError(f"fibre polynomial of (P={render_ec_point(P)}) splits as {{2, 2}} under y_P = 0")
+            raise AssertionError(f"fibre polynomial of (P={render_ec_point(E, P)}) splits as {{2, 2}} under y_P = 0")
         if rest:
             g = s  # the rest: s without its rational roots
             for x in roots:
                 g = cpoly_divmod(spec, g, [t.sub(0, x), one])[0]
             classes.append((rest, cpoly_chi_res(spec, g, f) * _chi(t, g[-1])))
-    return [int(P.is_zero) + sum(k * (1 + c ** (r // k)) for k, c in classes if r % k == 0) for r in levels]
+    return [int(not P) + sum(k * (1 + c ** (r // k)) for k, c in classes if r % k == 0) for r in levels]
 
 
 def _chi(t, c: int) -> int:
@@ -488,26 +432,26 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
         by_x = {}  # P and -P share x_P, and for y_P != 0 every fibre size
         for P in base_pts:
             checked += 1
-            if P.is_zero:
+            if not P:
                 fibre_sizes = kernel
-            elif (fibre_sizes := by_x.get(P.x.code)) is None:
-                fibre_sizes = by_x[P.x.code] = _fibre_sizes(E, N, D, preimages, P, levels)
+            elif (fibre_sizes := by_x.get(P[0])) is None:
+                fibre_sizes = by_x[P[0]] = _fibre_sizes(E, N, D, preimages, P, levels)
             if scan is not None:
                 got, want = fibre_sizes[levels.index(1)], len(scan.get(P, ()))
                 if got != want:
                     raise AssertionError(
-                        f"fibre polynomial of (P={render_ec_point(P)}, u={render_element(u)}) "
+                        f"fibre polynomial of (P={render_ec_point(E, P)}, u={render_element(u)}) "
                         f"gives {got} points at r=1, the scan {want}"
                     )
             for r, size, kernel_size in zip(levels, fibre_sizes, kernel):
                 if size and size != kernel_size:
                     violations.append(
-                        f"(P={render_ec_point(P)}, u={render_element(u)}) at r={r}: "
+                        f"(P={render_ec_point(E, P)}, u={render_element(u)}) at r={r}: "
                         f"fibre size {size} != kernel size {kernel_size}"
                     )
             if not any(fibre_sizes):
                 violations.append(
-                    f"(P={render_ec_point(P)}, u={render_element(u)}): fibre sizes {fibre_sizes} "
+                    f"(P={render_ec_point(E, P)}, u={render_element(u)}): fibre sizes {fibre_sizes} "
                     f"across levels {levels}, expected fixed points"
                 )
     return FpfDichotomyReport(levels, checked, tuple(violations))
@@ -531,8 +475,8 @@ def max_singleton_bound(E: ECurve) -> int:
     when that kernel is {O}, whatever Q is.  Every point has the same count,
     the number of u != 1 with a trivial kernel, and one lookup per u reads
     it."""
-    one, O = fq_one(E.spec), ec_points(E)[0]
-    alone = sum(len(_one_minus_sigma_fibres(E, u)[O]) == 1 for u in aut0(E) if u != one)
+    one = fq_one(E.spec)
+    alone = sum(len(_one_minus_sigma_fibres(E, u)[()]) == 1 for u in aut0(E) if u != one)
     return 2 ** (1 + alone)
 
 
@@ -571,13 +515,16 @@ def parse_curve(text: str) -> ECurve:
     a_part, sep, b_part = tail[2:].partition(",b=")
     if not sep:
         raise ValueError(f"curve spec must look like p^n:a=...,b=..., got {text!r}")
-    return ECurve(spec, parse_element(spec, a_part), parse_element(spec, b_part))
+    try:
+        a, b = parse_element(spec, a_part), parse_element(spec, b_part)
+    except ValueError as err:
+        raise ValueError(f"curve spec {text!r} must look like p^n:a=...,b=...: {err}") from None
+    return ECurve(spec, a, b)
 
 
-def render_ec_point(P: ECPoint) -> str:
-    if P.is_zero:
-        return "O"
-    return f"({render_element(P.x)},{render_element(P.y)})"
+def render_ec_point(E: ECurve, P: tuple) -> str:
+    """"O", or "(x,y)" with the coordinates in element format."""
+    return f"({_render_code(E.spec, P[0])},{_render_code(E.spec, P[1])})" if P else "O"
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ Conventions used throughout the package:
 
 * elements are ordered lexicographically by coefficient vector, i.e. by code,
 * a value type has one of two immutable bases.  Field elements, P^1
-  points, PGL2 maps and elliptic-curve points are CodedValues: each is a spec
-  and one int code, hashed by the code, compared by code and spec, and sorted
-  by code (`by_code`).  Every other value (subgroups, curves, queries and
-  reports) is a Record of named fields, compared and hashed by exact type and
-  field values.  No module imports dataclasses, whose import chain
+  points and PGL2 maps are CodedValues: each is a spec and one int code,
+  hashed by the code, compared by code and spec, and sorted by code
+  (`by_code`).  Subgroups, curves, queries and reports are Records of named
+  fields, compared and hashed by exact type and field values.  An
+  elliptic-curve point is neither: it is the plain tuple of its coordinate
+  codes (see elliptic).  No module imports dataclasses, whose import chain
   (inspect, ast, dis, tokenize) every CLI process would pay at start-up,
 * the "auto" modulus of F_{p^n} is the lexicographically smallest monic
   irreducible polynomial of degree n over F_p,
@@ -121,11 +122,11 @@ class FieldSpec:
 class CodedValue:
     """An immutable value over a field, identified by its spec and one int
     `code` that subclasses set once in __init__: field elements, points of
-    P^1, PGL2 maps and elliptic-curve points.  The hash is the code, equality
-    compares types, then codes, then specs, and within one field and type
-    code order is the canonical order (sort with `by_code`).  Each subclass
-    defines __reduce__ to rebuild through its constructor, so copy and pickle
-    never restore a slot through the __setattr__ guard."""
+    P^1 and PGL2 maps.  The hash is the code, equality compares types, then
+    codes, then specs, and within one field and type code order is the
+    canonical order (sort with `by_code`).  Each subclass defines __reduce__
+    to rebuild through its constructor, so copy and pickle never restore a
+    slot through the __setattr__ guard."""
 
     __slots__ = ("spec", "code")
 
@@ -877,15 +878,14 @@ def render_field_spec(spec: FieldSpec) -> str:
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse "p^n" or "p^n/c0,c1,...,cn"."""
     text = text.strip()
-    if "/" in text:
-        head, _, tail = text.partition("/")
-        mod = [int(t) for t in tail.split(",")]
-    else:
-        head, mod = text, "auto"
-    if "^" not in head:
-        raise ValueError(f"field spec must look like p^n, got {text!r}")
-    p_str, _, n_str = head.partition("^")
-    return field_make(int(p_str), int(n_str), mod)
+    head, slash, tail = text.partition("/")
+    p_str, _, n_str = head.partition("^")  # no "^" leaves n_str empty
+    try:
+        p, n = int(p_str), int(n_str)
+        mod = [int(t) for t in tail.split(",")] if slash else "auto"
+    except ValueError:
+        raise ValueError(f"field spec must look like p^n or p^n/c0,c1,...,cn, with integers, got {text!r}") from None
+    return field_make(p, n, mod)
 
 
 def render_element(a: FqElem) -> str:
@@ -910,9 +910,12 @@ def _render_code(spec: FieldSpec, code: int) -> str:
 def parse_element(spec: FieldSpec, text: str) -> FqElem:
     """Parse "c0,c1,...": n coefficients, each in [0, p) (out-of-range
     coefficients are rejected, not reduced)."""
-    parts = [int(t) for t in text.strip().split(",")]
+    try:
+        parts = [int(t) for t in text.strip().split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != spec.n:
-        raise ValueError(f"element of F_{spec.p}^{spec.n} needs {spec.n} coefficients, got {text!r}")
+        raise ValueError(f"element of F_{spec.p}^{spec.n} needs {spec.n} integer coefficients, got {text!r}")
     if any(not (0 <= c < spec.p) for c in parts):
         raise ValueError(f"coefficients must lie in [0, {spec.p}), got {tuple(parts)}")
     return FqElem(spec, _code(parts, spec.p))

@@ -256,6 +256,10 @@ class TestTagGrammar:
             "gamma:1:0",
             "gamma:1:-1",
             "gamma:0:2",
+            # a trailing field was once read as the tag without it
+            "cyclic:2:9",
+            "PSL2:1:7",
+            "dihedral:2:x",
         ],
     )
     def test_out_of_range_parameter_rejected(self, tag):

@@ -642,6 +642,47 @@ def test_malformed_levels_name_the_form(command, levels, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+MALFORMED_GROUPS = [
+    (("build-group", "--field", "5^1", "--group", "cyclic:x"), "group tag 'cyclic:x' must look like cyclic:n"),
+    (("build-group", "--field", "5^1", "--group", "cyclic:"), "group tag 'cyclic:' must look like cyclic:n"),
+    (("build-group", "--field", "5^1", "--group", "Zp^x"), "group tag 'Zp^x' must look like Zp^m"),
+    (("census", "--field", "5^1", "--group", "gamma:1:x", "--locus", "inf"), "group tag 'gamma:1:x' must look like gamma:m:n"),
+    (("build-group", "--field", "5^1", "--group", "PSL2:1:7"), "group tag 'PSL2:1:7' must look like PSL2:d"),
+    (("locus", "--field", "5^1", "--group", "dihedral:2:x"), "group tag 'dihedral:2:x' must look like dihedral:n"),
+    (("build-group", "--field", "5^1", "--group", "Zp^1:2"), "group tag 'Zp^1:2' must look like Zp^m"),
+    (("build-group", "--field", "5^1", "--group", "gamma:1"), "group tag 'gamma:1' must look like gamma:m:n"),
+]
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED_GROUPS, ids=[" ".join(argv) for argv, _ in MALFORMED_GROUPS])
+def test_malformed_group_names_the_form(argv, message, capsys):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}, with integer parameters\n"
+
+
+MALFORMED_CURVES = {
+    "5^1:a=x,b=1": "curve spec '5^1:a=x,b=1' must look like p^n:a=...,b=...: "
+                   "element of F_5^1 needs 1 integer coefficients, got 'x'",
+    "5^2:a=1,0,b=x,1": "curve spec '5^2:a=1,0,b=x,1' must look like p^n:a=...,b=...: "
+                       "element of F_5^2 needs 2 integer coefficients, got 'x,1'",
+    "5^x:a=1,b=1": "field spec must look like p^n or p^n/c0,c1,...,cn, with integers, got '5^x'",
+}
+
+
+@pytest.mark.parametrize("curve", sorted(MALFORMED_CURVES))
+def test_malformed_curve_names_the_form(curve, capsys):
+    assert exit_code(("verify-genus1", "--curve", curve)) == 2
+    assert capsys.readouterr().err == f"error: {MALFORMED_CURVES[curve]}\n"
+
+
+def test_tag_with_a_trailing_field_is_refused_without_traceback():
+    # it was read as cyclic:2 and answered with exit 0
+    cmd = [sys.executable, "-m", "pglcensus", "census", "--field", "5^1", "--group", "cyclic:2:9", "--locus", "0,inf"]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: group tag 'cyclic:2:9' must look like cyclic:n, with integer parameters\n"
+
+
 def test_genus1_level_past_the_point_cap_is_a_usage_error(capsys):
     assert exit_code(("verify-genus1", "--curve", "5^1:a=1,b=1", "--levels", "1,12")) == 2
     assert capsys.readouterr().err == "error: point enumeration capped at q^r <= 10000, got 244140625\n"

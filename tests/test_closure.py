@@ -7,7 +7,7 @@ import pytest
 from pglcensus import closure
 from pglcensus.closure import close, is_prime, order, subgroups_of_order
 from pglcensus.dichotomy import _order_p_stabilizer
-from pglcensus.elliptic import _chord_tangent, _code_add, _torsion, _xy, standard_test_curves
+from pglcensus.elliptic import _chord_tangent, _code_add, _torsion, standard_test_curves
 from pglcensus.gfq import field_elements, field_make
 from pglcensus.moebius import _kernel, mob_compose, mob_identity, pgl2_elements, pp1_affine, pp1_infinity
 
@@ -272,9 +272,9 @@ def oracle_input(p, n, at, m):
 
 
 def torsion_input(name, n):
-    """The n-torsion code pairs of a standard curve, as enum_spf_actions grows them."""
+    """The n-torsion points of a standard curve, as enum_spf_actions grows them."""
     E = dict(standard_test_curves())[name]
-    return [_xy(Q) for Q, _ in _torsion(E, n)], partial(_code_add, _chord_tangent(E)), None, n
+    return [Q for Q, _ in _torsion(E, n)], partial(_code_add, _chord_tangent(E)), (), n
 
 
 class TestLatticeAgainstReference:

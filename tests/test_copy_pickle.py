@@ -7,14 +7,12 @@ import pickle
 import pytest
 
 from pglcensus.census import CensusQuery, enum_actions
-from pglcensus.elliptic import ec_points, standard_test_curves
 from pglcensus.gfq import field_elements, field_make, fq_one
 from pglcensus.moebius import parse_moebius, parse_point_list, pp1_affine, pp1_infinity
 from pglcensus.stdgroups import std_cyclic
 
 F5 = field_make(5, 1)
 F9 = field_make(3, 2)
-E = dict(standard_test_curves())["F5_generic"]
 
 
 def _values():
@@ -23,8 +21,6 @@ def _values():
     yield "PP1-affine", pp1_affine(field_elements(F9)[5])
     yield "PP1-inf", pp1_infinity(F9)
     yield "Moebius", parse_moebius(F5, "[1,2;0,3]")
-    yield "ECPoint-O", ec_points(E)[0]
-    yield "ECPoint", ec_points(E)[-1]
     yield "SubgroupPGL2", std_cyclic(F5, 4)
     yield "CensusReport", enum_actions(CensusQuery(F5, "cyclic:4", tuple(parse_point_list(F5, "0,inf")), r=1))
 
