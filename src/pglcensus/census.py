@@ -12,9 +12,13 @@ PGL2(F_{q^r}) with stabilized locus exactly S form
   (Z/pZ)^m and |S| = 1 - a count that equals the Gaussian binomial
   [n choose m]_p and grows without bound along the field tower.
 
-Every reported match is re-verified from scratch: its stabilized locus is
-recomputed and compared with S, and its fingerprint is compared with the
-model's.  An independent brute-force oracle with no classification
+Every reported match is verified from scratch.  A transported match's
+stabilized locus is recomputed and compared with S, and its fingerprint is
+compared with the model's.  A (Z/pZ)^m match is certified from its m basis
+maps (_basis_certified): their closure has p^m members, each has order p
+and they commute pairwise, which makes the group elementary abelian of rank
+m, the model's fingerprint; and the locus of every member is recomputed and
+compared with S.  An independent brute-force oracle with no classification
 knowledge cross-checks the elementary-abelian counts (dichotomy.py, the
 verify-main command).
 """
@@ -23,8 +27,9 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
+from .closure import close, order
 from .gfq import (
     FieldSpec,
     FqElem,
@@ -147,6 +152,15 @@ def _echelon_runs(n: int, p: int, m: int) -> Iterator[Iterator[tuple[int, ...]]]
         yield itertools.product(*rows)
 
 
+def _echelon_bases(spec: FieldSpec, m: int) -> list[tuple[int, ...]]:
+    """The reduced echelon bases of the rank-m F_p-subspaces of F_{p^n} as
+    code tuples, in _echelon_runs order: [n choose m]_p of them."""
+    _check_rank(spec, m)
+    bases = list(itertools.chain.from_iterable(_echelon_runs(spec.n, spec.p, m)))
+    assert len(bases) == gaussian_binomial(spec.n, m, spec.p)
+    return bases
+
+
 def _subspaces(spec: FieldSpec, bases: Iterable[tuple[int, ...]]) -> Iterator[AdditiveSubgroup]:
     elem: dict[int, FqElem] = {}  # one element per code
     for basis in bases:
@@ -157,10 +171,7 @@ def _subspaces(spec: FieldSpec, bases: Iterable[tuple[int, ...]]) -> Iterator[Ad
 def enum_additive_subgroups(spec: FieldSpec, m: int) -> list[AdditiveSubgroup]:
     """All rank-m F_p-subspaces of F_{p^n}, in canonical echelon form and in
     the order of their basis codes: [n choose m]_p of them."""
-    _check_rank(spec, m)
-    bases = sorted(itertools.chain.from_iterable(_echelon_runs(spec.n, spec.p, m)))
-    assert len(bases) == gaussian_binomial(spec.n, m, spec.p)
-    return list(_subspaces(spec, bases))
+    return list(_subspaces(spec, sorted(_echelon_bases(spec, m))))
 
 
 def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
@@ -297,12 +308,6 @@ def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...], first: 
     raise UnknownTagError(f"unknown group kind {kind!r}")
 
 
-def _elementary_abelian_fingerprint(ext: FieldSpec, m: int) -> Fingerprint:
-    p = ext.p
-    orders = ((1, 1),) if m == 0 else ((1, 1), (p, p ** m - 1))
-    return Fingerprint(order=p ** m, element_orders=orders, abelian=True, p_regular=(m == 0))
-
-
 def _verified(spec: FieldSpec, law, candidates: Iterable[Iterable[tuple]], S: tuple, expected_fp: Fingerprint) -> list:
     """(codes, generators) of the candidates (entry codes of subgroups over
     the census field spec = F_{q^r}), deduplicated, in code order, whose
@@ -327,20 +332,45 @@ def _verified(spec: FieldSpec, law, candidates: Iterable[Iterable[tuple]], S: tu
     return sorted(out)
 
 
-def _translation_census(spec: FieldSpec, m: int, point: PP1, subspaces: Sequence[AdditiveSubgroup]) -> list[tuple]:
-    """_verified (Z/pZ)^m-subgroups stabilizing only `point`: the group
-    [1,g;0,1], g in G, per subspace G, conjugated by a map taking inf there.
-    The q maps g -> [1,g;0,1] are built, and conjugated, once: the subspaces
-    cover the field, so the candidates hold every one of them, and they share
-    one tuple per map.  The candidates multiply only these q maps, so the
-    checks share one memo of the law."""
-    one = spec.q // spec.p
-    maps = [(one, g, 0, one) for g in range(spec.q)]
+def _basis_certified(p: int, basis: Sequence[tuple], members: Collection[tuple], law, identity, fixed, S: tuple) -> bool:
+    """Whether `members`, the closure of the m maps `basis` under the code
+    law `law`, is a (Z/pZ)^m-subgroup whose locus over the algebraic closure
+    is S, the sorted point codes of the query.  It has p^m members, every
+    basis map has order p, and the basis maps commute pairwise: so the
+    group is abelian of exponent p and rank m, which is the Zp^m
+    fingerprint.  The level-1 locus pass (_code_locus, complete=True,
+    `fixed` being _code_fixed at level 1) over every member gives exactly
+    S."""
+    return (
+        len(members) == p ** len(basis)
+        and all(order(g, law, identity, p) == p for g in basis)
+        and all(law(x, y) == law(y, x) for x, y in itertools.combinations(basis, 2))
+        and _code_locus(members, identity, fixed, complete=True) == S
+    )
+
+
+def _translation_census(spec: FieldSpec, point: PP1, bases: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """The (Z/pZ)^m-subgroups stabilizing only `point`, as sorted entry
+    codes in code order, one per echelon basis (code tuples, _echelon_bases):
+    the translations [1,b;0,1] of its m vectors b, conjugated by a map taking
+    inf to the point, closed under one memo of the code law and accepted by
+    _basis_certified.  Each vector's map is built, and conjugated, once per
+    census, and the candidates share one tuple per map."""
+    K = _kernel(spec)
+    identity, p, one = K.identity, spec.p, spec.q // spec.p
+    maps = {b: (one, b, 0, one) for b in {b for basis in bases for b in basis}}
     if not point.is_infinity:
-        maps = list(map(_conjugator(mob_infinity_to(point)), maps))
-    groups = ([maps[g] for g in G.element_codes()] for G in subspaces)
-    law = lru_cache(maxsize=None)(_kernel(spec).law)
-    return _verified(spec, law, groups, (point.code,), _elementary_abelian_fingerprint(spec, m))
+        conjugate = _conjugator(mob_infinity_to(point))
+        maps = {b: conjugate(g) for b, g in maps.items()}
+    law = lru_cache(maxsize=None)(K.law)
+    fixed, S = _code_fixed(spec, 1), (point.code,)
+    found = []
+    for basis in bases:
+        gens = [maps[b] for b in basis]
+        members = close(gens, law, (identity,), cap=p ** len(gens))
+        if members is not None and _basis_certified(p, gens, members, law, identity, fixed, S):
+            found.append(tuple(sorted(members)))
+    return sorted(found)
 
 
 def _matches(ext: FieldSpec, found: Sequence[tuple], tag: str) -> tuple[SubgroupPGL2, ...]:
@@ -385,8 +415,9 @@ def enum_actions(query: CensusQuery) -> CensusReport:
         m = params[0]
         tag = f"Zp^{m}"
         if len(S) == 1 and m >= 1:
-            found = _translation_census(ext, m, S[0], enum_additive_subgroups(ext, m))
-            matches = _matches(ext, found, tag)
+            # the generators of a match are computed when it is rendered
+            found = _translation_census(ext, S[0], _echelon_bases(ext, m))
+            matches = [SubgroupPGL2(ext, codes, tag) for codes in found]
             verdict = "grows_with_field"
             notes = f"one action per rank-{m} additive subgroup of {render_field_spec(ext)}"
         elif len(S) == 0 and m == 0:

@@ -53,6 +53,17 @@ def _simplify_witness(g: Optional[Moebius], base: FieldSpec) -> Optional[Moebius
     return down if down is not None else g
 
 
+def _comparable(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> bool:
+    """Whether H1 and H2 have one order, so that they may be conjugate.  A
+    field mismatch and an extension degree below 1 raise ValueError first,
+    whatever the orders."""
+    if H1.spec is not H2.spec:
+        raise ValueError("subgroups must live over the same field")
+    if r < 1:
+        raise ValueError(f"extension degree must be >= 1, got {r}")
+    return H1.order == H2.order
+
+
 def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius]:
     """Search for g in PGL2(F_{q^r}) with g H1 g^{-1} = H2; returns a verified
     witness (projected back to the base field whenever its entries are
@@ -67,9 +78,7 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
     than two points that are not those of translation groups are taken in the
     capture field F_{q^{2r}} instead, keeping the maps rational over F_{q^r}.
     """
-    if H1.spec is not H2.spec:
-        raise ValueError("subgroups must live over the same field")
-    if H1.order != H2.order:
+    if not _comparable(H1, H2, r):
         return None
     base = H1.spec
     ext = extension_field(base, r)
@@ -142,9 +151,7 @@ def _bruteforce_search(K1: SubgroupPGL2, K2: SubgroupPGL2) -> Optional[Moebius]:
 
 def is_conjugate_bruteforce(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius]:
     """Independent oracle: scan every element of PGL2(F_{q^r}) for a conjugator."""
-    if H1.spec is not H2.spec:
-        raise ValueError("subgroups must live over the same field")
-    if H1.order != H2.order:
+    if not _comparable(H1, H2, r):
         return None
     ext = extension_field(H1.spec, r)
     g = _bruteforce_search(subgroup_embed(H1, ext), subgroup_embed(H2, ext))

@@ -536,7 +536,10 @@ def parse_moebius(spec: FieldSpec, text: str) -> Moebius:
         raise ValueError(f"Moebius map needs two rows, got {text!r}")
     entries = []
     for row in rows:
-        parts = [int(t) for t in row.split(",")]
+        try:
+            parts = [int(t) for t in row.split(",")]
+        except ValueError:
+            raise ValueError(f"Moebius map must look like [a,b;c,d], with integer coefficients, got {text!r}") from None
         if len(parts) != 2 * spec.n:
             raise ValueError(f"row {row!r} does not hold two elements of F_{spec.p}^{spec.n}")
         entries.append(parse_element(spec, ",".join(str(x) for x in parts[: spec.n])))

@@ -525,6 +525,91 @@ class TestEnumActions:
         assert model.codes in by_locus[model_locus]
 
 
+class TestBasisCertificate:
+    """census._basis_certified on hand-made candidates over F_9 (p = 3):
+    each refused candidate fails one of the four tests and passes the other
+    three, so dropping any one test accepts it."""
+
+    # the maps of F_9 used below, written as moebius.parse_moebius reads
+    # them; a is the root of the auto modulus x^2 + 1, so a^2 = -1
+    T1 = "[1,0,1,0;0,0,1,0]"  # x -> x + 1
+    T2 = "[1,0,2,0;0,0,1,0]"  # x -> x + 2, so {T1, T2} is a dependent basis
+    TA = "[1,0,0,1;0,0,1,0]"  # x -> x + a, independent of T1
+    U = "[1,0,0,0;1,0,1,0]"  # x -> x / (x + 1): T1 conjugated by 1/x, fixing 0
+    NEG = "[2,0,0,0;0,0,1,0]"  # x -> -x: order 2, fixing 0 and inf
+    SCALE = "[0,1,0,0;0,0,1,0]"  # x -> a x: order 4, fixing 0 and inf
+    IDENTITY = "[1,0,0,0;0,0,1,0]"
+    K = _kernel(F9)
+
+    @staticmethod
+    def codes(*maps):
+        return [_entry_codes(moebius.parse_moebius(F9, g)) for g in maps]
+
+    def span(self, *maps):
+        """The members of the group that the maps generate."""
+        return close(self.codes(*maps), self.K.law, (self.K.identity,))
+
+    def certified(self, basis, members=None, point="inf"):
+        """The certificate of the basis maps, over their span unless
+        `members` is given, at the queried point."""
+        (S,) = parse_point_list(F9, point)
+        members = self.span(*basis) if members is None else members
+        fixed = moebius._code_fixed(F9, 1)
+        return census._basis_certified(3, self.codes(*basis), members, self.K.law, self.K.identity, fixed, (S.code,))
+
+    def test_translation_groups_are_accepted(self):
+        assert self.certified([self.T1])
+        assert self.certified([self.T1, self.TA])
+        assert self.certified([self.U], point="0,0")
+
+    def test_maps_that_do_not_commute_are_refused(self):
+        # T1 and U both have order 3, but their closure is all of PSL2(F_3)
+        # inside PGL2(F_9); against the members of the rank-2 translation
+        # group only the commute test fails
+        assert not self.certified([self.T1, self.U])
+        assert not self.certified([self.T1, self.U], members=self.span(self.T1, self.TA))
+
+    @pytest.mark.parametrize("odd", [NEG, SCALE], ids=["order-2", "order-4"])
+    def test_a_basis_map_whose_order_is_not_p_is_refused(self, odd):
+        # the basis is the odd map alone, and the members a translation
+        # group of order 3
+        assert not self.certified([odd], members=self.span(self.T1))
+
+    def test_the_identity_in_a_basis_is_refused(self):
+        # order 1: it commutes with T1, and the members are the rank-2
+        # translation group
+        assert not self.certified([self.T1, self.IDENTITY], members=self.span(self.T1, self.TA))
+
+    def test_a_dependent_basis_is_refused(self):
+        # T2 = T1^2: the closure has 3 members, not 9
+        assert len(self.span(self.T1, self.T2)) == 3
+        assert not self.certified([self.T1, self.T2])
+
+    def test_a_member_fixing_a_second_point_is_refused(self):
+        # T1 conjugated to fix 0, queried at inf; and a translation group
+        # whose second member is replaced by x -> -x, which fixes 0 too
+        assert not self.certified([self.U])
+        assert not self.certified([self.T1], members={self.K.identity, *self.codes(self.T1, self.NEG)})
+
+    def test_translation_path_makes_no_generic_certificate(self, monkeypatch):
+        # no generating set is searched and no fingerprint computed per
+        # candidate: verify-main never computes either, and a census
+        # computes one generating set per match, when the JSON renders it
+        calls = collections.Counter()
+        for module in (census, stdgroups):
+            for name in ("_code_generators", "_code_fingerprint"):
+                def counted(*args, f=getattr(module, name), key=f"{module.__name__}.{name}"):
+                    calls[key] += 1
+                    return f(*args)
+                monkeypatch.setattr(module, name, counted)
+        assert verify_main_theorem(2, [1, 2, 3, 4]).ok and verify_main_theorem(3, [1, 2]).ok
+        assert calls == {}
+        report = census_count(field_make(2, 4), "Zp^2", "0,0,0,1")
+        assert report.count == 35 and calls == {}
+        census_report_to_json(report)
+        assert calls == {"pglcensus.stdgroups._code_generators": 35}
+
+
 class TestOracle:
     def test_single_translation_over_F2(self):
         assert len(oracle_enum_elem_abelian(F2, 1, pp1_infinity(F2))) == 1
@@ -918,7 +1003,7 @@ class TestMainTheorem:
 
         # the tagged queries, the rows' census and subspaces, and the
         # oracle's search
-        for name in ("enum_actions", "_translation_census", "enum_additive_subgroups", "_oracle_subgroups"):
+        for name in ("enum_actions", "_translation_census", "_echelon_bases", "_oracle_subgroups"):
             monkeypatch.setattr(dichotomy, name, no_work)
         # a huge p is refused by the bound before any trial division
         for p, levels in ((2, [1, 10]), (3, [6]), (7, [4]), (101, [1]), (10 ** 18 + 3, [1])):

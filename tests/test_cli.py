@@ -660,6 +660,29 @@ def test_malformed_group_names_the_form(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}, with integer parameters\n"
 
 
+MALFORMED_MAPS = [
+    ("fixed-points", "--field", "5^1", "--map", "[a,b;c,d]"),
+    ("build-group", "--field", "5^1", "--gens", "[1,x;0,1]"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_MAPS, ids=" ".join)
+def test_malformed_map_names_the_form(argv, capsys):
+    # a non-integer entry was answered with int()'s own message
+    assert exit_code(argv) == 2
+    text = argv[-1]
+    assert capsys.readouterr().err == f"error: Moebius map must look like [a,b;c,d], with integer coefficients, got {text!r}\n"
+
+
+@pytest.mark.parametrize("method", [(), ("--brute",)], ids=["transporter", "bruteforce"])
+@pytest.mark.parametrize("ext", ["0", "-3"])
+def test_conjugate_refuses_a_degree_below_one_whatever_the_orders(method, ext, capsys):
+    # orders 5 and 4: the degree was once checked only when the orders agree
+    argv = ("conjugate", "--field", "5^1", "--gens1", "[1,1;0,1]", "--gens2", "[2,0;0,1]", "--ext", ext, *method)
+    assert exit_code(argv) == 2
+    assert capsys.readouterr() == ("", f"error: extension degree must be >= 1, got {ext}\n")
+
+
 MALFORMED_CURVES = {
     "5^1:a=x,b=1": "curve spec '5^1:a=x,b=1' must look like p^n:a=...,b=...: "
                    "element of F_5^1 needs 1 integer coefficients, got 'x'",

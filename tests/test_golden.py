@@ -52,6 +52,16 @@ GOLDEN = {
         ("c3e81d251a0e69e549090b946178c71ea1edd2b25f326b5ad0c993aabcde174c", 0),
     "census --field 3^2 --group Zp^1 --locus 1,1":
         ("d9ac7a5649b3622ff38c2658e4bcbd04244a016fe28133e6e94e7d5c0796aeca", 0),
+    # the basis certificate with p odd: 13 rank-2 matches at an affine point
+    # of F_27, each rendered with the generators computed at render time, and
+    # a rank-1 census at an affine point of F_25
+    "census --field 3^3 --group Zp^2 --locus 1,2,0":
+        ("dc89fd3e3a674ba1b1954bff3df36e7150ecf5545d250670fc8842c4b12a4fbc", 0),
+    "census --field 5^2 --group Zp^1 --locus 0,1":
+        ("f586c7d3f2df19dc3a059eec50f9b2f907d8d3ecae0aaaf98aed675a054bd2e0", 0),
+    # the p = 3 tower: the census, the subspaces and the oracle to F_27
+    "verify-main --p 3 --levels 1-3":
+        ("50ae7674ebeb8c9365eea9a8057db2cd51e000efc1372250d715d60d37cacdb0", 0),
     # the characteristic-2 dihedral model (count 10 at its own locus)
     "build-group --field 2^2 --group dihedral:3":
         ("64e228939db7227020b08eec28b5482320be7ed8f4cc258e2c400dd1fd620153", 0),
