@@ -11,23 +11,22 @@ after scaling by u, so (P, u)(Q) = sigma_u(Q) + P and composition is
 A point is its coordinate codes: the pair (x, y), or the empty tuple () for
 O, so tuple order is code order with O first.  A curve has one field: every
 function here works over E.spec and refuses scaling factors from another
-field.  To work over F_{q^r}, take base_change(E, r), the same equation with
-its coefficients embedded.  Point sets are exhausted over the curve's field,
-and torsion, kernels and fixed-point fibres over that field come from direct
-scans.  The group law runs on the codes: each curve binds one chord-tangent
-law over its field's log, antilog and Zech tables.  The scan of 1 - sigma_u
-runs once per (curve, u) into a cached fibre table, keyed by the law's own
-output, and the per-curve checks read those tables: the fixing check applies
+field; base_change(E, r) is the same equation over F_{q^r}.  Point sets,
+torsion, kernels and fixed-point fibres over E's field come from direct
+scans through one chord-tangent law per curve, on its field's log, antilog
+and Zech tables.  The scan of 1 - sigma_u runs once per (curve, u) into a
+cached fibre table, keyed by the law's own output: the fixing check applies
 each (P, u) to the points of its fibre over P, and the singleton bound
 counts the fibres of one point, so checking all N points costs O(|Aut_0| N)
-law calls.  The n-torsion walks and the translation-subgroup closures run
-through the same law.  The fixed-point dichotomy alone looks above E's
-field, and it builds no field to do so: the x-coordinates of a fibre of
-1 - sigma_u are the roots of a polynomial of degree <= 4 over E's field, and
-the degrees of its irreducible factors give the fibre's size at every level,
-with no factoring: one sweep of the field per u finds every rational root,
-and the parity of the discriminant tells {4} from {2, 2} (L. Stickelberger,
-1897; R. G. Swan, 1962).
+law calls.  The fixed-point dichotomy alone looks above E's field, and it
+builds no field to do so: the x-coordinates of a fibre of 1 - sigma_u are
+the roots of a polynomial of degree <= 4 over E's field, whose factor
+degrees give the fibre's size at every level, with no factoring: one sweep
+of the field finds every rational root, and the parity of the discriminant
+tells {4} from {2, 2} (L. Stickelberger, 1897; R. G. Swan, 1962).  The sizes
+are constant on the orbits x -> w^2 x of Aut_0 over E's field, and u^-1 has
+u's, as 1 - sigma_{u^-1} = -sigma_{u^-1}(1 - sigma_u): one sweep per pair
+{u, u^-1}, one polynomial per orbit, and level 1 still checked per (P, u).
 
 Everything here powers exhaustive verification of the genus-1 finiteness
 facts: an automorphism is fixed point free iff it is a nontrivial pure
@@ -355,7 +354,8 @@ def _at(t, poly: list, x: int) -> int:
 
 def _fibre_sizes(E: ECurve, N: list, D: list, preimages: dict, P: tuple, levels: tuple[int, ...]) -> list[int]:
     """|(1 - sigma_u)^{-1}(P)| over F_{q^r} for each r in levels, where N/D is
-    the x-map of 1 - sigma_u and preimages its sweep _x_preimages: the
+    the x-map of 1 - sigma_u and preimages its sweep _x_preimages; the same
+    for u^-1 and on P's orbit under rational Aut_0 (verify_fpf_dichotomy).  The
     x-coordinates of the fibre are the roots of h = N - x_P D (of D when
     P = O), and the degrees of the irreducible factors of its squarefree part
     s tell which of them lie in F_{q^r}.
@@ -405,13 +405,24 @@ def _chi(t, c: int) -> int:
     return 0 if not c else -1 if t.log[c] % 2 else 1
 
 
+def _x_orbits(E: ECurve) -> dict[int, int]:
+    """x code -> a code on its orbit x -> w^2 x, w in Aut_0 over E's field: the
+    w^2 are the k = |Aut_0|/2 powers of g^(m/k), m = q - 1, so g^l -> g^(l mod m/k)."""
+    t, k = E.spec._tables, len(aut0(E)) // 2
+    return {0: 0} | dict(zip(t.exp[: t.m], t.exp[: t.m // k] * k))
+
+
 def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDichotomyReport:
-    """Fibre sizes from _fibre_sizes, over E's own field for every level:
-    per u, one sweep _x_preimages for the rational roots, then one fibre
-    polynomial per x-coordinate, since a point with y = 0 is alone on its x,
-    and for y != 0 the sizes depend on x alone.  No polynomial is factored.
-    When level 1 is among the levels, its sizes must equal the point scan
-    _one_minus_sigma_fibres, else AssertionError."""
+    """Fibre sizes from _fibre_sizes, over E's own field for every level,
+    computed once per pair {u, u^-1} (u != 1) and orbit of _x_orbits, then
+    read per (P, u).  For w in Aut_0 over E's field, sigma_w commutes with
+    sigma_u, so it maps the fibre over P onto the fibre over sigma_w(P) =
+    (w^2 x_P, w^3 y_P), and the sizes depend on x_P alone (a point with y = 0
+    is alone on its x).  And 1 - sigma_{u^-1} = -sigma_{u^-1}(1 - sigma_u), so
+    u^-1's fibre over P is u's over sigma_{-u}(P), on P's orbit.  Per pair,
+    one sweep _x_preimages, then one fibre polynomial per orbit and one for
+    the kernel; none is factored.  Level 1, if present, is still checked per
+    (P, u), u^-1 included, against the scan _one_minus_sigma_fibres."""
     levels = tuple(levels)
     if not levels:
         # with no level, every (P, u != 1) would count as free everywhere
@@ -420,22 +431,23 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
         _check_level(E, r)
     one = fq_one(E.spec)
     base_pts = ec_points(E)
+    orbit = _x_orbits(E)
+    by_pair = {}  # u -> {(): the kernel's sizes, orbit of x_P: P's sizes}
     violations = []
     checked = len(base_pts) - 1  # the pure translations: free at every level
     for u in aut0(E):
         if u == one:
             continue
-        N, D = _one_minus_sigma_map(E, u)
-        preimages = _x_preimages(E, N, D)
-        kernel = _fibre_sizes(E, N, D, preimages, base_pts[0], levels)
+        if (sizes := by_pair.get(u ** -1)) is None:  # else u^-1's pass filled every key
+            N, D = _one_minus_sigma_map(E, u)
+            preimages = _x_preimages(E, N, D)
+            sizes = by_pair[u] = {(): _fibre_sizes(E, N, D, preimages, (), levels)}
+        kernel = sizes[()]
         scan = _one_minus_sigma_fibres(E, u) if 1 in levels else None
-        by_x = {}  # P and -P share x_P, and for y_P != 0 every fibre size
         for P in base_pts:
             checked += 1
-            if not P:
-                fibre_sizes = kernel
-            elif (fibre_sizes := by_x.get(P[0])) is None:
-                fibre_sizes = by_x[P[0]] = _fibre_sizes(E, N, D, preimages, P, levels)
+            if (fibre_sizes := sizes.get(key := P and orbit[P[0]])) is None:
+                fibre_sizes = sizes[key] = _fibre_sizes(E, N, D, preimages, P, levels)
             if scan is not None:
                 got, want = fibre_sizes[levels.index(1)], len(scan.get(P, ()))
                 if got != want:

@@ -521,6 +521,69 @@ def test_seeded_curves_cover_every_aut0_size():
     assert {len(aut0(E)) for E in seeded_curves(F49, 2, 49)} == {2, 4, 6}
 
 
+def reference_fpf_dichotomy(E, levels):
+    """The dichotomy with one fibre polynomial per (P, u), u != 1: the
+    reference for verify_fpf_dichotomy's pairs_checked and violations."""
+    one = fq_one(E.spec)
+    violations = []
+    checked = len(ec_points(E)) - 1  # the pure translations
+    for u in aut0(E):
+        if u == one:
+            continue
+        N, D = _one_minus_sigma_map(E, u)
+        preimages = _x_preimages(E, N, D)
+        kernel = _fibre_sizes(E, N, D, preimages, (), levels)
+        for Q in ec_points(E):
+            checked += 1
+            sizes = _fibre_sizes(E, N, D, preimages, Q, levels)
+            for r, size, kernel_size in zip(levels, sizes, kernel):
+                if size and size != kernel_size:
+                    violations.append(
+                        f"(P={render_ec_point(E, Q)}, u={render_element(u)}) at r={r}: "
+                        f"fibre size {size} != kernel size {kernel_size}"
+                    )
+            if not any(sizes):
+                violations.append(
+                    f"(P={render_ec_point(E, Q)}, u={render_element(u)}): fibre sizes {sizes} "
+                    f"across levels {levels}, expected fixed points"
+                )
+    return checked, tuple(violations)
+
+
+def test_orbit_reuse_matches_the_per_point_dichotomy():
+    """Every nonsingular curve over F5 and F7 at levels 1-3, 1-4 and (2, 4),
+    and seeded curves over F11 and F13 at levels 1-3 and over F49 at levels
+    1-2: the same pairs_checked and the same violation text, in order."""
+    small = (*_nonsingular_curves(F5), *_nonsingular_curves(F7))
+    cases = [
+        *((E, levels) for E in small for levels in ((1, 2, 3), (1, 2, 3, 4), (2, 4))),
+        *((E, (1, 2, 3)) for E in (*seeded_curves(F11, 3, 11), *seeded_curves(F13, 3, 13))),
+        *((E, (1, 2)) for E in seeded_curves(F49, 3, 49)),
+    ]
+    failing = 0
+    for E, levels in cases:
+        rep = verify_fpf_dichotomy(E, levels)
+        assert (rep.pairs_checked, rep.violations) == reference_fpf_dichotomy(E, levels), (render_curve(E), levels)
+        failing += not rep.ok
+    assert len(cases) == 186 + 18 + 9
+    assert {len(aut0(E)) for E, _ in cases} == {2, 4, 6}
+    assert 0 < failing < len(cases)  # the violation text is compared too
+
+
+@pytest.mark.parametrize("name", ["F7_j0", "F13_j1728"])
+def test_wrong_orbit_is_caught_at_level_one(monkeypatch, name):
+    """Read the sizes off orbits x -> w x in place of x -> w^2 x: the
+    per-(P, u) check of level 1 against the scan refuses them."""
+
+    def wrong_orbits(E):
+        t = E.spec._tables
+        return {x: min(t.mul(w.code, x) for w in aut0(E)) for x in range(E.spec.q)}
+
+    monkeypatch.setattr(elliptic, "_x_orbits", wrong_orbits)
+    with pytest.raises(AssertionError, match="at r=1, the scan"):
+        verify_fpf_dichotomy(CURVES[name], (1, 2, 3))
+
+
 class TestGenus1Finiteness:
     """The singleton bound against the certificates of the E-wide scan."""
 
@@ -824,16 +887,21 @@ class TestWorkCounts:
         # and none of its gfq calls reaches them
         assert not hasattr(elliptic, "cpoly_ddf") and not hasattr(elliptic, "cpoly_powmod")
         factoring = [_counting(monkeypatch, name, module=gfq) for name in ("cpoly_ddf", "cpoly_powmod")]
-        for _, E in standard_test_curves():
+        counts = {}
+        for name, E in standard_test_curves():
             calls.clear()
             sweeps.clear()
             assert verify_fpf_dichotomy(E).ok
-            xs = {Q[0] for Q in ec_points(E) if Q}
-            # per u != 1, one sweep of the field, the kernel, then one fibre
-            # polynomial per x-coordinate: fewer than one per point on every
-            # curve but F5_j1728, whose affine points all have y = 0
-            assert sweeps[None] == len(aut0(E)) - 1
-            assert calls[None] == (len(aut0(E)) - 1) * (1 + len(xs))
+            one, elems = fq_one(E.spec), field_elements(E.spec)
+            pairs = {frozenset((u, fq_inv(u))) for u in aut0(E) if u != one}
+            orbits = {frozenset((w * w * elems[Q[0]]).code for w in aut0(E)) for Q in ec_points(E) if Q}
+            # one sweep of the field per pair {u, u^-1}, then one fibre
+            # polynomial for the kernel and one per orbit x -> w^2 x of the
+            # x-coordinates, so at most one per x-coordinate
+            assert sweeps[None] == len(pairs)
+            assert calls[None] == len(pairs) * (1 + len(orbits))
+            counts[name] = (sweeps[None], calls[None])
+        assert counts == {"F5_j1728": (2, 6), "F13_j1728": (2, 14), "F7_j0": (3, 12), "F5_generic": (1, 5)}
         assert not any(factoring)
 
     def test_torsion_scan_once_per_curve_and_order(self, monkeypatch):
