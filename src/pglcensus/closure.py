@@ -79,10 +79,12 @@ def subgroup_layers(elements: Sequence[T], op: Callable[[T, T], T], identity: T,
     time from the trivial group, one layer per step: layer k maps each
     subgroup closed from a list of k of `elements` to the first such list.
     Layer 0 is the trivial group, and the growth stops at the first empty
-    layer, which it does not yield.  With a `cap`, subgroups of more than `cap` members are dropped
-    and those of exactly `cap` are not grown.  Where some step has composite
-    index a subgroup can recur in a later layer; in an elementary abelian
-    p-group every step has index p, so layer k is the subgroups of order p^k.
+    layer, which it does not yield.  With a `cap`, subgroups of more than
+    `cap` members are dropped, and those of more than cap/2 are not grown: a
+    proper supergroup has at least twice their members (Lagrange).  Where
+    some step has composite index a subgroup can recur in a later layer; in
+    an elementary abelian p-group every step has index p, so layer k is the
+    subgroups of order p^k.
 
     Each subgroup H of a layer keeps the generator list it was grown from,
     and H<g> is the closure of that list plus g over H: `close` then
@@ -107,7 +109,7 @@ def _next_layer(layer: Layer, elements: Sequence[T], op: Callable[[T, T], T], id
     subgroups by member is dropped on return."""
     next_layer, holding = {}, {}
     for H, gens in layer.items():
-        if len(H) == cap:
+        if cap is not None and 2 * len(H) > cap:
             continue
         covered = set(H)
         for K in filter(H.issubset, holding.get(gens[-1] if gens else identity, ())):

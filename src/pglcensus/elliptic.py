@@ -26,7 +26,8 @@ of the field finds every rational root, and the parity of the discriminant
 tells {4} from {2, 2} (L. Stickelberger, 1897; R. G. Swan, 1962).  The sizes
 are constant on the orbits x -> w^2 x of Aut_0 over E's field, and u^-1 has
 u's, as 1 - sigma_{u^-1} = -sigma_{u^-1}(1 - sigma_u): one sweep per pair
-{u, u^-1}, one polynomial per orbit, and level 1 still checked per (P, u).
+{u, u^-1}, one x-map value and one polynomial per orbit, and level 1 still
+checked per (P, u).  Orders 1 to 4 share one torsion walk and one growth.
 
 Everything here powers exhaustive verification of the genus-1 finiteness
 facts: an automorphism is fixed point free iff it is a nontrivial pure
@@ -42,7 +43,7 @@ import math
 from functools import lru_cache, partial
 from typing import Sequence
 
-from .closure import close, order, subgroups_of_order
+from .closure import close, order, subgroup_layers
 from .gfq import (
     FieldSpec,
     FqElem,
@@ -240,14 +241,19 @@ def fixing_counts_ok(E: ECurve) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _orders(E: ECurve, cap: int) -> tuple[tuple[tuple, int | None], ...]:
+    """Every point of E over its field, in code order, with its order, or
+    None past cap: one order walk per point through the law."""
+    add = partial(_code_add, _chord_tangent(E))
+    return tuple((Q, order(Q, add, (), cap)) for Q in ec_points(E))
+
+
 def _torsion(E: ECurve, n: int) -> tuple[tuple[tuple, int], ...]:
-    """The points of E[n] over E's field, in code order, each with its order:
-    one order walk per point through the law."""
+    """The points of E[n] over E's field, in code order, each with its order,
+    read off the walks _orders(E, max(n, 4)) that n = 1 to 4 share."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    add = partial(_code_add, _chord_tangent(E))
-    orders = ((Q, order(Q, add, (), n)) for Q in ec_points(E))
-    return tuple((Q, k) for Q, k in orders if k is not None and n % k == 0)
+    return tuple((Q, k) for Q, k in _orders(E, max(n, 4)) if k is not None and n % k == 0)
 
 
 def torsion_invariant_factors(E: ECurve, n: int) -> tuple[int, int]:
@@ -258,6 +264,7 @@ def torsion_invariant_factors(E: ECurve, n: int) -> tuple[int, int]:
     return exponent, len(torsion) // exponent
 
 
+@lru_cache(maxsize=None)
 def abelian_subgroup_count(invariants: tuple[int, int], n: int) -> int:
     """Subgroups of order n of Z/d1 x Z/d2, counted by closing generator
     pairs with plain integer arithmetic.  This is the independent cross-check
@@ -274,14 +281,23 @@ def abelian_subgroup_count(invariants: tuple[int, int], n: int) -> int:
     return sum(1 for s in subs if len(s) == n)
 
 
+@lru_cache(maxsize=None)
+def _subgroups(E: ECurve, cap: int) -> dict[int, tuple[tuple[tuple, ...], ...]]:
+    """{n: enum_spf_actions(E, n)} for n <= cap, from one growth capped at cap
+    over the points of order <= cap, which hold every such subgroup."""
+    layers = subgroup_layers([Q for Q, k in _orders(E, cap) if k], partial(_code_add, _chord_tangent(E)), (), cap)
+    subs = sorted({tuple(sorted(H)) for layer in layers for H in layer})
+    return {n: tuple(H for H in subs if len(H) == n) for n in range(1, cap + 1)}
+
+
 def enum_spf_actions(E: ECurve, n: int) -> list[tuple[tuple, ...]]:
     """All order-n subgroups of the n-torsion of E over its field, each as
-    its sorted points, in sorted order.  These are the translation groups
-    realizing the stabilized-point-free actions of order n visible over that
-    field; enumerated by incremental closure, no structure theory."""
-    torsion = [Q for Q, _ in _torsion(E, n)]
-    add = partial(_code_add, _chord_tangent(E))
-    return sorted(tuple(sorted(H)) for H in subgroups_of_order(torsion, add, (), n))
+    its sorted points, in sorted order: the translation groups realizing the
+    stabilized-point-free actions of order n visible over that field, read
+    off the one growth _subgroups(E, max(n, 4)) that n = 1 to 4 share."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    return list(_subgroups(E, max(n, 4))[n])
 
 
 # ---------------------------------------------------------------------------
@@ -314,33 +330,35 @@ def _one_minus_sigma_map(E: ECurve, u: FqElem) -> tuple[list, list]:
     lowest terms (Silverman, AEC III.2).  For u = -1 it is the doubling map;
     else, with v = -u, the chord through Q and sigma_v(Q) = (v^2 x, v^3 y)
     has slope (v^3 - 1) y / ((v^2 - 1) x)."""
-    spec, a, b = E.spec, E.a, E.b
-    one, zero = fq_one(spec), fq_zero(spec)
-    if u == -one:
-        k = partial(fq_from_int, spec)
-        N = [a * a, k(-8) * b, k(-2) * a, zero, one]
-        D = [k(4) * b, k(4) * a, zero, k(4)]
+    spec, t, a, b, u = E.spec, E.spec._tables, E.a.code, E.b.code, u.code
+    add, sub, mul, one = t.add, t.sub, t.mul, spec.q // spec.p
+    if u == t.exp[t.half]:  # u = -1
+        four, minus_two, minus_eight = (k % spec.p * one for k in (4, -2, -8))
+        N = [mul(a, a), mul(minus_eight, b), mul(minus_two, a), 0, one]
+        D = [mul(four, b), mul(four, a), 0, four]
     else:
-        v2 = u * u
-        c, w = (one + u * v2) ** 2, (v2 - one) ** 2  # v^3 - 1 = -(1 + u^3)
-        N = [c * b, c * a, zero, c - (one + v2) * w]
-        D = [zero, zero, w]
-    N, D = ([c.code for c in poly] for poly in (N, D))
+        v2 = mul(u, u)
+        c, w = add(one, mul(u, v2)), sub(v2, one)  # v^3 - 1 = -(1 + u^3)
+        c, w = mul(c, c), mul(w, w)
+        N = [mul(c, b), mul(c, a), 0, sub(c, mul(add(one, v2), w))]
+        D = [0, 0, w]
     g = cpoly_gcd(spec, N, D)
     return cpoly_divmod(spec, N, g)[0], cpoly_divmod(spec, D, g)[0]
 
 
 def _x_preimages(E: ECurve, N: list, D: list) -> dict:
-    """One sweep of E's field for the x-map N/D of 1 - sigma_u: {c: the x in
-    F_q, in code order, with N(x)/D(x) = c}, and the roots of D under None.
-    These are the rational roots of every fibre polynomial N - c D at once,
-    N and D being coprime."""
-    t = E.spec._tables
-    log, exp, m = t.log, t.exp, t.m
+    """One sweep of E's field for the x-map N/D of 1 - sigma_u, N and D
+    coprime: {c: the x in F_q, in code order, with N(x)/D(x) = c}, the roots
+    of D under None, so the rational roots of every N - c D at once.  One
+    evaluation per orbit of _x_orbits: N/D(w^2 x) = w^2 N/D(x) (AEC III.10)."""
+    t, orbit = E.spec._tables, _x_orbits(E)
+    log, exp = t.log, t.exp
+    at = {r: (_at(t, N, r), _at(t, D, r)) for r in set(orbit.values())}  # N and D at each orbit's representative
     preimages: dict = {}
     for x in range(E.spec.q):
-        n, d = _at(t, N, x), _at(t, D, x)
-        preimages.setdefault((exp[log[n] - log[d] + m] if n else 0) if d else None, []).append(x)
+        n, d = at[r := orbit[x]]  # N/D(x) = N/D(r) x / r; exp wraps the logs' sum in (-2m, 2m)
+        c = (exp[log[n] - log[d] + (log[x] - log[r] if x else 0)] if n else 0) if d else None
+        preimages.setdefault(c, []).append(x)
     return preimages
 
 
@@ -405,6 +423,7 @@ def _chi(t, c: int) -> int:
     return 0 if not c else -1 if t.log[c] % 2 else 1
 
 
+@lru_cache(maxsize=None)
 def _x_orbits(E: ECurve) -> dict[int, int]:
     """x code -> a code on its orbit x -> w^2 x, w in Aut_0 over E's field: the
     w^2 are the k = |Aut_0|/2 powers of g^(m/k), m = q - 1, so g^l -> g^(l mod m/k)."""

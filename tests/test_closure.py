@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from functools import partial
@@ -195,6 +196,20 @@ class TestSubgroupLayers:
             [[0, 3, 6, 9]],
         ]
 
+    def test_cap_grows_no_subgroup_past_half_the_cap(self, monkeypatch):
+        # a proper supergroup has at least twice the members, so under cap 4
+        # only the subgroups of orders 1 and 2 are grown: not {0, 4, 8}
+        grown_from = collections.Counter()
+        real = closure.close
+
+        def counted(gens, op, seen, cap=None):
+            grown_from[len(seen)] += 1
+            return real(gens, op, seen, cap)
+
+        monkeypatch.setattr(closure, "close", counted)
+        list(closure.subgroup_layers(range(12), add_mod(12), 0, cap=4))
+        assert sorted(grown_from) == [1, 2]
+
     def test_elementary_abelian_layers_are_the_orders(self):
         # (Z/2)^3: layer k is the subgroups of order 2^k, [3 choose k]_2 of them
         elements = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)][1:]
@@ -272,7 +287,8 @@ def oracle_input(p, n, at, m):
 
 
 def torsion_input(name, n):
-    """The n-torsion points of a standard curve, as enum_spf_actions grows them."""
+    """The n-torsion points of a standard curve and its code law, a group of
+    rank <= 2 such as enum_spf_actions grows its subgroups in."""
     E = dict(standard_test_curves())[name]
     return [Q for Q, _ in _torsion(E, n)], partial(_code_add, _chord_tangent(E)), (), n
 

@@ -3,6 +3,7 @@ import functools
 import io
 import itertools
 import random
+import re
 
 import pytest
 
@@ -352,6 +353,40 @@ class TestSpfActions:
         assert len(enum_spf_actions(E, n)) == expected
 
 
+def closed_subsets(d1, d2, n):
+    """The n-subsets of Z/d1 x Z/d2 that hold 0 and are closed under
+    addition: the reference for abelian_subgroup_count, by brute force."""
+    members = [(i, j) for i in range(d1) for j in range(d2)]
+    return sum(
+        all(((a[0] + b[0]) % d1, (a[1] + b[1]) % d2) in S for a in S for b in S)
+        for rest in itertools.combinations(members[1:], n - 1)
+        for S in [{(0, 0), *rest}]
+    )
+
+
+SMALL_INVARIANTS = [(d1, d2) for d1 in range(1, 17) for d2 in range(1, d1 + 1) if d1 % d2 == 0 and d1 * d2 <= 16]
+
+
+@pytest.mark.parametrize("d1,d2", SMALL_INVARIANTS)
+def test_abelian_subgroup_count_matches_closed_subsets(d1, d2):
+    from pglcensus.elliptic import abelian_subgroup_count
+
+    assert len(SMALL_INVARIANTS) == 22
+    for n in (1, 2, 3, 4):
+        assert abelian_subgroup_count((d1, d2), n) == closed_subsets(d1, d2, n), n
+
+
+def test_abelian_subgroup_count_once_per_key():
+    """The default suite counts each (invariants, n) it meets once."""
+    from pglcensus.elliptic import abelian_subgroup_count, torsion_invariant_factors
+
+    abelian_subgroup_count.cache_clear()
+    assert main(["verify-genus1"], out=io.StringIO()) == 0
+    keys = {(torsion_invariant_factors(E, n), n) for _, E in standard_test_curves() for n in (1, 2, 3, 4)}
+    info = abelian_subgroup_count.cache_info()
+    assert (info.misses, info.hits) == (len(keys), 4 * len(standard_test_curves()) - len(keys))
+
+
 class TestFpfDichotomy:
     @pytest.mark.parametrize("name,E", standard_test_curves(), ids=[n for n, _ in standard_test_curves()])
     def test_all_curves(self, name, E):
@@ -570,17 +605,105 @@ def test_orbit_reuse_matches_the_per_point_dichotomy():
     assert 0 < failing < len(cases)  # the violation text is compared too
 
 
+def reference_x_preimages(E, N, D):
+    """The sweep of _x_preimages with one Horner evaluation of N and D per x
+    in F_q: the reference for its orbit sweep."""
+    t = E.spec._tables
+    log, exp, m = t.log, t.exp, t.m
+    preimages = {}
+    for x in range(E.spec.q):
+        n, d = elliptic._at(t, N, x), elliptic._at(t, D, x)
+        preimages.setdefault((exp[log[n] - log[d] + m] if n else 0) if d else None, []).append(x)
+    return preimages
+
+
+def reference_one_minus_sigma_map(E, u):
+    """_one_minus_sigma_map in FqElem arithmetic: the reference for its
+    build on codes."""
+    spec, a, b = E.spec, E.a, E.b
+    one, zero = fq_one(spec), fq_zero(spec)
+    if u == -one:
+        k = functools.partial(fq_from_int, spec)
+        N = [a * a, k(-8) * b, k(-2) * a, zero, one]
+        D = [k(4) * b, k(4) * a, zero, k(4)]
+    else:
+        v2 = u * u
+        c, w = (one + u * v2) ** 2, (v2 - one) ** 2
+        N = [c * b, c * a, zero, c - (one + v2) * w]
+        D = [zero, zero, w]
+    N, D = ([c.code for c in poly] for poly in (N, D))
+    g = cpoly_gcd(spec, N, D)
+    return cpoly_divmod(spec, N, g)[0], cpoly_divmod(spec, D, g)[0]
+
+
+def test_orbit_sweep_matches_the_per_x_sweep():
+    """Every u != 1 of every nonsingular curve over F5, F7 and F13, of
+    seeded curves over F49, and of y^2 = x^3 + 1 and y^2 = x^3 + x over F97:
+    the x-map built on codes is the one built in FqElem arithmetic, and the
+    sweep that scales N/D along the orbits x -> w^2 x is the per-x sweep."""
+    curves = [
+        *(E for spec in (F5, F7, F13) for E in _nonsingular_curves(spec)),
+        *seeded_curves(F49, 2, 49),
+        parse_curve("97^1:a=0,b=1"),
+        parse_curve("97^1:a=1,b=0"),
+    ]
+    sizes = collections.Counter()
+    for E in curves:
+        for u in aut0(E):
+            if u == fq_one(E.spec):
+                continue
+            N, D = _one_minus_sigma_map(E, u)
+            assert (N, D) == reference_one_minus_sigma_map(E, u), (render_curve(E), render_element(u))
+            assert _x_preimages(E, N, D) == reference_x_preimages(E, N, D), (render_curve(E), render_element(u))
+            sizes[len(aut0(E))] += 1
+    assert sorted(sizes) == [2, 4, 6]
+    assert len(aut0(curves[-2])) == 6 and len(aut0(curves[-1])) == 4
+
+
+def wrong_orbits(E):
+    """x -> the least of its orbit under x -> w x, w in Aut_0, in place of
+    the orbits x -> w^2 x of _x_orbits."""
+    t = E.spec._tables
+    return {x: min(t.mul(w.code, x) for w in aut0(E)) for x in range(E.spec.q)}
+
+
+WRONG_ORBIT_KEYS = {
+    "F7_j0": "fibre polynomial of (P=(3,0), u=2) gives 0 points at r=1, the scan 3",
+    "F13_j1728": "fibre polynomial of (P=(3,2), u=5) gives 0 points at r=1, the scan 2",
+}
+
+
 @pytest.mark.parametrize("name", ["F7_j0", "F13_j1728"])
 def test_wrong_orbit_is_caught_at_level_one(monkeypatch, name):
-    """Read the sizes off orbits x -> w x in place of x -> w^2 x: the
-    per-(P, u) check of level 1 against the scan refuses them."""
-
-    def wrong_orbits(E):
-        t = E.spec._tables
-        return {x: min(t.mul(w.code, x) for w in aut0(E)) for x in range(E.spec.q)}
-
+    """Read the sizes off orbits x -> w x in place of x -> w^2 x, the sweep
+    being the per-x reference: the per-(P, u) check of level 1 against the
+    scan refuses them."""
     monkeypatch.setattr(elliptic, "_x_orbits", wrong_orbits)
-    with pytest.raises(AssertionError, match="at r=1, the scan"):
+    monkeypatch.setattr(elliptic, "_x_preimages", reference_x_preimages)
+    with pytest.raises(AssertionError, match=f"^{re.escape(WRONG_ORBIT_KEYS[name])}$"):
+        verify_fpf_dichotomy(CURVES[name], (1, 2, 3))
+
+
+WRONG_SWEEP_SCALING = {
+    "F7_j0": "fibre polynomial of (P=(1,3)) has 1 rational roots, squarefree degree 3 and disc character 1",
+    "F13_j1728": "fibre polynomial of (P=(0,0)) has 0 rational roots, squarefree degree 2 and disc character 1",
+}
+
+
+@pytest.mark.parametrize("name", ["F7_j0", "F13_j1728"])
+def test_wrong_sweep_scaling_is_caught(monkeypatch, name):
+    """Scale N/D along the orbits x -> w x in the sweep alone, the sizes
+    being read off the right orbits: a fibre polynomial whose rational roots
+    the sweep misreports is refused by its own degree check."""
+    real = elliptic._x_preimages
+
+    def wrong_sweep(E, N, D):
+        with monkeypatch.context() as patch:
+            patch.setattr(elliptic, "_x_orbits", wrong_orbits)
+            return real(E, N, D)
+
+    monkeypatch.setattr(elliptic, "_x_preimages", wrong_sweep)
+    with pytest.raises(AssertionError, match=f"^{re.escape(WRONG_SWEEP_SCALING[name])}$"):
         verify_fpf_dichotomy(CURVES[name], (1, 2, 3))
 
 
@@ -905,14 +1028,18 @@ class TestWorkCounts:
         assert not any(factoring)
 
     def test_torsion_scan_once_per_curve_and_order(self, monkeypatch):
-        elliptic._torsion.cache_clear()
-        # the n-torsion walk calls order(xy, add, None, n) once per point,
-        # add being the code sum through the curve's law
+        elliptic._orders.cache_clear()
+        elliptic._subgroups.cache_clear()
+        # the torsion walks call order(xy, add, None, 4) once per point, add
+        # being the code sum through the curve's law, and n = 1 to 4 read
+        # that one walk; their subgroups are read off one growth
         walks = _counting(monkeypatch, "order", key=lambda xy, add, O, n: (add.args[0], n))
+        growths = _counting(monkeypatch, "subgroup_layers", key=lambda points, add, O, cap: (add.args[0], cap))
         assert main(["verify-genus1", "--curve", "7^1:a=0,b=1", "--ext", "2"], out=io.StringIO()) == 0
         Er = base_change(parse_curve("7^1:a=0,b=1"), 2)
         law = elliptic._chord_tangent(Er)
-        assert walks == {(law, n): len(ec_points(Er)) for n in (1, 2, 3, 4)}
+        assert walks == {(law, 4): len(ec_points(Er))}
+        assert growths == {(law, 4): 1}
 
     @pytest.mark.parametrize("curve", ["5^1:a=1,b=0", "13^1:a=1,b=0", "7^1:a=0,b=1"])
     def test_no_per_point_certificate_or_witness(self, monkeypatch, curve):
@@ -939,7 +1066,8 @@ class TestWorkCounts:
     @pytest.mark.parametrize("curve", ["5^1:a=1,b=0", "7^1:a=0,b=1"])
     def test_law_calls_linear_in_the_points(self, monkeypatch, curve):
         elliptic._one_minus_sigma_fibres.cache_clear()
-        elliptic._torsion.cache_clear()
+        elliptic._orders.cache_clear()
+        elliptic._subgroups.cache_clear()
         real = elliptic._chord_tangent
         calls = collections.Counter()
 
@@ -957,10 +1085,10 @@ class TestWorkCounts:
         Er = base_change(parse_curve(curve), 2)
         n_pts, n_aut = len(ec_points(Er)), len(aut0(Er))
         # per u, N calls each for a fibre table and the fixing pass, and none
-        # for the singleton bound; at most n - 1 sums per point for each
-        # n-torsion walk, n <= 4; and the closures over at most 16 torsion
-        # points (4.1 and 3.4 |Aut_0| N here).  The E x Aut_0 scan alone made
-        # |Aut_0| N^2, here 32 or 48 |Aut_0| N.
+        # for the singleton bound; at most 3 sums per point for the one
+        # order walk capped at 4; and the one growth over the at most 24
+        # points of order <= 4 (3.3 and 2.9 |Aut_0| N here).  The E x Aut_0
+        # scan alone made |Aut_0| N^2, here 32 or 48 |Aut_0| N.
         assert sum(calls.values()) <= 5 * n_aut * n_pts
 
 
