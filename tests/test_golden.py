@@ -224,6 +224,21 @@ GOLDEN = {
         ("a0af22ac7c04073076f284958efd261904ed19b2f485d7081b227f6cf40aa9f8", 0),
     "verify-genus1 --curve 13^1:a=1,b=0 --ext 2 --format csv":
         ("acead391a8966106e91aec71e7f79f7baa06cb8a5cc2f15a8813226e9cde44df", 0),
+    # maps given on the command line: an order-12 closure of two generators
+    # over F_4, the locus of an order-3 map, an involution with no rational
+    # fixed point (empty locus at --ext 1), and two involutions over F_3 that
+    # are conjugate only over F_9, whose witnesses stay in F_9: the
+    # transporter's comes from the capture field F_81
+    "build-group --field 2^2 --gens [1,0,1,0;0,0,1,0]|[0,1,0,0;0,0,1,0]":
+        ("7c8b3163a84301eb85980e1d09e3504fae33cb0810f958f3461f994b11329eef", 0),
+    "locus --field 2^2 --gens [0,1,0,0;0,0,1,0]":
+        ("562e788b3bfa73435a227af3ed7bea03536e9855f694a643272aa47e97496278", 0),
+    "locus --field 3^1 --gens [0,1;2,0] --ext 1":
+        ("f19bc2e81053004ff0b23340c2561d428cb32a98be7239ef99dce56211ad4cf8", 0),
+    "conjugate --field 3^1 --gens1 [0,1;1,0] --gens2 [0,1;2,0] --ext 2":
+        ("e801599103ef655b1121f8d9c12000a719a3b1a07875cfc0cf080a12784b2113", 0),
+    "conjugate --field 3^1 --gens1 [0,1;1,0] --gens2 [0,1;2,0] --ext 2 --brute":
+        ("23a4de38397b7432bc72612f6a81b5099cf4c5aac8c6d242cc7818ebb941c2d5", 0),
 }
 
 
