@@ -239,6 +239,16 @@ GOLDEN = {
         ("e801599103ef655b1121f8d9c12000a719a3b1a07875cfc0cf080a12784b2113", 0),
     "conjugate --field 3^1 --gens1 [0,1;1,0] --gens2 [0,1;2,0] --ext 2 --brute":
         ("23a4de38397b7432bc72612f6a81b5099cf4c5aac8c6d242cc7818ebb941c2d5", 0),
+    # witnesses projected down: x -> -1/x over F_31, whose loci are taken
+    # in the capture field F_961, with its witness brought back to F_31; and
+    # two involutions over F_5 searched in F_25 whose witnesses are rational
+    # over F_5, by transport and by the scan
+    "conjugate --field 31^1 --gens1 [0,30;1,0] --gens2 [0,30;1,0]":
+        ("1246059642190c3afa0ece41d25c5c040c161f5b9e732f7982f10f5c983433c9", 0),
+    "conjugate --field 5^1 --gens1 [0,1;1,0] --gens2 [0,1;4,0] --ext 2":
+        ("0d589b325daa622769bb1bd356c216a9ebf472abebc1c74b49d6780d5408a63f", 0),
+    "conjugate --field 5^1 --gens1 [0,1;1,0] --gens2 [0,1;4,0] --ext 2 --brute":
+        ("782c68e5ee5be5631196e33ac92b07256b3e71bfd1179279ab5d6d0b15d2fbf9", 0),
 }
 
 
