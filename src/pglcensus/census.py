@@ -360,7 +360,7 @@ def _translation_census(spec: FieldSpec, point: PP1, bases: Sequence[tuple[int, 
     identity, p, one = K.identity, spec.p, spec.q // spec.p
     maps = {b: (one, b, 0, one) for b in {b for basis in bases for b in basis}}
     if not point.is_infinity:
-        conjugate = _conjugator(mob_infinity_to(point))
+        conjugate = _conjugator(spec, mob_infinity_to(point))
         maps = {b: conjugate(g) for b, g in maps.items()}
     law = lru_cache(maxsize=None)(K.law)
     fixed, S = _code_fixed(spec, 1), (point.code,)

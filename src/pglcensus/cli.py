@@ -144,7 +144,7 @@ def _parse_levels(text: str, check_top: Callable[[int], None]) -> list[int]:
 def _group_from_args(spec, args):
     if args.gens:
         gens = [moebius.parse_moebius(spec, g) for g in args.gens.split("|")]
-        return stdgroups.close_generators(gens)
+        return stdgroups.close_generators(spec, gens)
     if not args.group:
         raise ValueError("either --group or --gens is required")
     kind, params = census.parse_group_id(args.group)
@@ -174,12 +174,12 @@ def _cmd_field_info(args):
 
 def _cmd_fixed_points(args):
     spec = gfq.parse_field_spec(args.field)
-    m = moebius.parse_moebius(spec, args.map)
-    pts = moebius.mob_fixed_points(m, args.ext)
+    g = moebius.parse_moebius(spec, args.map)
+    pts = moebius.mob_fixed_points(spec, g, args.ext)
     payload = {
         "schema": "pglcensus/fixed-points/v1",
         "field": gfq.render_field_spec(spec),
-        "map": moebius.render_moebius(m),
+        "map": moebius._render_codes(spec, g),
         "ext": args.ext,
         "count": len(pts),
         "fixed_points": [{"point": moebius.render_point(P)} for P in pts],
@@ -214,8 +214,8 @@ def _cmd_conjugate(args):
     from . import conjugacy
 
     spec = gfq.parse_field_spec(args.field)
-    H1 = stdgroups.close_generators([moebius.parse_moebius(spec, g) for g in args.gens1.split("|")])
-    H2 = stdgroups.close_generators([moebius.parse_moebius(spec, g) for g in args.gens2.split("|")])
+    H1 = stdgroups.close_generators(spec, [moebius.parse_moebius(spec, g) for g in args.gens1.split("|")])
+    H2 = stdgroups.close_generators(spec, [moebius.parse_moebius(spec, g) for g in args.gens2.split("|")])
     return 0, conjugacy.conjugate_to_json(H1, H2, args.ext, args.brute), None, None
 
 

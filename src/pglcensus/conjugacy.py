@@ -3,28 +3,26 @@ conjugate in PGL2(F_{q^r}), and return a verified witness.
 
 is_conjugate cuts the search down by transporter reasoning on the stabilized
 loci (stdgroups); is_conjugate_bruteforce is the independent oracle, a scan
-of all of PGL2(F_{q^r}).  Witnesses are maps (moebius.Moebius), projected
-back to the base field whenever their entries are rational there.  Only the
-conjugate command reaches this module, so a census process never compiles
-it.
+of all of PGL2(F_{q^r}).  Both run on entry codes (moebius._kernel).  A
+witness is a field and the entry codes of a map over it: the map is
+projected back to the base field whenever its entries are rational there.
+Only the conjugate command reaches this module, so a census process never
+compiles it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .gfq import FieldSpec, extension_field, field_elements, render_field_spec
+from .gfq import FieldSpec, _projection_table, extension_field, render_field_spec
 from .moebius import (
-    Moebius,
+    _kernel,
+    _pgl2_codes,
+    _render_codes,
     mob_compose,
     mob_from_three_points,
-    mob_identity,
     mob_infinity_to,
-    mob_inverse,
-    mob_project,
-    pgl2_elements,
     pp1_points,
-    render_moebius,
     transporters,
 )
 from .stdgroups import SubgroupPGL2, _conjugator, _diag, conjugate_subgroup, stabilized_locus, subgroup_embed
@@ -39,18 +37,30 @@ def _translation_parts(H: SubgroupPGL2) -> Optional[list[int]]:
     return None
 
 
-def _conjugates_onto(g: Moebius, H1: SubgroupPGL2, H2: SubgroupPGL2) -> bool:
-    conj, codes2 = _conjugator(g), set(H2.codes)
+def _conjugates_onto(spec: FieldSpec, g: tuple[int, int, int, int], H1: SubgroupPGL2, H2: SubgroupPGL2) -> bool:
+    conj, codes2 = _conjugator(spec, g), set(H2.codes)
     return all(conj(x) in codes2 for x in H1.codes)
 
 
-def _simplify_witness(g: Optional[Moebius], base: FieldSpec) -> Optional[Moebius]:
-    """Project a conjugator back down to the base field when its entries are
-    rational there; otherwise return it over the search field."""
-    if g is None or g.spec is base:
-        return g
-    down = mob_project(g, base)
-    return down if down is not None else g
+def _project(g: tuple[int, int, int, int], spec: FieldSpec, sub: FieldSpec) -> Optional[tuple[int, int, int, int]]:
+    """The map g of spec over the subfield sub, entry by entry (a leading 1
+    stays 1), or None if an entry is irrational there."""
+    table = _projection_table(spec, sub)
+    try:
+        return tuple(table[e].code for e in g)
+    except KeyError:
+        return None
+
+
+def _simplify_witness(
+    spec: FieldSpec, g: Optional[tuple[int, int, int, int]], base: FieldSpec
+) -> Optional[tuple[FieldSpec, tuple[int, int, int, int]]]:
+    """The witness of the conjugator g over spec: (base, g projected) when
+    its entries are rational over the base field, else (spec, g)."""
+    if g is None:
+        return None
+    down = g if spec is base else _project(g, spec, base)
+    return (spec, g) if down is None else (base, down)
 
 
 def _comparable(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> bool:
@@ -64,10 +74,11 @@ def _comparable(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> bool:
     return H1.order == H2.order
 
 
-def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius]:
+def is_conjugate(
+    H1: SubgroupPGL2, H2: SubgroupPGL2, r: int
+) -> Optional[tuple[FieldSpec, tuple[int, int, int, int]]]:
     """Search for g in PGL2(F_{q^r}) with g H1 g^{-1} = H2; returns a verified
-    witness (projected back to the base field whenever its entries are
-    rational there) or None.
+    witness (_simplify_witness) or None.
 
     The search space is cut down by transporter reasoning on stabilized loci:
     a conjugator maps locus L1 onto locus L2, so it is g0 t with g0 from
@@ -85,7 +96,7 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
     K1 = subgroup_embed(H1, ext)
     K2 = subgroup_embed(H2, ext)
     if H1.order == 1:
-        return mob_identity(base)
+        return base, _kernel(base).identity
     L1 = stabilized_locus(H1, r)
     L2 = stabilized_locus(H2, r)
     if len(L1) != len(L2):
@@ -94,19 +105,18 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
     if len(L1) == 1:
         # t1 and s2^{-1} carry the loci to infinity, where both groups
         # may become translation groups
-        t1 = mob_inverse(mob_infinity_to(L1[0]))
+        inverse = _kernel(ext).inverse
+        t1 = inverse(mob_infinity_to(L1[0]))
         s2 = mob_infinity_to(L2[0])
         g1 = _translation_parts(conjugate_subgroup(K1, t1))
-        g2 = _translation_parts(conjugate_subgroup(K2, mob_inverse(s2)))
+        g2 = _translation_parts(conjugate_subgroup(K2, inverse(s2)))
         if g1 is not None and g2 is not None:
             set2, mul = set(g2), ext._tables.mul
-            for alpha in field_elements(ext):
-                if alpha.is_zero():
-                    continue
-                if {mul(alpha.code, x) for x in g1} == set2:
-                    g = mob_compose(s2, mob_compose(_diag(ext, alpha), t1))
-                    if _conjugates_onto(g, K1, K2):
-                        return _simplify_witness(g, base)
+            for alpha in range(1, ext.q):
+                if {mul(alpha, x) for x in g1} == set2:
+                    g = mob_compose(ext, s2, mob_compose(ext, _diag(ext, alpha), t1))
+                    if _conjugates_onto(ext, g, K1, K2):
+                        return _simplify_witness(ext, g, base)
             return None
 
     search = ext
@@ -125,37 +135,39 @@ def is_conjugate(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius
     # transporter always comes first.  H1 stabilizes L1, and g0 h for h in
     # H1 conjugates H1 onto H2 exactly when g0 does, so the transporters
     # skip it; the first witness is the same as without H1
-    fix = [mob_identity(search)]
+    fix = [_kernel(search).identity]
     if len(L1) == 2:
         src = (L1[0], L1[1], next(P for P in pp1_points(search) if P not in L1))
         fix = (mob_from_three_points(src, (L1[0], L1[1], P)) for P in pp1_points(search) if P not in L1)
     H1_search = subgroup_embed(H1, search).codes
     for t in fix:
         for g0 in transporters(L1, L2, H1_search):
-            g = mob_compose(g0, t)
+            g = mob_compose(search, g0, t)
             if search is not ext:
-                g = mob_project(g, ext)
-            if g is not None and _conjugates_onto(g, K1, K2):
-                return _simplify_witness(g, base)
+                g = _project(g, search, ext)
+            if g is not None and _conjugates_onto(ext, g, K1, K2):
+                return _simplify_witness(ext, g, base)
     return None
 
 
-def _bruteforce_search(K1: SubgroupPGL2, K2: SubgroupPGL2) -> Optional[Moebius]:
-    gens, codes2 = K1.generators, set(K2.codes)
-    for g in pgl2_elements(K1.spec):
-        conj = _conjugator(g)
-        if all(conj(x) in codes2 for x in gens) and _conjugates_onto(g, K1, K2):
+def _bruteforce_search(K1: SubgroupPGL2, K2: SubgroupPGL2) -> Optional[tuple[int, int, int, int]]:
+    spec, gens, codes2 = K1.spec, K1.generators, set(K2.codes)
+    for g in _pgl2_codes(spec):
+        conj = _conjugator(spec, g)
+        if all(conj(x) in codes2 for x in gens) and _conjugates_onto(spec, g, K1, K2):
             return g
     return None
 
 
-def is_conjugate_bruteforce(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int) -> Optional[Moebius]:
+def is_conjugate_bruteforce(
+    H1: SubgroupPGL2, H2: SubgroupPGL2, r: int
+) -> Optional[tuple[FieldSpec, tuple[int, int, int, int]]]:
     """Independent oracle: scan every element of PGL2(F_{q^r}) for a conjugator."""
     if not _comparable(H1, H2, r):
         return None
     ext = extension_field(H1.spec, r)
     g = _bruteforce_search(subgroup_embed(H1, ext), subgroup_embed(H2, ext))
-    return _simplify_witness(g, H1.spec)
+    return _simplify_witness(ext, g, H1.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +185,7 @@ def conjugate_to_json(H1: SubgroupPGL2, H2: SubgroupPGL2, r: int, brute: bool) -
         "order1": H1.order,
         "order2": H2.order,
         "conjugate": witness is not None,
-        "witness": None if witness is None else render_moebius(witness),
-        "witness_field": None if witness is None else render_field_spec(witness.spec),
+        "witness": None if witness is None else _render_codes(*witness),
+        "witness_field": None if witness is None else render_field_spec(witness[0]),
         "method": "bruteforce" if brute else "transporter",
     }

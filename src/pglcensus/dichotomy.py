@@ -101,7 +101,7 @@ def _order_p_stabilizer(spec: FieldSpec, point: PP1) -> tuple[tuple[int, int, in
     p, q, x = spec.p, spec.q, point.code
     stab = ((ident[0], b, 0, d) for b in range(q) for d in range(1, q))
     if not point.is_infinity:
-        stab = map(_conjugator(mob_infinity_to(point)), stab)
+        stab = map(_conjugator(spec, mob_infinity_to(point)), stab)
     kept = []
     for g in stab:
         if apply(g, x) != x:

@@ -29,13 +29,13 @@ element x of the field with division by t - x.
 Conventions used throughout the package:
 
 * elements are ordered lexicographically by coefficient vector, i.e. by code,
-* a value type has one of two immutable bases.  Field elements, P^1
-  points and PGL2 maps are CodedValues: each is a spec and one int code,
-  hashed by the code, compared by code and spec, and sorted by code
-  (`by_code`).  Subgroups, curves, queries and reports are Records of named
-  fields, compared and hashed by exact type and field values.  An
-  elliptic-curve point is neither: it is the plain tuple of its coordinate
-  codes (see elliptic).  No module imports dataclasses, whose import chain
+* a value type has one of two immutable bases.  Field elements and P^1
+  points are CodedValues: each is a spec and one int code, hashed by the
+  code, compared by code and spec, and sorted by code (`by_code`).
+  Subgroups, curves, queries and reports are Records of named fields,
+  compared and hashed by exact type and field values.  A PGL2 map and an
+  elliptic-curve point are neither: each is the plain tuple of its entry
+  or coordinate codes (see moebius, elliptic), with no field of its own.  No module imports dataclasses, whose import chain
   (inspect, ast, dis, tokenize) every CLI process would pay at start-up,
 * the "auto" modulus of F_{p^n} is the lexicographically smallest monic
   irreducible polynomial of degree n over F_p,
@@ -121,11 +121,11 @@ class FieldSpec:
 
 class CodedValue:
     """An immutable value over a field, identified by its spec and one int
-    `code` that subclasses set once in __init__: field elements, points of
-    P^1 and PGL2 maps.  The hash is the code, equality compares types, then
-    codes, then specs, and within one field and type code order is the
-    canonical order (sort with `by_code`).  Each subclass defines __reduce__
-    to rebuild through its constructor, so copy and pickle never restore a
+    `code` that subclasses set once in __init__: field elements and points
+    of P^1.  The hash is the code, equality compares types, then codes,
+    then specs, and within one field and type code order is the canonical
+    order (sort with `by_code`).  Each subclass defines __reduce__ to
+    rebuild through its constructor, so copy and pickle never restore a
     slot through the __setattr__ guard."""
 
     __slots__ = ("spec", "code")

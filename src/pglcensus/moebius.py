@@ -1,25 +1,23 @@
 """The projective line over F_q and its fractional linear self-maps.
 
-An element of PGL2(F_q) is stored as a normalized 2x2 matrix: the class
-representative is scaled so that the first nonzero entry in scan order
-(a, b, c, d) equals 1, which makes equality, hashing and sorted subgroup
-listings well defined.  Maps and points are gfq.CodedValue instances.  A
-map's code is ((a*q + b)*q + c)*q + d over the entry codes, computed once at
-construction, so the closures and the mob_compose cache never hash or compare
-field elements; within one field, code order is the lexicographic order of
-the entries.  Products, inverses and normalization run on 4-tuples of entry
-codes, and the action on points and the three-point frames on point codes,
-through one kernel per field, _kernel, as the genus-1 law does; the oracle
-(dichotomy), the subgroups of stdgroups, which are entry-code tuples, the
-verify_p1fp scan (p1checks) and transporters call its members directly,
-off the mob_compose cache.
+An element of PGL2(F_q) is the 4-tuple (a, b, c, d) of the entry codes of
+its normalized matrix: the class representative scaled so that the first
+nonzero entry in scan order is 1, which makes equality, hashing and sorted
+subgroup listings well defined; within one field, tuple order is the
+lexicographic order of the entries.  A tuple carries no field, as a genus-1
+point (elliptic) carries none: the field is on the container
+(stdgroups.SubgroupPGL2) or is passed beside the codes.  Products, inverses
+and normalization run on these tuples, and the action on points and the
+three-point frames on point codes, through one kernel per field, _kernel,
+as the genus-1 law does; mob_compose memoizes its law per (field, x, y).
 
 Points of P^1 are either affine, with a single field coordinate (projective
-[x:1]), or the point at infinity [1:0].  A point's code is the code of x, or
-q for infinity, so infinity sorts last.  Fixed points of a non-identity map
-are eigen-directions of its matrix, found on codes by _code_fixed; since the
-characteristic polynomial is quadratic, extension degree r = 2 always
-suffices to capture every fixed point of the algebraic closure.
+[x:1]), or the point at infinity [1:0].  A point is a gfq.CodedValue whose
+code is the code of x, or q for infinity, so infinity sorts last.  Fixed
+points of a non-identity map are eigen-directions of its matrix, found on
+codes by _code_fixed; since the characteristic polynomial is quadratic,
+extension degree r = 2 always suffices to capture every fixed point of the
+algebraic closure.
 
 Text formats: a map is "[a,b;c,d]" where each row holds the 2n coefficients
 of its two entries; a point is "inf" or an element in coefficient form.
@@ -32,7 +30,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
-from .closure import order
 from .gfq import (
     CodedValue,
     FieldSpec,
@@ -45,9 +42,6 @@ from .gfq import (
     field_elements,
     fq_embed,
     fq_from_int,
-    fq_one,
-    fq_project,
-    fq_zero,
     parse_element,
 )
 
@@ -120,28 +114,6 @@ def parse_point_list(spec: FieldSpec, text: str) -> list[PP1]:
     return points
 
 
-class Moebius(CodedValue):
-    """Normalized representative of an element of PGL2(F_q).  Its code is the
-    entry codes read as the base-q number abcd."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, spec: FieldSpec, a: FqElem, b: FqElem, c: FqElem, d: FqElem):
-        q = spec.q
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "code", ((a.code * q + b.code) * q + c.code) * q + d.code)
-
-    def __reduce__(self):
-        return Moebius, (self.spec, self.a, self.b, self.c, self.d)
-
-    def __repr__(self) -> str:
-        return f"Moebius({render_moebius(self)})"
-
-
 @lru_cache(maxsize=None)
 def _kernel(spec: FieldSpec) -> SimpleNamespace:
     """PGL2(F_q) on entry and point codes, bound once per field as
@@ -151,6 +123,7 @@ def _kernel(spec: FieldSpec) -> SimpleNamespace:
       entry codes (a, b, c, d); identity: (one, 0, 0, one), one = q // p;
     * normalize(a, b, c, d): [[a,b],[c,d]] scaled by 1/(a or b), as a
       nonsingular matrix has a nonzero first row; refuses singular ones;
+    * inverse(g): the normalized adjugate [[d,-b],[-c,a]] of the map g;
     * neg[c]: the code of -c;
     * apply(g, x): the image of the point code x (infinity is q) under g;
     * frame(x1, x2, x3): the entry codes, not normalized, of the map sending
@@ -208,6 +181,10 @@ def _kernel(spec: FieldSpec) -> SimpleNamespace:
             raise ValueError("singular matrix does not define a Moebius map")
         return law((a, b, c, d), identity)
 
+    def inverse(g):
+        a, b, c, d = g
+        return law((d, neg[b], neg[c], a), identity)
+
     def apply(g, x):
         a, b, c, d = g
         a, b, c, d = lg[a], lg[b], lg[c], lg[d]
@@ -247,7 +224,14 @@ def _kernel(spec: FieldSpec) -> SimpleNamespace:
         return exp[log[x] - log[c]] if x else 0, exp[log[neg[b]] - log[c]] if b else 0
 
     return SimpleNamespace(
-        law=law, normalize=normalize, identity=identity, apply=apply, frame=frame, neg=neg, quadratic=quadratic
+        law=law,
+        normalize=normalize,
+        identity=identity,
+        inverse=inverse,
+        apply=apply,
+        frame=frame,
+        neg=neg,
+        quadratic=quadratic,
     )
 
 
@@ -305,120 +289,42 @@ def _triple_map(spec: FieldSpec, source: tuple[int, int, int, int], dst: tuple[i
     return K.law((d, K.neg[b], K.neg[c], a), source)
 
 
-def _entry_codes(m: Moebius) -> tuple[int, int, int, int]:
-    return m.a.code, m.b.code, m.c.code, m.d.code
-
-
 def _point(spec: FieldSpec, x: int) -> PP1:
     """The point with code x: infinity for x = q."""
     return PP1(spec, None if x == spec.q else spec._tables.elems[x])
 
 
-def _from_codes(spec: FieldSpec, codes: tuple[int, int, int, int]) -> Moebius:
-    elems = spec._tables.elems
-    a, b, c, d = codes
-    return Moebius(spec, elems[a], elems[b], elems[c], elems[d])
-
-
-def _normalized(spec: FieldSpec, a: int, b: int, c: int, d: int) -> Moebius:
-    """The PGL2 class of [[a,b],[c,d]] on entry codes; rejects singular ones."""
-    return _from_codes(spec, _kernel(spec).normalize(a, b, c, d))
-
-
-def mob_make(a: FqElem, b: FqElem, c: FqElem, d: FqElem) -> Moebius:
-    """Build the PGL2 class of [[a,b],[c,d]]; rejects singular matrices."""
-    spec = a.spec
-    for entry in (b, c, d):
-        if entry.spec is not spec:
-            raise ValueError("matrix entries live in different fields")
-    return _normalized(spec, a.code, b.code, c.code, d.code)
-
-
-@lru_cache(maxsize=None)
-def mob_identity(spec: FieldSpec) -> Moebius:
-    one, zero = fq_one(spec), fq_zero(spec)
-    return Moebius(spec, one, zero, zero, one)
-
-
-def mob_is_identity(m: Moebius) -> bool:
-    return m == mob_identity(m.spec)
-
-
-def mob_embed(m: Moebius, target: FieldSpec) -> Moebius:
-    return mob_make(*(fq_embed(e, target) for e in (m.a, m.b, m.c, m.d)))
-
-
-def mob_project(m: Moebius, target: FieldSpec) -> Optional[Moebius]:
-    """Pull the map back to a subfield when every entry is rational there."""
-    entries = [fq_project(e, target) for e in (m.a, m.b, m.c, m.d)]
-    if any(e is None for e in entries):
-        return None
-    return mob_make(*entries)
-
-
-def mob_apply(m: Moebius, P: PP1) -> PP1:
-    """Matrix action on projective coordinates.  The map and the point must
-    live in one field (embed either with mob_embed or pp1_embed first), else
-    ValueError: fields are never enlarged silently."""
-    spec = m.spec
-    if spec is not P.spec:
-        raise ValueError(f"field mismatch: map over {spec!r}, point over {P.spec!r}")
-    return _point(spec, _kernel(spec).apply(_entry_codes(m), P.code))
-
-
 @lru_cache(maxsize=1 << 18)
-def mob_compose(m1: Moebius, m2: Moebius) -> Moebius:
-    """Composition m1 after m2 (matrix product M1*M2).  Only conjugacy,
-    mob_order and mob_conjugate call it; the searches on entry codes call
-    the kernel's law.  It stays memoized, as perfbench's trace reads its
-    cache_info."""
-    spec = m1.spec
-    if m2.spec is not spec:
-        raise ValueError("cannot compose maps over different fields")
-    return _from_codes(spec, _kernel(spec).law(_entry_codes(m1), _entry_codes(m2)))
+def mob_compose(spec: FieldSpec, x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The map x after y (matrix product XY) over spec, memoized.  Only
+    conjugacy calls it; the searches call the kernel's law.  It stays
+    memoized, as perfbench's trace reads its cache_info."""
+    return _kernel(spec).law(x, y)
 
 
-def mob_inverse(m: Moebius) -> Moebius:
-    """The adjugate [[d,-b],[-c,a]], on entry codes."""
-    neg = _kernel(m.spec).neg
-    return _normalized(m.spec, m.d.code, neg[m.b.code], neg[m.c.code], m.a.code)
-
-
-def mob_infinity_to(P: PP1) -> Moebius:
-    """A fixed choice of map sending infinity to P: x -> P + 1/x, or the
-    identity when P = inf."""
-    spec = P.spec
+def mob_infinity_to(P: PP1) -> tuple[int, int, int, int]:
+    """A fixed choice of map over P's field sending infinity to P:
+    x -> P + 1/x, or the identity when P = inf."""
+    K, one = _kernel(P.spec), P.spec.q // P.spec.p
     if P.is_infinity:
-        return mob_identity(spec)
-    return mob_make(P.x, fq_one(spec), fq_one(spec), fq_zero(spec))
+        return K.identity
+    return K.normalize(P.code, one, one, 0)
 
 
-def mob_conjugate(g: Moebius, m: Moebius) -> Moebius:
-    """g m g^{-1}."""
-    return mob_compose(mob_compose(g, m), mob_inverse(g))
-
-
-def mob_order(m: Moebius) -> int:
-    """Order in PGL2(F_q); always at most q^3 - q."""
-    k = order(m, mob_compose, mob_identity(m.spec), m.spec.q ** 3 - m.spec.q)
-    if k is None:
-        raise AssertionError("order exceeded |PGL2|, matrix arithmetic is broken")
-    return k
-
-
-def mob_fixed_points(m: Moebius, r: int) -> list[PP1]:
-    """Fixed points of a non-identity map in P^1(F_{q^r}), canonically sorted:
-    the kernel _code_fixed on the map's entry codes, in closed form, not by
-    scanning F_{q^r}, and a point built for each code it returns.  Taking
-    r >= 2 captures every fixed point of the algebraic closure; the result
-    then has exactly one or two points.  Either all of them lie in F_q, or
-    they are a Frobenius-conjugate pair outside it: so at r = 1 the result is
-    empty exactly when the fixed-point quadratic has no root in F_q.
+def mob_fixed_points(spec: FieldSpec, g: tuple[int, int, int, int], r: int) -> list[PP1]:
+    """Fixed points in P^1(F_{q^r}) of the non-identity map of PGL2(F_q)
+    with entry codes g, canonically sorted: the kernel _code_fixed, in
+    closed form, not by scanning F_{q^r}, and a point built for each code it
+    returns.  Taking r >= 2 captures every fixed point of the algebraic
+    closure; the result then has exactly one or two points.  Either all of
+    them lie in F_q, or they are a Frobenius-conjugate pair outside it: so at
+    r = 1 the result is empty exactly when the fixed-point quadratic has no
+    root in F_q.
     """
-    if mob_is_identity(m):
+    if g == _kernel(spec).identity:
         raise ValueError("the identity fixes every point of P^1")
-    ext = extension_field(m.spec, r)
-    return [_point(ext, x) for x in _code_fixed(m.spec, r)(_entry_codes(m))]
+    ext = extension_field(spec, r)
+    return [_point(ext, x) for x in _code_fixed(spec, r)(g)]
 
 
 def _distinct_codes(points: Sequence[PP1], spec: FieldSpec, role: str) -> tuple[int, ...]:
@@ -431,20 +337,24 @@ def _distinct_codes(points: Sequence[PP1], spec: FieldSpec, role: str) -> tuple[
     return codes
 
 
-def mob_from_three_points(src: Sequence[PP1], dst: Sequence[PP1]) -> Moebius:
-    """The unique Moebius map sending the ordered triple src to dst."""
+def mob_from_three_points(src: Sequence[PP1], dst: Sequence[PP1]) -> tuple[int, int, int, int]:
+    """The entry codes of the unique map sending the ordered triple src to
+    dst, over their field."""
     if len(src) != 3 or len(dst) != 3:
         raise ValueError("need exactly three source and three destination points")
     spec = src[0].spec
     source = _kernel(spec).frame(*_distinct_codes(src, spec, "source"))
-    return _from_codes(spec, _triple_map(spec, source, _distinct_codes(dst, spec, "destination")))
+    return _triple_map(spec, source, _distinct_codes(dst, spec, "destination"))
 
 
-def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[tuple[int, int, int, int]] = ()) -> Iterator[Moebius]:
-    """One map g with g(L0) = S per coset g.Fix(L0).H, where Fix(L0) is the
-    pointwise stabilizer of L0 and H, by default trivial, is a group, given
-    by the entry codes of its maps over the points' field, that stabilizes
-    L0 setwise (distinct points of one field, none if |L0| != |S|).
+def transporters(
+    L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[tuple[int, int, int, int]] = ()
+) -> Iterator[tuple[int, int, int, int]]:
+    """The entry codes, over the points' field, of one map g with g(L0) = S
+    per coset g.Fix(L0).H, where Fix(L0) is the pointwise stabilizer of L0
+    and H, by default trivial, is a group, given by the entry codes of its
+    maps over the points' field, that stabilizes L0 setwise (distinct points
+    of one field, none if |L0| != |S|).
     |L0| >= 3: Fix(L0) = 1; per ordered triple of S, in permutations order,
     the map sending L0[:3] onto it, if it sends the rest of L0 into S and is
     not g.h for an earlier g: since (g.h)(L0[j]) = g(L0[i]) with
@@ -469,7 +379,7 @@ def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[tuple[int, int
         source = frame(*src, next(x for x in range(spec.q + 1) if x not in src))
         third = next(x for x in range(spec.q + 1) if x not in dst)
         for first, second in ((dst[0], dst[1]), (dst[1], dst[0])):
-            yield _from_codes(spec, _triple_map(spec, source, (first, second, third)))
+            yield _triple_map(spec, source, (first, second, third))
         return
     where = {x: i for i, x in enumerate(src)}
     try:
@@ -490,7 +400,7 @@ def transporters(L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[tuple[int, int
             if image[-1] not in targets:
                 break
         else:
-            yield _from_codes(spec, g)
+            yield g
             covered.update((image[i], image[j], image[k]) for i, j, k in perms)
 
 
@@ -511,23 +421,14 @@ def _pgl2_codes(spec: FieldSpec) -> Iterator[tuple[int, int, int, int]]:
                     yield one, b, c, d
 
 
-def pgl2_elements(spec: FieldSpec) -> Iterator[Moebius]:
-    """All q^3 - q elements of PGL2(F_q) as normalized matrices, in canonical
-    (lexicographic entry) order."""
-    return (_from_codes(spec, g) for g in _pgl2_codes(spec))
-
-
-def render_moebius(m: Moebius) -> str:
-    return _render_codes(m.spec, _entry_codes(m))
-
-
 def _render_codes(spec: FieldSpec, codes: tuple[int, int, int, int]) -> str:
-    """render_moebius of the map with these entry codes, with no map built."""
+    """The text "[a,b;c,d]" of the map with these entry codes."""
     a, b, c, d = (_render_code(spec, x) for x in codes)
     return f"[{a},{b};{c},{d}]"
 
 
-def parse_moebius(spec: FieldSpec, text: str) -> Moebius:
+def parse_moebius(spec: FieldSpec, text: str) -> tuple[int, int, int, int]:
+    """The normalized entry codes of the map written "[a,b;c,d]"."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"Moebius map must look like [a,b;c,d], got {text!r}")
@@ -542,6 +443,6 @@ def parse_moebius(spec: FieldSpec, text: str) -> Moebius:
             raise ValueError(f"Moebius map must look like [a,b;c,d], with integer coefficients, got {text!r}") from None
         if len(parts) != 2 * spec.n:
             raise ValueError(f"row {row!r} does not hold two elements of F_{spec.p}^{spec.n}")
-        entries.append(parse_element(spec, ",".join(str(x) for x in parts[: spec.n])))
-        entries.append(parse_element(spec, ",".join(str(x) for x in parts[spec.n :])))
-    return mob_make(*entries)
+        entries.append(parse_element(spec, ",".join(str(x) for x in parts[: spec.n])).code)
+        entries.append(parse_element(spec, ",".join(str(x) for x in parts[spec.n :])).code)
+    return _kernel(spec).normalize(*entries)

@@ -8,10 +8,10 @@ products of an additive subgroup with a group of roots of unity).  The
 char-2 dihedral groups and the char-3 A5 come from the same constructors as
 their p-regular counterparts.  A group is stored as the sorted tuple of its
 elements' entry codes (moebius._kernel), which is their canonical map
-order, so equality of subgroups is tuple equality, and every check below
-runs on those codes, and so does rendering a subgroup's generators.  Maps
-are built only by the conjugacy search (conjugacy.py), whose witnesses are
-maps.
+order, so equality of subgroups is tuple equality.  A map is its entry
+codes everywhere, generators and conjugators included, with the field on
+the subgroup or passed beside them; every check below runs on those codes,
+and so does rendering a subgroup's generators.
 
 Isomorphism types are discriminated by a cheap fingerprint (order,
 element-order multiset, abelian flag) rather than abstract isomorphism
@@ -38,27 +38,13 @@ from .gfq import (
     fq_from_coeffs,
     fq_inv,
     fq_one,
-    fq_zero,
     parse_field_spec,
     primitive_root_of_unity,
     render_field_spec,
     roots_of_unity,
     subfield_elements,
 )
-from .moebius import (
-    Moebius,
-    PP1,
-    _code_fixed,
-    _entry_codes,
-    _kernel,
-    _point,
-    _render_codes,
-    mob_inverse,
-    mob_is_identity,
-    mob_make,
-    parse_moebius,
-    render_point,
-)
+from .moebius import PP1, _code_fixed, _kernel, _point, _render_codes, parse_moebius, render_point
 
 if TYPE_CHECKING:
     from .census import AdditiveSubgroup
@@ -98,19 +84,28 @@ class Fingerprint(Record):
     p_regular: bool
 
 
-def close_generators(gens: Sequence[Moebius], cap: Optional[int] = None, tag: str = "unclassified") -> SubgroupPGL2:
-    """Breadth-first closure of a generator list under composition, on entry
-    codes through the field's code law."""
+def _check_map(spec: FieldSpec, g, role: str) -> None:
+    """Refuse g unless it is the entry codes of a normalized map of
+    PGL2(F_q): a code tuple carries no field, so it is checked against the
+    one it is given with."""
+    codes = type(g) is tuple and len(g) == 4 and all(type(x) is int and 0 <= x < spec.q for x in g)
+    if not codes or _kernel(spec).normalize(*g) != g:
+        raise ValueError(f"{role} {g!r} is not a normalized map over F_{spec.p}^{spec.n}")
+
+
+def close_generators(
+    spec: FieldSpec, gens: Sequence[tuple[int, int, int, int]], cap: Optional[int] = None, tag: str = "unclassified"
+) -> SubgroupPGL2:
+    """Breadth-first closure of a list of maps of PGL2(F_q), given by their
+    entry codes, under the field's code law."""
     if not gens:
         raise ValueError("need at least one generator")
-    spec = gens[0].spec
     for g in gens:
-        if g.spec is not spec:
-            raise ValueError("generators live in different fields")
+        _check_map(spec, g, "generator")
     if cap is None:
         cap = spec.q ** 3 - spec.q
     K = _kernel(spec)
-    seen = close([_entry_codes(g) for g in gens], K.law, {K.identity}, cap)
+    seen = close(gens, K.law, {K.identity}, cap)
     if seen is None:
         raise ValueError(f"closure exceeded cap {cap}")
     return SubgroupPGL2(spec, tuple(sorted(seen)), tag)
@@ -138,39 +133,40 @@ def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL
     return SubgroupPGL2(target, tuple(codes), H.tag)
 
 
-def _conjugator(g: Moebius):
+def _conjugator(spec: FieldSpec, g: tuple[int, int, int, int]):
     """x -> g x g^{-1} on entry codes through the field's code law, with
     g^{-1} computed once."""
-    law = _kernel(g.spec).law
-    y, y_inv = _entry_codes(g), _entry_codes(mob_inverse(g))
-    return lambda x: law(law(y, x), y_inv)
+    K = _kernel(spec)
+    law, g_inv = K.law, K.inverse(g)
+    return lambda x: law(law(g, x), g_inv)
 
 
-def conjugate_subgroup(H: SubgroupPGL2, g: Moebius) -> SubgroupPGL2:
-    """g H g^{-1}, on entry codes (_conjugator)."""
-    if g.spec is not H.spec:
-        raise ValueError("conjugator must live in the subgroup's field")
-    if mob_is_identity(g):
+def conjugate_subgroup(H: SubgroupPGL2, g: tuple[int, int, int, int]) -> SubgroupPGL2:
+    """g H g^{-1} for the map of H's field with entry codes g (_conjugator)."""
+    _check_map(H.spec, g, "conjugator")
+    if g == _kernel(H.spec).identity:
         return H
-    return SubgroupPGL2(H.spec, tuple(sorted(map(_conjugator(g), H.codes))), H.tag)
+    return SubgroupPGL2(H.spec, tuple(sorted(map(_conjugator(H.spec, g), H.codes))), H.tag)
 
 
 # ---------------------------------------------------------------------------
 # standard models
 
 
-def _diag(spec: FieldSpec, u: FqElem) -> Moebius:
-    return mob_make(u, fq_zero(spec), fq_zero(spec), fq_one(spec))
+def _diag(spec: FieldSpec, u: int) -> tuple[int, int, int, int]:
+    """x -> ux for the nonzero code u."""
+    return _kernel(spec).normalize(u, 0, 0, spec.q // spec.p)
 
 
-def _swap(spec: FieldSpec) -> Moebius:
-    return mob_make(fq_zero(spec), fq_one(spec), fq_one(spec), fq_zero(spec))
+def _swap(spec: FieldSpec) -> tuple[int, int, int, int]:
+    one = spec.q // spec.p
+    return 0, one, one, 0
 
 
-def _closed_model(gens: Sequence[Moebius], tag: str, order: int) -> SubgroupPGL2:
+def _closed_model(spec: FieldSpec, gens: Sequence[tuple[int, int, int, int]], tag: str, order: int) -> SubgroupPGL2:
     """The closure of a standard model's generators, which must have the
     order the model's docstring states."""
-    H = close_generators(gens, tag=tag)
+    H = close_generators(spec, gens, tag=tag)
     if H.order != order:
         raise AssertionError(f"{tag} closure has order {H.order}, expected {order}")
     return H
@@ -197,15 +193,16 @@ def std_dihedral(spec: FieldSpec, n: int) -> SubgroupPGL2:
         raise ValueError(f"characteristic {spec.p} divides {n}")
     if spec.p == 2 and n <= 1:
         raise ValueError(f"n must be greater than one in characteristic 2, got {n}")
-    return _closed_model([_diag(spec, primitive_root_of_unity(spec, n)), _swap(spec)], f"dihedral:{n}", 2 * n)
+    gens = [_diag(spec, primitive_root_of_unity(spec, n).code), _swap(spec)]
+    return _closed_model(spec, gens, f"dihedral:{n}", 2 * n)
 
 
-def _a4_generators(spec: FieldSpec) -> list[Moebius]:
+def _a4_generators(spec: FieldSpec) -> list[tuple[int, int, int, int]]:
     """The Klein group {x, -x, 1/x, -1/x} and (x + z4)/(x - z4), z4 a
     primitive fourth root of unity: generators of the tetrahedral group."""
-    z4 = primitive_root_of_unity(spec, 4)
-    one, zero = fq_one(spec), fq_zero(spec)
-    return [mob_make(zero, -one, one, zero), _swap(spec), mob_make(one, z4, one, -z4)]
+    z4 = primitive_root_of_unity(spec, 4).code
+    K, one = _kernel(spec), spec.q // spec.p
+    return [K.normalize(0, K.neg[one], one, 0), _swap(spec), K.normalize(one, z4, one, K.neg[z4])]
 
 
 def std_A4(spec: FieldSpec) -> SubgroupPGL2:
@@ -213,7 +210,7 @@ def std_A4(spec: FieldSpec) -> SubgroupPGL2:
     (x + z4)/(x - z4) with z4 a primitive fourth root of unity.  Order 12."""
     if spec.p in (2, 3):
         raise ValueError(f"A4 model excluded in characteristic {spec.p}")
-    return _closed_model(_a4_generators(spec), "A4", 12)
+    return _closed_model(spec, _a4_generators(spec), "A4", 12)
 
 
 def std_S4(spec: FieldSpec) -> SubgroupPGL2:
@@ -221,8 +218,8 @@ def std_S4(spec: FieldSpec) -> SubgroupPGL2:
     Order 24."""
     if spec.p in (2, 3):
         raise ValueError(f"S4 model excluded in characteristic {spec.p}")
-    z4 = primitive_root_of_unity(spec, 4)
-    return _closed_model(_a4_generators(spec) + [_diag(spec, z4)], "S4", 24)
+    z4 = primitive_root_of_unity(spec, 4).code
+    return _closed_model(spec, _a4_generators(spec) + [_diag(spec, z4)], "S4", 24)
 
 
 def std_A5(spec: FieldSpec) -> SubgroupPGL2:
@@ -233,10 +230,10 @@ def std_A5(spec: FieldSpec) -> SubgroupPGL2:
     if spec.p in (2, 5):
         raise ValueError(f"A5 model excluded in characteristic {spec.p}")
     z5 = primitive_root_of_unity(spec, 5)
-    one = fq_one(spec)
+    K, one = _kernel(spec), spec.q // spec.p
     # 1 - z5 - z5^{-1}
-    b = fq_one(spec) - z5 - fq_inv(z5)
-    return _closed_model([_diag(spec, z5), mob_make(one, b, one, -one)], "A5", 60)
+    b = (fq_one(spec) - z5 - fq_inv(z5)).code
+    return _closed_model(spec, [_diag(spec, z5.code), K.normalize(one, b, one, K.neg[one])], "A5", 60)
 
 
 def _subfield_fp_basis(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
@@ -244,14 +241,14 @@ def _subfield_fp_basis(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
     return [fq_from_coeffs(spec, v) for v in fp_echelon(vecs, spec.p)]
 
 
-def _transvections(spec: FieldSpec, sub_degree: int) -> list[Moebius]:
+def _transvections(spec: FieldSpec, sub_degree: int) -> list[tuple[int, int, int, int]]:
     """The elementary transvections over an F_p-basis of F_{p^d}, which
     generate PSL2 of that subfield."""
-    one, zero = fq_one(spec), fq_zero(spec)
+    one = spec.q // spec.p
     gens = []
     for g in _subfield_fp_basis(spec, sub_degree):
-        gens.append(mob_make(one, g, zero, one))
-        gens.append(mob_make(one, zero, g, one))
+        gens.append((one, g.code, 0, one))
+        gens.append((one, 0, g.code, one))
     return gens
 
 
@@ -260,7 +257,7 @@ def std_PSL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     over an F_p-basis of the subfield.  Order (q0^3 - q0)/gcd(2, q0 - 1)."""
     gens = _transvections(spec, sub_degree)  # refuses d not dividing n before p^d is raised
     q0 = spec.p ** sub_degree
-    return _closed_model(gens, f"PSL2:{sub_degree}", (q0 ** 3 - q0) // math.gcd(2, q0 - 1))
+    return _closed_model(spec, gens, f"PSL2:{sub_degree}", (q0 ** 3 - q0) // math.gcd(2, q0 - 1))
 
 
 def std_PGL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
@@ -268,8 +265,8 @@ def std_PGL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     for delta a multiplicative generator of the subfield.  Order q0^3 - q0."""
     gens = _transvections(spec, sub_degree)  # refuses d not dividing n before p^d is raised
     q0 = spec.p ** sub_degree
-    gens.append(_diag(spec, primitive_root_of_unity(spec, q0 - 1)))
-    return _closed_model(gens, f"PGL2:{sub_degree}", q0 ** 3 - q0)
+    gens.append(_diag(spec, primitive_root_of_unity(spec, q0 - 1).code))
+    return _closed_model(spec, gens, f"PGL2:{sub_degree}", q0 ** 3 - q0)
 
 
 def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
@@ -347,12 +344,13 @@ def _code_locus(codes: Iterable[tuple], identity, fixed, complete: bool = False)
 
 def stabilized_locus(H: SubgroupPGL2, r: int, complete: bool = False) -> Optional[tuple[PP1, ...]]:
     """Points of P^1(F_{q^r}) with non-trivial stabilizer: the union of the
-    fixed-point sets of the non-identity elements (_code_locus, points built
-    only for the result).  r >= 2 guarantees that every stabilized point of
-    the algebraic closure is captured.  With complete=True the result is
-    None unless it is the whole locus over the algebraic closure: an
-    element's fixed points lie in F_{q^r} all or none (mob_fixed_points), so
-    that is when no element's set is empty."""
+    fixed-point sets of the non-identity elements, found on their entry
+    codes by _code_fixed (_code_locus), with points built only for the
+    result.  r >= 2 guarantees that every stabilized point of the algebraic
+    closure is captured.  With complete=True the result is None unless it is
+    the whole locus over the algebraic closure: an element's fixed points
+    lie in F_{q^r} all or none (mob_fixed_points), so that is when no
+    element's set is empty."""
     codes = _code_locus(H.codes, _kernel(H.spec).identity, _code_fixed(H.spec, r), complete)
     if codes is None:
         return None
@@ -411,7 +409,7 @@ def subgroup_to_json(H: SubgroupPGL2, locus_ext: int = 2, locus: Optional[Sequen
 def subgroup_from_json(data: dict) -> SubgroupPGL2:
     spec = parse_field_spec(data["field"])
     gens = [parse_moebius(spec, g) for g in data["generators"]]
-    H = close_generators(gens, tag=data["tag"])
+    H = close_generators(spec, gens, tag=data["tag"])
     if H.order != data["order"]:
         raise ValueError(f"generator closure has order {H.order}, record says {data['order']}")
     return H

@@ -46,20 +46,14 @@ from pglcensus.gfq import (
     parse_field_spec,
 )
 from pglcensus.moebius import (
-    _entry_codes,
-    _from_codes,
     _kernel,
-    mob_apply,
+    _pgl2_codes,
+    _render_codes,
     mob_compose,
-    mob_identity,
-    mob_make,
-    mob_order,
     parse_point_list,
-    pgl2_elements,
     pp1_affine,
     pp1_embed,
     pp1_infinity,
-    render_moebius,
     render_point,
 )
 from pglcensus.stdgroups import (
@@ -84,9 +78,10 @@ F8 = field_make(2, 3)
 F9 = field_make(3, 2)
 
 
-def maps(H):
-    """H's members as maps, in code order."""
-    return [_from_codes(H.spec, x) for x in H.codes]
+def map_order(spec, g):
+    """The order of the map with entry codes g in PGL2(F_q), by its powers
+    through mob_compose."""
+    return closure.order(g, functools.partial(mob_compose, spec), _kernel(spec).identity, spec.q ** 3 - spec.q)
 
 
 class TestAdditiveSubgroups:
@@ -214,7 +209,7 @@ class TestScaling:
             for alpha in field_elements(F9):
                 if alpha.is_zero():
                     continue
-                diag = mob_make(alpha, fq_zero(F9), fq_zero(F9), fq_one(F9))
+                diag = _kernel(F9).normalize(alpha.code, 0, 0, fq_one(F9).code)
                 left = gamma_to_unipotent(scale_subgroup(G, alpha))
                 right = conjugate_subgroup(gamma_to_unipotent(G), diag)
                 assert left.codes == right.codes
@@ -346,7 +341,7 @@ class TestEnumActions:
         monkeypatch.undo()
         K = _kernel(F7)
         assert [m["generators"] for m in data["matches"]] == [
-            [render_moebius(_from_codes(H.spec, g)) for g in _code_generators(H.codes, K.law, K.identity)]
+            [_render_codes(H.spec, g) for g in _code_generators(H.codes, K.law, K.identity)]
             for H in report.matches
         ]
 
@@ -389,7 +384,7 @@ class TestEnumActions:
         for x in _all_points(spec):
             rep_x = enum_actions(CensusQuery(spec, f"Zp^{m}", (x,), r=1))
             census_at[render_point(x)] = {M.codes for M in rep_x.matches}
-        for g in pgl2_elements(spec):
+        for g in _pgl2_codes(spec):
             for H in rep.matches:
                 K = conjugate_subgroup(H, g)
                 moved = stabilized_locus(K, 1)
@@ -459,7 +454,6 @@ class TestEnumActions:
         # independent completeness oracle: every order-6 nonabelian subgroup
         # is generated by an order-3 and an order-2 element, so scanning all
         # such pairs sees every candidate
-        from pglcensus.moebius import mob_order
         from pglcensus.stdgroups import std_gamma_semidirect
 
         gamma = additive_subgroup(F9, [fq_one(F9)])
@@ -468,14 +462,14 @@ class TestEnumActions:
         target_fp = fingerprint(model)
         target_locus = stabilized_locus(model, 2)
 
-        order2 = [g for g in pgl2_elements(F9) if mob_order(g) == 2]
-        order3 = [g for g in pgl2_elements(F9) if mob_order(g) == 3]
+        order2 = [g for g in _pgl2_codes(F9) if map_order(F9, g) == 2]
+        order3 = [g for g in _pgl2_codes(F9) if map_order(F9, g) == 3]
         seen = set()
         found = set()
         for a in order3:
             for b in order2:
                 try:
-                    H = close_generators([a, b], cap=6)
+                    H = close_generators(F9, [a, b], cap=6)
                 except ValueError:
                     continue  # pair generates something larger
                 if H.order != 6 or H.codes in seen:
@@ -493,17 +487,16 @@ class TestEnumActions:
     def test_klein_census_matches_commuting_involution_oracle(self):
         # independent oracle for the >= 3 point transporter path: enumerate
         # Klein four-groups directly from commuting involutions
-        from pglcensus.moebius import mob_compose, mob_identity, mob_order
         from pglcensus.stdgroups import std_dihedral
 
-        involutions = [g for g in pgl2_elements(F5) if mob_order(g) == 2]
+        involutions = [g for g in _pgl2_codes(F5) if map_order(F5, g) == 2]
         kleins = {}
         for i, a in enumerate(involutions):
             for b in involutions[i + 1 :]:
-                if mob_compose(a, b) != mob_compose(b, a):
+                if mob_compose(F5, a, b) != mob_compose(F5, b, a):
                     continue
-                members = [mob_identity(F5), a, b, mob_compose(a, b)]
-                H = SubgroupPGL2(F5, tuple(sorted(map(_entry_codes, members))), "dihedral:2")
+                members = [_kernel(F5).identity, a, b, mob_compose(F5, a, b)]
+                H = SubgroupPGL2(F5, tuple(sorted(members)), "dihedral:2")
                 kleins[H.codes] = H
         by_locus = {}
         for H in kleins.values():
@@ -543,7 +536,7 @@ class TestBasisCertificate:
 
     @staticmethod
     def codes(*maps):
-        return [_entry_codes(moebius.parse_moebius(F9, g)) for g in maps]
+        return [moebius.parse_moebius(F9, g) for g in maps]
 
     def span(self, *maps):
         """The members of the group that the maps generate."""
@@ -651,7 +644,7 @@ class TestOracle:
         # the stabilizer scan checks that each conjugate fixes the point: a
         # conjugator that does not take infinity there fails it
         point = pp1_affine(fq_from_int(F5, 2))
-        monkeypatch.setattr(dichotomy, "mob_infinity_to", lambda P: mob_identity(P.spec))
+        monkeypatch.setattr(dichotomy, "mob_infinity_to", lambda P: _kernel(P.spec).identity)
         dichotomy._order_p_stabilizer.cache_clear()
         with pytest.raises(AssertionError, match=r"\[1,0;0,2\] does not fix 2"):
             dichotomy._order_p_stabilizer(F5, point)
@@ -697,13 +690,14 @@ class TestOracle:
         point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(field_elements(spec)[-1])
         dichotomy._oracle_growth.cache_clear()
         for m in (3, 1, 2, 3):
-            found = {frozenset(maps(H)) for H in oracle_enum_elem_abelian(spec, m, point)}
+            found = {frozenset(H.codes) for H in oracle_enum_elem_abelian(spec, m, point)}
             assert found == reference_oracle(spec, m, point)
             assert len(found) == gaussian_binomial(n, m, p)
 
 
 # The oracle as it was before it scanned only the point stabilizer: all of
-# PGL2(F_q), the fixed-point test by mob_apply and the order by mob_order,
+# PGL2(F_q), the fixed-point test by the kernel's apply and the order by
+# powers through mob_compose (map_order),
 # and subgroups grown by closing all of H plus one element.  It is the
 # reference the stabilizer scan must reproduce element for element.
 
@@ -729,16 +723,16 @@ def _reference_subgroups_of_order(elements, op, identity, order):
 
 @functools.lru_cache(maxsize=None)
 def _reference_order_p(spec, point):
-    ident = mob_identity(spec)
-    return [g for g in pgl2_elements(spec) if g != ident and mob_apply(g, point) == point and mob_order(g) == spec.p]
+    ident, apply, x = _kernel(spec).identity, _kernel(spec).apply, point.code
+    return [g for g in _pgl2_codes(spec) if g != ident and apply(g, x) == x and map_order(spec, g) == spec.p]
 
 
 def reference_oracle(spec, m, point):
-    ident = mob_identity(spec)
+    ident, compose = _kernel(spec).identity, functools.partial(mob_compose, spec)
     return {
         H
-        for H in _reference_subgroups_of_order(_reference_order_p(spec, point), mob_compose, ident, spec.p ** m)
-        if all(mob_order(g) == spec.p for g in H if g != ident)
+        for H in _reference_subgroups_of_order(_reference_order_p(spec, point), compose, ident, spec.p ** m)
+        if all(map_order(spec, g) == spec.p for g in H if g != ident)
     }
 
 
@@ -751,7 +745,7 @@ def test_oracle_matches_full_pgl2_scan(p, n, point_kind):
     spec = field_make(p, n)
     point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(field_elements(spec)[-1])
     for m in range(1, n + 1):
-        found = {frozenset(maps(H)) for H in oracle_enum_elem_abelian(spec, m, point)}
+        found = {frozenset(H.codes) for H in oracle_enum_elem_abelian(spec, m, point)}
         assert found == reference_oracle(spec, m, point)
         assert len(found) == gaussian_binomial(n, m, p)
 
@@ -768,21 +762,21 @@ def all_subgroups(spec):
     # subgroup arises by adjoining its generators one at a time, from whatever
     # representation its prefix subgroups were stored with.  <H, g> = <H, gh>
     # for every h in H, so one representative per coset gH is adjoined
-    ident = mob_make(fq_one(spec), fq_zero(spec), fq_zero(spec), fq_one(spec))
-    elements = list(pgl2_elements(spec))
-    trivial = close_generators([ident])
+    ident = _kernel(spec).normalize(fq_one(spec).code, 0, 0, fq_one(spec).code)
+    elements = list(_pgl2_codes(spec))
+    trivial = close_generators(spec, [ident])
     layer = {trivial.codes: (trivial, [])}
     everything = {trivial.codes: trivial}
     while layer:
         next_layer = {}
         for H, gens in layer.values():
-            members = maps(H)
+            members = H.codes
             covered = set(members)
             for g in elements:
                 if g in covered:
                     continue
-                covered.update(mob_compose(g, h) for h in members)
-                grown = close_generators(gens + [g])
+                covered.update(mob_compose(spec, g, h) for h in members)
+                grown = close_generators(spec, gens + [g])
                 if grown.codes not in everything:
                     everything[grown.codes] = grown
                     next_layer[grown.codes] = (grown, gens + [g])
@@ -866,14 +860,15 @@ class TestCensusCompleteness:
 
 
 def reference_fingerprint(H):
-    # fingerprint as it was before it ran on entry codes: orders by mob_order
-    # and the commutation test by mob_compose pairs
-    members = maps(H)
-    counts = collections.Counter(mob_order(m) for m in members)
+    # fingerprint as it was before it ran on the kernel's law: orders by
+    # powers through mob_compose (map_order) and the commutation test by
+    # mob_compose pairs over all members, not a generating set
+    spec, members = H.spec, H.codes
+    counts = collections.Counter(map_order(spec, m) for m in members)
     return Fingerprint(
         order=H.order,
         element_orders=tuple(sorted(counts.items())),
-        abelian=all(mob_compose(a, b) == mob_compose(b, a) for a, b in itertools.combinations(members, 2)),
+        abelian=all(mob_compose(spec, a, b) == mob_compose(spec, b, a) for a, b in itertools.combinations(members, 2)),
         p_regular=H.order % H.spec.p != 0,
     )
 
@@ -886,17 +881,18 @@ def test_fingerprint_matches_reference(subgroups_f3, subgroups_f4, subgroups_f5)
 def reference_generating_set(H):
     # the generating set as it was before it closed on entry codes: the same
     # greedy choice in canonical order, closed by mob_compose
-    gens, span = [], {mob_identity(H.spec)}
-    for m in maps(H):
+    ident, compose = _kernel(H.spec).identity, functools.partial(mob_compose, H.spec)
+    gens, span = [], {ident}
+    for m in H.codes:
         if m not in span:
             gens.append(m)
-            span = close(gens, mob_compose, span)
-    return tuple(gens) or (mob_identity(H.spec),)
+            span = close(gens, compose, span)
+    return tuple(gens) or (ident,)
 
 
 def test_generating_set_matches_reference(subgroups_f3, subgroups_f4, subgroups_f5):
     for H in subgroups_f3 + subgroups_f4 + subgroups_f5:
-        assert H.generators == tuple(map(_entry_codes, reference_generating_set(H))), H
+        assert H.generators == reference_generating_set(H), H
 
 
 def assert_locus_counted_over_census_field(H):
@@ -1057,21 +1053,32 @@ class TestMainTheorem:
         # the table has rows on both sides of the bound
         assert min(self.WORK_TABLE.values()) <= census.WORK_BOUND < max(self.WORK_TABLE.values())
 
+    @staticmethod
+    def count_built(monkeypatch, specs):
+        """The maps built from a matrix (the kernel's normalize) or by
+        inversion (its inverse) over the fields specs, as they are made: a
+        product of the code law is not counted."""
+        built = []
+        for spec in specs:
+            K = _kernel(spec)
+            for name in ("normalize", "inverse"):
+                def counted(*args, f=getattr(K, name)):
+                    built.append(args)
+                    return f(*args)
+
+                monkeypatch.setattr(K, name, counted)
+        return built
+
     def test_rows_build_no_maps(self, monkeypatch):
         # a row without tags counts the census, the subspaces and the
-        # oracle on entry codes: no Moebius object is built
-        built = []
-
-        def counted(self, *args, f=moebius.Moebius.__init__):
-            built.append(args)
-            f(self, *args)
-
-        monkeypatch.setattr(moebius.Moebius, "__init__", counted)
+        # oracle on the code law: no map is normalized or inverted
+        specs = [field_make(p, n) for p, top in ((2, 8), (3, 4), (5, 4)) for n in range(1, top + 1)]
+        built = self.count_built(monkeypatch, specs)
         for p, levels in ((2, [1, 2, 3, 4]), (3, [2]), (5, [2])):
             assert verify_main_theorem(p, levels).ok
         assert built == []
         # the census of the same subgroups builds no map either, and its
-        # JSON renders each generator from its entry codes, with no map
+        # JSON renders each generator from its entry codes
         report = census_count(F8, "Zp^2", "inf")
         assert report.count == 7 and built == []
         assert len(census_report_to_json(report)["matches"]) == 7
@@ -1079,15 +1086,9 @@ class TestMainTheorem:
 
     def test_affine_census_builds_maps_independent_of_match_count(self, monkeypatch):
         # Zp^2 at an affine point over F16 (35 matches) and F64 (651): the
-        # maps built are the conjugator's, the same few at both levels, and
-        # none per member of a match
-        built = []
-
-        def counted(self, *args, f=moebius.Moebius.__init__):
-            built.append(args)
-            f(self, *args)
-
-        monkeypatch.setattr(moebius.Moebius, "__init__", counted)
+        # maps built are the conjugator's, x -> P + 1/x and its inverse, the
+        # same two at both levels, and none per member of a match
+        built = self.count_built(monkeypatch, [field_make(2, 4), field_make(2, 6)])
         sizes = []
         for n, count in ((4, 35), (6, 651)):
             spec = field_make(2, n)
@@ -1095,7 +1096,7 @@ class TestMainTheorem:
             report = enum_actions(CensusQuery(spec, "Zp^2", (pp1_affine(fq_gen(spec)),), r=1))
             assert report.count == count
             sizes.append(len(built) - before)
-        assert sizes[0] == sizes[1]
+        assert sizes == [2, 2]
 
     def test_p7_levels_1_2(self):
         report = verify_main_theorem(7, [1, 2])

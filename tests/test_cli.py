@@ -161,21 +161,21 @@ class TestConjugateCommand:
         spec = parse_field_spec("13^1")
         gens1, gens2 = "[12,0;0,1]|[0,2;1,0]", "[12,0;0,1]|[0,5;1,0]"
         H1, H2 = (
-            close_generators([parse_moebius(spec, g) for g in gens.split("|")])
+            close_generators(spec, [parse_moebius(spec, g) for g in gens.split("|")])
             for gens in (gens1, gens2)
         )
         for extra in ((), ("--brute",)):
             code, out = run_cli("conjugate", "--field", "13^1", "--gens1", gens1, "--gens2", gens2, *extra)
             data = json.loads(out)
             assert code == 0 and data["conjugate"] is True
-            assert _conjugates_onto(parse_moebius(spec, data["witness"]), H1, H2)
+            assert _conjugates_onto(spec, parse_moebius(spec, data["witness"]), H1, H2)
 
 
     def test_degenerate_loci_are_searched_in_the_capture_field(self):
         # x -> -1/x fixes the square roots of -1, which F31 lacks: the
         # level-1 loci are empty, so the search takes them in F961
         spec = parse_field_spec("31^1")
-        H = close_generators([parse_moebius(spec, "[0,30;1,0]")])
+        H = close_generators(spec, [parse_moebius(spec, "[0,30;1,0]")])
         args = ("conjugate", "--field", "31^1", "--gens1", "[0,30;1,0]", "--gens2", "[0,30;1,0]")
         code, out = run_cli(*args)
         brute_code, brute_out = run_cli(*args, "--brute")
@@ -183,7 +183,7 @@ class TestConjugateCommand:
         assert code == brute_code == 0
         assert data["conjugate"] is True and json.loads(brute_out)["conjugate"] is True
         assert data["witness_field"] == "31^1"
-        assert _conjugates_onto(parse_moebius(spec, data["witness"]), H, H)
+        assert _conjugates_onto(spec, parse_moebius(spec, data["witness"]), H, H)
 
 
 class TestCensusCommand:

@@ -10,7 +10,7 @@ from pglcensus.closure import close, is_prime, order, subgroups_of_order
 from pglcensus.dichotomy import _order_p_stabilizer
 from pglcensus.elliptic import _chord_tangent, _code_add, _torsion, standard_test_curves
 from pglcensus.gfq import field_elements, field_make
-from pglcensus.moebius import _kernel, mob_compose, mob_identity, pgl2_elements, pp1_affine, pp1_infinity
+from pglcensus.moebius import _kernel, _pgl2_codes, mob_compose, pp1_affine, pp1_infinity
 
 
 def add_mod(n):
@@ -63,9 +63,10 @@ class TestOrder:
     @pytest.mark.parametrize("p,n", [(5, 1), (2, 3)], ids=["F5", "F8"])
     def test_pgl2_maps_against_a_power_loop(self, p, n):
         spec = field_make(p, n)
-        ident, cap = mob_identity(spec), spec.q ** 3 - spec.q
-        for g in pgl2_elements(spec):
-            assert order(g, mob_compose, ident, cap) == power_loop_order(g, mob_compose, ident)
+        ident, cap = _kernel(spec).identity, spec.q ** 3 - spec.q
+        compose = partial(mob_compose, spec)
+        for g in _pgl2_codes(spec):
+            assert order(g, compose, ident, cap) == power_loop_order(g, compose, ident)
 
 
 class TestSubgroupsOfOrder:

@@ -8,7 +8,7 @@ import pytest
 
 from pglcensus.census import CensusQuery, enum_actions
 from pglcensus.gfq import field_elements, field_make, fq_one
-from pglcensus.moebius import parse_moebius, parse_point_list, pp1_affine, pp1_infinity
+from pglcensus.moebius import parse_point_list, pp1_affine, pp1_infinity
 from pglcensus.stdgroups import std_cyclic
 
 F5 = field_make(5, 1)
@@ -20,7 +20,6 @@ def _values():
     yield "FqElem-F9", field_elements(F9)[7]
     yield "PP1-affine", pp1_affine(field_elements(F9)[5])
     yield "PP1-inf", pp1_infinity(F9)
-    yield "Moebius", parse_moebius(F5, "[1,2;0,3]")
     yield "SubgroupPGL2", std_cyclic(F5, 4)
     yield "CensusReport", enum_actions(CensusQuery(F5, "cyclic:4", tuple(parse_point_list(F5, "0,inf")), r=1))
 

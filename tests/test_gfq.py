@@ -49,7 +49,7 @@ from pglcensus.gfq import (
     roots_of_unity,
     subfield_elements,
 )
-from pglcensus.moebius import _code_fixed, _entry_codes, mob_make
+from pglcensus.moebius import _code_fixed, _kernel
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -430,14 +430,14 @@ def quadratic_map(B, C):
     spec = B.spec
     for a in field_elements(spec):
         if not fq_add(fq_mul(a, fq_add(B, a)), C).is_zero():
-            return mob_make(a, fq_neg(C), fq_one(spec), fq_add(B, a))
+            return _kernel(spec).normalize(a.code, fq_neg(C).code, fq_one(spec).code, fq_add(B, a).code)
     return None
 
 
 def kernel_roots(B, C, r=1):
     """The roots of x^2 + Bx + C in F_{q^r}, from the kernel's fixed points."""
     ext = extension_field(B.spec, r)
-    return [field_elements(ext)[x] for x in _code_fixed(B.spec, r)(_entry_codes(quadratic_map(B, C)))]
+    return [field_elements(ext)[x] for x in _code_fixed(B.spec, r)(quadratic_map(B, C))]
 
 
 class TestMonicQuadraticRoots:

@@ -17,20 +17,7 @@ from pglcensus.gfq import (
     fq_one,
     fq_zero,
 )
-from pglcensus.moebius import (
-    _entry_codes,
-    _from_codes,
-    mob_apply,
-    mob_compose,
-    mob_conjugate,
-    mob_embed,
-    mob_identity,
-    mob_inverse,
-    mob_make,
-    pgl2_elements,
-    pp1_infinity,
-    render_point,
-)
+from pglcensus.moebius import _kernel, _pgl2_codes, mob_compose, render_point
 from pglcensus.stdgroups import (
     close_generators,
     conjugate_subgroup,
@@ -60,47 +47,64 @@ F13 = field_make(13, 1)
 
 
 def mk(spec, a, b, c, d):
-    return mob_make(*(fq_from_int(spec, v) for v in (a, b, c, d)))
+    """The entry codes of the map [[a,b],[c,d]], its entries integers mod p."""
+    return _kernel(spec).normalize(*(fq_from_int(spec, v).code for v in (a, b, c, d)))
 
 
-def maps(H):
-    """H's members as maps, in code order."""
-    return [_from_codes(H.spec, x) for x in H.codes]
+def witness_map(H, w):
+    """The codes of the witness w = (field, codes), which lies over H's field."""
+    spec, g = w
+    assert spec is H.spec
+    return g
 
 
 def _klein_over_F13(a):
     """{x, -x, a/x, -a/x} over F13."""
-    return close_generators([mk(F13, 12, 0, 0, 1), mk(F13, 0, a, 1, 0)])
+    return close_generators(F13, [mk(F13, 12, 0, 0, 1), mk(F13, 0, a, 1, 0)])
 
 
 class TestClosure:
     def test_trivial_group(self):
-        H = close_generators([mob_identity(F5)])
+        H = close_generators(F5, [_kernel(F5).identity])
         assert H.order == 1
 
     def test_order_p_translation(self):
-        H = close_generators([mk(F3, 1, 1, 0, 1)])
+        H = close_generators(F3, [mk(F3, 1, 1, 0, 1)])
         assert H.order == 3
 
     def test_two_transvections_generate_pgl2_f2(self):
-        H = close_generators([mk(F2, 1, 1, 0, 1), mk(F2, 1, 0, 1, 1)])
+        H = close_generators(F2, [mk(F2, 1, 1, 0, 1), mk(F2, 1, 0, 1, 1)])
         assert H.order == 6  # 2^3 - 2
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
-            close_generators([mk(F5, 1, 1, 0, 1), mk(F5, 1, 0, 1, 1)], cap=10)
+            close_generators(F5, [mk(F5, 1, 1, 0, 1), mk(F5, 1, 0, 1, 1)], cap=10)
 
     def test_closure_idempotent(self):
         for H in (std_cyclic(F5, 4), std_dihedral(F5, 4), std_A4(F5)):
-            again = close_generators(maps(H))
+            again = close_generators(F5, list(H.codes))
             assert again.codes == H.codes
+
+    def test_generators_of_another_field_are_refused(self):
+        # a code tuple carries no field, so it is checked against the one it
+        # comes with: x -> x + 1 over F2 is (1, 1, 0, 1), whose entry 1 is
+        # not F4's one (code 2), so over F4 it is not normalized
+        with pytest.raises(ValueError, match=r"generator \(1, 1, 0, 1\) is not a normalized map over F_2\^2"):
+            close_generators(F4, [mk(F4, 1, 1, 0, 1), mk(F2, 1, 1, 0, 1)])
+        # codes past the field or negative, an unscaled matrix, a list and
+        # a tuple of three
+        for g in ((1, 5, 0, 1), (-1, 0, 0, 1), (2, 0, 0, 1), [1, 0, 0, 1], (1, 0, 0)):
+            with pytest.raises(ValueError, match="is not a normalized map over F_5\\^1"):
+                close_generators(F5, [g])
+        with pytest.raises(ValueError, match="singular"):
+            close_generators(F5, [(1, 1, 1, 1)])
 
 
 class TestStandardConstructors:
     def test_cyclic(self):
         H = std_cyclic(F5, 4)
         assert H.order == 4 and H.tag == "cyclic:4"
-        diag_entries = {m.d.coeffs[0] for m in maps(H)}
+        diag_entries = {field_elements(F5)[g[3]].coeffs[0] for g in H.codes}
         assert diag_entries == {1, 2, 3, 4}  # normalized to diag(1, mu^-1)
 
     def test_cyclic_rejects_p_dividing_n(self):
@@ -163,12 +167,12 @@ class TestStandardConstructors:
         # characteristic 2, gcd(2, q0 - 1) = 1 and PSL2 = PGL2
         assert std_PSL2(F4, 2).order == std_PGL2(F4, 2).order == 60
         assert std_PSL2(F8, 1).order == 6
-        diag2 = mob_make(fq_from_int(F5, 2), fq_zero(F5), fq_zero(F5), fq_one(F5))  # order 4
+        diag2 = mk(F5, 2, 0, 0, 1)  # order 4
         with pytest.raises(AssertionError, match=r"cyclic:4 closure has order 4, expected 5"):
-            stdgroups._closed_model([diag2], "cyclic:4", 5)
+            stdgroups._closed_model(F5, [diag2], "cyclic:4", 5)
         # with x -> x + 1 as the only transvection, both closures fall short
         def one_transvection(spec, sub_degree):
-            return [mob_make(*(fq_from_int(spec, v) for v in (1, 1, 0, 1)))]
+            return [mk(spec, 1, 1, 0, 1)]
 
         monkeypatch.setattr(stdgroups, "_transvections", one_transvection)
         for build, tag in ((std_PSL2, "PSL2:1"), (std_PGL2, "PGL2:1")):
@@ -192,7 +196,7 @@ class TestStandardConstructors:
         H = std_PGL2(F11, 1)
         assert len(products) <= 4 * H.order
         assert mob_compose.cache_info().misses <= 4 * H.order
-        assert H.codes == tuple(map(_entry_codes, pgl2_elements(F11)))
+        assert H.codes == tuple(_pgl2_codes(F11))
 
     def test_psl2_subfield_inside_extension(self):
         H = std_PSL2(F9, 1)  # PSL2(F3) inside PGL2(F9)
@@ -211,7 +215,7 @@ class TestStandardConstructors:
         gamma = additive_subgroup(F4, [fq_one(F4)])
         H = std_gamma_semidirect(gamma, 1)
         assert H.order == 2 and H.tag == "Zp^1"
-        assert mk(F4, 1, 1, 0, 1) in maps(H)
+        assert mk(F4, 1, 1, 0, 1) in H.codes
 
     def test_gamma_semidirect_rejects_bad_gamma(self):
         gamma = additive_subgroup(F4, [fq_gen(F4)])  # span{t} misses mu_3
@@ -227,7 +231,7 @@ def std_S4_order():
 
 class TestFingerprint:
     def test_trivial(self):
-        fp = fingerprint(close_generators([mob_identity(F5)]))
+        fp = fingerprint(close_generators(F5, [_kernel(F5).identity]))
         assert fp.order == 1 and fp.element_orders == ((1, 1),) and fp.abelian and fp.p_regular
 
     def test_cyclic4(self):
@@ -307,7 +311,7 @@ class TestConjugacy:
         g2 = gamma_to_unipotent(additive_subgroup(F4, [fq_gen(F4)]))
         w = is_conjugate(g1, g2, 1)
         assert w is not None
-        assert conjugate_subgroup(g1, w).codes == g2.codes
+        assert conjugate_subgroup(g1, witness_map(g1, w)).codes == g2.codes
         # and the scalar relation itself: t * span{1} = span{t}
         t = fq_gen(F4)
         assert {fq_mul(t, x).coeffs for x in (fq_zero(F4), fq_one(F4))} == {(0, 0), (0, 1)}
@@ -325,17 +329,15 @@ class TestConjugacy:
             brute = is_conjugate_bruteforce(H1, H2, 1)
             assert (fast is None) == (brute is None)
             if fast is not None:
-                assert conjugate_subgroup(H1, fast).codes == H2.codes
+                assert conjugate_subgroup(H1, witness_map(H1, fast)).codes == H2.codes
 
     def test_two_point_locus_conjugacy(self):
         # conjugates of the diagonal group with loci {0, inf} vs {1, 2}
         H1 = std_cyclic(F5, 4)
-        g = mob_make(
-            fq_from_int(F5, 1), fq_from_int(F5, 1), fq_from_int(F5, 1), fq_from_int(F5, 2)
-        )
+        g = mk(F5, 1, 1, 1, 2)
         H2 = conjugate_subgroup(H1, g)
         w = is_conjugate(H1, H2, 1)
-        assert w is not None and conjugate_subgroup(H1, w).codes == H2.codes
+        assert w is not None and conjugate_subgroup(H1, witness_map(H1, w)).codes == H2.codes
 
     def test_two_point_locus_needs_the_torus(self):
         # {x, -x, a/x, -a/x} over F13 for a = 2 and a = 5, both non-squares:
@@ -344,7 +346,7 @@ class TestConjugacy:
         assert stabilized_locus(H1, 1) == stabilized_locus(H2, 1)
         assert len(stabilized_locus(H1, 1)) == 2
         w = is_conjugate(H1, H2, 1)
-        assert w is not None and _conjugates_onto(w, H1, H2)
+        assert w is not None and _conjugates_onto(F13, witness_map(H1, w), H1, H2)
 
     def test_two_point_locus_agrees_with_bruteforce(self):
         # the three Klein groups {x, -x, a/x, -a/x}, one per pair {a, -a} of
@@ -354,14 +356,14 @@ class TestConjugacy:
             fast = is_conjugate(H1, H2, 1)
             brute = is_conjugate_bruteforce(H1, H2, 1)
             assert (fast is None) == (brute is None)
-            assert fast is None or _conjugates_onto(fast, H1, H2)
+            assert fast is None or _conjugates_onto(F13, witness_map(H1, fast), H1, H2)
 
     def test_three_point_locus_conjugacy(self):
         H1 = std_A4(F5)
         g = mk(F5, 1, 2, 0, 1)
         H2 = conjugate_subgroup(H1, g)
         w = is_conjugate(H1, H2, 2)
-        assert w is not None and conjugate_subgroup(H1, w).codes == H2.codes
+        assert w is not None and conjugate_subgroup(H1, witness_map(H1, w)).codes == H2.codes
 
     def test_nonconjugate_same_order_gammas_in_F16(self):
         # In F16, rank-2 additive subgroups split into scaling orbits; the
@@ -401,16 +403,16 @@ class TestConjugacy:
             assert w is not None
             back = is_conjugate(B, A, r)
             assert back is not None
-            assert conjugate_subgroup(B, mob_inverse(w)).codes == A.codes
+            assert conjugate_subgroup(B, _kernel(B.spec).inverse(witness_map(A, w))).codes == A.codes
 
     def test_fallback_when_locus_is_irrational_at_level_one(self):
         # the order-3 subgroup of PGL2(F2) has both fixed points in F4, so at
         # r = 1 the loci are empty and the search takes them in F4
         g = mk(F2, 0, 1, 1, 1)
-        H = close_generators([g])
+        H = close_generators(F2, [g])
         assert H.order == 3
         w = is_conjugate(H, H, 1)
-        assert w is not None and conjugate_subgroup(H, w).codes == H.codes
+        assert w is not None and conjugate_subgroup(H, witness_map(H, w)).codes == H.codes
         # at r = 2 the two fixed points are visible and the pair path runs
         w2 = is_conjugate(H, H, 2)
         assert w2 is not None
@@ -418,7 +420,7 @@ class TestConjugacy:
     def test_conjugation_preserves_fingerprint_and_locus_size(self):
         rng = random.Random(3)
         models = [std_cyclic(F5, 4), std_dihedral(F5, 2), std_A4(F5)]
-        all_g = list(pgl2_elements(F5))
+        all_g = list(_pgl2_codes(F5))
         for H in models:
             fp = fingerprint(H)
             size = len(stabilized_locus(H, 2))
@@ -428,22 +430,36 @@ class TestConjugacy:
                 assert len(stabilized_locus(K, 2)) == size
 
     def test_conjugation_inverts_once(self, monkeypatch):
-        # S4 over F13 by seeded maps: one mob_inverse per call, not one per
-        # element, and the same subgroup as mob_conjugate element by element
+        # S4 over F13 by seeded maps: one inverse per call, not one per
+        # element, and the same subgroup as g m g^{-1} element by element,
+        # with g^{-1} the normalized adjugate
+        K13 = _kernel(F13)
         calls = []
 
-        def counted(m, f=stdgroups.mob_inverse):
-            calls.append(m)
-            return f(m)
+        def counted(g, f=K13.inverse):
+            calls.append(g)
+            return f(g)
 
-        monkeypatch.setattr(stdgroups, "mob_inverse", counted)
+        monkeypatch.setattr(K13, "inverse", counted)
         H = stdgroups.std_S4(F13)
         # the identity returns H as it is, with no inverse
-        conjugators = random.Random(13).sample([g for g in pgl2_elements(F13) if g != mob_identity(F13)], 5)
+        conjugators = random.Random(13).sample([g for g in _pgl2_codes(F13) if g != K13.identity], 5)
         for k, g in enumerate(conjugators, 1):
             K = conjugate_subgroup(H, g)
             assert len(calls) == k
-            assert set(maps(K)) == {mob_conjugate(g, m) for m in maps(H)}
+            a, b, c, d = g
+            g_inv = K13.normalize(d, K13.neg[b], K13.neg[c], a)
+            assert set(K.codes) == {mob_compose(F13, mob_compose(F13, g, m), g_inv) for m in H.codes}
+        assert conjugate_subgroup(H, K13.identity) is H and len(calls) == len(conjugators)
+
+    def test_conjugator_of_another_field_is_refused(self):
+        # F2's identity and x -> x + 1 are not normalized over F4, where
+        # one has code 2; F4's x -> x + 1 is accepted
+        H = std_cyclic(F4, 3)
+        for g in (_kernel(F2).identity, mk(F2, 1, 1, 0, 1)):
+            with pytest.raises(ValueError, match=r"conjugator .* is not a normalized map over F_2\^2"):
+                conjugate_subgroup(H, g)
+        assert conjugate_subgroup(H, mk(F4, 1, 1, 0, 1)).order == 3
 
 
 def _scalar_related(G1, G2):
@@ -468,13 +484,15 @@ class TestEmbedAndProject:
             (lambda: std_PGL2(F3, 1), 2),
         ],
     )
-    def test_entry_by_entry_against_mob_embed(self, build, degree):
-        # the codes of the embedded maps are those of mob_embed, member by
+    def test_entry_by_entry_against_fq_embed(self, build, degree):
+        # the codes of the embedded maps are those of the matrices whose
+        # entries are embedded by fq_embed and then normalized, member by
         # member, and projecting them back gives H again
         H = build()
         ext = field_make(H.spec.p, H.spec.n * degree)
         K = subgroup_embed(H, ext)
-        assert set(maps(K)) == {mob_embed(m, ext) for m in maps(H)}
+        elems, normalize = field_elements(H.spec), _kernel(ext).normalize
+        assert set(K.codes) == {normalize(*(fq_embed(elems[e], ext).code for e in g)) for g in H.codes}
         assert K.tag == H.tag and subgroup_project(K, H.spec) == H
         assert subgroup_embed(H, H.spec) is H and subgroup_project(H, H.spec) is H
 
