@@ -33,9 +33,9 @@ Conventions used throughout the package:
   points are CodedValues: each is a spec and one int code, hashed by the
   code, compared by code and spec, and sorted by code (`by_code`).
   Subgroups, curves, queries and reports are Records of named fields,
-  compared and hashed by exact type and field values.  A PGL2 map and an
-  elliptic-curve point are neither: each is the plain tuple of its entry
-  or coordinate codes (see moebius, elliptic), with no field of its own.  No module imports dataclasses, whose import chain
+  compared and hashed by exact type and field values.  PGL2 maps and
+  elliptic-curve points are plain tuples of codes with no field (see
+  moebius, elliptic).  No module imports dataclasses, whose import chain
   (inspect, ast, dis, tokenize) every CLI process would pay at start-up,
 * the "auto" modulus of F_{p^n} is the lexicographically smallest monic
   irreducible polynomial of degree n over F_p,
