@@ -249,6 +249,16 @@ GOLDEN = {
         ("0d589b325daa622769bb1bd356c216a9ebf472abebc1c74b49d6780d5408a63f", 0),
     "conjugate --field 5^1 --gens1 [0,1;1,0] --gens2 [0,1;4,0] --ext 2 --brute":
         ("782c68e5ee5be5631196e33ac92b07256b3e71bfd1179279ab5d6d0b15d2fbf9", 0),
+    # loci whose field is not the query's: censuses at --ext 2, whose points
+    # are given over F_{q^2} (the README's count 3 at infinity over F_4, and
+    # the pair {1, 2} of F_3 written over F_9), and verify-main tags written
+    # over F_3 and embedded into F_9, where the point 1 has code 3
+    "census --field 2^1 --group Zp^1 --locus inf --ext 2":
+        ("044e6adf43e93038e2d2ea7fb7356d24ad5b8415dd4a2d1ef59e3e7256dba480", 0),
+    "census --field 3^1 --group cyclic:2 --locus 1,0,2,0 --ext 2":
+        ("6b2dc70c1fe06ba9c36455354d7ccc02aee4d53841145e7b2641647b3004e642", 0),
+    "verify-main --p 3 --levels 1-2 --tags cyclic:2@1,2":
+        ("9355873eb55ba47a23af2e868621ef0f3af999edfe8dd15c77467515a6c1e5cd", 0),
 }
 
 
