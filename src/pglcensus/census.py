@@ -34,22 +34,14 @@ from .gfq import (
     FieldSpec,
     FqElem,
     Record,
-    by_code,
+    _embedding_table,
     extension_field,
     fp_echelon,
     fq_from_coeffs,
     fq_mul,
     render_field_spec,
 )
-from .moebius import (
-    PP1,
-    _code_fixed,
-    _kernel,
-    mob_infinity_to,
-    pp1_embed,
-    render_point,
-    transporters,
-)
+from .moebius import _check_points, _code_fixed, _kernel, mob_infinity_to, render_point, transporters
 from .stdgroups import (
     Fingerprint,
     SubgroupPGL2,
@@ -197,11 +189,12 @@ def scale_subgroup(gamma: AdditiveSubgroup, alpha: FqElem) -> AdditiveSubgroup:
 
 class CensusQuery(Record):
     """Ask for all subgroups of PGL2(F_{q^r}) of a given classification tag
-    whose stabilized locus is exactly the given point set."""
+    whose stabilized locus is exactly the given point set: the codes of its
+    points over the census field F_{q^r} (q^r for infinity)."""
 
     spec: FieldSpec
     group_id: str
-    locus: tuple[PP1, ...]
+    locus: tuple[int, ...]
     r: int = 1
 
 
@@ -349,21 +342,22 @@ def _basis_certified(p: int, basis: Sequence[tuple], members: Collection[tuple],
     )
 
 
-def _translation_census(spec: FieldSpec, point: PP1, bases: Sequence[tuple[int, ...]]) -> list[tuple]:
-    """The (Z/pZ)^m-subgroups stabilizing only `point`, as sorted entry
-    codes in code order, one per echelon basis (code tuples, _echelon_bases):
-    the translations [1,b;0,1] of its m vectors b, conjugated by a map taking
-    inf to the point, closed under one memo of the code law and accepted by
-    _basis_certified.  Each vector's map is built, and conjugated, once per
-    census, and the candidates share one tuple per map."""
+def _translation_census(spec: FieldSpec, point: int, bases: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """The (Z/pZ)^m-subgroups stabilizing only the point code `point`, as
+    sorted entry codes in code order, one per echelon basis (code tuples,
+    _echelon_bases): the translations [1,b;0,1] of its m vectors b,
+    conjugated by a map taking inf to the point, closed under one memo of
+    the code law and accepted by _basis_certified.  Each vector's map is
+    built, and conjugated, once per census, and the candidates share one
+    tuple per map."""
     K = _kernel(spec)
     identity, p, one = K.identity, spec.p, spec.q // spec.p
     maps = {b: (one, b, 0, one) for b in {b for basis in bases for b in basis}}
-    if not point.is_infinity:
-        conjugate = _conjugator(spec, mob_infinity_to(point))
+    if point != spec.q:
+        conjugate = _conjugator(spec, mob_infinity_to(spec, point))
         maps = {b: conjugate(g) for b, g in maps.items()}
     law = lru_cache(maxsize=None)(K.law)
-    fixed, S = _code_fixed(spec, 1), (point.code,)
+    fixed, S = _code_fixed(spec, 1), (point,)
     found = []
     for basis in bases:
         gens = [maps[b] for b in basis]
@@ -397,17 +391,18 @@ def enum_actions(query: CensusQuery) -> CensusReport:
       if L0 is rational there, else over F_{q^{2r}}, keeping the conjugates
       inside PGL2(F_{q^r}).
 
-    Loci are decided over the census field F_{q^r}.  A model's full locus
-    has |stabilized_locus(H0, 1)| + 2 |irrational_locus_pairs(H0)| points
-    (stdgroups), so a model of the wrong size is skipped without leaving
-    F_{q^r}.  F_{q^{2r}} is built only for a model whose full locus has |S|
-    points but leaves F_{q^r}.  Candidates are verified on entry codes, and
-    the matches are sorted so the report is deterministic.
+    Loci are decided over the census field F_{q^r}, whose point codes the
+    query's locus holds: any other locus point raises ValueError.  A model's
+    full locus has |stabilized_locus(H0, 1)| + 2 |irrational_locus_pairs(H0)|
+    points (stdgroups), so a model of the wrong size is skipped without
+    leaving F_{q^r}.  F_{q^{2r}} is built only for a model whose full locus
+    has |S| points but leaves F_{q^r}.  Candidates are verified on entry
+    codes, and the matches are sorted so the report is deterministic.
     """
     ext = extension_field(query.spec, query.r)
-    S = tuple(sorted({pp1_embed(P, ext) for P in query.locus}, key=by_code))
-    # reports echo the normalized query: locus embedded into the working
-    # field, deduplicated and sorted
+    _check_points(ext, query.locus, "locus")
+    # reports echo the normalized query: locus deduplicated and sorted
+    S = tuple(sorted(set(query.locus)))
     query = CensusQuery(query.spec, query.group_id, S, query.r)
     kind, params = parse_group_id(query.group_id)
 
@@ -454,8 +449,9 @@ def enum_actions(query: CensusQuery) -> CensusReport:
             else:
                 ext2 = extension_field(ext, 2)
                 model, locus = subgroup_embed(H0, ext2), stabilized_locus(H0, 2)
-                target = tuple(sorted((pp1_embed(P, ext2) for P in S), key=by_code))
-            for g in transporters(locus, target, model.codes):
+                emb = _embedding_table(ext, ext2)
+                target = tuple(sorted(emb[x] if x < ext.q else ext2.q for x in S))
+            for g in transporters(model.spec, locus, target, model.codes):
                 H = conjugate_subgroup(model, g)
                 if model.spec is not ext:
                     H = subgroup_project(H, ext)
@@ -465,7 +461,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
 
     if not models:
         return CensusReport(query, (), 0, "finite")
-    found = _verified(ext, _kernel(ext).law, candidates, tuple(P.code for P in S), fingerprint(models[0]))
+    found = _verified(ext, _kernel(ext).law, candidates, S, fingerprint(models[0]))
     return CensusReport(query, _matches(ext, found, models[0].tag), len(found), "finite")
 
 
@@ -490,14 +486,15 @@ def census_report_to_json(report: CensusReport) -> dict:
     # every match's locus was verified to be the query's, over the working
     # field, so that is rendered at level 1 (the census field itself)
     q = report.query
+    ext = extension_field(q.spec, q.r)
     return {
         "schema": "pglcensus/census/v2",
         "query": {
             "field": render_field_spec(q.spec),
             "group": q.group_id,
-            "locus": [render_point(P) for P in q.locus],
+            "locus": [render_point(ext, x) for x in q.locus],
             "ext": q.r,
-            "locus_field": render_field_spec(extension_field(q.spec, q.r)),
+            "locus_field": render_field_spec(ext),
         },
         "count": report.count,
         "verdict": report.verdict,

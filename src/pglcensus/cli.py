@@ -176,13 +176,14 @@ def _cmd_fixed_points(args):
     spec = gfq.parse_field_spec(args.field)
     g = moebius.parse_moebius(spec, args.map)
     pts = moebius.mob_fixed_points(spec, g, args.ext)
+    ext = gfq.extension_field(spec, args.ext)
     payload = {
         "schema": "pglcensus/fixed-points/v1",
         "field": gfq.render_field_spec(spec),
         "map": moebius._render_codes(spec, g),
         "ext": args.ext,
         "count": len(pts),
-        "fixed_points": [{"point": moebius.render_point(P)} for P in pts],
+        "fixed_points": [{"point": moebius.render_point(ext, x)} for x in pts],
     }
     return 0, payload, "fixed_points", ["point"]
 
@@ -198,6 +199,7 @@ def _cmd_locus(args):
     spec = gfq.parse_field_spec(args.field)
     H = _group_from_args(spec, args)
     pts = stdgroups.stabilized_locus(H, args.ext)
+    ext = gfq.extension_field(spec, args.ext)
     payload = {
         "schema": "pglcensus/locus/v1",
         "field": gfq.render_field_spec(spec),
@@ -205,7 +207,7 @@ def _cmd_locus(args):
         "order": H.order,
         "ext": args.ext,
         "count": len(pts),
-        "locus": [{"point": moebius.render_point(P)} for P in pts],
+        "locus": [{"point": moebius.render_point(ext, x)} for x in pts],
     }
     return 0, payload, "locus", ["point"]
 

@@ -22,7 +22,6 @@ from .moebius import (
     mob_compose,
     mob_from_three_points,
     mob_infinity_to,
-    pp1_points,
     transporters,
 )
 from .stdgroups import SubgroupPGL2, _conjugator, _diag, conjugate_subgroup, stabilized_locus, subgroup_embed
@@ -47,7 +46,7 @@ def _project(g: tuple[int, int, int, int], spec: FieldSpec, sub: FieldSpec) -> O
     stays 1), or None if an entry is irrational there."""
     table = _projection_table(spec, sub)
     try:
-        return tuple(table[e].code for e in g)
+        return tuple(table[e] for e in g)
     except KeyError:
         return None
 
@@ -106,8 +105,8 @@ def is_conjugate(
         # t1 and s2^{-1} carry the loci to infinity, where both groups
         # may become translation groups
         inverse = _kernel(ext).inverse
-        t1 = inverse(mob_infinity_to(L1[0]))
-        s2 = mob_infinity_to(L2[0])
+        t1 = inverse(mob_infinity_to(ext, L1[0]))
+        s2 = mob_infinity_to(ext, L2[0])
         g1 = _translation_parts(conjugate_subgroup(K1, t1))
         g2 = _translation_parts(conjugate_subgroup(K2, inverse(s2)))
         if g1 is not None and g2 is not None:
@@ -137,11 +136,11 @@ def is_conjugate(
     # skip it; the first witness is the same as without H1
     fix = [_kernel(search).identity]
     if len(L1) == 2:
-        src = (L1[0], L1[1], next(P for P in pp1_points(search) if P not in L1))
-        fix = (mob_from_three_points(src, (L1[0], L1[1], P)) for P in pp1_points(search) if P not in L1)
+        src = (L1[0], L1[1], next(x for x in range(search.q + 1) if x not in L1))
+        fix = (mob_from_three_points(search, src, (L1[0], L1[1], x)) for x in range(search.q + 1) if x not in L1)
     H1_search = subgroup_embed(H1, search).codes
     for t in fix:
-        for g0 in transporters(L1, L2, H1_search):
+        for g0 in transporters(search, L1, L2, H1_search):
             g = mob_compose(search, g0, t)
             if search is not ext:
                 g = _project(g, search, ext)

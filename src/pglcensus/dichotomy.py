@@ -24,17 +24,8 @@ from typing import Optional, Sequence
 from . import census  # WORK_BOUND is read from census at each check, where it is set
 from .census import CensusQuery, _echelon_bases, _translation_census, enum_actions, gaussian_binomial
 from .closure import is_prime, order, subgroup_layers
-from .gfq import FieldSpec, Record, field_make
-from .moebius import (
-    PP1,
-    _kernel,
-    _render_codes,
-    mob_infinity_to,
-    parse_point_list,
-    pp1_embed,
-    pp1_infinity,
-    render_point,
-)
+from .gfq import FieldSpec, Record, _embedding_table, field_make
+from .moebius import _check_points, _kernel, _render_codes, mob_infinity_to, parse_point_list, render_point
 from .stdgroups import SubgroupPGL2, _conjugator
 
 
@@ -89,23 +80,23 @@ def _check_work(p: int, n: int, m: int, affine: bool = False) -> None:
 
 
 @lru_cache(maxsize=None)
-def _order_p_stabilizer(spec: FieldSpec, point: PP1) -> tuple[tuple[int, int, int, int], ...]:
-    """The maps of order p that fix P, as entry-code tuples of the field's
-    code law, in scan order.  The stabilizer of P is t Stab(inf) t^{-1} for
-    any t with t(inf) = P, and Stab(inf) is the q(q - 1) maps [1,b;0,d],
-    d != 0 (c = 0 is what fixing inf means).  Each conjugate is checked to
-    fix P and kept when g != 1 and g^p = 1.  Cached per (field, point), so
-    the ranks of one level share one scan."""
+def _order_p_stabilizer(spec: FieldSpec, point: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The maps of order p that fix the point with code P, as entry-code
+    tuples of the field's code law, in scan order.  The stabilizer of P is
+    t Stab(inf) t^{-1} for any t with t(inf) = P, and Stab(inf) is the
+    q(q - 1) maps [1,b;0,d], d != 0 (c = 0 is what fixing inf means).  Each
+    conjugate is checked to fix P and kept when g != 1 and g^p = 1.  Cached
+    per (field, point), so the ranks of one level share one scan."""
     K = _kernel(spec)
     law, ident, apply = K.law, K.identity, K.apply
-    p, q, x = spec.p, spec.q, point.code
+    p, q = spec.p, spec.q
     stab = ((ident[0], b, 0, d) for b in range(q) for d in range(1, q))
-    if not point.is_infinity:
-        stab = map(_conjugator(spec, mob_infinity_to(point)), stab)
+    if point != q:
+        stab = map(_conjugator(spec, mob_infinity_to(spec, point)), stab)
     kept = []
     for g in stab:
-        if apply(g, x) != x:
-            raise AssertionError(f"{_render_codes(spec, g)} does not fix {render_point(point)}: t(inf) != P")
+        if apply(g, point) != point:
+            raise AssertionError(f"{_render_codes(spec, g)} does not fix {render_point(spec, point)}: t(inf) != P")
         if order(g, law, ident, p) == p:
             kept.append(g)
     return tuple(kept)
@@ -124,7 +115,7 @@ class _OracleGrowth:
     A rank below the last drawn layer starts the growth again, over the
     same memo."""
 
-    def __init__(self, spec: FieldSpec, point: PP1):
+    def __init__(self, spec: FieldSpec, point: int):
         K = _kernel(spec)
         self.p, self.ident = spec.p, K.identity
         self.op = lru_cache(maxsize=None)(K.law)
@@ -155,33 +146,33 @@ class _OracleGrowth:
 
 
 @lru_cache(maxsize=1)
-def _oracle_growth(spec: FieldSpec, point: PP1) -> _OracleGrowth:
+def _oracle_growth(spec: FieldSpec, point: int) -> _OracleGrowth:
     """The oracle's growth at (spec, point): the ranks of one verify-main
     level share it, and the next level's growth drops it."""
     return _OracleGrowth(spec, point)
 
 
-def _oracle_subgroups(spec: FieldSpec, m: int, point: PP1) -> list[frozenset]:
+def _oracle_subgroups(spec: FieldSpec, m: int, point: int) -> list[frozenset]:
     """The oracle's subgroups of order p^m at the point, as frozensets of
     entry-code tuples in no fixed order, from the growth that the ranks at
     (spec, point) share with its law memo (_oracle_growth)."""
     return _oracle_growth(spec, point).subgroups(m)
 
 
-def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: PP1) -> list[SubgroupPGL2]:
-    """Brute-force census of (Z/pZ)^m-subgroups of PGL2(F_q) fixing a point
-    P of P^1(F_q), with no classification knowledge.  The maps of order p
-    in the stabilizer of P (_order_p_stabilizer) generate subgroups of
-    order p^m, grown by closing generator lists (closure.subgroup_layers);
-    those of exponent p are kept.  It runs on entry codes through the
-    field's code law, memoized per (field, point) by the growth that the
-    ranks there share (_oracle_subgroups, which verify_main_theorem counts),
-    and each subgroup is returned as its sorted codes.  A point over another
-    field raises ValueError (field mismatch), as does a field and rank whose
-    dichotomy_work is over WORK_BOUND."""
-    if point.spec is not spec:
-        raise ValueError(f"field mismatch: point over {point.spec!r}, oracle over {spec!r}")
-    _check_work(spec.p, spec.n, m, affine=not point.is_infinity)
+def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: int) -> list[SubgroupPGL2]:
+    """Brute-force census of (Z/pZ)^m-subgroups of PGL2(F_q) fixing the
+    point with code P of P^1(F_q), with no classification knowledge.  The
+    maps of order p in the stabilizer of P (_order_p_stabilizer) generate
+    subgroups of order p^m, grown by closing generator lists
+    (closure.subgroup_layers); those of exponent p are kept.  It runs on
+    entry codes through the field's code law, memoized per (field, point)
+    by the growth that the ranks there share (_oracle_subgroups, which
+    verify_main_theorem counts), and each subgroup is returned as its sorted
+    codes.  A point that is not a point code of the field, an int in 0..q,
+    raises ValueError, as does a field and rank whose dichotomy_work is over
+    WORK_BOUND."""
+    _check_points(spec, (point,), "oracle")
+    _check_work(spec.p, spec.n, m, affine=point != spec.q)
     found = sorted(tuple(sorted(H)) for H in _oracle_subgroups(spec, m, point))
     return [SubgroupPGL2(spec, H, "unclassified") for H in found]
 
@@ -304,7 +295,7 @@ def verify_main_theorem(
     per_m_counts: dict[int, list[tuple[int, int]]] = {}
     for n in n_values:
         spec = field_make(p, n)
-        inf = pp1_infinity(spec)
+        inf = spec.q
         ms = [m for m in (m_values if m_values is not None else range(1, n + 1)) if 1 <= m <= n]
         for m in ms:
             # the census and the oracle on codes: the counts build no map
@@ -334,7 +325,8 @@ def verify_main_theorem(
         counts = []
         for n in n_values:
             spec = field_make(p, n)
-            locus = tuple(pp1_embed(P, spec) for P in base_locus)
+            emb = _embedding_table(prime, spec)
+            locus = tuple(emb[x] if x < p else spec.q for x in base_locus)
             report = enum_actions(CensusQuery(spec, tag, locus, r=1))
             counts.append((n, report.count))
         bounded.append(

@@ -29,12 +29,11 @@ element x of the field with division by t - x.
 Conventions used throughout the package:
 
 * elements are ordered lexicographically by coefficient vector, i.e. by code,
-* a value type has one of two immutable bases.  Field elements and P^1
-  points are CodedValues: each is a spec and one int code, hashed by the
-  code, compared by code and spec, and sorted by code (`by_code`).
-  Subgroups, curves, queries and reports are Records of named fields,
-  compared and hashed by exact type and field values.  PGL2 maps and
-  elliptic-curve points are plain tuples of codes with no field (see
+* a field element is an FqElem, a spec and one int code, hashed by the
+  code and compared by code and spec.  Subgroups, curves, queries and
+  reports are Records of named fields, compared and hashed by exact type
+  and field values.  Points of P^1 (code q for infinity), PGL2 maps and
+  elliptic-curve points are ints or tuples of codes with no field (see
   moebius, elliptic).  No module imports dataclasses, whose import chain
   (inspect, ast, dis, tokenize) every CLI process would pay at start-up,
 * the "auto" modulus of F_{p^n} is the lexicographically smallest monic
@@ -119,33 +118,6 @@ class FieldSpec:
         return f"FieldSpec({render_field_spec(self)})"
 
 
-class CodedValue:
-    """An immutable value over a field, identified by its spec and one int
-    `code` that subclasses set once in __init__: field elements and points
-    of P^1.  The hash is the code, equality compares types, then codes,
-    then specs, and within one field and type code order is the canonical
-    order (sort with `by_code`).  Each subclass defines __reduce__ to
-    rebuild through its constructor, so copy and pickle never restore a
-    slot through the __setattr__ guard."""
-
-    __slots__ = ("spec", "code")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.code == other.code and self.spec is other.spec
-
-    def __hash__(self) -> int:
-        return self.code
-
-
-# the canonical sort key of every CodedValue
-by_code = operator.attrgetter("code")
-
-
 class Record:
     """An immutable value with named fields: the reports and the other
     values that are not one code.  A subclass declares its fields as class
@@ -198,17 +170,30 @@ class Record:
         return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
 
 
-class FqElem(CodedValue):
-    """Element of F_{p^n} as its code: the base-p number whose digits are the
-    coefficients, constant term c0 most significant.  Immutable, since the
-    field tables hand out shared instances."""
+class FqElem:
+    """Element of F_{p^n} as its spec and its code: the base-p number whose
+    digits are the coefficients, constant term c0 most significant.  The
+    hash is the code, and equality compares codes, then specs.  Immutable,
+    since the field tables hand out shared instances; copy and pickle
+    rebuild it through the constructor, never through __setattr__."""
 
-    __slots__ = ()
+    __slots__ = ("spec", "code")
 
     def __init__(self, spec: FieldSpec, code: int):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "code", code)
         self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: FqElem is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FqElem:
+            return NotImplemented
+        return self.code == other.code and self.spec is other.spec
+
+    def __hash__(self) -> int:
+        return self.code
 
     def __reduce__(self):
         return FqElem, (self.spec, self.code)
@@ -510,9 +495,9 @@ def subfield_elements(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
 
 
 @lru_cache(maxsize=None)
-def _embedding_table(src: FieldSpec, dst: FieldSpec) -> tuple[FqElem, ...]:
-    """The image in dst of each element of src, by code.  Requires the same
-    p and the degree of src dividing that of dst.
+def _embedding_table(src: FieldSpec, dst: FieldSpec) -> tuple[int, ...]:
+    """The code in dst of the image of each element of src, by code.
+    Requires the same p and the degree of src dividing that of dst.
 
     The src generator is sent to the first root (canonical element order) of
     the src modulus inside dst, which makes the embedding deterministic; the
@@ -522,17 +507,19 @@ def _embedding_table(src: FieldSpec, dst: FieldSpec) -> tuple[FqElem, ...]:
         raise ValueError(f"cannot embed: characteristic {src.p} != {dst.p}")
     if dst.n % src.n != 0:
         raise ValueError(f"cannot embed: degree {src.n} does not divide {dst.n}")
-    modulus = [fq_from_int(dst, c).code for c in src.modulus]
+    one, t = dst.q // dst.p, dst._tables
+    modulus = [c * one for c in src.modulus]
     root = next((x for x in subfield_elements(dst, src.n) if cpoly_multiplicity(dst, modulus, x.code)), None)
     if root is None:
         raise AssertionError(f"no root of {src.modulus} in {dst!r} (unreachable for m | n)")
-    powers = [fq_pow(root, i) for i in range(src.n)]
+    powers = [fq_pow(root, i).code for i in range(src.n)]
     table = []
-    for x in field_elements(src):
-        acc = fq_zero(dst)
-        for c, w in zip(x.coeffs, powers):
+    # coefficient vectors in code order, constant term most significant
+    for coeffs in itertools.product(range(src.p), repeat=src.n):
+        acc = 0
+        for c, w in zip(coeffs, powers):
             if c:
-                acc = fq_add(acc, fq_mul(fq_from_int(dst, c), w))
+                acc = t.add(acc, t.mul(c * one, w))
         table.append(acc)
     return tuple(table)
 
@@ -542,13 +529,14 @@ def fq_embed(a: FqElem, target: FieldSpec) -> FqElem:
     dividing target degree; the embedding is a fixed field homomorphism."""
     if a.spec is target:
         return a
-    return _embedding_table(a.spec, target)[a.code]
+    return FqElem(target, _embedding_table(a.spec, target)[a.code])
 
 
 @lru_cache(maxsize=None)
-def _projection_table(src: FieldSpec, sub: FieldSpec) -> dict:
-    """Code in src -> the element of the subfield sub that embeds onto it."""
-    return {fq_embed(x, src).code: x for x in field_elements(sub)}
+def _projection_table(src: FieldSpec, sub: FieldSpec) -> dict[int, int]:
+    """Code in src -> the code of the element of the subfield sub that
+    embeds onto it."""
+    return {e: x for x, e in enumerate(_embedding_table(sub, src))}
 
 
 def fq_project(a: FqElem, target: FieldSpec):
@@ -556,7 +544,8 @@ def fq_project(a: FqElem, target: FieldSpec):
     mapping to a, or None if a is not in the embedded subfield."""
     if a.spec is target:
         return a
-    return _projection_table(a.spec, target).get(a.code)
+    code = _projection_table(a.spec, target).get(a.code)
+    return None if code is None else FqElem(target, code)
 
 
 def extension_field(spec: FieldSpec, r: int) -> FieldSpec:

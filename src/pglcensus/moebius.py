@@ -12,8 +12,9 @@ three-point frames on point codes, through one kernel per field, _kernel,
 as the genus-1 law does; mob_compose memoizes its law per (field, x, y).
 
 Points of P^1 are either affine, with a single field coordinate (projective
-[x:1]), or the point at infinity [1:0].  A point is a gfq.CodedValue whose
-code is the code of x, or q for infinity, so infinity sorts last.  Fixed
+[x:1]), or the point at infinity [1:0].  A point is an int, its code: the
+code of x, or q for infinity, so infinity sorts last.  Like a map, it
+carries no field; a locus is a tuple of codes beside its field.  Fixed
 points of a non-identity map are eigen-directions of its matrix, found on
 codes by _code_fixed; since the characteristic polynomial is quadratic,
 extension degree r = 2 always suffices to capture every fixed point of the
@@ -28,88 +29,55 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .gfq import (
-    CodedValue,
     FieldSpec,
-    FqElem,
     _artin_schreier_table,
     _embedding_table,
     _render_code,
     _sqrt_table,
     extension_field,
-    field_elements,
-    fq_embed,
     fq_from_int,
     parse_element,
 )
 
 
-class PP1(CodedValue):
-    """A point of P^1(F_q): affine with coordinate x, or infinity (x is None).
-    Its code is the code of x, or q for infinity."""
-
-    __slots__ = ("x",)
-
-    def __init__(self, spec: FieldSpec, x: Optional[FqElem]):
-        if x is not None and x.spec is not spec:
-            raise ValueError("point coordinate lives in the wrong field")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "code", spec.q if x is None else x.code)
-
-    def __reduce__(self):
-        return PP1, (self.spec, self.x)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def __repr__(self) -> str:
-        return f"PP1({render_point(self)})"
+def pp1_infinity(spec: FieldSpec) -> int:
+    """The code of the point at infinity of P^1(F_q): q, after every affine
+    point."""
+    return spec.q
 
 
-def pp1_affine(x: FqElem) -> PP1:
-    return PP1(x.spec, x)
+def _check_points(spec: FieldSpec, points: Sequence, role: str) -> None:
+    """Refuse any of the points that is not a point code of P^1(F_q), an int
+    in 0..q: a code carries no field, so it is checked against the one it is
+    given with."""
+    for x in points:
+        if type(x) is not int or not 0 <= x <= spec.q:
+            raise ValueError(f"{role} point {x!r} is not a point code of P^1 over F_{spec.p}^{spec.n} (0..{spec.q})")
 
 
-def pp1_infinity(spec: FieldSpec) -> PP1:
-    return PP1(spec, None)
+def render_point(spec: FieldSpec, x: int) -> str:
+    return "inf" if x == spec.q else _render_code(spec, x)
 
 
-def pp1_points(spec: FieldSpec) -> Iterator[PP1]:
-    """The q + 1 points of P^1(F_q): affine points in element order, then infinity."""
-    for x in field_elements(spec):
-        yield pp1_affine(x)
-    yield pp1_infinity(spec)
-
-
-def pp1_embed(P: PP1, target: FieldSpec) -> PP1:
-    if P.is_infinity:
-        return pp1_infinity(target)
-    return pp1_affine(fq_embed(P.x, target))
-
-
-def render_point(P: PP1) -> str:
-    return "inf" if P.is_infinity else _render_code(P.spec, P.code)
-
-
-def parse_point_list(spec: FieldSpec, text: str) -> list[PP1]:
-    """Parse a comma-separated point list.  The token "inf" is a point; any
-    other run of spec.n consecutive integer tokens is one affine coordinate."""
+def parse_point_list(spec: FieldSpec, text: str) -> list[int]:
+    """Parse a comma-separated point list into point codes.  The token "inf"
+    is a point; any other run of spec.n consecutive integer tokens is one
+    affine coordinate."""
     tokens = [t.strip() for t in text.split(",") if t.strip() != ""]
     points = []
     i = 0
     while i < len(tokens):
         if tokens[i] == "inf":
-            points.append(pp1_infinity(spec))
+            points.append(spec.q)
             i += 1
         else:
             chunk = tokens[i : i + spec.n]
             if len(chunk) < spec.n or any(t == "inf" for t in chunk):
                 raise ValueError(f"point list {text!r} does not split into {spec.n}-coefficient points")
-            points.append(pp1_affine(parse_element(spec, ",".join(chunk))))
+            points.append(parse_element(spec, ",".join(chunk)).code)
             i += spec.n
     return points
 
@@ -261,7 +229,7 @@ def _code_fixed(spec: FieldSpec, r: int):
         if not c and a == d:
             return [inf]
         if emb is None:
-            emb = [x.code for x in _embedding_table(spec, ext)] if r > 1 else range(spec.q)
+            emb = _embedding_table(spec, ext) if r > 1 else range(spec.q)
             emul, esub = ext._tables.mul, ext._tables.sub
             half = fq_from_int(ext, (spec.p + 1) // 2).code
         if not c:
@@ -289,11 +257,6 @@ def _triple_map(spec: FieldSpec, source: tuple[int, int, int, int], dst: tuple[i
     return K.law((d, K.neg[b], K.neg[c], a), source)
 
 
-def _point(spec: FieldSpec, x: int) -> PP1:
-    """The point with code x: infinity for x = q."""
-    return PP1(spec, None if x == spec.q else spec._tables.elems[x])
-
-
 @lru_cache(maxsize=1 << 18)
 def mob_compose(spec: FieldSpec, x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """The map x after y (matrix product XY) over spec, memoized.  Only
@@ -302,65 +265,60 @@ def mob_compose(spec: FieldSpec, x: tuple[int, int, int, int], y: tuple[int, int
     return _kernel(spec).law(x, y)
 
 
-def mob_infinity_to(P: PP1) -> tuple[int, int, int, int]:
-    """A fixed choice of map over P's field sending infinity to P:
-    x -> P + 1/x, or the identity when P = inf."""
-    K, one = _kernel(P.spec), P.spec.q // P.spec.p
-    if P.is_infinity:
+def mob_infinity_to(spec: FieldSpec, x: int) -> tuple[int, int, int, int]:
+    """A fixed choice of map over spec sending infinity to the point code x:
+    t -> x + 1/t, or the identity when x is infinity."""
+    K, one = _kernel(spec), spec.q // spec.p
+    if x == spec.q:
         return K.identity
-    return K.normalize(P.code, one, one, 0)
+    return K.normalize(x, one, one, 0)
 
 
-def mob_fixed_points(spec: FieldSpec, g: tuple[int, int, int, int], r: int) -> list[PP1]:
-    """Fixed points in P^1(F_{q^r}) of the non-identity map of PGL2(F_q)
-    with entry codes g, canonically sorted: the kernel _code_fixed, in
-    closed form, not by scanning F_{q^r}, and a point built for each code it
-    returns.  Taking r >= 2 captures every fixed point of the algebraic
-    closure; the result then has exactly one or two points.  Either all of
-    them lie in F_q, or they are a Frobenius-conjugate pair outside it: so at
-    r = 1 the result is empty exactly when the fixed-point quadratic has no
-    root in F_q.
+def mob_fixed_points(spec: FieldSpec, g: tuple[int, int, int, int], r: int) -> list[int]:
+    """The codes of the fixed points in P^1(F_{q^r}) of the non-identity map
+    of PGL2(F_q) with entry codes g, sorted: the kernel _code_fixed, in
+    closed form, not by scanning F_{q^r}.  Taking r >= 2 captures every
+    fixed point of the algebraic closure; the result then has exactly one or
+    two points.  Either all of them lie in F_q, or they are a
+    Frobenius-conjugate pair outside it: so at r = 1 the result is empty
+    exactly when the fixed-point quadratic has no root in F_q.
     """
     if g == _kernel(spec).identity:
         raise ValueError("the identity fixes every point of P^1")
-    ext = extension_field(spec, r)
-    return [_point(ext, x) for x in _code_fixed(spec, r)(g)]
+    return _code_fixed(spec, r)(g)
 
 
-def _distinct_codes(points: Sequence[PP1], spec: FieldSpec, role: str) -> tuple[int, ...]:
-    for P in points:
-        if P.spec is not spec:
-            raise ValueError("all points must live in one field")
-    codes = tuple(P.code for P in points)
+def _distinct_codes(points: Sequence[int], role: str) -> tuple[int, ...]:
+    codes = tuple(points)
     if len(set(codes)) != len(codes):
         raise ValueError(f"{role} points must be pairwise distinct")
     return codes
 
 
-def mob_from_three_points(src: Sequence[PP1], dst: Sequence[PP1]) -> tuple[int, int, int, int]:
-    """The entry codes of the unique map sending the ordered triple src to
-    dst, over their field."""
+def mob_from_three_points(spec: FieldSpec, src: Sequence[int], dst: Sequence[int]) -> tuple[int, int, int, int]:
+    """The entry codes of the unique map over spec sending the ordered
+    triple of point codes src to dst."""
     if len(src) != 3 or len(dst) != 3:
         raise ValueError("need exactly three source and three destination points")
-    spec = src[0].spec
-    source = _kernel(spec).frame(*_distinct_codes(src, spec, "source"))
-    return _triple_map(spec, source, _distinct_codes(dst, spec, "destination"))
+    source = _kernel(spec).frame(*_distinct_codes(src, "source"))
+    return _triple_map(spec, source, _distinct_codes(dst, "destination"))
 
 
 def transporters(
-    L0: Sequence[PP1], S: Sequence[PP1], H: Sequence[tuple[int, int, int, int]] = ()
+    spec: FieldSpec, L0: Sequence[int], S: Sequence[int], H: Sequence[tuple[int, int, int, int]] = ()
 ) -> Iterator[tuple[int, int, int, int]]:
-    """The entry codes, over the points' field, of one map g with g(L0) = S
-    per coset g.Fix(L0).H, where Fix(L0) is the pointwise stabilizer of L0
-    and H, by default trivial, is a group, given by the entry codes of its
-    maps over the points' field, that stabilizes L0 setwise (distinct points
-    of one field, none if |L0| != |S|).
+    """The entry codes, over spec, of one map g with g(L0) = S per coset
+    g.Fix(L0).H, where Fix(L0) is the pointwise stabilizer of L0 and H, by
+    default trivial, is a group, given by the entry codes of its maps, that
+    stabilizes L0 setwise (L0 and S distinct point codes, none if
+    |L0| != |S|).
     |L0| >= 3: Fix(L0) = 1; per ordered triple of S, in permutations order,
     the map sending L0[:3] onto it, if it sends the rest of L0 into S and is
     not g.h for an earlier g: since (g.h)(L0[j]) = g(L0[i]) with
     h(L0[j]) = L0[i], each g yielded marks the triples of its coset, which
     are then skipped before their map is built.  So the maps are those of
-    transporters(L0, S) that come first in their coset, in the same order.
+    transporters(spec, L0, S) that come first in their coset, in the same
+    order.
     |L0| = 2: Fix(L0) is a torus; one map per arrangement of S, sending the
     first point of P^1 outside L0 to the first one outside S.  H is not used
     there: a census model with a two-point locus lies in the torus.
@@ -370,9 +328,8 @@ def transporters(
         return
     if len(L0) < 2:
         raise ValueError("transporters need at least two points")
-    spec = L0[0].spec
-    src = _distinct_codes(L0, spec, "source")
-    dst = _distinct_codes(S, spec, "destination")
+    src = _distinct_codes(L0, "source")
+    dst = _distinct_codes(S, "destination")
     apply, frame = _kernel(spec).apply, _kernel(spec).frame
     if len(L0) == 2:
         # infinity's code is q, after every affine point

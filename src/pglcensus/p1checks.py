@@ -24,7 +24,7 @@ from .gfq import (
     poly_roots,
     render_field_spec,
 )
-from .moebius import PP1, _code_fixed, _kernel, _pgl2_codes, _render_codes, pp1_affine, pp1_infinity, render_point
+from .moebius import _code_fixed, _kernel, _pgl2_codes, _render_codes, render_point
 
 
 # ---------------------------------------------------------------------------
@@ -32,10 +32,10 @@ from .moebius import PP1, _code_fixed, _kernel, _pgl2_codes, _render_codes, pp1_
 
 
 class RamPoint(Record):
-    """A ramification point of a polynomial map: where it lives, its index e,
-    and whether the ramification is tame (p does not divide e)."""
+    """A ramification point of a polynomial map: its point code over F_{q^r},
+    its index e, and whether it is tame (p does not divide e)."""
 
-    point: PP1
+    point: int
     index: int
     tame: bool
 
@@ -69,9 +69,9 @@ def poly_map_ramification(coeffs: Sequence[FqElem], r: int) -> list[RamPoint]:
     for x0, _ in poly_roots([spec._tables.elems[c] for c in df], r):
         g = cpoly_divmod(ext, f, [fq_neg(x0).code, one])[0]
         e = 1 + cpoly_multiplicity(ext, g, x0.code)
-        out.append(RamPoint(pp1_affine(x0), e, e % spec.p != 0))
+        out.append(RamPoint(x0.code, e, e % spec.p != 0))
     # infinity's code is q, after every affine point
-    out.append(RamPoint(pp1_infinity(ext), deg, deg % spec.p != 0))
+    out.append(RamPoint(ext.q, deg, deg % spec.p != 0))
     return out
 
 
@@ -87,13 +87,14 @@ def parse_poly(spec: FieldSpec, text: str) -> list[FqElem]:
 def ramification_to_json(spec: FieldSpec, ram: Sequence[RamPoint], r: int) -> dict:
     """The ramification command's record of poly_map_ramification(coeffs, r)
     for coefficients over spec."""
+    ext = extension_field(spec, r)
     return {
         "schema": "pglcensus/ramification/v1",
         "field": render_field_spec(spec),
         "degree": ram[-1].index,  # infinity, listed last, has index deg f
         "ext": r,
         "count": len(ram),
-        "ramification": [{"point": render_point(rp.point), "index": rp.index, "tame": rp.tame} for rp in ram],
+        "ramification": [{"point": render_point(ext, rp.point), "index": rp.index, "tame": rp.tame} for rp in ram],
     }
 
 

@@ -44,7 +44,7 @@ from .gfq import (
     roots_of_unity,
     subfield_elements,
 )
-from .moebius import PP1, _code_fixed, _kernel, _point, _render_codes, parse_moebius, render_point
+from .moebius import _code_fixed, _kernel, _render_codes, parse_moebius, render_point
 
 if TYPE_CHECKING:
     from .census import AdditiveSubgroup
@@ -116,7 +116,7 @@ def subgroup_embed(H: SubgroupPGL2, target: FieldSpec) -> SubgroupPGL2:
     1, so a normalized map stays normalized."""
     if H.spec is target:
         return H
-    emb = [x.code for x in _embedding_table(H.spec, target)]
+    emb = _embedding_table(H.spec, target)
     return SubgroupPGL2(target, tuple(sorted(tuple(emb[e] for e in x) for x in H.codes)), H.tag)
 
 
@@ -127,7 +127,7 @@ def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL
         return H
     table = _projection_table(H.spec, target)
     try:
-        codes = sorted(tuple(table[e].code for e in x) for x in H.codes)
+        codes = sorted(tuple(table[e] for e in x) for x in H.codes)
     except KeyError:
         return None
     return SubgroupPGL2(target, tuple(codes), H.tag)
@@ -342,20 +342,16 @@ def _code_locus(codes: Iterable[tuple], identity, fixed, complete: bool = False)
     return tuple(sorted(pts))
 
 
-def stabilized_locus(H: SubgroupPGL2, r: int, complete: bool = False) -> Optional[tuple[PP1, ...]]:
-    """Points of P^1(F_{q^r}) with non-trivial stabilizer: the union of the
-    fixed-point sets of the non-identity elements, found on their entry
-    codes by _code_fixed (_code_locus), with points built only for the
-    result.  r >= 2 guarantees that every stabilized point of the algebraic
-    closure is captured.  With complete=True the result is None unless it is
-    the whole locus over the algebraic closure: an element's fixed points
-    lie in F_{q^r} all or none (mob_fixed_points), so that is when no
-    element's set is empty."""
-    codes = _code_locus(H.codes, _kernel(H.spec).identity, _code_fixed(H.spec, r), complete)
-    if codes is None:
-        return None
-    ext = extension_field(H.spec, r)
-    return tuple(_point(ext, x) for x in codes)
+def stabilized_locus(H: SubgroupPGL2, r: int, complete: bool = False) -> Optional[tuple[int, ...]]:
+    """The sorted codes of the points of P^1(F_{q^r}) with non-trivial
+    stabilizer: the union of the fixed-point sets of the non-identity
+    elements, found on their entry codes by _code_fixed (_code_locus).
+    r >= 2 guarantees that every stabilized point of the algebraic closure
+    is captured.  With complete=True the result is None unless it is the
+    whole locus over the algebraic closure: an element's fixed points lie in
+    F_{q^r} all or none (mob_fixed_points), so that is when no element's set
+    is empty."""
+    return _code_locus(H.codes, _kernel(H.spec).identity, _code_fixed(H.spec, r), complete)
 
 
 def irrational_locus_pairs(H: SubgroupPGL2) -> set[tuple[int, int]]:
@@ -388,10 +384,10 @@ def _code_generators(codes: Sequence[tuple], law, identity) -> tuple[tuple, ...]
 # serialization
 
 
-def subgroup_to_json(H: SubgroupPGL2, locus_ext: int = 2, locus: Optional[Sequence[PP1]] = None) -> dict:
-    """H's record.  `locus` is its stabilized locus over F_{q^locus_ext} when
-    the caller has already computed it (a census renders the locus that it
-    verified); by default it is computed here."""
+def subgroup_to_json(H: SubgroupPGL2, locus_ext: int = 2, locus: Optional[Sequence[int]] = None) -> dict:
+    """H's record.  `locus` is the codes of its stabilized locus over
+    F_{q^locus_ext} when the caller has already computed it (a census
+    renders the locus that it verified); by default it is computed here."""
     if locus is None:
         locus = stabilized_locus(H, locus_ext)
     locus_field = extension_field(H.spec, locus_ext)
@@ -400,7 +396,7 @@ def subgroup_to_json(H: SubgroupPGL2, locus_ext: int = 2, locus: Optional[Sequen
         "tag": H.tag,
         "generators": [_render_codes(H.spec, g) for g in H.generators],
         "order": H.order,
-        "locus": [render_point(P) for P in locus],
+        "locus": [render_point(locus_field, x) for x in locus],
         "locus_field": render_field_spec(locus_field),
         "locus_ext": locus_ext,
     }

@@ -33,10 +33,10 @@ from pglcensus.dichotomy import (
     verify_main_theorem,
 )
 from pglcensus.gfq import (
-    by_code,
     extension_field,
     field_elements,
     field_make,
+    fq_embed,
     fq_from_int,
     fq_gen,
     fq_inv,
@@ -51,8 +51,6 @@ from pglcensus.moebius import (
     _render_codes,
     mob_compose,
     parse_point_list,
-    pp1_affine,
-    pp1_embed,
     pp1_infinity,
     render_point,
 )
@@ -286,7 +284,7 @@ class TestEnumActions:
         rep = census_count(F5, "cyclic:4", "2,3")
         assert rep.count == 1
         (H,) = rep.matches
-        assert {render_point(P) for P in stabilized_locus(H, 1)} == {"2", "3"}
+        assert {render_point(F5, P) for P in stabilized_locus(H, 1)} == {"2", "3"}
 
     def test_one_conjugation_per_coset_of_the_model(self, monkeypatch):
         # dihedral:3 at all of P^1(F7): each of the 336 maps of PGL2(F7)
@@ -355,10 +353,7 @@ class TestEnumActions:
     def test_matches_have_recomputed_locus_equal_to_query(self):
         rep = census_count(F8, "Zp^2", "0,0,0")  # stabilized point 0
         assert rep.count == 7
-        ext2 = extension_field(F8, 2)
-        expected = tuple(
-            sorted([__import__("pglcensus.moebius", fromlist=["pp1_affine"]).pp1_affine(fq_zero(ext2))], key=by_code)
-        )
+        expected = (fq_zero(extension_field(F8, 2)).code,)
         for H in rep.matches:
             locus = stabilized_locus(H, 2)
             assert len(locus) == 1 and locus == expected
@@ -369,27 +364,48 @@ class TestEnumActions:
         assert rep.count == 3
         for H in rep.matches:
             locus = stabilized_locus(H, 1)
-            assert len(locus) == 1 and render_point(locus[0]) == "1,0"
+            assert len(locus) == 1 and render_point(F4, locus[0]) == "1,0"
 
     def test_census_in_extension(self):
         # over F2 with ext 2 the census runs inside PGL2(F4)
         rep = census_count(F2, "Zp^1", "inf", r=2)
         assert rep.count == 3
 
+    def test_library_census_in_extension_counts_as_the_cli(self):
+        # a library query at r = 2 gives its locus as codes over F4, where
+        # infinity is 4, not F2's 2: the count of the CLI's --ext 2 census,
+        # with the locus echoed deduplicated
+        F4_inf = pp1_infinity(extension_field(F2, 2))
+        rep = enum_actions(CensusQuery(F2, "Zp^1", (F4_inf, F4_inf), r=2))
+        assert (F4_inf, rep.count, rep.verdict) == (4, 3, "grows_with_field")
+        assert rep.query.locus == (4,) and rep.count == census_count(F2, "Zp^1", "inf", r=2).count
+
+    # each case one input: a code past q^r (F2's infinity read as F4's
+    # point 2 is valid, so past it is 5), a negative code, and non-ints
+    @pytest.mark.parametrize(
+        "point",
+        [5, -1, "inf", 2.0, True, fq_one(F4)],
+        ids=["past-q^r", "negative", "text", "float", "bool", "field-element"],
+    )
+    def test_locus_outside_the_census_field_is_refused(self, point):
+        message = f"locus point {point!r} is not a point code of P^1 over F_2^2 (0..4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enum_actions(CensusQuery(F2, "Zp^1", (point,), r=2))
+
     @pytest.mark.parametrize("spec,m", [(F4, 1), (F8, 1), (F8, 2)], ids=["F4r1", "F8r1", "F8r2"])
     def test_conjugation_transport(self, spec, m):
         # any conjugate of a match shows up in the census of the moved locus
         rep = census_count(spec, f"Zp^{m}", "inf")
         census_at = {}
-        for x in _all_points(spec):
+        for x in range(spec.q + 1):
             rep_x = enum_actions(CensusQuery(spec, f"Zp^{m}", (x,), r=1))
-            census_at[render_point(x)] = {M.codes for M in rep_x.matches}
+            census_at[x] = {M.codes for M in rep_x.matches}
         for g in _pgl2_codes(spec):
             for H in rep.matches:
                 K = conjugate_subgroup(H, g)
                 moved = stabilized_locus(K, 1)
                 assert len(moved) == 1
-                assert K.codes in census_at[render_point(moved[0])]
+                assert K.codes in census_at[moved[0]]
 
     def test_psl2_census_finds_the_standard_copy(self):
         # PSL2(F3) has six stabilized points away from P^1(F3) (the fixed
@@ -410,9 +426,7 @@ class TestEnumActions:
         assert embedded.codes in {M.codes for M in rep.matches}
         for H in rep.matches:
             assert fingerprint(H) == fingerprint(embedded)
-            assert stabilized_locus(H, 2) == tuple(
-                sorted((pp1_embed_local(P) for P in S2), key=by_code)
-            )
+            assert stabilized_locus(H, 2) == tuple(sorted(embed_point(P, F9, field_make(3, 4)) for P in S2))
 
     def test_empty_locus_census_finds_only_the_trivial_group(self):
         for tag in ("Zp^0", "cyclic:1"):
@@ -506,7 +520,7 @@ class TestEnumActions:
         model_locus = stabilized_locus(model, 2)
         fp = fingerprint(model)
         for locus, members in by_locus.items():
-            rational = stabilized_locus_level1(locus, F5)
+            rational = stabilized_locus_level1(locus, extension_field(F5, 2), F5)
             if rational is None:
                 continue
             rep = enum_actions(CensusQuery(F5, "dihedral:2", rational, r=1))
@@ -548,7 +562,7 @@ class TestBasisCertificate:
         (S,) = parse_point_list(F9, point)
         members = self.span(*basis) if members is None else members
         fixed = moebius._code_fixed(F9, 1)
-        return census._basis_certified(3, self.codes(*basis), members, self.K.law, self.K.identity, fixed, (S.code,))
+        return census._basis_certified(3, self.codes(*basis), members, self.K.law, self.K.identity, fixed, (S,))
 
     def test_translation_groups_are_accepted(self):
         assert self.certified([self.T1])
@@ -620,7 +634,7 @@ class TestOracle:
         assert {H.codes for H in rep.matches} == {H.codes for H in oracle}
 
     def test_oracle_at_affine_point(self):
-        point = pp1_affine(fq_one(F4))
+        point = fq_one(F4).code
         oracle = oracle_enum_elem_abelian(F4, 1, point)
         rep = enum_actions(CensusQuery(F4, "Zp^1", (point,), r=1))
         assert {H.codes for H in oracle} == {H.codes for H in rep.matches}
@@ -634,17 +648,24 @@ class TestOracle:
         with pytest.raises(ValueError, match="WORK_BOUND"):
             oracle_enum_elem_abelian(F8, 1, pp1_infinity(F8))
 
-    def test_point_of_another_field_is_refused(self):
-        # the oracle runs over the point's own field and embeds nothing
-        for spec, point in ((F4, pp1_infinity(F2)), (F2, pp1_infinity(F4)), (F8, pp1_affine(fq_gen(F4)))):
-            with pytest.raises(ValueError, match="field mismatch"):
-                oracle_enum_elem_abelian(spec, 1, point)
+    # each case one input: F4's infinity and F8's point past F2's infinity,
+    # a negative code, and a field element, not its code
+    @pytest.mark.parametrize(
+        "spec, point",
+        [(F2, 4), (F2, 7), (F8, -1), (F4, fq_gen(F4))],
+        ids=["F4-inf-over-F2", "past-q", "negative", "field-element"],
+    )
+    def test_point_of_another_field_is_refused(self, spec, point):
+        # the oracle runs over the field it is given and embeds nothing
+        message = f"oracle point {point!r} is not a point code of P^1 over F_{spec.p}^{spec.n} (0..{spec.q})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle_enum_elem_abelian(spec, 1, point)
 
     def test_scan_refuses_a_map_that_moves_the_point(self, monkeypatch):
         # the stabilizer scan checks that each conjugate fixes the point: a
         # conjugator that does not take infinity there fails it
-        point = pp1_affine(fq_from_int(F5, 2))
-        monkeypatch.setattr(dichotomy, "mob_infinity_to", lambda P: _kernel(P.spec).identity)
+        point = fq_from_int(F5, 2).code
+        monkeypatch.setattr(dichotomy, "mob_infinity_to", lambda spec, P: _kernel(spec).identity)
         dichotomy._order_p_stabilizer.cache_clear()
         with pytest.raises(AssertionError, match=r"\[1,0;0,2\] does not fix 2"):
             dichotomy._order_p_stabilizer(F5, point)
@@ -662,7 +683,7 @@ class TestOracle:
         # run on entry codes, so the shared mob_compose cache neither grows
         # nor records a lookup
         spec = field_make(p, n)
-        point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(fq_gen(spec))
+        point = pp1_infinity(spec) if point_kind == "inf" else fq_gen(spec).code
         dichotomy._order_p_stabilizer.cache_clear()
         dichotomy._oracle_growth.cache_clear()
         closures = [0]
@@ -687,7 +708,7 @@ class TestOracle:
         # a rank below the growth's last layer starts it again, and a rank
         # asked twice, or past n (rank 3 of F25), reads the same layers
         spec = field_make(p, n)
-        point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(field_elements(spec)[-1])
+        point = pp1_infinity(spec) if point_kind == "inf" else spec.q - 1
         dichotomy._oracle_growth.cache_clear()
         for m in (3, 1, 2, 3):
             found = {frozenset(H.codes) for H in oracle_enum_elem_abelian(spec, m, point)}
@@ -723,8 +744,8 @@ def _reference_subgroups_of_order(elements, op, identity, order):
 
 @functools.lru_cache(maxsize=None)
 def _reference_order_p(spec, point):
-    ident, apply, x = _kernel(spec).identity, _kernel(spec).apply, point.code
-    return [g for g in _pgl2_codes(spec) if g != ident and apply(g, x) == x and map_order(spec, g) == spec.p]
+    ident, apply = _kernel(spec).identity, _kernel(spec).apply
+    return [g for g in _pgl2_codes(spec) if g != ident and apply(g, point) == point and map_order(spec, g) == spec.p]
 
 
 def reference_oracle(spec, m, point):
@@ -743,7 +764,7 @@ SMALL_FIELDS = [(p, n) for p in range(2, 33) if is_prime(p) for n in range(1, 6)
 @pytest.mark.parametrize("p,n", SMALL_FIELDS, ids=[f"{p}^{n}" for p, n in SMALL_FIELDS])
 def test_oracle_matches_full_pgl2_scan(p, n, point_kind):
     spec = field_make(p, n)
-    point = pp1_infinity(spec) if point_kind == "inf" else pp1_affine(field_elements(spec)[-1])
+    point = pp1_infinity(spec) if point_kind == "inf" else spec.q - 1
     for m in range(1, n + 1):
         found = {frozenset(H.codes) for H in oracle_enum_elem_abelian(spec, m, point)}
         assert found == reference_oracle(spec, m, point)
@@ -819,12 +840,12 @@ def assert_census_equals_filtered_scan(spec, subgroups, tag):
     assert by_locus, f"no subgroups with the fingerprint of {tag}"
     ext = extension_field(spec, 2)
     for locus, members in by_locus.items():
-        locus_level1 = stabilized_locus_level1(locus, spec)
+        locus_level1 = stabilized_locus_level1(locus, ext, spec)
         if locus_level1 is not None:
             rep = enum_actions(CensusQuery(spec, tag, locus_level1, r=1))
             assert {H.codes for H in rep.matches} == members, (tag, locus)
         else:
-            rep = enum_actions(CensusQuery(ext, tag, stabilized_locus_level1(locus, ext), r=1))
+            rep = enum_actions(CensusQuery(ext, tag, locus, r=1))
             rational = (subgroup_project(H, spec) for H in rep.matches)
             assert {H.codes for H in rational if H is not None} == members, (tag, locus)
 
@@ -900,8 +921,8 @@ def assert_locus_counted_over_census_field(H):
     # and each distinct quadratic with no root in F_q adds two more points
     ext = extension_field(H.spec, 2)
     full = stabilized_locus(H, 2)
-    rational = [P for P in full if P.is_infinity or fq_project(P.x, H.spec) is not None]
-    assert sorted((pp1_embed(P, ext) for P in stabilized_locus(H, 1)), key=by_code) == rational, H
+    rational = [P for P in full if P == ext.q or fq_project(field_elements(ext)[P], H.spec) is not None]
+    assert sorted(embed_point(P, H.spec, ext) for P in stabilized_locus(H, 1)) == rational, H
     assert 2 * len(irrational_locus_pairs(H)) == len(full) - len(rational), H
     # the one-pass test of _verified: the level-1 locus when it is the whole
     # locus, None when some fixed points leave F_q
@@ -933,30 +954,23 @@ class TestLocusOverCensusField:
         assert_locus_counted_over_census_field(model)
 
 
-def _all_points(spec):
-    return [pp1_affine(x) for x in field_elements(spec)] + [pp1_infinity(spec)]
+def embed_point(P, spec, target):
+    """The point code P of spec read over the extension target."""
+    return target.q if P == spec.q else fq_embed(field_elements(spec)[P], target).code
 
 
-def pp1_embed_local(P):
-    # F9 points up to F81, matching the census verification level
-    from pglcensus.moebius import pp1_embed
-
-    return pp1_embed(P, field_make(3, 4))
-
-
-def stabilized_locus_level1(locus, base):
-    from pglcensus.gfq import fq_project
-    from pglcensus.moebius import pp1_affine, pp1_infinity
-
+def stabilized_locus_level1(locus, spec, base):
+    """The point codes of a locus over spec projected to its subfield base,
+    or None if one of them is irrational there."""
     out = []
     for P in locus:
-        if P.is_infinity:
+        if P == spec.q:
             out.append(pp1_infinity(base))
             continue
-        down = fq_project(P.x, base)
+        down = fq_project(field_elements(spec)[P], base)
         if down is None:
             return None
-        out.append(pp1_affine(down))
+        out.append(down.code)
     return tuple(out)
 
 
@@ -974,6 +988,23 @@ class TestMainTheorem:
         assert report.ok
         (bounded,) = report.bounded_rows
         assert [c for _, c in bounded.counts] == [1, 1]
+
+    def test_tags_embed_their_prime_field_points_into_each_level(self, monkeypatch):
+        # a tag's points are written over F_3 and embedded into F_{3^n}: the
+        # point 1 has code 1 in F_3 and code 3 in F_9, and infinity, code
+        # p, goes to p^n; any pair gives cyclic:2 the count 1, so the counts
+        # alone cannot tell a point that was not embedded
+        loci = []
+
+        def recorded(query, f=dichotomy.enum_actions):
+            loci.append((query.spec.q, query.locus))
+            return f(query)
+
+        monkeypatch.setattr(dichotomy, "enum_actions", recorded)
+        tags = [("cyclic:2", "1,2"), ("cyclic:2", "1,inf")]
+        report = verify_main_theorem(3, [1, 2], m_values=[1], extra_queries=tags)
+        assert report.ok
+        assert loci == [(3, (1, 2)), (9, (3, 6)), (3, (1, 3)), (9, (3, 9))]
 
     def test_two_point_locus_counts_zero(self):
         for n in (1, 2):
@@ -1093,7 +1124,7 @@ class TestMainTheorem:
         for n, count in ((4, 35), (6, 651)):
             spec = field_make(2, n)
             before = len(built)
-            report = enum_actions(CensusQuery(spec, "Zp^2", (pp1_affine(fq_gen(spec)),), r=1))
+            report = enum_actions(CensusQuery(spec, "Zp^2", (fq_gen(spec).code,), r=1))
             assert report.count == count
             sizes.append(len(built) - before)
         assert sizes == [2, 2]

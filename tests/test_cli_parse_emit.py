@@ -22,7 +22,7 @@ import pytest
 from pglcensus.census import CensusQuery, census_report_to_json, enum_actions
 from pglcensus.cli import _COMMANDS, _build_parser, _command_parsers, _json_parts, main
 from pglcensus.gfq import field_make
-from pglcensus.moebius import pp1_points, render_point
+from pglcensus.moebius import render_point
 from test_golden import GOLDEN
 
 
@@ -79,14 +79,14 @@ def test_writer_matches_json_dumps_on_seeded_census_reports():
     for _ in range(80):
         spec = rng.choice(fields)
         size = rng.choice(list(tags))
-        locus = tuple(sorted(rng.sample(list(pp1_points(spec)), size), key=lambda P: P.code))
+        locus = tuple(sorted(rng.sample(range(spec.q + 1), size)))
         try:
             report = enum_actions(CensusQuery(spec, rng.choice(tags[size]), locus, r=1))
         except ValueError:
             continue
         matched += report.count > 0
         payload = census_report_to_json(report)
-        assert written(payload) == json.dumps(payload, sort_keys=True, indent=2), [render_point(P) for P in locus]
+        assert written(payload) == json.dumps(payload, sort_keys=True, indent=2), [render_point(spec, P) for P in locus]
     assert matched >= 20
 
 

@@ -9,8 +9,8 @@ from pglcensus import closure
 from pglcensus.closure import close, is_prime, order, subgroups_of_order
 from pglcensus.dichotomy import _order_p_stabilizer
 from pglcensus.elliptic import _chord_tangent, _code_add, _torsion, standard_test_curves
-from pglcensus.gfq import field_elements, field_make
-from pglcensus.moebius import _kernel, _pgl2_codes, mob_compose, pp1_affine, pp1_infinity
+from pglcensus.gfq import field_make
+from pglcensus.moebius import _kernel, _pgl2_codes, mob_compose, pp1_infinity
 
 
 def add_mod(n):
@@ -283,7 +283,7 @@ def oracle_input(p, n, at, m):
     with the growth arguments of dichotomy._oracle_subgroups."""
     spec = field_make(p, n)
     law, ident = _kernel(spec).law, _kernel(spec).identity
-    point = pp1_infinity(spec) if at == "inf" else pp1_affine(field_elements(spec)[-1])
+    point = pp1_infinity(spec) if at == "inf" else spec.q - 1
     return _order_p_stabilizer(spec, point), law, ident, p ** m
 
 

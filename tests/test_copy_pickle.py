@@ -1,5 +1,5 @@
-"""Coded values and the reports built from them survive copy, deepcopy and
-pickle, and keep their field spec as the one interned object."""
+"""Field elements and the values and reports built on codes survive copy,
+deepcopy and pickle, and keep their field spec as the one interned object."""
 
 import copy
 import pickle
@@ -8,7 +8,7 @@ import pytest
 
 from pglcensus.census import CensusQuery, enum_actions
 from pglcensus.gfq import field_elements, field_make, fq_one
-from pglcensus.moebius import parse_point_list, pp1_affine, pp1_infinity
+from pglcensus.moebius import parse_point_list
 from pglcensus.stdgroups import std_cyclic
 
 F5 = field_make(5, 1)
@@ -18,8 +18,6 @@ F9 = field_make(3, 2)
 def _values():
     yield "FqElem", fq_one(F5)
     yield "FqElem-F9", field_elements(F9)[7]
-    yield "PP1-affine", pp1_affine(field_elements(F9)[5])
-    yield "PP1-inf", pp1_infinity(F9)
     yield "SubgroupPGL2", std_cyclic(F5, 4)
     yield "CensusReport", enum_actions(CensusQuery(F5, "cyclic:4", tuple(parse_point_list(F5, "0,inf")), r=1))
 

@@ -8,6 +8,7 @@ import pglcensus.stdgroups as stdgroups
 from pglcensus.census import additive_subgroup, enum_additive_subgroups, gamma_to_unipotent
 from pglcensus.conjugacy import _conjugates_onto, is_conjugate, is_conjugate_bruteforce
 from pglcensus.gfq import (
+    extension_field,
     field_elements,
     field_make,
     fq_embed,
@@ -17,7 +18,7 @@ from pglcensus.gfq import (
     fq_one,
     fq_zero,
 )
-from pglcensus.moebius import _kernel, _pgl2_codes, mob_compose, render_point
+from pglcensus.moebius import _kernel, _pgl2_codes, mob_compose, mob_infinity_to, render_point
 from pglcensus.stdgroups import (
     close_generators,
     conjugate_subgroup,
@@ -253,12 +254,12 @@ class TestFingerprint:
 class TestStabilizedLocus:
     def test_cyclic_locus_is_zero_and_infinity(self):
         locus = stabilized_locus(std_cyclic(F5, 4), 2)
-        assert [render_point(P) for P in locus] == ["0,0", "inf"]
+        assert [render_point(field_make(5, 2), P) for P in locus] == ["0,0", "inf"]
 
     def test_pgl2_locus_contains_expected_points(self):
         locus = stabilized_locus(std_PGL2(F5, 1), 2)
         ext = field_make(5, 2)
-        rendered = {render_point(P) for P in locus}
+        rendered = {render_point(ext, P) for P in locus}
         assert {"0,0", "inf"} <= rendered
         assert len(locus) >= 4
         # the square roots of -1 in F5 are 2 and 3, embedded as constants
@@ -267,7 +268,7 @@ class TestStabilizedLocus:
     def test_unipotent_locus_is_exactly_infinity(self):
         for gamma in enum_additive_subgroups(F8, 1):
             locus = stabilized_locus(gamma_to_unipotent(gamma), 2)
-            assert len(locus) == 1 and locus[0].is_infinity
+            assert locus == (extension_field(F8, 2).q,)
 
     def test_every_noncyclic_p_regular_model_has_three_points(self):
         models = [
@@ -284,20 +285,18 @@ class TestStabilizedLocus:
         H = std_gamma_semidirect(gamma, 2)
         locus = stabilized_locus(H, 2)
         assert len(locus) >= 3
-        ext = locus[0].spec if not locus[0].is_infinity else locus[-1].spec
+        ext = extension_field(F9, 2)
         zeta = fq_from_int(ext, -1)
         one = fq_one(ext)
         denom_inv = (one - zeta)
         for g_int in (1, 2):
             g = fq_from_int(ext, g_int)
             target = g / denom_inv
-            assert any((not P.is_infinity) and P.x == target for P in locus)
+            assert target.code in locus
 
 
 def render_point_of_int(ext, k):
-    from pglcensus.moebius import pp1_affine
-
-    return render_point(pp1_affine(fq_from_int(ext, k)))
+    return render_point(ext, fq_from_int(ext, k).code)
 
 
 class TestConjugacy:
@@ -315,6 +314,22 @@ class TestConjugacy:
         # and the scalar relation itself: t * span{1} = span{t}
         t = fq_gen(F4)
         assert {fq_mul(t, x).coeffs for x in (fq_zero(F4), fq_one(F4))} == {(0, 0), (0, 1)}
+
+    def test_one_point_loci_are_related_by_scaling_alone(self, monkeypatch):
+        # translation groups over F4 moved to the points 1 and 0: each is
+        # carried to infinity from its own point, where the two translation
+        # sets differ by a scalar, so no transporter is searched
+        import pglcensus.conjugacy as conjugacy
+
+        def no_search(*args):
+            raise AssertionError("a one-point locus of translations needs no transporter")
+
+        monkeypatch.setattr(conjugacy, "transporters", no_search)
+        H1 = conjugate_subgroup(gamma_to_unipotent(additive_subgroup(F4, [fq_one(F4)])), mob_infinity_to(F4, 1))
+        H2 = conjugate_subgroup(gamma_to_unipotent(additive_subgroup(F4, [fq_gen(F4)])), mob_infinity_to(F4, 0))
+        assert (stabilized_locus(H1, 1), stabilized_locus(H2, 1)) == ((1,), (0,))
+        w = is_conjugate(H1, H2, 1)
+        assert w is not None and conjugate_subgroup(H1, witness_map(H1, w)).codes == H2.codes
 
     def test_order_obstruction(self):
         H1 = std_cyclic(F5, 4)
