@@ -259,6 +259,16 @@ GOLDEN = {
         ("6b2dc70c1fe06ba9c36455354d7ccc02aee4d53841145e7b2641647b3004e642", 0),
     "verify-main --p 3 --levels 1-2 --tags cyclic:2@1,2":
         ("9355873eb55ba47a23af2e868621ef0f3af999edfe8dd15c77467515a6c1e5cd", 0),
+    # bases of more than one coefficient: the 35 planes of F_16 over F_2;
+    # and a cubic over a non-prime field, whose ramified points lie in
+    # F_{q^2}: three over F_25 (1,0,2,4 and 4,0,3,1 and inf), two over F_4,
+    # one of them wild
+    "additive-subgroups --field 2^4 --rank 2":
+        ("d5e02a7bd9fb2b52412c6c0877efd2b03686fdee222bd0ff6087c3f38e5fe619", 0),
+    "ramification --field 5^2 --poly 0,1,1,0,0,0,1,0 --ext 2":
+        ("0f2e2b9b7a730291dab9157cb48eb66344c2ca88c574bb643b27150e0d0212a4", 0),
+    "ramification --field 2^2 --poly 0,1,1,0,0,0,1,0 --ext 2":
+        ("c4b79a3e9b59501fac0ff179bf7e5f540a1e7034aaa0361a2f3f93d218d2b711", 0),
 }
 
 
