@@ -32,13 +32,13 @@ from typing import Collection, Iterable, Iterator, Sequence
 from .closure import close, order
 from .gfq import (
     FieldSpec,
-    FqElem,
     Record,
+    _code,
+    _digits,
     _embedding_table,
     extension_field,
     fp_echelon,
-    fq_from_coeffs,
-    fq_mul,
+    render_element,
     render_field_spec,
 )
 from .moebius import _check_points, _code_fixed, _kernel, mob_infinity_to, render_point, transporters
@@ -72,11 +72,12 @@ from .stdgroups import (
 
 
 class AdditiveSubgroup(Record):
-    """An F_p-subspace of F_{p^n} in reduced-echelon basis form.  Two equal
-    subspaces always carry the identical basis tuple."""
+    """An F_p-subspace of F_{p^n} in reduced-echelon basis form, the basis
+    as element codes.  Two equal subspaces always carry the identical basis
+    tuple."""
 
     spec: FieldSpec
-    basis: tuple[FqElem, ...]
+    basis: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -91,24 +92,20 @@ class AdditiveSubgroup(Record):
         for b in self.basis:
             multiples = [0]
             for _ in range(self.spec.p - 1):
-                multiples.append(add(multiples[-1], b.code))
+                multiples.append(add(multiples[-1], b))
             codes = [add(x, y) for x in codes for y in multiples]
         return codes
 
-    def elements(self) -> list[FqElem]:
-        """All p^rank members of the subspace, in element_codes order."""
-        elems = self.spec._tables.elems
-        return [elems[c] for c in self.element_codes()]
-
     def __repr__(self) -> str:
-        basis = "; ".join(",".join(str(c) for c in b.coeffs) for b in self.basis)
+        basis = "; ".join(render_element(self.spec, b) for b in self.basis)
         return f"AdditiveSubgroup(rank {self.rank}: {basis})"
 
 
-def additive_subgroup(spec: FieldSpec, gens: Iterable[FqElem]) -> AdditiveSubgroup:
-    """The F_p-span of the generators, canonicalized by echelon reduction."""
-    rows = fp_echelon([g.coeffs for g in gens], spec.p)
-    return AdditiveSubgroup(spec, tuple(fq_from_coeffs(spec, r) for r in rows))
+def additive_subgroup(spec: FieldSpec, gens: Iterable[int]) -> AdditiveSubgroup:
+    """The F_p-span of the generators (element codes), canonicalized by
+    echelon reduction."""
+    rows = fp_echelon([_digits(spec, g) for g in gens], spec.p)
+    return AdditiveSubgroup(spec, tuple(_code(r, spec.p) for r in rows))
 
 
 def gaussian_binomial(n: int, m: int, p: int) -> int:
@@ -153,17 +150,10 @@ def _echelon_bases(spec: FieldSpec, m: int) -> list[tuple[int, ...]]:
     return bases
 
 
-def _subspaces(spec: FieldSpec, bases: Iterable[tuple[int, ...]]) -> Iterator[AdditiveSubgroup]:
-    elem: dict[int, FqElem] = {}  # one element per code
-    for basis in bases:
-        vectors = [elem[c] if c in elem else elem.setdefault(c, FqElem(spec, c)) for c in basis]
-        yield AdditiveSubgroup(spec, tuple(vectors))
-
-
 def enum_additive_subgroups(spec: FieldSpec, m: int) -> list[AdditiveSubgroup]:
     """All rank-m F_p-subspaces of F_{p^n}, in canonical echelon form and in
     the order of their basis codes: [n choose m]_p of them."""
-    return list(_subspaces(spec, sorted(_echelon_bases(spec, m))))
+    return [AdditiveSubgroup(spec, basis) for basis in sorted(_echelon_bases(spec, m))]
 
 
 def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
@@ -174,13 +164,13 @@ def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
     return SubgroupPGL2(spec, tuple(sorted((one, g, 0, one) for g in gamma.element_codes())), f"Zp^{gamma.rank}")
 
 
-def scale_subgroup(gamma: AdditiveSubgroup, alpha: FqElem) -> AdditiveSubgroup:
-    """The subspace alpha * gamma, re-canonicalized.  alpha must be nonzero."""
-    if alpha.is_zero():
+def scale_subgroup(gamma: AdditiveSubgroup, alpha: int) -> AdditiveSubgroup:
+    """The subspace alpha * gamma, re-canonicalized, for the code alpha of a
+    nonzero element of gamma's field."""
+    if not alpha:
         raise ValueError("scaling by zero collapses the subgroup")
-    if alpha.spec is not gamma.spec:
-        raise ValueError("scalar lives in the wrong field")
-    return additive_subgroup(gamma.spec, [fq_mul(alpha, b) for b in gamma.basis])
+    mul = gamma.spec._tables.mul
+    return additive_subgroup(gamma.spec, [mul(alpha, b) for b in gamma.basis])
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +280,9 @@ def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...], first: 
             bases = sorted(itertools.chain.from_iterable(runs))
         one = ext.q // ext.p
         models = []
-        for gamma in _subspaces(ext, ((one, *basis) for basis in bases)):
+        for basis in bases:
             try:
-                models.append(std_gamma_semidirect(gamma, n))
+                models.append(std_gamma_semidirect(AdditiveSubgroup(ext, (one, *basis)), n))
             except ValueError:
                 continue  # this gamma fails the containment/closure conditions
             if first:

@@ -240,7 +240,7 @@ def _cmd_additive_subgroups(args):
         "count": len(subs),
         "gaussian_binomial": census.gaussian_binomial(spec.n, args.rank, spec.p),
         "subgroups": [
-            {"basis": [gfq.render_element(b) for b in G.basis]} for G in subs
+            {"basis": [gfq.render_element(spec, b) for b in G.basis]} for G in subs
         ],
     }
     return 0, payload, "subgroups", ["basis"]
@@ -284,7 +284,7 @@ def _cmd_ramification(args):
     from . import p1checks
 
     spec = gfq.parse_field_spec(args.field)
-    ram = p1checks.poly_map_ramification(p1checks.parse_poly(spec, args.poly), args.ext)
+    ram = p1checks.poly_map_ramification(spec, p1checks.parse_poly(spec, args.poly), args.ext)
     return 0, p1checks.ramification_to_json(spec, ram, args.ext), "ramification", ["point", "index", "tame"]
 
 

@@ -130,9 +130,3 @@ def _next_layer(layer: Layer, elements: Sequence[T], op: Callable[[T, T], T], id
                 covered |= grown
     return next_layer
 
-
-def subgroups_of_order(elements: Sequence[T], op: Callable[[T, T], T], identity: T, order: int) -> set[frozenset[T]]:
-    """Every subgroup with exactly `order` members that some of `elements`
-    generate: the members of that order of the layers of
-    subgroup_layers(elements, op, identity, cap=order)."""
-    return {H for layer in subgroup_layers(elements, op, identity, cap=order) for H in layer if len(H) == order}

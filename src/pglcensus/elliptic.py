@@ -9,9 +9,9 @@ after scaling by u, so (P, u)(Q) = sigma_u(Q) + P and composition is
 (P, u)(Q, v) = (P + sigma_u(Q), u v).
 
 A point is its coordinate codes: the pair (x, y), or the empty tuple () for
-O, so tuple order is code order with O first.  A curve has one field: every
-function here works over E.spec and refuses scaling factors from another
-field; base_change(E, r) is the same equation over F_{q^r}.  Point sets,
+O, so tuple order is code order with O first.  A curve has one field: its
+coefficients a and b and every scaling factor u are element codes of
+E.spec; base_change(E, r) is the same equation over F_{q^r}.  Point sets,
 torsion, kernels and fixed-point fibres over E's field come from direct
 scans through one chord-tangent law per curve, on its field's log, antilog
 and Zech tables.  The scan of 1 - sigma_u runs once per (curve, u) into a
@@ -46,9 +46,10 @@ from typing import Sequence
 from .closure import close, order, subgroup_layers
 from .gfq import (
     FieldSpec,
-    FqElem,
     Record,
-    _render_code,
+    _embedding_table,
+    _int_code,
+    _inverse_cache,
     _sqrt_table,
     cpoly_chi_disc,
     cpoly_chi_res,
@@ -58,12 +59,6 @@ from .gfq import (
     cpoly_mul,
     cpoly_sub,
     extension_field,
-    fq_add,
-    fq_embed,
-    fq_from_int,
-    fq_mul,
-    fq_one,
-    fq_zero,
     parse_element,
     parse_field_spec,
     render_element,
@@ -73,24 +68,22 @@ from .gfq import (
 
 
 class ECurve(Record):
-    """y^2 = x^3 + ax + b over F_q with p > 3 and nonzero discriminant."""
+    """y^2 = x^3 + ax + b over F_q with p > 3 and nonzero discriminant; a and
+    b are element codes of F_q."""
 
     spec: FieldSpec
-    a: FqElem
-    b: FqElem
+    a: int
+    b: int
 
     def __post_init__(self):
-        if self.spec.p <= 3:
+        spec, a, b = self.spec, self.a, self.b
+        if spec.p <= 3:
             raise ValueError("short Weierstrass curves require characteristic > 3")
-        if self.a.spec is not self.spec or self.b.spec is not self.spec:
-            raise ValueError("coefficients live in the wrong field")
-        four = fq_from_int(self.spec, 4)
-        twenty_seven = fq_from_int(self.spec, 27)
-        disc = fq_add(
-            fq_mul(four, fq_mul(self.a, fq_mul(self.a, self.a))),
-            fq_mul(twenty_seven, fq_mul(self.b, self.b)),
-        )
-        if disc.is_zero():
+        if any(type(c) is not int or not 0 <= c < spec.q for c in (a, b)):
+            raise ValueError(f"coefficients must be element codes of F_{spec.p}^{spec.n} (0..{spec.q - 1})")
+        mul = spec._tables.mul
+        disc = spec._tables.add(mul(_int_code(spec, 4), mul(a, mul(a, a))), mul(_int_code(spec, 27), mul(b, b)))
+        if not disc:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
 
     def __repr__(self) -> str:
@@ -106,8 +99,8 @@ def _chord_tangent(E: ECurve):
     curve."""
     t = E.spec._tables
     log, exp, m, add, sub = t.log, t.exp, t.m, t.add, t.sub
-    log2, log3 = log[fq_from_int(E.spec, 2).code], log[fq_from_int(E.spec, 3).code]
-    a = E.a.code
+    log2, log3 = log[_int_code(E.spec, 2)], log[_int_code(E.spec, 3)]
+    a = E.a
 
     def law(x1, y1, x2, y2):
         if x1 == x2:
@@ -161,24 +154,25 @@ def base_change(E: ECurve, r: int) -> ECurve:
     if r == 1:
         return E
     ext = extension_field(E.spec, r)
-    return ECurve(ext, fq_embed(E.a, ext), fq_embed(E.b, ext))
+    emb = _embedding_table(E.spec, ext)
+    return ECurve(ext, emb[E.a], emb[E.b])
 
 
 @lru_cache(maxsize=None)
 def ec_points(E: ECurve) -> tuple[tuple[int, ...], ...]:
     """All points of E over its field, by scanning x and solving for y: O
     first, then the pairs (x, y) in code order."""
-    t, sqrt, f = E.spec._tables, _sqrt_table(E.spec), [E.b.code, E.a.code, 0, E.spec.q // E.spec.p]
-    return ((),) + tuple((x, y.code) for x in range(E.spec.q) for y in sqrt.get(_at(t, f, x), ()))
+    t, sqrt, f = E.spec._tables, _sqrt_table(E.spec), [E.b, E.a, 0, E.spec.q // E.spec.p]
+    return ((),) + tuple((x, y) for x in range(E.spec.q) for y in sqrt.get(_at(t, f, x), ()))
 
 
-def aut0(E: ECurve) -> tuple[FqElem, ...]:
-    """The base-point-fixing automorphisms over E's field, as their scaling
-    factors u (u^4 a = a, u^6 b = b), in code order: the 6th roots of unity
+def aut0(E: ECurve) -> tuple[int, ...]:
+    """The base-point-fixing automorphisms over E's field, as the codes of
+    their scaling factors u (u^4 a = a, u^6 b = b): the 6th roots of unity
     if a = 0, the 4th if b = 0, else +-1.  Contains 1 and -1; has 2, 4 or 6
     members depending on whether a or b vanishes and which roots of unity are
     present."""
-    d = 6 if E.a.is_zero() else 4 if E.b.is_zero() else 2
+    d = 6 if not E.a else 4 if not E.b else 2
     return tuple(roots_of_unity(E.spec, d)[0])
 
 
@@ -199,34 +193,33 @@ def _scaling_codes(E: ECurve, log_u: int):
 
 
 @lru_cache(maxsize=None)
-def _one_minus_sigma_fibres(E: ECurve, u: FqElem) -> dict[tuple, tuple]:
+def _one_minus_sigma_fibres(E: ECurve, u: int) -> dict[tuple, tuple]:
     """Fibres of Q -> Q - sigma_u(Q) on the points of E, keyed by image
-    point as the law gives it.  Each fibre is nonempty and in point order."""
-    if u.spec is not E.spec:
-        raise ValueError(f"field mismatch: {u.spec!r} vs the curve's {E.spec!r}")
-    if u.is_zero():
+    point as the law gives it, for the code u of a nonzero element of E's
+    field.  Each fibre is nonempty and in point order."""
+    if not u:
         raise ValueError("scaling factor must be nonzero")
     t = E.spec._tables
     law = _chord_tangent(E)
-    neg_sigma = _scaling_codes(E, t.log[u.code] + t.half)  # -sigma_u = sigma_{-u}
+    neg_sigma = _scaling_codes(E, t.log[u] + t.half)  # -sigma_u = sigma_{-u}
     fibres: dict = {}
     for Q in ec_points(E):
         fibres.setdefault(Q and law(*Q, *neg_sigma(*Q)), []).append(Q)
     return {P: tuple(fibre) for P, fibre in fibres.items()}
 
 
-def _fixing_pairs(E: ECurve, u: FqElem):
+def _fixing_pairs(E: ECurve, u: int):
     """(Q, P) for every point Q in the fibre table of 1 - sigma_u, with P the
     translation part of the automorphism (P, u) fixing Q: Q lies in the
     fibre over P.  Each pair is checked by applying (P, u) to Q on codes,
     sigma_u(Q) + P = Q through the law (the definition of fixing, not the
     table's own Q - sigma_u(Q)), else AssertionError."""
-    law, scale = _chord_tangent(E), _scaling_codes(E, E.spec._tables.log[u.code])
+    law, scale = _chord_tangent(E), _scaling_codes(E, E.spec._tables.log[u])
     for P, fibre in _one_minus_sigma_fibres(E, u).items():
         for Q in fibre:
             if _code_add(law, Q and scale(*Q), P) != Q:
                 raise AssertionError(
-                    f"(P={render_ec_point(E, P)}, u={render_element(u)}) does not fix {render_ec_point(E, Q)}"
+                    f"(P={render_ec_point(E, P)}, u={render_element(E.spec, u)}) does not fix {render_ec_point(E, Q)}"
                 )
             yield Q, P
 
@@ -325,12 +318,12 @@ class FpfDichotomyReport(Record):
         return not self.violations
 
 
-def _one_minus_sigma_map(E: ECurve, u: FqElem) -> tuple[list, list]:
+def _one_minus_sigma_map(E: ECurve, u: int) -> tuple[list, list]:
     """x(Q - sigma_u(Q)) = N(x) / D(x) for u != 1, as code polynomials in
     lowest terms (Silverman, AEC III.2).  For u = -1 it is the doubling map;
     else, with v = -u, the chord through Q and sigma_v(Q) = (v^2 x, v^3 y)
     has slope (v^3 - 1) y / ((v^2 - 1) x)."""
-    spec, t, a, b, u = E.spec, E.spec._tables, E.a.code, E.b.code, u.code
+    spec, t, a, b = E.spec, E.spec._tables, E.a, E.b
     add, sub, mul, one = t.add, t.sub, t.mul, spec.q // spec.p
     if u == t.exp[t.half]:  # u = -1
         four, minus_two, minus_eight = (k % spec.p * one for k in (4, -2, -8))
@@ -406,7 +399,7 @@ def _fibre_sizes(E: ECurve, N: list, D: list, preimages: dict, P: tuple, levels:
     if P and P[1]:
         classes = [(k, 0) for k in (1,) * len(roots) + split]  # (degree, chi_k(f(x))): one point per root
     else:
-        f = [E.b.code, E.a.code, 0, one]
+        f = [E.b, E.a, 0, one]
         classes = [(1, _chi(t, _at(t, f, x))) for x in roots]
         if split == (2, 2):
             raise AssertionError(f"fibre polynomial of (P={render_ec_point(E, P)}) splits as {{2, 2}} under y_P = 0")
@@ -448,7 +441,7 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
         raise ValueError("need at least one level")
     for r in (1, *levels):  # level 1 first: the base points are scanned
         _check_level(E, r)
-    one = fq_one(E.spec)
+    one, inverse = E.spec.q // E.spec.p, _inverse_cache(E.spec)
     base_pts = ec_points(E)
     orbit = _x_orbits(E)
     by_pair = {}  # u -> {(): the kernel's sizes, orbit of x_P: P's sizes}
@@ -457,7 +450,7 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
     for u in aut0(E):
         if u == one:
             continue
-        if (sizes := by_pair.get(u ** -1)) is None:  # else u^-1's pass filled every key
+        if (sizes := by_pair.get(inverse[u])) is None:  # else u^-1's pass filled every key
             N, D = _one_minus_sigma_map(E, u)
             preimages = _x_preimages(E, N, D)
             sizes = by_pair[u] = {(): _fibre_sizes(E, N, D, preimages, (), levels)}
@@ -471,18 +464,18 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
                 got, want = fibre_sizes[levels.index(1)], len(scan.get(P, ()))
                 if got != want:
                     raise AssertionError(
-                        f"fibre polynomial of (P={render_ec_point(E, P)}, u={render_element(u)}) "
+                        f"fibre polynomial of (P={render_ec_point(E, P)}, u={render_element(E.spec, u)}) "
                         f"gives {got} points at r=1, the scan {want}"
                     )
             for r, size, kernel_size in zip(levels, fibre_sizes, kernel):
                 if size and size != kernel_size:
                     violations.append(
-                        f"(P={render_ec_point(E, P)}, u={render_element(u)}) at r={r}: "
+                        f"(P={render_ec_point(E, P)}, u={render_element(E.spec, u)}) at r={r}: "
                         f"fibre size {size} != kernel size {kernel_size}"
                     )
             if not any(fibre_sizes):
                 violations.append(
-                    f"(P={render_ec_point(E, P)}, u={render_element(u)}): fibre sizes {fibre_sizes} "
+                    f"(P={render_ec_point(E, P)}, u={render_element(E.spec, u)}): fibre sizes {fibre_sizes} "
                     f"across levels {levels}, expected fixed points"
                 )
     return FpfDichotomyReport(levels, checked, tuple(violations))
@@ -506,7 +499,7 @@ def max_singleton_bound(E: ECurve) -> int:
     when that kernel is {O}, whatever Q is.  Every point has the same count,
     the number of u != 1 with a trivial kernel, and one lookup per u reads
     it."""
-    one = fq_one(E.spec)
+    one = E.spec.q // E.spec.p
     alone = sum(len(_one_minus_sigma_fibres(E, u)[()]) == 1 for u in aut0(E) if u != one)
     return 2 ** (1 + alone)
 
@@ -522,10 +515,10 @@ def standard_test_curves() -> tuple[tuple[str, ECurve], ...]:
     F7 = field_make(7, 1)
     F13 = field_make(13, 1)
     return (
-        ("F5_j1728", ECurve(F5, fq_one(F5), fq_zero(F5))),
-        ("F13_j1728", ECurve(F13, fq_one(F13), fq_zero(F13))),
-        ("F7_j0", ECurve(F7, fq_zero(F7), fq_one(F7))),
-        ("F5_generic", ECurve(F5, fq_one(F5), fq_one(F5))),
+        ("F5_j1728", ECurve(F5, 1, 0)),
+        ("F13_j1728", ECurve(F13, 1, 0)),
+        ("F7_j0", ECurve(F7, 0, 1)),
+        ("F5_generic", ECurve(F5, 1, 1)),
     )
 
 
@@ -534,7 +527,7 @@ def standard_test_curves() -> tuple[tuple[str, ECurve], ...]:
 
 
 def render_curve(E: ECurve) -> str:
-    return f"{render_field_spec(E.spec)}:a={render_element(E.a)},b={render_element(E.b)}"
+    return f"{render_field_spec(E.spec)}:a={render_element(E.spec, E.a)},b={render_element(E.spec, E.b)}"
 
 
 def parse_curve(text: str) -> ECurve:
@@ -547,7 +540,7 @@ def parse_curve(text: str) -> ECurve:
     if not sep:
         raise ValueError(f"curve spec must look like p^n:a=...,b=..., got {text!r}")
     try:
-        a, b = parse_element(spec, a_part), parse_element(spec, b_part)
+        a, b = parse_element(spec, a_part).code, parse_element(spec, b_part).code
     except ValueError as err:
         raise ValueError(f"curve spec {text!r} must look like p^n:a=...,b=...: {err}") from None
     return ECurve(spec, a, b)
@@ -555,7 +548,7 @@ def parse_curve(text: str) -> ECurve:
 
 def render_ec_point(E: ECurve, P: tuple) -> str:
     """"O", or "(x,y)" with the coordinates in element format."""
-    return f"({_render_code(E.spec, P[0])},{_render_code(E.spec, P[1])})" if P else "O"
+    return f"({render_element(E.spec, P[0])},{render_element(E.spec, P[1])})" if P else "O"
 
 
 # ---------------------------------------------------------------------------

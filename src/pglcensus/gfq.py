@@ -9,12 +9,13 @@ code k.  Each field builds, once and on first use, one _FieldTables: log
 and antilog tables over a primitive element g, a Zech table k -> log(1 + g^k)
 (K. Huber, IEEE Trans. Inf. Theory 36, 1990), and the field's one add, sub
 and mul on codes: a product adds two logs, a sum or difference adds a Zech
-log.  The fq_* functions wrap them for FqElem; loops that build no FqElem
-(cpoly_*, PGL2, the genus-1 law) call them directly.  Inverses, powers, roots
-of unity and subfields are index arithmetic.  The tables take O(q) memory
-and time, which suits the desk scale (q up to ~10^4).  Monic quadratics (the
-fixed-point equations of PGL2) are solved in closed form from per-field
-square-root and Artin-Schreier tables.
+log.  Every layer calls them on element codes: the FqElem that
+parse_element returns is the one element object, and only its code goes
+past the parse.  Inverses, roots of unity and subfields are index
+arithmetic.  The tables take O(q) memory and time, which suits the desk
+scale (q up to ~10^4).  Monic quadratics (the fixed-point equations of
+PGL2) are solved in closed form from per-field square-root and
+Artin-Schreier tables.
 
 Polynomials over F_q are lists of element codes, and the cpoly_* helpers are
 the one polynomial layer: they divide, take gcds and powers modulo a
@@ -29,12 +30,12 @@ element x of the field with division by t - x.
 Conventions used throughout the package:
 
 * elements are ordered lexicographically by coefficient vector, i.e. by code,
-* a field element is an FqElem, a spec and one int code, hashed by the
-  code and compared by code and spec.  Subgroups, curves, queries and
-  reports are Records of named fields, compared and hashed by exact type
-  and field values.  Points of P^1 (code q for infinity), PGL2 maps and
-  elliptic-curve points are ints or tuples of codes with no field (see
-  moebius, elliptic).  No module imports dataclasses, whose import chain
+* a field element is its int code, with its spec passed beside it, as are
+  points of P^1 (code q for infinity), PGL2 maps and elliptic-curve points,
+  ints or tuples of codes (see moebius, elliptic); an FqElem is only what
+  parse_element returns.  Subgroups, curves, queries and reports are
+  Records of named fields, compared and hashed by exact type and field
+  values.  No module imports dataclasses, whose import chain
   (inspect, ast, dis, tokenize) every CLI process would pay at start-up,
 * the "auto" modulus of F_{p^n} is the lexicographically smallest monic
   irreducible polynomial of degree n over F_p,
@@ -171,11 +172,12 @@ class Record:
 
 
 class FqElem:
-    """Element of F_{p^n} as its spec and its code: the base-p number whose
-    digits are the coefficients, constant term c0 most significant.  The
-    hash is the code, and equality compares codes, then specs.  Immutable,
-    since the field tables hand out shared instances; copy and pickle
-    rebuild it through the constructor, never through __setattr__."""
+    """A parsed element of F_{p^n}: its spec and its code, the base-p number
+    whose digits are the coefficients, constant term c0 most significant.
+    It is what parse_element returns, and the code is all that any other
+    function takes.  The hash is the code, and equality compares codes, then
+    specs.  Immutable; copy and pickle rebuild it through the constructor,
+    never through __setattr__."""
 
     __slots__ = ("spec", "code")
 
@@ -202,42 +204,31 @@ class FqElem:
         if not 0 <= self.code < self.spec.q:
             raise ValueError(f"element code must lie in [0, {self.spec.q}), got {self.code}")
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """The coefficient vector, constant term first."""
-        p, n = self.spec.p, self.spec.n
-        return tuple(self.code // p ** (n - 1 - i) % p for i in range(n))
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def __add__(self, other: FqElem) -> FqElem:
-        return fq_add(self, other)
-
-    def __sub__(self, other: FqElem) -> FqElem:
-        return fq_sub(self, other)
-
-    def __mul__(self, other: FqElem) -> FqElem:
-        return fq_mul(self, other)
-
-    def __truediv__(self, other: FqElem) -> FqElem:
-        return fq_mul(self, fq_inv(other))
-
-    def __neg__(self) -> FqElem:
-        return fq_neg(self)
-
-    def __pow__(self, e: int) -> FqElem:
-        return fq_pow(self, e)
-
     def __repr__(self) -> str:
-        return f"Fq({render_element(self)} in {self.spec.p}^{self.spec.n})"
+        return f"Fq({render_element(self.spec, self.code)} in {self.spec.p}^{self.spec.n})"
 
 
 def _code(coeffs: Sequence[int], p: int) -> int:
+    """The code of a coefficient vector, constant term first."""
     c = 0
     for d in coeffs:
         c = c * p + d
     return c
+
+
+def _digits(spec: FieldSpec, code: int) -> tuple[int, ...]:
+    """The coefficient vector of the element with this code, constant term
+    first: the inverse of _code."""
+    p, digits = spec.p, []
+    for _ in range(spec.n):
+        code, d = divmod(code, p)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def _int_code(spec: FieldSpec, k: int) -> int:
+    """The code of the image of the integer k under Z -> F_p -> F_{p^n}."""
+    return k % spec.p * (spec.q // spec.p)
 
 
 @lru_cache(maxsize=None)
@@ -267,33 +258,6 @@ def field_make(p: int, n: int, modulus="auto") -> FieldSpec:
     else:
         mod = tuple(int(c) for c in modulus)
     return FieldSpec(p, n, mod)
-
-
-def fq_zero(spec: FieldSpec) -> FqElem:
-    return FqElem(spec, 0)
-
-
-def fq_one(spec: FieldSpec) -> FqElem:
-    return FqElem(spec, spec.q // spec.p)
-
-
-def fq_gen(spec: FieldSpec) -> FqElem:
-    """The residue of x, a root of the modulus (equals 0 when n = 1)."""
-    if spec.n == 1:
-        return fq_zero(spec)
-    return FqElem(spec, spec.q // spec.p ** 2)
-
-
-def fq_from_int(spec: FieldSpec, k: int) -> FqElem:
-    """Image of the integer k under Z -> F_p -> F_{p^n}."""
-    return FqElem(spec, k % spec.p * (spec.q // spec.p))
-
-
-def fq_from_coeffs(spec: FieldSpec, coeffs: Sequence[int]) -> FqElem:
-    digits = [int(c) % spec.p for c in coeffs]
-    if len(digits) != spec.n:
-        raise ValueError(f"element needs {spec.n} coefficients, got {tuple(coeffs)}")
-    return FqElem(spec, _code(digits, spec.p))
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +321,22 @@ def _primitive_element(spec: FieldSpec) -> tuple[int, ...]:
 class _FieldTables:
     """A field's one set of tables, over a primitive element g, m = q - 1:
 
-    * elems[c]: the element with code c (the tuple field_elements returns);
-    * log[c]: the k in [0, m) with g^k = elems[c] (None for c = 0);
+    * log[c]: the k in [0, m) with g^k the element with code c (None for
+      c = 0);
     * exp[k]: the code of g^k for 0 <= k < 3m (three logs add unreduced);
     * half: log(-1);
     * zech[k]: the Zech logarithm log(1 + g^k) (None where 1 + g^k = 0),
       kept for 0 <= k < 2m so that any -2m < k < 2m indexes it (Python wraps
       k < 0);
     * add, sub, mul: the field's arithmetic on element codes, over zech.
-      Code-level loops call them; moebius._kernel extends log and zech to
-      a zero sentinel and runs PGL2 products on the arrays themselves.
+      Every layer calls them; moebius._kernel extends log and zech to a zero
+      sentinel and runs PGL2 products on the arrays themselves.
 
     O(q) to build: one sparse product per power of g (g has low degree), and
     1 + g^k is the code of g^k plus p^(n-1), mod q.
     """
 
-    __slots__ = ("elems", "log", "exp", "half", "m", "zech", "add", "sub", "mul")
+    __slots__ = ("log", "exp", "half", "m", "zech", "add", "sub", "mul")
 
     def __init__(self, spec: FieldSpec):
         p, q = spec.p, spec.q
@@ -387,7 +351,6 @@ class _FieldTables:
             log[c] = k
             power = _vec_mul(spec, g, power)
         one = q // p
-        self.elems = field_elements(spec)
         self.log = log
         self.exp = exp = codes * 3
         self.zech = zech = [log[(c + one) % q] for c in codes] * 2
@@ -419,75 +382,30 @@ class _FieldTables:
         self.add, self.sub, self.mul = add, sub, mul
 
 
-# ---------------------------------------------------------------------------
-# arithmetic: the table's code operations on FqElem
-
-
-def fq_add(a: FqElem, b: FqElem) -> FqElem:
-    if a.spec is not b.spec:
-        raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
-    t = a.spec._tables
-    return t.elems[t.add(a.code, b.code)]
-
-
-def fq_sub(a: FqElem, b: FqElem) -> FqElem:
-    if a.spec is not b.spec:
-        raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
-    t = a.spec._tables
-    return t.elems[t.sub(a.code, b.code)]
-
-
-def fq_neg(a: FqElem) -> FqElem:
-    t = a.spec._tables
-    return t.elems[t.sub(0, a.code)]
-
-
-def fq_mul(a: FqElem, b: FqElem) -> FqElem:
-    if a.spec is not b.spec:
-        raise ValueError(f"field mismatch: {a.spec!r} vs {b.spec!r}")
-    t = a.spec._tables
-    return t.elems[t.mul(a.code, b.code)]
-
-
 @lru_cache(maxsize=None)
 def _inverse_cache(spec: FieldSpec) -> list:
-    """inv[c]: the inverse of the element with code c (None for 0), since
-    log(1/x) = m - log(x)."""
+    """inv[c]: the code of the inverse of the element with code c (None for
+    0), since log(1/x) = m - log(x)."""
     t = spec._tables
-    return [None] + [t.elems[t.exp[t.m - t.log[c]]] for c in range(1, spec.q)]
-
-
-def fq_inv(a: FqElem) -> FqElem:
-    """Multiplicative inverse: one lookup in the field's inverse table."""
-    if not a.code:
-        raise ZeroDivisionError("inverse of zero")
-    return _inverse_cache(a.spec)[a.code]
-
-
-def fq_pow(a: FqElem, e: int) -> FqElem:
-    if not a.code:
-        if e < 0:
-            raise ZeroDivisionError("inverse of zero")
-        return a if e else fq_one(a.spec)
-    t = a.spec._tables
-    return t.elems[t.exp[t.log[a.code] * e % t.m]]
+    return [None] + [t.exp[t.m - t.log[c]] for c in range(1, spec.q)]
 
 
 @lru_cache(maxsize=None)
-def field_elements(spec: FieldSpec) -> tuple[FqElem, ...]:
-    """All q elements in canonical (lexicographic coefficient) order, which is
-    code order: field_elements(spec)[k].code == k."""
-    return tuple(FqElem(spec, k) for k in range(spec.q))
+def field_elements(spec: FieldSpec) -> range:
+    """The q element codes in canonical (lexicographic coefficient) order,
+    range(q), which the scans of a whole field iterate.  It stays memoized
+    so that a traced run reports how often those scans start."""
+    return range(spec.q)
 
 
-def subfield_elements(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
-    """The p^d elements of the subfield F_{p^d} (d = sub_degree divides n) in
-    canonical order: 0 and the powers of g^((q-1)/(p^d-1))."""
+def subfield_elements(spec: FieldSpec, sub_degree: int) -> list[int]:
+    """The codes of the p^d elements of the subfield F_{p^d} (d = sub_degree
+    divides n) in canonical order: 0 and the powers of g^((q-1)/(p^d-1))."""
     if spec.n % sub_degree != 0:
         raise ValueError(f"subfield degree {sub_degree} does not divide {spec.n}")
     t = spec._tables
     step = t.m // (spec.p**sub_degree - 1)
-    return [t.elems[c] for c in sorted([0] + t.exp[: t.m : step])]
+    return sorted([0] + t.exp[: t.m : step])
 
 
 # ---------------------------------------------------------------------------
@@ -499,20 +417,25 @@ def _embedding_table(src: FieldSpec, dst: FieldSpec) -> tuple[int, ...]:
     """The code in dst of the image of each element of src, by code.
     Requires the same p and the degree of src dividing that of dst.
 
-    The src generator is sent to the first root (canonical element order) of
-    the src modulus inside dst, which makes the embedding deterministic; the
-    roots lie in the subfield of order src.q.
+    A field embeds into itself by the identity.  Otherwise the src generator
+    is sent to the first root (canonical element order) of the src modulus
+    inside dst, which makes the embedding deterministic; the roots lie in
+    the subfield of order src.q.
     """
+    if src is dst:
+        return tuple(range(src.q))
     if src.p != dst.p:
         raise ValueError(f"cannot embed: characteristic {src.p} != {dst.p}")
     if dst.n % src.n != 0:
         raise ValueError(f"cannot embed: degree {src.n} does not divide {dst.n}")
     one, t = dst.q // dst.p, dst._tables
     modulus = [c * one for c in src.modulus]
-    root = next((x for x in subfield_elements(dst, src.n) if cpoly_multiplicity(dst, modulus, x.code)), None)
+    root = next((x for x in subfield_elements(dst, src.n) if cpoly_multiplicity(dst, modulus, x)), None)
     if root is None:
         raise AssertionError(f"no root of {src.modulus} in {dst!r} (unreachable for m | n)")
-    powers = [fq_pow(root, i).code for i in range(src.n)]
+    powers = [one]
+    for _ in range(src.n - 1):
+        powers.append(t.mul(powers[-1], root))
     table = []
     # coefficient vectors in code order, constant term most significant
     for coeffs in itertools.product(range(src.p), repeat=src.n):
@@ -524,28 +447,11 @@ def _embedding_table(src: FieldSpec, dst: FieldSpec) -> tuple[int, ...]:
     return tuple(table)
 
 
-def fq_embed(a: FqElem, target: FieldSpec) -> FqElem:
-    """Embed a into the target field.  Requires same p and source degree
-    dividing target degree; the embedding is a fixed field homomorphism."""
-    if a.spec is target:
-        return a
-    return FqElem(target, _embedding_table(a.spec, target)[a.code])
-
-
 @lru_cache(maxsize=None)
 def _projection_table(src: FieldSpec, sub: FieldSpec) -> dict[int, int]:
     """Code in src -> the code of the element of the subfield sub that
     embeds onto it."""
     return {e: x for x, e in enumerate(_embedding_table(sub, src))}
-
-
-def fq_project(a: FqElem, target: FieldSpec):
-    """Inverse of fq_embed on its image: the element of the subfield `target`
-    mapping to a, or None if a is not in the embedded subfield."""
-    if a.spec is target:
-        return a
-    code = _projection_table(a.spec, target).get(a.code)
-    return None if code is None else FqElem(target, code)
 
 
 def extension_field(spec: FieldSpec, r: int) -> FieldSpec:
@@ -562,13 +468,13 @@ def extension_field(spec: FieldSpec, r: int) -> FieldSpec:
 
 
 def roots_of_unity(spec: FieldSpec, n: int):
-    """All solutions of x^n = 1 in F_q, canonically sorted, plus a flag telling
-    whether a primitive n-th root exists (equivalently n | q-1).  The root
-    count is always gcd(n, q-1)."""
+    """The codes of all solutions of x^n = 1 in F_q, canonically sorted, plus
+    a flag telling whether a primitive n-th root exists (equivalently
+    n | q-1).  The root count is always gcd(n, q-1)."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     t = spec._tables
-    roots = [t.elems[c] for c in sorted(t.exp[: t.m : t.m // math.gcd(n, t.m)])]
+    roots = sorted(t.exp[: t.m : t.m // math.gcd(n, t.m)])
     has_primitive = (spec.q - 1) % n == 0
     return roots, has_primitive
 
@@ -586,9 +492,9 @@ def minimal_extension_for_unity(spec: FieldSpec, n: int) -> Optional[int]:
     return order(spec.q % n, lambda a, b: a * b % n, 1 % n, _UNITY_DEGREE_CAP)
 
 
-def primitive_root_of_unity(spec: FieldSpec, n: int) -> FqElem:
-    """The canonically smallest element of exact multiplicative order n: the
-    least g^(k(q-1)/n) with k prime to n."""
+def primitive_root_of_unity(spec: FieldSpec, n: int) -> int:
+    """The code of the canonically smallest element of exact multiplicative
+    order n: the least g^(k(q-1)/n) with k prime to n."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     if n % spec.p == 0:
@@ -602,14 +508,13 @@ def primitive_root_of_unity(spec: FieldSpec, n: int) -> FqElem:
         )
     t = spec._tables
     step = t.m // n
-    return t.elems[min(t.exp[k * step] for k in range(n) if math.gcd(k, n) == 1)]
+    return min(t.exp[k * step] for k in range(n) if math.gcd(k, n) == 1)
 
 
 # ---------------------------------------------------------------------------
 # polynomials over F_q on codes: lists of element codes, constant term first,
 # with no trailing zero (the zero polynomial is []).  The helpers run on the
-# field's log, antilog and Zech tables; only cpoly_from_elems and poly_roots
-# take or give FqElem.
+# field's log, antilog and Zech tables.
 
 
 def _cp_trim(a: list) -> list:
@@ -758,17 +663,6 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return n == 1 or cpoly_ddf(field_make(p, 1), f) == {n: list(f)}
 
 
-def cpoly_from_elems(coeffs: Sequence[FqElem]) -> tuple[FieldSpec, list]:
-    """The field and the code list of a polynomial given by FqElem
-    coefficients, constant term first, which must share one field."""
-    if not coeffs:
-        raise ValueError("polynomial needs at least one coefficient")
-    spec = coeffs[0].spec
-    if any(c.spec is not spec for c in coeffs):
-        raise ValueError("field mismatch: the coefficients lie in different fields")
-    return spec, _cp_trim([c.code for c in coeffs])
-
-
 def cpoly_multiplicity(spec: FieldSpec, a: Sequence[int], x: int) -> int:
     """How many times t - x divides the nonzero a (x an element code): the
     multiplicity of x as a root, 0 when it is none."""
@@ -781,35 +675,38 @@ def cpoly_multiplicity(spec: FieldSpec, a: Sequence[int], x: int) -> int:
         a, e = quot, e + 1
 
 
-def poly_roots(coeffs: Sequence[FqElem], r: int):
-    """All roots of the polynomial in F_{q^r} with their multiplicities, as a
-    canonically sorted list of (root, multiplicity) pairs.  The coefficients
+def poly_roots(spec: FieldSpec, f: Sequence[int], r: int) -> list[tuple[int, int]]:
+    """All roots in F_{q^r} of the polynomial with coefficient codes f over
+    F_q (constant term first) with their multiplicities, as a list of (root
+    code over F_{q^r}, multiplicity) pairs in code order.  The coefficients
     are embedded into F_{q^r}, and each element x of it is tried by dividing
-    by t - x on codes for as long as the remainder is zero."""
-    spec, f = cpoly_from_elems(coeffs)
+    by t - x for as long as the remainder is zero."""
+    f = _cp_trim(list(f))
     if not f:
         raise ValueError("zero polynomial has every element as a root")
     ext = extension_field(spec, r)
-    f = [fq_embed(c, ext).code for c in coeffs[: len(f)]]
-    elems = field_elements(ext)
-    return [(elems[x], e) for x in range(ext.q) if (e := cpoly_multiplicity(ext, f, x))]
+    emb = _embedding_table(spec, ext)
+    f = [emb[c] for c in f]
+    return [(x, e) for x in field_elements(ext) if (e := cpoly_multiplicity(ext, f, x))]
 
 
 @lru_cache(maxsize=None)
-def _sqrt_table(spec: FieldSpec) -> dict:
-    """v -> the square roots of v, in canonical order (keyed by code)."""
+def _sqrt_table(spec: FieldSpec) -> dict[int, list[int]]:
+    """v -> the codes of the square roots of v, in code order."""
     table: dict = {}
+    mul = spec._tables.mul
     for y in field_elements(spec):
-        table.setdefault(fq_mul(y, y).code, []).append(y)
+        table.setdefault(mul(y, y), []).append(y)
     return table
 
 
 @lru_cache(maxsize=None)
-def _artin_schreier_table(spec: FieldSpec) -> dict:
-    """v -> the solutions y of y^2 + y = v (keyed by code; p = 2)."""
+def _artin_schreier_table(spec: FieldSpec) -> dict[int, list[int]]:
+    """v -> the codes of the solutions y of y^2 + y = v, in code order (p = 2)."""
     table: dict = {}
+    add, mul = spec._tables.add, spec._tables.mul
     for y in field_elements(spec):
-        table.setdefault(fq_add(fq_mul(y, y), y).code, []).append(y)
+        table.setdefault(add(mul(y, y), y), []).append(y)
     return table
 
 
@@ -877,22 +774,14 @@ def parse_field_spec(text: str) -> FieldSpec:
     return field_make(p, n, mod)
 
 
-def render_element(a: FqElem) -> str:
-    return _render_code(a.spec, a.code)
-
-
-def _render_code(spec: FieldSpec, code: int) -> str:
-    """The text of the element with this code.  A report renders the same
-    few elements many times, so each text is kept in the field's memo once
-    made; the memo holds only what was rendered, so one element of a big
-    field costs O(n), with no table of the field."""
+def render_element(spec: FieldSpec, code: int) -> str:
+    """The text "c0,c1,...,c{n-1}" of the element with this code.  A report
+    renders the same few elements many times, so each text is kept in the
+    field's memo once made; the memo holds only what was rendered, so one
+    element of a big field costs O(n), with no table of the field."""
     text = spec._texts.get(code)
     if text is None:
-        p, c, digits = spec.p, code, []
-        for _ in range(spec.n):
-            c, d = divmod(c, p)
-            digits.append(str(d))
-        text = spec._texts[code] = ",".join(reversed(digits))
+        text = spec._texts[code] = ",".join(map(str, _digits(spec, code)))
     return text
 
 

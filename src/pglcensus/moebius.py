@@ -35,11 +35,11 @@ from .gfq import (
     FieldSpec,
     _artin_schreier_table,
     _embedding_table,
-    _render_code,
+    _int_code,
     _sqrt_table,
     extension_field,
-    fq_from_int,
     parse_element,
+    render_element,
 )
 
 
@@ -59,7 +59,7 @@ def _check_points(spec: FieldSpec, points: Sequence, role: str) -> None:
 
 
 def render_point(spec: FieldSpec, x: int) -> str:
-    return "inf" if x == spec.q else _render_code(spec, x)
+    return "inf" if x == spec.q else render_element(spec, x)
 
 
 def parse_point_list(spec: FieldSpec, text: str) -> list[int]:
@@ -217,7 +217,7 @@ def _code_fixed(spec: FieldSpec, r: int):
     quadratic = _kernel(spec).quadratic
     ext = extension_field(spec, r)
     inf = ext.q
-    four = fq_from_int(spec, 4).code
+    four = _int_code(spec, 4)
     emb = emul = esub = half = sqrt = solve = None
 
     def div(x, y):
@@ -231,18 +231,18 @@ def _code_fixed(spec: FieldSpec, r: int):
         if emb is None:
             emb = _embedding_table(spec, ext) if r > 1 else range(spec.q)
             emul, esub = ext._tables.mul, ext._tables.sub
-            half = fq_from_int(ext, (spec.p + 1) // 2).code
+            half = _int_code(ext, (spec.p + 1) // 2)
         if not c:
             return [emb[div(b, sub(d, a))], inf]
         if sqrt is None:
             sqrt, solve = _sqrt_table(ext), _artin_schreier_table(ext) if spec.p == 2 else None
         B, C = quadratic(g)
         if spec.p != 2:
-            roots = (emul(esub(s.code, emb[B]), half) for s in sqrt.get(emb[sub(mul(B, B), mul(four, C))], ()))
+            roots = (emul(esub(s, emb[B]), half) for s in sqrt.get(emb[sub(mul(B, B), mul(four, C))], ()))
         elif not B:
-            return [sqrt[emb[C]][0].code]
+            return [sqrt[emb[C]][0]]
         else:
-            roots = (emul(emb[B], y.code) for y in solve.get(emb[div(C, mul(B, B))], ()))
+            roots = (emul(emb[B], y) for y in solve.get(emb[div(C, mul(B, B))], ()))
         return sorted(roots)
 
     return fixed
@@ -380,7 +380,7 @@ def _pgl2_codes(spec: FieldSpec) -> Iterator[tuple[int, int, int, int]]:
 
 def _render_codes(spec: FieldSpec, codes: tuple[int, int, int, int]) -> str:
     """The text "[a,b;c,d]" of the map with these entry codes."""
-    a, b, c, d = (_render_code(spec, x) for x in codes)
+    a, b, c, d = (render_element(spec, x) for x in codes)
     return f"[{a},{b};{c},{d}]"
 
 

@@ -11,15 +11,13 @@ from typing import Sequence
 from .closure import order
 from .gfq import (
     FieldSpec,
-    FqElem,
     Record,
+    _cp_trim,
+    _embedding_table,
     cpoly_deriv,
     cpoly_divmod,
-    cpoly_from_elems,
     cpoly_multiplicity,
     extension_field,
-    fq_embed,
-    fq_neg,
     parse_element,
     poly_roots,
     render_field_spec,
@@ -44,8 +42,9 @@ class RamPoint(Record):
             raise ValueError("ramification index must be >= 2")
 
 
-def poly_map_ramification(coeffs: Sequence[FqElem], r: int) -> list[RamPoint]:
-    """Ramification locus in P^1(F_{q^r}) of the map x -> f(x), deg f >= 2.
+def poly_map_ramification(spec: FieldSpec, coeffs: Sequence[int], r: int) -> list[RamPoint]:
+    """Ramification locus in P^1(F_{q^r}) of the map x -> f(x), deg f >= 2,
+    for f given by its coefficient codes over spec, constant term first.
 
     The index at x0 is the multiplicity of (t - x0) in f(t) - f(x0), which is
     correct in wild cases where the derivative count fails.  Since f - f(x0)
@@ -56,7 +55,9 @@ def poly_map_ramification(coeffs: Sequence[FqElem], r: int) -> list[RamPoint]:
     ramifies at infinity with index deg f.  Inseparable maps (f' = 0) are
     rejected.
     """
-    spec, f = cpoly_from_elems(coeffs)
+    if not coeffs:
+        raise ValueError("polynomial needs at least one coefficient")
+    f = _cp_trim(list(coeffs))
     deg = max(len(f) - 1, 0)
     if deg < 2:
         raise ValueError(f"polynomial map must have degree >= 2, got degree {deg}")
@@ -64,29 +65,30 @@ def poly_map_ramification(coeffs: Sequence[FqElem], r: int) -> list[RamPoint]:
     if not df:
         raise ValueError("inseparable map: the derivative vanishes identically")
     ext = extension_field(spec, r)
-    f = [fq_embed(c, ext).code for c in coeffs[: deg + 1]]
-    one, out = ext.q // ext.p, []
-    for x0, _ in poly_roots([spec._tables.elems[c] for c in df], r):
-        g = cpoly_divmod(ext, f, [fq_neg(x0).code, one])[0]
-        e = 1 + cpoly_multiplicity(ext, g, x0.code)
-        out.append(RamPoint(x0.code, e, e % spec.p != 0))
+    emb = _embedding_table(spec, ext)
+    f = [emb[c] for c in f]
+    one, neg, out = ext.q // ext.p, ext._tables.sub, []
+    for x0, _ in poly_roots(spec, df, r):
+        g = cpoly_divmod(ext, f, [neg(0, x0), one])[0]
+        e = 1 + cpoly_multiplicity(ext, g, x0)
+        out.append(RamPoint(x0, e, e % spec.p != 0))
     # infinity's code is q, after every affine point
     out.append(RamPoint(ext.q, deg, deg % spec.p != 0))
     return out
 
 
-def parse_poly(spec: FieldSpec, text: str) -> list[FqElem]:
-    """The coefficients of a polynomial, constant term first, from the
+def parse_poly(spec: FieldSpec, text: str) -> list[int]:
+    """The coefficient codes of a polynomial, constant term first, from the
     comma-separated coefficient integers of its elements, n per element."""
     tokens = [t for t in text.split(",") if t.strip() != ""]
     if len(tokens) % spec.n != 0:
         raise ValueError(f"--poly must hold a whole number of {spec.n}-coefficient elements")
-    return [parse_element(spec, ",".join(tokens[i : i + spec.n])) for i in range(0, len(tokens), spec.n)]
+    return [parse_element(spec, ",".join(tokens[i : i + spec.n])).code for i in range(0, len(tokens), spec.n)]
 
 
 def ramification_to_json(spec: FieldSpec, ram: Sequence[RamPoint], r: int) -> dict:
-    """The ramification command's record of poly_map_ramification(coeffs, r)
-    for coefficients over spec."""
+    """The ramification command's record of poly_map_ramification(spec,
+    coeffs, r)."""
     ext = extension_field(spec, r)
     return {
         "schema": "pglcensus/ramification/v1",

@@ -29,15 +29,14 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from .closure import close, order
 from .gfq import (
     FieldSpec,
-    FqElem,
     Record,
+    _code,
+    _digits,
     _embedding_table,
+    _inverse_cache,
     _projection_table,
     extension_field,
     fp_echelon,
-    fq_from_coeffs,
-    fq_inv,
-    fq_one,
     parse_field_spec,
     primitive_root_of_unity,
     render_field_spec,
@@ -181,8 +180,8 @@ def std_cyclic(spec: FieldSpec, n: int) -> SubgroupPGL2:
         raise ValueError(f"characteristic {spec.p} divides {n}: no such cyclic model")
     primitive_root_of_unity(spec, n)
     mu, _ = roots_of_unity(spec, n)
-    normalize, one = _kernel(spec).normalize, fq_one(spec).code
-    return SubgroupPGL2(spec, tuple(sorted(normalize(u.code, 0, 0, one) for u in mu)), f"cyclic:{n}")
+    normalize, one = _kernel(spec).normalize, spec.q // spec.p
+    return SubgroupPGL2(spec, tuple(sorted(normalize(u, 0, 0, one) for u in mu)), f"cyclic:{n}")
 
 
 def std_dihedral(spec: FieldSpec, n: int) -> SubgroupPGL2:
@@ -193,14 +192,14 @@ def std_dihedral(spec: FieldSpec, n: int) -> SubgroupPGL2:
         raise ValueError(f"characteristic {spec.p} divides {n}")
     if spec.p == 2 and n <= 1:
         raise ValueError(f"n must be greater than one in characteristic 2, got {n}")
-    gens = [_diag(spec, primitive_root_of_unity(spec, n).code), _swap(spec)]
+    gens = [_diag(spec, primitive_root_of_unity(spec, n)), _swap(spec)]
     return _closed_model(spec, gens, f"dihedral:{n}", 2 * n)
 
 
 def _a4_generators(spec: FieldSpec) -> list[tuple[int, int, int, int]]:
     """The Klein group {x, -x, 1/x, -1/x} and (x + z4)/(x - z4), z4 a
     primitive fourth root of unity: generators of the tetrahedral group."""
-    z4 = primitive_root_of_unity(spec, 4).code
+    z4 = primitive_root_of_unity(spec, 4)
     K, one = _kernel(spec), spec.q // spec.p
     return [K.normalize(0, K.neg[one], one, 0), _swap(spec), K.normalize(one, z4, one, K.neg[z4])]
 
@@ -218,7 +217,7 @@ def std_S4(spec: FieldSpec) -> SubgroupPGL2:
     Order 24."""
     if spec.p in (2, 3):
         raise ValueError(f"S4 model excluded in characteristic {spec.p}")
-    z4 = primitive_root_of_unity(spec, 4).code
+    z4 = primitive_root_of_unity(spec, 4)
     return _closed_model(spec, _a4_generators(spec) + [_diag(spec, z4)], "S4", 24)
 
 
@@ -230,15 +229,15 @@ def std_A5(spec: FieldSpec) -> SubgroupPGL2:
     if spec.p in (2, 5):
         raise ValueError(f"A5 model excluded in characteristic {spec.p}")
     z5 = primitive_root_of_unity(spec, 5)
-    K, one = _kernel(spec), spec.q // spec.p
-    # 1 - z5 - z5^{-1}
-    b = (fq_one(spec) - z5 - fq_inv(z5)).code
-    return _closed_model(spec, [_diag(spec, z5.code), K.normalize(one, b, one, K.neg[one])], "A5", 60)
+    K, one, sub = _kernel(spec), spec.q // spec.p, spec._tables.sub
+    b = sub(sub(one, z5), _inverse_cache(spec)[z5])  # 1 - z5 - z5^{-1}
+    return _closed_model(spec, [_diag(spec, z5), K.normalize(one, b, one, K.neg[one])], "A5", 60)
 
 
-def _subfield_fp_basis(spec: FieldSpec, sub_degree: int) -> list[FqElem]:
-    vecs = [x.coeffs for x in subfield_elements(spec, sub_degree)]
-    return [fq_from_coeffs(spec, v) for v in fp_echelon(vecs, spec.p)]
+def _subfield_fp_basis(spec: FieldSpec, sub_degree: int) -> list[int]:
+    """The codes of the echelon F_p-basis of the subfield F_{p^d}."""
+    vecs = [_digits(spec, x) for x in subfield_elements(spec, sub_degree)]
+    return [_code(v, spec.p) for v in fp_echelon(vecs, spec.p)]
 
 
 def _transvections(spec: FieldSpec, sub_degree: int) -> list[tuple[int, int, int, int]]:
@@ -247,8 +246,8 @@ def _transvections(spec: FieldSpec, sub_degree: int) -> list[tuple[int, int, int
     one = spec.q // spec.p
     gens = []
     for g in _subfield_fp_basis(spec, sub_degree):
-        gens.append((one, g.code, 0, one))
-        gens.append((one, 0, g.code, one))
+        gens.append((one, g, 0, one))
+        gens.append((one, 0, g, one))
     return gens
 
 
@@ -265,7 +264,7 @@ def std_PGL2(spec: FieldSpec, sub_degree: int) -> SubgroupPGL2:
     for delta a multiplicative generator of the subfield.  Order q0^3 - q0."""
     gens = _transvections(spec, sub_degree)  # refuses d not dividing n before p^d is raised
     q0 = spec.p ** sub_degree
-    gens.append(_diag(spec, primitive_root_of_unity(spec, q0 - 1).code))
+    gens.append(_diag(spec, primitive_root_of_unity(spec, q0 - 1)))
     return _closed_model(spec, gens, f"PGL2:{sub_degree}", q0 ** 3 - q0)
 
 
@@ -282,7 +281,7 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
     if n % spec.p == 0:
         raise ValueError(f"characteristic {spec.p} divides {n}")
     primitive_root_of_unity(spec, n)
-    mu = [z.code for z in roots_of_unity(spec, n)[0]]
+    mu = roots_of_unity(spec, n)[0]
     gamma_set = set(gamma.element_codes())
     mul = spec._tables.mul
     for z in mu:
@@ -292,7 +291,7 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
             if mul(z, g) not in gamma_set:
                 raise ValueError(f"mu_{n} * gamma is not contained in gamma")
     tag = f"Zp^{gamma.rank}" if n == 1 else f"gamma:{gamma.rank}:{n}"
-    normalize, one = _kernel(spec).normalize, fq_one(spec).code
+    normalize, one = _kernel(spec).normalize, spec.q // spec.p
     H = SubgroupPGL2(spec, tuple(sorted(normalize(z, g, 0, one) for z in mu for g in gamma_set)), tag)
     if H.order != n * spec.p ** gamma.rank:
         raise AssertionError(f"semidirect product has order {H.order}, expected {n * spec.p ** gamma.rank}")

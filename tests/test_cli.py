@@ -825,3 +825,41 @@ def test_human_renders_dicts_in_lists_as_json():
         "constant": 1, "counts": [[1, 1], [2, 1]], "locus": "0,inf", "ok": True, "tag": "cyclic:4"
     }
     assert "True" not in out and "'" not in out
+
+
+# A field element is its code past the parse: each command builds one FqElem
+# per element text of its argv (a locus point, a curve coefficient, a
+# polynomial coefficient), and none while it computes.  (command, exit code,
+# element texts)
+ELEMENT_TEXTS = {
+    "census": ("census --field 3^2 --group Zp^1 --locus 1,1", 0, 1),
+    "verify-main": ("verify-main --p 2 --levels 1-4", 0, 0),
+    "verify-genus1": ("verify-genus1 --curve 7^2:a=1,1,b=3,0 --levels 1-2", 1, 2),
+    "ramification": ("ramification --field 5^2 --poly 0,1,1,0,0,0,1,0 --ext 2", 0, 4),
+    "additive-subgroups": ("additive-subgroups --field 2^4 --rank 2", 0, 0),
+}
+
+
+@pytest.fixture
+def elements_built(monkeypatch):
+    """The number of FqElem built, counted as perfbench's tracer counts
+    gfq.elems_created: through FqElem.__post_init__, which the constructor
+    calls.  monkeypatch restores the method."""
+    from pglcensus.gfq import FqElem
+
+    built = [0]
+    post_init = FqElem.__post_init__
+
+    def counted(elem):
+        built[0] += 1
+        post_init(elem)
+
+    monkeypatch.setattr(FqElem, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("command", ELEMENT_TEXTS)
+def test_no_element_is_built_past_the_parse(command, elements_built):
+    line, exit_code, texts = ELEMENT_TEXTS[command]
+    assert main(line.split(), out=io.StringIO()) == exit_code
+    assert elements_built[0] == texts

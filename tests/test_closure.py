@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from pglcensus import closure
-from pglcensus.closure import close, is_prime, order, subgroups_of_order
+from pglcensus.closure import close, is_prime, order
 from pglcensus.dichotomy import _order_p_stabilizer
 from pglcensus.elliptic import _chord_tangent, _code_add, _torsion, standard_test_curves
 from pglcensus.gfq import field_make
@@ -69,23 +69,6 @@ class TestOrder:
             assert order(g, compose, ident, cap) == power_loop_order(g, compose, ident)
 
 
-class TestSubgroupsOfOrder:
-    def test_klein_four(self):
-        elems = [(0, 1), (1, 0), (1, 1)]
-        subs = subgroups_of_order(elems, add_klein, (0, 0), 2)
-        assert sorted(sorted(H) for H in subs) == [[(0, 0), (0, 1)], [(0, 0), (1, 0)], [(0, 0), (1, 1)]]
-        assert subgroups_of_order(elems, add_klein, (0, 0), 4) == {frozenset([(0, 0), *elems])}
-
-    def test_trivial_order(self):
-        assert subgroups_of_order([1, 2], add_mod(3), 0, 1) == {frozenset({0})}
-
-    def test_order_not_reached(self):
-        # Z/12 has one subgroup of each order dividing 12, reached here along
-        # two chains ({0} < {0,3,6,9} and {0} < {0,6} < {0,3,6,9}), and none of order 5
-        assert subgroups_of_order(range(12), add_mod(12), 0, 4) == {frozenset({0, 3, 6, 9})}
-        assert subgroups_of_order(range(12), add_mod(12), 0, 5) == set()
-
-
 def compose_perm(a, b):
     """a after b, permutations of range(n) as tuples."""
     return tuple(a[i] for i in b)
@@ -112,6 +95,12 @@ def brute_force_subgroups(elements, identity, order):
     return out
 
 
+def capped_layers_of_order(elements, op, identity, order):
+    """The subgroups of exactly `order` members in the growth capped at
+    `order`, as enum_spf_actions grows the subgroups of an n-torsion group."""
+    return {H for layer in closure.subgroup_layers(elements, op, identity, cap=order) for H in layer if len(H) == order}
+
+
 class TestNonAbelian:
     @pytest.mark.parametrize(
         "name,elements,orders",
@@ -126,14 +115,14 @@ class TestNonAbelian:
         identity = tuple(range(len(elements[0])))
         for order in orders:
             expected = brute_force_subgroups(elements, identity, order)
-            assert subgroups_of_order(elements, compose_perm, identity, order) == expected
+            assert capped_layers_of_order(elements, compose_perm, identity, order) == expected
 
     def test_known_counts(self):
         assert len(_d4()) == 8
         identity = (0, 1, 2, 3)
-        counts = [len(subgroups_of_order(_d4(), compose_perm, identity, k)) for k in (1, 2, 4, 8)]
+        counts = [len(capped_layers_of_order(_d4(), compose_perm, identity, k)) for k in (1, 2, 4, 8)]
         assert counts == [1, 5, 3, 1]
-        assert [len(subgroups_of_order(S3, compose_perm, (0, 1, 2), k)) for k in (1, 2, 3, 6)] == [1, 3, 1, 1]
+        assert [len(capped_layers_of_order(S3, compose_perm, (0, 1, 2), k)) for k in (1, 2, 3, 6)] == [1, 3, 1, 1]
 
     def test_s4_with_long_cycles_first(self):
         # From the trivial group a 4-cycle closes to a cyclic group of index 4,
@@ -148,7 +137,7 @@ class TestNonAbelian:
         pairs = {frozenset(close([a, b], compose_perm, {identity})) for a in S4 for b in S4}
         counts = []
         for k in (1, 2, 3, 4, 6, 8, 12, 24):
-            found = subgroups_of_order(elements, compose_perm, identity, k)
+            found = capped_layers_of_order(elements, compose_perm, identity, k)
             assert found == {H for H in pairs if len(H) == k}
             counts.append(len(found))
         assert counts == [1, 9, 4, 7, 4, 3, 1, 1]
@@ -296,7 +285,7 @@ def torsion_input(name, n):
 
 class TestLatticeAgainstReference:
     def check(self, args, monkeypatch):
-        found, first, calls = first_generator_lists(subgroups_of_order, *args, monkeypatch)
+        found, first, calls = first_generator_lists(capped_layers_of_order, *args, monkeypatch)
         expected, expected_first, expected_calls = first_generator_lists(reference_subgroups_of_order, *args, monkeypatch)
         assert found == expected
         assert first == expected_first
@@ -326,5 +315,5 @@ class TestLatticeAgainstReference:
     def test_one_closure_per_subgroup(self, p, n, m, closures, monkeypatch):
         # 15 + 35 + 15 subspaces of F_2^4 of dimensions 1 to 3, and
         # 63 + 651 + 1395 + 651 of F_2^6 of dimensions 1 to 4
-        _, first, calls = first_generator_lists(subgroups_of_order, *oracle_input(p, n, "inf", m), monkeypatch)
+        _, first, calls = first_generator_lists(capped_layers_of_order, *oracle_input(p, n, "inf", m), monkeypatch)
         assert calls == len(first) == closures

@@ -1,5 +1,6 @@
-"""Field elements and the values and reports built on codes survive copy,
-deepcopy and pickle, and keep their field spec as the one interned object."""
+"""Parsed field elements and the values and reports built on codes survive
+copy, deepcopy and pickle, and keep their field spec as the one interned
+object."""
 
 import copy
 import pickle
@@ -7,7 +8,7 @@ import pickle
 import pytest
 
 from pglcensus.census import CensusQuery, enum_actions
-from pglcensus.gfq import field_elements, field_make, fq_one
+from pglcensus.gfq import field_make, parse_element
 from pglcensus.moebius import parse_point_list
 from pglcensus.stdgroups import std_cyclic
 
@@ -16,8 +17,8 @@ F9 = field_make(3, 2)
 
 
 def _values():
-    yield "FqElem", fq_one(F5)
-    yield "FqElem-F9", field_elements(F9)[7]
+    yield "FqElem", parse_element(F5, "1")
+    yield "FqElem-F9", parse_element(F9, "2,1")
     yield "SubgroupPGL2", std_cyclic(F5, 4)
     yield "CensusReport", enum_actions(CensusQuery(F5, "cyclic:4", tuple(parse_point_list(F5, "0,inf")), r=1))
 
@@ -42,6 +43,6 @@ def test_round_trip(name, value, how):
 
 
 def test_unpickled_value_is_still_immutable():
-    x = pickle.loads(pickle.dumps(fq_one(F5)))
+    x = pickle.loads(pickle.dumps(parse_element(F5, "1")))
     with pytest.raises(AttributeError):
         x.code = 0

@@ -17,7 +17,7 @@ import pytest
 from pglcensus.census import AdditiveSubgroup, CensusQuery, CensusReport, additive_subgroup, enum_actions
 from pglcensus.dichotomy import BoundedRow, DichotomyRow, MainTheoremReport
 from pglcensus.elliptic import ECurve, FpfDichotomyReport, standard_test_curves, verify_fpf_dichotomy
-from pglcensus.gfq import Record, field_elements, field_make, fq_one, fq_zero
+from pglcensus.gfq import Record, field_make, parse_element
 from pglcensus.moebius import parse_point_list
 from pglcensus.p1checks import P1FPReport, RamPoint, poly_map_ramification, verify_p1fp
 from pglcensus.stdgroups import Fingerprint, SubgroupPGL2, fingerprint, std_cyclic
@@ -33,7 +33,7 @@ QUERY = CensusQuery(F5, "cyclic:4", tuple(parse_point_list(F5, "0,inf")), 1)
 
 def _samples():
     """Each type with its field names in order and one valid value per field."""
-    yield AdditiveSubgroup, ("spec", "basis"), additive_subgroup(F8, field_elements(F8)[1:3])
+    yield AdditiveSubgroup, ("spec", "basis"), additive_subgroup(F8, [1, 2])
     yield CensusQuery, ("spec", "group_id", "locus", "r"), QUERY
     yield CensusReport, ("query", "matches", "count", "verdict", "notes"), enum_actions(QUERY)
     yield DichotomyRow, ("n", "m", "census_count", "subspace_count", "oracle_count", "gaussian"), ROW
@@ -43,7 +43,7 @@ def _samples():
     )
     yield ECurve, ("spec", "a", "b"), E
     yield FpfDichotomyReport, ("levels", "pairs_checked", "violations"), verify_fpf_dichotomy(E, (1,))
-    yield RamPoint, ("point", "index", "tame"), poly_map_ramification([fq_zero(F5)] * 2 + [fq_one(F5)], 1)[0]
+    yield RamPoint, ("point", "index", "tame"), poly_map_ramification(F5, [0, 0, 1], 1)[0]
     yield P1FPReport, ("group_order", "checked", "violations"), verify_p1fp(field_make(2, 1))
     yield SubgroupPGL2, ("spec", "codes", "tag"), H
     yield Fingerprint, ("order", "element_orders", "abelian", "p_regular"), fingerprint(H)
@@ -142,28 +142,28 @@ def test_dataclass_style_repr():
 
 
 def test_post_init_refusals():
-    zero, one = fq_zero(F5), fq_one(F5)
     with pytest.raises(ValueError, match="singular"):
-        ECurve(F5, zero, zero)
+        ECurve(F5, 0, 0)
     with pytest.raises(ValueError, match="singular"):
-        E.replace(a=zero, b=zero)
+        E.replace(a=0, b=0)
     with pytest.raises(ValueError, match="characteristic"):
-        ECurve(field_make(3, 1), one, one)
-    point = poly_map_ramification([zero, zero, one], 1)[0].point
+        ECurve(field_make(3, 1), 1, 1)
+    point = poly_map_ramification(F5, [0, 0, 1], 1)[0].point
     with pytest.raises(ValueError, match="index"):
         RamPoint(point, 1, True)
     with pytest.raises(ValueError, match="index"):
         RamPoint(point, 2, True).replace(index=0)
 
 
-def test_curve_coefficient_from_another_field_refused():
-    # either coefficient alone over the wrong field is refused, not only both
-    F25 = field_make(5, 2)
-    for a, b in ((fq_one(F25), fq_one(F5)), (fq_one(F5), fq_one(F25))):
-        with pytest.raises(ValueError, match="wrong field"):
-            ECurve(F5, a, b)
-        with pytest.raises(ValueError, match="wrong field"):
-            E.replace(a=a, b=b)
+def test_curve_coefficient_outside_the_field_refused():
+    # either coefficient alone that is no element code of F_5 is refused, not
+    # only both: a code of F_25, a negative int and a parsed element
+    for bad in (5, -1, parse_element(F5, "1")):
+        for a, b in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError, match="element codes"):
+                ECurve(F5, a, b)
+            with pytest.raises(ValueError, match="element codes"):
+                E.replace(a=a, b=b)
 
 
 ROUND_TRIPS = {

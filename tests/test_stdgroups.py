@@ -7,17 +7,7 @@ import pytest
 import pglcensus.stdgroups as stdgroups
 from pglcensus.census import additive_subgroup, enum_additive_subgroups, gamma_to_unipotent
 from pglcensus.conjugacy import _conjugates_onto, is_conjugate, is_conjugate_bruteforce
-from pglcensus.gfq import (
-    extension_field,
-    field_elements,
-    field_make,
-    fq_embed,
-    fq_from_int,
-    fq_gen,
-    fq_mul,
-    fq_one,
-    fq_zero,
-)
+from pglcensus.gfq import _digits, _embedding_table, _int_code, _inverse_cache, extension_field, field_make
 from pglcensus.moebius import _kernel, _pgl2_codes, mob_compose, mob_infinity_to, render_point
 from pglcensus.stdgroups import (
     close_generators,
@@ -45,11 +35,12 @@ F8 = field_make(2, 3)
 F9 = field_make(3, 2)
 F11 = field_make(11, 1)
 F13 = field_make(13, 1)
+ONE4, T4, ONE9 = 2, 1, 3  # the codes of 1 and x in F4, and of 1 in F9
 
 
 def mk(spec, a, b, c, d):
     """The entry codes of the map [[a,b],[c,d]], its entries integers mod p."""
-    return _kernel(spec).normalize(*(fq_from_int(spec, v).code for v in (a, b, c, d)))
+    return _kernel(spec).normalize(*(_int_code(spec, v) for v in (a, b, c, d)))
 
 
 def witness_map(H, w):
@@ -105,7 +96,7 @@ class TestStandardConstructors:
     def test_cyclic(self):
         H = std_cyclic(F5, 4)
         assert H.order == 4 and H.tag == "cyclic:4"
-        diag_entries = {field_elements(F5)[g[3]].coeffs[0] for g in H.codes}
+        diag_entries = {g[3] for g in H.codes}
         assert diag_entries == {1, 2, 3, 4}  # normalized to diag(1, mu^-1)
 
     def test_cyclic_rejects_p_dividing_n(self):
@@ -208,18 +199,18 @@ class TestStandardConstructors:
             std_PSL2(F9, 3)
 
     def test_gamma_semidirect(self):
-        gamma = additive_subgroup(F9, [fq_one(F9)])  # F3 inside F9
+        gamma = additive_subgroup(F9, [ONE9])  # F3 inside F9
         H = std_gamma_semidirect(gamma, 2)
         assert H.order == 6 and H.tag == "gamma:1:2"
 
     def test_gamma_semidirect_degenerate_n1(self):
-        gamma = additive_subgroup(F4, [fq_one(F4)])
+        gamma = additive_subgroup(F4, [ONE4])
         H = std_gamma_semidirect(gamma, 1)
         assert H.order == 2 and H.tag == "Zp^1"
         assert mk(F4, 1, 1, 0, 1) in H.codes
 
     def test_gamma_semidirect_rejects_bad_gamma(self):
-        gamma = additive_subgroup(F4, [fq_gen(F4)])  # span{t} misses mu_3
+        gamma = additive_subgroup(F4, [T4])  # span{t} misses mu_3
         with pytest.raises(ValueError, match="not contained"):
             std_gamma_semidirect(gamma, 3)
 
@@ -241,7 +232,7 @@ class TestFingerprint:
         assert fp.abelian and fp.p_regular
 
     def test_full_translation_group_of_F4(self):
-        gamma = additive_subgroup(F4, [fq_one(F4), fq_gen(F4)])
+        gamma = additive_subgroup(F4, [ONE4, T4])
         fp = fingerprint(gamma_to_unipotent(gamma))
         assert fp.order == 4
         assert fp.element_orders == ((1, 1), (2, 3))  # Klein group signature
@@ -281,22 +272,21 @@ class TestStabilizedLocus:
 
     def test_gamma_semidirect_contains_formula_points(self):
         # locus contains inf, 0 and g/(1 - zeta) for each nonzero g
-        gamma = additive_subgroup(F9, [fq_one(F9)])
+        gamma = additive_subgroup(F9, [ONE9])
         H = std_gamma_semidirect(gamma, 2)
         locus = stabilized_locus(H, 2)
         assert len(locus) >= 3
         ext = extension_field(F9, 2)
-        zeta = fq_from_int(ext, -1)
-        one = fq_one(ext)
-        denom_inv = (one - zeta)
+        t = ext._tables
+        zeta = _int_code(ext, -1)
+        denom = t.sub(_int_code(ext, 1), zeta)
         for g_int in (1, 2):
-            g = fq_from_int(ext, g_int)
-            target = g / denom_inv
-            assert target.code in locus
+            target = t.mul(_int_code(ext, g_int), _inverse_cache(ext)[denom])
+            assert target in locus
 
 
 def render_point_of_int(ext, k):
-    return render_point(ext, fq_from_int(ext, k).code)
+    return render_point(ext, _int_code(ext, k))
 
 
 class TestConjugacy:
@@ -306,14 +296,13 @@ class TestConjugacy:
         assert g is not None
 
     def test_unipotent_scaling_over_F4(self):
-        g1 = gamma_to_unipotent(additive_subgroup(F4, [fq_one(F4)]))
-        g2 = gamma_to_unipotent(additive_subgroup(F4, [fq_gen(F4)]))
+        g1 = gamma_to_unipotent(additive_subgroup(F4, [ONE4]))
+        g2 = gamma_to_unipotent(additive_subgroup(F4, [T4]))
         w = is_conjugate(g1, g2, 1)
         assert w is not None
         assert conjugate_subgroup(g1, witness_map(g1, w)).codes == g2.codes
         # and the scalar relation itself: t * span{1} = span{t}
-        t = fq_gen(F4)
-        assert {fq_mul(t, x).coeffs for x in (fq_zero(F4), fq_one(F4))} == {(0, 0), (0, 1)}
+        assert {_digits(F4, F4._tables.mul(T4, x)) for x in (0, ONE4)} == {(0, 0), (0, 1)}
 
     def test_one_point_loci_are_related_by_scaling_alone(self, monkeypatch):
         # translation groups over F4 moved to the points 1 and 0: each is
@@ -325,15 +314,15 @@ class TestConjugacy:
             raise AssertionError("a one-point locus of translations needs no transporter")
 
         monkeypatch.setattr(conjugacy, "transporters", no_search)
-        H1 = conjugate_subgroup(gamma_to_unipotent(additive_subgroup(F4, [fq_one(F4)])), mob_infinity_to(F4, 1))
-        H2 = conjugate_subgroup(gamma_to_unipotent(additive_subgroup(F4, [fq_gen(F4)])), mob_infinity_to(F4, 0))
+        H1 = conjugate_subgroup(gamma_to_unipotent(additive_subgroup(F4, [ONE4])), mob_infinity_to(F4, 1))
+        H2 = conjugate_subgroup(gamma_to_unipotent(additive_subgroup(F4, [T4])), mob_infinity_to(F4, 0))
         assert (stabilized_locus(H1, 1), stabilized_locus(H2, 1)) == ((1,), (0,))
         w = is_conjugate(H1, H2, 1)
         assert w is not None and conjugate_subgroup(H1, witness_map(H1, w)).codes == H2.codes
 
     def test_order_obstruction(self):
         H1 = std_cyclic(F5, 4)
-        H2 = gamma_to_unipotent(additive_subgroup(F5, [fq_one(F5)]))
+        H2 = gamma_to_unipotent(additive_subgroup(F5, [1]))
         assert is_conjugate(H1, H2, 2) is None
 
     def test_agrees_with_bruteforce_on_unipotent_pairs(self):
@@ -384,9 +373,7 @@ class TestConjugacy:
         # In F16, rank-2 additive subgroups split into scaling orbits; the
         # F4-subfield line is not a scalar multiple of a generic plane.
         F16 = field_make(2, 4)
-        f4_line = additive_subgroup(
-            F16, [fq_embed(x, F16) for x in field_elements(F4) if not x.is_zero()]
-        )
+        f4_line = additive_subgroup(F16, _embedding_table(F4, F16)[1:])
         assert f4_line.rank == 2
         generic = next(
             G
@@ -398,7 +385,7 @@ class TestConjugacy:
         assert is_conjugate(H1, H2, 1) is None
         assert is_conjugate_bruteforce(H1, H2, 1) is None
         # positive control: a scalar multiple is conjugate
-        alpha = fq_gen(F16)
+        alpha = F16.q // 4  # x
         from pglcensus.census import scale_subgroup
 
         H3 = gamma_to_unipotent(scale_subgroup(f4_line, alpha))
@@ -407,8 +394,8 @@ class TestConjugacy:
     def test_witness_symmetry(self):
         # if w conjugates H1 onto H2, its inverse conjugates H2 onto H1
         pairs = []
-        g1 = gamma_to_unipotent(additive_subgroup(F4, [fq_one(F4)]))
-        g2 = gamma_to_unipotent(additive_subgroup(F4, [fq_gen(F4)]))
+        g1 = gamma_to_unipotent(additive_subgroup(F4, [ONE4]))
+        g2 = gamma_to_unipotent(additive_subgroup(F4, [T4]))
         pairs.append((g1, g2, 1))
         H1 = std_cyclic(F5, 4)
         H2 = conjugate_subgroup(H1, mk(F5, 1, 1, 1, 2))
@@ -480,13 +467,7 @@ class TestConjugacy:
 def _scalar_related(G1, G2):
     from pglcensus.census import scale_subgroup
 
-    spec = G1.spec
-    for alpha in field_elements(spec):
-        if alpha.is_zero():
-            continue
-        if scale_subgroup(G1, alpha) == G2:
-            return True
-    return False
+    return any(scale_subgroup(G1, alpha) == G2 for alpha in range(1, G1.spec.q))
 
 
 class TestEmbedAndProject:
@@ -499,15 +480,15 @@ class TestEmbedAndProject:
             (lambda: std_PGL2(F3, 1), 2),
         ],
     )
-    def test_entry_by_entry_against_fq_embed(self, build, degree):
+    def test_entry_by_entry_against_the_embedding_table(self, build, degree):
         # the codes of the embedded maps are those of the matrices whose
-        # entries are embedded by fq_embed and then normalized, member by
+        # entries are embedded one by one and then normalized, member by
         # member, and projecting them back gives H again
         H = build()
         ext = field_make(H.spec.p, H.spec.n * degree)
         K = subgroup_embed(H, ext)
-        elems, normalize = field_elements(H.spec), _kernel(ext).normalize
-        assert set(K.codes) == {normalize(*(fq_embed(elems[e], ext).code for e in g)) for g in H.codes}
+        emb, normalize = _embedding_table(H.spec, ext), _kernel(ext).normalize
+        assert set(K.codes) == {normalize(*(emb[e] for e in g)) for g in H.codes}
         assert K.tag == H.tag and subgroup_project(K, H.spec) == H
         assert subgroup_embed(H, H.spec) is H and subgroup_project(H, H.spec) is H
 
@@ -529,7 +510,7 @@ class TestSerialization:
             lambda: std_cyclic(F5, 4),
             lambda: std_dihedral(F4, 3),
             lambda: std_A4(F5),
-            lambda: gamma_to_unipotent(additive_subgroup(F8, [fq_one(F8)])),
+            lambda: gamma_to_unipotent(additive_subgroup(F8, [4])),  # the span of 1
         ],
     )
     def test_json_round_trip(self, build):
