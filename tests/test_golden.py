@@ -269,6 +269,13 @@ GOLDEN = {
         ("0f2e2b9b7a730291dab9157cb48eb66344c2ca88c574bb643b27150e0d0212a4", 0),
     "ramification --field 2^2 --poly 0,1,1,0,0,0,1,0 --ext 2":
         ("c4b79a3e9b59501fac0ff179bf7e5f540a1e7034aaa0361a2f3f93d218d2b711", 0),
+    # a census over several models of one tag: the five admissible gamma:4:3
+    # models of F_64 at the 17-point locus that `locus` prints for the first,
+    # each transported and verified, with one match
+    "census --field 2^6 --group gamma:4:3 --locus 0,0,0,0,0,0,0,0,0,0,1,1,0,0,0,1,0,0,0,0,0,1,1,1,0,0,1,0,0,1,"
+    "0,0,1,0,1,0,0,0,1,1,0,1,0,0,1,1,1,0,1,0,0,0,0,0,1,0,0,0,1,1,1,0,0,1,0,0,1,0,0,1,1,1,1,0,1,0,0,1,1,0,1,0,1,"
+    "0,1,0,1,1,0,1,1,0,1,1,1,0,inf":
+        ("ec106e5b0a9d5d74dc27da58b2cd62573a92a789ab76d8898bbbb9f4e59c0859", 0),
 }
 
 
