@@ -159,8 +159,7 @@ def enum_additive_subgroups(spec: FieldSpec, m: int) -> list[AdditiveSubgroup]:
 def gamma_to_unipotent(gamma: AdditiveSubgroup) -> SubgroupPGL2:
     """The translation group {x -> x + g : g in gamma}, tagged Zp^m, built
     from the element codes of gamma: each [1,g;0,1] is already normalized."""
-    spec = gamma.spec
-    one = spec.q // spec.p
+    spec, one = gamma.spec, gamma.spec.one
     return SubgroupPGL2(spec, tuple(sorted((one, g, 0, one) for g in gamma.element_codes())), f"Zp^{gamma.rank}")
 
 
@@ -196,10 +195,6 @@ class CensusReport(Record):
     notes: str = ""
 
 
-class UnknownTagError(ValueError):
-    pass
-
-
 # the form of each tag with parameters, keyed by the text before them
 _TAG_FORMS = {
     "cyclic:": "cyclic:n",
@@ -225,7 +220,7 @@ def parse_group_id(tag: str) -> tuple[str, tuple[int, ...]]:
         return t, ()
     head = next((h for h in _TAG_FORMS if t.startswith(h)), None)
     if head is None:
-        raise UnknownTagError(f"unknown group tag {tag!r}")
+        raise ValueError(f"unknown group tag {tag!r}")
     form, fields = _TAG_FORMS[head], t[len(head) :].split(":")
     try:
         params = tuple(int(v) for v in fields)
@@ -278,28 +273,28 @@ def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...], first: 
             bases = heapq.merge(*runs)
         else:
             bases = sorted(itertools.chain.from_iterable(runs))
-        one = ext.q // ext.p
         models = []
         for basis in bases:
             try:
-                models.append(std_gamma_semidirect(AdditiveSubgroup(ext, (one, *basis)), n))
+                models.append(std_gamma_semidirect(AdditiveSubgroup(ext, (ext.one, *basis)), n))
             except ValueError:
                 continue  # this gamma fails the containment/closure conditions
             if first:
                 break
         return models
-    raise UnknownTagError(f"unknown group kind {kind!r}")
+    raise ValueError(f"unknown group kind {kind!r}")
 
 
-def _verified(spec: FieldSpec, law, candidates: Iterable[Iterable[tuple]], S: tuple, expected_fp: Fingerprint) -> list:
+def _verified(spec: FieldSpec, candidates: Iterable[Iterable[tuple]], S: tuple, expected_fp: Fingerprint) -> list:
     """(codes, generators) of the candidates (entry codes of subgroups over
     the census field spec = F_{q^r}), deduplicated, in code order, whose
     fingerprint is the expected one and whose locus over the algebraic
     closure is S, the sorted codes of the queried locus: one pass of
     _code_fixed at level 1 (_code_locus, complete=True), which fails when
     some fixed points leave F_{q^r}, so no table of F_{q^{2r}} is built.
-    `law` is the field's code law, or a memo of it."""
-    identity, fixed = _kernel(spec).identity, _code_fixed(spec, 1)
+    Generators and fingerprints run on the field's code law."""
+    K, fixed = _kernel(spec), _code_fixed(spec, 1)
+    law, identity = K.law, K.identity
     seen = set()
     out = []
     for codes in candidates:
@@ -341,7 +336,7 @@ def _translation_census(spec: FieldSpec, point: int, bases: Sequence[tuple[int, 
     built, and conjugated, once per census, and the candidates share one
     tuple per map."""
     K = _kernel(spec)
-    identity, p, one = K.identity, spec.p, spec.q // spec.p
+    identity, p, one = K.identity, spec.p, spec.one
     maps = {b: (one, b, 0, one) for b in {b for basis in bases for b in basis}}
     if point != spec.q:
         conjugate = _conjugator(spec, mob_infinity_to(spec, point))
@@ -451,7 +446,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
 
     if not models:
         return CensusReport(query, (), 0, "finite")
-    found = _verified(ext, _kernel(ext).law, candidates, S, fingerprint(models[0]))
+    found = _verified(ext, candidates, S, fingerprint(models[0]))
     return CensusReport(query, _matches(ext, found, models[0].tag), len(found), "finite")
 
 

@@ -24,14 +24,21 @@ from .moebius import (
     mob_infinity_to,
     transporters,
 )
-from .stdgroups import SubgroupPGL2, _conjugator, _diag, conjugate_subgroup, stabilized_locus, subgroup_embed
+from .stdgroups import (
+    SubgroupPGL2,
+    _conjugator,
+    _diag,
+    _map_project,
+    conjugate_subgroup,
+    stabilized_locus,
+    subgroup_embed,
+)
 
 
 def _translation_parts(H: SubgroupPGL2) -> Optional[list[int]]:
     """If every element is a translation x -> x + g, return the codes of the
     g's."""
-    one = H.spec.q // H.spec.p
-    if all(a == d == one and not c for a, _, c, d in H.codes):
+    if all(a == d == H.spec.one and not c for a, _, c, d in H.codes):
         return [b for _, b, _, _ in H.codes]
     return None
 
@@ -41,16 +48,6 @@ def _conjugates_onto(spec: FieldSpec, g: tuple[int, int, int, int], H1: Subgroup
     return all(conj(x) in codes2 for x in H1.codes)
 
 
-def _project(g: tuple[int, int, int, int], spec: FieldSpec, sub: FieldSpec) -> Optional[tuple[int, int, int, int]]:
-    """The map g of spec over the subfield sub, entry by entry (a leading 1
-    stays 1), or None if an entry is irrational there."""
-    table = _projection_table(spec, sub)
-    try:
-        return tuple(table[e] for e in g)
-    except KeyError:
-        return None
-
-
 def _simplify_witness(
     spec: FieldSpec, g: Optional[tuple[int, int, int, int]], base: FieldSpec
 ) -> Optional[tuple[FieldSpec, tuple[int, int, int, int]]]:
@@ -58,7 +55,7 @@ def _simplify_witness(
     its entries are rational over the base field, else (spec, g)."""
     if g is None:
         return None
-    down = g if spec is base else _project(g, spec, base)
+    down = g if spec is base else _map_project(_projection_table(spec, base), g)
     return (spec, g) if down is None else (base, down)
 
 
@@ -143,7 +140,7 @@ def is_conjugate(
         for g0 in transporters(search, L1, L2, H1_search):
             g = mob_compose(search, g0, t)
             if search is not ext:
-                g = _project(g, search, ext)
+                g = _map_project(_projection_table(search, ext), g)
             if g is not None and _conjugates_onto(ext, g, K1, K2):
                 return _simplify_witness(ext, g, base)
     return None

@@ -162,7 +162,7 @@ def base_change(E: ECurve, r: int) -> ECurve:
 def ec_points(E: ECurve) -> tuple[tuple[int, ...], ...]:
     """All points of E over its field, by scanning x and solving for y: O
     first, then the pairs (x, y) in code order."""
-    t, sqrt, f = E.spec._tables, _sqrt_table(E.spec), [E.b, E.a, 0, E.spec.q // E.spec.p]
+    t, sqrt, f = E.spec._tables, _sqrt_table(E.spec), [E.b, E.a, 0, E.spec.one]
     return ((),) + tuple((x, y) for x in range(E.spec.q) for y in sqrt.get(_at(t, f, x), ()))
 
 
@@ -324,9 +324,9 @@ def _one_minus_sigma_map(E: ECurve, u: int) -> tuple[list, list]:
     else, with v = -u, the chord through Q and sigma_v(Q) = (v^2 x, v^3 y)
     has slope (v^3 - 1) y / ((v^2 - 1) x)."""
     spec, t, a, b = E.spec, E.spec._tables, E.a, E.b
-    add, sub, mul, one = t.add, t.sub, t.mul, spec.q // spec.p
+    add, sub, mul, one = t.add, t.sub, t.mul, spec.one
     if u == t.exp[t.half]:  # u = -1
-        four, minus_two, minus_eight = (k % spec.p * one for k in (4, -2, -8))
+        four, minus_two, minus_eight = (_int_code(spec, k) for k in (4, -2, -8))
         N = [mul(a, a), mul(minus_eight, b), mul(minus_two, a), 0, one]
         D = [mul(four, b), mul(four, a), 0, four]
     else:
@@ -382,8 +382,7 @@ def _fibre_sizes(E: ECurve, N: list, D: list, preimages: dict, P: tuple, levels:
     character of F_{q^r}: chi(f(x)) = chi_k(f(x))^(r/k), and chi_k(f(x)) is
     chi(N(f(x))) = chi(Res(g, f) / lc(g)^3) over the conjugates, the roots of
     x's factor g.  The fibre over O also holds O."""
-    spec, t = E.spec, E.spec._tables
-    one = spec.q // spec.p
+    spec, t, one = E.spec, E.spec._tables, E.spec.one
     h = cpoly_sub(spec, N, cpoly_mul(spec, [P[0]], D)) if P else D
     roots = preimages.get(P[0] if P else None, ())
     # h is squarefree when disc h != 0, or when its roots are all rational
@@ -441,7 +440,7 @@ def verify_fpf_dichotomy(E: ECurve, levels: Sequence[int] = (1, 2, 3)) -> FpfDic
         raise ValueError("need at least one level")
     for r in (1, *levels):  # level 1 first: the base points are scanned
         _check_level(E, r)
-    one, inverse = E.spec.q // E.spec.p, _inverse_cache(E.spec)
+    one, inverse = E.spec.one, _inverse_cache(E.spec)
     base_pts = ec_points(E)
     orbit = _x_orbits(E)
     by_pair = {}  # u -> {(): the kernel's sizes, orbit of x_P: P's sizes}
@@ -499,8 +498,7 @@ def max_singleton_bound(E: ECurve) -> int:
     when that kernel is {O}, whatever Q is.  Every point has the same count,
     the number of u != 1 with a trivial kernel, and one lookup per u reads
     it."""
-    one = E.spec.q // E.spec.p
-    alone = sum(len(_one_minus_sigma_fibres(E, u)[()]) == 1 for u in aut0(E) if u != one)
+    alone = sum(len(_one_minus_sigma_fibres(E, u)[()]) == 1 for u in aut0(E) if u != E.spec.one)
     return 2 ** (1 + alone)
 
 

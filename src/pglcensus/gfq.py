@@ -30,10 +30,10 @@ element x of the field with division by t - x.
 Conventions used throughout the package:
 
 * elements are ordered lexicographically by coefficient vector, i.e. by code,
-* a field element is its int code, with its spec passed beside it, as are
-  points of P^1 (code q for infinity), PGL2 maps and elliptic-curve points,
-  ints or tuples of codes (see moebius, elliptic); an FqElem is only what
-  parse_element returns.  Subgroups, curves, queries and reports are
+* a field element is its int code (1 is spec.one), with its spec beside
+  it, as are points of P^1 (code q for infinity), PGL2 maps and
+  elliptic-curve points, ints or tuples of codes (see moebius, elliptic).
+  Subgroups, curves, queries, reports and parse_element's FqElem are
   Records of named fields, compared and hashed by exact type and field
   values.  No module imports dataclasses, whose import chain
   (inspect, ast, dis, tokenize) every CLI process would pay at start-up,
@@ -65,10 +65,11 @@ from .closure import is_prime, order
 
 class FieldSpec:
     """A concrete presentation of F_{p^n}: prime p, degree n, monic irreducible
-    modulus of degree n over F_p (constant term first, length n+1).  There is
-    one spec per field: the constructor returns the stored spec of (p, n,
-    modulus) when there is one, so specs compare and hash by identity.  The
-    field's lookup tables hang off the spec and are built on first use."""
+    modulus of degree n over F_p (constant term first, length n+1), q = p^n,
+    and one = p^(n-1), the code of 1.  There is one spec per field: the
+    constructor returns the stored spec of (p, n, modulus) when there is one,
+    so specs compare and hash by identity.  The field's lookup tables hang
+    off the spec and are built on first use."""
 
     _interned: dict = {}
 
@@ -97,7 +98,7 @@ class FieldSpec:
         """The stored spec of a checked (p, n, modulus), storing it if new."""
         spec = object.__new__(cls)
         p, n, m = key
-        spec.__dict__.update(p=p, n=n, modulus=m, q=p**n)
+        spec.__dict__.update(p=p, n=n, modulus=m, q=p**n, one=p ** (n - 1))
         return cls._interned.setdefault(key, spec)
 
     def __setattr__(self, name, value):
@@ -171,34 +172,15 @@ class Record:
         return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
 
 
-class FqElem:
+class FqElem(Record):
     """A parsed element of F_{p^n}: its spec and its code, the base-p number
     whose digits are the coefficients, constant term c0 most significant.
     It is what parse_element returns, and the code is all that any other
-    function takes.  The hash is the code, and equality compares codes, then
-    specs.  Immutable; copy and pickle rebuild it through the constructor,
-    never through __setattr__."""
+    function takes.  Its __post_init__ checks the code's range, once per
+    element made, which is the hook that perfbench's tracer counts."""
 
-    __slots__ = ("spec", "code")
-
-    def __init__(self, spec: FieldSpec, code: int):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "code", code)
-        self.__post_init__()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: FqElem is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not FqElem:
-            return NotImplemented
-        return self.code == other.code and self.spec is other.spec
-
-    def __hash__(self) -> int:
-        return self.code
-
-    def __reduce__(self):
-        return FqElem, (self.spec, self.code)
+    spec: FieldSpec
+    code: int
 
     def __post_init__(self):
         if not 0 <= self.code < self.spec.q:
@@ -228,7 +210,7 @@ def _digits(spec: FieldSpec, code: int) -> tuple[int, ...]:
 
 def _int_code(spec: FieldSpec, k: int) -> int:
     """The code of the image of the integer k under Z -> F_p -> F_{p^n}."""
-    return k % spec.p * (spec.q // spec.p)
+    return k % spec.p * spec.one
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +321,7 @@ class _FieldTables:
     __slots__ = ("log", "exp", "half", "m", "zech", "add", "sub", "mul")
 
     def __init__(self, spec: FieldSpec):
-        p, q = spec.p, spec.q
+        p, q, one = spec.p, spec.q, spec.one
         m = q - 1
         g = _primitive_element(spec)
         log = [None] * q
@@ -350,7 +332,6 @@ class _FieldTables:
             codes.append(c)
             log[c] = k
             power = _vec_mul(spec, g, power)
-        one = q // p
         self.log = log
         self.exp = exp = codes * 3
         self.zech = zech = [log[(c + one) % q] for c in codes] * 2
@@ -428,7 +409,7 @@ def _embedding_table(src: FieldSpec, dst: FieldSpec) -> tuple[int, ...]:
         raise ValueError(f"cannot embed: characteristic {src.p} != {dst.p}")
     if dst.n % src.n != 0:
         raise ValueError(f"cannot embed: degree {src.n} does not divide {dst.n}")
-    one, t = dst.q // dst.p, dst._tables
+    one, t = dst.one, dst._tables
     modulus = [c * one for c in src.modulus]
     root = next((x for x in subfield_elements(dst, src.n) if cpoly_multiplicity(dst, modulus, x)), None)
     if root is None:
@@ -578,7 +559,7 @@ def cpoly_gcd(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list:
 
 def cpoly_powmod(spec: FieldSpec, a: Sequence[int], e: int, mod: Sequence[int]) -> list:
     """a^e modulo mod (e >= 0), by square and multiply."""
-    result = cpoly_divmod(spec, [spec.q // spec.p], mod)[1]
+    result = cpoly_divmod(spec, [spec.one], mod)[1]
     a = cpoly_divmod(spec, a, mod)[1]
     while e:
         if e & 1:
@@ -590,8 +571,8 @@ def cpoly_powmod(spec: FieldSpec, a: Sequence[int], e: int, mod: Sequence[int]) 
 
 
 def cpoly_deriv(spec: FieldSpec, a: Sequence[int]) -> list:
-    mul, p, one = spec._tables.mul, spec.p, spec.q // spec.p
-    return _cp_trim([mul(i % p * one, a[i]) for i in range(1, len(a))])
+    mul = spec._tables.mul
+    return _cp_trim([mul(_int_code(spec, i), a[i]) for i in range(1, len(a))])
 
 
 def cpoly_ddf(spec: FieldSpec, h: Sequence[int]) -> dict[int, list]:
@@ -601,7 +582,7 @@ def cpoly_ddf(spec: FieldSpec, h: Sequence[int]) -> dict[int, list]:
     left of h with x^(q^k) - x (D. G. Cantor and H. Zassenhaus, "A new
     algorithm for factoring polynomials over finite fields", Math. Comp. 36,
     1981)."""
-    x = [0, spec.q // spec.p]
+    x = [0, spec.one]
     h = _cp_monic(spec, h) if h else []
     parts = {}
     w, k = x, 0
@@ -666,7 +647,7 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 def cpoly_multiplicity(spec: FieldSpec, a: Sequence[int], x: int) -> int:
     """How many times t - x divides the nonzero a (x an element code): the
     multiplicity of x as a root, 0 when it is none."""
-    line = [spec._tables.sub(0, x), spec.q // spec.p]
+    line = [spec._tables.sub(0, x), spec.one]
     e = 0
     while True:
         quot, rem = cpoly_divmod(spec, a, line)

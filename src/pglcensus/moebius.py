@@ -88,7 +88,7 @@ def _kernel(spec: FieldSpec) -> SimpleNamespace:
     elliptic._chord_tangent binds a curve's law.  Its members:
 
     * law(x, y): the normalized product x*y (x after y) of 4-tuples of
-      entry codes (a, b, c, d); identity: (one, 0, 0, one), one = q // p;
+      entry codes (a, b, c, d); identity: (one, 0, 0, one), one = spec.one;
     * normalize(a, b, c, d): [[a,b],[c,d]] scaled by 1/(a or b), as a
       nonsingular matrix has a nonzero first row; refuses singular ones;
     * inverse(g): the normalized adjugate [[d,-b],[-c,a]] of the map g;
@@ -122,7 +122,7 @@ def _kernel(spec: FieldSpec) -> SimpleNamespace:
     )
     lg = [zero] + t.log[1:]
     neg = [0] + [exp[k + half] for k in t.log[1:]]
-    one = q // spec.p
+    one = spec.one
     identity = (one, 0, 0, one)
 
     def law(x, y):
@@ -268,7 +268,7 @@ def mob_compose(spec: FieldSpec, x: tuple[int, int, int, int], y: tuple[int, int
 def mob_infinity_to(spec: FieldSpec, x: int) -> tuple[int, int, int, int]:
     """A fixed choice of map over spec sending infinity to the point code x:
     t -> x + 1/t, or the identity when x is infinity."""
-    K, one = _kernel(spec), spec.q // spec.p
+    K, one = _kernel(spec), spec.one
     if x == spec.q:
         return K.identity
     return K.normalize(x, one, one, 0)
@@ -364,7 +364,7 @@ def transporters(
 def _pgl2_codes(spec: FieldSpec) -> Iterator[tuple[int, int, int, int]]:
     """The entry codes of all q^3 - q normalized maps of PGL2(F_q), in
     canonical (lexicographic entry) order."""
-    one, mul, q = spec.q // spec.p, spec._tables.mul, spec.q
+    one, mul, q = spec.one, spec._tables.mul, spec.q
     # first nonzero entry is b: a = 0, b = 1, c != 0
     for c in range(1, q):
         for d in range(q):

@@ -67,7 +67,7 @@ def poly_map_ramification(spec: FieldSpec, coeffs: Sequence[int], r: int) -> lis
     ext = extension_field(spec, r)
     emb = _embedding_table(spec, ext)
     f = [emb[c] for c in f]
-    one, neg, out = ext.q // ext.p, ext._tables.sub, []
+    one, neg, out = ext.one, ext._tables.sub, []
     for x0, _ in poly_roots(spec, df, r):
         g = cpoly_divmod(ext, f, [neg(0, x0), one])[0]
         e = 1 + cpoly_multiplicity(ext, g, x0)

@@ -80,7 +80,6 @@ class Fingerprint(Record):
     order: int
     element_orders: tuple[tuple[int, int], ...]  # (order, count), sorted
     abelian: bool
-    p_regular: bool
 
 
 def _check_map(spec: FieldSpec, g, role: str) -> None:
@@ -93,20 +92,19 @@ def _check_map(spec: FieldSpec, g, role: str) -> None:
 
 
 def close_generators(
-    spec: FieldSpec, gens: Sequence[tuple[int, int, int, int]], cap: Optional[int] = None, tag: str = "unclassified"
+    spec: FieldSpec, gens: Sequence[tuple[int, int, int, int]], tag: str = "unclassified"
 ) -> SubgroupPGL2:
     """Breadth-first closure of a list of maps of PGL2(F_q), given by their
-    entry codes, under the field's code law."""
+    entry codes, under the field's code law.  A closure larger than
+    |PGL2(F_q)| = q^3 - q means the law is broken: AssertionError."""
     if not gens:
         raise ValueError("need at least one generator")
     for g in gens:
         _check_map(spec, g, "generator")
-    if cap is None:
-        cap = spec.q ** 3 - spec.q
-    K = _kernel(spec)
+    K, cap = _kernel(spec), spec.q ** 3 - spec.q
     seen = close(gens, K.law, {K.identity}, cap)
     if seen is None:
-        raise ValueError(f"closure exceeded cap {cap}")
+        raise AssertionError(f"closure exceeds |PGL2(F_q)| = {cap}: the code law is broken")
     return SubgroupPGL2(spec, tuple(sorted(seen)), tag)
 
 
@@ -119,17 +117,26 @@ def subgroup_embed(H: SubgroupPGL2, target: FieldSpec) -> SubgroupPGL2:
     return SubgroupPGL2(target, tuple(sorted(tuple(emb[e] for e in x) for x in H.codes)), H.tag)
 
 
+def _map_project(table: dict[int, int], g: tuple[int, int, int, int]) -> Optional[tuple[int, int, int, int]]:
+    """The map with entry codes g pulled back to a subfield through its
+    _projection_table, entry by entry (a leading 1 stays 1), or None if an
+    entry is irrational there."""
+    try:
+        return tuple(table[e] for e in g)
+    except KeyError:
+        return None
+
+
 def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL2]:
-    """Pull the subgroup back to a subfield, entry by entry (a leading 1
-    stays 1), or None if any entry is irrational there."""
+    """Pull the subgroup back to a subfield map by map (_map_project), or
+    None if any entry is irrational there."""
     if H.spec is target:
         return H
     table = _projection_table(H.spec, target)
-    try:
-        codes = sorted(tuple(table[e] for e in x) for x in H.codes)
-    except KeyError:
+    codes = [_map_project(table, x) for x in H.codes]
+    if None in codes:
         return None
-    return SubgroupPGL2(target, tuple(codes), H.tag)
+    return SubgroupPGL2(target, tuple(sorted(codes)), H.tag)
 
 
 def _conjugator(spec: FieldSpec, g: tuple[int, int, int, int]):
@@ -154,12 +161,11 @@ def conjugate_subgroup(H: SubgroupPGL2, g: tuple[int, int, int, int]) -> Subgrou
 
 def _diag(spec: FieldSpec, u: int) -> tuple[int, int, int, int]:
     """x -> ux for the nonzero code u."""
-    return _kernel(spec).normalize(u, 0, 0, spec.q // spec.p)
+    return _kernel(spec).normalize(u, 0, 0, spec.one)
 
 
 def _swap(spec: FieldSpec) -> tuple[int, int, int, int]:
-    one = spec.q // spec.p
-    return 0, one, one, 0
+    return 0, spec.one, spec.one, 0
 
 
 def _closed_model(spec: FieldSpec, gens: Sequence[tuple[int, int, int, int]], tag: str, order: int) -> SubgroupPGL2:
@@ -180,7 +186,7 @@ def std_cyclic(spec: FieldSpec, n: int) -> SubgroupPGL2:
         raise ValueError(f"characteristic {spec.p} divides {n}: no such cyclic model")
     primitive_root_of_unity(spec, n)
     mu, _ = roots_of_unity(spec, n)
-    normalize, one = _kernel(spec).normalize, spec.q // spec.p
+    normalize, one = _kernel(spec).normalize, spec.one
     return SubgroupPGL2(spec, tuple(sorted(normalize(u, 0, 0, one) for u in mu)), f"cyclic:{n}")
 
 
@@ -200,7 +206,7 @@ def _a4_generators(spec: FieldSpec) -> list[tuple[int, int, int, int]]:
     """The Klein group {x, -x, 1/x, -1/x} and (x + z4)/(x - z4), z4 a
     primitive fourth root of unity: generators of the tetrahedral group."""
     z4 = primitive_root_of_unity(spec, 4)
-    K, one = _kernel(spec), spec.q // spec.p
+    K, one = _kernel(spec), spec.one
     return [K.normalize(0, K.neg[one], one, 0), _swap(spec), K.normalize(one, z4, one, K.neg[z4])]
 
 
@@ -229,7 +235,7 @@ def std_A5(spec: FieldSpec) -> SubgroupPGL2:
     if spec.p in (2, 5):
         raise ValueError(f"A5 model excluded in characteristic {spec.p}")
     z5 = primitive_root_of_unity(spec, 5)
-    K, one, sub = _kernel(spec), spec.q // spec.p, spec._tables.sub
+    K, one, sub = _kernel(spec), spec.one, spec._tables.sub
     b = sub(sub(one, z5), _inverse_cache(spec)[z5])  # 1 - z5 - z5^{-1}
     return _closed_model(spec, [_diag(spec, z5), K.normalize(one, b, one, K.neg[one])], "A5", 60)
 
@@ -243,7 +249,7 @@ def _subfield_fp_basis(spec: FieldSpec, sub_degree: int) -> list[int]:
 def _transvections(spec: FieldSpec, sub_degree: int) -> list[tuple[int, int, int, int]]:
     """The elementary transvections over an F_p-basis of F_{p^d}, which
     generate PSL2 of that subfield."""
-    one = spec.q // spec.p
+    one = spec.one
     gens = []
     for g in _subfield_fp_basis(spec, sub_degree):
         gens.append((one, g, 0, one))
@@ -291,7 +297,7 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
             if mul(z, g) not in gamma_set:
                 raise ValueError(f"mu_{n} * gamma is not contained in gamma")
     tag = f"Zp^{gamma.rank}" if n == 1 else f"gamma:{gamma.rank}:{n}"
-    normalize, one = _kernel(spec).normalize, spec.q // spec.p
+    normalize, one = _kernel(spec).normalize, spec.one
     H = SubgroupPGL2(spec, tuple(sorted(normalize(z, g, 0, one) for z in mu for g in gamma_set)), tag)
     if H.order != n * spec.p ** gamma.rank:
         raise AssertionError(f"semidirect product has order {H.order}, expected {n * spec.p ** gamma.rank}")
@@ -318,19 +324,21 @@ def _code_fingerprint(spec: FieldSpec, codes: Sequence[tuple], gens: Sequence[tu
         order=len(codes),
         element_orders=tuple(sorted(counts.items())),
         abelian=all(law(x, y) == law(y, x) for x, y in itertools.combinations(gens, 2)),
-        p_regular=len(codes) % spec.p != 0,
     )
 
 
 def fingerprint(H: SubgroupPGL2) -> Fingerprint:
-    """Order, element-order multiset, abelian and p-regularity flags."""
+    """Order, element-order multiset and the abelian flag."""
     K = _kernel(H.spec)
     return _code_fingerprint(H.spec, H.codes, H.generators, K.law, K.identity)
 
 
 def _code_locus(codes: Iterable[tuple], identity, fixed, complete: bool = False) -> Optional[tuple[int, ...]]:
     """stabilized_locus on entry and point codes, by `fixed` (_code_fixed at
-    the level of the points)."""
+    the level of the points).  With complete=True the result is None unless
+    it is the whole locus over the algebraic closure: an element's fixed
+    points lie in that level's field all or none (mob_fixed_points), so that
+    is when no element's set is empty."""
     pts = set()
     for x in codes:
         if x != identity:
@@ -341,16 +349,13 @@ def _code_locus(codes: Iterable[tuple], identity, fixed, complete: bool = False)
     return tuple(sorted(pts))
 
 
-def stabilized_locus(H: SubgroupPGL2, r: int, complete: bool = False) -> Optional[tuple[int, ...]]:
+def stabilized_locus(H: SubgroupPGL2, r: int) -> tuple[int, ...]:
     """The sorted codes of the points of P^1(F_{q^r}) with non-trivial
     stabilizer: the union of the fixed-point sets of the non-identity
     elements, found on their entry codes by _code_fixed (_code_locus).
     r >= 2 guarantees that every stabilized point of the algebraic closure
-    is captured.  With complete=True the result is None unless it is the
-    whole locus over the algebraic closure: an element's fixed points lie in
-    F_{q^r} all or none (mob_fixed_points), so that is when no element's set
-    is empty."""
-    return _code_locus(H.codes, _kernel(H.spec).identity, _code_fixed(H.spec, r), complete)
+    is captured."""
+    return _code_locus(H.codes, _kernel(H.spec).identity, _code_fixed(H.spec, r))
 
 
 def irrational_locus_pairs(H: SubgroupPGL2) -> set[tuple[int, int]]:

@@ -43,6 +43,7 @@ from pglcensus.gfq import (
     parse_field_spec,
 )
 from pglcensus.moebius import (
+    _code_fixed,
     _kernel,
     _pgl2_codes,
     _render_codes,
@@ -55,6 +56,7 @@ from pglcensus.stdgroups import (
     Fingerprint,
     SubgroupPGL2,
     _code_generators,
+    _code_locus,
     close_generators,
     conjugate_subgroup,
     fingerprint,
@@ -469,14 +471,15 @@ class TestEnumActions:
 
         order2 = [g for g in _pgl2_codes(F9) if map_order(F9, g) == 2]
         order3 = [g for g in _pgl2_codes(F9) if map_order(F9, g) == 3]
+        K = _kernel(F9)
         seen = set()
         found = set()
         for a in order3:
             for b in order2:
-                try:
-                    H = close_generators(F9, [a, b], cap=6)
-                except ValueError:
+                members = close([a, b], K.law, {K.identity}, 6)
+                if members is None:
                     continue  # pair generates something larger
+                H = SubgroupPGL2(F9, tuple(sorted(members)), "unclassified")
                 if H.order != 6 or H.codes in seen:
                     continue
                 seen.add(H.codes)
@@ -881,7 +884,6 @@ def reference_fingerprint(H):
         order=H.order,
         element_orders=tuple(sorted(counts.items())),
         abelian=all(mob_compose(spec, a, b) == mob_compose(spec, b, a) for a, b in itertools.combinations(members, 2)),
-        p_regular=H.order % H.spec.p != 0,
     )
 
 
@@ -917,7 +919,7 @@ def assert_locus_counted_over_census_field(H):
     assert 2 * len(irrational_locus_pairs(H)) == len(full) - len(rational), H
     # the one-pass test of _verified: the level-1 locus when it is the whole
     # locus, None when some fixed points leave F_q
-    whole = stabilized_locus(H, 1, complete=True)
+    whole = _code_locus(H.codes, _kernel(H.spec).identity, _code_fixed(H.spec, 1), complete=True)
     assert whole == (None if irrational_locus_pairs(H) else stabilized_locus(H, 1)), H
 
 

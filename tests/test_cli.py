@@ -660,6 +660,11 @@ def test_malformed_group_names_the_form(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}, with integer parameters\n"
 
 
+def test_unknown_group_tag_names_it(capsys):
+    assert exit_code(("census", "--field", "5^1", "--group", "foo", "--locus", "inf")) == 2
+    assert capsys.readouterr().err == "error: unknown group tag 'foo'\n"
+
+
 MALFORMED_MAPS = [
     ("fixed-points", "--field", "5^1", "--map", "[a,b;c,d]"),
     ("build-group", "--field", "5^1", "--gens", "[1,x;0,1]"),

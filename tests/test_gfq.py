@@ -200,11 +200,11 @@ class TestInterning:
         run = subprocess.run([sys.executable, "-c", script], input=explicit, capture_output=True, check=True, timeout=60)
         assert run.stdout.split() == [b"1", b"1"]
 
-    @pytest.mark.parametrize("name", ["p", "q", "modulus", "other"])
+    @pytest.mark.parametrize("name", ["p", "q", "one", "modulus", "other"])
     def test_attributes_cannot_be_assigned(self, name):
         with pytest.raises(AttributeError):
             setattr(F9, name, 3)
-        assert (F9.p, F9.n, F9.q, F9.modulus) == (3, 2, 9, (1, 0, 1))
+        assert (F9.p, F9.n, F9.q, F9.one, F9.modulus) == (3, 2, 9, 3, (1, 0, 1))
 
     def test_reducible_modulus_raises_on_every_call(self):
         for _ in range(3):
@@ -217,6 +217,28 @@ class TestInterning:
     def test_out_of_range_modulus_coefficients_are_rejected_not_reduced(self, p, n, modulus):
         with pytest.raises(ValueError, match=r"\[0, "):
             field_make(p, n, modulus)
+
+
+ONE_FIELDS = ["2^1", "2^4", "3^2", "5^3", "2^4/1,1,1,1,1"]
+
+
+@pytest.mark.parametrize("text", ONE_FIELDS)
+def test_one_is_the_code_of_1(text):
+    # 1 is the constant term, the most significant digit of a code
+    spec = parse_field_spec(text)
+    assert render_element(spec, spec.one) == ",".join(["1"] + ["0"] * (spec.n - 1))
+    assert all(spec._tables.mul(spec.one, x) == x for x in range(spec.q))
+    for how in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        assert how(spec).one == spec.one
+
+
+def test_one_survives_pickle_into_a_fresh_process():
+    # there an unpickled spec is interned anew, and sets its one there
+    specs = [parse_field_spec(text) for text in ONE_FIELDS]
+    script = "import pickle, sys\nprint(*[spec.one for spec in pickle.loads(sys.stdin.buffer.read())])\n"
+    run = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(specs), capture_output=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str(spec.one).encode() for spec in specs] == [b"1", b"8", b"3", b"25", b"8"]
 
 
 class TestArithmeticExamples:

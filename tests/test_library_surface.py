@@ -1,8 +1,10 @@
 """The documented library surface: the README's "Library in one minute"
 block runs as written in a fresh interpreter, and the names it imports are
-exactly pglcensus.__all__."""
+exactly pglcensus.__all__.  Every backticked `module.name` of the README
+names something that module has."""
 
 import ast
+import importlib
 import os
 import pathlib
 import re
@@ -49,3 +51,18 @@ def test_all_is_the_readme_surface():
     for name in pglcensus.__all__:
         value = getattr(pglcensus, name)
         assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_readme_module_names_resolve():
+    # a README that still names a function a change deleted or moved fails here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {path.stem for path in (ROOT / "src" / "pglcensus").glob("*.py")} - {"__init__", "__main__"}
+    names = {
+        (module, name)
+        for span in re.findall(r"`([^`\n]+)`", text)
+        for module, name in re.findall(r"(?<![\w.])([a-z]+)\.([A-Za-z_]\w*)", span)
+        if module in modules
+    }
+    assert len(names) >= 16
+    missing = [f"{m}.{n}" for m, n in sorted(names) if not hasattr(importlib.import_module("pglcensus." + m), n)]
+    assert missing == []

@@ -591,19 +591,21 @@ def reference_pairs(H):
 
 @pytest.mark.parametrize("text", ["2^2", "3^1", "5^1", "7^1", "2^3", "3^2"])
 def test_loci_and_pairs_against_reference_on_seeded_subgroups(text):
-    from pglcensus.stdgroups import close_generators, irrational_locus_pairs, stabilized_locus
+    from pglcensus.stdgroups import _code_locus, close_generators, irrational_locus_pairs, stabilized_locus
 
     spec = parse_field_spec(text)
     rng = random.Random(spec.q)
     elems = list(_pgl2_codes(spec))
+    identity = _kernel(spec).identity
     sizes, leaves = set(), set()
     for _ in range(12):
         H = close_generators(spec, rng.sample(elems, rng.choice((1, 1, 2))))
         sizes.add(H.order)
-        leaves.add(stabilized_locus(H, 1, complete=True) is None)
+        leaves.add(_code_locus(H.codes, identity, _code_fixed(spec, 1), complete=True) is None)
         for r in (1, 2):
-            for complete in (False, True):
-                assert stabilized_locus(H, r, complete) == reference_locus(H, r, complete), (H, r, complete)
+            assert stabilized_locus(H, r) == reference_locus(H, r), (H, r)
+            whole = _code_locus(H.codes, identity, _code_fixed(spec, r), complete=True)
+            assert whole == reference_locus(H, r, complete=True), (H, r)
         assert irrational_locus_pairs(H) == reference_pairs(H), H
     # groups of several orders, with loci inside F_q and leaving it
     assert len(sizes) > 2 and leaves == {False, True}

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import types
 
 import pytest
 
@@ -68,9 +69,14 @@ class TestClosure:
         H = close_generators(F2, [mk(F2, 1, 1, 0, 1), mk(F2, 1, 0, 1, 1)])
         assert H.order == 6  # 2^3 - 2
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            close_generators(F5, [mk(F5, 1, 1, 0, 1), mk(F5, 1, 0, 1, 1)], cap=10)
+    def test_closure_past_pgl2_is_a_broken_law(self, monkeypatch):
+        # a law that returns a fresh tuple on every call never closes: past
+        # |PGL2(F_5)| = 120 members the closure is refused as a broken law
+        K, fresh = _kernel(F5), itertools.count()
+        broken = types.SimpleNamespace(**{**vars(K), "law": lambda x, y: (next(fresh), 0, 0, 0)})
+        monkeypatch.setattr(stdgroups, "_kernel", lambda spec: broken)
+        with pytest.raises(AssertionError, match="120: the code law is broken"):
+            close_generators(F5, [mk(F5, 1, 1, 0, 1)])
 
     def test_closure_idempotent(self):
         for H in (std_cyclic(F5, 4), std_dihedral(F5, 4), std_A4(F5)):
@@ -144,7 +150,6 @@ class TestStandardConstructors:
         F81 = field_make(3, 4)
         H = std_A5(F81)
         assert H.order == 60
-        assert not fingerprint(H).p_regular  # 3 | 60
         with pytest.raises(ValueError, match="extension degree"):
             std_A5(F9)
 
@@ -224,19 +229,19 @@ def std_S4_order():
 class TestFingerprint:
     def test_trivial(self):
         fp = fingerprint(close_generators(F5, [_kernel(F5).identity]))
-        assert fp.order == 1 and fp.element_orders == ((1, 1),) and fp.abelian and fp.p_regular
+        assert fp.order == 1 and fp.element_orders == ((1, 1),) and fp.abelian
 
     def test_cyclic4(self):
         fp = fingerprint(std_cyclic(F5, 4))
         assert fp.element_orders == ((1, 1), (2, 1), (4, 2))
-        assert fp.abelian and fp.p_regular
+        assert fp.abelian
 
     def test_full_translation_group_of_F4(self):
         gamma = additive_subgroup(F4, [ONE4, T4])
         fp = fingerprint(gamma_to_unipotent(gamma))
         assert fp.order == 4
         assert fp.element_orders == ((1, 1), (2, 3))  # Klein group signature
-        assert fp.abelian and not fp.p_regular
+        assert fp.abelian
 
     def test_dihedral_nonabelian(self):
         assert not fingerprint(std_dihedral(F5, 4)).abelian
