@@ -43,7 +43,6 @@ from .gfq import (
 )
 from .moebius import _check_points, _code_fixed, _kernel, mob_infinity_to, render_point, transporters
 from .stdgroups import (
-    Fingerprint,
     SubgroupPGL2,
     _code_fingerprint,
     _code_generators,
@@ -285,16 +284,19 @@ def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...], first: 
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def _verified(spec: FieldSpec, candidates: Iterable[Iterable[tuple]], S: tuple, expected_fp: Fingerprint) -> list:
+def _verified(spec: FieldSpec, candidates: Iterable[Iterable[tuple]], S: tuple, model: SubgroupPGL2) -> list:
     """(codes, generators) of the candidates (entry codes of subgroups over
     the census field spec = F_{q^r}), deduplicated, in code order, whose
-    fingerprint is the expected one and whose locus over the algebraic
-    closure is S, the sorted codes of the queried locus: one pass of
+    locus over the algebraic closure is S, the sorted codes of the queried
+    locus, and whose fingerprint is the model's.  The locus is one pass of
     _code_fixed at level 1 (_code_locus, complete=True), which fails when
     some fixed points leave F_{q^r}, so no table of F_{q^{2r}} is built.
-    Generators and fingerprints run on the field's code law."""
+    The model's fingerprint is computed on the first candidate whose locus
+    is S, so a query with none computes no fingerprint.  Generators and
+    fingerprints run on the field's code law."""
     K, fixed = _kernel(spec), _code_fixed(spec, 1)
     law, identity = K.law, K.identity
+    expected_fp = None
     seen = set()
     out = []
     for codes in candidates:
@@ -304,6 +306,8 @@ def _verified(spec: FieldSpec, candidates: Iterable[Iterable[tuple]], S: tuple, 
         seen.add(codes)
         if _code_locus(codes, identity, fixed, complete=True) != S:
             continue
+        if expected_fp is None:
+            expected_fp = fingerprint(model)
         gens = _code_generators(codes, law, identity)
         if _code_fingerprint(spec, codes, gens, law, identity) == expected_fp:
             out.append((codes, gens))
@@ -382,7 +386,9 @@ def enum_actions(query: CensusQuery) -> CensusReport:
     points (stdgroups), so a model of the wrong size is skipped without
     leaving F_{q^r}.  F_{q^{2r}} is built only for a model whose full locus
     has |S| points but leaves F_{q^r}.  Candidates are verified on entry
-    codes, and the matches are sorted so the report is deterministic.
+    codes (_verified), which computes the model's fingerprint only for a
+    candidate whose locus is S, and the matches are sorted so the report is
+    deterministic.
     """
     ext = extension_field(query.spec, query.r)
     _check_points(ext, query.locus, "locus")
@@ -446,7 +452,7 @@ def enum_actions(query: CensusQuery) -> CensusReport:
 
     if not models:
         return CensusReport(query, (), 0, "finite")
-    found = _verified(ext, candidates, S, fingerprint(models[0]))
+    found = _verified(ext, candidates, S, models[0])
     return CensusReport(query, _matches(ext, found, models[0].tag), len(found), "finite")
 
 

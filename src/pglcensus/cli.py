@@ -167,7 +167,7 @@ def _cmd_field_info(args):
         "n": spec.n,
         "q": spec.q,
         "modulus": list(spec.modulus),
-        "pgl2_order": spec.q ** 3 - spec.q,
+        "pgl2_order": spec.pgl2_order,
     }
     return 0, payload, None, None
 

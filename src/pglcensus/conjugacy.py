@@ -37,8 +37,8 @@ from .stdgroups import (
 
 def _translation_parts(H: SubgroupPGL2) -> Optional[list[int]]:
     """If every element is a translation x -> x + g, return the codes of the
-    g's."""
-    if all(a == d == H.spec.one and not c for a, _, c, d in H.codes):
+    g's: a normalized map with c = 0 has a = 1, so it is one when d = a."""
+    if all(a == d and not c for a, _, c, d in H.codes):
         return [b for _, b, _, _ in H.codes]
     return None
 

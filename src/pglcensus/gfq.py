@@ -66,10 +66,11 @@ from .closure import is_prime, order
 class FieldSpec:
     """A concrete presentation of F_{p^n}: prime p, degree n, monic irreducible
     modulus of degree n over F_p (constant term first, length n+1), q = p^n,
-    and one = p^(n-1), the code of 1.  There is one spec per field: the
-    constructor returns the stored spec of (p, n, modulus) when there is one,
-    so specs compare and hash by identity.  The field's lookup tables hang
-    off the spec and are built on first use."""
+    one = p^(n-1), the code of 1, and pgl2_order = q^3 - q = |PGL2(F_q)|.
+    There is one spec per field: the constructor returns the stored spec of
+    (p, n, modulus) when there is one, so specs compare and hash by
+    identity.  The field's lookup tables hang off the spec and are built on
+    first use."""
 
     _interned: dict = {}
 
@@ -98,7 +99,8 @@ class FieldSpec:
         """The stored spec of a checked (p, n, modulus), storing it if new."""
         spec = object.__new__(cls)
         p, n, m = key
-        spec.__dict__.update(p=p, n=n, modulus=m, q=p**n, one=p ** (n - 1))
+        q = p**n
+        spec.__dict__.update(p=p, n=n, modulus=m, q=q, one=p ** (n - 1), pgl2_order=q**3 - q)
         return cls._interned.setdefault(key, spec)
 
     def __setattr__(self, name, value):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 from .gfq import (
     FieldSpec,
@@ -304,6 +304,47 @@ def mob_from_three_points(spec: FieldSpec, src: Sequence[int], dst: Sequence[int
     return _triple_map(spec, source, _distinct_codes(dst, "destination"))
 
 
+def _carried_images(
+    spec: FieldSpec, src: tuple[int, ...], dst: tuple[int, ...], skip: Container[tuple[int, int, int]]
+) -> Iterator[tuple[int, ...]]:
+    """g(src), for |src| >= 4 and g the map sending src[:3] onto an ordered
+    triple of dst, per triple in permutations order that is not in skip and
+    whose g carries src into dst; no map is built.  A Moebius map keeps
+    cross-ratios: with phi(x) = log(x - s1) - log(x - s2), logs mod
+    m = q - 1 and a difference with infinity in it read as 0 (infinity
+    drops out of every cross-ratio), g(src[j]) is the x with
+    phi(s3) - phi(x) = lam_j, the same log cross-ratio of src[0], src[1],
+    src[2] and src[j].  phi is one-to-one off s1 and s2, so one lookup per
+    j finds the image in dst or shows that it lies outside."""
+    t, q = spec._tables, spec.q
+    log, sub, m = t.log, t.sub, t.m
+
+    def logs(x, points):  # log(x - y) for each other y of points
+        return {y: 0 if x == q or y == q else log[sub(x, y)] for y in points if y != x}
+
+    def phi(x, s1, s2):
+        lx = logs(x, (s1, s2))
+        return lx[s1] - lx[s2]
+
+    a, b, c = src[:3]
+    first, *more = ((phi(c, a, b) - phi(x, a, b)) % m for x in src[3:])
+    rows = [(x, logs(x, dst)) for x in dst]
+    for s1, s2 in itertools.permutations(dst, 2):
+        at = {(lx[s1] - lx[s2]) % m: x for x, lx in rows if x != s1 and x != s2}  # phi -> x
+        for v, s3 in at.items():
+            x = at.get((v - first) % m)
+            if x is None or (s1, s2, s3) in skip:
+                continue
+            image = [s1, s2, s3, x]
+            for lam in more:
+                x = at.get((v - lam) % m)
+                if x is None:
+                    break
+                image.append(x)
+            else:
+                yield tuple(image)
+
+
 def transporters(
     spec: FieldSpec, L0: Sequence[int], S: Sequence[int], H: Sequence[tuple[int, int, int, int]] = ()
 ) -> Iterator[tuple[int, int, int, int]]:
@@ -316,14 +357,15 @@ def transporters(
     the map sending L0[:3] onto it, if it sends the rest of L0 into S and is
     not g.h for an earlier g: since (g.h)(L0[j]) = g(L0[i]) with
     h(L0[j]) = L0[i], each g yielded marks the triples of its coset, which
-    are then skipped before their map is built.  So the maps are those of
-    transporters(spec, L0, S) that come first in their coset, in the same
-    order.
+    are then skipped.  So the maps are those of transporters(spec, L0, S)
+    that come first in their coset, in the same order.
     |L0| = 2: Fix(L0) is a torus; one map per arrangement of S, sending the
     first point of P^1 outside L0 to the first one outside S.  H is not used
     there: a census model with a two-point locus lies in the torus.
-    The search runs on point and entry codes: the frame of L0[:3] is built
-    once, and each triple costs one _triple_map and the images of L0[3:]."""
+    The search runs on point and entry codes: for |L0| >= 4 the image of L0
+    under each triple's map is read from cross-ratios (_carried_images), and
+    only a map that is yielded is built, by one _triple_map from the frame
+    of L0[:3]."""
     if len(L0) != len(S):
         return
     if len(L0) < 2:
@@ -344,21 +386,15 @@ def transporters(
         perms = {tuple(where[apply(h, x)] for x in src)[:3] for h in H}
     except KeyError:
         raise ValueError("H does not stabilize L0") from None
-    source, rest = frame(*src[:3]), src[3:]
-    targets = set(dst)
-    covered = set()
-    for triple in itertools.permutations(dst, 3):
-        if triple in covered:
-            continue
-        g = _triple_map(spec, source, triple)
-        image = list(triple)  # g(L0)
-        for x in rest:
-            image.append(apply(g, x))
-            if image[-1] not in targets:
-                break
-        else:
-            yield g
-            covered.update((image[i], image[j], image[k]) for i, j, k in perms)
+    source = frame(*src[:3])
+    covered = set()  # the triples of the cosets yielded so far
+    if len(src) == 3:
+        images = (triple for triple in itertools.permutations(dst) if triple not in covered)
+    else:
+        images = _carried_images(spec, src, dst, covered)
+    for image in images:
+        yield _triple_map(spec, source, image[:3])
+        covered.update((image[i], image[j], image[k]) for i, j, k in perms)
 
 
 def _pgl2_codes(spec: FieldSpec) -> Iterator[tuple[int, int, int, int]]:

@@ -124,7 +124,6 @@ def verify_p1fp(spec: FieldSpec) -> P1FPReport:
     map is built: a violation is rendered from its entry codes."""
     law, ident = _kernel(spec).law, _kernel(spec).identity
     fixed_points = _code_fixed(spec, 2)
-    group_order = spec.q ** 3 - spec.q
     checked = 0
     violations = []
     for g in _pgl2_codes(spec):
@@ -132,14 +131,14 @@ def verify_p1fp(spec: FieldSpec) -> P1FPReport:
             continue
         checked += 1
         n_fixed = len(fixed_points(g))
-        k = order(g, law, ident, group_order)
+        k = order(g, law, ident, spec.pgl2_order)
         if k is None:
             raise AssertionError("order exceeded |PGL2|, matrix arithmetic is broken")
         if n_fixed not in (1, 2):
             violations.append(f"{_render_codes(spec, g)}: {n_fixed} fixed points")
         if (n_fixed == 1) != (k == spec.p):
             violations.append(f"{_render_codes(spec, g)}: order {k} with {n_fixed} fixed points")
-    return P1FPReport(group_order, checked, tuple(violations))
+    return P1FPReport(spec.pgl2_order, checked, tuple(violations))
 
 
 def p1fp_report_to_json(spec: FieldSpec, rep: P1FPReport) -> dict:

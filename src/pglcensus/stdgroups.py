@@ -101,7 +101,7 @@ def close_generators(
         raise ValueError("need at least one generator")
     for g in gens:
         _check_map(spec, g, "generator")
-    K, cap = _kernel(spec), spec.q ** 3 - spec.q
+    K, cap = _kernel(spec), spec.pgl2_order
     seen = close(gens, K.law, {K.identity}, cap)
     if seen is None:
         raise AssertionError(f"closure exceeds |PGL2(F_q)| = {cap}: the code law is broken")
@@ -315,10 +315,9 @@ def _code_fingerprint(spec: FieldSpec, codes: Sequence[tuple], gens: Sequence[tu
     generating set `gens`, through the code law `law`: element orders by
     closure.order, capped at |PGL2(F_q)|, and abelian when the generators
     commute pairwise."""
-    cap = spec.q ** 3 - spec.q
     counts: dict[int, int] = {}
     for x in codes:
-        k = order(x, law, identity, cap)
+        k = order(x, law, identity, spec.pgl2_order)
         counts[k] = counts.get(k, 0) + 1
     return Fingerprint(
         order=len(codes),

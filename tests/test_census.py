@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import json
+import random
 import re
 
 import pytest
@@ -279,17 +280,31 @@ class TestEnumActions:
         (H,) = rep.matches
         assert {render_point(F5, P) for P in stabilized_locus(H, 1)} == {"2", "3"}
 
+    @staticmethod
+    def counted_calls(monkeypatch, targets):
+        """Count the calls of each (module, name), under the name."""
+        calls = collections.Counter()
+        for module, name in targets:
+            def counted(*args, f=getattr(module, name), name=name):
+                calls[name] += 1
+                return f(*args)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def moved_locus(spec, tag, seed):
+        """The rational locus of the tag's model and its image under a seeded
+        map, as sorted point codes."""
+        L0 = stabilized_locus(census._standard_models(spec, *parse_group_id(tag))[0], 1)
+        g = random.Random(seed).choice(list(_pgl2_codes(spec)))
+        return L0, tuple(sorted(_kernel(spec).apply(g, x) for x in L0))
+
     def test_one_conjugation_per_coset_of_the_model(self, monkeypatch):
         # dihedral:3 at all of P^1(F7): each of the 336 maps of PGL2(F7)
         # transports the locus, and the 6 maps of a coset g.H0 give one
         # conjugate, so 56 maps are built (one _triple_map each) and
         # conjugate the model on entry codes (one conjugate_subgroup each)
-        calls = collections.Counter()
-        for module, name in ((moebius, "_triple_map"), (census, "conjugate_subgroup")):
-            def counted(*args, f=getattr(module, name), name=name):
-                calls[name] += 1
-                return f(*args)
-            monkeypatch.setattr(module, name, counted)
+        calls = self.counted_calls(monkeypatch, [(moebius, "_triple_map"), (census, "conjugate_subgroup")])
         assert census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf").count == 28
         assert calls == {"_triple_map": 56, "conjugate_subgroup": 56}
 
@@ -335,6 +350,30 @@ class TestEnumActions:
             [_render_codes(H.spec, g) for g in _code_generators(H.codes, K.law, K.identity)]
             for H in report.matches
         ]
+
+    def test_one_map_built_per_transporter_yielded(self, monkeypatch):
+        # dihedral:2 over F9 at its 6-point locus moved by a seeded map: the
+        # 24 maps carrying L0 onto S fall into 6 cosets g.H0, and the image
+        # of L0 under each of the 120 triples' maps is read by cross-ratio,
+        # so a map is built (one _triple_map) only for the 6 transporters
+        # yielded, where one per triple not yet covered made 102
+        L0, S = self.moved_locus(F9, "dihedral:2", 9)
+        assert S != L0
+        calls = self.counted_calls(monkeypatch, [(moebius, "_triple_map")])
+        assert enum_actions(CensusQuery(F9, "dihedral:2", S)).count == 1
+        assert calls == {"_triple_map": 6}
+
+    @pytest.mark.parametrize("field,tag", [("3^3", "PGL2:1"), ("5^1", "gamma:1:4")])
+    def test_no_fingerprint_without_a_candidate_at_the_locus(self, monkeypatch, field, tag):
+        # PGL2:1 over F27 at its rational locus P^1(F3) moved by a seeded
+        # map, whose model's full locus has points over F9 as well, and
+        # gamma:1:4 over F5 at one point have no candidate, so the model's
+        # fingerprint is never computed
+        spec = parse_field_spec(field)
+        S = self.moved_locus(spec, tag, 27)[1] if tag == "PGL2:1" else (0,)
+        calls = self.counted_calls(monkeypatch, [(census, "_code_fingerprint"), (stdgroups, "_code_fingerprint")])
+        assert enum_actions(CensusQuery(spec, tag, S)).count == 0
+        assert len(S) == (4 if tag == "PGL2:1" else 1) and calls == {}
 
     def test_cyclic_census_locus_size_mismatch(self):
         assert census_count(F5, "cyclic:4", "0,1,inf").count == 0

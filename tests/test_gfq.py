@@ -200,11 +200,11 @@ class TestInterning:
         run = subprocess.run([sys.executable, "-c", script], input=explicit, capture_output=True, check=True, timeout=60)
         assert run.stdout.split() == [b"1", b"1"]
 
-    @pytest.mark.parametrize("name", ["p", "q", "one", "modulus", "other"])
+    @pytest.mark.parametrize("name", ["p", "q", "one", "pgl2_order", "modulus", "other"])
     def test_attributes_cannot_be_assigned(self, name):
         with pytest.raises(AttributeError):
             setattr(F9, name, 3)
-        assert (F9.p, F9.n, F9.q, F9.one, F9.modulus) == (3, 2, 9, 3, (1, 0, 1))
+        assert (F9.p, F9.n, F9.q, F9.one, F9.pgl2_order, F9.modulus) == (3, 2, 9, 3, 720, (1, 0, 1))
 
     def test_reducible_modulus_raises_on_every_call(self):
         for _ in range(3):

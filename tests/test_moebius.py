@@ -827,7 +827,14 @@ class TestTransportersAgainstReference:
         ("3^2", "dihedral:2", 1), ("3^2", "cyclic:4", 1),
         ("2^4", "dihedral:3", 1), ("2^4", "cyclic:5", 1),
         ("5^2", "A4", 1), ("5^2", "dihedral:3", 1), ("5^2", "cyclic:3", 1),
+        ("7^2", "S4", 1), ("31^1", "dihedral:5", 1), ("2^6", "dihedral:7", 1),
     ]
+
+    # models whose locus is a proper subset of P^1 over the search field, so
+    # that most triples carry L0 out of S and are read off by cross-ratio:
+    # S4 over F49 (26 of 50 points), dihedral:5 over F31 (12 of 32) and, in
+    # characteristic 2 with infinity in L0, dihedral:7 over F64 (9 of 65)
+    PROPER = [("7^2", "S4", 26), ("31^1", "dihedral:5", 12), ("2^6", "dihedral:7", 9)]
 
     @staticmethod
     def random_map(rng, spec):
@@ -856,6 +863,37 @@ class TestTransportersAgainstReference:
                 want = list(reference_transporters(search, L0, S, members))
                 assert list(transporters(search, L0, S, members)) == want
         assert list(transporters(search, L0, moved, H.codes))  # g's coset at least
+
+    @pytest.mark.parametrize("field", ["5^1", "2^3", "3^2"])
+    def test_three_point_locus_with_its_rotation(self, field):
+        # L0 = (0, 1, inf) and H the rotation x -> 1/(1 - x) of its points,
+        # of order 3: the 6 maps onto any three points S form two cosets
+        # g.H, so two maps, the first of each in triple order, as the
+        # reference gives
+        spec = parse_field_spec(field)
+        K, one = _kernel(spec), spec.one
+        g = K.normalize(0, one, K.neg[one], one)
+        H = [K.identity, g, K.law(g, g)]
+        L0 = [0, one, spec.q]
+        assert [K.apply(g, x) for x in L0] == [one, spec.q, 0]
+        rng = random.Random(field)
+        move = self.random_map(rng, spec)
+        for S in ([K.apply(move, x) for x in L0], rng.sample(range(spec.q + 1), 3)):
+            reps = list(transporters(spec, L0, S, H))
+            assert reps == list(reference_transporters(spec, L0, S, H))
+            assert len(reps) == 2
+
+    @pytest.mark.parametrize("field,tag,size", PROPER, ids=lambda c: str(c))
+    def test_proper_subset_loci(self, field, tag, size):
+        from pglcensus.census import _standard_models, parse_group_id
+        from pglcensus.stdgroups import stabilized_locus
+
+        spec = parse_field_spec(field)
+        assert (field, tag, 1) in self.MODELS
+        (H0,) = _standard_models(spec, *parse_group_id(tag))
+        L0 = stabilized_locus(H0, 1)
+        assert len(L0) == size < spec.q + 1
+        assert spec.p != 2 or spec.q in L0
 
 
 def reference_ramification(spec, f, r):
