@@ -12,13 +12,13 @@ PGL2(F_{q^r}) with stabilized locus exactly S form
   (Z/pZ)^m and |S| = 1 - a count that equals the Gaussian binomial
   [n choose m]_p and grows without bound along the field tower.
 
-Every reported match is verified from scratch.  A transported match's
-stabilized locus is recomputed and compared with S, and its fingerprint is
-compared with the model's.  A (Z/pZ)^m match is certified from its m basis
-maps (_basis_certified): their closure has p^m members, each has order p
-and they commute pairwise, which makes the group elementary abelian of rank
-m, the model's fingerprint; and the locus of every member is recomputed and
-compared with S.  An independent brute-force oracle with no classification
+Every reported match is verified from scratch.  A transported match, the
+subgroup that transport built, has its locus recomputed and compared with
+S, and its fingerprint compared with the model's.  A (Z/pZ)^m match is
+certified from its m basis maps (_basis_certified): their closure has p^m
+members, each has order p and they commute pairwise, which makes the group
+elementary abelian of rank m, the model's fingerprint; and the locus of
+every member is recomputed and compared with S.  An independent brute-force oracle with no classification
 knowledge cross-checks the elementary-abelian counts (dichotomy.py, the
 verify-main command).
 """
@@ -35,22 +35,18 @@ from .gfq import (
     Record,
     _code,
     _digits,
-    _embedding_table,
     extension_field,
     fp_echelon,
     render_element,
     render_field_spec,
 )
-from .moebius import _check_points, _code_fixed, _kernel, mob_infinity_to, render_point, transporters
+from .moebius import _check_points, _embed_points, _kernel, mob_infinity_to, render_point, transporters
 from .stdgroups import (
     SubgroupPGL2,
-    _code_fingerprint,
-    _code_generators,
     _code_locus,
     _conjugator,
     conjugate_subgroup,
     fingerprint,
-    irrational_locus_pairs,
     stabilized_locus,
     std_A4,
     std_A5,
@@ -284,50 +280,45 @@ def _standard_models(ext: FieldSpec, kind: str, params: tuple[int, ...], first: 
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def _verified(spec: FieldSpec, candidates: Iterable[Iterable[tuple]], S: tuple, model: SubgroupPGL2) -> list:
-    """(codes, generators) of the candidates (entry codes of subgroups over
-    the census field spec = F_{q^r}), deduplicated, in code order, whose
-    locus over the algebraic closure is S, the sorted codes of the queried
-    locus, and whose fingerprint is the model's.  The locus is one pass of
-    _code_fixed at level 1 (_code_locus, complete=True), which fails when
-    some fixed points leave F_{q^r}, so no table of F_{q^{2r}} is built.
-    The model's fingerprint is computed on the first candidate whose locus
-    is S, so a query with none computes no fingerprint.  Generators and
-    fingerprints run on the field's code law."""
-    K, fixed = _kernel(spec), _code_fixed(spec, 1)
-    law, identity = K.law, K.identity
+def _verified(spec: FieldSpec, candidates: Iterable[SubgroupPGL2], S: tuple, model: SubgroupPGL2) -> list:
+    """The candidates (subgroups over the census field spec = F_{q^r}),
+    deduplicated by their codes, in code order, whose locus over the
+    algebraic closure is S, the sorted codes of the queried locus, and whose
+    fingerprint is the model's.  The locus is one level-1 pass of
+    _code_locus: S with no pairs, so no table of F_{q^{2r}} is built.  The
+    model's fingerprint is computed on the first candidate whose locus is
+    S, so a query with none computes none; a match's fingerprint computes
+    its generating set, which it then renders."""
+    locus = _code_locus(spec, 1)
     expected_fp = None
     seen = set()
     out = []
-    for codes in candidates:
-        codes = tuple(sorted(codes))
-        if codes in seen:
+    for H in candidates:
+        if H.codes in seen:
             continue
-        seen.add(codes)
-        if _code_locus(codes, identity, fixed, complete=True) != S:
+        seen.add(H.codes)
+        if locus(H.codes) != (S, set()):
             continue
         if expected_fp is None:
             expected_fp = fingerprint(model)
-        gens = _code_generators(codes, law, identity)
-        if _code_fingerprint(spec, codes, gens, law, identity) == expected_fp:
-            out.append((codes, gens))
-    return sorted(out)
+        if fingerprint(H) == expected_fp:
+            out.append(H)
+    return sorted(out, key=lambda H: H.codes)
 
 
-def _basis_certified(p: int, basis: Sequence[tuple], members: Collection[tuple], law, identity, fixed, S: tuple) -> bool:
+def _basis_certified(p: int, basis: Sequence[tuple], members: Collection[tuple], law, identity, locus, S: tuple) -> bool:
     """Whether `members`, the closure of the m maps `basis` under the code
     law `law`, is a (Z/pZ)^m-subgroup whose locus over the algebraic closure
     is S, the sorted point codes of the query.  It has p^m members, every
     basis map has order p, and the basis maps commute pairwise: so the
     group is abelian of exponent p and rank m, which is the Zp^m
-    fingerprint.  The level-1 locus pass (_code_locus, complete=True,
-    `fixed` being _code_fixed at level 1) over every member gives exactly
-    S."""
+    fingerprint.  The level-1 locus pass `locus` (_code_locus at level 1)
+    over the members gives exactly S, with no pairs."""
     return (
         len(members) == p ** len(basis)
         and all(order(g, law, identity, p) == p for g in basis)
         and all(law(x, y) == law(y, x) for x, y in itertools.combinations(basis, 2))
-        and _code_locus(members, identity, fixed, complete=True) == S
+        and locus(members) == (S, set())
     )
 
 
@@ -346,23 +337,14 @@ def _translation_census(spec: FieldSpec, point: int, bases: Sequence[tuple[int, 
         conjugate = _conjugator(spec, mob_infinity_to(spec, point))
         maps = {b: conjugate(g) for b, g in maps.items()}
     law = lru_cache(maxsize=None)(K.law)
-    fixed, S = _code_fixed(spec, 1), (point,)
+    locus, S = _code_locus(spec, 1), (point,)
     found = []
     for basis in bases:
         gens = [maps[b] for b in basis]
         members = close(gens, law, (identity,), cap=p ** len(gens))
-        if members is not None and _basis_certified(p, gens, members, law, identity, fixed, S):
+        if members is not None and _basis_certified(p, gens, members, law, identity, locus, S):
             found.append(tuple(sorted(members)))
     return sorted(found)
-
-
-def _matches(ext: FieldSpec, found: Sequence[tuple], tag: str) -> tuple[SubgroupPGL2, ...]:
-    """The subgroups of _verified's (codes, generators), each seeded with the
-    generating set its verification computed, which is what it renders."""
-    matches = tuple(SubgroupPGL2(ext, codes, tag) for codes, _ in found)
-    for H, (_, gens) in zip(matches, found):
-        vars(H)["generators"] = gens
-    return matches
 
 
 def enum_actions(query: CensusQuery) -> CensusReport:
@@ -381,14 +363,15 @@ def enum_actions(query: CensusQuery) -> CensusReport:
       inside PGL2(F_{q^r}).
 
     Loci are decided over the census field F_{q^r}, whose point codes the
-    query's locus holds: any other locus point raises ValueError.  A model's
-    full locus has |stabilized_locus(H0, 1)| + 2 |irrational_locus_pairs(H0)|
-    points (stdgroups), so a model of the wrong size is skipped without
-    leaving F_{q^r}.  F_{q^{2r}} is built only for a model whose full locus
-    has |S| points but leaves F_{q^r}.  Candidates are verified on entry
-    codes (_verified), which computes the model's fingerprint only for a
-    candidate whose locus is S, and the matches are sorted so the report is
-    deterministic.
+    query's locus holds: any other locus point raises ValueError.  One
+    level-1 pass of stdgroups._code_locus gives a model's rational locus L0
+    and its pairs, so its full locus has |L0| + 2 |pairs| points and a
+    model of the wrong size is skipped without leaving F_{q^r}.  F_{q^{2r}}
+    is built only for a model whose full locus has |S| points but has
+    pairs.  Each candidate is the SubgroupPGL2 that conjugate_subgroup or
+    subgroup_project built, or the trivial model itself; _verified checks
+    them, computing the model's fingerprint only for a candidate whose
+    locus is S, and the matches are sorted so the report is deterministic.
     """
     ext = extension_field(query.spec, query.r)
     _check_points(ext, query.locus, "locus")
@@ -422,38 +405,38 @@ def enum_actions(query: CensusQuery) -> CensusReport:
         return CensusReport(query, tuple(matches), len(matches), verdict, notes=notes)
 
     models = _standard_models(ext, kind, params)
-    candidates: list[Iterable[tuple]] = []
+    locus = _code_locus(ext, 1)
+    candidates: list[SubgroupPGL2] = []
     for H0 in models:
-        L0 = stabilized_locus(H0, 1)
-        # the full locus is L0 and two points per irrational_locus_pairs entry
-        if len(L0) + 2 * len(irrational_locus_pairs(H0)) != len(S):
+        # the full locus is L0 and two points per pair
+        L0, pairs = locus(H0.codes)
+        if len(L0) + 2 * len(pairs) != len(S):
             continue
         if len(S) == 0:
-            candidates.append(H0.codes)  # only the trivial model has empty locus
+            candidates.append(H0)  # only the trivial model has empty locus
         elif len(S) >= 2:
             # one transporter per coset g.Fix(L0).H0 is enough: g.t.h H0
             # (g.t.h)^{-1} = g H0 g^{-1} for h in H0 and t in Fix(L0), which is
             # trivial for |L0| >= 3 and for |L0| = 2 the abelian torus through
             # L0, which contains H0
-            if len(L0) == len(S):  # L0 is the full locus, so every g is rational too
-                model, locus, target = H0, L0, S
+            if not pairs:  # L0 is the full locus, so every g is rational too
+                model, source, target = H0, L0, S
             else:
                 ext2 = extension_field(ext, 2)
-                model, locus = subgroup_embed(H0, ext2), stabilized_locus(H0, 2)
-                emb = _embedding_table(ext, ext2)
-                target = tuple(sorted(emb[x] if x < ext.q else ext2.q for x in S))
-            for g in transporters(model.spec, locus, target, model.codes):
+                model, source = subgroup_embed(H0, ext2), stabilized_locus(H0, 2)
+                target = tuple(sorted(_embed_points(ext, ext2, S)))
+            for g in transporters(model.spec, source, target, model.codes):
                 H = conjugate_subgroup(model, g)
                 if model.spec is not ext:
                     H = subgroup_project(H, ext)
                 if H is not None:
-                    candidates.append(H.codes)
+                    candidates.append(H)
         # |S| <= 1 never matches a non-elementary-abelian model
 
     if not models:
         return CensusReport(query, (), 0, "finite")
-    found = _verified(ext, candidates, S, models[0])
-    return CensusReport(query, _matches(ext, found, models[0].tag), len(found), "finite")
+    matches = _verified(ext, candidates, S, models[0])
+    return CensusReport(query, tuple(matches), len(matches), "finite")
 
 
 # ---------------------------------------------------------------------------

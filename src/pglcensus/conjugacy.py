@@ -18,6 +18,7 @@ from .gfq import FieldSpec, _projection_table, extension_field, render_field_spe
 from .moebius import (
     _kernel,
     _pgl2_codes,
+    _points_outside,
     _render_codes,
     mob_compose,
     mob_from_three_points,
@@ -133,8 +134,8 @@ def is_conjugate(
     # skip it; the first witness is the same as without H1
     fix = [_kernel(search).identity]
     if len(L1) == 2:
-        src = (L1[0], L1[1], next(x for x in range(search.q + 1) if x not in L1))
-        fix = (mob_from_three_points(search, src, (L1[0], L1[1], x)) for x in range(search.q + 1) if x not in L1)
+        src = (L1[0], L1[1], next(_points_outside(search, L1)))
+        fix = (mob_from_three_points(search, src, (L1[0], L1[1], x)) for x in _points_outside(search, L1))
     H1_search = subgroup_embed(H1, search).codes
     for t in fix:
         for g0 in transporters(search, L1, L2, H1_search):

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 from . import census  # WORK_BOUND is read from census at each check, where it is set
 from .census import CensusQuery, _echelon_bases, _translation_census, enum_actions, gaussian_binomial
 from .closure import is_prime, order, subgroup_layers
-from .gfq import FieldSpec, Record, _embedding_table, field_make
-from .moebius import _check_points, _kernel, _render_codes, mob_infinity_to, parse_point_list, render_point
+from .gfq import FieldSpec, Record, field_make
+from .moebius import _check_points, _embed_points, _kernel, _render_codes, mob_infinity_to, parse_point_list, render_point
 from .stdgroups import SubgroupPGL2, _conjugator
 
 
@@ -325,9 +325,7 @@ def verify_main_theorem(
         counts = []
         for n in n_values:
             spec = field_make(p, n)
-            emb = _embedding_table(prime, spec)
-            locus = tuple(emb[x] if x < p else spec.q for x in base_locus)
-            report = enum_actions(CensusQuery(spec, tag, locus, r=1))
+            report = enum_actions(CensusQuery(spec, tag, _embed_points(prime, spec, base_locus), r=1))
             counts.append((n, report.count))
         bounded.append(
             BoundedRow(tag=tag, locus_text=locus_text, counts=tuple(counts), constant=max(c for _, c in counts))

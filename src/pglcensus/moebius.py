@@ -17,8 +17,8 @@ code of x, or q for infinity, so infinity sorts last.  Like a map, it
 carries no field; a locus is a tuple of codes beside its field.  Fixed
 points of a non-identity map are eigen-directions of its matrix, found on
 codes by _code_fixed; since the characteristic polynomial is quadratic,
-extension degree r = 2 always suffices to capture every fixed point of the
-algebraic closure.
+every even extension degree r, r = 2 the least, captures every fixed point
+of the algebraic closure, and an odd r only those of F_q.
 
 Text formats: a map is "[a,b;c,d]" where each row holds the 2n coefficients
 of its two entries; a point is "inf" or an element in coefficient form.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Container, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .gfq import (
     FieldSpec,
@@ -60,6 +60,18 @@ def _check_points(spec: FieldSpec, points: Sequence, role: str) -> None:
 
 def render_point(spec: FieldSpec, x: int) -> str:
     return "inf" if x == spec.q else render_element(spec, x)
+
+
+def _embed_points(src: FieldSpec, dst: FieldSpec, points: Iterable[int]) -> tuple[int, ...]:
+    """The point codes of P^1(src) read over the extension dst, in the given
+    order (_embedding_table, and infinity to infinity)."""
+    emb = _embedding_table(src, dst)
+    return tuple(emb[x] if x < src.q else dst.q for x in points)
+
+
+def _points_outside(spec: FieldSpec, points: Container[int]) -> Iterator[int]:
+    """The point codes of P^1(F_q) not in `points`, in code order."""
+    return (x for x in range(spec.q + 1) if x not in points)
 
 
 def parse_point_list(spec: FieldSpec, text: str) -> list[int]:
@@ -277,11 +289,12 @@ def mob_infinity_to(spec: FieldSpec, x: int) -> tuple[int, int, int, int]:
 def mob_fixed_points(spec: FieldSpec, g: tuple[int, int, int, int], r: int) -> list[int]:
     """The codes of the fixed points in P^1(F_{q^r}) of the non-identity map
     of PGL2(F_q) with entry codes g, sorted: the kernel _code_fixed, in
-    closed form, not by scanning F_{q^r}.  Taking r >= 2 captures every
-    fixed point of the algebraic closure; the result then has exactly one or
-    two points.  Either all of them lie in F_q, or they are a
-    Frobenius-conjugate pair outside it: so at r = 1 the result is empty
-    exactly when the fixed-point quadratic has no root in F_q.
+    closed form, not by scanning F_{q^r}.  An even r captures every fixed
+    point of the algebraic closure (F_{q^2} lies in F_{q^r} exactly when
+    2 | r); the result then has exactly one or two points.  Either all of
+    them lie in F_q, or they are a Frobenius-conjugate pair outside it: so
+    at an odd r the result is empty exactly when the fixed-point quadratic
+    has no root in F_q.
     """
     if g == _kernel(spec).identity:
         raise ValueError("the identity fixes every point of P^1")
@@ -374,9 +387,8 @@ def transporters(
     dst = _distinct_codes(S, "destination")
     apply, frame = _kernel(spec).apply, _kernel(spec).frame
     if len(L0) == 2:
-        # infinity's code is q, after every affine point
-        source = frame(*src, next(x for x in range(spec.q + 1) if x not in src))
-        third = next(x for x in range(spec.q + 1) if x not in dst)
+        source = frame(*src, next(_points_outside(spec, src)))
+        third = next(_points_outside(spec, dst))
         for first, second in ((dst[0], dst[1]), (dst[1], dst[0])):
             yield _triple_map(spec, source, (first, second, third))
         return

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .closure import close, order
@@ -67,8 +67,8 @@ class SubgroupPGL2(Record):
 
     @cached_property
     def generators(self) -> tuple[tuple[int, int, int, int], ...]:
-        """_code_generators of the codes, computed once per subgroup; a census
-        match is seeded with the set its verification computed."""
+        """_code_generators of the codes, computed once per subgroup: a census
+        match computes it for its fingerprint, and renders the same set."""
         K = _kernel(self.spec)
         return _code_generators(self.codes, K.law, K.identity)
 
@@ -305,67 +305,60 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
 
 
 # ---------------------------------------------------------------------------
-# invariants: the checks on entry codes take the members of the field's
-# kernel (moebius._kernel, _code_fixed) that they use, looked up by the
-# caller, so that a loop over many groups looks them up once
-
-
-def _code_fingerprint(spec: FieldSpec, codes: Sequence[tuple], gens: Sequence[tuple], law, identity) -> Fingerprint:
-    """The fingerprint of the group over spec with entry codes `codes` and
-    generating set `gens`, through the code law `law`: element orders by
-    closure.order, capped at |PGL2(F_q)|, and abelian when the generators
-    commute pairwise."""
-    counts: dict[int, int] = {}
-    for x in codes:
-        k = order(x, law, identity, spec.pgl2_order)
-        counts[k] = counts.get(k, 0) + 1
-    return Fingerprint(
-        order=len(codes),
-        element_orders=tuple(sorted(counts.items())),
-        abelian=all(law(x, y) == law(y, x) for x, y in itertools.combinations(gens, 2)),
-    )
+# invariants: the checks on entry codes run through the members of the
+# field's kernel (moebius._kernel); the locus pass is bound once per field
+# and level, as _code_fixed is, so that a loop over many groups binds it once
 
 
 def fingerprint(H: SubgroupPGL2) -> Fingerprint:
-    """Order, element-order multiset and the abelian flag."""
+    """Order, element-order multiset and the abelian flag, through the code
+    law: element orders by closure.order, capped at |PGL2(F_q)|, and abelian
+    when the generators commute pairwise."""
     K = _kernel(H.spec)
-    return _code_fingerprint(H.spec, H.codes, H.generators, K.law, K.identity)
+    law, identity = K.law, K.identity
+    counts: dict[int, int] = {}
+    for x in H.codes:
+        k = order(x, law, identity, H.spec.pgl2_order)
+        counts[k] = counts.get(k, 0) + 1
+    return Fingerprint(
+        order=H.order,
+        element_orders=tuple(sorted(counts.items())),
+        abelian=all(law(x, y) == law(y, x) for x, y in itertools.combinations(H.generators, 2)),
+    )
 
 
-def _code_locus(codes: Iterable[tuple], identity, fixed, complete: bool = False) -> Optional[tuple[int, ...]]:
-    """stabilized_locus on entry and point codes, by `fixed` (_code_fixed at
-    the level of the points).  With complete=True the result is None unless
-    it is the whole locus over the algebraic closure: an element's fixed
-    points lie in that level's field all or none (mob_fixed_points), so that
-    is when no element's set is empty."""
-    pts = set()
-    for x in codes:
-        if x != identity:
-            points = fixed(x)
-            if complete and not points:
-                return None
-            pts.update(points)
-    return tuple(sorted(pts))
+@lru_cache(maxsize=None)
+def _code_locus(spec: FieldSpec, r: int):
+    """locus(codes) -> (points, pairs), bound once per (field, r): one pass
+    of _code_fixed at level r over a group's entry codes.  points is the
+    sorted tuple of its stabilized point codes over F_{q^r}, pairs the set
+    of the kernel's quadratics (B, C) of its elements with no fixed point
+    there; distinct ones share no root, so the locus over the algebraic
+    closure has len(points) + 2 len(pairs) points, and is points exactly
+    when pairs is empty."""
+    K, fixed = _kernel(spec), _code_fixed(spec, r)
+    identity, quadratic = K.identity, K.quadratic
+
+    def locus(codes: Iterable[tuple]) -> tuple[tuple[int, ...], set[tuple[int, int]]]:
+        points, pairs = set(), set()
+        for x in codes:
+            if x != identity:
+                found = fixed(x)
+                if found:
+                    points.update(found)
+                else:
+                    pairs.add(quadratic(x))
+        return tuple(sorted(points)), pairs
+
+    return locus
 
 
 def stabilized_locus(H: SubgroupPGL2, r: int) -> tuple[int, ...]:
     """The sorted codes of the points of P^1(F_{q^r}) with non-trivial
-    stabilizer: the union of the fixed-point sets of the non-identity
-    elements, found on their entry codes by _code_fixed (_code_locus).
-    r >= 2 guarantees that every stabilized point of the algebraic closure
-    is captured."""
-    return _code_locus(H.codes, _kernel(H.spec).identity, _code_fixed(H.spec, r))
-
-
-def irrational_locus_pairs(H: SubgroupPGL2) -> set[tuple[int, int]]:
-    """The stabilized points of H outside F_q, one Frobenius-conjugate pair
-    per distinct fixed-point quadratic with no root in F_q, keyed by the codes
-    of its (B, C) (the kernel's quadratic).  Distinct irreducible monic
-    quadratics share no root, so the locus over the algebraic closure has
-    len(stabilized_locus(H, 1)) + 2 * len(irrational_locus_pairs(H)) points,
-    and it is stabilized_locus(H, 1) exactly when this set is empty."""
-    quadratic, fixed = _kernel(H.spec).quadratic, _code_fixed(H.spec, 1)
-    return {quadratic(x) for x in H.codes if x[2] and not fixed(x)}
+    stabilizer (the points of _code_locus).  An even r captures every one of
+    the algebraic closure, as F_{q^2} lies in F_{q^r} exactly when 2 | r;
+    an odd r only those of F_q."""
+    return _code_locus(H.spec, r)(H.codes)[0]
 
 
 def _code_generators(codes: Sequence[tuple], law, identity) -> tuple[tuple, ...]:

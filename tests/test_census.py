@@ -44,7 +44,6 @@ from pglcensus.gfq import (
     parse_field_spec,
 )
 from pglcensus.moebius import (
-    _code_fixed,
     _kernel,
     _pgl2_codes,
     _render_codes,
@@ -61,7 +60,6 @@ from pglcensus.stdgroups import (
     close_generators,
     conjugate_subgroup,
     fingerprint,
-    irrational_locus_pairs,
     stabilized_locus,
     subgroup_from_json,
     subgroup_project,
@@ -309,29 +307,41 @@ class TestEnumActions:
         assert calls == {"_triple_map": 56, "conjugate_subgroup": 56}
 
     def test_one_fixed_point_pass_per_candidate(self, monkeypatch):
-        # the same census: the model's locus and pairs once, then one pass
-        # of the fixed-point kernel on codes (_code_locus) per distinct
-        # candidate (the 56 conjugates are the 28 matches, twice each) and
-        # none in the JSON, which renders the locus _verified checked
+        # the same census: one level-1 locus pass (_code_locus) gives the
+        # model's size and its branch, then one pass per distinct candidate
+        # (the 56 conjugates are the 28 matches, twice each); the rational
+        # path calls no stabilized_locus, and the JSON, which renders the
+        # locus _verified checked, runs no pass
         calls = collections.Counter()
-        for name in ("stabilized_locus", "_code_locus", "irrational_locus_pairs"):
-            def counted(*args, f=getattr(census, name), name=name, **kwargs):
-                calls[name] += 1
-                return f(*args, **kwargs)
-            monkeypatch.setattr(census, name, counted)
+        for module in (census, stdgroups):
+            def bound(spec, r, f=module._code_locus, key=f"{module.__name__} level"):
+                locus = f(spec, r)
+
+                def counted(codes):
+                    calls[f"{key} {r}"] += 1
+                    return locus(codes)
+
+                return counted
+            monkeypatch.setattr(module, "_code_locus", bound)
+
+        def located(*args, f=census.stabilized_locus):
+            calls["stabilized_locus"] += 1
+            return f(*args)
+
+        monkeypatch.setattr(census, "stabilized_locus", located)
         report = census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf")
-        passes = {"stabilized_locus": 1, "_code_locus": 28, "irrational_locus_pairs": 1}
+        passes = {"pglcensus.census level 1": 1 + 28}
         assert calls == passes
         data = census_report_to_json(report)
         assert calls == passes
+        monkeypatch.undo()
         assert data["matches"] == [stdgroups.subgroup_to_json(H, 1) for H in report.matches]
 
     def test_one_generating_set_per_match(self, monkeypatch):
-        # the same census: verification computes each candidate's generating
-        # set on codes (census._code_generators, not counted here) and seeds
-        # each match with it, so the cached property computes at most the
-        # model's (unless an earlier run cached it), and the JSON renders the
-        # seeded set, computing none
+        # the same census: verification computes each match's generating set
+        # once, through SubgroupPGL2.generators, for its fingerprint (the
+        # model's is that of the match the identity transports), and the JSON
+        # renders the cached set, computing none
         calls = []
 
         def counted(codes, law, identity, f=stdgroups._code_generators):
@@ -340,10 +350,9 @@ class TestEnumActions:
 
         monkeypatch.setattr(stdgroups, "_code_generators", counted)
         report = census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf")
-        assert report.count == 28 and len(calls) <= 1
-        before = len(calls)
+        assert report.count == 28 and sorted(calls) == [H.codes for H in report.matches]
         data = census_report_to_json(report)
-        assert len(calls) == before
+        assert len(calls) == 28
         monkeypatch.undo()
         K = _kernel(F7)
         assert [m["generators"] for m in data["matches"]] == [
@@ -371,7 +380,7 @@ class TestEnumActions:
         # fingerprint is never computed
         spec = parse_field_spec(field)
         S = self.moved_locus(spec, tag, 27)[1] if tag == "PGL2:1" else (0,)
-        calls = self.counted_calls(monkeypatch, [(census, "_code_fingerprint"), (stdgroups, "_code_fingerprint")])
+        calls = self.counted_calls(monkeypatch, [(census, "fingerprint")])
         assert enum_actions(CensusQuery(spec, tag, S)).count == 0
         assert len(S) == (4 if tag == "PGL2:1" else 1) and calls == {}
 
@@ -531,36 +540,40 @@ class TestEnumActions:
         with pytest.raises(ValueError):
             census_count(F5, "sporadic", "inf")
 
-    def test_klein_census_matches_commuting_involution_oracle(self):
+    @pytest.mark.parametrize("spec", [F5, F7, field_make(11, 1)], ids=["F5", "F7", "F11"])
+    def test_klein_census_matches_commuting_involution_oracle(self, spec):
         # independent oracle for the >= 3 point transporter path: enumerate
-        # Klein four-groups directly from commuting involutions
+        # Klein four-groups directly from commuting involutions, and query
+        # every 6-point locus of P^1(F_q).  Over F7 and F11 (q = 3 mod 4)
+        # the model's locus holds points outside F_q, so the census takes
+        # the capture field F_{q^2}, and no Klein group's locus is rational
         from pglcensus.stdgroups import std_dihedral
 
-        involutions = [g for g in _pgl2_codes(F5) if map_order(F5, g) == 2]
+        involutions = [g for g in _pgl2_codes(spec) if map_order(spec, g) == 2]
         kleins = {}
         for i, a in enumerate(involutions):
             for b in involutions[i + 1 :]:
-                if mob_compose(F5, a, b) != mob_compose(F5, b, a):
+                if mob_compose(spec, a, b) != mob_compose(spec, b, a):
                     continue
-                members = [_kernel(F5).identity, a, b, mob_compose(F5, a, b)]
-                H = SubgroupPGL2(F5, tuple(sorted(members)), "dihedral:2")
+                members = [_kernel(spec).identity, a, b, mob_compose(spec, a, b)]
+                H = SubgroupPGL2(spec, tuple(sorted(members)), "dihedral:2")
                 kleins[H.codes] = H
         by_locus = {}
         for H in kleins.values():
             by_locus.setdefault(stabilized_locus(H, 2), set()).add(H.codes)
 
-        model = std_dihedral(F5, 2)
+        model = std_dihedral(spec, 2)
         model_locus = stabilized_locus(model, 2)
         fp = fingerprint(model)
+        expected = {}  # rational locus -> the Klein groups with that locus
         for locus, members in by_locus.items():
-            rational = stabilized_locus_level1(locus, extension_field(F5, 2), F5)
-            if rational is None:
-                continue
-            rep = enum_actions(CensusQuery(F5, "dihedral:2", rational, r=1))
-            expected = {
-                els for els in members if fingerprint(kleins[els]) == fp
-            }
-            assert {H.codes for H in rep.matches} == expected, locus
+            rational = stabilized_locus_level1(locus, extension_field(spec, 2), spec)
+            if rational is not None:
+                expected[rational] = {els for els in members if fingerprint(kleins[els]) == fp}
+        assert bool(expected) == (spec is F5)
+        for S in itertools.combinations(range(spec.q + 1), 6):
+            rep = enum_actions(CensusQuery(spec, "dihedral:2", S, r=1))
+            assert {H.codes for H in rep.matches} == expected.get(S, set()), S
         # sanity: the model's own locus bucket is nonempty and detected
         assert model.codes in by_locus[model_locus]
 
@@ -594,8 +607,8 @@ class TestBasisCertificate:
         `members` is given, at the queried point."""
         (S,) = parse_point_list(F9, point)
         members = self.span(*basis) if members is None else members
-        fixed = moebius._code_fixed(F9, 1)
-        return census._basis_certified(3, self.codes(*basis), members, self.K.law, self.K.identity, fixed, (S,))
+        locus = stdgroups._code_locus(F9, 1)
+        return census._basis_certified(3, self.codes(*basis), members, self.K.law, self.K.identity, locus, (S,))
 
     def test_translation_groups_are_accepted(self):
         assert self.certified([self.T1])
@@ -631,17 +644,23 @@ class TestBasisCertificate:
         assert not self.certified([self.U])
         assert not self.certified([self.T1], members={self.K.identity, *self.codes(self.T1, self.NEG)})
 
+    def test_a_member_whose_fixed_points_leave_the_field_is_refused(self):
+        # x -> (1 + a)/x fixes no point of P^1(F_9), as 1 + a is not a square
+        # there: the members' points are still inf alone, but they have one
+        # pair, so their locus over the algebraic closure is not {inf}
+        W = "[0,0,1,1;1,0,0,0]"
+        assert not self.certified([self.T1], members={self.K.identity, *self.codes(self.T1, W)})
+
     def test_translation_path_makes_no_generic_certificate(self, monkeypatch):
         # no generating set is searched and no fingerprint computed per
         # candidate: verify-main never computes either, and a census
         # computes one generating set per match, when the JSON renders it
         calls = collections.Counter()
-        for module in (census, stdgroups):
-            for name in ("_code_generators", "_code_fingerprint"):
-                def counted(*args, f=getattr(module, name), key=f"{module.__name__}.{name}"):
-                    calls[key] += 1
-                    return f(*args)
-                monkeypatch.setattr(module, name, counted)
+        for module, name in ((census, "fingerprint"), (stdgroups, "fingerprint"), (stdgroups, "_code_generators")):
+            def counted(*args, f=getattr(module, name), key=f"{module.__name__}.{name}"):
+                calls[key] += 1
+                return f(*args)
+            monkeypatch.setattr(module, name, counted)
         assert verify_main_theorem(2, [1, 2, 3, 4]).ok and verify_main_theorem(3, [1, 2]).ok
         assert calls == {}
         report = census_count(field_make(2, 4), "Zp^2", "0,0,0,1")
@@ -949,17 +968,17 @@ def test_generating_set_matches_reference(subgroups_f3, subgroups_f4, subgroups_
 
 
 def assert_locus_counted_over_census_field(H):
-    # the level-1 locus, embedded, is the rational part of the level-2 one,
-    # and each distinct quadratic with no root in F_q adds two more points
+    # the points of the level-1 pass, embedded, are the rational part of the
+    # level-2 locus, and each of its pairs adds two more points; so the
+    # level-1 locus is the whole locus exactly when there is no pair, the
+    # test of _verified
     ext = extension_field(H.spec, 2)
     full = stabilized_locus(H, 2)
     rational = [P for P in full if P == ext.q or P in _projection_table(ext, H.spec)]
-    assert sorted(embed_point(P, H.spec, ext) for P in stabilized_locus(H, 1)) == rational, H
-    assert 2 * len(irrational_locus_pairs(H)) == len(full) - len(rational), H
-    # the one-pass test of _verified: the level-1 locus when it is the whole
-    # locus, None when some fixed points leave F_q
-    whole = _code_locus(H.codes, _kernel(H.spec).identity, _code_fixed(H.spec, 1), complete=True)
-    assert whole == (None if irrational_locus_pairs(H) else stabilized_locus(H, 1)), H
+    points, pairs = _code_locus(H.spec, 1)(H.codes)
+    assert points == stabilized_locus(H, 1), H
+    assert sorted(embed_point(P, H.spec, ext) for P in points) == rational, H
+    assert 2 * len(pairs) == len(full) - len(rational), H
 
 
 class TestLocusOverCensusField:
@@ -982,8 +1001,22 @@ class TestLocusOverCensusField:
         from pglcensus.census import _standard_models
 
         (model,) = _standard_models(parse_field_spec(field), *parse_group_id(tag))
-        assert (len(stabilized_locus(model, 1)), len(irrational_locus_pairs(model))) == (rational, pairs)
+        points, found = _code_locus(model.spec, 1)(model.codes)
+        assert (len(points), len(found)) == (rational, pairs)
         assert_locus_counted_over_census_field(model)
+
+    def test_verified_refuses_a_locus_that_leaves_the_field(self):
+        # the Klein model over F7 has 4 rational points and one pair, so its
+        # locus over the algebraic closure is not the 4 points; over F5,
+        # where all 6 are rational, it is its own match
+        from pglcensus.census import _standard_models, _verified
+
+        (model,) = _standard_models(F7, *parse_group_id("dihedral:2"))
+        points, pairs = _code_locus(F7, 1)(model.codes)
+        assert (len(points), len(pairs)) == (4, 1)
+        assert _verified(F7, [model], points, model) == []
+        (model,) = _standard_models(F5, *parse_group_id("dihedral:2"))
+        assert _verified(F5, [model], stabilized_locus(model, 1), model) == [model]
 
 
 def embed_point(P, spec, target):

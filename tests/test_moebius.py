@@ -467,8 +467,8 @@ class TestFixedPoints:
 # The fixed-point route before the kernel on entry codes: the quadratic's
 # (B, C), its roots in closed form over F_{q^r} from the square-root and
 # Artin-Schreier tables, and a point per root, each step one field
-# operation.  The kernel, stabilized_locus and irrational_locus_pairs must
-# reproduce it.
+# operation.  The kernel, stabilized_locus and the locus pass of
+# stdgroups._code_locus must reproduce it.
 
 
 def reference_quadratic(spec, m):
@@ -573,14 +573,11 @@ class TestFixedPointKernel:
                     assert quadratic(m) == reference_quadratic(spec, m)
 
 
-def reference_locus(H, r, complete=False):
+def reference_locus(H, r):
     points = set()
     for m in H.codes:
         if m != _kernel(H.spec).identity:
-            fixed = reference_fixed_points(H.spec, m, r)
-            if complete and not fixed:
-                return None
-            points.update(fixed)
+            points.update(reference_fixed_points(H.spec, m, r))
     return tuple(sorted(points))
 
 
@@ -591,22 +588,24 @@ def reference_pairs(H):
 
 @pytest.mark.parametrize("text", ["2^2", "3^1", "5^1", "7^1", "2^3", "3^2"])
 def test_loci_and_pairs_against_reference_on_seeded_subgroups(text):
-    from pglcensus.stdgroups import _code_locus, close_generators, irrational_locus_pairs, stabilized_locus
+    # the pairs are the quadratics with no root in F_q: those with no fixed
+    # point at an odd level, and none at an even one, where every fixed
+    # point lies
+    from pglcensus.stdgroups import _code_locus, close_generators, stabilized_locus
 
     spec = parse_field_spec(text)
     rng = random.Random(spec.q)
     elems = list(_pgl2_codes(spec))
-    identity = _kernel(spec).identity
     sizes, leaves = set(), set()
     for _ in range(12):
         H = close_generators(spec, rng.sample(elems, rng.choice((1, 1, 2))))
         sizes.add(H.order)
-        leaves.add(_code_locus(H.codes, identity, _code_fixed(spec, 1), complete=True) is None)
-        for r in (1, 2):
-            assert stabilized_locus(H, r) == reference_locus(H, r), (H, r)
-            whole = _code_locus(H.codes, identity, _code_fixed(spec, r), complete=True)
-            assert whole == reference_locus(H, r, complete=True), (H, r)
-        assert irrational_locus_pairs(H) == reference_pairs(H), H
+        pairs = {}
+        for r in (1, 2, 3):
+            points, pairs[r] = _code_locus(spec, r)(H.codes)
+            assert points == stabilized_locus(H, r) == reference_locus(H, r), (H, r)
+        assert pairs[1] == pairs[3] == reference_pairs(H) and pairs[2] == set(), H
+        leaves.add(bool(pairs[1]))
     # groups of several orders, with loci inside F_q and leaving it
     assert len(sizes) > 2 and leaves == {False, True}
 
