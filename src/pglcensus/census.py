@@ -12,13 +12,16 @@ PGL2(F_{q^r}) with stabilized locus exactly S form
   (Z/pZ)^m and |S| = 1 - a count that equals the Gaussian binomial
   [n choose m]_p and grows without bound along the field tower.
 
-Every reported match is verified from scratch.  A transported match, the
-subgroup that transport built, has its locus recomputed and compared with
-S, and its fingerprint compared with the model's.  A (Z/pZ)^m match is
-certified from its m basis maps (_basis_certified): their closure has p^m
-members, each has order p and they commute pairwise, which makes the group
-elementary abelian of rank m, the model's fingerprint; and the locus of
-every member is recomputed and compared with S.  An independent brute-force oracle with no classification
+Every census is decided over its own field F_{q^r}: no map carries the
+locus of a standard model that leaves F_{q^r} onto a rational one
+(enum_actions), so no larger field is built.  Every reported match is
+verified from scratch.  A transported match, the subgroup that transport
+built, has its locus recomputed and compared with S, and its fingerprint
+compared with the model's.  A (Z/pZ)^m match is certified from its m basis
+maps (_basis_certified): their closure has p^m members, each has order p
+and they commute pairwise, which makes the group elementary abelian of rank
+m, the model's fingerprint; and the locus of every member is recomputed and
+compared with S.  An independent brute-force oracle with no classification
 knowledge cross-checks the elementary-abelian counts (dichotomy.py, the
 verify-main command).
 """
@@ -40,14 +43,13 @@ from .gfq import (
     render_element,
     render_field_spec,
 )
-from .moebius import _check_points, _embed_points, _kernel, mob_infinity_to, render_point, transporters
+from .moebius import _check_points, _kernel, mob_infinity_to, render_point, transporters
 from .stdgroups import (
     SubgroupPGL2,
     _code_locus,
     _conjugator,
     conjugate_subgroup,
     fingerprint,
-    stabilized_locus,
     std_A4,
     std_A5,
     std_cyclic,
@@ -56,8 +58,6 @@ from .stdgroups import (
     std_PGL2,
     std_PSL2,
     std_S4,
-    subgroup_embed,
-    subgroup_project,
     subgroup_to_json,
 )
 
@@ -356,22 +356,24 @@ def enum_actions(query: CensusQuery) -> CensusReport:
       subgroup of F_{q^r}, conjugated so its stabilized point is the queried
       one (_translation_census).  This is the growing side of the dichotomy.
     * |S| >= 2: g H0 g^{-1} for each g from moebius.transporters(L0, S, H0),
-      L0 the model's full locus: one g per coset g.Fix(L0).H0, Fix(L0) its
+      L0 the model's locus: one g per coset g.Fix(L0).H0, Fix(L0) its
       pointwise stabilizer (trivial, or for |L0| = 2 the torus containing
-      H0), since every map of a coset gives the same conjugate.  Over F_{q^r}
-      if L0 is rational there, else over F_{q^{2r}}, keeping the conjugates
-      inside PGL2(F_{q^r}).
+      H0), since every map of a coset gives the same conjugate.
 
     Loci are decided over the census field F_{q^r}, whose point codes the
     query's locus holds: any other locus point raises ValueError.  One
     level-1 pass of stdgroups._code_locus gives a model's rational locus L0
-    and its pairs, so its full locus has |L0| + 2 |pairs| points and a
-    model of the wrong size is skipped without leaving F_{q^r}.  F_{q^{2r}}
-    is built only for a model whose full locus has |S| points but has
-    pairs.  Each candidate is the SubgroupPGL2 that conjugate_subgroup or
-    subgroup_project built, or the trivial model itself; _verified checks
-    them, computing the model's fingerprint only for a candidate whose
-    locus is S, and the matches are sorted so the report is deterministic.
+    and its pairs, so its full locus over the algebraic closure has
+    |L0| + 2 |pairs| points, and a model of the wrong size is skipped.  So
+    is a model with pairs: when |L0| >= 3, a map g with g(L0) in S is the
+    rational map through three points of L0 and their images, which keeps
+    the pairs off F_{q^r}, so no g carries the full locus onto S.  Every
+    standard model with pairs has |L0| >= 3; one with fewer at the query's
+    size raises AssertionError, as no field past F_{q^r} is built.  Each
+    candidate is the SubgroupPGL2 that conjugate_subgroup built, or the
+    trivial model itself; _verified checks them, computing the model's
+    fingerprint only for a candidate whose locus is S, and the matches are
+    sorted so the report is deterministic.
     """
     ext = extension_field(query.spec, query.r)
     _check_points(ext, query.locus, "locus")
@@ -414,23 +416,19 @@ def enum_actions(query: CensusQuery) -> CensusReport:
             continue
         if len(S) == 0:
             candidates.append(H0)  # only the trivial model has empty locus
+        elif pairs:
+            # no g carries the pairs into S once three points of L0 fix g
+            if len(L0) < 3:
+                raise AssertionError(
+                    f"the {query.group_id} model's locus has {len(pairs)} pairs outside "
+                    f"F_{ext.p}^{ext.n} and only {len(L0)} points in it"
+                )
         elif len(S) >= 2:
             # one transporter per coset g.Fix(L0).H0 is enough: g.t.h H0
             # (g.t.h)^{-1} = g H0 g^{-1} for h in H0 and t in Fix(L0), which is
             # trivial for |L0| >= 3 and for |L0| = 2 the abelian torus through
             # L0, which contains H0
-            if not pairs:  # L0 is the full locus, so every g is rational too
-                model, source, target = H0, L0, S
-            else:
-                ext2 = extension_field(ext, 2)
-                model, source = subgroup_embed(H0, ext2), stabilized_locus(H0, 2)
-                target = tuple(sorted(_embed_points(ext, ext2, S)))
-            for g in transporters(model.spec, source, target, model.codes):
-                H = conjugate_subgroup(model, g)
-                if model.spec is not ext:
-                    H = subgroup_project(H, ext)
-                if H is not None:
-                    candidates.append(H)
+            candidates.extend(conjugate_subgroup(H0, g) for g in transporters(ext, L0, S, H0.codes))
         # |S| <= 1 never matches a non-elementary-abelian model
 
     if not models:

@@ -173,7 +173,7 @@ def aut0(E: ECurve) -> tuple[int, ...]:
     members depending on whether a or b vanishes and which roots of unity are
     present."""
     d = 6 if not E.a else 4 if not E.b else 2
-    return tuple(roots_of_unity(E.spec, d)[0])
+    return tuple(roots_of_unity(E.spec, d))
 
 
 # ---------------------------------------------------------------------------

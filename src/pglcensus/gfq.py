@@ -450,16 +450,13 @@ def extension_field(spec: FieldSpec, r: int) -> FieldSpec:
 # roots of unity: the powers of g^((q-1)/d)
 
 
-def roots_of_unity(spec: FieldSpec, n: int):
-    """The codes of all solutions of x^n = 1 in F_q, canonically sorted, plus
-    a flag telling whether a primitive n-th root exists (equivalently
-    n | q-1).  The root count is always gcd(n, q-1)."""
+def roots_of_unity(spec: FieldSpec, n: int) -> list[int]:
+    """The codes of all solutions of x^n = 1 in F_q, canonically sorted:
+    gcd(n, q-1) of them."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     t = spec._tables
-    roots = sorted(t.exp[: t.m : t.m // math.gcd(n, t.m)])
-    has_primitive = (spec.q - 1) % n == 0
-    return roots, has_primitive
+    return sorted(t.exp[: t.m : t.m // math.gcd(n, t.m)])
 
 
 # Far past any field the tables can hold, so the search only words a message.

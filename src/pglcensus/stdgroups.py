@@ -185,7 +185,7 @@ def std_cyclic(spec: FieldSpec, n: int) -> SubgroupPGL2:
     if n % spec.p == 0:
         raise ValueError(f"characteristic {spec.p} divides {n}: no such cyclic model")
     primitive_root_of_unity(spec, n)
-    mu, _ = roots_of_unity(spec, n)
+    mu = roots_of_unity(spec, n)
     normalize, one = _kernel(spec).normalize, spec.one
     return SubgroupPGL2(spec, tuple(sorted(normalize(u, 0, 0, one) for u in mu)), f"cyclic:{n}")
 
@@ -287,7 +287,7 @@ def std_gamma_semidirect(gamma: "AdditiveSubgroup", n: int) -> SubgroupPGL2:
     if n % spec.p == 0:
         raise ValueError(f"characteristic {spec.p} divides {n}")
     primitive_root_of_unity(spec, n)
-    mu = roots_of_unity(spec, n)[0]
+    mu = roots_of_unity(spec, n)
     gamma_set = set(gamma.element_codes())
     mul = spec._tables.mul
     for z in mu:

@@ -309,9 +309,8 @@ class TestEnumActions:
     def test_one_fixed_point_pass_per_candidate(self, monkeypatch):
         # the same census: one level-1 locus pass (_code_locus) gives the
         # model's size and its branch, then one pass per distinct candidate
-        # (the 56 conjugates are the 28 matches, twice each); the rational
-        # path calls no stabilized_locus, and the JSON, which renders the
-        # locus _verified checked, runs no pass
+        # (the 56 conjugates are the 28 matches, twice each); the JSON,
+        # which renders the locus _verified checked, runs no pass
         calls = collections.Counter()
         for module in (census, stdgroups):
             def bound(spec, r, f=module._code_locus, key=f"{module.__name__} level"):
@@ -323,12 +322,6 @@ class TestEnumActions:
 
                 return counted
             monkeypatch.setattr(module, "_code_locus", bound)
-
-        def located(*args, f=census.stabilized_locus):
-            calls["stabilized_locus"] += 1
-            return f(*args)
-
-        monkeypatch.setattr(census, "stabilized_locus", located)
         report = census_count(F7, "dihedral:3", "0,1,2,3,4,5,6,inf")
         passes = {"pglcensus.census level 1": 1 + 28}
         assert calls == passes
@@ -545,8 +538,8 @@ class TestEnumActions:
         # independent oracle for the >= 3 point transporter path: enumerate
         # Klein four-groups directly from commuting involutions, and query
         # every 6-point locus of P^1(F_q).  Over F7 and F11 (q = 3 mod 4)
-        # the model's locus holds points outside F_q, so the census takes
-        # the capture field F_{q^2}, and no Klein group's locus is rational
+        # the model's locus has a pair of points outside F_q, so the census
+        # transports nothing, and no Klein group's locus is rational
         from pglcensus.stdgroups import std_dihedral
 
         involutions = [g for g in _pgl2_codes(spec) if map_order(spec, g) == 2]
@@ -576,6 +569,58 @@ class TestEnumActions:
             assert {H.codes for H in rep.matches} == expected.get(S, set()), S
         # sanity: the model's own locus bucket is nonempty and detected
         assert model.codes in by_locus[model_locus]
+
+    # the fields p^n <= 49 with p <= 13 and n <= 3, and the tags of the guard
+    # sweep: 39 of their standard models have pairs
+    GUARD_FIELDS = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in (1, 2, 3) if p**n <= 49]
+    GUARD_TAGS = [
+        *(f"{kind}:{n}" for kind in ("cyclic", "dihedral") for n in range(1, 13)),
+        "A4",
+        "S4",
+        "A5",
+        *(f"{kind}:{d}" for kind in ("PSL2", "PGL2") for d in (1, 2)),
+        *(f"gamma:{m}:{n}" for m in range(3) for n in range(1, 5)),
+    ]
+
+    def test_every_standard_model_with_pairs_has_three_rational_points(self):
+        # enum_actions skips a model whose locus has pairs: a map carrying
+        # it onto a rational S would be the rational map through three of
+        # its rational points, which keeps the pairs off the field.  Its
+        # guard refuses a model with fewer, and no standard model has fewer
+        with_pairs = 0
+        for p, n in self.GUARD_FIELDS:
+            spec = field_make(p, n)
+            locus = _code_locus(spec, 1)
+            for tag in self.GUARD_TAGS:
+                try:
+                    models = census._standard_models(spec, *parse_group_id(tag))
+                except ValueError:
+                    continue  # no model of this tag over the field
+                for H in models:
+                    L0, pairs = locus(H.codes)
+                    if pairs:
+                        with_pairs += 1
+                        assert len(L0) >= 3, (p, n, tag)
+        assert with_pairs == 39
+
+    def test_a_model_with_pairs_and_two_rational_points_is_refused(self, monkeypatch, capsys):
+        # the non-split Klein group {x, -x, 2/x, -2/x} over F5: its locus is
+        # 0, inf and the pairs x^2 = 2 and x^2 = 3, six points, as many as
+        # P^1(F5).  Transport over F25 would find Klein groups at P^1(F5);
+        # the census is decided over F5 alone, so it refuses the model
+        from pglcensus.cli import main
+
+        normalize = _kernel(F5).normalize
+        klein = close_generators(F5, [normalize(4, 0, 0, 1), normalize(0, 2, 1, 0)], "dihedral:2")
+        L0, pairs = _code_locus(F5, 1)(klein.codes)
+        assert klein.order == 4 and L0 == (0, 5) and len(pairs) == 2
+        monkeypatch.setattr(census, "_standard_models", lambda *args: [klein])
+        with pytest.raises(AssertionError, match="2 pairs outside F_5\\^1 and only 2 points"):
+            census_count(F5, "dihedral:2", "0,1,2,3,4,inf")
+        assert main(["census", "--field", "5^1", "--group", "dihedral:2", "--locus", "0,1,2,3,4,inf"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: internal check failed: the dihedral:2 model's locus has 2 pairs outside F_5^1 and only 2 points in it\n"
 
 
 class TestBasisCertificate:

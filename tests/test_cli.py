@@ -446,11 +446,18 @@ print(code, sorted({(p, n) for p, n, _ in FieldSpec._interned}))
         ("census --field 3^3 --group PGL2:1 --locus 0,0,0,1,0,0,2,0,0,inf", [(3, 1), (3, 3)]),
         # the cyclic:4 model's locus {0, inf} is rational: no F_{5^4}
         ("verify-main --p 5 --levels 2 --m 1 --tags cyclic:4@0,inf", [(5, 1), (5, 2)]),
-        # the Klein group's locus leaves F_7 with six points: transport over F_49
-        ("census --field 7^1 --group dihedral:2 --locus 0,1,2,3,6,inf", [(7, 1), (7, 2)]),
+        # the Klein group's locus has six points, a pair of them outside F_7,
+        # and four rational ones: no map carries it onto a rational locus, and
+        # no F_49 is built
+        ("census --field 7^1 --group dihedral:2 --locus 0,1,2,3,6,inf", [(7, 1)]),
+        # so over F_{3^5}, at {0, 1, 2, t, 2t, inf}: no F_{3^10}
+        (
+            "census --field 3^5 --group dihedral:2 --locus 0,0,0,0,0,1,0,0,0,0,2,0,0,0,0,0,1,0,0,0,0,2,0,0,0,inf",
+            [(3, 1), (3, 5)],
+        ),
     ],
 )
-def test_census_builds_the_capture_field_only_to_transport(command, built):
+def test_census_builds_only_its_own_field(command, built):
     cmd = [sys.executable, "-c", FIELDS_BUILT, *command.split()]
     r = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
     assert r.stdout == f"0 {built}\n", r.stderr
@@ -658,6 +665,26 @@ MALFORMED_GROUPS = [
 def test_malformed_group_names_the_form(argv, message, capsys):
     assert exit_code(argv) == 2
     assert capsys.readouterr().err == f"error: {message}, with integer parameters\n"
+
+
+# usage errors raised past the parser, each answered with one error line
+USAGE_ERRORS = [
+    (("build-group", "--field", "5^1"), "either --group or --gens is required"),
+    (("locus", "--field", "5^1"), "either --group or --gens is required"),
+    (("verify-main", "--p", "2", "--levels", "1", "--tags", "cyclic:1"), "--tags entries look like tag@locus, got 'cyclic:1'"),
+    (("verify-genus1", "--curve", "5^1:b=1"), "curve spec must look like p^n:a=...,b=..., got '5^1:b=1'"),
+    (("verify-genus1", "--curve", "5^1:a=1"), "curve spec must look like p^n:a=...,b=..., got '5^1:a=1'"),
+    (("build-group", "--field", "5^2", "--gens", "[1,0,0;0,0,1,0]"), "row '1,0,0' does not hold two elements of F_5^2"),
+    (("ramification", "--field", "5^2", "--poly", "0,1,0"), "--poly must hold a whole number of 2-coefficient elements"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error_names_the_fault(argv, message, capsys):
+    out = io.StringIO()
+    assert main(list(argv), out=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_group_tag_names_it(capsys):

@@ -350,19 +350,15 @@ class TestEmbeddings:
 
 class TestRootsOfUnity:
     def test_mu3_in_F4(self):
-        roots, primitive = roots_of_unity(F4, 3)
+        roots = roots_of_unity(F4, 3)
         assert {render_element(F4, x) for x in roots} == {"1,0", "0,1", "1,1"}
-        assert primitive
 
     def test_mu4_in_F5(self):
-        roots, primitive = roots_of_unity(F5, 4)
-        assert roots == [1, 2, 3, 4]
-        assert primitive
+        assert roots_of_unity(F5, 4) == [1, 2, 3, 4]
 
     def test_mu1(self):
         for spec in (F4, F5, F9):
-            roots, primitive = roots_of_unity(spec, 1)
-            assert roots == [one(spec)] and primitive
+            assert roots_of_unity(spec, 1) == [one(spec)]
 
     def test_zero_n_rejected(self):
         with pytest.raises(ValueError):
@@ -371,8 +367,7 @@ class TestRootsOfUnity:
     @pytest.mark.parametrize("spec", [F3, F4, F5, F8, F9])
     def test_cardinality_is_gcd(self, spec):
         for n in range(1, 13):
-            roots, _ = roots_of_unity(spec, n)
-            assert len(roots) == math.gcd(n, spec.q - 1)
+            assert len(roots_of_unity(spec, n)) == math.gcd(n, spec.q - 1)
 
     def test_primitive_root_errors_name_minimal_extension(self):
         with pytest.raises(ValueError) as err:
@@ -670,8 +665,7 @@ class TestCodes:
 def scan_roots_of_unity(spec, n):
     """The exhaustive scan roots_of_unity used before the tables."""
     unit = _digits(spec, one(spec))
-    roots = [x for x in field_elements(spec) if x and ref_pow(spec, _digits(spec, x), n) == unit]
-    return roots, (spec.q - 1) % n == 0
+    return [x for x in field_elements(spec) if x and ref_pow(spec, _digits(spec, x), n) == unit]
 
 
 def scan_primitive_root_of_unity(spec, n):
