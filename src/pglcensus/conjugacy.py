@@ -81,10 +81,11 @@ def is_conjugate(
     a conjugator maps locus L1 onto locus L2, so it is g0 t with g0 from
     moebius.transporters(L1, L2) and t fixing L1 pointwise: only the identity
     for size >= 3, the torus through both points for size 2.  For size 1 both
-    groups may reduce to translation groups, where conjugacy is scalar scaling
-    of the translation sets.  Loci are computed at level r.  Loci of fewer
-    than two points that are not those of translation groups are taken in the
-    capture field F_{q^{2r}} instead, keeping the maps rational over F_{q^r}.
+    groups are translation groups once the point is moved to infinity (a map
+    x -> ax + b with a != 1 fixes b/(1 - a) too, and that point is in the
+    locus), where conjugacy is scalar scaling of the translation sets.  Loci
+    are computed at level r.  Empty loci are taken in the capture field
+    F_{q^{2r}} instead, keeping the maps rational over F_{q^r}.
     """
     if not _comparable(H1, H2, r):
         return None
@@ -101,23 +102,24 @@ def is_conjugate(
 
     if len(L1) == 1:
         # t1 and s2^{-1} carry the loci to infinity, where both groups
-        # may become translation groups
+        # are translation groups
         inverse = _kernel(ext).inverse
         t1 = inverse(mob_infinity_to(ext, L1[0]))
         s2 = mob_infinity_to(ext, L2[0])
         g1 = _translation_parts(conjugate_subgroup(K1, t1))
         g2 = _translation_parts(conjugate_subgroup(K2, inverse(s2)))
-        if g1 is not None and g2 is not None:
-            set2, mul = set(g2), ext._tables.mul
-            for alpha in range(1, ext.q):
-                if {mul(alpha, x) for x in g1} == set2:
-                    g = mob_compose(ext, s2, mob_compose(ext, _diag(ext, alpha), t1))
-                    if _conjugates_onto(ext, g, K1, K2):
-                        return _simplify_witness(ext, g, base)
-            return None
+        if g1 is None or g2 is None:
+            raise AssertionError("a group with one rational locus point is not a translation group there")
+        set2, mul = set(g2), ext._tables.mul
+        for alpha in range(1, ext.q):
+            if {mul(alpha, x) for x in g1} == set2:
+                g = mob_compose(ext, s2, mob_compose(ext, _diag(ext, alpha), t1))
+                if _conjugates_onto(ext, g, K1, K2):
+                    return _simplify_witness(ext, g, base)
+        return None
 
     search = ext
-    if len(L1) < 2:
+    if not L1:
         # p-elements have rational fixed points, so in the capture field,
         # where every fixed point lies, both loci have two or more points
         search = extension_field(base, 2 * r)

@@ -79,14 +79,13 @@ def _check_work(p: int, n: int, m: int, affine: bool = False) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def _order_p_stabilizer(spec: FieldSpec, point: int) -> tuple[tuple[int, int, int, int], ...]:
     """The maps of order p that fix the point with code P, as entry-code
     tuples of the field's code law, in scan order.  The stabilizer of P is
     t Stab(inf) t^{-1} for any t with t(inf) = P, and Stab(inf) is the
     q(q - 1) maps [1,b;0,d], d != 0 (c = 0 is what fixing inf means).  Each
-    conjugate is checked to fix P and kept when g != 1 and g^p = 1.  Cached
-    per (field, point), so the ranks of one level share one scan."""
+    conjugate is checked to fix P and kept when g != 1 and g^p = 1.  Its one
+    caller is _OracleGrowth, so the ranks of one level share one scan."""
     K = _kernel(spec)
     law, ident, apply = K.law, K.identity, K.apply
     p, q = spec.p, spec.q
@@ -103,60 +102,40 @@ def _order_p_stabilizer(spec: FieldSpec, point: int) -> tuple[tuple[int, int, in
 
 
 class _OracleGrowth:
-    """The layered growth (closure.subgroup_layers) of the subgroups that the
-    maps of _order_p_stabilizer generate, through one memoized code law,
-    shared by every rank asked at one (field, point).
+    """The oracle's state at one (field, point): the scan of
+    _order_p_stabilizer, its growth (closure.subgroup_layers) through one
+    memoized code law, and every subgroup grown so far, by order.
 
     A subgroup X of order p^m is reached along a chain of subgroups of X, a
     p-group, so each step multiplies the order by at least p and X lies in
-    one of the layers 0..m.  Rank m therefore draws the layers up to m, and
-    a drawn layer k keeps only its subgroups with at least p^k members, the
-    ones a rank >= k may need; the growth itself holds only its last layer.
-    A rank below the last drawn layer starts the growth again, over the
-    same memo."""
+    one of the layers 0..m.  Rank m draws the layers up to m and reads what
+    is held: each subgroup is closed once, in whatever order ranks come."""
 
     def __init__(self, spec: FieldSpec, point: int):
         K = _kernel(spec)
-        self.p, self.ident = spec.p, K.identity
-        self.op = lru_cache(maxsize=None)(K.law)
-        self.scanned = _order_p_stabilizer(spec, point)
-        self.order_p = frozenset(self.scanned)
-        self._start()
-
-    def _start(self) -> None:
-        self.layers = subgroup_layers(self.scanned, self.op, self.ident)
+        self.p = spec.p
+        scanned = _order_p_stabilizer(spec, point)
+        self.order_p = frozenset(scanned)
+        self.layers = subgroup_layers(scanned, lru_cache(maxsize=None)(K.law), K.identity)
         self.drawn = -1
         self.held: dict[int, set] = {}  # order -> subgroups of the drawn layers
 
     def subgroups(self, m: int) -> list[frozenset]:
-        """The subgroups of order p^m whose members other than the identity
-        all have order p, which is membership in the scan: it kept every
-        map of order p that fixes the point."""
-        if m < self.drawn:
-            self._start()
+        """The subgroups of order p^m, as frozensets of entry codes, whose
+        members other than the identity have order p: membership in the
+        scan, which kept every map of order p that fixes the point."""
         while self.drawn < m:
             self.drawn += 1
-            least = self.p ** self.drawn
-            held = {size: Hs for size, Hs in self.held.items() if size >= least}
             for H in next(self.layers, ()):
-                if len(H) >= least:
-                    held.setdefault(len(H), set()).add(H)
-            self.held = held
+                self.held.setdefault(len(H), set()).add(H)
         return [H for H in self.held.get(self.p ** m, ()) if len(H & self.order_p) == len(H) - 1]
 
 
 @lru_cache(maxsize=1)
 def _oracle_growth(spec: FieldSpec, point: int) -> _OracleGrowth:
-    """The oracle's growth at (spec, point): the ranks of one verify-main
-    level share it, and the next level's growth drops it."""
+    """The oracle's growth at (spec, point), shared by the ranks of one
+    verify-main level and dropped by the next level's."""
     return _OracleGrowth(spec, point)
-
-
-def _oracle_subgroups(spec: FieldSpec, m: int, point: int) -> list[frozenset]:
-    """The oracle's subgroups of order p^m at the point, as frozensets of
-    entry-code tuples in no fixed order, from the growth that the ranks at
-    (spec, point) share with its law memo (_oracle_growth)."""
-    return _oracle_growth(spec, point).subgroups(m)
 
 
 def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: int) -> list[SubgroupPGL2]:
@@ -165,15 +144,14 @@ def oracle_enum_elem_abelian(spec: FieldSpec, m: int, point: int) -> list[Subgro
     maps of order p in the stabilizer of P (_order_p_stabilizer) generate
     subgroups of order p^m, grown by closing generator lists
     (closure.subgroup_layers); those of exponent p are kept.  It runs on
-    entry codes through the field's code law, memoized per (field, point)
-    by the growth that the ranks there share (_oracle_subgroups, which
-    verify_main_theorem counts), and each subgroup is returned as its sorted
-    codes.  A point that is not a point code of the field, an int in 0..q,
-    raises ValueError, as does a field and rank whose dichotomy_work is over
-    WORK_BOUND."""
+    entry codes in the one growth per (field, point), which the ranks
+    there share with verify_main_theorem (_oracle_growth), and each
+    subgroup is returned as its sorted codes.  A point that is not a point
+    code of the field, an int in 0..q, raises ValueError, as does a field
+    and rank whose dichotomy_work is over WORK_BOUND."""
     _check_points(spec, (point,), "oracle")
     _check_work(spec.p, spec.n, m, affine=point != spec.q)
-    found = sorted(tuple(sorted(H)) for H in _oracle_subgroups(spec, m, point))
+    found = sorted(tuple(sorted(H)) for H in _oracle_growth(spec, point).subgroups(m))
     return [SubgroupPGL2(spec, H, "unclassified") for H in found]
 
 
@@ -307,7 +285,7 @@ def verify_main_theorem(
                     m=m,
                     census_count=census_count,
                     subspace_count=len(bases),
-                    oracle_count=len(_oracle_subgroups(spec, m, inf)),
+                    oracle_count=len(_oracle_growth(spec, inf).subgroups(m)),
                     gaussian=gaussian_binomial(n, m, p),
                 )
             )

@@ -763,7 +763,6 @@ class TestOracle:
         # conjugator that does not take infinity there fails it
         point = 2
         monkeypatch.setattr(dichotomy, "mob_infinity_to", lambda spec, P: _kernel(spec).identity)
-        dichotomy._order_p_stabilizer.cache_clear()
         with pytest.raises(AssertionError, match=r"\[1,0;0,2\] does not fix 2"):
             dichotomy._order_p_stabilizer(F5, point)
 
@@ -781,7 +780,37 @@ class TestOracle:
         # nor records a lookup
         spec = field_make(p, n)
         point = pp1_infinity(spec) if point_kind == "inf" else spec.q // p**2  # x
-        dichotomy._order_p_stabilizer.cache_clear()
+        dichotomy._oracle_growth.cache_clear()
+        closures, scans = [0], [0]
+
+        def counted(*args, f=closure.close, **kwargs):
+            closures[0] += 1
+            return f(*args, **kwargs)
+
+        def scanned(*args, f=dichotomy._order_p_stabilizer):
+            scans[0] += 1
+            return f(*args)
+
+        monkeypatch.setattr(closure, "close", counted)
+        monkeypatch.setattr(dichotomy, "_order_p_stabilizer", scanned)
+        before = mob_compose.cache_info()
+        for m in range(1, n + 1):
+            assert len(oracle_enum_elem_abelian(spec, m, point)) == gaussian_binomial(n, m, p)
+        assert mob_compose.cache_info() == before
+        assert scans[0] == 1
+        info = dichotomy._oracle_growth.cache_info()
+        assert (info.misses, info.hits) == (1, n - 1)
+        assert closures[0] == sum(gaussian_binomial(n, m, p) for m in range(1, n + 1))
+
+    @pytest.mark.parametrize("p,n", [(2, 4), (5, 2), (3, 3)], ids=["F16", "F25", "F27"])
+    @pytest.mark.parametrize("point_kind", ["inf", "affine"])
+    def test_ranks_asked_out_of_order(self, p, n, point_kind, monkeypatch):
+        # a rank at or below the growth's last layer reads the subgroups it
+        # holds, and a rank asked twice, or past n (rank 3 of F25), reads the
+        # same layers: each subgroup is closed once, 65 times over F16, 7
+        # over F25 and 27 over F27
+        spec = field_make(p, n)
+        point = pp1_infinity(spec) if point_kind == "inf" else spec.q - 1
         dichotomy._oracle_growth.cache_clear()
         closures = [0]
 
@@ -790,27 +819,11 @@ class TestOracle:
             return f(*args, **kwargs)
 
         monkeypatch.setattr(closure, "close", counted)
-        before = mob_compose.cache_info()
-        for m in range(1, n + 1):
-            assert len(oracle_enum_elem_abelian(spec, m, point)) == gaussian_binomial(n, m, p)
-        assert mob_compose.cache_info() == before
-        assert dichotomy._order_p_stabilizer.cache_info().misses == 1
-        info = dichotomy._oracle_growth.cache_info()
-        assert (info.misses, info.hits) == (1, n - 1)
-        assert closures[0] == sum(gaussian_binomial(n, m, p) for m in range(1, n + 1))
-
-    @pytest.mark.parametrize("p,n", [(2, 4), (5, 2), (3, 3)], ids=["F16", "F25", "F27"])
-    @pytest.mark.parametrize("point_kind", ["inf", "affine"])
-    def test_ranks_asked_out_of_order(self, p, n, point_kind):
-        # a rank below the growth's last layer starts it again, and a rank
-        # asked twice, or past n (rank 3 of F25), reads the same layers
-        spec = field_make(p, n)
-        point = pp1_infinity(spec) if point_kind == "inf" else spec.q - 1
-        dichotomy._oracle_growth.cache_clear()
         for m in (3, 1, 2, 3):
             found = {frozenset(H.codes) for H in oracle_enum_elem_abelian(spec, m, point)}
             assert found == reference_oracle(spec, m, point)
             assert len(found) == gaussian_binomial(n, m, p)
+        assert closures[0] == sum(gaussian_binomial(n, k, p) for k in range(1, 4))
 
 
 # The oracle as it was before it scanned only the point stabilizer: all of
@@ -1140,7 +1153,7 @@ class TestMainTheorem:
 
         # the tagged queries, the rows' census and subspaces, and the
         # oracle's search
-        for name in ("enum_actions", "_translation_census", "_echelon_bases", "_oracle_subgroups"):
+        for name in ("enum_actions", "_translation_census", "_echelon_bases", "_oracle_growth"):
             monkeypatch.setattr(dichotomy, name, no_work)
         # a huge p is refused by the bound before any trial division
         for p, levels in ((2, [1, 10]), (3, [6]), (7, [4]), (101, [1]), (10 ** 18 + 3, [1])):

@@ -185,6 +185,38 @@ class TestConjugateCommand:
         assert data["witness_field"] == "31^1"
         assert _conjugates_onto(spec, parse_moebius(spec, data["witness"]), H, H)
 
+    # the order-1 return; rational loci of 2 and 0 points, which differ at
+    # level 1 and are both 2 points over F25; and a cyclic group of order 4
+    # against a Klein group, with no rational locus point and capture-field
+    # loci of 2 and 6 points.  Each verdict is the brute-force scan's
+    @pytest.mark.parametrize(
+        "field, gens1, gens2, ext, witness",
+        [
+            ("5^1", "[1,0;0,1]", "[1,0;0,1]", "1", ("[1,0;0,1]", "5^1")),
+            ("5^1", "[0,1;1,0]", "[0,2;1,0]", "1", None),
+            ("5^1", "[0,1;1,0]", "[0,2;1,0]", "2", ("[1,0,0,0;0,0,3,1]", "5^2")),
+            ("3^1", "[1,1;2,1]", "[0,2;1,0]|[1,1;1,2]", "1", None),
+        ],
+        ids=["order-1", "loci-2-and-0", "loci-2-and-0-ext-2", "cyclic-4-against-klein"],
+    )
+    def test_branches_agree_with_the_brute_force_scan(self, field, gens1, gens2, ext, witness):
+        args = ("conjugate", "--field", field, "--gens1", gens1, "--gens2", gens2, "--ext", ext)
+        code, out = run_cli(*args)
+        brute_code, brute_out = run_cli(*args, "--brute")
+        data = json.loads(out)
+        assert code == brute_code == 0
+        assert data["conjugate"] is json.loads(brute_out)["conjugate"] is (witness is not None)
+        assert (data["witness"], data["witness_field"]) == (witness or (None, None))
+
+    def test_one_point_locus_off_a_translation_group_is_an_internal_fault(self, monkeypatch, capsys):
+        # a group with one rational locus point is a translation group once
+        # the point is moved to infinity; were it not, no capture-field
+        # search answers for it
+        monkeypatch.setattr("pglcensus.conjugacy._translation_parts", lambda H: None)
+        code, out = run_cli("conjugate", "--field", "5^1", "--gens1", "[1,1;0,1]", "--gens2", "[1,2;0,1]")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith("error: internal check failed: ")
+
 
 class TestCensusCommand:
     def test_count_seven(self):
@@ -676,6 +708,9 @@ USAGE_ERRORS = [
     (("verify-genus1", "--curve", "5^1:a=1"), "curve spec must look like p^n:a=...,b=..., got '5^1:a=1'"),
     (("build-group", "--field", "5^2", "--gens", "[1,0,0;0,0,1,0]"), "row '1,0,0' does not hold two elements of F_5^2"),
     (("ramification", "--field", "5^2", "--poly", "0,1,0"), "--poly must hold a whole number of 2-coefficient elements"),
+    (("field-info", "--field", "2^0"), "extension degree must be >= 1, got 0"),
+    (("field-info", "--field", "2^2/1,1"), "modulus must have degree 2 (length 3), got (1, 1)"),
+    (("field-info", "--field", "3^2/1,0,2"), "modulus must be monic, got (1, 0, 2)"),
 ]
 
 

@@ -269,7 +269,7 @@ TORSION_CASES = [(name, n) for name, _ in standard_test_curves() for n in range(
 
 def oracle_input(p, n, at, m):
     """The oracle's order-p stabilizer at infinity or at one affine point,
-    with the growth arguments of dichotomy._oracle_subgroups."""
+    with the growth arguments of dichotomy._OracleGrowth."""
     spec = field_make(p, n)
     law, ident = _kernel(spec).law, _kernel(spec).identity
     point = pp1_infinity(spec) if at == "inf" else spec.q - 1
