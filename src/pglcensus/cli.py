@@ -5,7 +5,8 @@ Every command prints a single report to stdout in the requested format
 two runs with the same arguments produce identical output.  Exit status is
 0 on success, 1 when a verification finds a mismatch or an internal
 cross-check fails (stderr says "error: internal check failed", stdout is
-empty), 2 on usage errors.
+empty), 2 on usage errors and on a run that runs out of memory (stderr
+says "error: out of memory", stdout is empty).
 
 Point lists are comma-separated; "inf" is the point at infinity and an affine
 point is spelled as its n coefficient integers, so over F_4 the pair
@@ -411,6 +412,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except AssertionError as err:  # a cross-check disagreed: no verdict to print
         print(f"error: internal check failed: {err}", file=sys.stderr)
         return 1
+    except MemoryError:  # refused, as a work bound refuses, with no verdict
+        print("error: out of memory: the run needs more than this process may allocate", file=sys.stderr)
+        return 2
     try:
         _emit(payload, args.format, rows_key, columns, stream)
         stream.flush()

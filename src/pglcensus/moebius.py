@@ -320,7 +320,7 @@ def mob_from_three_points(spec: FieldSpec, src: Sequence[int], dst: Sequence[int
 def _carried_images(
     spec: FieldSpec, src: tuple[int, ...], dst: tuple[int, ...], skip: Container[tuple[int, int, int]]
 ) -> Iterator[tuple[int, ...]]:
-    """g(src), for |src| >= 4 and g the map sending src[:3] onto an ordered
+    """g(src), for |src| >= 3 and g the map sending src[:3] onto an ordered
     triple of dst, per triple in permutations order that is not in skip and
     whose g carries src into dst; no map is built.  A Moebius map keeps
     cross-ratios: with phi(x) = log(x - s1) - log(x - s2), logs mod
@@ -328,7 +328,9 @@ def _carried_images(
     drops out of every cross-ratio), g(src[j]) is the x with
     phi(s3) - phi(x) = lam_j, the same log cross-ratio of src[0], src[1],
     src[2] and src[j].  phi is one-to-one off s1 and s2, so one lookup per
-    j finds the image in dst or shows that it lies outside."""
+    j > 2 finds the image in dst or shows that it lies outside, and the s3
+    of each pair come in dst's own order: with |src| = 3 there is no
+    lookup, and the triples are those of permutations(dst) not in skip."""
     t, q = spec._tables, spec.q
     log, sub, m = t.log, t.sub, t.m
 
@@ -340,22 +342,17 @@ def _carried_images(
         return lx[s1] - lx[s2]
 
     a, b, c = src[:3]
-    first, *more = ((phi(c, a, b) - phi(x, a, b)) % m for x in src[3:])
+    lams = [(phi(c, a, b) - phi(x, a, b)) % m for x in src[3:]]
     rows = [(x, logs(x, dst)) for x in dst]
     for s1, s2 in itertools.permutations(dst, 2):
         at = {(lx[s1] - lx[s2]) % m: x for x, lx in rows if x != s1 and x != s2}  # phi -> x
         for v, s3 in at.items():
-            x = at.get((v - first) % m)
-            if x is None or (s1, s2, s3) in skip:
-                continue
-            image = [s1, s2, s3, x]
-            for lam in more:
-                x = at.get((v - lam) % m)
-                if x is None:
+            for lam in lams:
+                if (v - lam) % m not in at:
                     break
-                image.append(x)
             else:
-                yield tuple(image)
+                if (s1, s2, s3) not in skip:
+                    yield (s1, s2, s3, *(at[(v - lam) % m] for lam in lams))
 
 
 def transporters(
@@ -375,10 +372,10 @@ def transporters(
     |L0| = 2: Fix(L0) is a torus; one map per arrangement of S, sending the
     first point of P^1 outside L0 to the first one outside S.  H is not used
     there: a census model with a two-point locus lies in the torus.
-    The search runs on point and entry codes: for |L0| >= 4 the image of L0
-    under each triple's map is read from cross-ratios (_carried_images), and
-    only a map that is yielded is built, by one _triple_map from the frame
-    of L0[:3]."""
+    The search runs on point and entry codes: for |L0| >= 3 the image of L0
+    under each triple's map is read from cross-ratios (_carried_images),
+    which lists the triples of S in permutations order, and only a map that
+    is yielded is built, by one _triple_map from the frame of L0[:3]."""
     if len(L0) != len(S):
         return
     if len(L0) < 2:
@@ -400,11 +397,7 @@ def transporters(
         raise ValueError("H does not stabilize L0") from None
     source = frame(*src[:3])
     covered = set()  # the triples of the cosets yielded so far
-    if len(src) == 3:
-        images = (triple for triple in itertools.permutations(dst) if triple not in covered)
-    else:
-        images = _carried_images(spec, src, dst, covered)
-    for image in images:
+    for image in _carried_images(spec, src, dst, covered):
         yield _triple_map(spec, source, image[:3])
         covered.update((image[i], image[j], image[k]) for i, j, k in perms)
 

@@ -34,7 +34,6 @@ from .gfq import (
     _digits,
     _embedding_table,
     _inverse_cache,
-    _projection_table,
     extension_field,
     fp_echelon,
     parse_field_spec,
@@ -119,24 +118,12 @@ def subgroup_embed(H: SubgroupPGL2, target: FieldSpec) -> SubgroupPGL2:
 
 def _map_project(table: dict[int, int], g: tuple[int, int, int, int]) -> Optional[tuple[int, int, int, int]]:
     """The map with entry codes g pulled back to a subfield through its
-    _projection_table, entry by entry (a leading 1 stays 1), or None if an
+    gfq._projection_table, entry by entry (a leading 1 stays 1), or None if an
     entry is irrational there."""
     try:
         return tuple(table[e] for e in g)
     except KeyError:
         return None
-
-
-def subgroup_project(H: SubgroupPGL2, target: FieldSpec) -> Optional[SubgroupPGL2]:
-    """Pull the subgroup back to a subfield map by map (_map_project), or
-    None if any entry is irrational there."""
-    if H.spec is target:
-        return H
-    table = _projection_table(H.spec, target)
-    codes = [_map_project(table, x) for x in H.codes]
-    if None in codes:
-        return None
-    return SubgroupPGL2(target, tuple(sorted(codes)), H.tag)
 
 
 def _conjugator(spec: FieldSpec, g: tuple[int, int, int, int]):

@@ -57,12 +57,12 @@ from pglcensus.stdgroups import (
     SubgroupPGL2,
     _code_generators,
     _code_locus,
+    _map_project,
     close_generators,
     conjugate_subgroup,
     fingerprint,
     stabilized_locus,
     subgroup_from_json,
-    subgroup_project,
 )
 
 F2 = field_make(2, 1)
@@ -956,8 +956,9 @@ def assert_census_equals_filtered_scan(spec, subgroups, tag):
             assert {H.codes for H in rep.matches} == members, (tag, locus)
         else:
             rep = enum_actions(CensusQuery(ext, tag, locus, r=1))
-            rational = (subgroup_project(H, spec) for H in rep.matches)
-            assert {H.codes for H in rational if H is not None} == members, (tag, locus)
+            table = _projection_table(ext, spec)
+            rational = ([_map_project(table, g) for g in H.codes] for H in rep.matches)
+            assert {tuple(sorted(codes)) for codes in rational if None not in codes} == members, (tag, locus)
 
 
 # every tag with a standard model over F5 (cyclic:3, dihedral:3 and A5 need F25)

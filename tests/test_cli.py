@@ -658,6 +658,19 @@ def test_huge_level_range_refused_before_it_is_expanded(argv):
     assert r.stderr.startswith("error:") and ("WORK_BOUND" in r.stderr or "capped at q^r" in r.stderr)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds allocation on Linux alone")
+def test_out_of_memory_exits_two_without_traceback():
+    # the rank-8 subspaces of F_2^16 do not fit in a 300 MB address space:
+    # the run is refused like a work bound's, not ended by a traceback
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    cmd = [sys.executable, "-m", "pglcensus", "additive-subgroups", "--field", "2^16", "--rank", "8"]
+    r = subprocess.run(cmd, capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space)
+    assert (r.returncode, r.stdout) == (2, ""), r.stderr
+    assert r.stderr.startswith("error: out of memory") and "Traceback" not in r.stderr
+
+
 MALFORMED_LEVELS = '--levels takes levels "1,2" or a range "1-4", got '
 
 

@@ -156,6 +156,15 @@ GOLDEN = {
         ("b2ab6717087a00ec0f05b5abbd43eb26b0e82071d7cdfd4a4ea223ef7053bd98", 0),
     "conjugate --field 5^1 --gens1 [0,1;1,0]|[0,1;4,0]|[1,1;2,3] --gens2 [0,1;1,0]|[0,1;4,1]|[1,1;2,4]":
         ("5b668a141b5ab2afbdf880b364e6f9eb724b098fc7b1f7f34151e803d2166d24", 0),
+    # conjugacy at a locus of three points, whose transporters are read by
+    # cross-ratio with no point past the third: the anharmonic group of
+    # (0, 1, inf) over F_2, all of PGL2(F_2), against itself (witness the
+    # identity), and two groups of order 6 over F_8 with a witness
+    "conjugate --field 2^1 --gens1 [0,1;1,0]|[1,1;0,1] --gens2 [1,1;0,1]|[0,1;1,0]":
+        ("04b94ebb167af8adb9f970c1e9b821f195264db5258730b670b0cedce63833b5", 0),
+    "conjugate --field 2^3 --gens1 [0,0,0,1,0,0;1,0,0,0,0,0]|[1,0,0,1,0,0;0,0,0,1,0,0] "
+    "--gens2 [0,0,0,1,0,0;1,1,1,0,0,0]|[1,0,0,0,1,1;1,0,1,0,1,1]":
+        ("7c36e4ae1eaac9002044facb897f2d58d241b8e89f4b088fc537187711562584", 0),
     # the brute-force oracle's full scan of PGL2, on the README pair
     # (conjugate) and on A4 against S3 x Z2 over F_5 (not conjugate)
     "conjugate --field 2^2 --gens1 [1,0,1,0;0,0,1,0] --gens2 [1,0,0,1;0,0,1,0] --brute":

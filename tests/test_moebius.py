@@ -863,24 +863,32 @@ class TestTransportersAgainstReference:
                 assert list(transporters(search, L0, S, members)) == want
         assert list(transporters(search, L0, moved, H.codes))  # g's coset at least
 
-    @pytest.mark.parametrize("field", ["5^1", "2^3", "3^2"])
+    @pytest.mark.parametrize("field", ["5^1", "2^3", "3^2", "7^1"])
     def test_three_point_locus_with_its_rotation(self, field):
         # L0 = (0, 1, inf) and H the rotation x -> 1/(1 - x) of its points,
         # of order 3: the 6 maps onto any three points S form two cosets
         # g.H, so two maps, the first of each in triple order, as the
-        # reference gives
+        # reference gives.  With H the anharmonic group of L0, generated by
+        # x -> 1/x and x -> 1 - x, of order 6 in every field, the 6 maps
+        # form one coset, so one map
+        from pglcensus.stdgroups import close_generators
+
         spec = parse_field_spec(field)
         K, one = _kernel(spec), spec.one
         g = K.normalize(0, one, K.neg[one], one)
         H = [K.identity, g, K.law(g, g)]
+        inversion, reflection = K.normalize(0, one, one, 0), K.normalize(K.neg[one], one, 0, one)
+        anharmonic = close_generators(spec, [inversion, reflection]).codes
+        assert len(anharmonic) == 6 and set(H) <= set(anharmonic)
         L0 = [0, one, spec.q]
         assert [K.apply(g, x) for x in L0] == [one, spec.q, 0]
         rng = random.Random(field)
         move = self.random_map(rng, spec)
         for S in ([K.apply(move, x) for x in L0], rng.sample(range(spec.q + 1), 3)):
-            reps = list(transporters(spec, L0, S, H))
-            assert reps == list(reference_transporters(spec, L0, S, H))
-            assert len(reps) == 2
+            for group, count in ((H, 2), (anharmonic, 1)):
+                reps = list(transporters(spec, L0, S, group))
+                assert reps == list(reference_transporters(spec, L0, S, group))
+                assert len(reps) == count
 
     @pytest.mark.parametrize("field,tag,size", PROPER, ids=lambda c: str(c))
     def test_proper_subset_loci(self, field, tag, size):

@@ -8,9 +8,18 @@ import pytest
 import pglcensus.stdgroups as stdgroups
 from pglcensus.census import additive_subgroup, enum_additive_subgroups, gamma_to_unipotent
 from pglcensus.conjugacy import _conjugates_onto, is_conjugate, is_conjugate_bruteforce
-from pglcensus.gfq import _digits, _embedding_table, _int_code, _inverse_cache, extension_field, field_make
+from pglcensus.gfq import (
+    _digits,
+    _embedding_table,
+    _int_code,
+    _inverse_cache,
+    _projection_table,
+    extension_field,
+    field_make,
+)
 from pglcensus.moebius import _kernel, _pgl2_codes, mob_compose, mob_infinity_to, render_point
 from pglcensus.stdgroups import (
+    _map_project,
     close_generators,
     conjugate_subgroup,
     fingerprint,
@@ -24,7 +33,6 @@ from pglcensus.stdgroups import (
     std_PSL2,
     subgroup_embed,
     subgroup_from_json,
-    subgroup_project,
     subgroup_to_json,
 )
 
@@ -488,18 +496,22 @@ class TestEmbedAndProject:
     def test_entry_by_entry_against_the_embedding_table(self, build, degree):
         # the codes of the embedded maps are those of the matrices whose
         # entries are embedded one by one and then normalized, member by
-        # member, and projecting them back gives H again
+        # member, and projecting them back map by map gives H again
         H = build()
         ext = field_make(H.spec.p, H.spec.n * degree)
         K = subgroup_embed(H, ext)
         emb, normalize = _embedding_table(H.spec, ext), _kernel(ext).normalize
         assert set(K.codes) == {normalize(*(emb[e] for e in g)) for g in H.codes}
-        assert K.tag == H.tag and subgroup_project(K, H.spec) == H
-        assert subgroup_embed(H, H.spec) is H and subgroup_project(H, H.spec) is H
+        table = _projection_table(ext, H.spec)
+        assert K.tag == H.tag and tuple(sorted(_map_project(table, g) for g in K.codes)) == H.codes
+        assert subgroup_embed(H, H.spec) is H
 
-    def test_projection_of_an_irrational_group_is_none(self):
-        # cyclic:3 over F4 holds diag(t, 1), whose entry t is not in F2
-        assert subgroup_project(std_cyclic(F4, 3), F2) is None
+    def test_projection_of_an_irrational_map_is_none(self):
+        # cyclic:3 over F4 holds diag(1, t) and diag(1, t^2), whose entries
+        # t and t^2 are not in F2, and the identity, which projects to F2's
+        table = _projection_table(F4, F2)
+        projected = [_map_project(table, g) for g in std_cyclic(F4, 3).codes]
+        assert projected.count(None) == 2 and _kernel(F2).identity in projected
 
     def test_embedding_needs_an_extension(self):
         with pytest.raises(ValueError, match="cannot embed"):
